@@ -6,10 +6,6 @@
 //! experiments <fig01|...|fig15|fleet|flashcrowd|population|fairness|dispatch|checkpoint|all> \
 //!     [--seed N] [--scale F] [--out DIR] [--days D] \
 //!     [--checkpoint-every N] [--resume] [--state-dir DIR] [--stop-after-epochs N]
-//! experiments benchjson [--seed N] [--scale F] \
-//!     [--bench-out FILE] [--baseline FILE]
-//! experiments benchjson --compare A.json B.json
-//! experiments benchjson --compare-cells FILE CELL_A CELL_B
 //! experiments migrate-state <json-dir> <log-dir>
 //! ```
 //!
@@ -18,43 +14,31 @@
 //! `population` scenario; `--checkpoint-every`/`--resume`/`--state-dir`/
 //! `--stop-after-epochs` thread its kill/resume knobs (a suspended run
 //! restarts from its epoch-barrier manifest with bit-identical output).
-//! `benchjson` runs the perf-gate scenario matrix, writes a
-//! `BENCH_CI.json` (default `--bench-out`), and — when `--baseline` is
-//! given — fails unless every scenario runs within the gate's wall-clock
-//! and peak-RSS tolerances of the baseline (see bench/README.md).
-//! `benchjson --compare` skips the matrix and just prints per-scenario
-//! sessions/sec and peak-RSS deltas between two existing report files;
-//! `--compare-cells` compares two cells of one report (e.g. the
-//! `churn_filestore`/`churn_binlog` persistence pair). `migrate-state`
-//! converts a legacy file-per-user JSON state directory into a sharded
-//! binary state log, reporting malformed-filename warnings.
+//! `migrate-state` converts a legacy file-per-user JSON state directory
+//! into a sharded binary state log, reporting malformed-filename
+//! warnings.
 
 #![forbid(unsafe_code)]
 
 use std::env;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lingxi_core::{migrate_file_store, BinLogConfig, BinaryStateLog, StateStore};
 use lingxi_exp::population::CheckpointOpts;
-use lingxi_exp::{benchjson, population, run_experiment, ALL_EXPERIMENTS};
+use lingxi_exp::{population, run_experiment, ALL_EXPERIMENTS};
 
 fn usage() {
     eprintln!(
         "usage: experiments <figNN|fleet|flashcrowd|population|fairness|dispatch|checkpoint|all> [--seed N] [--scale F] [--out DIR] [--days D]"
     );
     eprintln!("                   [--checkpoint-every N] [--resume] [--state-dir DIR] [--stop-after-epochs N]");
-    eprintln!(
-        "       experiments benchjson [--seed N] [--scale F] [--bench-out FILE] [--baseline FILE]"
-    );
-    eprintln!("       experiments benchjson --compare A.json B.json");
-    eprintln!("       experiments benchjson --compare-cells FILE CELL_A CELL_B");
     eprintln!("       experiments migrate-state <json-dir> <log-dir>");
     eprintln!(
         "experiments: {}, fleet, flashcrowd, population, fairness, dispatch, checkpoint",
         ALL_EXPERIMENTS.join(", ")
     );
-    eprintln!("(`all` runs the paper figures; `fleet`/`flashcrowd`/`population`/`fairness`/`dispatch`/`checkpoint` are the systems scenarios; `benchjson` emits the CI perf report; `migrate-state` converts file-per-user JSON state to the binary log)");
+    eprintln!("(`all` runs the paper figures; `fleet`/`flashcrowd`/`population`/`fairness`/`dispatch`/`checkpoint` are the systems scenarios; `migrate-state` converts file-per-user JSON state to the binary log)");
 }
 
 /// `migrate-state <json-dir> <log-dir>`: copy every user of a legacy
@@ -116,26 +100,10 @@ fn main() -> ExitCode {
     let mut scale = 1.0f64;
     let mut out_dir = String::from("results");
     let mut days = 2usize;
-    let mut bench_out = String::from("BENCH_CI.json");
-    let mut baseline: Option<String> = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut compare_cells: Option<(String, String, String)> = None;
     let mut ckpt = CheckpointOpts::default();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--compare" if i + 2 < args.len() => {
-                compare = Some((args[i + 1].clone(), args[i + 2].clone()));
-                i += 3;
-            }
-            "--compare-cells" if i + 3 < args.len() => {
-                compare_cells = Some((
-                    args[i + 1].clone(),
-                    args[i + 2].clone(),
-                    args[i + 3].clone(),
-                ));
-                i += 4;
-            }
             "--seed" if i + 1 < args.len() => {
                 seed = args[i + 1].parse().unwrap_or(42);
                 i += 2;
@@ -150,14 +118,6 @@ fn main() -> ExitCode {
             }
             "--days" if i + 1 < args.len() => {
                 days = args[i + 1].parse().unwrap_or(2);
-                i += 2;
-            }
-            "--bench-out" if i + 1 < args.len() => {
-                bench_out = args[i + 1].clone();
-                i += 2;
-            }
-            "--baseline" if i + 1 < args.len() => {
-                baseline = Some(args[i + 1].clone());
                 i += 2;
             }
             "--checkpoint-every" if i + 1 < args.len() => {
@@ -181,49 +141,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-
-    if target == "benchjson" {
-        if let Some((file, a, b)) = compare_cells {
-            return match benchjson::compare_cells_file(Path::new(&file), &a, &b) {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("benchjson compare-cells failed: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        if let Some((a, b)) = compare {
-            return match benchjson::compare_files(Path::new(&a), Path::new(&b)) {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("benchjson compare failed: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        eprintln!(">>> running benchjson (seed {seed}, scale {scale})");
-        return match benchjson::run_gate(
-            seed,
-            scale,
-            Path::new(&bench_out),
-            baseline.as_deref().map(Path::new),
-        ) {
-            Ok(summary) => {
-                print!("{summary}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("benchjson failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
 
     let ids: Vec<&str> = if target == "all" {

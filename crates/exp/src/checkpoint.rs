@@ -14,14 +14,14 @@
 //! checkpoint/resume smoke.
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, FleetConfig, FleetEngine, FleetReport, FleetScenario,
-    PersistenceConfig, PopulationDynamics, RunControl, RunOutcome,
+    AbrMix, ContentionConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics,
+    RunControl, RunOutcome,
 };
 use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
 
 use crate::report::{ExperimentResult, Series};
-use crate::{ExpError, Result};
+use crate::{CellDir, ExpError, Result};
 
 /// Epochs (simulated days) per run.
 const EPOCHS: usize = 4;
@@ -32,10 +32,6 @@ const STOP_AFTER: usize = 2;
 
 /// Shard counts the contract is checked at.
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
-
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_ckpt_exp_{}_{tag}", std::process::id()))
-}
 
 fn scenario(scale: f64) -> FleetScenario {
     FleetScenario {
@@ -50,13 +46,11 @@ fn scenario(scale: f64) -> FleetScenario {
     }
 }
 
-fn config(shards: usize, seed: u64, scale: f64, dir: &std::path::Path) -> FleetConfig {
+fn config(shards: usize, seed: u64, scale: f64) -> FleetConfig {
     FleetConfig {
         shards,
         epochs: EPOCHS,
         seed,
-        state_dir: dir.to_path_buf(),
-        persistence: PersistenceConfig::binary_log(),
         contention: Some(ContentionConfig {
             links: ((8.0 * scale).round() as usize).max(3),
             capacity_kbps: 25_000.0,
@@ -77,29 +71,24 @@ fn config(shards: usize, seed: u64, scale: f64, dir: &std::path::Path) -> FleetC
 /// One straight run and one killed-then-resumed run at `shards`; errors
 /// unless they agree bit-exactly. Returns the straight report.
 fn run_pair(shards: usize, seed: u64, scale: f64) -> Result<FleetReport> {
-    let straight_dir = state_dir(&format!("straight{shards}_s{seed}"));
-    let resumed_dir = state_dir(&format!("resumed{shards}_s{seed}"));
-    let _ = std::fs::remove_dir_all(&straight_dir);
-    let _ = std::fs::remove_dir_all(&resumed_dir);
     let scenario = scenario(scale);
-
-    let straight = FleetEngine::new(config(shards, seed, scale, &straight_dir))
-        .map_err(crate::sub)?
-        .run(&scenario)
-        .map_err(crate::sub)?;
+    let straight = crate::run_fleet_cell(
+        &format!("checkpoint_straight{shards}_s{seed}"),
+        config(shards, seed, scale),
+        &scenario,
+    )?;
 
     // The "kill": run to the barrier after STOP_AFTER epochs, drop the
     // engine, and restart from the manifest with a fresh one.
-    let outcome = FleetEngine::new(config(shards, seed, scale, &resumed_dir))
-        .map_err(crate::sub)?
-        .run_resumable(
-            &scenario,
-            RunControl {
-                resume: false,
-                stop_after_epochs: Some(STOP_AFTER),
-            },
-        )
-        .map_err(crate::sub)?;
+    let resumed_dir = CellDir::scratch(&format!("checkpoint_resumed{shards}_s{seed}"));
+    let outcome = resumed_dir.run_resumable(
+        config(shards, seed, scale),
+        &scenario,
+        RunControl {
+            resume: false,
+            stop_after_epochs: Some(STOP_AFTER),
+        },
+    )?;
     let RunOutcome::Suspended(ckpt) = outcome else {
         return Err(ExpError::Subsystem(format!(
             "checkpoint: {shards}-shard run did not suspend at the barrier"
@@ -111,17 +100,14 @@ fn run_pair(shards: usize, seed: u64, scale: f64) -> Result<FleetReport> {
             ckpt.next_epoch
         )));
     }
-    let resumed = match FleetEngine::new(config(shards, seed, scale, &resumed_dir))
-        .map_err(crate::sub)?
-        .run_resumable(
-            &scenario,
-            RunControl {
-                resume: true,
-                stop_after_epochs: None,
-            },
-        )
-        .map_err(crate::sub)?
-    {
+    let resumed = match resumed_dir.run_resumable(
+        config(shards, seed, scale),
+        &scenario,
+        RunControl {
+            resume: true,
+            stop_after_epochs: None,
+        },
+    )? {
         RunOutcome::Complete(report) => *report,
         RunOutcome::Suspended(_) => {
             return Err(ExpError::Subsystem(
@@ -141,8 +127,6 @@ fn run_pair(shards: usize, seed: u64, scale: f64) -> Result<FleetReport> {
             straight.sessions, resumed.sessions, straight.users, resumed.users
         )));
     }
-    let _ = std::fs::remove_dir_all(&straight_dir);
-    let _ = std::fs::remove_dir_all(&resumed_dir);
     Ok(straight)
 }
 

@@ -13,15 +13,13 @@
 //! *fails* unless
 //!
 //! 1. the LSQ cell is bit-identical across 1, 4 and 8 shards **and**
-//!    across 1, 2 and 4 physical dispatchers (scalars and sketches),
-//! 2. `StaticHash` under the dispatch layer reproduces the legacy
-//!    engine (no dispatch layer at all) bit-exactly, and
-//! 3. LSQ strictly reduces the peak weighted link occupancy versus
+//!    across 1, 2 and 4 physical dispatchers (scalars and sketches), and
+//! 2. LSQ strictly reduces the peak weighted link occupancy versus
 //!    `StaticHash` on the heterogeneous 1:4 skew.
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetEngine,
-    FleetReport, FleetScenario,
+    AbrMix, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetReport,
+    FleetScenario,
 };
 use lingxi_net::ProductionMixture;
 
@@ -41,15 +39,11 @@ pub fn hetero_weights() -> Vec<f64> {
         .collect()
 }
 
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_dispatch_{}_{tag}", std::process::id()))
-}
-
 /// Run one dispatch cell: the static population on the 8-link pod under
-/// the given dispatch layer (`None` = the legacy pre-dispatch engine).
-/// Public so smoke/golden tests can pin per-cell output.
+/// the given dispatch layer. Public so smoke/golden tests can pin
+/// per-cell output.
 pub fn run_cell(
-    dispatch: Option<DispatchConfig>,
+    dispatch: DispatchConfig,
     scale: f64,
     shards: usize,
     seed: u64,
@@ -64,28 +58,24 @@ pub fn run_cell(
         mixture: ProductionMixture::default(),
         abr_mix: AbrMix::default(),
     };
-    let dir = state_dir(&format!("{tag}_s{seed}_n{shards}"));
-    let _ = std::fs::remove_dir_all(&dir);
     let config = FleetConfig {
         shards,
         epochs: EPOCHS,
         seed,
-        state_dir: dir.clone(),
         contention: Some(ContentionConfig {
             links: LINKS,
             capacity_kbps: 25_000.0,
             arrival_window: 30.0,
             access_cap_factor: 1.5,
         }),
-        dispatch,
+        dispatch: Some(dispatch),
         ..FleetConfig::default()
     };
-    let report = FleetEngine::new(config)
-        .map_err(crate::sub)?
-        .run(&scenario)
-        .map_err(crate::sub)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
+    crate::run_fleet_cell(
+        &format!("dispatch_{tag}_s{seed}_n{shards}"),
+        config,
+        &scenario,
+    )
 }
 
 /// Bit-exact equality of two cells (merged scalars and sketches).
@@ -120,9 +110,9 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     };
 
     // Gate 1a: the LSQ cell must be bit-exact for any shard count.
-    let lsq_one = run_cell(Some(lsq(2, &hetero)), scale, 1, seed, "lsq_hetero_1")?;
-    let lsq_hetero = run_cell(Some(lsq(2, &hetero)), scale, 4, seed, "lsq_hetero_4")?;
-    let lsq_eight = run_cell(Some(lsq(2, &hetero)), scale, 8, seed, "lsq_hetero_8")?;
+    let lsq_one = run_cell(lsq(2, &hetero), scale, 1, seed, "lsq_hetero_1")?;
+    let lsq_hetero = run_cell(lsq(2, &hetero), scale, 4, seed, "lsq_hetero_4")?;
+    let lsq_eight = run_cell(lsq(2, &hetero), scale, 8, seed, "lsq_hetero_8")?;
     if !bit_equal(&lsq_one, &lsq_hetero) || !bit_equal(&lsq_one, &lsq_eight) {
         return Err(ExpError::Subsystem(format!(
             "dispatch shard invariance violated under LSQ: 1/4/8 shards gave {}/{}/{} sessions",
@@ -132,8 +122,8 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 
     // Gate 1b: the physical dispatcher count must not move a placement —
     // it only regroups the pinned logical streams.
-    let lsq_d1 = run_cell(Some(lsq(1, &hetero)), scale, 4, seed, "lsq_hetero_d1")?;
-    let lsq_d4 = run_cell(Some(lsq(4, &hetero)), scale, 4, seed, "lsq_hetero_d4")?;
+    let lsq_d1 = run_cell(lsq(1, &hetero), scale, 4, seed, "lsq_hetero_d1")?;
+    let lsq_d4 = run_cell(lsq(4, &hetero), scale, 4, seed, "lsq_hetero_d4")?;
     if !bit_equal(&lsq_hetero, &lsq_d1) || !bit_equal(&lsq_hetero, &lsq_d4) {
         return Err(ExpError::Subsystem(format!(
             "dispatch dispatcher invariance violated under LSQ: 1/2/4 dispatchers gave {}/{}/{} sessions",
@@ -142,25 +132,10 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     }
     result.headline_value("shard+dispatcher invariance (1 = identical)", 1.0);
 
-    // Gate 2: StaticHash under the dispatch layer is the legacy engine.
-    let legacy = run_cell(None, scale, 4, seed, "legacy")?;
-    let static_uniform = run_cell(
-        Some(DispatchConfig::static_hash()),
-        scale,
-        4,
-        seed,
-        "static_uniform",
-    )?;
-    if !bit_equal(&legacy, &static_uniform) {
-        return Err(ExpError::Subsystem(
-            "StaticHash dispatch diverged from the legacy engine (bit-exactness contract)".into(),
-        ));
-    }
-
-    // Gate 3: LSQ must strictly beat StaticHash on peak weighted
+    // Gate 2: LSQ must strictly beat StaticHash on peak weighted
     // occupancy under the heterogeneous skew — the whole point of
     // load-aware dispatch.
-    let static_hetero = run_cell(Some(static_hash(&hetero)), scale, 4, seed, "static_hetero")?;
+    let static_hetero = run_cell(static_hash(&hetero), scale, 4, seed, "static_hetero")?;
     let lsq_occ = occupancy(&lsq_hetero, "lsq_hetero")?;
     let static_occ = occupancy(&static_hetero, "static_hetero")?;
     if lsq_occ >= static_occ {
@@ -177,8 +152,8 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     // is already near-balanced in expectation, so this is a headline,
     // not a gate.
     let uniform = vec![1.0; LINKS];
-    let lsq_uniform = run_cell(Some(lsq(2, &uniform)), scale, 4, seed, "lsq_uniform")?;
-    let static_uw = run_cell(Some(static_hash(&uniform)), scale, 4, seed, "static_uw")?;
+    let lsq_uniform = run_cell(lsq(2, &uniform), scale, 4, seed, "lsq_uniform")?;
+    let static_uw = run_cell(static_hash(&uniform), scale, 4, seed, "static_uw")?;
     result.headline_value(
         "lsq uniform peak occupancy",
         occupancy(&lsq_uniform, "lsq_uniform")?,

@@ -17,7 +17,7 @@
 //!    than the capped `mobile` class.
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, FairnessConfig, FleetConfig, FleetEngine, FleetReport, FleetScenario,
+    AbrMix, ContentionConfig, FairnessConfig, FleetConfig, FleetReport, FleetScenario,
     PopulationDynamics,
 };
 use lingxi_net::{FairnessObjective, ProductionMixture, TopoLink, Topology};
@@ -46,10 +46,6 @@ const DAY_SECONDS: f64 = 3_600.0;
 
 /// Simulated days per cell.
 const DAYS: usize = 2;
-
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_fairness_{}_{tag}", std::process::id()))
-}
 
 /// The pod topology template every path group instantiates: two access
 /// links feeding a metro link into a core link, with three routes —
@@ -105,13 +101,10 @@ pub fn run_cell(
         mixture: ProductionMixture::default(),
         abr_mix: AbrMix::default(),
     };
-    let dir = state_dir(&format!("{tag}_s{seed}_n{shards}"));
-    let _ = std::fs::remove_dir_all(&dir);
     let config = FleetConfig {
         shards,
         epochs: DAYS,
         seed,
-        state_dir: dir.clone(),
         contention: Some(ContentionConfig {
             links: path_groups,
             capacity_kbps: 25_000.0,
@@ -146,12 +139,11 @@ pub fn run_cell(
         }),
         ..FleetConfig::default()
     };
-    let report = FleetEngine::new(config)
-        .map_err(crate::sub)?
-        .run(&scenario)
-        .map_err(crate::sub)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
+    crate::run_fleet_cell(
+        &format!("fairness_{tag}_s{seed}_n{shards}"),
+        config,
+        &scenario,
+    )
 }
 
 /// Session-weighted aggregate of one class across all epochs:

@@ -17,8 +17,7 @@
 //! must not cost the engine its determinism contract.
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, FleetConfig, FleetEngine, FleetReport, FleetScenario,
-    PopulationDynamics,
+    AbrMix, ContentionConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics,
 };
 use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, FlashRamp};
@@ -41,10 +40,6 @@ const RAMP_WINDOW_S: f64 = 20.0;
 /// Mean sessions each crowd member plays.
 const SESSIONS_PER_USER: f64 = 2.0;
 
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_flashcrowd_{}_{tag}", std::process::id()))
-}
-
 fn run_cell(
     users_per_link: usize,
     links: usize,
@@ -61,15 +56,10 @@ fn run_cell(
         mixture: ProductionMixture::default(),
         abr_mix: AbrMix::default(),
     };
-    // Seed in the path: tests run `run()` with different seeds in parallel
-    // threads of one process, and (pid, tag) alone would collide.
-    let dir = state_dir(&format!("{tag}_s{seed}"));
-    let _ = std::fs::remove_dir_all(&dir);
     let config = FleetConfig {
         shards,
         epochs: 1,
         seed,
-        state_dir: dir.clone(),
         contention: Some(ContentionConfig {
             links,
             capacity_kbps: LINK_KBPS,
@@ -91,12 +81,7 @@ fn run_cell(
         }),
         ..FleetConfig::default()
     };
-    let report = FleetEngine::new(config)
-        .map_err(crate::sub)?
-        .run(&scenario)
-        .map_err(crate::sub)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
+    crate::run_fleet_cell(&format!("flashcrowd_{tag}_s{seed}"), config, &scenario)
 }
 
 /// Run the flash-crowd experiment.

@@ -15,7 +15,7 @@
 //!    mid-run; per-epoch cohort metrics feed the §5.3
 //!    difference-in-differences pipeline at population scale.
 
-use lingxi_fleet::{AbSplit, AbrMix, FleetConfig, FleetEngine, FleetReport, FleetScenario};
+use lingxi_fleet::{AbSplit, AbrMix, FleetConfig, FleetReport, FleetScenario};
 use lingxi_net::ProductionMixture;
 
 use crate::report::{ExperimentResult, Series};
@@ -27,10 +27,6 @@ fn scaled(n: usize, scale: f64, floor: usize) -> usize {
     ((n as f64 * scale.clamp(0.001, 10.0)).round() as usize).max(floor)
 }
 
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_fleet_exp_{}_{tag}", std::process::id()))
-}
-
 fn run_fleet(
     scenario: &FleetScenario,
     shards: usize,
@@ -39,22 +35,14 @@ fn run_fleet(
     ab: Option<AbSplit>,
     tag: &str,
 ) -> Result<FleetReport> {
-    let dir = state_dir(tag);
-    let _ = std::fs::remove_dir_all(&dir);
     let config = FleetConfig {
         shards,
         epochs,
         seed,
-        state_dir: dir.clone(),
         ab,
         ..FleetConfig::default()
     };
-    let report = FleetEngine::new(config)
-        .map_err(crate::sub)?
-        .run(scenario)
-        .map_err(crate::sub)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
+    crate::run_fleet_cell(&format!("fleet_{tag}"), config, scenario)
 }
 
 /// Run the fleet experiment.

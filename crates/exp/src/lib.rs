@@ -23,7 +23,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod benchjson;
 pub mod checkpoint;
 pub mod datasets;
 pub mod dispatch;
@@ -46,6 +45,10 @@ pub mod fleet;
 pub mod population;
 pub mod report;
 pub mod world;
+
+use std::path::{Path, PathBuf};
+
+use lingxi_fleet::{FleetConfig, FleetEngine, FleetReport, FleetScenario, RunControl, RunOutcome};
 
 pub use report::{ExperimentResult, Series};
 pub use world::{World, WorldConfig};
@@ -84,6 +87,80 @@ pub fn sub<E: std::fmt::Display>(e: E) -> ExpError {
     ExpError::Subsystem(e.to_string())
 }
 
+/// The state directory of one fleet cell. A scratch one is removed when
+/// the value drops — on every exit path, errors included.
+pub(crate) struct CellDir {
+    path: PathBuf,
+    scratch: bool,
+}
+
+impl CellDir {
+    /// Claim an empty scratch directory, unique per (process, `tag`).
+    /// Tags carry their module name and, where one process may run the
+    /// same cell under several seeds at once (parallel tests), the seed.
+    pub(crate) fn scratch(tag: &str) -> Self {
+        let path = std::env::temp_dir().join(format!("lingxi_exp_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        Self {
+            path,
+            scratch: true,
+        }
+    }
+
+    /// A directory the caller owns: used as found, never removed.
+    pub(crate) fn kept(path: PathBuf) -> Self {
+        Self {
+            path,
+            scratch: false,
+        }
+    }
+
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// One engine invocation of the `(config, scenario)` cell over this
+    /// directory (`config.state_dir` is overwritten with it).
+    pub(crate) fn run_resumable(
+        &self,
+        config: FleetConfig,
+        scenario: &FleetScenario,
+        control: RunControl,
+    ) -> Result<RunOutcome> {
+        let config = FleetConfig {
+            state_dir: self.path.clone(),
+            ..config
+        };
+        FleetEngine::new(config)
+            .map_err(sub)?
+            .run_resumable(scenario, control)
+            .map_err(sub)
+    }
+}
+
+impl Drop for CellDir {
+    fn drop(&mut self) {
+        if self.scratch {
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
+    }
+}
+
+/// Run one `(config, scenario)` fleet cell to completion in a scratch
+/// state directory of its own.
+pub(crate) fn run_fleet_cell(
+    tag: &str,
+    config: FleetConfig,
+    scenario: &FleetScenario,
+) -> Result<FleetReport> {
+    match CellDir::scratch(tag).run_resumable(config, scenario, RunControl::default())? {
+        RunOutcome::Complete(report) => Ok(*report),
+        RunOutcome::Suspended(_) => Err(ExpError::Subsystem(format!(
+            "{tag}: a run without a stop control suspended"
+        ))),
+    }
+}
+
 /// All paper-figure experiment ids in paper order. The `fleet` scale
 /// experiment (see [`fleet`]), the `flashcrowd` contention scenario
 /// (see [`flashcrowd`]), the `population` dynamics scenario (see
@@ -91,9 +168,7 @@ pub fn sub<E: std::fmt::Display>(e: E) -> ExpError {
 /// [`fairness`]), the `dispatch` load-aware placement scenario (see
 /// [`dispatch`]) and the `checkpoint` kill/resume scenario (see
 /// [`checkpoint`]) are run explicitly by id — they are systems
-/// benchmarks, not figures, so `all` does not include them. The
-/// `benchjson` perf-gate matrix (see [`benchjson`]) has its own CLI
-/// subcommand because it emits JSON rather than an experiment result.
+/// benchmarks, not figures, so `all` does not include them.
 pub const ALL_EXPERIMENTS: [&str; 13] = [
     "fig01", "fig02", "fig03", "fig04", "fig05", "fig08", "fig09", "fig10", "fig11", "fig12",
     "fig13", "fig14", "fig15",

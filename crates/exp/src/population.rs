@@ -26,14 +26,14 @@
 use std::path::PathBuf;
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport,
-    FleetScenario, PersistenceConfig, PopulationDynamics, RunControl, RunOutcome,
+    AbrMix, ContentionConfig, FleetCheckpoint, FleetConfig, FleetReport, FleetScenario,
+    PopulationDynamics, RunControl, RunOutcome,
 };
 use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, Diurnal};
 
 use crate::report::{ExperimentResult, Series};
-use crate::{ExpError, Result};
+use crate::{CellDir, ExpError, Result};
 
 /// Arrival-rate multipliers swept by the experiment.
 const RATE_RAMP: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
@@ -47,10 +47,6 @@ const DAY_SECONDS: f64 = 86_400.0;
 /// Per-class ramp curves being accumulated: (class name, stall-per-session
 /// points, watch-per-session points).
 type ClassCurves = Vec<(String, Vec<(f64, f64)>, Vec<(f64, f64)>)>;
-
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_population_{}_{tag}", std::process::id()))
-}
 
 /// Checkpoint/resume knobs threaded from the `experiments` CLI into the
 /// rate-ramp cells. Defaults reproduce the historical behaviour: fresh
@@ -118,21 +114,23 @@ fn run_cell_opts(spec: CellSpec, tag: &str, ckpt: &CheckpointOpts) -> Result<Cel
         mixture: ProductionMixture::default(),
         abr_mix: AbrMix::default(),
     };
-    // Ephemeral temp state by default; a persistent per-cell directory
-    // under `state_root` when the caller wants checkpoint/resume.
-    let (dir, ephemeral) = match &ckpt.state_root {
-        Some(root) => (root.join(tag), false),
-        None => (state_dir(&format!("{tag}_s{seed}")), true),
+    // Ephemeral scratch state by default; a persistent per-cell directory
+    // under `state_root` (emptied unless resuming) when the caller wants
+    // checkpoint/resume.
+    let dir = match &ckpt.state_root {
+        Some(root) => {
+            let dir = root.join(tag);
+            if !ckpt.resume {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            CellDir::kept(dir)
+        }
+        None => CellDir::scratch(&format!("population_{tag}_s{seed}")),
     };
-    if ephemeral || !ckpt.resume {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
     let config = FleetConfig {
         shards,
         epochs: days,
         seed,
-        state_dir: dir.clone(),
-        persistence: PersistenceConfig::binary_log(),
         checkpoint_every: ckpt.checkpoint_every,
         contention: Some(ContentionConfig {
             links,
@@ -155,26 +153,22 @@ fn run_cell_opts(spec: CellSpec, tag: &str, ckpt: &CheckpointOpts) -> Result<Cel
     // Resume only where a manifest actually exists: a cell that already
     // completed removed its manifest, so a resumed experiment reruns it
     // from scratch — same bits either way.
-    let resume_here = ckpt.resume && FleetCheckpoint::load(&dir).map_err(crate::sub)?.is_some();
-    let outcome = FleetEngine::new(config)
-        .map_err(crate::sub)?
-        .run_resumable(
-            &scenario,
-            RunControl {
-                resume: resume_here,
-                stop_after_epochs: ckpt.stop_after_epochs,
-            },
-        )
-        .map_err(crate::sub)?;
-    match outcome {
-        RunOutcome::Complete(report) => {
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            Ok(CellOutcome::Complete(report))
-        }
-        RunOutcome::Suspended(manifest) => Ok(CellOutcome::Suspended(manifest.next_epoch)),
-    }
+    let resume_here = ckpt.resume
+        && FleetCheckpoint::load(dir.path())
+            .map_err(crate::sub)?
+            .is_some();
+    let outcome = dir.run_resumable(
+        config,
+        &scenario,
+        RunControl {
+            resume: resume_here,
+            stop_after_epochs: ckpt.stop_after_epochs,
+        },
+    )?;
+    Ok(match outcome {
+        RunOutcome::Complete(report) => CellOutcome::Complete(report),
+        RunOutcome::Suspended(manifest) => CellOutcome::Suspended(manifest.next_epoch),
+    })
 }
 
 /// Run the population-dynamics experiment over `days` simulated days.

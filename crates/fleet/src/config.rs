@@ -114,18 +114,19 @@ impl AbrMix {
 }
 
 /// Shared-bottleneck contention mode: instead of a private trace per
-/// session, users hash onto a fixed set of shared links
+/// session, users are placed onto a fixed set of shared links
 /// ([`lingxi_net::SharedBottleneck`]) and their concurrent downloads split
 /// each link's capacity max-min fair.
 ///
-/// Determinism: the user→link assignment depends only on (seed, user id),
-/// and in contention mode shards own *links* rather than users, so every
-/// link's event-driven co-simulation runs single-threaded with an event
-/// order derived from (seed, link members, epoch) alone — merged metrics
-/// stay bit-identical for any shard count.
+/// Determinism: placement is a pure function of (seed, user id, epoch,
+/// barrier snapshot) — see [`crate::dispatch`] — and in contention mode
+/// shards own *links* rather than users, so every link's event-driven
+/// co-simulation runs single-threaded with an event order derived from
+/// (seed, link members, epoch) alone — merged metrics stay bit-identical
+/// for any shard count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionConfig {
-    /// Number of shared bottleneck links users hash onto.
+    /// Number of shared bottleneck links users are placed on.
     pub links: usize,
     /// Capacity of each link (kbps).
     pub capacity_kbps: f64,
@@ -262,20 +263,22 @@ impl PopulationDynamics {
 }
 
 /// Which durable [`lingxi_core::StateBackend`] persists long-term user
-/// state under [`FleetConfig::state_dir`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// state under [`FleetConfig::state_dir`]. The fleet has one backend; the
+/// enum is how a caller names it and carries its sizing. (The
+/// file-per-user JSON store is retired from the fleet path:
+/// `experiments migrate-state` converts its directories.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistenceConfig {
-    /// Legacy file-per-user JSON ([`lingxi_core::StateStore`]): one
-    /// `user_<id>.json` per user, every save a write+rename pair. Kept
-    /// for single-session tooling and as the migration source (the
-    /// default for backwards compatibility).
-    #[default]
-    FileJson,
     /// Sharded append-only binary log with compacting snapshots
-    /// ([`lingxi_core::BinaryStateLog`]) — the fleet-scale backend: a
-    /// barrier flush is a handful of sequential appends however many
-    /// users churned.
+    /// ([`lingxi_core::BinaryStateLog`]): a barrier flush is a handful of
+    /// sequential appends however many users churned.
     BinaryLog(BinLogConfig),
+}
+
+impl Default for PersistenceConfig {
+    fn default() -> Self {
+        Self::binary_log()
+    }
 }
 
 impl PersistenceConfig {
@@ -286,17 +289,16 @@ impl PersistenceConfig {
 
     /// Validate the configuration.
     pub fn validate(&self) -> Result<()> {
-        match self {
-            PersistenceConfig::FileJson => Ok(()),
-            PersistenceConfig::BinaryLog(cfg) => cfg.validate().map_err(crate::sub),
-        }
+        let PersistenceConfig::BinaryLog(cfg) = self;
+        cfg.validate().map_err(crate::sub)
     }
 }
 
 /// Engine sizing and policy (scenario-independent).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Worker shards (threads). User ids hash onto shards.
+    /// Worker shards (threads). User ids — in contention mode, link ids —
+    /// hash onto shards.
     pub shards: usize,
     /// Simulated days; state persists across epochs through the cache.
     pub epochs: usize,
@@ -328,12 +330,12 @@ pub struct FleetConfig {
     /// `contention`. `None` replays the fixed scenario cohort each epoch.
     pub dynamics: Option<PopulationDynamics>,
     /// Fairness/topology mode (multi-hop routes, α-fair sharing,
-    /// emergent RTT); requires `contention`. `None` keeps the degenerate
-    /// single max-min link per group.
+    /// emergent RTT); requires `contention`. `None` is the degenerate
+    /// topology: one max-min link per group, constant RTT.
     pub fairness: Option<FairnessConfig>,
     /// Dispatch layer (user→link placement policy + heterogeneous link
-    /// capacity weights); requires `contention`. `None` keeps the legacy
-    /// static id-hash placement bit-exactly.
+    /// capacity weights); requires `contention`. `None` is the degenerate
+    /// dispatcher: [`DispatchConfig::static_hash`].
     pub dispatch: Option<DispatchConfig>,
 }
 

@@ -1,11 +1,11 @@
 //! The shared-bottleneck contention kernel: event-driven co-simulation of
 //! every session sharing a link.
 //!
-//! In contention mode each shard owns whole *links* (see
-//! [`FleetEngine::link_of`]); this module runs one link's users as a
-//! deterministic discrete-event simulation. Each user is a [`LinkAgent`]
-//! wrapping the resumable session steppers ([`SessionStream`] /
-//! [`ManagedSession`]): the kernel pops the earliest event — a flow
+//! In contention mode each shard owns whole *links* (the dispatch stage
+//! places every user on one before the shards run); this module runs one
+//! link's users as a deterministic discrete-event simulation. Each user
+//! is a [`LinkAgent`] wrapping the resumable session steppers
+//! ([`SessionStream`] / [`ManagedSession`]): the kernel pops the earliest event — a flow
 //! completion on the [`SharedBottleneck`], or a pending download request —
 //! hands completions to their agent (which advances its player, consults
 //! LingXi and the exit model, and issues its next request), and admits
@@ -15,13 +15,14 @@
 //!
 //! Population-dynamics mode threads through here naturally: a dynamic
 //! user's first arrival time comes from the workload schedule instead of
-//! the legacy uniform ramp window, its per-flow cap folds in the class
+//! the uniform ramp window, its per-flow cap folds in the class
 //! access cap, each link's capacity comes from the link-class registry,
 //! and a departing agent simply stops issuing requests — the bottleneck
 //! re-shares its capacity over the survivors on the next event.
 //!
-//! Fairness mode ([`crate::FairnessConfig`]) generalizes each group's
-//! single link into a multi-hop [`lingxi_net::Topology`] instance: flows
+//! Every link group is a [`lingxi_net::Topology`] instance; without a
+//! [`crate::FairnessConfig`] it is the degenerate one (a single max-min
+//! link, constant RTT). Fairness mode makes it multi-hop: flows
 //! hash onto routes (a pure function of seed and user id), capacity
 //! splits under the configured [`lingxi_net::FairnessObjective`], and
 //! each member's session RTT/jitter become the Kleinrock-composed
@@ -55,14 +56,15 @@ use lingxi_media::{BitrateLadder, Catalog, Video};
 use lingxi_net::BinaryHeapQueue;
 #[cfg(not(feature = "reference-heap"))]
 use lingxi_net::TimerWheel;
-use lingxi_net::{Download, EventQueue, FlowEnd, RttModel, SharedBottleneck};
+use lingxi_net::{
+    Download, EventQueue, FairnessObjective, FlowEnd, RttModel, SharedBottleneck, Topology,
+};
 use lingxi_player::{ExitDecision, PlayerConfig, SessionStream};
 use lingxi_user::{ExitModel, QosExitModel, SegmentView, ToleranceDrift, UserRecord};
 use rand::rngs::{BlockRng, StdRng};
 use rand::{Rng, SeedableRng};
 
-use crate::config::{ContentionConfig, FleetScenario};
-use crate::engine::{EpochUser, FleetEngine, ShardEpochOutput, UserEpochRow};
+use crate::engine::{EpochCtx, EpochUser, FleetEngine, ShardEpochOutput, UserEpochRow};
 use crate::report::EpochSketches;
 use crate::{sub, FleetError, Result};
 
@@ -87,9 +89,9 @@ type AgentRng = BlockRng<StdRng>;
 /// state allocates nothing per epoch or per link.
 #[derive(Default)]
 pub(crate) struct ContentionScratch {
-    /// `(link id, index into the shard's user slice)`, sorted by
-    /// `(link, user id)` at epoch start — the flat replacement for the
-    /// old per-epoch `BTreeMap` link grouping.
+    /// `(link id, index into the epoch cohort)` of the shard's users,
+    /// sorted by `(link, user id)` at epoch start — the flat form of a
+    /// per-epoch `BTreeMap` link grouping.
     pairs: Vec<(u64, u32)>,
     /// Pending arrivals, cleared between links.
     queue: ArrivalQueue,
@@ -97,8 +99,8 @@ pub(crate) struct ContentionScratch {
     uids: Vec<u64>,
     /// Per-agent flow caps, parallel to `uids` (struct-of-arrays).
     caps: Vec<f64>,
-    /// Per-agent route indices, parallel to `uids` (always 0 outside
-    /// fairness mode — the degenerate topology's one route).
+    /// Per-agent route indices, parallel to `uids` (always 0 on the
+    /// degenerate topology — its one route).
     routes: Vec<u16>,
     /// Per-link utilization estimates for the Kleinrock RTT (fairness
     /// mode), rebuilt per link group.
@@ -356,18 +358,47 @@ impl<'a> LinkAgent<'a> {
 /// and co-simulate each link's group on its own event kernel.
 pub(crate) fn run_shard_epoch_contended(
     engine: &FleetEngine,
-    users: &[EpochUser],
-    epoch: usize,
-    scenario: &FleetScenario,
-    catalog: &Catalog,
-    cache: &ShardedStateCache,
+    ctx: EpochCtx<'_>,
+    members: &[u32],
     scratch: &mut ContentionScratch,
-) -> Result<ShardEpochOutput> {
-    let contention = engine
-        .config()
-        .contention
-        .as_ref()
-        .expect("contended epoch requires a contention config");
+    out: &mut ShardEpochOutput,
+) -> Result<()> {
+    // Flat sorted link index: one reusable buffer and one sort give the
+    // (ascending link, ascending user id) iteration a per-epoch
+    // `BTreeMap<u64, Vec<&EpochUser>>` would, without rebuilding a tree.
+    // Every user's link was fixed by the dispatch stage before any kernel
+    // runs, so the grouping is a pure function of (seed, cohort, epoch).
+    let cohort = ctx.cohort;
+    scratch.pairs.clear();
+    scratch
+        .pairs
+        .extend(members.iter().map(|&i| (cohort[i as usize].link, i)));
+    scratch
+        .pairs
+        .sort_unstable_by_key(|&(link, i)| (link, cohort[i as usize].record.id));
+    let mut start = 0usize;
+    while start < scratch.pairs.len() {
+        let link_id = scratch.pairs[start].0;
+        let mut end = start + 1;
+        while end < scratch.pairs.len() && scratch.pairs[end].0 == link_id {
+            end += 1;
+        }
+        run_link_epoch(engine, ctx, scratch, start..end, out)?;
+        start = end;
+    }
+    Ok(())
+}
+
+/// Event-driven co-simulation of one link's users for one epoch.
+/// `group` is this link's run of `scratch.pairs` — `(link, cohort index)`,
+/// ascending by user id; rows and sketches fold into `out`.
+fn run_link_epoch(
+    engine: &FleetEngine,
+    ctx: EpochCtx<'_>,
+    scratch: &mut ContentionScratch,
+    group: std::ops::Range<usize>,
+    out: &mut ShardEpochOutput,
+) -> Result<()> {
     let ContentionScratch {
         pairs,
         queue,
@@ -376,111 +407,62 @@ pub(crate) fn run_shard_epoch_contended(
         routes,
         rho,
     } = scratch;
-    // Flat sorted link index: one reusable buffer and one sort give the
-    // same (ascending link, ascending user id) iteration the old
-    // `BTreeMap<u64, Vec<&EpochUser>>` produced, without rebuilding a
-    // tree per epoch.
-    // The link comes from the user's epoch slot: the static hash by
-    // default, the dispatch layer's placement when one is configured —
-    // either way fixed before the epoch's kernels run, so the grouping
-    // stays a pure function of (seed, cohort, epoch).
-    pairs.clear();
-    pairs.extend(users.iter().enumerate().map(|(i, u)| (u.link, i as u32)));
-    pairs.sort_unstable_by_key(|&(link, i)| (link, users[i as usize].record.id));
-    let mut rows = Vec::with_capacity(users.len());
-    let mut sketches = EpochSketches::new();
-    let mut start = 0usize;
-    while start < pairs.len() {
-        let link_id = pairs[start].0;
-        let mut end = start + 1;
-        while end < pairs.len() && pairs[end].0 == link_id {
-            end += 1;
-        }
-        // Heterogeneous topologies: the link-class registry (dynamics
-        // mode) or the dispatch layer's capacity weights override the
-        // uniform contention capacity.
-        let capacity_kbps = engine.link_capacity_kbps(link_id);
-        run_link_epoch(
-            engine,
-            contention,
-            capacity_kbps,
-            users,
-            &pairs[start..end],
-            epoch,
-            scenario,
-            catalog,
-            cache,
-            &mut sketches,
-            &mut rows,
-            queue,
-            uids,
-            caps,
-            routes,
-            rho,
-        )?;
-        start = end;
-    }
-    Ok(ShardEpochOutput { rows, sketches })
-}
-
-/// Event-driven co-simulation of one link's users for one epoch.
-/// `members` is the `(link, user index)` run for this link, ascending by
-/// user id; `queue`/`uids`/`caps` are the shard's reusable buffers.
-#[allow(clippy::too_many_arguments)]
-fn run_link_epoch(
-    engine: &FleetEngine,
-    contention: &ContentionConfig,
-    capacity_kbps: f64,
-    users: &[EpochUser],
-    members: &[(u64, u32)],
-    epoch: usize,
-    scenario: &FleetScenario,
-    catalog: &Catalog,
-    cache: &ShardedStateCache,
-    sketches: &mut EpochSketches,
-    rows: &mut Vec<UserEpochRow>,
-    queue: &mut ArrivalQueue,
-    uids: &mut Vec<u64>,
-    caps: &mut Vec<f64>,
-    routes: &mut Vec<u16>,
-    rho: &mut Vec<f64>,
-) -> Result<()> {
-    let fairness = engine.config().fairness.as_ref();
-    let link = match fairness {
-        // One topology instance per link group; in dynamics mode the
-        // template's capacities scale with the group's link class
-        // (capacity ratio 1.0 outside dynamics — a bit-exact no-op).
-        Some(f) => {
-            let scale = capacity_kbps / contention.capacity_kbps;
-            SharedBottleneck::with_topology(f.topology.scaled(scale).map_err(sub)?, f.objective)
-                .map_err(sub)?
-        }
-        None => SharedBottleneck::new(capacity_kbps).map_err(sub)?,
+    let ShardEpochOutput { rows, sketches } = out;
+    let members = &pairs[group];
+    let config = engine.config();
+    let contention = config
+        .contention
+        .as_ref()
+        .expect("contended epoch requires a contention config");
+    // Heterogeneous plant: the link-class registry (dynamics mode) or the
+    // dispatch layer's capacity weights set this link's real capacity.
+    let capacity_kbps = engine.link_capacity_kbps[members[0].0 as usize];
+    let fairness = config.fairness.as_ref();
+    // Every link group is one topology instance under one objective. A
+    // fairness config supplies the template, its capacities scaled with
+    // the group's link capacity (ratio 1.0 on uniform links — a bit-exact
+    // no-op). Without one the group is the degenerate single max-min
+    // link, built from its capacity directly: scaling a base-capacity
+    // link by `capacity / base` would not round to the same bits.
+    let (topology, objective) = match fairness {
+        Some(f) => (
+            f.topology.scaled(capacity_kbps / contention.capacity_kbps),
+            f.objective,
+        ),
+        None => (
+            Topology::single_link(capacity_kbps),
+            FairnessObjective::MaxMin,
+        ),
     };
+    let link = SharedBottleneck::with_topology(topology.map_err(sub)?, objective).map_err(sub)?;
+    let topo = link.topology();
     let drift = ToleranceDrift::default();
-    let ladder = catalog.ladder();
-    let player = engine.config().player;
-    let registry = engine.config().dynamics.as_ref().map(|d| &d.registry);
+    let ladder = ctx.catalog.ladder();
+    let registry = config.dynamics.as_ref().map(|d| &d.registry);
+    // Per-flow rate cap: the contention access cap, tightened by the
+    // user class's access-link cap when one applies.
+    let flow_cap_kbps = |member: &EpochUser| {
+        let cap = contention.flow_cap_kbps(member.record.net.mean_kbps);
+        match (registry, member.class) {
+            (Some(reg), Some(class)) => cap.min(reg.users[class as usize].access_cap_kbps),
+            _ => cap,
+        }
+    };
 
     // Fairness mode: per-link utilization from the group's static
     // offered load — Σ min(mean bandwidth, flow cap) of the members
     // routed across each link, accumulated in ascending user-id order.
     // A pure function of (seed, group members), hence shard-invariant;
-    // it feeds the Kleinrock per-path RTT below.
+    // it feeds the Kleinrock per-path RTT below (and only that, so the
+    // constant-RTT degenerate topology skips it).
     rho.clear();
     if fairness.is_some() {
-        let topo = link.topology();
         rho.resize(topo.n_links(), 0.0);
         for &(_, user_idx) in members {
-            let member = &users[user_idx as usize];
+            let member = &ctx.cohort[user_idx as usize];
             let user = &member.record;
-            let mut cap_kbps = contention.flow_cap_kbps(user.net.mean_kbps);
-            if let (Some(reg), Some(class)) = (registry, member.class) {
-                cap_kbps = cap_kbps.min(reg.users[class as usize].access_cap_kbps);
-            }
-            let route = engine.route_of(user.id, topo.n_routes());
-            let demand = user.net.mean_kbps.min(cap_kbps);
-            for &l in topo.route(route) {
+            let demand = user.net.mean_kbps.min(flow_cap_kbps(member));
+            for &l in topo.route(engine.route_of(user.id, topo.n_routes())) {
                 rho[l as usize] += demand;
             }
         }
@@ -489,27 +471,29 @@ fn run_link_epoch(
         }
     }
 
-    // Build agents in ascending user-id order. First sessions arrive at
-    // the workload schedule's times (dynamics mode) or across the legacy
-    // uniform ramp window, each drawn from the user's own stream.
+    // Build agents in ascending user-id order. A dynamic user's first
+    // session arrives at its workload-schedule time; a static one draws
+    // its arrival across the uniform ramp window *from its own stream*,
+    // ahead of every other draw — which is why the ramp is not one more
+    // arrival process: moving the draw would reorder the stream.
     let mut agents: Vec<Option<LinkAgent<'_>>> = Vec::with_capacity(members.len());
     queue.clear();
     uids.clear();
     caps.clear();
     routes.clear();
     for &(_, user_idx) in members {
-        let member = &users[user_idx as usize];
+        let member = &ctx.cohort[user_idx as usize];
         let user = &member.record;
-        let mut rng = AgentRng::seed_from_u64(engine.stream_seed(user.id, epoch));
+        let mut rng = AgentRng::seed_from_u64(engine.stream_seed(user.id, ctx.epoch));
         let arrival = match member.arrival {
             Some(at) => at,
             None => rng.gen::<f64>() * contention.arrival_window,
         };
         let sessions_left = engine.sessions_this_epoch(user, &mut rng);
         let exit_model = user.exit_model_for_day(&drift, &mut rng);
-        let policy = scenario.abr_mix.policy_for(user.id);
-        let managed = if policy.managed() && engine.lingxi_active(user.id, epoch) {
-            let state = cache.load_or_new(user.id).map_err(sub)?;
+        let policy = ctx.scenario.abr_mix.policy_for(user.id);
+        let managed = if policy.managed() && engine.lingxi_active(user.id, ctx.epoch) {
+            let state = ctx.cache.load_or_new(user.id).map_err(sub)?;
             let controller = LingXiController::with_state(
                 policy.lingxi_config(),
                 state.tracker.clone(),
@@ -527,34 +511,26 @@ fn run_link_epoch(
         } else {
             None
         };
-        // Per-flow rate cap: the contention access cap, tightened by the
-        // user class's access-link cap when one applies.
-        let mut cap_kbps = contention.flow_cap_kbps(user.net.mean_kbps);
-        if let (Some(reg), Some(class)) = (registry, member.class) {
-            cap_kbps = cap_kbps.min(reg.users[class as usize].access_cap_kbps);
+        // The user's route (the degenerate topology has only route 0).
+        let route = engine.route_of(user.id, topo.n_routes());
+        // A fairness config makes RTT emergent: the route's
+        // Kleinrock-composed delay and jitter (exponential jitter with
+        // the per-path mean) under the offered load above. Without one
+        // the session keeps the player's constant RTT model — a real
+        // behavioural difference, not a second path to the same result.
+        let mut player = config.player;
+        if fairness.is_some() {
+            let (delay, jitter) = topo.path_delay_jitter(route, rho);
+            player.rtt = RttModel {
+                base_seconds: 2.0 * delay,
+                jitter_mean: jitter,
+            };
         }
-        // Fairness mode: hash the user onto a route and replace the
-        // constant RTT model with the route's Kleinrock-composed delay
-        // and jitter (exponential jitter with the per-path mean).
-        let (route, agent_player) = match fairness {
-            Some(_) => {
-                let topo = link.topology();
-                let route = engine.route_of(user.id, topo.n_routes());
-                let (delay, jitter) = topo.path_delay_jitter(route, rho);
-                let mut p = player;
-                p.rtt = RttModel {
-                    base_seconds: 2.0 * delay,
-                    jitter_mean: jitter,
-                };
-                (route, p)
-            }
-            None => (0u16, player),
-        };
         let mut agent = LinkAgent {
             user,
             class: member.class,
             ladder,
-            player: agent_player,
+            player,
             rng,
             abr: policy.build(),
             exit_model,
@@ -566,15 +542,15 @@ fn run_link_epoch(
             stepper: Stepper::Idle,
             day: DayAccum::new(),
         };
-        match agent.request(catalog, sketches)? {
+        match agent.request(ctx.catalog, sketches)? {
             Some((at, size_kbits)) => {
                 uids.push(user.id);
-                caps.push(cap_kbps);
+                caps.push(flow_cap_kbps(member));
                 routes.push(route);
                 queue.push(at, user.id, ArrivalPayload { size_kbits });
                 agents.push(Some(agent));
             }
-            None => rows.push(agent.finish(cache)?),
+            None => rows.push(agent.finish(ctx.cache)?),
         }
     }
 
@@ -619,13 +595,13 @@ fn run_link_epoch(
                 .as_mut()
                 .ok_or_else(|| FleetError::Subsystem("completion for finished agent".into()))?;
             agent.complete(end)?;
-            match agent.request(catalog, sketches)? {
+            match agent.request(ctx.catalog, sketches)? {
                 Some((at, size_kbits)) => {
                     queue.push(at, end.id, ArrivalPayload { size_kbits });
                 }
                 None => {
                     let agent = agents[idx].take().expect("agent checked above");
-                    rows.push(agent.finish(cache)?);
+                    rows.push(agent.finish(ctx.cache)?);
                 }
             }
         } else {

@@ -1,15 +1,16 @@
 //! Load-aware dispatch: which shared link (queue) an arriving user is
 //! placed on.
 //!
-//! Historically the fleet placed users by static id-hash
-//! ([`static_link_of`]); one hot link then serialized a whole shard while
-//! others idled. This module adds the LSQ ("local shortest queue")
-//! alternative from the load-balancing literature: multiple dispatchers
-//! place arrivals using *local, possibly-stale* queue-length estimates
-//! with per-queue capacity weights for heterogeneous hardware. Estimates
-//! are refreshed only at epoch barriers — the stale-information regime —
-//! and each dispatcher self-increments its own estimates between
-//! refreshes.
+//! Contention mode always places through a [`Dispatcher`]. The default
+//! is the static id-hash ([`StaticHash`], [`static_link_of`]) — the
+//! degenerate dispatcher, blind to load, under which one hot link
+//! serializes a whole shard while others idle. The load-aware policy is
+//! LSQ ("local shortest queue") from the load-balancing literature:
+//! multiple dispatchers place arrivals using *local, possibly-stale*
+//! queue-length estimates with per-queue capacity weights for
+//! heterogeneous hardware. Estimates are refreshed only at epoch barriers
+//! — the stale-information regime — and each dispatcher self-increments
+//! its own estimates between refreshes.
 //!
 //! # Determinism contract
 //!
@@ -55,18 +56,16 @@ use crate::{mix64, FleetError, Result};
 /// `1..=DISPATCH_STREAMS`.
 pub const DISPATCH_STREAMS: usize = 8;
 
-/// Salt of the legacy static user→link hash (the pre-dispatch fleet
-/// behaviour, kept bit-exact as the reference policy).
-pub(crate) const STATIC_LINK_SALT: u64 = 0x11AC_C355_71E0_2BB7;
+/// Salt of the static user→link hash.
+const STATIC_LINK_SALT: u64 = 0x11AC_C355_71E0_2BB7;
 
 /// Salt deriving a user's logical dispatcher stream from the engine's
 /// per-(seed, user, epoch) stream seed.
 const STREAM_SALT: u64 = 0xD15A_7C8E_57A1_E5EE;
 
-/// The legacy static user→link hash: pure in `(seed, user id)`, uniform
-/// over `links`. [`StaticHash`] and the engine's contention-mode link
-/// assignment both call this — one source of truth for the bit-exact
-/// reference placement.
+/// The static user→link hash: pure in `(seed, user id)`, uniform over
+/// `links`. [`StaticHash`] places by it; tests and experiments call it to
+/// predict that placement.
 pub fn static_link_of(seed: u64, user_id: u64, links: u64) -> u64 {
     mix64(seed ^ mix64(user_id ^ STATIC_LINK_SALT)) % links
 }
@@ -74,8 +73,8 @@ pub fn static_link_of(seed: u64, user_id: u64, links: u64) -> u64 {
 /// Which placement policy the dispatch layer runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
-    /// Today's behaviour: the static id-hash, kept as the bit-exact
-    /// reference ([`static_link_of`]).
+    /// The static id-hash ([`static_link_of`]), ignoring load — what a
+    /// run without a dispatch layer gets.
     StaticHash,
     /// Load-aware LSQ: `dispatchers` physical dispatchers (grouping the
     /// pinned logical streams) place each arrival on the estimated-
@@ -104,8 +103,8 @@ pub struct DispatchConfig {
 }
 
 impl DispatchConfig {
-    /// A static-hash dispatch layer with uniform weights (bit-exact with
-    /// `dispatch: None`).
+    /// A static-hash dispatch layer with uniform weights — what
+    /// `dispatch: None` means.
     pub fn static_hash() -> Self {
         Self {
             policy: DispatchPolicy::StaticHash,
@@ -189,7 +188,7 @@ pub trait Dispatcher: std::fmt::Debug + Send {
     fn dispatcher_loads(&self) -> &[u64];
 }
 
-/// The bit-exact legacy policy: [`static_link_of`], ignoring estimates.
+/// The degenerate policy: [`static_link_of`], ignoring estimates.
 #[derive(Debug, Clone)]
 pub struct StaticHash {
     seed: u64,
@@ -197,11 +196,13 @@ pub struct StaticHash {
 }
 
 impl StaticHash {
-    /// A static-hash dispatcher over `links` queues.
+    /// A static-hash dispatcher over `links` queues. Panics when `links`
+    /// is zero: there is no queue to place on.
     pub fn new(seed: u64, links: usize) -> Self {
+        assert!(links > 0, "a dispatcher needs at least one link, got 0");
         Self {
             seed,
-            links: (links as u64).max(1),
+            links: links as u64,
         }
     }
 }
@@ -234,9 +235,11 @@ pub struct Lsq {
 }
 
 impl Lsq {
-    /// An LSQ dispatcher over `weights.len()` queues.
+    /// An LSQ dispatcher over `weights.len()` queues. Panics when
+    /// `weights` is empty: there is no queue to place on.
     pub fn new(weights: Vec<f64>, dispatchers: usize) -> Self {
-        let links = weights.len().max(1);
+        let links = weights.len();
+        assert!(links > 0, "a dispatcher needs at least one link, got 0");
         let dispatchers = dispatchers.clamp(1, DISPATCH_STREAMS);
         Self {
             weights,
@@ -336,6 +339,18 @@ pub struct DispatchEpoch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "at least one link")]
+    fn static_hash_rejects_zero_links() {
+        StaticHash::new(42, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one link")]
+    fn lsq_rejects_zero_links() {
+        Lsq::new(Vec::new(), 2);
+    }
 
     #[test]
     fn static_hash_matches_legacy_formula() {

@@ -1,5 +1,6 @@
-//! The sharded fleet engine: shard workers, epoch barriers, deterministic
-//! streaming metric merge.
+//! The sharded fleet engine: one epoch pipeline — populate → dispatch →
+//! partition → run shards → merge → flush/checkpoint — over shard
+//! workers, with a deterministic streaming metric merge at the barrier.
 //!
 //! Determinism model: every (user, epoch) derives its own RNG stream from
 //! the base seed alone — never from the shard id or thread schedule — and
@@ -19,6 +20,7 @@
 //! materialised into a transient classed user who joins a shared link at
 //! its arrival time and departs when its session budget drains.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,8 +39,10 @@ use lingxi_workload::ArrivalProcess;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::checkpoint::FleetCheckpoint;
-use crate::config::{AbrPolicy, FleetConfig, FleetScenario, PersistenceConfig, PopulationDynamics};
+use crate::checkpoint::{FleetCheckpoint, CHECKPOINT_SCHEMA};
+use crate::config::{FleetConfig, FleetScenario, PersistenceConfig};
+use crate::contention::ContentionScratch;
+use crate::dispatch::{DispatchConfig, DispatchEpoch, Dispatcher};
 use crate::report::{EpochMetrics, EpochSketches, FleetReport};
 use crate::{mix64, sub, FleetError, Result};
 
@@ -76,9 +80,9 @@ pub(crate) struct EpochUser {
     pub(crate) arrival: Option<f64>,
     /// Index into the dynamics registry's user classes.
     pub(crate) class: Option<u16>,
-    /// The shared link this user's sessions contend on this epoch.
-    /// Initialised to the static hash; the dispatch layer overwrites it
-    /// per epoch. Shard ownership follows this field in contention mode.
+    /// The shared link this user's sessions contend on this epoch,
+    /// written by the dispatch stage; shard ownership follows it.
+    /// Unused in independent mode (there are no links).
     pub(crate) link: u64,
 }
 
@@ -96,17 +100,132 @@ pub(crate) struct ShardEpochOutput {
     pub(crate) sketches: EpochSketches,
 }
 
+/// What every shard worker reads during one epoch.
+#[derive(Clone, Copy)]
+pub(crate) struct EpochCtx<'a> {
+    pub(crate) epoch: usize,
+    pub(crate) scenario: &'a FleetScenario,
+    pub(crate) catalog: &'a Catalog,
+    pub(crate) cache: &'a ShardedStateCache,
+    /// The whole epoch cohort; shards index into it.
+    pub(crate) cohort: &'a [EpochUser],
+}
+
+/// Contention mode's placement state: the run's one dispatcher and the
+/// barrier snapshot its estimates refresh from — the previous epoch's
+/// per-link placements, so stale by exactly one epoch (zeros before
+/// epoch 0).
+struct Placement {
+    dispatcher: Box<dyn Dispatcher>,
+    snapshot: Vec<u64>,
+}
+
+/// Everything one run owns across its epochs; the stage methods of
+/// [`FleetEngine`] borrow it.
+struct RunState<'a> {
+    scenario: &'a FleetScenario,
+    catalog: Catalog,
+    backend: Arc<dyn StateBackend>,
+    cache: ShardedStateCache,
+    state_warnings: Vec<String>,
+    /// The one cohort, in ascending user-id order: the static population
+    /// (built once, replayed every epoch) or, under dynamics, the epoch's
+    /// arrivals (refilled by the populate stage).
+    cohort: Vec<EpochUser>,
+    /// `None` in independent mode: there are no links to place users on.
+    placement: Option<Placement>,
+    /// Per-shard indices into `cohort`, refilled by the partition stage.
+    shard_members: Vec<Vec<u32>>,
+    /// One contention scratch per shard, reused across every epoch so the
+    /// contended hot path allocates nothing in steady state.
+    scratches: Vec<ContentionScratch>,
+    /// Run the shards one after another on the calling thread: set for
+    /// one shard, and on a single-core host, where worker threads would
+    /// only time-slice each other. Shards are independent within an epoch
+    /// and the barrier folds their outputs in shard order, so both ways
+    /// produce the same results.
+    inline: bool,
+    /// The run so far, in the shape a checkpoint persists: epoch cursor,
+    /// merged epochs and running counters. A fresh run starts from the
+    /// empty manifest, a resumed one from the manifest it loaded.
+    progress: FleetCheckpoint,
+    /// Wall time consumed before this invocation (resumed runs).
+    prior_elapsed: Duration,
+    start: Instant,
+}
+
 /// The fleet-simulation engine.
 #[derive(Debug)]
 pub struct FleetEngine {
     config: FleetConfig,
+    /// Real capacity of each shared link (kbps); empty in independent
+    /// mode. See [`link_tables`].
+    pub(crate) link_capacity_kbps: Vec<f64>,
+    /// Capacity weight of each shared link, as the dispatch layer plans
+    /// with it; parallel to `link_capacity_kbps`.
+    link_weights: Vec<f64>,
+}
+
+/// Per-link `(capacity_kbps, dispatch weight)` tables, resolved once from
+/// the mode options. Under dynamics both come from the link-class
+/// registry (class capacity, and class capacity / base capacity — see
+/// [`lingxi_workload::ClassRegistry::capacity_weight_of`]); otherwise the
+/// weight is the dispatch layer's explicit one (1.0 when none is set) and
+/// the capacity is base × weight — heterogeneous weights are physical,
+/// not just planning inputs. Validation rejects explicit weights under
+/// dynamics, so the two sources never compete.
+fn link_tables(config: &FleetConfig) -> (Vec<f64>, Vec<f64>) {
+    let Some(contention) = &config.contention else {
+        return (Vec::new(), Vec::new());
+    };
+    let base = contention.capacity_kbps;
+    let explicit = config
+        .dispatch
+        .as_ref()
+        .map_or(&[][..], |d| &d.capacity_weights);
+    (0..contention.links)
+        .map(|link| match &config.dynamics {
+            Some(d) => {
+                let class = d.registry.link_class_of(config.seed, link as u64);
+                (class.capacity_kbps, class.capacity_kbps / base)
+            }
+            None => {
+                let weight = explicit.get(link).copied().unwrap_or(1.0);
+                (base * weight, weight)
+            }
+        })
+        .unzip()
+}
+
+/// Refuse a state directory that holds legacy file-per-user JSON state
+/// and no binary-log manifest: opening the log there would write a fresh
+/// manifest and start every user from scratch, silently. The JSON store's
+/// own scan says whether it has users there.
+fn refuse_legacy_json_dir(dir: &Path) -> Result<()> {
+    if dir.join("manifest.json").exists() {
+        return Ok(());
+    }
+    let legacy = StateStore::open(dir).and_then(|store| store.scan());
+    match legacy.map_err(sub)?.ids.len() {
+        0 => Ok(()),
+        n => Err(FleetError::InvalidConfig(format!(
+            "state_dir {dir:?} holds file-per-user JSON state ({n} users) but no binary-log \
+             manifest; convert it first with `experiments migrate-state <json-dir> <log-dir>` \
+             and point state_dir at the log directory"
+        ))),
+    }
 }
 
 impl FleetEngine {
     /// Create an engine; validates the configuration.
     pub fn new(config: FleetConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Self { config })
+        let (link_capacity_kbps, link_weights) = link_tables(&config);
+        Ok(Self {
+            config,
+            link_capacity_kbps,
+            link_weights,
+        })
     }
 
     /// The engine configuration.
@@ -114,87 +233,8 @@ impl FleetEngine {
         &self.config
     }
 
-    /// Which shard owns a user. In contention mode ownership follows the
-    /// user's *link*, so every link's co-simulation stays whole on one
-    /// shard and the shard-count invariance survives contention — under
-    /// any dispatch policy, since placement never consults the shard
-    /// count.
-    fn shard_of(&self, user: &EpochUser) -> usize {
-        match &self.config.contention {
-            Some(_) => (mix64(user.link) % self.config.shards as u64) as usize,
-            None => (mix64(user.record.id) % self.config.shards as u64) as usize,
-        }
-    }
-
-    /// The *static-hash* link assignment (the dispatch layer's reference
-    /// policy and the placement used whenever `dispatch` is `None`).
-    /// Derived from (seed, user id) only — never from the shard count.
-    pub(crate) fn link_of(&self, user_id: u64) -> u64 {
-        let links = self
-            .config
-            .contention
-            .as_ref()
-            .map(|c| c.links as u64)
-            .unwrap_or(1);
-        crate::dispatch::static_link_of(self.config.seed, user_id, links)
-    }
-
-    /// Real capacity of one shared link (kbps): the link-class registry's
-    /// in dynamics mode, else the base contention capacity scaled by the
-    /// link's dispatch capacity weight (weight 1.0 when none is set —
-    /// heterogeneous weights are physical, not just planning inputs).
-    pub(crate) fn link_capacity_kbps(&self, link_id: u64) -> f64 {
-        let contention = self
-            .config
-            .contention
-            .as_ref()
-            .expect("link capacity only meaningful in contention mode");
-        match &self.config.dynamics {
-            Some(d) => {
-                d.registry
-                    .link_class_of(self.config.seed, link_id)
-                    .capacity_kbps
-            }
-            None => {
-                let weight = self
-                    .config
-                    .dispatch
-                    .as_ref()
-                    .and_then(|d| d.capacity_weights.get(link_id as usize))
-                    .copied()
-                    .unwrap_or(1.0);
-                contention.capacity_kbps * weight
-            }
-        }
-    }
-
-    /// Per-link capacity weights the dispatch layer plans with: explicit
-    /// config weights, else derived from the dynamics link-class registry
-    /// (class capacity / base capacity — see
-    /// [`lingxi_workload::ClassRegistry::capacity_weight_of`]), else
-    /// uniform.
-    fn dispatch_weights(&self) -> Vec<f64> {
-        let Some(contention) = &self.config.contention else {
-            return Vec::new();
-        };
-        if let Some(dispatch) = &self.config.dispatch {
-            if !dispatch.capacity_weights.is_empty() {
-                return dispatch.capacity_weights.clone();
-            }
-        }
-        match &self.config.dynamics {
-            Some(d) => (0..contention.links as u64)
-                .map(|l| {
-                    d.registry
-                        .capacity_weight_of(self.config.seed, l, contention.capacity_kbps)
-                })
-                .collect(),
-            None => vec![1.0; contention.links],
-        }
-    }
-
-    /// The topology route a user's flows take in fairness mode. Derived
-    /// from (seed, user id) only — never from the shard count.
+    /// The topology route a user's flows take. Derived from (seed, user
+    /// id) only — never from the shard count.
     pub(crate) fn route_of(&self, user_id: u64, n_routes: usize) -> u16 {
         (mix64(self.config.seed ^ mix64(user_id ^ 0xFA1C_0DE5_0F4A_11CE)) % n_routes as u64) as u16
     }
@@ -215,74 +255,6 @@ impl FleetEngine {
         match &self.config.ab {
             None => true,
             Some(ab) => user_id % 2 == 1 && epoch >= ab.intervention_epoch,
-        }
-    }
-
-    /// The epoch's dynamic cohort: arrival events materialised into
-    /// transient classed users. Pure in `(config, epoch)`.
-    fn dynamic_epoch_users(&self, dynamics: &PopulationDynamics, epoch: usize) -> Vec<EpochUser> {
-        let events = dynamics.arrivals.events(
-            dynamics.day_seconds,
-            self.arrival_seed(epoch),
-            &dynamics.registry,
-        );
-        events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                // Ids are unique across epochs so managed state never
-                // aliases between transient users.
-                let id = ((epoch as u64) << 32) | i as u64;
-                let record =
-                    dynamics.registry.users[e.class as usize].sample_user(self.config.seed, id);
-                EpochUser {
-                    record,
-                    arrival: Some(e.at),
-                    class: Some(e.class),
-                    link: self.link_of(id),
-                }
-            })
-            .collect()
-    }
-
-    /// Partition an epoch's users over shards (ascending id per shard).
-    fn shard_partition(&self, users: Vec<EpochUser>) -> Vec<Vec<EpochUser>> {
-        let mut shard_users: Vec<Vec<EpochUser>> = vec![Vec::new(); self.config.shards];
-        for user in users {
-            shard_users[self.shard_of(&user)].push(user);
-        }
-        shard_users
-    }
-
-    /// One epoch's dispatch pass: refresh the dispatcher's estimates from
-    /// the barrier snapshot (stale by exactly one epoch), place every
-    /// cohort user in ascending-id cohort order, and record the epoch's
-    /// placements. Pure in (seed, epoch, snapshot) — the cohort order and
-    /// every stream seed derive from those alone.
-    fn dispatch_epoch(
-        &self,
-        dispatcher: &mut dyn crate::dispatch::Dispatcher,
-        cohort: &mut [EpochUser],
-        epoch: usize,
-        snapshot: &[u64],
-        weights: &[f64],
-    ) -> crate::dispatch::DispatchEpoch {
-        dispatcher.refresh(snapshot);
-        let mut placements = vec![0u64; weights.len()];
-        for user in cohort.iter_mut() {
-            let id = user.record.id;
-            user.link = dispatcher.place(id, self.stream_seed(id, epoch));
-            placements[user.link as usize] += 1;
-        }
-        let max_weighted_occupancy = placements
-            .iter()
-            .zip(weights)
-            .map(|(&c, &w)| c as f64 / w)
-            .fold(0.0, f64::max);
-        crate::dispatch::DispatchEpoch {
-            placements,
-            max_weighted_occupancy,
-            dispatcher_loads: dispatcher.dispatcher_loads().to_vec(),
         }
     }
 
@@ -310,9 +282,109 @@ impl FleetEngine {
         scenario: &FleetScenario,
         control: RunControl,
     ) -> Result<RunOutcome> {
-        scenario.validate()?;
+        let mut run = self.begin_run(scenario, control.resume)?;
+        let first_epoch = run.progress.next_epoch;
+        for epoch in first_epoch..self.config.epochs {
+            self.populate(&mut run, epoch);
+            let placed = self.dispatch(&mut run, epoch);
+            self.partition(&mut run);
+            let outputs = self.run_shards(&mut run, epoch)?;
+            let metrics = self.merge(&mut run.progress, epoch, outputs, placed);
+            let suspend = control
+                .stop_after_epochs
+                .is_some_and(|n| n > 0 && epoch + 1 - first_epoch >= n);
+            if self.flush_and_checkpoint(&mut run, metrics, suspend)? {
+                return Ok(RunOutcome::Suspended(run.progress));
+            }
+        }
+        self.finish(run)
+            .map(|report| RunOutcome::Complete(Box::new(report)))
+    }
 
-        // World construction is deterministic from (seed, scenario).
+    /// Everything before the first epoch: the world, the durable layer,
+    /// the resume manifest and the mode options resolved into the run's
+    /// one shape.
+    fn begin_run<'a>(&self, scenario: &'a FleetScenario, resume: bool) -> Result<RunState<'a>> {
+        scenario.validate()?;
+        let (catalog, cohort) = self.build_world(scenario)?;
+
+        // Durable layer + cache; surface the startup scan (torn log
+        // tails) instead of silently dropping users.
+        refuse_legacy_json_dir(&self.config.state_dir)?;
+        let PersistenceConfig::BinaryLog(log_config) = self.config.persistence;
+        let backend: Arc<dyn StateBackend> =
+            Arc::new(BinaryStateLog::open(&self.config.state_dir, log_config).map_err(sub)?);
+        let state_warnings = backend.scan().map_err(sub)?.warnings;
+        let cache = ShardedStateCache::with_backend(Arc::clone(&backend), self.config.cache)
+            .map_err(sub)?;
+
+        // A resumed run adopts the manifest's accumulators and epoch
+        // cursor (the static cohort was already counted once — it is not
+        // recounted); the durable backend already holds every state the
+        // checkpointed run flushed at its last barrier.
+        let progress = if resume {
+            self.load_checkpoint(scenario)?
+        } else {
+            FleetCheckpoint {
+                schema: CHECKPOINT_SCHEMA,
+                seed: self.config.seed,
+                total_epochs: self.config.epochs,
+                scenario: scenario.name.clone(),
+                next_epoch: 0,
+                users_total: cohort.len(),
+                sessions: 0,
+                segments: 0,
+                elapsed_s: 0.0,
+                epochs: Vec::with_capacity(self.config.epochs),
+            }
+        };
+
+        // Contention mode always places through a dispatcher: no dispatch
+        // layer configured means the degenerate one (the static hash),
+        // not a second placement path. Its first snapshot is the last
+        // completed epoch's placements, so a resumed run refreshes from
+        // exactly what an uninterrupted one would.
+        let placement = self.config.contention.as_ref().map(|_| Placement {
+            dispatcher: self
+                .config
+                .dispatch
+                .as_ref()
+                .unwrap_or(&DispatchConfig::static_hash())
+                .build(self.config.seed, self.link_weights.clone()),
+            snapshot: progress
+                .epochs
+                .last()
+                .and_then(|e| e.dispatch.as_ref())
+                .map_or_else(
+                    || vec![0; self.link_weights.len()],
+                    |d| d.placements.clone(),
+                ),
+        });
+
+        Ok(RunState {
+            scenario,
+            catalog,
+            backend,
+            cache,
+            state_warnings,
+            cohort,
+            placement,
+            shard_members: vec![Vec::new(); self.config.shards],
+            scratches: (0..self.config.shards)
+                .map(|_| ContentionScratch::default())
+                .collect(),
+            inline: self.config.shards == 1
+                || std::thread::available_parallelism().is_ok_and(|n| n.get() == 1),
+            prior_elapsed: Duration::from_secs_f64(progress.elapsed_s),
+            progress,
+            // detlint::allow(wall_clock, reason = "wall-time reporting only; never feeds simulated state or metrics")
+            start: Instant::now(),
+        })
+    }
+
+    /// World construction, deterministic from (seed, scenario): the
+    /// catalog, then the static cohort.
+    fn build_world(&self, scenario: &FleetScenario) -> Result<(Catalog, Vec<EpochUser>)> {
         let mut world_rng = StdRng::seed_from_u64(self.config.seed);
         let catalog = Catalog::generate(
             BitrateLadder::default_short_video(),
@@ -324,315 +396,267 @@ impl FleetEngine {
             &mut world_rng,
         )
         .map_err(sub)?;
-
-        // Static cohort (replayed every epoch) unless dynamics drive the
-        // population. Without a dispatch layer its links are fixed, so it
-        // is sharded once up front; with one, placements (and therefore
-        // shard ownership) move every epoch, so the cohort is kept whole
-        // and re-partitioned after each dispatch pass.
-        let static_population: Option<Vec<EpochUser>> = match &self.config.dynamics {
-            Some(_) => None,
-            None => {
-                let population = UserPopulation::generate(
-                    &PopulationConfig {
-                        n_users: scenario.n_users,
-                        mixture: scenario.mixture,
-                        mean_sessions_per_day: scenario.mean_sessions_per_epoch,
-                    },
-                    &mut world_rng,
-                )
-                .map_err(sub)?;
-                Some(
-                    population
-                        .users()
-                        .iter()
-                        .map(|u| EpochUser {
-                            record: *u,
-                            arrival: None,
-                            class: None,
-                            link: self.link_of(u.id),
-                        })
-                        .collect(),
-                )
-            }
+        // Static cohort, replayed every epoch — unless dynamics drive the
+        // population, in which case the populate stage fills it per epoch.
+        let cohort: Vec<EpochUser> = match &self.config.dynamics {
+            Some(_) => Vec::new(),
+            None => UserPopulation::generate(
+                &PopulationConfig {
+                    n_users: scenario.n_users,
+                    mixture: scenario.mixture,
+                    mean_sessions_per_day: scenario.mean_sessions_per_epoch,
+                },
+                &mut world_rng,
+            )
+            .map_err(sub)?
+            .users()
+            .iter()
+            .map(|u| EpochUser {
+                record: *u,
+                arrival: None,
+                class: None,
+                link: 0,
+            })
+            .collect(),
         };
-        let (static_shards, static_cohort): (Option<Vec<Vec<EpochUser>>>, Option<Vec<EpochUser>>) =
-            match static_population {
-                Some(pop) if self.config.dispatch.is_none() => {
-                    (Some(self.shard_partition(pop)), None)
-                }
-                Some(pop) => (None, Some(pop)),
-                None => (None, None),
+        Ok((catalog, cohort))
+    }
+
+    /// The checkpoint manifest a `resume` run continues from; refused
+    /// when absent or written by a different run.
+    fn load_checkpoint(&self, scenario: &FleetScenario) -> Result<FleetCheckpoint> {
+        let ckpt = FleetCheckpoint::load(&self.config.state_dir)?.ok_or_else(|| {
+            FleetError::InvalidConfig(format!(
+                "resume requested but no checkpoint manifest in {:?}",
+                self.config.state_dir
+            ))
+        })?;
+        if ckpt.seed != self.config.seed
+            || ckpt.total_epochs != self.config.epochs
+            || ckpt.scenario != scenario.name
+        {
+            return Err(FleetError::InvalidConfig(format!(
+                "checkpoint (seed {}, {} epochs, scenario {:?}) does not match this run \
+                 (seed {}, {} epochs, scenario {:?})",
+                ckpt.seed,
+                ckpt.total_epochs,
+                ckpt.scenario,
+                self.config.seed,
+                self.config.epochs,
+                scenario.name
+            )));
+        }
+        Ok(ckpt)
+    }
+
+    /// Stage 1 — populate: the epoch's cohort. A static cohort replays
+    /// unchanged; under dynamics the epoch's arrival events are
+    /// materialised into transient classed users, a pure function of
+    /// `(config, epoch)`.
+    fn populate(&self, run: &mut RunState, epoch: usize) {
+        let Some(dynamics) = &self.config.dynamics else {
+            return;
+        };
+        let events = dynamics.arrivals.events(
+            dynamics.day_seconds,
+            self.arrival_seed(epoch),
+            &dynamics.registry,
+        );
+        run.cohort.clear();
+        run.cohort.extend(events.iter().enumerate().map(|(i, e)| {
+            // Ids are unique across epochs so managed state never aliases
+            // between transient users.
+            let id = ((epoch as u64) << 32) | i as u64;
+            EpochUser {
+                record: dynamics.registry.users[e.class as usize].sample_user(self.config.seed, id),
+                arrival: Some(e.at),
+                class: Some(e.class),
+                link: 0,
+            }
+        }));
+        run.progress.users_total += run.cohort.len();
+    }
+
+    /// Stage 2 — dispatch: refresh the dispatcher's estimates from the
+    /// barrier snapshot, place every cohort user in ascending-id cohort
+    /// order, and record the epoch's placements (the next snapshot). Pure
+    /// in (seed, epoch, snapshot) — the cohort order and every stream
+    /// seed derive from those alone. Independent mode has no links, so
+    /// nothing to place and nothing to record.
+    fn dispatch(&self, run: &mut RunState, epoch: usize) -> Option<DispatchEpoch> {
+        let Placement {
+            dispatcher,
+            snapshot,
+        } = run.placement.as_mut()?;
+        dispatcher.refresh(snapshot);
+        let mut placements = vec![0u64; self.link_weights.len()];
+        for user in &mut run.cohort {
+            let id = user.record.id;
+            user.link = dispatcher.place(id, self.stream_seed(id, epoch));
+            placements[user.link as usize] += 1;
+        }
+        let max_weighted_occupancy = placements
+            .iter()
+            .zip(&self.link_weights)
+            .map(|(&c, &w)| c as f64 / w)
+            .fold(0.0, f64::max);
+        snapshot.clone_from(&placements);
+        Some(DispatchEpoch {
+            placements,
+            max_weighted_occupancy,
+            dispatcher_loads: dispatcher.dispatcher_loads().to_vec(),
+        })
+    }
+
+    /// Stage 3 — partition: hand each shard the cohort indices it owns
+    /// (ascending id per shard). Independent mode hashes the user; in
+    /// contention mode ownership follows the user's *link*, so every
+    /// link's co-simulation stays whole on one shard and the shard-count
+    /// invariance survives contention — under any dispatch policy, since
+    /// placement never consults the shard count. Redone every epoch
+    /// because placements may move at every barrier.
+    fn partition(&self, run: &mut RunState) {
+        for members in &mut run.shard_members {
+            members.clear();
+        }
+        for (i, user) in run.cohort.iter().enumerate() {
+            let key = match &self.config.contention {
+                Some(_) => user.link,
+                None => user.record.id,
             };
+            let shard = (mix64(key) % self.config.shards as u64) as usize;
+            run.shard_members[shard].push(i as u32);
+        }
+    }
 
-        // Durable layer + cache; surface the startup scan (corrupt
-        // filenames, torn log tails) instead of silently dropping users.
-        let backend: Arc<dyn StateBackend> = match &self.config.persistence {
-            PersistenceConfig::FileJson => {
-                Arc::new(StateStore::open(&self.config.state_dir).map_err(sub)?)
-            }
-            PersistenceConfig::BinaryLog(cfg) => {
-                Arc::new(BinaryStateLog::open(&self.config.state_dir, *cfg).map_err(sub)?)
-            }
+    /// Stage 4 — run shards: one worker per shard, inline or on scoped
+    /// threads (see `RunState::inline`). Outputs come back in shard order.
+    fn run_shards(&self, run: &mut RunState, epoch: usize) -> Result<Vec<ShardEpochOutput>> {
+        let ctx = EpochCtx {
+            epoch,
+            scenario: run.scenario,
+            catalog: &run.catalog,
+            cache: &run.cache,
+            cohort: &run.cohort,
         };
-        let state_warnings = backend.scan().map_err(sub)?.warnings;
-        let cache = ShardedStateCache::with_backend(Arc::clone(&backend), self.config.cache)
-            .map_err(sub)?;
+        let shards = run.shard_members.iter().zip(run.scratches.iter_mut());
+        if run.inline {
+            return shards
+                .map(|(members, scratch)| self.run_shard_epoch(ctx, members, scratch))
+                .collect();
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .map(|(members, scratch)| {
+                    scope.spawn(move || self.run_shard_epoch(ctx, members, scratch))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|p| {
+                        Err(FleetError::WorkerPanic(
+                            p.downcast_ref::<String>()
+                                .cloned()
+                                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                                .unwrap_or_else(|| "unknown panic".into()),
+                        ))
+                    })
+                })
+                .collect()
+        })
+    }
 
-        // Resume: adopt the manifest's accumulators and epoch cursor. The
-        // durable backend already holds every state the checkpointed run
-        // flushed at its last barrier.
-        let resumed = if control.resume {
-            let ckpt = FleetCheckpoint::load(&self.config.state_dir)?.ok_or_else(|| {
-                FleetError::InvalidConfig(format!(
-                    "resume requested but no checkpoint manifest in {:?}",
-                    self.config.state_dir
-                ))
-            })?;
-            if ckpt.seed != self.config.seed
-                || ckpt.total_epochs != self.config.epochs
-                || ckpt.scenario != scenario.name
-            {
-                return Err(FleetError::InvalidConfig(format!(
-                    "checkpoint (seed {}, {} epochs, scenario {:?}) does not match this run \
-                     (seed {}, {} epochs, scenario {:?})",
-                    ckpt.seed,
-                    ckpt.total_epochs,
-                    ckpt.scenario,
-                    self.config.seed,
-                    self.config.epochs,
-                    scenario.name
-                )));
-            }
-            Some(ckpt)
-        } else {
-            None
-        };
+    /// Stage 5 — merge (the epoch barrier): fold per-user accumulators in
+    /// user-id order (sketch merges are exactly order-independent) into
+    /// the epoch's metrics and the run's counters.
+    fn merge(
+        &self,
+        progress: &mut FleetCheckpoint,
+        epoch: usize,
+        outputs: Vec<ShardEpochOutput>,
+        dispatch: Option<DispatchEpoch>,
+    ) -> EpochMetrics {
+        let mut rows: Vec<UserEpochRow> = Vec::new();
+        let mut sketches = EpochSketches::new();
+        for output in outputs {
+            sketches.merge(&output.sketches);
+            rows.extend(output.rows);
+        }
+        rows.sort_by_key(|r| r.user_id);
 
+        let ab_mode = self.config.ab.is_some();
         let n_classes = self
             .config
             .dynamics
             .as_ref()
-            .map(|d| d.registry.users.len())
-            .unwrap_or(0);
-
-        // One contention scratch per shard, reused across every epoch so
-        // the contended hot path allocates nothing in steady state.
-        let scratches: Vec<std::sync::Mutex<crate::contention::ContentionScratch>> =
-            (0..self.config.shards)
-                .map(|_| std::sync::Mutex::new(crate::contention::ContentionScratch::default()))
-                .collect();
-
-        // detlint::allow(wall_clock, reason = "wall-time reporting only; never feeds simulated state or metrics")
-        let start = Instant::now();
-        let static_users: usize = static_shards
-            .as_ref()
-            // detlint::allow(unordered_float_merge, reason = "usize count over per-shard Vec lengths; integer addition is order-free")
-            .map(|s| s.iter().map(Vec::len).sum())
-            .unwrap_or_else(|| static_cohort.as_ref().map_or(0usize, Vec::len));
-        // A resumed run adopts the checkpoint's counters (the static
-        // cohort was already counted once — do not recount it).
-        let (start_epoch, mut epochs, mut sessions, mut segments, mut users_total, prior_elapsed) =
-            match resumed {
-                Some(c) => (
-                    c.next_epoch,
-                    c.epochs,
-                    c.sessions,
-                    c.segments,
-                    c.users_total,
-                    Duration::from_secs_f64(c.elapsed_s),
-                ),
-                None => (
-                    0,
-                    Vec::with_capacity(self.config.epochs),
-                    0usize,
-                    0usize,
-                    static_users,
-                    Duration::ZERO,
-                ),
-            };
-        // Dispatch layer: one dispatcher for the whole run; its estimates
-        // refresh at every epoch barrier from the previous epoch's
-        // placement snapshot (the stale-information regime). A resumed
-        // run re-seeds the snapshot from the manifest's last completed
-        // epoch (zeros before epoch 0), so resume stays bit-identical to
-        // an uninterrupted run.
-        let dispatch_weights = self.dispatch_weights();
-        let mut dispatcher: Option<Box<dyn crate::dispatch::Dispatcher>> = self
-            .config
-            .dispatch
-            .as_ref()
-            .map(|d| d.build(self.config.seed, dispatch_weights.clone()));
-        let mut dispatch_snapshot: Vec<u64> = epochs
-            .last()
-            .and_then(|e: &EpochMetrics| e.dispatch.as_ref())
-            .map(|d| d.placements.clone())
-            .unwrap_or_else(|| vec![0; dispatch_weights.len()]);
-        for epoch in start_epoch..self.config.epochs {
-            // Epoch cohort (when one must be rebuilt) → dispatch pass →
-            // shard partition. Dynamics regenerate the cohort every epoch;
-            // a dispatch layer re-places even the static cohort, since its
-            // estimates — and with them link placement and shard
-            // ownership — evolve across barriers.
-            let mut epoch_cohort: Option<Vec<EpochUser>> = match &self.config.dynamics {
-                Some(d) => Some(self.dynamic_epoch_users(d, epoch)),
-                None => dispatcher.as_ref().and(static_cohort.clone()),
-            };
-            let dispatch_info = match (&mut dispatcher, &mut epoch_cohort) {
-                (Some(dsp), Some(cohort)) => {
-                    let info = self.dispatch_epoch(
-                        dsp.as_mut(),
-                        cohort,
-                        epoch,
-                        &dispatch_snapshot,
-                        &dispatch_weights,
-                    );
-                    dispatch_snapshot.clone_from(&info.placements);
-                    Some(info)
-                }
-                _ => None,
-            };
-            let epoch_shards = epoch_cohort.map(|c| self.shard_partition(c));
-            if self.config.dynamics.is_some() {
-                if let Some(shards) = &epoch_shards {
-                    // detlint::allow(unordered_float_merge, reason = "usize count of cohort sizes; integer addition is order-free")
-                    users_total += shards.iter().map(Vec::len).sum::<usize>();
-                }
-            }
-            let shard_users = epoch_shards
-                .as_ref()
-                .or(static_shards.as_ref())
-                .expect("static or dynamic cohort exists");
-
-            // ---- parallel phase: one worker per shard ----
-            //
-            // Shards are fully independent within an epoch and the barrier
-            // below folds their outputs in shard order, so running them on
-            // worker threads or one after another on the current thread
-            // produces the same results. On a single-core host the threads
-            // would only time-slice each other; run the shards inline
-            // instead and skip the spawn/preemption overhead.
-            let single_core = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
-            let shard_results: Vec<std::result::Result<Result<ShardEpochOutput>, String>> =
-                if single_core || shard_users.len() == 1 {
-                    shard_users
-                        .iter()
-                        .zip(&scratches)
-                        .map(|(users, scratch)| {
-                            Ok(self
-                                .run_shard_epoch(users, epoch, scenario, &catalog, &cache, scratch))
-                        })
-                        .collect()
+            .map_or(0, |d| d.registry.users.len());
+        let mut all = DayAccum::new();
+        let mut control = DayAccum::new();
+        let mut treatment = DayAccum::new();
+        let mut classes = vec![DayAccum::new(); n_classes];
+        for row in &rows {
+            progress.sessions += row.day.sessions();
+            progress.segments += row.day.segments();
+            all.merge(&row.day);
+            if ab_mode {
+                if row.user_id % 2 == 0 {
+                    control.merge(&row.day);
                 } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = shard_users
-                            .iter()
-                            .zip(&scratches)
-                            .map(|(users, scratch)| {
-                                let catalog = &catalog;
-                                let cache = &cache;
-                                scope.spawn(move || {
-                                    self.run_shard_epoch(
-                                        users, epoch, scenario, catalog, cache, scratch,
-                                    )
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| {
-                                h.join().map_err(|p| {
-                                    p.downcast_ref::<String>()
-                                        .cloned()
-                                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                                        .unwrap_or_else(|| "unknown panic".into())
-                                })
-                            })
-                            .collect()
-                    })
-                };
-
-            // ---- epoch barrier: fold per-user accumulators in user-id
-            // order (sketch merges are exactly order-independent), then
-            // flush the write-behind cache ----
-            let mut rows: Vec<UserEpochRow> = Vec::new();
-            let mut sketches = EpochSketches::new();
-            for result in shard_results {
-                let output = result.map_err(FleetError::WorkerPanic)??;
-                sketches.merge(&output.sketches);
-                rows.extend(output.rows);
-            }
-            rows.sort_by_key(|r| r.user_id);
-
-            let ab_mode = self.config.ab.is_some();
-            let mut all = DayAccum::new();
-            let mut control_acc = DayAccum::new();
-            let mut treatment = DayAccum::new();
-            let mut classes = vec![DayAccum::new(); n_classes];
-            for row in &rows {
-                // detlint::allow(unordered_float_merge, reason = "usize session/segment counts, folded after rows.sort_by_key(user_id)")
-                sessions += row.day.sessions();
-                // detlint::allow(unordered_float_merge, reason = "usize segment count; rows already sorted by user id")
-                segments += row.day.segments();
-                all.merge(&row.day);
-                if ab_mode {
-                    if row.user_id % 2 == 0 {
-                        control_acc.merge(&row.day);
-                    } else {
-                        treatment.merge(&row.day);
-                    }
-                }
-                if let Some(class) = row.class {
-                    if let Some(acc) = classes.get_mut(class as usize) {
-                        acc.merge(&row.day);
-                    }
+                    treatment.merge(&row.day);
                 }
             }
-            let flushed = cache.flush().map_err(sub)?;
-            epochs.push(EpochMetrics {
-                epoch,
-                all: all.metrics(),
-                control: ab_mode.then(|| control_acc.metrics()),
-                treatment: ab_mode.then(|| treatment.metrics()),
-                classes: classes.iter().map(DayAccum::metrics).collect(),
-                sketches,
-                flushed,
-                dispatch: dispatch_info,
-            });
-
-            // Checkpoint at the barrier: everything is durable (the flush
-            // above), so compact the backend and write the manifest.
-            let ran_here = epoch + 1 - start_epoch;
-            let suspend = control
-                .stop_after_epochs
-                .is_some_and(|n| n > 0 && ran_here >= n && epoch + 1 < self.config.epochs);
-            let periodic = self.config.checkpoint_every > 0
-                && (epoch + 1) % self.config.checkpoint_every == 0
-                && epoch + 1 < self.config.epochs;
-            if suspend || periodic {
-                backend.checkpoint().map_err(sub)?;
-                let ckpt = FleetCheckpoint {
-                    schema: crate::checkpoint::CHECKPOINT_SCHEMA,
-                    seed: self.config.seed,
-                    total_epochs: self.config.epochs,
-                    scenario: scenario.name.clone(),
-                    next_epoch: epoch + 1,
-                    users_total,
-                    sessions,
-                    segments,
-                    elapsed_s: (prior_elapsed + start.elapsed()).as_secs_f64(),
-                    epochs: epochs.clone(),
-                };
-                ckpt.save(&self.config.state_dir)?;
-                if suspend {
-                    return Ok(RunOutcome::Suspended(ckpt));
-                }
+            if let Some(acc) = row.class.and_then(|c| classes.get_mut(c as usize)) {
+                acc.merge(&row.day);
             }
         }
-        let elapsed = prior_elapsed + start.elapsed();
+        EpochMetrics {
+            epoch,
+            all: all.metrics(),
+            control: ab_mode.then(|| control.metrics()),
+            treatment: ab_mode.then(|| treatment.metrics()),
+            classes: classes.iter().map(DayAccum::metrics).collect(),
+            sketches,
+            flushed: 0, // set by the flush stage
+            dispatch,
+        }
+    }
+
+    /// Stage 6 — flush/checkpoint: flush the write-behind cache, which
+    /// makes every state durable, and record the epoch. Then, when the
+    /// caller asks to `suspend` or the periodic cadence is due — never
+    /// after the last epoch — compact the backend and write the manifest.
+    /// Returns whether the run suspends here.
+    fn flush_and_checkpoint(
+        &self,
+        run: &mut RunState,
+        mut metrics: EpochMetrics,
+        suspend: bool,
+    ) -> Result<bool> {
+        metrics.flushed = run.cache.flush().map_err(sub)?;
+        let done = metrics.epoch + 1;
+        run.progress.epochs.push(metrics);
+        run.progress.next_epoch = done;
+
+        let more_to_run = done < self.config.epochs;
+        let every = self.config.checkpoint_every;
+        let periodic = every > 0 && done.is_multiple_of(every);
+        if !(more_to_run && (suspend || periodic)) {
+            return Ok(false);
+        }
+        run.backend.checkpoint().map_err(sub)?;
+        run.progress.elapsed_s = (run.prior_elapsed + run.start.elapsed()).as_secs_f64();
+        run.progress.save(&self.config.state_dir)?;
+        Ok(suspend)
+    }
+
+    /// After the last epoch: drop the manifest and assemble the report.
+    fn finish(&self, run: RunState) -> Result<FleetReport> {
+        let elapsed = run.prior_elapsed + run.start.elapsed();
         // A completed run leaves no manifest behind: a later `resume`
         // must not silently replay a finished run's tail.
         FleetCheckpoint::remove(&self.config.state_dir)?;
+        let progress = run.progress;
 
         // Population-scale DiD over the per-epoch cohort metrics.
         let did = match &self.config.ab {
@@ -642,82 +666,62 @@ impl FleetEngine {
                         days: self.config.epochs,
                         intervention_day: ab.intervention_epoch,
                     },
-                    epochs.iter().filter_map(|e| e.control).collect(),
-                    epochs.iter().filter_map(|e| e.treatment).collect(),
+                    progress.epochs.iter().filter_map(|e| e.control).collect(),
+                    progress.epochs.iter().filter_map(|e| e.treatment).collect(),
                 )
                 .map_err(sub)?,
             ),
             None => None,
         };
-
-        Ok(RunOutcome::Complete(Box::new(FleetReport {
-            scenario: scenario.name.clone(),
+        Ok(FleetReport {
+            scenario: progress.scenario,
             shards: self.config.shards,
-            users: users_total,
+            users: progress.users_total,
             class_names: self
                 .config
                 .dynamics
                 .as_ref()
                 .map(|d| d.registry.users.iter().map(|c| c.name.clone()).collect())
                 .unwrap_or_default(),
-            epochs,
-            sessions,
-            segments,
+            epochs: progress.epochs,
+            sessions: progress.sessions,
+            segments: progress.segments,
             elapsed,
-            cache: cache.stats(),
-            state_warnings,
+            cache: run.cache.stats(),
+            state_warnings: run.state_warnings,
             did,
-        })))
+        })
     }
 
     /// One shard worker's epoch: run every owned user's sessions.
+    /// Contention mode co-simulates each owned link's users on the event
+    /// kernel; independent mode drives each user's sessions start to
+    /// finish over private traces, one user after another.
     fn run_shard_epoch(
         &self,
-        users: &[EpochUser],
-        epoch: usize,
-        scenario: &FleetScenario,
-        catalog: &Catalog,
-        cache: &ShardedStateCache,
-        scratch: &std::sync::Mutex<crate::contention::ContentionScratch>,
+        ctx: EpochCtx<'_>,
+        members: &[u32],
+        scratch: &mut ContentionScratch,
     ) -> Result<ShardEpochOutput> {
+        let mut out = ShardEpochOutput {
+            rows: Vec::with_capacity(members.len()),
+            sketches: EpochSketches::new(),
+        };
         if self.config.contention.is_some() {
-            let mut scratch = scratch.lock().expect("contention scratch lock poisoned");
-            return crate::contention::run_shard_epoch_contended(
-                self,
-                users,
-                epoch,
-                scenario,
-                catalog,
-                cache,
-                &mut scratch,
-            );
+            crate::contention::run_shard_epoch_contended(self, ctx, members, scratch, &mut out)?;
+            return Ok(out);
         }
-        let drift = ToleranceDrift::default();
         let mut buffers = SessionBuffers::new();
-        let mut rows = Vec::with_capacity(users.len());
-        let mut sketches = EpochSketches::new();
-        for user in users {
-            let mut rng = StdRng::seed_from_u64(self.stream_seed(user.record.id, epoch));
-            let policy = scenario.abr_mix.policy_for(user.record.id);
-            let managed = policy.managed() && self.lingxi_active(user.record.id, epoch);
-            let day = self.run_user_epoch(
-                &user.record,
-                catalog,
-                cache,
-                policy,
-                managed,
-                &drift,
-                &mut buffers,
-                &mut sketches,
-                &mut rng,
-            )?;
-            rows.push(UserEpochRow {
+        for &i in members {
+            let user = &ctx.cohort[i as usize];
+            let day = self.run_user_epoch(ctx, &user.record, &mut buffers, &mut out.sketches)?;
+            out.rows.push(UserEpochRow {
                 user_id: user.record.id,
                 class: user.class,
                 day,
             });
         }
-        Ok(ShardEpochOutput { rows, sketches })
+        Ok(out)
     }
 
     /// Sessions a user plays this epoch (Poisson-ish jitter around the
@@ -729,21 +733,19 @@ impl FleetEngine {
 
     /// Run one user's epoch worth of sessions, folded straight into a
     /// bounded-memory day accumulator (play order) and the shard sketches.
-    #[allow(clippy::too_many_arguments)]
     fn run_user_epoch(
         &self,
+        ctx: EpochCtx<'_>,
         user: &UserRecord,
-        catalog: &Catalog,
-        cache: &ShardedStateCache,
-        policy: AbrPolicy,
-        managed: bool,
-        drift: &ToleranceDrift,
         buffers: &mut SessionBuffers,
         sketches: &mut EpochSketches,
-        rng: &mut StdRng,
     ) -> Result<DayAccum> {
+        let EpochCtx { catalog, cache, .. } = ctx;
+        let rng = &mut StdRng::seed_from_u64(self.stream_seed(user.id, ctx.epoch));
+        let policy = ctx.scenario.abr_mix.policy_for(user.id);
+        let managed = policy.managed() && self.lingxi_active(user.id, ctx.epoch);
         let n_sessions = self.sessions_this_epoch(user, rng);
-        let mut exit_model = user.exit_model_for_day(drift, rng);
+        let mut exit_model = user.exit_model_for_day(&ToleranceDrift::default(), rng);
         let mut abr = policy.build();
         let ladder = catalog.ladder();
         let mut day = DayAccum::new();
@@ -926,12 +928,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn state_persists_and_warm_starts_across_runs() {
-        let dir = temp_dir("persist");
+    /// A stall-heavy all-HYB cell: every user is managed, optimizes and
+    /// persists state.
+    fn managed_cell(dir: &std::path::Path) -> (FleetConfig, FleetScenario) {
         let scenario = FleetScenario {
             abr_mix: AbrMix::all_hyb(),
-            // Constrained-heavy mixture so stalls (and optimizations) occur.
             mixture: lingxi_net::ProductionMixture {
                 p_constrained: 0.6,
                 p_cellular: 0.3,
@@ -943,22 +944,71 @@ mod tests {
             shards: 2,
             epochs: 1,
             seed: 3,
-            state_dir: dir.clone(),
+            state_dir: dir.to_path_buf(),
             ..FleetConfig::default()
         };
+        (config, scenario)
+    }
+
+    fn persisted_ids(dir: &std::path::Path) -> Vec<u64> {
+        let log = BinaryStateLog::open(dir, lingxi_core::BinLogConfig::default()).unwrap();
+        log.scan().unwrap().ids
+    }
+
+    #[test]
+    fn state_persists_and_warm_starts_across_runs() {
+        let dir = temp_dir("persist");
+        let (config, scenario) = managed_cell(&dir);
         let first = FleetEngine::new(config.clone())
             .unwrap()
             .run(&scenario)
             .unwrap();
         assert!(first.state_warnings.is_empty());
-        let persisted = StateStore::open(&dir).unwrap().list().unwrap();
-        assert_eq!(persisted.len(), 24, "write-behind flushed all users");
-        // Second run warm-starts from disk and surfaces corrupt entries.
-        std::fs::write(dir.join("user_oops.json"), "{").unwrap();
+        assert_eq!(persisted_ids(&dir).len(), 24, "write-behind flushed all");
+        // Tear the tail of one shard log (a crash mid-append): the second
+        // run warm-starts from disk and surfaces the truncation.
+        let torn = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "log"))
+            .find(|p| std::fs::metadata(p).unwrap().len() > 0)
+            .expect("a shard log holds frames");
+        let mut bytes = std::fs::read(&torn).unwrap();
+        bytes.extend_from_slice(&[0xAB; 7]);
+        std::fs::write(&torn, bytes).unwrap();
         let second = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
-        assert_eq!(second.state_warnings.len(), 1);
-        assert!(second.state_warnings[0].contains("user_oops"));
-        assert!(second.cache.misses > 0, "warm start loads from the store");
+        assert_eq!(
+            second.state_warnings.len(),
+            1,
+            "{:?}",
+            second.state_warnings
+        );
+        let shard = torn.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(second.state_warnings[0].contains(&shard));
+        assert!(second.cache.misses > 0, "warm start loads from the log");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_json_state_dir_is_refused_not_silently_reset() {
+        let dir = temp_dir("legacy_json");
+        let (config, scenario) = managed_cell(&dir);
+        let store = lingxi_core::StateStore::open(&dir).unwrap();
+        store.save(&lingxi_core::LongTermState::new(5)).unwrap();
+        let err = FleetEngine::new(config)
+            .unwrap()
+            .run(&scenario)
+            .unwrap_err();
+        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("experiments migrate-state <json-dir> <log-dir>"),
+            "{err}"
+        );
+        assert!(
+            !dir.join("manifest.json").exists(),
+            "refusal must not initialise a log over the JSON state"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -982,7 +1032,7 @@ mod tests {
         };
         let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
         assert!(report.sessions > 0);
-        assert_eq!(StateStore::open(&dir).unwrap().list().unwrap().len(), 0);
+        assert!(persisted_ids(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,10 +6,13 @@
 //! onto N shards, each shard owns a `std::thread` worker with its own
 //! deterministic RNG streams, long-term user state lives in a shard-local
 //! in-memory cache with write-behind batch persistence into the durable
-//! [`lingxi_core::StateStore`], and per-shard metric accumulators are
+//! [`lingxi_core::BinaryStateLog`], and per-shard metric accumulators are
 //! merged at epoch barriers in user-id order — so the merged metrics are
-//! bit-identical for *any* shard count under the same seed. See
-//! ARCHITECTURE.md for the data-flow diagram.
+//! bit-identical for *any* shard count under the same seed. Every epoch
+//! runs the same six stages — populate → dispatch → partition → run
+//! shards → merge → flush/checkpoint (see [`engine`]); the optional modes
+//! of [`FleetConfig`] choose what a stage does, never which stages run.
+//! See ARCHITECTURE.md for the data-flow diagram.
 //!
 //! ```
 //! use lingxi_fleet::{FleetConfig, FleetEngine, FleetScenario};

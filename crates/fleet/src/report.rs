@@ -92,9 +92,10 @@ pub struct EpochMetrics {
     /// Diagnostic: unlike the metric aggregates this *may* vary with shard
     /// count, because LRU evictions already persisted some entries early.
     pub flushed: usize,
-    /// Dispatch-layer record of this epoch (per-link placements, weighted
-    /// hot-queue occupancy, per-dispatcher loads). `None` outside dispatch
-    /// mode; defaulted on deserialize so pre-dispatch manifests load.
+    /// Dispatch-stage record of this epoch (per-link placements, weighted
+    /// hot-queue occupancy, per-dispatcher loads). `None` in independent
+    /// mode, where there are no links; defaulted on deserialize so
+    /// manifests written without one load.
     #[serde(default)]
     pub dispatch: Option<DispatchEpoch>,
 }
@@ -173,7 +174,7 @@ impl FleetReport {
     /// The worst weighted link occupancy any epoch saw
     /// (`max_epoch max_q placements[q] / weight[q]`) — the load-imbalance
     /// headline the `dispatch` experiment gates LSQ vs StaticHash on.
-    /// `None` outside dispatch mode.
+    /// `None` in independent mode.
     pub fn max_weighted_occupancy(&self) -> Option<f64> {
         self.epochs
             .iter()

@@ -1,6 +1,6 @@
 //! Kill-at-epoch-barrier + resume must be bit-identical to an
-//! uninterrupted run — at 1, 4, and 8 shards, over both persistence
-//! backends and both static and population-dynamics cohorts.
+//! uninterrupted run — at 1, 4, and 8 shards, for both static and
+//! population-dynamics cohorts.
 //!
 //! This is the checkpoint half of the engine's determinism contract (see
 //! `FleetEngine::run_resumable`): immediately after barrier `k` every
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use lingxi_fleet::{
     ContentionConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport, FleetScenario,
-    PersistenceConfig, PopulationDynamics, RunControl, RunOutcome,
+    PopulationDynamics, RunControl, RunOutcome,
 };
 use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
 
@@ -32,13 +32,12 @@ fn scenario() -> FleetScenario {
     }
 }
 
-fn config(shards: usize, dir: &Path, persistence: PersistenceConfig) -> FleetConfig {
+fn config(shards: usize, dir: &Path) -> FleetConfig {
     FleetConfig {
         shards,
         epochs: 4,
         seed: 17,
         state_dir: dir.to_path_buf(),
-        persistence,
         ..FleetConfig::default()
     }
 }
@@ -133,7 +132,7 @@ fn kill_resume_bit_identical_at_1_4_8_shards_binlog() {
     let mut reports = Vec::new();
     for shards in [1usize, 4, 8] {
         let report = assert_kill_resume_bit_identical(
-            |dir| with_dynamics(config(shards, dir, PersistenceConfig::binary_log())),
+            |dir| with_dynamics(config(shards, dir)),
             2,
             &format!("bin{shards}"),
         );
@@ -148,20 +147,17 @@ fn kill_resume_bit_identical_at_1_4_8_shards_binlog() {
 }
 
 #[test]
-fn kill_resume_bit_identical_static_cohort_file_backend() {
-    // The manifest protocol is backend-agnostic: the legacy file-per-user
-    // store checkpoints and resumes the same way.
-    assert_kill_resume_bit_identical(
-        |dir| config(2, dir, PersistenceConfig::FileJson),
-        1,
-        "file2",
-    );
+fn kill_resume_bit_identical_static_cohort() {
+    // The only kill/resume of a *static* cohort: its users are counted
+    // once, not once per invocation, and their managed state warm-starts
+    // from the log across the kill.
+    assert_kill_resume_bit_identical(|dir| config(2, dir), 1, "static2");
 }
 
 #[test]
 fn periodic_checkpoints_leave_resumable_manifest() {
     let dir = temp_dir("periodic");
-    let mut cfg = config(2, &dir, PersistenceConfig::binary_log());
+    let mut cfg = config(2, &dir);
     cfg.checkpoint_every = 1;
     let report = FleetEngine::new(cfg).unwrap().run(&scenario()).unwrap();
     assert!(report.sessions > 0);
@@ -173,7 +169,7 @@ fn periodic_checkpoints_leave_resumable_manifest() {
 #[test]
 fn resume_refuses_mismatched_run() {
     let dir = temp_dir("mismatch");
-    let engine = FleetEngine::new(config(2, &dir, PersistenceConfig::binary_log())).unwrap();
+    let engine = FleetEngine::new(config(2, &dir)).unwrap();
     let outcome = engine
         .run_resumable(
             &scenario(),
@@ -186,7 +182,7 @@ fn resume_refuses_mismatched_run() {
     assert!(matches!(outcome, RunOutcome::Suspended(_)));
 
     // Different seed → refuse.
-    let mut other = config(2, &dir, PersistenceConfig::binary_log());
+    let mut other = config(2, &dir);
     other.seed = 99;
     let err = FleetEngine::new(other)
         .unwrap()
@@ -202,7 +198,7 @@ fn resume_refuses_mismatched_run() {
 
     // No manifest at all → refuse.
     let empty = temp_dir("mismatch_empty");
-    let err = FleetEngine::new(config(2, &empty, PersistenceConfig::binary_log()))
+    let err = FleetEngine::new(config(2, &empty))
         .unwrap()
         .run_resumable(
             &scenario(),

@@ -3,10 +3,11 @@
 //! The layer's determinism contract (see `crates/fleet/src/dispatch.rs`):
 //! placement is a pure function of (seed, logical dispatcher stream,
 //! barrier-snapshot estimates) — never of the shard count or the
-//! *physical* dispatcher count — and `StaticHash` under the `Dispatcher`
-//! trait reproduces the legacy engine bit-exactly. The pure-function
-//! properties run under proptest over random snapshots/weights; the
-//! engine-level bit-identity contracts run full (small) fleet runs.
+//! *physical* dispatcher count — and `StaticHash`, the dispatcher a run
+//! without a dispatch layer gets, places by `static_link_of`. The
+//! pure-function properties run under proptest over random
+//! snapshots/weights; the engine-level contracts run full (small) fleet
+//! runs.
 
 use lingxi_fleet::{
     static_link_of, ContentionConfig, DispatchConfig, DispatchPolicy, Dispatcher, FleetConfig,
@@ -202,32 +203,23 @@ fn merged_metrics_invariant_across_dispatcher_counts() {
     assert_eq!(two.merged_sketches(), eight_shards.merged_sketches());
 }
 
-/// StaticHash under the Dispatcher trait reproduces the legacy engine
-/// (dispatch: None) bit-exactly — the refactor moved the hash, not the
-/// behaviour.
+/// With no dispatch layer configured the engine places through
+/// `StaticHash` and records it: every epoch's placement histogram is the
+/// `static_link_of` histogram of the cohort.
 #[test]
-fn static_hash_dispatch_is_bit_exact_with_legacy_engine() {
-    let legacy = run_fleet(4, 6, None, "legacy");
-    let dispatched = run_fleet(4, 6, Some(DispatchConfig::static_hash()), "static");
-    assert_eq!(legacy.merged_metrics(), dispatched.merged_metrics());
-    assert_eq!(legacy.merged_sketches(), dispatched.merged_sketches());
-    assert_eq!(legacy.sessions, dispatched.sessions);
-    assert_eq!(legacy.segments, dispatched.segments);
-    // The dispatched run additionally records placements; the legacy one
-    // records none.
-    assert!(legacy.max_weighted_occupancy().is_none());
-    let occ = dispatched
+fn default_placement_histogram_matches_static_link_of() {
+    let report = run_fleet(4, 6, None, "default");
+    let occ = report
         .max_weighted_occupancy()
-        .expect("dispatch mode records occupancy");
+        .expect("contention mode records placements");
     assert!(occ >= 1.0, "24 users on 6 links peak at >= 1: {occ}");
-    for e in dispatched.dispatch_epochs() {
-        let e = e.unwrap();
-        assert_eq!(e.placements.iter().sum::<u64>(), 24);
-        // StaticHash's per-epoch placements match the hash directly.
-        let mut expected = vec![0u64; 6];
-        for uid in 0..24u64 {
-            expected[static_link_of(7, uid, 6) as usize] += 1;
-        }
+    let mut expected = vec![0u64; 6];
+    for uid in 0..24u64 {
+        expected[static_link_of(7, uid, 6) as usize] += 1;
+    }
+    for e in report.dispatch_epochs() {
+        let e = e.expect("one record per epoch");
         assert_eq!(e.placements, expected);
+        assert!(e.dispatcher_loads.is_empty());
     }
 }

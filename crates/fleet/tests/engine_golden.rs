@@ -1,0 +1,259 @@
+//! Golden fingerprints of the fleet engine's simulated output.
+//!
+//! Four small cells, one per engine regime, each pinned as a bit-exact
+//! fingerprint (IEEE-754 bit patterns of the merged floats plus the
+//! integer counters; the two larger ones as a digest of those words):
+//!
+//! - `contended`: a static cohort hashed onto shared max-min links;
+//! - `dynamics`: a flash-ramp arrival schedule of classed users onto
+//!   class-scaled links;
+//! - `independent_ab`: private traces with an A/B split (control and
+//!   treatment cohorts fingerprinted too);
+//! - `lsq_static`: a static cohort re-placed every epoch by LSQ over
+//!   heterogeneous capacity weights (per-epoch placements fingerprinted
+//!   too).
+//!
+//! Any change to the epoch pipeline, the contention kernel, the dispatch
+//! layer or the barrier merge that moves a bit of simulated output moves
+//! one of these. A change meant to leave the simulation alone must leave
+//! all four alone; an intentional simulation change re-pins them once,
+//! with the reason written down, via
+//! `cargo test -p lingxi-fleet --test engine_golden -- --ignored --nocapture`.
+
+use lingxi_fleet::{
+    AbSplit, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetEngine,
+    FleetReport, FleetScenario, PopulationDynamics,
+};
+use lingxi_workload::{ArrivalKind, ClassRegistry, FlashRamp};
+
+/// Run one cell in its own scratch state directory.
+fn run_cell(name: &str, n_users: usize, config: FleetConfig) -> FleetReport {
+    let dir = std::env::temp_dir().join(format!(
+        "lingxi_engine_golden_{name}_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let scenario = FleetScenario {
+        name: format!("golden_{name}"),
+        n_users,
+        n_videos: 8,
+        mean_sessions_per_epoch: 2.0,
+        ..FleetScenario::default()
+    };
+    let config = FleetConfig {
+        state_dir: dir.clone(),
+        ..config
+    };
+    let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+}
+
+fn run_contended() -> FleetReport {
+    run_cell(
+        "contended",
+        24,
+        FleetConfig {
+            shards: 2,
+            epochs: 2,
+            seed: 17,
+            contention: Some(ContentionConfig {
+                links: 5,
+                capacity_kbps: 18_000.0,
+                arrival_window: 12.0,
+                access_cap_factor: 1.5,
+            }),
+            ..FleetConfig::default()
+        },
+    )
+}
+
+/// The `flashcrowd`/`population` call-site shape.
+fn run_dynamics() -> FleetReport {
+    run_cell(
+        "dynamics",
+        40,
+        FleetConfig {
+            shards: 2,
+            epochs: 1,
+            seed: 23,
+            contention: Some(ContentionConfig {
+                links: 3,
+                capacity_kbps: 22_000.0,
+                arrival_window: 15.0,
+                access_cap_factor: 1.5,
+            }),
+            dynamics: Some(PopulationDynamics {
+                arrivals: ArrivalKind::FlashRamp(FlashRamp::uniform(40, 15.0)),
+                registry: ClassRegistry::default_heterogeneous(),
+                day_seconds: 900.0,
+            }),
+            ..FleetConfig::default()
+        },
+    )
+}
+
+fn run_independent_ab() -> FleetReport {
+    run_cell(
+        "independent_ab",
+        24,
+        FleetConfig {
+            shards: 3,
+            epochs: 4,
+            seed: 29,
+            ab: Some(AbSplit {
+                intervention_epoch: 2,
+            }),
+            ..FleetConfig::default()
+        },
+    )
+}
+
+fn run_lsq_static() -> FleetReport {
+    run_cell(
+        "lsq_static",
+        24,
+        FleetConfig {
+            shards: 2,
+            epochs: 3,
+            seed: 31,
+            contention: Some(ContentionConfig {
+                links: 6,
+                capacity_kbps: 5_000.0,
+                arrival_window: 10.0,
+                access_cap_factor: 1.5,
+            }),
+            dispatch: Some(DispatchConfig {
+                policy: DispatchPolicy::Lsq { dispatchers: 2 },
+                capacity_weights: vec![4.0, 1.0, 1.0, 1.0, 4.0, 1.0],
+            }),
+            ..FleetConfig::default()
+        },
+    )
+}
+
+/// Flatten a report into a bit-exact fingerprint: per-epoch merged floats
+/// as IEEE-754 bit patterns plus the integer counters, then the A/B
+/// cohorts of the epochs that have them.
+fn fingerprint(report: &FleetReport) -> Vec<u64> {
+    fn day(bits: &mut Vec<u64>, m: &lingxi_abtest::DayMetrics) {
+        bits.push(m.watch_time.to_bits());
+        bits.push(m.stall_time.to_bits());
+        bits.push(m.mean_bitrate.to_bits());
+        bits.push(m.sessions as u64);
+        bits.push(m.completions as u64);
+        bits.push(m.stall_count as u64);
+        bits.push(m.switches as u64);
+    }
+    let mut bits = Vec::new();
+    for m in report.merged_metrics() {
+        day(&mut bits, &m);
+    }
+    bits.push(report.sessions as u64);
+    bits.push(report.segments as u64);
+    for e in &report.epochs {
+        for cohort in [&e.control, &e.treatment].into_iter().flatten() {
+            day(&mut bits, cohort);
+        }
+    }
+    bits
+}
+
+/// FNV-1a over a fingerprint's words. The two larger cells pin this
+/// instead of 40–90 raw words (the idiom of
+/// `crates/exp/tests/fairness_golden.rs`); a failure prints the words.
+fn digest(bits: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in bits.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// [`fingerprint`] followed by every epoch's per-link placements.
+fn fingerprint_with_placements(report: &FleetReport) -> Vec<u64> {
+    let mut bits = fingerprint(report);
+    for d in report.dispatch_epochs().into_iter().flatten() {
+        bits.extend(&d.placements);
+    }
+    bits
+}
+
+const CONTENDED_FINGERPRINT: &[u64] = &[
+    4655877589770960896,
+    0,
+    4659225787509234865,
+    46,
+    38,
+    0,
+    126,
+    4654989184375717888,
+    4603903880908171796,
+    4659409513613401726,
+    51,
+    30,
+    3,
+    98,
+    97,
+    1755,
+];
+
+const DYNAMICS_FINGERPRINT: &[u64] = &[
+    4659593939072843776,
+    4621462916202313255,
+    4657779177101044590,
+    97,
+    61,
+    13,
+    380,
+    97,
+    1677,
+];
+
+const INDEPENDENT_AB_DIGEST: u64 = 0xa7567309668e1cb8;
+
+const LSQ_STATIC_DIGEST: u64 = 0x482e317cd585a220;
+
+#[test]
+#[ignore = "regeneration helper: prints the fingerprint constants"]
+fn regenerate_fingerprints() {
+    println!(
+        "const CONTENDED_FINGERPRINT: &[u64] = &{:?};",
+        fingerprint(&run_contended())
+    );
+    println!(
+        "const DYNAMICS_FINGERPRINT: &[u64] = &{:?};",
+        fingerprint(&run_dynamics())
+    );
+    println!(
+        "const INDEPENDENT_AB_DIGEST: u64 = {:#018x};",
+        digest(&fingerprint(&run_independent_ab()))
+    );
+    println!(
+        "const LSQ_STATIC_DIGEST: u64 = {:#018x};",
+        digest(&fingerprint_with_placements(&run_lsq_static()))
+    );
+}
+
+#[test]
+fn contended_cell_matches_golden() {
+    assert_eq!(fingerprint(&run_contended()), CONTENDED_FINGERPRINT);
+}
+
+#[test]
+fn dynamics_cell_matches_golden() {
+    assert_eq!(fingerprint(&run_dynamics()), DYNAMICS_FINGERPRINT);
+}
+
+#[test]
+fn independent_ab_cell_matches_golden() {
+    let bits = fingerprint(&run_independent_ab());
+    assert_eq!(digest(&bits), INDEPENDENT_AB_DIGEST, "words: {bits:?}");
+}
+
+#[test]
+fn lsq_static_cell_matches_golden() {
+    let bits = fingerprint_with_placements(&run_lsq_static());
+    assert_eq!(digest(&bits), LSQ_STATIC_DIGEST, "words: {bits:?}");
+}
