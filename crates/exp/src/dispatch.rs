@@ -13,16 +13,16 @@
 //! *fails* unless
 //!
 //! 1. the LSQ cell is bit-identical across 1, 4 and 8 shards **and**
-//!    across 1, 2 and 4 physical dispatchers (scalars and sketches), and
+//!    across 1, 2 and 4 physical dispatchers (scalars, sketches and
+//!    per-epoch placements), and
 //! 2. LSQ strictly reduces the peak weighted link occupancy versus
 //!    `StaticHash` on the heterogeneous 1:4 skew.
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetReport,
-    FleetScenario,
+    ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetReport, FleetScenario,
 };
-use lingxi_net::ProductionMixture;
 
+use crate::harness::{identical, Cell};
 use crate::report::{ExperimentResult, Series};
 use crate::{ExpError, Result};
 
@@ -39,58 +39,37 @@ pub fn hetero_weights() -> Vec<f64> {
         .collect()
 }
 
-/// Run one dispatch cell: the static population on the 8-link pod under
-/// the given dispatch layer. Public so smoke/golden tests can pin
-/// per-cell output.
-pub fn run_cell(
-    dispatch: DispatchConfig,
-    scale: f64,
-    shards: usize,
-    seed: u64,
-    tag: &str,
-) -> Result<FleetReport> {
-    let scale = scale.clamp(0.001, 10.0);
+/// One dispatch cell: the static population on the 8-link pod, placed by
+/// `policy` over `weights`.
+fn cell(policy: DispatchPolicy, weights: &[f64], scale: f64, seed: u64) -> Cell {
     let scenario = FleetScenario {
-        name: format!("dispatch_{tag}"),
-        n_users: ((4_000.0 * scale) as usize).max(160),
+        name: format!("dispatch_{policy:?}"),
+        n_users: ((4_000.0 * scale.clamp(0.001, 10.0)) as usize).max(160),
         n_videos: 12,
         mean_sessions_per_epoch: 2.0,
-        mixture: ProductionMixture::default(),
-        abr_mix: AbrMix::default(),
+        ..FleetScenario::default()
     };
     let config = FleetConfig {
-        shards,
         epochs: EPOCHS,
         seed,
         contention: Some(ContentionConfig {
             links: LINKS,
-            capacity_kbps: 25_000.0,
-            arrival_window: 30.0,
-            access_cap_factor: 1.5,
+            ..ContentionConfig::default()
         }),
-        dispatch: Some(dispatch),
+        dispatch: Some(DispatchConfig {
+            policy,
+            capacity_weights: weights.to_vec(),
+        }),
         ..FleetConfig::default()
     };
-    crate::run_fleet_cell(
-        &format!("dispatch_{tag}_s{seed}_n{shards}"),
-        config,
-        &scenario,
-    )
-}
-
-/// Bit-exact equality of two cells (merged scalars and sketches).
-fn bit_equal(a: &FleetReport, b: &FleetReport) -> bool {
-    a.merged_metrics() == b.merged_metrics()
-        && a.merged_sketches() == b.merged_sketches()
-        && a.sessions == b.sessions
-        && a.segments == b.segments
+    Cell { config, scenario }
 }
 
 /// Peak weighted link occupancy of a dispatched cell.
-fn occupancy(report: &FleetReport, tag: &str) -> Result<f64> {
-    report
-        .max_weighted_occupancy()
-        .ok_or_else(|| ExpError::Subsystem(format!("{tag}: no dispatch epochs recorded")))
+fn occupancy(report: &FleetReport) -> Result<f64> {
+    report.max_weighted_occupancy().ok_or_else(|| {
+        ExpError::Subsystem(format!("{}: no dispatch epochs recorded", report.scenario))
+    })
 }
 
 /// Run the dispatch experiment.
@@ -100,44 +79,30 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "StaticHash vs LSQ dispatch on a 1:4 heterogeneous hot-link skew",
     );
     let hetero = hetero_weights();
-    let lsq = |dispatchers: usize, weights: &[f64]| DispatchConfig {
-        policy: DispatchPolicy::Lsq { dispatchers },
-        capacity_weights: weights.to_vec(),
-    };
-    let static_hash = |weights: &[f64]| DispatchConfig {
-        policy: DispatchPolicy::StaticHash,
-        capacity_weights: weights.to_vec(),
-    };
+    let pod = |policy: DispatchPolicy, weights: &[f64]| cell(policy, weights, scale, seed);
+    let lsq = |dispatchers: usize| DispatchPolicy::Lsq { dispatchers };
 
     // Gate 1a: the LSQ cell must be bit-exact for any shard count.
-    let lsq_one = run_cell(lsq(2, &hetero), scale, 1, seed, "lsq_hetero_1")?;
-    let lsq_hetero = run_cell(lsq(2, &hetero), scale, 4, seed, "lsq_hetero_4")?;
-    let lsq_eight = run_cell(lsq(2, &hetero), scale, 8, seed, "lsq_hetero_8")?;
-    if !bit_equal(&lsq_one, &lsq_hetero) || !bit_equal(&lsq_one, &lsq_eight) {
-        return Err(ExpError::Subsystem(format!(
-            "dispatch shard invariance violated under LSQ: 1/4/8 shards gave {}/{}/{} sessions",
-            lsq_one.sessions, lsq_hetero.sessions, lsq_eight.sessions
-        )));
-    }
+    let lsq_hetero = pod(lsq(2), &hetero).shard_invariant()?;
 
     // Gate 1b: the physical dispatcher count must not move a placement —
-    // it only regroups the pinned logical streams.
-    let lsq_d1 = run_cell(lsq(1, &hetero), scale, 4, seed, "lsq_hetero_d1")?;
-    let lsq_d4 = run_cell(lsq(4, &hetero), scale, 4, seed, "lsq_hetero_d4")?;
-    if !bit_equal(&lsq_hetero, &lsq_d1) || !bit_equal(&lsq_hetero, &lsq_d4) {
-        return Err(ExpError::Subsystem(format!(
-            "dispatch dispatcher invariance violated under LSQ: 1/2/4 dispatchers gave {}/{}/{} sessions",
-            lsq_d1.sessions, lsq_hetero.sessions, lsq_d4.sessions
-        )));
+    // it only regroups the pinned logical streams (`dispatcher_loads`,
+    // which the comparison leaves out).
+    let mut by_dispatchers = vec![("2 dispatchers".to_string(), lsq_hetero)];
+    for dispatchers in [1, 4] {
+        let report = pod(lsq(dispatchers), &hetero).run(4)?;
+        by_dispatchers.push((format!("{dispatchers} dispatchers"), report));
     }
+    identical("dispatch under LSQ", &by_dispatchers)?;
+    let lsq_hetero = by_dispatchers.swap_remove(0).1;
     result.headline_value("shard+dispatcher invariance (1 = identical)", 1.0);
 
     // Gate 2: LSQ must strictly beat StaticHash on peak weighted
     // occupancy under the heterogeneous skew — the whole point of
     // load-aware dispatch.
-    let static_hetero = run_cell(static_hash(&hetero), scale, 4, seed, "static_hetero")?;
-    let lsq_occ = occupancy(&lsq_hetero, "lsq_hetero")?;
-    let static_occ = occupancy(&static_hetero, "static_hetero")?;
+    let static_hetero = pod(DispatchPolicy::StaticHash, &hetero).run(4)?;
+    let lsq_occ = occupancy(&lsq_hetero)?;
+    let static_occ = occupancy(&static_hetero)?;
     if lsq_occ >= static_occ {
         return Err(ExpError::Subsystem(format!(
             "LSQ failed to reduce peak weighted occupancy on the 1:4 skew: \
@@ -152,16 +117,10 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     // is already near-balanced in expectation, so this is a headline,
     // not a gate.
     let uniform = vec![1.0; LINKS];
-    let lsq_uniform = run_cell(lsq(2, &uniform), scale, 4, seed, "lsq_uniform")?;
-    let static_uw = run_cell(static_hash(&uniform), scale, 4, seed, "static_uw")?;
-    result.headline_value(
-        "lsq uniform peak occupancy",
-        occupancy(&lsq_uniform, "lsq_uniform")?,
-    );
-    result.headline_value(
-        "static uniform peak occupancy",
-        occupancy(&static_uw, "static_uw")?,
-    );
+    let lsq_uniform = pod(lsq(2), &uniform).run(4)?;
+    let static_uniform = pod(DispatchPolicy::StaticHash, &uniform).run(4)?;
+    result.headline_value("lsq uniform peak occupancy", occupancy(&lsq_uniform)?);
+    result.headline_value("static uniform peak occupancy", occupancy(&static_uniform)?);
 
     // Per-epoch occupancy trajectories and per-link placements of the
     // final epoch, for both hetero cells.
@@ -202,14 +161,8 @@ mod tests {
 
     #[test]
     fn dispatch_runs_at_test_scale() {
-        let r = run(9, 0.02).unwrap();
-        let headline = |name: &str| {
-            r.headline
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
+        let r = crate::smoke("dispatch", 9);
+        let headline = |name: &str| r.headline_named(name).unwrap();
         assert_eq!(headline("shard+dispatcher invariance (1 = identical)"), 1.0);
         assert!(headline("sessions simulated") > 0.0);
         // The gate already enforced strict improvement; the headline

@@ -17,12 +17,12 @@
 //!    than the capped `mobile` class.
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, FairnessConfig, FleetConfig, FleetReport, FleetScenario,
-    PopulationDynamics,
+    ContentionConfig, FairnessConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics,
 };
-use lingxi_net::{FairnessObjective, ProductionMixture, TopoLink, Topology};
+use lingxi_net::{FairnessObjective, TopoLink, Topology};
 use lingxi_workload::{ArrivalKind, ClassRegistry, Diurnal, LinkClass};
 
+use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
 use crate::{ExpError, Result};
 
@@ -80,36 +80,24 @@ pub fn pod_topology() -> Result<Topology> {
     .map_err(crate::sub)
 }
 
-/// Run one fairness cell: the diurnal heterogeneous population on the
-/// pod topology under `objective`. Public so the golden regression test
-/// can pin its bit-exact output per shard count.
-pub fn run_cell(
-    objective: FairnessObjective,
-    scale: f64,
-    shards: usize,
-    seed: u64,
-    tag: &str,
-) -> Result<FleetReport> {
+/// One fairness cell: the diurnal heterogeneous population on the pod
+/// topology under `objective`.
+fn cell(objective: FairnessObjective, scale: f64, seed: u64) -> Result<Cell> {
     let scale = scale.clamp(0.001, 10.0);
     let daily = (BASE_ARRIVALS_PER_DAY * scale).max(40.0);
-    let path_groups = ((8.0 * scale).round() as usize).max(1);
     let scenario = FleetScenario {
-        name: format!("fairness_{tag}"),
+        name: format!("fairness_{objective:?}"),
         n_users: (daily as usize).max(1),
         n_videos: 16,
         mean_sessions_per_epoch: 2.0,
-        mixture: ProductionMixture::default(),
-        abr_mix: AbrMix::default(),
+        ..FleetScenario::default()
     };
     let config = FleetConfig {
-        shards,
         epochs: DAYS,
         seed,
         contention: Some(ContentionConfig {
-            links: path_groups,
-            capacity_kbps: 25_000.0,
-            arrival_window: 30.0,
-            access_cap_factor: 1.5,
+            links: ((8.0 * scale).round() as usize).max(1),
+            ..ContentionConfig::default()
         }),
         fairness: Some(FairnessConfig {
             objective,
@@ -139,11 +127,18 @@ pub fn run_cell(
         }),
         ..FleetConfig::default()
     };
-    crate::run_fleet_cell(
-        &format!("fairness_{tag}_s{seed}_n{shards}"),
-        config,
-        &scenario,
-    )
+    Ok(Cell { config, scenario })
+}
+
+/// Run one fairness cell at `shards`. Public so the golden regression
+/// test can pin its bit-exact output per shard count.
+pub fn run_cell(
+    objective: FairnessObjective,
+    scale: f64,
+    shards: usize,
+    seed: u64,
+) -> Result<FleetReport> {
+    cell(objective, scale, seed)?.run(shards)
 }
 
 /// Session-weighted aggregate of one class across all epochs:
@@ -170,25 +165,11 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "Same diurnal population under max-min / proportional-fair / alpha=2 sharing",
     );
 
+    // Shard-variance gate: each objective's cell must be bit-exact for
+    // any shard count, or the whole experiment fails.
     let mut reports: Vec<(&str, FleetReport)> = Vec::new();
     for (name, objective) in OBJECTIVES {
-        // Shard-variance gate: each objective's cell must be bit-exact
-        // for any shard count, or the whole experiment fails.
-        let one = run_cell(objective, scale, 1, seed, &format!("{name}_1"))?;
-        let four = run_cell(objective, scale, 4, seed, &format!("{name}_4"))?;
-        let eight = run_cell(objective, scale, 8, seed, &format!("{name}_8"))?;
-        if one.merged_metrics() != four.merged_metrics()
-            || one.merged_metrics() != eight.merged_metrics()
-            || one.merged_sketches() != four.merged_sketches()
-            || one.merged_sketches() != eight.merged_sketches()
-            || one.sessions != eight.sessions
-        {
-            return Err(ExpError::Subsystem(format!(
-                "fairness shard invariance violated under {name}: 1/4/8 shards gave {}/{}/{} sessions",
-                one.sessions, four.sessions, eight.sessions
-            )));
-        }
-        reports.push((name, four));
+        reports.push((name, cell(objective, scale, seed)?.shard_invariant()?));
     }
     result.headline_value("shard invariance (1 = identical)", 1.0);
 
@@ -256,14 +237,8 @@ mod tests {
 
     #[test]
     fn fairness_runs_at_test_scale() {
-        let r = run(9, 0.02).unwrap();
-        let headline = |name: &str| {
-            r.headline
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
+        let r = crate::smoke("fairness", 9);
+        let headline = |name: &str| r.headline_named(name).unwrap();
         assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
         assert!(headline("sessions simulated") > 0.0);
         assert!(headline("max per-class stall divergence (s)") >= 0.0);
@@ -273,21 +248,6 @@ mod tests {
                     .series_named(&format!("fairness/{class}/{name}"))
                     .is_some());
             }
-        }
-    }
-
-    #[test]
-    #[ignore = "manual timing probe: cargo test -p lingxi-exp --release probe_cell_timing -- --ignored --nocapture"]
-    fn probe_cell_timing() {
-        for (name, objective) in OBJECTIVES {
-            let t0 = std::time::Instant::now();
-            let r = run_cell(objective, 0.05, 4, 42, "probe").unwrap();
-            println!(
-                "{name}: {:?} for {} sessions / {} segments",
-                t0.elapsed(),
-                r.sessions,
-                r.segments
-            );
         }
     }
 

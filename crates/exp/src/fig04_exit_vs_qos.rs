@@ -206,7 +206,7 @@ mod tests {
         assert!(st > 10.0 * q, "stall {st} vs quality {q}");
         // The paper's production differential tops out near 0.3; our
         // synthetic users are more deterministic (a deliberate trade-off —
-        // see EXPERIMENTS.md), so only the lower bound and the hierarchy
+        // see README.md, "Regenerating the paper's figures"), so only the lower bound and the hierarchy
         // are asserted.
         assert!(st > 0.03, "stall span too small: {st}");
         assert!(st <= 1.0, "stall span out of probability range: {st}");

@@ -149,7 +149,8 @@ mod tests {
             );
             // Stall-trained predictor should be decent in absolute terms.
             // (The paper reports >95%; our synthetic users carry an
-            // irreducible Bernoulli noise floor — see EXPERIMENTS.md.)
+            // irreducible Bernoulli noise floor — see README.md,
+            // "Regenerating the paper's figures".)
             assert!(stall.ys()[0] > 0.62, "stall accuracy {}", stall.ys()[0]);
             // Balanced sampling buys recall (Fig. 9b).
             if let Some(wob) = r.series_named("metrics/Stall_WOB") {

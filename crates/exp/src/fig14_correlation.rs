@@ -8,8 +8,8 @@
 //! trend lines.
 //!
 //! **Partial reproduction.** In this simulator the correlation hovers near
-//! zero rather than clearly negative. Two structural reasons, analysed in
-//! EXPERIMENTS.md: (1) our rollout predictor is the *ground-truth* user
+//! zero rather than clearly negative (README.md, "Regenerating the
+//! paper's figures"). Two structural reasons: (1) our rollout predictor is the *ground-truth* user
 //! model, so mitigation is strong enough to decouple post-treatment stall
 //! exits from sensitivity (the paper's production predictor is imperfect);
 //! (2) at laptop session counts the per-user β carries optimizer noise

@@ -16,14 +16,13 @@
 //! merged metrics are bit-identical across 1, 4 and 8 shards — contention
 //! must not cost the engine its determinism contract.
 
-use lingxi_fleet::{
-    AbrMix, ContentionConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics,
-};
+use lingxi_fleet::{ContentionConfig, FleetConfig, FleetScenario, PopulationDynamics};
 use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, FlashRamp};
 
+use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
-use crate::{ExpError, Result};
+use crate::Result;
 
 /// Users-per-link ramp: offered load grows ~2x per cell.
 const RAMP: [usize; 5] = [2, 4, 8, 16, 32];
@@ -40,31 +39,24 @@ const RAMP_WINDOW_S: f64 = 20.0;
 /// Mean sessions each crowd member plays.
 const SESSIONS_PER_USER: f64 = 2.0;
 
-fn run_cell(
-    users_per_link: usize,
-    links: usize,
-    shards: usize,
-    seed: u64,
-    tag: &str,
-) -> Result<FleetReport> {
+/// The cell dropping `users_per_link` users onto each of `links` links.
+fn cell(users_per_link: usize, links: usize, seed: u64) -> Cell {
     let n_users = users_per_link * links;
     let scenario = FleetScenario {
         name: format!("flashcrowd_u{users_per_link}"),
         n_users,
         n_videos: 16,
         mean_sessions_per_epoch: SESSIONS_PER_USER,
-        mixture: ProductionMixture::default(),
-        abr_mix: AbrMix::default(),
+        ..FleetScenario::default()
     };
     let config = FleetConfig {
-        shards,
         epochs: 1,
         seed,
         contention: Some(ContentionConfig {
             links,
             capacity_kbps: LINK_KBPS,
             arrival_window: RAMP_WINDOW_S,
-            access_cap_factor: 1.5,
+            ..ContentionConfig::default()
         }),
         // The crowd is an arrival schedule, not a pre-built cohort: the
         // FlashRamp process spreads exactly `n_users` arrivals across the
@@ -81,7 +73,7 @@ fn run_cell(
         }),
         ..FleetConfig::default()
     };
-    crate::run_fleet_cell(&format!("flashcrowd_{tag}_s{seed}"), config, &scenario)
+    Cell { config, scenario }
 }
 
 /// Run the flash-crowd experiment.
@@ -99,8 +91,8 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     let mut bitrate = Vec::with_capacity(RAMP.len());
     let mut completion = Vec::with_capacity(RAMP.len());
     let mut sessions = 0usize;
-    for (i, &users_per_link) in RAMP.iter().enumerate() {
-        let report = run_cell(users_per_link, links, 4, seed, &format!("ramp{i}"))?;
+    for users_per_link in RAMP {
+        let report = cell(users_per_link, links, seed).run(4)?;
         let m = &report.epochs[0].all;
         let load = users_per_link as f64;
         let per_session = 1.0 / (m.sessions as f64).max(1.0);
@@ -127,21 +119,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 
     // ---- determinism assertion: the heaviest cell across shard counts ----
     let peak = *RAMP.last().expect("ramp non-empty");
-    let one = run_cell(peak, links, 1, seed + 1, "det1")?;
-    let four = run_cell(peak, links, 4, seed + 1, "det4")?;
-    let eight = run_cell(peak, links, 8, seed + 1, "det8")?;
-    if one.merged_metrics() != four.merged_metrics()
-        || one.merged_metrics() != eight.merged_metrics()
-        || one.merged_sketches() != four.merged_sketches()
-        || one.merged_sketches() != eight.merged_sketches()
-        || one.sessions != four.sessions
-        || one.sessions != eight.sessions
-    {
-        return Err(ExpError::Subsystem(format!(
-            "contended shard invariance violated: 1/4/8 shards gave {}/{}/{} sessions",
-            one.sessions, four.sessions, eight.sessions
-        )));
-    }
+    let four = cell(peak, links, seed + 1).shard_invariant()?;
     result.headline_value("shard invariance (1 = identical)", 1.0);
     result.headline_value("peak-load sessions/sec", four.sessions_per_sec());
     Ok(result)
@@ -153,15 +131,9 @@ mod tests {
 
     #[test]
     fn flashcrowd_runs_at_test_scale() {
-        let r = run(5, 0.01).unwrap();
+        let r = crate::smoke("flashcrowd", 5);
         assert!(r.series_named("flashcrowd/stall_per_session").is_some());
-        let headline = |name: &str| {
-            r.headline
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
+        let headline = |name: &str| r.headline_named(name).unwrap();
         assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
         assert!(headline("sessions simulated") > 0.0);
     }

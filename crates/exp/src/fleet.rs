@@ -5,21 +5,21 @@
 //! Three cells of the scenario matrix run:
 //!
 //! 1. **production** — the Fig. 2(a) bandwidth mixture with a mixed ABR
-//!    population, run twice (4 and 8 shards). The run fails unless the
-//!    merged per-epoch metrics are bit-identical across the two shard
-//!    counts — the determinism contract of the engine — and reports
-//!    sessions/sec for both.
+//!    population. The run fails unless the cell is bit-identical across
+//!    1, 4 and 8 shards — the determinism contract of the engine — and
+//!    reports sessions/sec at 4 and 8.
 //! 2. **constrained** — a stall-heavy mixture with every user on
 //!    LingXi-managed HYB, exercising the optimizer + state-cache path.
 //! 3. **ab** — an A/B split (user-id parity) with the intervention landing
 //!    mid-run; per-epoch cohort metrics feed the §5.3
 //!    difference-in-differences pipeline at population scale.
 
-use lingxi_fleet::{AbSplit, AbrMix, FleetConfig, FleetReport, FleetScenario};
+use lingxi_fleet::{AbSplit, AbrMix, FleetConfig, FleetScenario};
 use lingxi_net::ProductionMixture;
 
+use crate::harness::{identical, Cell};
 use crate::report::{ExperimentResult, Series};
-use crate::{ExpError, Result};
+use crate::Result;
 
 /// Scale population counts like the rest of the harness: `scale = 1` is
 /// the full fleet, tests run at ~0.01.
@@ -27,45 +27,27 @@ fn scaled(n: usize, scale: f64, floor: usize) -> usize {
     ((n as f64 * scale.clamp(0.001, 10.0)).round() as usize).max(floor)
 }
 
-fn run_fleet(
-    scenario: &FleetScenario,
-    shards: usize,
-    epochs: usize,
-    seed: u64,
-    ab: Option<AbSplit>,
-    tag: &str,
-) -> Result<FleetReport> {
-    let config = FleetConfig {
-        shards,
-        epochs,
-        seed,
-        ab,
-        ..FleetConfig::default()
-    };
-    crate::run_fleet_cell(&format!("fleet_{tag}"), config, scenario)
-}
-
 /// Run the fleet experiment.
 pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     let mut result = ExperimentResult::new("fleet", "Sharded fleet simulation at scale");
 
     // ---- cell 1: production mixture, mixed ABRs, shard invariance ----
-    let production = FleetScenario {
-        name: "production".into(),
-        n_users: scaled(40_000, scale, 64),
-        n_videos: scaled(60, scale.sqrt(), 12),
-        mean_sessions_per_epoch: 2.5,
-        mixture: ProductionMixture::default(),
-        abr_mix: AbrMix::default(),
+    let production = Cell {
+        config: FleetConfig {
+            seed,
+            ..FleetConfig::default()
+        },
+        scenario: FleetScenario {
+            name: "production".into(),
+            n_users: scaled(40_000, scale, 64),
+            n_videos: scaled(60, scale.sqrt(), 12),
+            mean_sessions_per_epoch: 2.5,
+            ..FleetScenario::default()
+        },
     };
-    let four = run_fleet(&production, 4, 2, seed, None, "prod4")?;
-    let eight = run_fleet(&production, 8, 2, seed, None, "prod8")?;
-    if four.merged_metrics() != eight.merged_metrics() || four.sessions != eight.sessions {
-        return Err(ExpError::Subsystem(format!(
-            "shard-count invariance violated: 4 shards gave {} sessions, 8 gave {}",
-            four.sessions, eight.sessions
-        )));
-    }
+    let runs = production.shard_sweep()?;
+    identical("production", &runs)?;
+    let (four, eight) = (&runs[1].1, &runs[2].1);
     result.headline_value("production sessions", four.sessions as f64);
     result.headline_value("production users", four.users as f64);
     result.headline_value("sessions/sec @ 4 shards", four.sessions_per_sec());
@@ -87,19 +69,25 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     result.push_series(epoch_series("production/mean_bitrate", &|m| m.mean_bitrate));
 
     // ---- cell 2: constrained mixture, all LingXi-managed ----
-    let constrained = FleetScenario {
-        name: "constrained".into(),
-        n_users: scaled(4_000, scale, 32),
-        n_videos: scaled(40, scale.sqrt(), 10),
-        mean_sessions_per_epoch: 2.0,
-        mixture: ProductionMixture {
-            p_constrained: 0.45,
-            p_cellular: 0.35,
-            p_wifi: 0.15,
+    let constrained = Cell {
+        config: FleetConfig {
+            seed: seed + 1,
+            ..FleetConfig::default()
         },
-        abr_mix: AbrMix::all_hyb(),
+        scenario: FleetScenario {
+            name: "constrained".into(),
+            n_users: scaled(4_000, scale, 32),
+            n_videos: scaled(40, scale.sqrt(), 10),
+            mean_sessions_per_epoch: 2.0,
+            mixture: ProductionMixture {
+                p_constrained: 0.45,
+                p_cellular: 0.35,
+                p_wifi: 0.15,
+            },
+            abr_mix: AbrMix::all_hyb(),
+        },
     };
-    let managed = run_fleet(&constrained, 4, 2, seed + 1, None, "constrained")?;
+    let managed = constrained.run(4)?;
     result.headline_value("constrained sessions", managed.sessions as f64);
     result.headline_value("constrained sessions/sec", managed.sessions_per_sec());
     let cache = managed.cache;
@@ -108,28 +96,29 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     result.headline_value("cache write-behind writes", cache.writes as f64);
 
     // ---- cell 3: population-scale A/B with DiD ----
-    let ab_scenario = FleetScenario {
-        name: "ab".into(),
-        n_users: scaled(4_000, scale, 48),
-        n_videos: scaled(40, scale.sqrt(), 10),
-        mean_sessions_per_epoch: 2.0,
-        mixture: ProductionMixture {
-            p_constrained: 0.35,
-            p_cellular: 0.35,
-            p_wifi: 0.30,
+    let ab = Cell {
+        config: FleetConfig {
+            epochs: 4,
+            seed: seed + 2,
+            ab: Some(AbSplit {
+                intervention_epoch: 2,
+            }),
+            ..FleetConfig::default()
         },
-        abr_mix: AbrMix::all_hyb(),
-    };
-    let ab = run_fleet(
-        &ab_scenario,
-        4,
-        4,
-        seed + 2,
-        Some(AbSplit {
-            intervention_epoch: 2,
-        }),
-        "ab",
-    )?;
+        scenario: FleetScenario {
+            name: "ab".into(),
+            n_users: scaled(4_000, scale, 48),
+            n_videos: scaled(40, scale.sqrt(), 10),
+            mean_sessions_per_epoch: 2.0,
+            mixture: ProductionMixture {
+                p_constrained: 0.35,
+                p_cellular: 0.35,
+                p_wifi: 0.30,
+            },
+            abr_mix: AbrMix::all_hyb(),
+        },
+    }
+    .run(4)?;
     let did = ab
         .did
         .as_ref()
@@ -153,20 +142,12 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn fleet_experiment_runs_at_test_scale() {
-        let r = run(5, 0.002).unwrap();
+        let r = crate::smoke("fleet", 5);
         assert!(r.series_named("production/watch_time").is_some());
         assert!(r.series_named("ab/watch_time_rel_diff_pct").is_some());
-        let headline = |name: &str| {
-            r.headline
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
+        let headline = |name: &str| r.headline_named(name).unwrap();
         assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
         assert!(headline("production sessions") >= 64.0);
         assert!(headline("sessions/sec @ 4 shards") > 0.0);

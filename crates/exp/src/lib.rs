@@ -1,14 +1,16 @@
 //! Experiment harness: one module per figure/table of the paper's
 //! evaluation, each regenerating the corresponding series.
 //!
-//! Every module exposes `run(seed, scale) -> ExperimentResult`; `scale`
+//! Every figure module — and every systems scenario of the [`SYSTEMS`]
+//! table — exposes `run(seed, scale) -> ExperimentResult`; `scale`
 //! shrinks population/session counts so the same code drives unit tests
 //! (scale ≈ 0.05), criterion benches (scale ≈ 0.1) and the full CLI runs
 //! (scale = 1.0). The `experiments` binary prints the series and writes
 //! CSVs under `results/`.
 //!
 //! Absolute values are simulator-scale, not production-scale; what must
-//! match the paper is the *shape* of each series (see EXPERIMENTS.md).
+//! match the paper is the *shape* of each series (see README.md,
+//! "Regenerating the paper's figures").
 //!
 //! ```
 //! use lingxi_exp::{ExperimentResult, Series};
@@ -42,13 +44,10 @@ pub mod fig14_correlation;
 pub mod fig15_trajectories;
 pub mod flashcrowd;
 pub mod fleet;
+mod harness;
 pub mod population;
 pub mod report;
 pub mod world;
-
-use std::path::{Path, PathBuf};
-
-use lingxi_fleet::{FleetConfig, FleetEngine, FleetReport, FleetScenario, RunControl, RunOutcome};
 
 pub use report::{ExperimentResult, Series};
 pub use world::{World, WorldConfig};
@@ -87,99 +86,67 @@ pub fn sub<E: std::fmt::Display>(e: E) -> ExpError {
     ExpError::Subsystem(e.to_string())
 }
 
-/// The state directory of one fleet cell. A scratch one is removed when
-/// the value drops — on every exit path, errors included.
-pub(crate) struct CellDir {
-    path: PathBuf,
-    scratch: bool,
-}
-
-impl CellDir {
-    /// Claim an empty scratch directory, unique per (process, `tag`).
-    /// Tags carry their module name and, where one process may run the
-    /// same cell under several seeds at once (parallel tests), the seed.
-    pub(crate) fn scratch(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!("lingxi_exp_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        Self {
-            path,
-            scratch: true,
-        }
-    }
-
-    /// A directory the caller owns: used as found, never removed.
-    pub(crate) fn kept(path: PathBuf) -> Self {
-        Self {
-            path,
-            scratch: false,
-        }
-    }
-
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// One engine invocation of the `(config, scenario)` cell over this
-    /// directory (`config.state_dir` is overwritten with it).
-    pub(crate) fn run_resumable(
-        &self,
-        config: FleetConfig,
-        scenario: &FleetScenario,
-        control: RunControl,
-    ) -> Result<RunOutcome> {
-        let config = FleetConfig {
-            state_dir: self.path.clone(),
-            ..config
-        };
-        FleetEngine::new(config)
-            .map_err(sub)?
-            .run_resumable(scenario, control)
-            .map_err(sub)
-    }
-}
-
-impl Drop for CellDir {
-    fn drop(&mut self) {
-        if self.scratch {
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
-    }
-}
-
-/// Run one `(config, scenario)` fleet cell to completion in a scratch
-/// state directory of its own.
-pub(crate) fn run_fleet_cell(
-    tag: &str,
-    config: FleetConfig,
-    scenario: &FleetScenario,
-) -> Result<FleetReport> {
-    match CellDir::scratch(tag).run_resumable(config, scenario, RunControl::default())? {
-        RunOutcome::Complete(report) => Ok(*report),
-        RunOutcome::Suspended(_) => Err(ExpError::Subsystem(format!(
-            "{tag}: a run without a stop control suspended"
-        ))),
-    }
-}
-
-/// All paper-figure experiment ids in paper order. The `fleet` scale
-/// experiment (see [`fleet`]), the `flashcrowd` contention scenario
-/// (see [`flashcrowd`]), the `population` dynamics scenario (see
-/// [`population`]), the `fairness` objective scenario (see
-/// [`fairness`]), the `dispatch` load-aware placement scenario (see
-/// [`dispatch`]) and the `checkpoint` kill/resume scenario (see
-/// [`checkpoint`]) are run explicitly by id — they are systems
-/// benchmarks, not figures, so `all` does not include them.
+/// All paper-figure experiment ids in paper order — what `all` runs.
+/// The systems scenarios are the [`SYSTEMS`] table.
 pub const ALL_EXPERIMENTS: [&str; 13] = [
     "fig01", "fig02", "fig03", "fig04", "fig05", "fig08", "fig09", "fig10", "fig11", "fig12",
     "fig13", "fig14", "fig15",
 ];
 
-/// Run one experiment by id.
-///
-/// `population` runs with its default horizon of 2 simulated days here;
-/// call [`population::run`] directly to choose the day count (the
-/// `experiments` CLI threads its `--days` flag through that path).
+/// One systems scenario: a fleet benchmark that gates itself (the run
+/// errors unless its determinism and QoE predicates hold), not a paper
+/// figure.
+pub struct SystemsScenario {
+    /// Experiment id, as `run_experiment` and the CLI take it.
+    pub id: &'static str,
+    /// The scenario at `(seed, scale)`.
+    pub run: fn(u64, f64) -> Result<ExperimentResult>,
+    /// The scale `experiments smoke` (and with it CI and the module's own
+    /// test) runs the scenario at: small enough for seconds, large
+    /// enough that every gate binds.
+    pub smoke_scale: f64,
+}
+
+/// Which systems scenarios exist: the one table `run_experiment`, the
+/// CLI usage text, `experiments smoke` and the module tests read.
+pub const SYSTEMS: [SystemsScenario; 6] = [
+    SystemsScenario {
+        id: "fleet",
+        run: fleet::run,
+        smoke_scale: 0.01,
+    },
+    SystemsScenario {
+        id: "flashcrowd",
+        run: flashcrowd::run,
+        smoke_scale: 0.01,
+    },
+    SystemsScenario {
+        id: "population",
+        run: population::run,
+        smoke_scale: 0.01,
+    },
+    SystemsScenario {
+        id: "fairness",
+        run: fairness::run,
+        smoke_scale: 0.01,
+    },
+    SystemsScenario {
+        id: "checkpoint",
+        run: checkpoint::run,
+        smoke_scale: 0.05,
+    },
+    SystemsScenario {
+        id: "dispatch",
+        run: dispatch::run,
+        smoke_scale: 0.02,
+    },
+];
+
+/// Run one experiment by id: a paper figure or a [`SYSTEMS`] scenario.
 pub fn run_experiment(id: &str, seed: u64, scale: f64) -> Result<ExperimentResult> {
+    if let Some(scenario) = SYSTEMS.iter().find(|s| s.id == id) {
+        return (scenario.run)(seed, scale);
+    }
     match id {
         "fig01" => fig01_qos_saturation::run(seed, scale),
         "fig02" => fig02_opportunities::run(seed, scale),
@@ -194,12 +161,13 @@ pub fn run_experiment(id: &str, seed: u64, scale: f64) -> Result<ExperimentResul
         "fig13" => fig13_longtail::run(seed, scale),
         "fig14" => fig14_correlation::run(seed, scale),
         "fig15" => fig15_trajectories::run(seed, scale),
-        "checkpoint" => checkpoint::run(seed, scale),
-        "dispatch" => dispatch::run(seed, scale),
-        "fairness" => fairness::run(seed, scale),
-        "flashcrowd" => flashcrowd::run(seed, scale),
-        "fleet" => fleet::run(seed, scale),
-        "population" => population::run(seed, scale, 2),
         other => Err(ExpError::Subsystem(format!("unknown experiment {other}"))),
     }
+}
+
+/// The named systems scenario at its smoke scale.
+#[cfg(test)]
+pub(crate) fn smoke(id: &str, seed: u64) -> ExperimentResult {
+    let scenario = SYSTEMS.iter().find(|s| s.id == id).expect("a SYSTEMS id");
+    (scenario.run)(seed, scenario.smoke_scale).expect("the scenario's gates hold")
 }

@@ -26,14 +26,14 @@
 use std::path::PathBuf;
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, FleetCheckpoint, FleetConfig, FleetReport, FleetScenario,
-    PopulationDynamics, RunControl, RunOutcome,
+    ContentionConfig, FleetCheckpoint, FleetConfig, FleetReport, FleetScenario, PopulationDynamics,
+    RunControl, RunOutcome,
 };
-use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, Diurnal};
 
+use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
-use crate::{CellDir, ExpError, Result};
+use crate::{ExpError, Result};
 
 /// Arrival-rate multipliers swept by the experiment.
 const RATE_RAMP: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
@@ -43,6 +43,9 @@ const BASE_ARRIVALS_PER_DAY: f64 = 12_000.0;
 
 /// One simulated day (seconds).
 const DAY_SECONDS: f64 = 86_400.0;
+
+/// Simulated days per cell unless the caller picks (the CLI's `--days`).
+pub const DEFAULT_DAYS: usize = 2;
 
 /// Per-class ramp curves being accumulated: (class name, stall-per-session
 /// points, watch-per-session points).
@@ -69,40 +72,9 @@ pub struct CheckpointOpts {
     pub stop_after_epochs: Option<usize>,
 }
 
-/// What one ramp cell produced: a finished report, or a suspension at an
-/// epoch barrier (resume with [`CheckpointOpts::resume`]).
-enum CellOutcome {
-    Complete(Box<FleetReport>),
-    Suspended(usize),
-}
-
-/// One ramp cell's shape: offered load, topology and run geometry.
-#[derive(Debug, Clone, Copy)]
-struct CellSpec {
-    rate_multiplier: f64,
-    arrivals_per_day: f64,
-    links: usize,
-    days: usize,
-    shards: usize,
-    seed: u64,
-}
-
-fn run_cell(spec: CellSpec, tag: &str) -> Result<FleetReport> {
-    match run_cell_opts(spec, tag, &CheckpointOpts::default())? {
-        CellOutcome::Complete(report) => Ok(*report),
-        CellOutcome::Suspended(_) => unreachable!("no stop_after_epochs in default opts"),
-    }
-}
-
-fn run_cell_opts(spec: CellSpec, tag: &str, ckpt: &CheckpointOpts) -> Result<CellOutcome> {
-    let CellSpec {
-        rate_multiplier,
-        arrivals_per_day,
-        links,
-        days,
-        shards,
-        seed,
-    } = spec;
+/// One ramp cell: the diurnal heterogeneous population at
+/// `arrivals_per_day × rate_multiplier` over `days` simulated days.
+fn cell(rate_multiplier: f64, arrivals_per_day: f64, links: usize, days: usize, seed: u64) -> Cell {
     let daily = arrivals_per_day * rate_multiplier;
     let scenario = FleetScenario {
         name: format!("population_x{rate_multiplier}"),
@@ -111,32 +83,14 @@ fn run_cell_opts(spec: CellSpec, tag: &str, ckpt: &CheckpointOpts) -> Result<Cel
         n_users: (daily as usize).max(1),
         n_videos: 16,
         mean_sessions_per_epoch: 2.0,
-        mixture: ProductionMixture::default(),
-        abr_mix: AbrMix::default(),
-    };
-    // Ephemeral scratch state by default; a persistent per-cell directory
-    // under `state_root` (emptied unless resuming) when the caller wants
-    // checkpoint/resume.
-    let dir = match &ckpt.state_root {
-        Some(root) => {
-            let dir = root.join(tag);
-            if !ckpt.resume {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            CellDir::kept(dir)
-        }
-        None => CellDir::scratch(&format!("population_{tag}_s{seed}")),
+        ..FleetScenario::default()
     };
     let config = FleetConfig {
-        shards,
         epochs: days,
         seed,
-        checkpoint_every: ckpt.checkpoint_every,
         contention: Some(ContentionConfig {
             links,
-            capacity_kbps: 25_000.0,
-            arrival_window: 30.0,
-            access_cap_factor: 1.5,
+            ..ContentionConfig::default()
         }),
         dynamics: Some(PopulationDynamics {
             arrivals: ArrivalKind::Diurnal(Diurnal {
@@ -150,38 +104,43 @@ fn run_cell_opts(spec: CellSpec, tag: &str, ckpt: &CheckpointOpts) -> Result<Cel
         }),
         ..FleetConfig::default()
     };
-    // Resume only where a manifest actually exists: a cell that already
-    // completed removed its manifest, so a resumed experiment reruns it
-    // from scratch — same bits either way.
-    let resume_here = ckpt.resume
-        && FleetCheckpoint::load(dir.path())
-            .map_err(crate::sub)?
-            .is_some();
-    let outcome = dir.run_resumable(
-        config,
-        &scenario,
-        RunControl {
-            resume: resume_here,
-            stop_after_epochs: ckpt.stop_after_epochs,
-        },
-    )?;
-    Ok(match outcome {
-        RunOutcome::Complete(report) => CellOutcome::Complete(report),
-        RunOutcome::Suspended(manifest) => CellOutcome::Suspended(manifest.next_epoch),
-    })
+    Cell { config, scenario }
 }
 
-/// Run the population-dynamics experiment over `days` simulated days.
-pub fn run(seed: u64, scale: f64, days: usize) -> Result<ExperimentResult> {
-    run_opts(seed, scale, days, &CheckpointOpts::default())
+/// Run ramp cell `i` at 4 shards: in a scratch state directory by
+/// default; in a persistent `state_root/ramp<i>` (emptied unless
+/// resuming) when the caller wants checkpoint/resume.
+fn run_ramp_cell(cell: &Cell, i: usize, ckpt: &CheckpointOpts) -> Result<RunOutcome> {
+    let dir = ckpt.state_root.as_ref().map(|r| r.join(format!("ramp{i}")));
+    let mut resume = false;
+    if let Some(dir) = &dir {
+        if ckpt.resume {
+            // Resume only where a manifest actually exists: a cell that
+            // already completed removed its manifest, so a resumed
+            // experiment reruns it from scratch — same bits either way.
+            resume = FleetCheckpoint::load(dir).map_err(crate::sub)?.is_some();
+        } else {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+    let control = RunControl {
+        resume,
+        stop_after_epochs: ckpt.stop_after_epochs,
+    };
+    cell.run_in(dir.as_deref(), 4, control)
 }
 
-/// [`run`] with checkpoint/resume knobs (the `experiments` CLI threads
-/// `--checkpoint-every`/`--resume`/`--state-dir`/`--stop-after-epochs`
-/// here). When a ramp cell suspends at a barrier the experiment returns
-/// early with a `suspended`-flagged headline and no series; rerunning
-/// with [`CheckpointOpts::resume`] finishes it with series bit-identical
-/// to an uninterrupted run.
+/// Run the population-dynamics experiment over [`DEFAULT_DAYS`].
+pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
+    run_opts(seed, scale, DEFAULT_DAYS, &CheckpointOpts::default())
+}
+
+/// [`run`] with a chosen day count and checkpoint/resume knobs (the
+/// `experiments` CLI threads `--days`/`--checkpoint-every`/`--resume`/
+/// `--state-dir`/`--stop-after-epochs` here). When a ramp cell suspends
+/// at a barrier the experiment returns early with a `suspended`-flagged
+/// headline and no series; rerunning with [`CheckpointOpts::resume`]
+/// finishes it with series bit-identical to an uninterrupted run.
 pub fn run_opts(
     seed: u64,
     scale: f64,
@@ -204,22 +163,16 @@ pub fn run_opts(
     let mut per_class: ClassCurves = Vec::new();
     let mut peak: Option<FleetReport> = None;
     for (i, &mult) in RATE_RAMP.iter().enumerate() {
-        let spec = CellSpec {
-            rate_multiplier: mult,
-            arrivals_per_day,
-            links,
-            days,
-            shards: 4,
-            seed,
-        };
-        let report = match run_cell_opts(spec, &format!("ramp{i}"), ckpt)? {
-            CellOutcome::Complete(report) => *report,
-            CellOutcome::Suspended(next_epoch) => {
+        let mut cell = cell(mult, arrivals_per_day, links, days, seed);
+        cell.config.checkpoint_every = ckpt.checkpoint_every;
+        let report = match run_ramp_cell(&cell, i, ckpt)? {
+            RunOutcome::Complete(report) => *report,
+            RunOutcome::Suspended(manifest) => {
                 // Killed at a barrier: report where, leave the manifest
                 // and per-cell state in place, and let --resume finish.
                 result.headline_value("suspended (resume with --resume)", 1.0);
                 result.headline_value("suspended at ramp cell", i as f64);
-                result.headline_value("next epoch on resume", next_epoch as f64);
+                result.headline_value("next epoch on resume", manifest.next_epoch as f64);
                 return Ok(result);
             }
         };
@@ -281,28 +234,7 @@ pub fn run_opts(
     let peak_mult = *RATE_RAMP.last().expect("ramp non-empty");
     // Always ephemeral: the determinism cells assert an invariant, they
     // are not resumable work.
-    let det_spec = |shards: usize| CellSpec {
-        rate_multiplier: peak_mult,
-        arrivals_per_day,
-        links,
-        days,
-        shards,
-        seed: seed + 1,
-    };
-    let one = run_cell(det_spec(1), "det1")?;
-    let four = run_cell(det_spec(4), "det4")?;
-    let eight = run_cell(det_spec(8), "det8")?;
-    if one.merged_metrics() != four.merged_metrics()
-        || one.merged_metrics() != eight.merged_metrics()
-        || one.merged_sketches() != four.merged_sketches()
-        || one.merged_sketches() != eight.merged_sketches()
-        || one.sessions != eight.sessions
-    {
-        return Err(ExpError::Subsystem(format!(
-            "population shard invariance violated: 1/4/8 shards gave {}/{}/{} sessions",
-            one.sessions, four.sessions, eight.sessions
-        )));
-    }
+    cell(peak_mult, arrivals_per_day, links, days, seed + 1).shard_invariant()?;
     result.headline_value("shard invariance (1 = identical)", 1.0);
     Ok(result)
 }
@@ -313,14 +245,8 @@ mod tests {
 
     #[test]
     fn population_runs_at_test_scale() {
-        let r = run(5, 0.005, 2).unwrap();
-        let headline = |name: &str| {
-            r.headline
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
+        let r = crate::smoke("population", 5);
+        let headline = |name: &str| r.headline_named(name).unwrap();
         assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
         assert!(headline("arrivals simulated") > 0.0);
         assert!(headline("sessions simulated") > 0.0);
@@ -336,12 +262,12 @@ mod tests {
 
     #[test]
     fn rejects_zero_days() {
-        assert!(run(1, 0.01, 0).is_err());
+        assert!(run_opts(1, 0.01, 0, &CheckpointOpts::default()).is_err());
     }
 
     #[test]
     fn kill_at_barrier_and_resume_matches_straight_run() {
-        let straight = run(6, 0.004, 2).unwrap();
+        let straight = run(6, 0.004).unwrap();
         let root =
             std::env::temp_dir().join(format!("lingxi_population_resume_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);

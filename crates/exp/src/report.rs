@@ -73,6 +73,14 @@ impl ExperimentResult {
         self.headline.push((name.to_string(), value));
     }
 
+    /// Fetch a headline number by name.
+    pub fn headline_named(&self, name: &str) -> Option<f64> {
+        self.headline
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
+    }
+
     /// Add a series.
     pub fn push_series(&mut self, s: Series) {
         self.series.push(s);
@@ -153,6 +161,8 @@ mod tests {
         assert!(text.contains("d1"));
         assert!(r.series_named("ws").is_some());
         assert!(r.series_named("nope").is_none());
+        assert_eq!(r.headline_named("effect"), Some(0.146));
+        assert_eq!(r.headline_named("nope"), None);
     }
 
     #[test]

@@ -12,14 +12,11 @@
 //!    rescaling, the RTT composition or the metric pipeline that moves a
 //!    single bit of this scenario shows up as a diff of this file.
 //!
-//! CI runs this test in both event-queue lanes (default timer wheel and
-//! `--features reference-heap`); the constants are lane-independent
-//! because the queue swap is behaviourally exact. The fingerprints are
-//! taken over `Debug`-formatted merged metrics and sketches, which print
-//! floats in shortest-roundtrip form — injective on the underlying bits.
-//! They assume one platform's libm (CI and the dev container are both
-//! x86-64 Linux); to deliberately re-baseline, run with
-//! `REGEN=1 ... -- --nocapture` and copy the printed table.
+//! The fingerprints are taken over `Debug`-formatted merged metrics and
+//! sketches, which print floats in shortest-roundtrip form — injective
+//! on the underlying bits. They assume one platform's libm (CI and the
+//! dev container are both x86-64 Linux); to deliberately re-baseline,
+//! run with `REGEN=1 ... -- --nocapture` and copy the printed table.
 
 use lingxi_exp::fairness::{run_cell, OBJECTIVES};
 use lingxi_fleet::FleetReport;
@@ -55,7 +52,7 @@ fn fairness_cells_are_shard_invariant_and_pinned() {
         assert_eq!(*name, gname, "objective table drifted from GOLDEN");
         let mut fps = Vec::new();
         for shards in [1usize, 4, 8] {
-            let r = run_cell(*objective, 0.05, shards, 42, &format!("golden_{name}")).unwrap();
+            let r = run_cell(*objective, 0.05, shards, 42).unwrap();
             fps.push((shards, fingerprint(&r)));
         }
         assert!(

@@ -150,15 +150,72 @@ impl FleetReport {
         }
     }
 
-    /// The per-epoch whole-population metrics, for cross-run comparison:
-    /// two runs of the same seed and scenario must produce equal vectors
-    /// whatever their shard counts.
+    /// What "bit-identical" means for two fleet runs: `None` when they
+    /// agree on the whole shard-invariant payload, else the first epoch
+    /// and field where they differ.
+    ///
+    /// The payload is everything the engine promises is a pure function
+    /// of (seed, scenario, config) — whatever the shard count, the
+    /// physical dispatcher count, or whether the run was killed at a
+    /// barrier and resumed: the `users`/`sessions`/`segments` totals and,
+    /// per epoch, `all`, `control`, `treatment`, `classes`, `sketches`
+    /// and the dispatch record's `placements` and
+    /// `max_weighted_occupancy`. Left out on purpose: `flushed` (LRU
+    /// evictions persist some entries early), `dispatcher_loads`
+    /// (regroups with the dispatcher count by design), and the
+    /// run-describing `scenario`, `shards`, `elapsed`, `cache`,
+    /// `state_warnings`.
+    pub fn first_divergence(&self, other: &Self) -> Option<String> {
+        for (field, a, b) in [
+            ("users", self.users, other.users),
+            ("sessions", self.sessions, other.sessions),
+            ("segments", self.segments, other.segments),
+            ("epoch count", self.epochs.len(), other.epochs.len()),
+        ] {
+            if a != b {
+                return Some(format!("{field}: {a} vs {b}"));
+            }
+        }
+        // Dispatch records compare without their per-dispatcher loads.
+        fn placed(e: &EpochMetrics) -> Option<&[u64]> {
+            e.dispatch.as_ref().map(|d| d.placements.as_slice())
+        }
+        fn occupancy(e: &EpochMetrics) -> Option<f64> {
+            e.dispatch.as_ref().map(|d| d.max_weighted_occupancy)
+        }
+        self.epochs.iter().zip(&other.epochs).find_map(|(a, b)| {
+            let field = if a.epoch != b.epoch {
+                "epoch index"
+            } else if a.all != b.all {
+                "all"
+            } else if a.control != b.control {
+                "control"
+            } else if a.treatment != b.treatment {
+                "treatment"
+            } else if a.classes != b.classes {
+                "classes"
+            } else if a.sketches != b.sketches {
+                "sketches"
+            } else if placed(a) != placed(b) {
+                "dispatch.placements"
+            } else if occupancy(a) != occupancy(b) {
+                "dispatch.max_weighted_occupancy"
+            } else {
+                return None;
+            };
+            Some(format!("epoch {}: {field}", a.epoch))
+        })
+    }
+
+    /// The per-epoch whole-population metrics (what the golden
+    /// fingerprints hash; equality gates use
+    /// [`FleetReport::first_divergence`]).
     pub fn merged_metrics(&self) -> Vec<DayMetrics> {
         self.epochs.iter().map(|e| e.all).collect()
     }
 
-    /// The per-epoch distribution sketches, for cross-run comparison under
-    /// the same invariance contract as [`FleetReport::merged_metrics`].
+    /// The per-epoch distribution sketches (see
+    /// [`FleetReport::merged_metrics`]).
     pub fn merged_sketches(&self) -> Vec<&EpochSketches> {
         self.epochs.iter().map(|e| &e.sketches).collect()
     }
@@ -183,9 +240,100 @@ impl FleetReport {
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 
-    /// Per-epoch dispatch records, for cross-run comparison under the
-    /// same bit-identity contract as [`FleetReport::merged_metrics`].
+    /// Per-epoch dispatch records.
     pub fn dispatch_epochs(&self) -> Vec<Option<&DispatchEpoch>> {
         self.epochs.iter().map(|e| e.dispatch.as_ref()).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ContentionConfig, FleetConfig, FleetEngine, FleetReport, FleetScenario};
+    use crate::{DispatchConfig, DispatchPolicy, PopulationDynamics};
+    use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
+
+    /// A contended dynamics cell under LSQ: every compared field —
+    /// classes, sketches, dispatch records — is populated.
+    fn run(shards: usize) -> FleetReport {
+        let dir = std::env::temp_dir().join(format!(
+            "lingxi_report_test_{shards}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = FleetConfig {
+            shards,
+            seed: 13,
+            state_dir: dir.clone(),
+            contention: Some(ContentionConfig {
+                links: 4,
+                arrival_window: 10.0,
+                ..ContentionConfig::default()
+            }),
+            dynamics: Some(PopulationDynamics {
+                arrivals: ArrivalKind::Poisson(Poisson { rate_per_sec: 0.05 }),
+                registry: ClassRegistry::default_heterogeneous(),
+                day_seconds: 600.0,
+            }),
+            dispatch: Some(DispatchConfig {
+                policy: DispatchPolicy::Lsq { dispatchers: 2 },
+                capacity_weights: Vec::new(),
+            }),
+            ..FleetConfig::default()
+        };
+        let scenario = FleetScenario {
+            n_users: 24,
+            n_videos: 8,
+            ..FleetScenario::default()
+        };
+        let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        report
+    }
+
+    #[test]
+    fn first_divergence_names_the_epoch_and_field_and_ignores_run_diagnostics() {
+        let one = run(1);
+        assert_eq!(one.first_divergence(&run(3)), None);
+        assert!(one.epochs.len() == 2 && one.sessions > 0);
+
+        let doctored = |edit: &dyn Fn(&mut FleetReport)| {
+            let mut copy = one.clone();
+            edit(&mut copy);
+            one.first_divergence(&copy)
+        };
+        assert_eq!(
+            doctored(&|r| r.epochs[1].sketches.stall.push(1.0)).as_deref(),
+            Some("epoch 1: sketches")
+        );
+        assert_eq!(
+            doctored(&|r| r.epochs[0].classes[2].switches += 1).as_deref(),
+            Some("epoch 0: classes")
+        );
+        assert_eq!(
+            doctored(&|r| r.epochs[1].dispatch.as_mut().unwrap().placements[0] += 1).as_deref(),
+            Some("epoch 1: dispatch.placements")
+        );
+        assert_eq!(
+            doctored(&|r| r.sessions += 1),
+            Some(format!(
+                "sessions: {} vs {}",
+                one.sessions,
+                one.sessions + 1
+            ))
+        );
+        // Everything that describes the run rather than its simulated
+        // output may differ freely.
+        assert_eq!(
+            doctored(&|r| {
+                r.scenario.push('x');
+                r.shards += 1;
+                r.elapsed *= 2;
+                r.cache.hits += 1;
+                r.state_warnings.push("w".into());
+                r.epochs[0].flushed += 1;
+                r.epochs[1].dispatch.as_mut().unwrap().dispatcher_loads = vec![0; 4];
+            }),
+            None
+        );
     }
 }

@@ -108,17 +108,7 @@ fn assert_kill_resume_bit_identical(
         RunOutcome::Suspended(_) => panic!("resumed run must complete"),
     };
 
-    // Bit-identical: merged metrics, sketches, and all counters.
-    assert_eq!(straight.merged_metrics(), resumed.merged_metrics());
-    assert_eq!(straight.merged_sketches(), resumed.merged_sketches());
-    assert_eq!(straight.sessions, resumed.sessions);
-    assert_eq!(straight.segments, resumed.segments);
-    assert_eq!(straight.users, resumed.users);
-    for (a, b) in straight.epochs.iter().zip(&resumed.epochs) {
-        assert_eq!(a.control, b.control);
-        assert_eq!(a.treatment, b.treatment);
-        assert_eq!(a.classes, b.classes);
-    }
+    assert_eq!(straight.first_divergence(&resumed), None);
     // A completed run leaves no manifest behind.
     assert!(FleetCheckpoint::load(&resumed_dir).unwrap().is_none());
 
@@ -140,10 +130,8 @@ fn kill_resume_bit_identical_at_1_4_8_shards_binlog() {
     }
     // And the shard counts agree with each other (the engine's standing
     // invariance contract composes with checkpointing).
-    assert_eq!(reports[0].merged_metrics(), reports[1].merged_metrics());
-    assert_eq!(reports[0].merged_metrics(), reports[2].merged_metrics());
-    assert_eq!(reports[0].merged_sketches(), reports[1].merged_sketches());
-    assert_eq!(reports[0].merged_sketches(), reports[2].merged_sketches());
+    assert_eq!(reports[0].first_divergence(&reports[1]), None);
+    assert_eq!(reports[0].first_divergence(&reports[2]), None);
 }
 
 #[test]

@@ -179,16 +179,12 @@ fn merged_metrics_invariant_across_dispatcher_counts() {
     let one = run_fleet(2, 6, Some(lsq(1)), "d1");
     let two = run_fleet(2, 6, Some(lsq(2)), "d2");
     let four = run_fleet(2, 6, Some(lsq(4)), "d4");
-    assert_eq!(one.merged_metrics(), two.merged_metrics());
-    assert_eq!(one.merged_metrics(), four.merged_metrics());
-    assert_eq!(one.merged_sketches(), four.merged_sketches());
-    assert_eq!(one.sessions, four.sessions);
-    // Placements (not just aggregates) are identical; only the load
-    // accounting regroups.
+    // Placements (not just aggregates) are part of the compared payload;
+    // only the load accounting regroups.
+    assert_eq!(one.first_divergence(&two), None);
+    assert_eq!(one.first_divergence(&four), None);
     for (a, b) in one.dispatch_epochs().iter().zip(four.dispatch_epochs()) {
         let (a, b) = (a.unwrap(), b.unwrap());
-        assert_eq!(a.placements, b.placements);
-        assert_eq!(a.max_weighted_occupancy, b.max_weighted_occupancy);
         assert_eq!(a.dispatcher_loads.len(), 1);
         assert_eq!(b.dispatcher_loads.len(), 4);
         assert_eq!(
@@ -199,8 +195,7 @@ fn merged_metrics_invariant_across_dispatcher_counts() {
     // And across shard counts under LSQ, since shard ownership follows
     // the placed link.
     let eight_shards = run_fleet(8, 6, Some(lsq(2)), "d2s8");
-    assert_eq!(two.merged_metrics(), eight_shards.merged_metrics());
-    assert_eq!(two.merged_sketches(), eight_shards.merged_sketches());
+    assert_eq!(two.first_divergence(&eight_shards), None);
 }
 
 /// With no dispatch layer configured the engine places through

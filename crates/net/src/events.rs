@@ -11,9 +11,9 @@
 //! implementations:
 //!
 //! - [`BinaryHeapQueue`]: the obvious `BinaryHeap<Reverse<_>>` reference.
-//!   O(log n) per operation, allocation-light, and trivially correct — CI
-//!   runs the fleet suite against it via the `reference-heap` feature to
-//!   enforce equivalence.
+//!   O(log n) per operation, allocation-light, and trivially correct —
+//!   the oracle `tests/event_queue_props.rs` holds the wheel to. Nothing
+//!   in the simulator runs on it.
 //! - [`TimerWheel`]: a hierarchical timer wheel (4 levels × 64 slots,
 //!   1/16 s ticks) with a calendar-style overflow list for events beyond
 //!   the wheel horizon (~12 days of virtual time). Pushes into future

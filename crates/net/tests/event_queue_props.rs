@@ -5,8 +5,10 @@
 //! trivially correct; these properties force [`TimerWheel`] to agree with
 //! it event-for-event on arbitrary workloads — random times spanning
 //! sub-tick spacing through past-the-horizon outliers, tie storms at a
-//! single timestamp, and interleaved push/pop schedules that exercise
-//! late pushes behind the wheel cursor.
+//! single timestamp, and interleaved push/pop/clear schedules that
+//! exercise late pushes behind the wheel cursor and reuse after a clear.
+//! Every [`EventQueue`] method the kernel calls is covered here; this
+//! suite is the only place the two implementations are compared.
 
 use lingxi_net::{BinaryHeapQueue, EventQueue, TimerWheel};
 use proptest::prelude::*;
@@ -49,23 +51,31 @@ proptest! {
     }
 
     /// Interleaved schedule: after every operation the two queues expose
-    /// the same peek key, and late pushes (earlier than events already
-    /// popped) keep the orders aligned.
+    /// the same peek key, late pushes (earlier than events already
+    /// popped) keep the orders aligned, and a `clear()` mid-schedule
+    /// leaves a queue that is reused like a fresh one (the kernel clears
+    /// its queue between links and restarts the clock at zero).
     #[test]
     fn wheel_matches_heap_under_interleaving(
-        ops in proptest::collection::vec((arb_time(), 0u8..4), 1..150),
+        ops in proptest::collection::vec((arb_time(), 0u8..16), 1..150),
     ) {
         let mut heap = BinaryHeapQueue::new();
         let mut wheel = TimerWheel::new();
         let mut id = 0u64;
         for &(at, kind) in &ops {
-            if kind == 0 {
+            match kind {
                 // Pop from both (may be empty — must agree on that too).
-                prop_assert_eq!(heap.pop(), wheel.pop());
-            } else {
-                heap.push(at, id, id as usize);
-                wheel.push(at, id, id as usize);
-                id += 1;
+                0..=3 => prop_assert_eq!(heap.pop(), wheel.pop()),
+                15 => {
+                    heap.clear();
+                    wheel.clear();
+                    prop_assert!(wheel.is_empty());
+                }
+                _ => {
+                    heap.push(at, id, id as usize);
+                    wheel.push(at, id, id as usize);
+                    id += 1;
+                }
             }
             prop_assert_eq!(heap.peek(), wheel.peek());
             prop_assert_eq!(heap.len(), wheel.len());
