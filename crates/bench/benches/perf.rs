@@ -9,7 +9,9 @@
 //!   without the early-termination prune (the §4 ablation);
 //! - `obo/gp_step`: Bayesian-optimizer candidate proposal vs observation
 //!   count;
-//! - `nn/train_epoch`: predictor training throughput.
+//! - `nn/train_epoch`: predictor training throughput;
+//! - `allocate/*`: one standalone finite-α allocation on the fairness
+//!   pod, by flow count, longest route in play and α.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -19,6 +21,7 @@ use lingxi_bayes::{ObOptimizer, ObserverConfig};
 use lingxi_bench::abr_fixture;
 use lingxi_core::{evaluate_parameters, ConstantPredictor, McConfig, ProfilePredictor};
 use lingxi_exit::{ExitPredictor, PredictorConfig, StateMatrix, UserStateTracker};
+use lingxi_net::{allocate, FairnessObjective, FlowDemand};
 use lingxi_stats::NormalDist;
 use lingxi_user::{SensitivityKind, StallProfile};
 use rand::rngs::StdRng;
@@ -181,8 +184,39 @@ fn bench_player(c: &mut Criterion) {
     });
 }
 
+/// The dual solver on the `experiments fairness` pod: `flows` flows with
+/// caps spread over 0.6–6 Mbps, dealt round-robin onto the routes of at
+/// most `hops` hops (1 = the core route alone, 3 = all three, which is
+/// where two binding links couple through a route).
+fn bench_allocate(c: &mut Criterion) {
+    let topo = lingxi_exp::fairness::pod_topology().expect("pod");
+    let mut group = c.benchmark_group("allocate");
+    for n_flows in [8usize, 32, 128] {
+        for hops in [1usize, 2, 3] {
+            let routes: Vec<u16> = (0..topo.n_routes() as u16)
+                .filter(|&r| topo.route(r).len() <= hops)
+                .collect();
+            let flows: Vec<FlowDemand> = (0..n_flows)
+                .map(|i| {
+                    let cap = 600.0 + 5400.0 * ((i * 37) % n_flows) as f64 / n_flows as f64;
+                    FlowDemand::new(cap, routes[i % routes.len()])
+                })
+                .collect();
+            for alpha in [0.5, 1.0, 2.0] {
+                let id = BenchmarkId::new(format!("alpha{alpha}_hops{hops}"), n_flows);
+                group.bench_with_input(id, &flows, |b, flows| {
+                    let objective = FairnessObjective::AlphaFair(alpha);
+                    b.iter(|| allocate(&topo, objective, black_box(flows)).expect("allocate"))
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_allocate,
     bench_abr_decisions,
     bench_predictor,
     bench_monte_carlo,

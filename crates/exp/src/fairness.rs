@@ -10,11 +10,18 @@
 //! unless
 //!
 //! 1. every objective's cell is bit-identical across 1, 4 and 8 shards
-//!    (scalars **and** distribution sketches), and
+//!    (scalars, distribution sketches **and** the dual solver's
+//!    counters),
 //! 2. per-class QoE ordering holds under every objective: stall
 //!    quantiles are monotone (p50 ≤ p90 ≤ p99) and the uncapped `tv`
 //!    class never ends up with a lower session-weighted mean bitrate
-//!    than the capped `mobile` class.
+//!    than the capped `mobile` class, and
+//! 3. the dual solver held up under every finite-α objective: at most
+//!    one call in a thousand ran out of sweep budget (a call that did
+//!    not is one whose KKT residual closed below
+//!    `lingxi_net::SOLVER_TOL`, 1e-9). The headline reports
+//!    `solver_calls`, `sweeps_per_call` and `non_converged` per
+//!    objective.
 
 use lingxi_fleet::{
     ContentionConfig, FairnessConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics,
@@ -46,6 +53,9 @@ const DAY_SECONDS: f64 = 3_600.0;
 
 /// Simulated days per cell.
 const DAYS: usize = 2;
+
+/// Largest share of dual solves that may run out of sweep budget.
+const MAX_NON_CONVERGED_SHARE: f64 = 1e-3;
 
 /// The pod topology template every path group instantiates: two access
 /// links feeding a metro link into a core link, with three routes —
@@ -191,6 +201,25 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         }
         result.headline_value(&format!("{name} stall p99 (s)"), p99);
 
+        // Solver gate: non-convergence is reported and bounded, never
+        // absorbed. Max-min never iterates, so its row is all zeros.
+        let solver = report.solver_stats().unwrap_or_default();
+        let calls = solver.calls as f64;
+        if solver.non_converged as f64 > MAX_NON_CONVERGED_SHARE * calls {
+            return Err(ExpError::Subsystem(format!(
+                "dual solver did not hold up under {name}: {solver:?}"
+            )));
+        }
+        result.headline_value(&format!("{name} solver_calls"), calls);
+        result.headline_value(
+            &format!("{name} sweeps_per_call"),
+            solver.sweeps as f64 / calls.max(1.0),
+        );
+        result.headline_value(
+            &format!("{name} non_converged"),
+            solver.non_converged as f64,
+        );
+
         // Ordering gate 2: the uncapped tv class cannot do worse on
         // bitrate than the capped mobile class under any sharing rule.
         if let (Some(m), Some(t)) = (mobile, tv) {
@@ -242,6 +271,13 @@ mod tests {
         assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
         assert!(headline("sessions simulated") > 0.0);
         assert!(headline("max per-class stall divergence (s)") >= 0.0);
+        // Max-min never runs the dual; the finite-α cells do, and report it.
+        assert_eq!(headline("maxmin solver_calls"), 0.0);
+        for name in ["proportional", "alpha2"] {
+            assert!(headline(&format!("{name} solver_calls")) > 0.0);
+            assert!(headline(&format!("{name} sweeps_per_call")) >= 1.0);
+            assert_eq!(headline(&format!("{name} non_converged")), 0.0);
+        }
         for class in ["mobile", "desktop", "tv"] {
             for (name, _) in OBJECTIVES {
                 assert!(r

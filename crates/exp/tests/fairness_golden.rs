@@ -14,9 +14,22 @@
 //!
 //! The fingerprints are taken over `Debug`-formatted merged metrics and
 //! sketches, which print floats in shortest-roundtrip form — injective
-//! on the underlying bits. They assume one platform's libm (CI and the
-//! dev container are both x86-64 Linux); to deliberately re-baseline,
-//! run with `REGEN=1 ... -- --nocapture` and copy the printed table.
+//! on the underlying bits. The allocator puts no libm call behind any
+//! of the three cells: max-min is adds, divides and comparisons, and
+//! the dual solver evaluates its powers at α = 1 and α = 2 as `1/q`,
+//! `1/v`, `1/√q`, `1/v²` — correctly-rounded IEEE operations. (The
+//! session stack around it — world generation, RTT jitter, the exit
+//! model — does call `ln`/`exp`, as under every golden in the repo.) To
+//! deliberately re-baseline, run with `REGEN=1 ... -- --nocapture` and
+//! copy the printed table.
+//!
+//! Re-pin history. `proportional` and `alpha2` were re-pinned once, with
+//! the dual solver's rewrite (ISSUE 14): single-route links are folded
+//! into their route's clamps instead of being priced, shared links clear
+//! by bracketed Newton instead of 48 fixed bisection steps, and the
+//! powers above replaced `powf`. The optimum being solved for is the
+//! same; the iterate path, and with it the last bits of every rate, is
+//! not. `maxmin` never enters the dual solver and kept its constant.
 
 use lingxi_exp::fairness::{run_cell, OBJECTIVES};
 use lingxi_fleet::FleetReport;
@@ -42,8 +55,8 @@ fn fingerprint(r: &FleetReport) -> u64 {
 /// (identical across 1/4/8 shards by contract 1).
 const GOLDEN: [(&str, u64); 3] = [
     ("maxmin", 0x5c356dac2071f249),
-    ("proportional", 0x3c717e4e7457f10b),
-    ("alpha2", 0xc523b879b2e89989),
+    ("proportional", 0xe2504b6693a3b5ee),
+    ("alpha2", 0xbea1dc4f1a261d55),
 ];
 
 #[test]

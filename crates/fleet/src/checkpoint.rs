@@ -158,6 +158,12 @@ mod tests {
                     max_weighted_occupancy: 1.25,
                     dispatcher_loads: vec![6, 3],
                 }),
+                solver: Some(lingxi_net::SolverStats {
+                    calls: 1000,
+                    sweeps: 1300,
+                    non_converged: 1,
+                    max_kkt_residual: 3.0e-10 / 7.0,
+                }),
             }],
         };
         assert!(FleetCheckpoint::load(&dir).unwrap().is_none());

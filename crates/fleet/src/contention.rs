@@ -397,7 +397,11 @@ fn run_link_epoch(
         routes,
         rho,
     } = scratch;
-    let ShardEpochOutput { rows, sketches } = out;
+    let ShardEpochOutput {
+        rows,
+        sketches,
+        solver,
+    } = out;
     let members = &pairs[group];
     let config = engine.config();
     let contention = config
@@ -603,6 +607,7 @@ fn run_link_epoch(
     }
 
     debug_assert!(agents.iter().all(Option::is_none), "all agents drained");
+    solver.merge(&link.solver_stats());
     Ok(())
 }
 

@@ -31,6 +31,7 @@ use lingxi_core::{
     ShardedStateCache, StateBackend, StateStore,
 };
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
+use lingxi_net::SolverStats;
 use lingxi_player::{run_session, ExitDecision, SessionSetup};
 use lingxi_user::{
     ExitModel, PopulationConfig, SegmentView, ToleranceDrift, UserPopulation, UserRecord,
@@ -98,6 +99,8 @@ pub(crate) struct UserEpochRow {
 pub(crate) struct ShardEpochOutput {
     pub(crate) rows: Vec<UserEpochRow>,
     pub(crate) sketches: EpochSketches,
+    /// Dual-solver counters summed over the shard's link groups.
+    pub(crate) solver: SolverStats,
 }
 
 /// What every shard worker reads during one epoch.
@@ -579,8 +582,10 @@ impl FleetEngine {
     ) -> EpochMetrics {
         let mut rows: Vec<UserEpochRow> = Vec::new();
         let mut sketches = EpochSketches::new();
+        let mut solver = SolverStats::default();
         for output in outputs {
             sketches.merge(&output.sketches);
+            solver.merge(&output.solver);
             rows.extend(output.rows);
         }
         rows.sort_by_key(|r| r.user_id);
@@ -619,6 +624,7 @@ impl FleetEngine {
             sketches,
             flushed: 0, // set by the flush stage
             dispatch,
+            solver: (solver.calls > 0).then_some(solver),
         }
     }
 
@@ -706,6 +712,7 @@ impl FleetEngine {
         let mut out = ShardEpochOutput {
             rows: Vec::with_capacity(members.len()),
             sketches: EpochSketches::new(),
+            solver: SolverStats::default(),
         };
         if self.config.contention.is_some() {
             crate::contention::run_shard_epoch_contended(self, ctx, members, scratch, &mut out)?;

@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use lingxi_abtest::{AbReport, DayMetrics};
 use lingxi_core::CacheStats;
+use lingxi_net::SolverStats;
 use lingxi_stats::QuantileSketch;
 use serde::{Deserialize, Serialize};
 
@@ -98,6 +99,14 @@ pub struct EpochMetrics {
     /// manifests written without one load.
     #[serde(default)]
     pub dispatch: Option<DispatchEpoch>,
+    /// What the finite-α dual solver did this epoch, summed over every
+    /// link group: calls, sweeps, calls that ran out of sweep budget and
+    /// the worst KKT residual. Integer sums and a float maximum, so it is
+    /// bit-identical for any shard count like the aggregates above.
+    /// `None` when no dual solve ran (independent mode, max-min links);
+    /// defaulted on deserialize so manifests written without one load.
+    #[serde(default)]
+    pub solver: Option<SolverStats>,
 }
 
 /// Everything a fleet run produced.
@@ -159,8 +168,8 @@ impl FleetReport {
     /// physical dispatcher count, or whether the run was killed at a
     /// barrier and resumed: the `users`/`sessions`/`segments` totals and,
     /// per epoch, `all`, `control`, `treatment`, `classes`, `sketches`
-    /// and the dispatch record's `placements` and
-    /// `max_weighted_occupancy`. Left out on purpose: `flushed` (LRU
+    /// the dispatch record's `placements` and `max_weighted_occupancy`,
+    /// and `solver`. Left out on purpose: `flushed` (LRU
     /// evictions persist some entries early), `dispatcher_loads`
     /// (regroups with the dispatcher count by design), and the
     /// run-describing `scenario`, `shards`, `elapsed`, `cache`,
@@ -200,6 +209,8 @@ impl FleetReport {
                 "dispatch.placements"
             } else if occupancy(a) != occupancy(b) {
                 "dispatch.max_weighted_occupancy"
+            } else if a.solver != b.solver {
+                "solver"
             } else {
                 return None;
             };
@@ -238,6 +249,15 @@ impl FleetReport {
             .filter_map(|e| e.dispatch.as_ref())
             .map(|d| d.max_weighted_occupancy)
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
+    }
+
+    /// The dual solver's counters over the whole run (`None` when no
+    /// epoch ran a dual solve).
+    pub fn solver_stats(&self) -> Option<SolverStats> {
+        let mut epochs = self.epochs.iter().filter_map(|e| e.solver);
+        let mut total = epochs.next()?;
+        epochs.for_each(|s| total.merge(&s));
+        Some(total)
     }
 
     /// Per-epoch dispatch records.
@@ -312,6 +332,10 @@ mod tests {
         assert_eq!(
             doctored(&|r| r.epochs[1].dispatch.as_mut().unwrap().placements[0] += 1).as_deref(),
             Some("epoch 1: dispatch.placements")
+        );
+        assert_eq!(
+            doctored(&|r| r.epochs[0].solver = Some(lingxi_net::SolverStats::default())).as_deref(),
+            Some("epoch 0: solver")
         );
         assert_eq!(
             doctored(&|r| r.sessions += 1),

@@ -11,9 +11,10 @@
 use std::path::{Path, PathBuf};
 
 use lingxi_fleet::{
-    ContentionConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport, FleetScenario,
-    PopulationDynamics, RunControl, RunOutcome,
+    ContentionConfig, FairnessConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport,
+    FleetScenario, PopulationDynamics, RunControl, RunOutcome,
 };
+use lingxi_net::{FairnessObjective, TopoLink, Topology};
 use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -132,6 +133,52 @@ fn kill_resume_bit_identical_at_1_4_8_shards_binlog() {
     // invariance contract composes with checkpointing).
     assert_eq!(reports[0].first_divergence(&reports[1]), None);
     assert_eq!(reports[0].first_divergence(&reports[2]), None);
+}
+
+#[test]
+fn solver_stats_survive_kill_resume_at_1_4_8_shards() {
+    // A finite-α pod whose core is shared by all three routes, tight
+    // enough to bind: every epoch runs dual solves, and their counters
+    // ride the manifest like the metrics do (`first_divergence` compares
+    // them, so the kill/resume and cross-shard checks cover them).
+    let with_fairness = |mut config: FleetConfig| {
+        config.contention = Some(ContentionConfig {
+            links: 3,
+            capacity_kbps: 20_000.0,
+            arrival_window: 10.0,
+            access_cap_factor: 1.5,
+        });
+        config.fairness = Some(FairnessConfig {
+            objective: FairnessObjective::AlphaFair(2.0),
+            topology: Topology::new(
+                vec![
+                    TopoLink::new(6_000.0, 0.004),
+                    TopoLink::new(9_000.0, 0.008),
+                    TopoLink::new(12_000.0, 0.012),
+                ],
+                vec![vec![0, 1, 2], vec![1, 2], vec![2]],
+            )
+            .unwrap(),
+        });
+        config
+    };
+    let mut reports = Vec::new();
+    for shards in [1usize, 4, 8] {
+        let report = assert_kill_resume_bit_identical(
+            |dir| with_fairness(config(shards, dir)),
+            2,
+            &format!("solver{shards}"),
+        );
+        for epoch in &report.epochs {
+            let solver = epoch.solver.expect("every epoch ran dual solves");
+            assert!(solver.calls > 0 && solver.sweeps >= solver.calls);
+            assert_eq!(solver.non_converged, 0);
+        }
+        reports.push(report);
+    }
+    assert_eq!(reports[0].first_divergence(&reports[1]), None);
+    assert_eq!(reports[0].first_divergence(&reports[2]), None);
+    assert_eq!(reports[0].solver_stats(), reports[2].solver_stats());
 }
 
 #[test]

@@ -33,7 +33,9 @@ pub mod trace;
 
 pub use estimator::{BandwidthEstimator, EwmaEstimator, HarmonicMeanEstimator, WindowEstimator};
 pub use events::{BinaryHeapQueue, EventQueue, TimerWheel};
-pub use fairness::{allocate, Allocation, FairnessObjective, FlowDemand, MAX_SWEEPS, SOLVER_TOL};
+pub use fairness::{
+    allocate, Allocation, FairnessObjective, FlowDemand, SolverStats, MAX_SWEEPS, SOLVER_TOL,
+};
 pub use gen::{LogNormalFadeGen, MarkovGen, RandomWalkGen, StationaryGaussGen, TraceGenerator};
 pub use mixture::{NetClass, ProductionMixture, UserNetProfile};
 pub use process::{BandwidthProcess, Download, FlowEnd, ModelProcess, SharedBottleneck};

@@ -45,7 +45,7 @@ use rand::Rng;
 
 use lingxi_stats::NormalDist;
 
-use crate::fairness::{self, FairScratch, FairnessObjective, FlowDemand};
+use crate::fairness::{self, FairScratch, FairnessObjective, FlowDemand, SolverStats};
 use crate::topology::Topology;
 use crate::trace::BandwidthTrace;
 use crate::{NetError, Result};
@@ -197,6 +197,8 @@ struct LinkState {
     demands: Vec<FlowDemand>,
     /// Reusable allocator workspace.
     fair: FairScratch,
+    /// What the dual solver did on this network so far.
+    solver: SolverStats,
     /// Cached earliest projected completion under the current shares
     /// (`INFINITY` when idle). Goes stale whenever `now`, a residual, or
     /// the flow set changes — the projection mixes all three.
@@ -221,13 +223,13 @@ impl LinkState {
             self.demands
                 .push(FlowDemand::new(flow.cap_kbps, flow.route));
         }
-        fairness::allocate_into(
+        self.solver.record(fairness::allocate_into(
             topo,
             objective,
             &self.demands,
             &mut self.fair,
             &mut self.rates,
-        );
+        ));
         self.rates_fresh = true;
     }
 
@@ -330,6 +332,13 @@ impl SharedBottleneck {
     /// Number of currently-active flows.
     pub fn active_flows(&self) -> usize {
         self.state.borrow().flows.len()
+    }
+
+    /// What the finite-α dual solver did on this network so far: calls,
+    /// sweeps, calls that ran out of sweep budget, worst KKT residual.
+    /// All zero under max-min, which never iterates.
+    pub fn solver_stats(&self) -> SolverStats {
+        self.state.borrow().solver
     }
 
     /// Total kbits still queued on active flows.
@@ -796,6 +805,35 @@ mod tests {
             delivered <= 8_000.0 * horizon + 1e-4,
             "delivered {delivered}"
         );
+    }
+
+    #[test]
+    fn solver_stats_accumulate_per_network_and_stay_zero_under_max_min() {
+        // Two routes sharing a 6 Mbps link that four uncapped flows
+        // oversubscribe: every re-share under a finite α sweeps it.
+        let topo = || {
+            Topology::new(
+                vec![TopoLink::new(10_000.0, 0.0), TopoLink::new(6_000.0, 0.0)],
+                vec![vec![0, 1], vec![1]],
+            )
+            .unwrap()
+        };
+        for (objective, solves) in [
+            (FairnessObjective::AlphaFair(2.0), true),
+            (FairnessObjective::MaxMin, false),
+        ] {
+            let net = SharedBottleneck::with_topology(topo(), objective).unwrap();
+            for id in 0..4u64 {
+                net.begin_flow_on(id, (id % 2) as u16, 0.0, 3_000.0, f64::INFINITY)
+                    .unwrap();
+            }
+            while net.pop_completion().is_some() {}
+            let stats = net.solver_stats();
+            assert_eq!(stats.calls > 0, solves, "{objective:?}: {stats:?}");
+            assert!(stats.sweeps >= stats.calls);
+            assert_eq!(stats.non_converged, 0);
+            assert!(stats.max_kkt_residual < crate::SOLVER_TOL);
+        }
     }
 
     #[test]

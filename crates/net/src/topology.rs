@@ -87,10 +87,42 @@ impl TopoLink {
 /// route. Validation guarantees 1–[`MAX_HOPS`] hops, in-range link
 /// indices and no repeated link within a route, so the allocator can walk
 /// routes without bounds checks failing mid-solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Construction also derives the tables the allocator reads on every
+/// solve — per-route tightest capacity, the routes crossing each link,
+/// and the links split into single-route and shared (most-shared first)
+/// — so they cost nothing per flow event. They are functions of `(links, routes)`: serialization writes
+/// only those two, and deserialization goes back through
+/// [`Topology::new`], validation included.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Topology {
     links: Vec<TopoLink>,
     routes: Vec<Vec<u16>>,
+    /// Smallest link capacity along each route.
+    #[serde(skip)]
+    route_min_capacity: Vec<f64>,
+    /// Routes crossing each link, ascending.
+    #[serde(skip)]
+    link_routes: Vec<Vec<u16>>,
+    /// Links crossed by exactly one route, ascending.
+    #[serde(skip)]
+    single_route_links: Vec<u16>,
+    /// Links crossed by two or more routes, by descending route count,
+    /// ties by ascending index.
+    #[serde(skip)]
+    shared_links: Vec<u16>,
+}
+
+impl Deserialize for Topology {
+    fn from_value(v: &serde::value::Value) -> std::result::Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            links: Vec<TopoLink>,
+            routes: Vec<Vec<u16>>,
+        }
+        let Wire { links, routes } = Wire::from_value(v)?;
+        Self::new(links, routes).map_err(serde::Error::custom)
+    }
 }
 
 impl Topology {
@@ -140,7 +172,33 @@ impl Topology {
                 }
             }
         }
-        Ok(Self { links, routes })
+        let route_min_capacity = routes
+            .iter()
+            .map(|route| {
+                route.iter().fold(f64::INFINITY, |c, &l| {
+                    c.min(links[l as usize].capacity_kbps)
+                })
+            })
+            .collect();
+        let mut link_routes = vec![Vec::new(); links.len()];
+        for (r, route) in routes.iter().enumerate() {
+            for &l in route {
+                link_routes[l as usize].push(r as u16);
+            }
+        }
+        let routes_on = |l: &u16| link_routes[*l as usize].len();
+        let all = 0..links.len() as u16;
+        let single_route_links = all.clone().filter(|l| routes_on(l) == 1).collect();
+        let mut shared_links: Vec<u16> = all.filter(|l| routes_on(l) >= 2).collect();
+        shared_links.sort_by_key(|l| std::cmp::Reverse(routes_on(l)));
+        Ok(Self {
+            links,
+            routes,
+            route_min_capacity,
+            link_routes,
+            single_route_links,
+            shared_links,
+        })
     }
 
     /// The degenerate 1-link / 1-route topology behind the classic
@@ -180,11 +238,27 @@ impl Topology {
     /// Smallest link capacity along route `route` (kbps) — an upper bound
     /// on any flow's rate on that route.
     pub fn min_capacity_on(&self, route: u16) -> f64 {
-        let mut c = f64::INFINITY;
-        for &l in self.route(route) {
-            c = c.min(self.links[l as usize].capacity_kbps);
-        }
-        c
+        self.route_min_capacity[route as usize]
+    }
+
+    /// The routes crossing link `link`, ascending.
+    pub(crate) fn routes_through(&self, link: u16) -> &[u16] {
+        &self.link_routes[link as usize]
+    }
+
+    /// The links crossed by exactly one route, ascending. Such a link
+    /// only caps that route's aggregate rate, so the dual solver folds it
+    /// into the route instead of pricing it (see [`crate::fairness`]).
+    pub(crate) fn single_route_links(&self) -> &[u16] {
+        &self.single_route_links
+    }
+
+    /// The links crossed by two or more routes, most-shared first:
+    /// descending by the number of routes crossing them, ties in ascending
+    /// index order. These are the links the dual solver prices, in this
+    /// order, so a core is priced before the links that feed it.
+    pub(crate) fn shared_links(&self) -> &[u16] {
+        &self.shared_links
     }
 
     /// A copy with every link capacity multiplied by `factor` (routes and
@@ -254,6 +328,63 @@ mod tests {
         assert_eq!(t.n_routes(), 1);
         assert_eq!(t.route(0), &[0]);
         assert_eq!(t.min_capacity_on(0), 9000.0);
+    }
+
+    #[test]
+    fn derived_tables_split_links_by_how_many_routes_cross_them() {
+        // Two access links and a metro link with one route each, feeding
+        // a core crossed by all three routes and a spur crossed by none.
+        let t = Topology::new(
+            vec![
+                TopoLink::new(8_000.0, 0.0),
+                TopoLink::new(9_000.0, 0.0),
+                TopoLink::new(12_000.0, 0.0),
+                TopoLink::new(16_000.0, 0.0),
+                TopoLink::new(1_000.0, 0.0),
+            ],
+            vec![vec![0, 2, 3], vec![1, 3], vec![3]],
+        )
+        .unwrap();
+        assert_eq!(t.routes_through(3), &[0, 1, 2]);
+        assert_eq!(t.routes_through(2), &[0]);
+        assert!(t.routes_through(4).is_empty());
+        assert_eq!(t.single_route_links(), &[0, 1, 2]);
+        assert_eq!(t.shared_links(), &[3]);
+        assert_eq!(t.min_capacity_on(0), 8_000.0);
+        assert_eq!(t.min_capacity_on(2), 16_000.0);
+        // Most-shared first, ties in index order.
+        let t = Topology::new(
+            vec![
+                TopoLink::new(1_000.0, 0.0),
+                TopoLink::new(1_000.0, 0.0),
+                TopoLink::new(1_000.0, 0.0),
+            ],
+            vec![vec![0, 1, 2], vec![0, 2], vec![1, 2], vec![2]],
+        )
+        .unwrap();
+        assert_eq!(t.shared_links(), &[2, 0, 1]);
+        assert!(t.single_route_links().is_empty());
+    }
+
+    #[test]
+    fn serialization_carries_links_and_routes_and_revalidates() {
+        let t = Topology::new(
+            vec![
+                TopoLink::new(12_000.0, 0.004),
+                TopoLink::new(45_000.0, 0.012),
+            ],
+            vec![vec![0, 1], vec![1]],
+        )
+        .unwrap();
+        let value = t.to_value();
+        assert_eq!(value.as_map().map(<[_]>::len), Some(2));
+        assert_eq!(Topology::from_value(&value).unwrap(), t);
+        // A route through a missing link does not deserialize.
+        let bad = Topology {
+            routes: vec![vec![0, 7]],
+            ..t
+        };
+        assert!(Topology::from_value(&bad.to_value()).is_err());
     }
 
     #[test]

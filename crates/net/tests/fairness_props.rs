@@ -8,7 +8,10 @@
 //! and invariant under permutation of the input order), the α → ∞ family
 //! limit lands on the max-min water-fill (bit-exactly at α = ∞, within
 //! tolerance at large finite α), and proportional fairness leaves a
-//! bounded KKT stationarity residual. The topology property pins the
+//! bounded KKT stationarity residual. The differential properties hold
+//! the solver's rates to a slow reference that shares none of its
+//! machinery, on random instances and on the family that used to cost
+//! Gauss–Seidel its longest runs. The topology property pins the
 //! Kleinrock composition: end-to-end delay is monotone in utilization.
 //!
 //! The vendored `proptest` stand-in has no `prop_map`/`prop_flat_map`,
@@ -69,6 +72,218 @@ fn pick_objective(sel: usize, alpha: f64) -> FairnessObjective {
         0 => FairnessObjective::MaxMin,
         1 => FairnessObjective::ProportionalFair,
         _ => FairnessObjective::AlphaFair(alpha),
+    }
+}
+
+/// The test-only reference: cold Gauss–Seidel on the dual over capacities
+/// normalized to the largest, one demand evaluation per flow per probe,
+/// every link (single-route ones included) priced by plain bisection down
+/// to adjacent floats. No run grouping, no folding, no Newton, no
+/// acceleration — only the problem statement. Panics if it has not
+/// closed the KKT conditions to `1e-11` within 5000 sweeps.
+fn reference_rates(topo: &Topology, alpha: f64, flows: &[FlowDemand]) -> Vec<f64> {
+    let scale = topo
+        .links()
+        .iter()
+        .fold(0.0, |c: f64, l| c.max(l.capacity_kbps));
+    let ceiling: Vec<f64> = flows
+        .iter()
+        .map(|f| f.cap_kbps.min(topo.min_capacity_on(f.route)) / scale)
+        .collect();
+    let rate = |prices: &[f64], i: usize| -> f64 {
+        let q: f64 = topo
+            .route(flows[i].route)
+            .iter()
+            .map(|&l| prices[l as usize])
+            .sum();
+        if q > 0.0 {
+            ceiling[i].min(q.powf(-1.0 / alpha))
+        } else {
+            ceiling[i]
+        }
+    };
+    let excess = |prices: &[f64], l: usize| -> f64 {
+        let load: f64 = (0..flows.len())
+            .filter(|&i| topo.route(flows[i].route).contains(&(l as u16)))
+            .map(|i| rate(prices, i))
+            .sum();
+        load * scale / topo.links()[l].capacity_kbps - 1.0
+    };
+    let mut prices = vec![0.0_f64; topo.n_links()];
+    for _sweep in 0..5000 {
+        for l in 0..prices.len() {
+            prices[l] = 0.0;
+            if excess(&prices, l) <= 0.0 {
+                continue;
+            }
+            let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+            prices[l] = hi;
+            while excess(&prices, l) > 0.0 {
+                hi *= 2.0;
+                prices[l] = hi;
+            }
+            loop {
+                let mid = 0.5 * (lo + hi);
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                prices[l] = mid;
+                if excess(&prices, l) > 0.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            prices[l] = hi;
+        }
+        let residual = (0..prices.len())
+            .map(|l| {
+                let e = excess(&prices, l);
+                if prices[l] > 0.0 {
+                    e.abs()
+                } else {
+                    e.max(0.0)
+                }
+            })
+            .fold(0.0, f64::max);
+        if residual < 1e-11 {
+            return (0..flows.len()).map(|i| rate(&prices, i) * scale).collect();
+        }
+    }
+    panic!("the reference solver did not converge");
+}
+
+/// `allocate` against [`reference_rates`], to `1e-7` relative on every rate.
+fn assert_matches_reference(topo: &Topology, alpha: f64, flows: &[FlowDemand]) {
+    let alloc = allocate(topo, FairnessObjective::AlphaFair(alpha), flows).unwrap();
+    assert!(
+        alloc.sweeps < MAX_SWEEPS && alloc.kkt_residual <= 1e-8,
+        "alpha {alpha}: {} sweeps, residual {}",
+        alloc.sweeps,
+        alloc.kkt_residual
+    );
+    let want = reference_rates(topo, alpha, flows);
+    for (i, (&got, &want)) in alloc.rates.iter().zip(&want).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-7 * want,
+            "alpha {alpha} flow {i}: {got} vs reference {want} ({} sweeps)",
+            alloc.sweeps
+        );
+    }
+}
+
+/// SplitMix64, for the deterministic hard family below.
+fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The α values the differential tests sweep: the floor, both exact-power
+/// cases, and one either side of them.
+const ALPHAS: [f64; 5] = [0.125, 0.5, 1.0, 2.0, 8.0];
+
+/// The hard family: two near-equal links (10 Mbps and a hair more) each
+/// shared by a 3-hop route and a 2-hop route of its own, all of them
+/// crossing a wide third link with a 1-hop route. The 3-hop route's flows
+/// are elastic and bind both tight links at once; the others carry many
+/// small, mostly clamped flows, so the two tight links answer almost only
+/// to each other — the coupling that cost plain Gauss–Seidel its 27- and
+/// 28-sweep runs, and leaves the dual Hessian close to singular.
+fn hard_instance(seed: u64, n_flows: usize) -> (Topology, Vec<FlowDemand>) {
+    let hair = 1.0 + (mix64(seed) % 1000) as f64 * 1e-5;
+    let topo = Topology::new(
+        vec![
+            TopoLink::new(10_000.0, 0.001),
+            TopoLink::new(10_000.0 * hair, 0.001),
+            TopoLink::new(40_000.0, 0.001),
+        ],
+        vec![vec![0, 1, 2], vec![0, 2], vec![1, 2], vec![2]],
+    )
+    .unwrap();
+    let flows = (0..n_flows as u64)
+        .map(|i| {
+            let h = mix64(seed * 7919 + i);
+            let route = (h % 4) as u16;
+            let spread = if route == 0 {
+                4_000.0
+            } else {
+                60_000.0 / n_flows as f64
+            };
+            FlowDemand::new(20.0 + (h >> 8) as f64 % spread, route)
+        })
+        .collect();
+    (topo, flows)
+}
+
+/// The `experiments fairness` pod: two access links and a metro link, one
+/// route each, feeding a core shared by all three routes.
+fn pod() -> Topology {
+    Topology::new(
+        vec![
+            TopoLink::new(8_000.0, 0.004),
+            TopoLink::new(8_000.0, 0.004),
+            TopoLink::new(12_000.0, 0.008),
+            TopoLink::new(16_000.0, 0.012),
+        ],
+        vec![vec![0, 2, 3], vec![1, 3], vec![3]],
+    )
+    .unwrap()
+}
+
+/// On the hard family the solver never reaches its sweep budget and
+/// closes the KKT conditions to `1e-8`, at every α and flow count.
+#[test]
+fn hard_family_converges_inside_the_budget() {
+    for alpha in ALPHAS {
+        for seed in 0..60u64 {
+            let (topo, flows) = hard_instance(seed, [128, 256, 512][seed as usize % 3]);
+            let alloc = allocate(&topo, FairnessObjective::AlphaFair(alpha), &flows).unwrap();
+            assert!(
+                alloc.sweeps < MAX_SWEEPS && alloc.kkt_residual <= 1e-8,
+                "alpha {alpha} seed {seed}: {} sweeps, residual {}",
+                alloc.sweeps,
+                alloc.kkt_residual
+            );
+        }
+    }
+}
+
+/// On the hard family, and on pod instances where an access link and the
+/// core bind together, the rates agree with the reference.
+#[test]
+fn hard_family_matches_reference() {
+    for (k, alpha) in ALPHAS.into_iter().enumerate() {
+        let (topo, flows) = hard_instance(k as u64, if k % 2 == 0 { 128 } else { 512 });
+        assert_matches_reference(&topo, alpha, &flows);
+        let flows: Vec<FlowDemand> = (0..24u64)
+            .map(|i| {
+                let h = mix64(1000 * k as u64 + i);
+                FlowDemand::new(300.0 + (h >> 8) as f64 % 13_000.0, (h % 3) as u16)
+            })
+            .collect();
+        assert_matches_reference(&pod(), alpha, &flows);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential: on random multi-hop instances the solver's rates
+    /// agree with the reference's to `1e-7`, at every α of the sweep.
+    #[test]
+    fn allocation_matches_reference(
+        nl_pick in 0usize..3,
+        links_raw in collection::vec((2_000.0f64..40_000.0, 0.0005f64..0.02), 4..5),
+        route_seeds in collection::vec(0u64..10_000, 1..5),
+        caps_raw in collection::vec(1_000u32..8_000_000, 1..13),
+        routes_raw in collection::vec(0u16..1024, 12..13),
+        alpha_pick in 0usize..5,
+    ) {
+        let topo = build_topo(nl_pick, &links_raw, &route_seeds);
+        let flows = build_flows(&caps_raw, &routes_raw, topo.n_routes());
+        assert_matches_reference(&topo, ALPHAS[alpha_pick], &flows);
     }
 }
 
