@@ -16,14 +16,16 @@ use crate::{AbError, Result};
 /// persist across days, as it does in production.
 pub trait ArmRunner: Send {
     /// Run all of this user's sessions for `day`; `intervened` is true on
-    /// AB-phase days for the treatment arm.
+    /// AB-phase days for the treatment arm. A session that cannot be
+    /// played is an error ([`AbError::Arm`]), never a missing summary: a
+    /// dropped session would shrink the day's denominator unseen.
     fn run_user_day(
         &mut self,
         user: &UserRecord,
         day: usize,
         intervened: bool,
         rng: &mut dyn RngCore,
-    ) -> Vec<SessionSummary>;
+    ) -> Result<Vec<SessionSummary>>;
 }
 
 /// Experiment schedule.
@@ -147,7 +149,8 @@ impl AbTest {
         did_report(self.schedule, control, treatment)
     }
 
-    /// Run one arm, returning per-day session summaries.
+    /// Run one arm, returning per-day session summaries; fails with the
+    /// first arm-runner error in cohort order.
     fn run_arm<F>(
         &self,
         users: &[UserRecord],
@@ -172,12 +175,12 @@ impl AbTest {
         } else {
             u64::from(is_treatment)
         };
-        let panicked = std::thread::scope(|scope| {
+        let joined = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (worker_users, worker_slots) in
                 users.chunks(chunk.max(1)).zip(slots.chunks(chunk.max(1)))
             {
-                handles.push(scope.spawn(move || {
+                handles.push(scope.spawn(move || -> Result<()> {
                     for (user, slot) in worker_users.iter().zip(worker_slots) {
                         let mut runner = make_runner(user);
                         let mut user_days = Vec::with_capacity(days);
@@ -191,25 +194,22 @@ impl AbTest {
                                     ^ ((day as u64) << 32)
                                     ^ (arm_tag << 63),
                             );
-                            user_days.push(runner.run_user_day(user, day, intervened, &mut rng));
+                            user_days.push(runner.run_user_day(user, day, intervened, &mut rng)?);
                         }
                         *slot.lock() = user_days;
                     }
+                    Ok(())
                 }));
             }
-            // Join every handle before judging: `any` alone would
-            // short-circuit on the first panic and leave later panicked
-            // threads to re-panic out of the scope instead of mapping to
-            // an error.
-            handles
-                .into_iter()
-                .map(|h| h.join().is_err())
-                .collect::<Vec<_>>()
-                .into_iter()
-                .any(|e| e)
+            // Join every handle before judging: stopping at the first
+            // failure would leave later panicked threads to re-panic out
+            // of the scope instead of mapping to an error.
+            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
         });
-        if panicked {
-            return Err(AbError::InvalidConfig("worker thread panicked".into()));
+        // Workers own contiguous runs of the cohort, so the first failure
+        // in worker order is the first in cohort order.
+        for worker in joined {
+            worker.map_err(|_| AbError::InvalidConfig("worker thread panicked".into()))??;
         }
         let mut per_day: Vec<Vec<SessionSummary>> = (0..days).map(|_| Vec::new()).collect();
         for slot in slots {
@@ -299,9 +299,9 @@ mod tests {
             _day: usize,
             intervened: bool,
             rng: &mut dyn RngCore,
-        ) -> Vec<SessionSummary> {
+        ) -> Result<Vec<SessionSummary>> {
             let mut rng = StdRng::seed_from_u64(rng.next_u64());
-            (0..5)
+            Ok((0..5)
                 .map(|_| {
                     let noise: f64 = rng.gen::<f64>() * 2.0;
                     let watch = self.base + noise + if intervened { self.boost } else { 0.0 };
@@ -316,7 +316,7 @@ mod tests {
                         segments: 20,
                     }
                 })
-                .collect()
+                .collect())
         }
     }
 
@@ -432,6 +432,50 @@ mod tests {
         .validate()
         .is_err());
         assert!(AbSchedule::paper_default().validate().is_ok());
+    }
+
+    /// An arm whose sessions cannot be played for users `fail_from..`.
+    struct FailingArm {
+        fail_from: u64,
+    }
+
+    impl ArmRunner for FailingArm {
+        fn run_user_day(
+            &mut self,
+            user: &UserRecord,
+            day: usize,
+            _intervened: bool,
+            _rng: &mut dyn RngCore,
+        ) -> Result<Vec<SessionSummary>> {
+            if user.id >= self.fail_from {
+                return Err(AbError::Arm(format!("user {} day {day}", user.id)));
+            }
+            Ok(Vec::new())
+        }
+    }
+
+    #[test]
+    fn arm_failure_fails_the_run_with_the_first_error_in_cohort_order() {
+        let users: Vec<UserRecord> = (0..16).map(user).collect();
+        for threads in [1, 4, 16] {
+            let test = AbTest {
+                threads,
+                ..AbTest::new(3)
+            };
+            let err = test
+                .run(
+                    &users,
+                    &users,
+                    |_| Box::new(FailingArm { fail_from: 6 }) as Box<dyn ArmRunner>,
+                    |_| Box::new(FailingArm { fail_from: 0 }) as Box<dyn ArmRunner>,
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                AbError::Arm("user 6 day 0".into()),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub enum AbError {
     InvalidConfig(String),
     /// A statistical routine failed (too few days, etc.).
     Stats(String),
+    /// An arm runner could not play one of its user's sessions.
+    Arm(String),
 }
 
 impl std::fmt::Display for AbError {
@@ -45,6 +47,7 @@ impl std::fmt::Display for AbError {
         match self {
             AbError::InvalidConfig(m) => write!(f, "invalid config: {m}"),
             AbError::Stats(m) => write!(f, "stats failure: {m}"),
+            AbError::Arm(m) => write!(f, "arm runner failure: {m}"),
         }
     }
 }

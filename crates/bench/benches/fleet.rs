@@ -5,7 +5,9 @@
 //! parallel speedup; criterion's `Throughput::Elements` reports both as
 //! elements (sessions) per second. `session/managed_buffered` vs
 //! `session/managed_fresh` measures what the reusable-buffer variant saves
-//! on the per-session hot path.
+//! on the per-session hot path, and `session/plain` is the same video and
+//! trace through `run_session` and the two adapters — the other side of
+//! the one stepper the managed cells share.
 //!
 //! Note: on a single-CPU machine (`std::thread::available_parallelism` =
 //! 1, common in CI containers) the 4-shard number can only trail the
@@ -16,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use lingxi_abr::Hyb;
+use lingxi_abr::{drive, Hyb};
 use lingxi_core::{
     run_managed_session, run_managed_session_in, LingXiConfig, LingXiController, ProfilePredictor,
     SessionBuffers,
@@ -24,8 +26,8 @@ use lingxi_core::{
 use lingxi_fleet::{AbrMix, ContentionConfig, FleetConfig, FleetEngine, FleetScenario};
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_net::BandwidthTrace;
-use lingxi_player::PlayerConfig;
-use lingxi_user::{QosExitModel, SensitivityKind, StallProfile};
+use lingxi_player::{run_session, PlayerConfig, SessionSetup};
+use lingxi_user::{consult, QosExitModel, SensitivityKind, StallProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -130,6 +132,30 @@ fn bench_session_buffers(c: &mut Criterion) {
     let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.3).expect("profile");
 
     let mut group = c.benchmark_group("session");
+    group.bench_function("plain", |b| {
+        let (video, ladder) = (catalog.video_cyclic(0), catalog.ladder());
+        let setup = SessionSetup {
+            user_id: 1,
+            video,
+            ladder,
+            process: &trace,
+            config: PlayerConfig::deterministic(10.0, 0.0),
+        };
+        b.iter(|| {
+            let mut abr = Hyb::default_rule();
+            let mut user = QosExitModel::calibrated(profile);
+            let mut rng = StdRng::seed_from_u64(7);
+            black_box(
+                run_session(
+                    &setup,
+                    drive(&mut abr, ladder, &video.sizes),
+                    consult(&mut user, ladder),
+                    &mut rng,
+                )
+                .unwrap(),
+            )
+        })
+    });
     group.bench_function("managed_fresh", |b| {
         b.iter(|| {
             let mut abr = Hyb::default_rule();

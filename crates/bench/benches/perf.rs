@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use lingxi_abr::{Abr, AbrContext, Bba, Bola, Hyb, QoeParams, RobustMpc, ThroughputRule};
+use lingxi_abr::{drive, Abr, Bba, Bola, Hyb, QoeParams, RobustMpc, ThroughputRule};
 use lingxi_bayes::{ObOptimizer, ObserverConfig};
 use lingxi_bench::abr_fixture;
 use lingxi_core::{evaluate_parameters, ConstantPredictor, McConfig, ProfilePredictor};
@@ -38,17 +38,9 @@ fn bench_abr_decisions(c: &mut Criterion) {
         Box::new(RobustMpc::default_rule()),
     ];
     for abr in abrs.iter_mut() {
-        group.bench_function(abr.name(), |b| {
-            b.iter(|| {
-                let ctx = AbrContext {
-                    ladder: &fx.ladder,
-                    sizes: &fx.sizes,
-                    next_segment: 8,
-                    segment_duration: 2.0,
-                };
-                black_box(abr.select(&fx.env, &ctx))
-            })
-        });
+        let name = abr.name();
+        let mut select = drive(abr.as_mut(), &fx.ladder, &fx.sizes);
+        group.bench_function(name, |b| b.iter(|| black_box(select(&fx.env))));
     }
     group.finish();
 }

@@ -451,6 +451,49 @@ mod tests {
         env
     }
 
+    /// A failing optimization pass must fail the session it fires in: a
+    /// managed session that swallowed it would report an ordinary user
+    /// exit. (The broken rollout config is planted past the constructor's
+    /// validation, which only this module can do.)
+    #[test]
+    fn failed_pass_fails_the_managed_session() {
+        use lingxi_media::{Catalog, CatalogConfig};
+        let mut rng = StdRng::seed_from_u64(1);
+        let cat = Catalog::generate(
+            BitrateLadder::default_short_video(),
+            &CatalogConfig {
+                n_videos: 1,
+                mean_duration: 60.0,
+                ..CatalogConfig::default()
+            },
+            &mut rng,
+        )
+        .unwrap();
+        // Below the ladder floor: every segment stalls, so the trigger fires.
+        let trace = lingxi_net::BandwidthTrace::constant(300.0, 2000, 1.0).unwrap();
+        let profile = StallProfile::new(SensitivityKind::Insensitive, 10.0, 0.05).unwrap();
+        let mut user = lingxi_user::QosExitModel::calibrated(profile);
+        user.base_exit = 0.0;
+        let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
+        controller.config.mc.samples = 0;
+        let out = crate::run_managed_session(
+            2,
+            cat.video_cyclic(0),
+            cat.ladder(),
+            &trace,
+            PlayerConfig::deterministic(10.0, 0.0),
+            &mut Hyb::default_rule(),
+            &mut controller,
+            &mut ProfilePredictor {
+                profile,
+                base: 0.002,
+            },
+            &mut user,
+            &mut rng,
+        );
+        assert!(matches!(out, Err(CoreError::InvalidConfig(_))), "{out:?}");
+    }
+
     #[test]
     fn trigger_counts_stalls() {
         let mut c = LingXiController::new(LingXiConfig::for_hyb()).unwrap();

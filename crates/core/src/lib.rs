@@ -55,8 +55,8 @@ pub use montecarlo::{
 };
 pub use predictor::{ConstantPredictor, ProfilePredictor, RolloutContext, RolloutPredictor};
 pub use session::{
-    run_managed_session, run_managed_session_in, ManagedHooks, ManagedOutcome, ManagedSession,
-    SessionBuffers,
+    run_managed_session, run_managed_session_in, LingXiHooks, ManagedHooks, ManagedOutcome,
+    ManagedSession, SessionBuffers,
 };
 pub use state::{LongTermState, StateBackend, StateScan, StateStore};
 

@@ -5,13 +5,19 @@
 //! observes segments, and when its trigger fires it re-optimizes the ABR's
 //! parameters *between segments* (the paper runs this on a low-priority
 //! background thread; in the simulator it is interleaved, which preserves
-//! the control flow under test).
+//! the control flow under test). LingXi leaves the player and the ABR
+//! alone, so a managed session is an ordinary
+//! [`lingxi_player::SessionStream`] with one observer placed between
+//! "segment played" and "user decides" — and a session without LingXi is
+//! the same code with the observer absent.
 
-use lingxi_abr::{Abr, AbrContext, QoeParams};
+use lingxi_abr::{drive, Abr, QoeParams};
 use lingxi_media::{BitrateLadder, Video};
 use lingxi_net::{BandwidthProcess, Download};
-use lingxi_player::{PlayerConfig, PlayerEnv, SegmentRequest, SessionEnd, SessionLog};
-use lingxi_user::{ExitModel, SegmentView};
+use lingxi_player::{
+    ExitDecision, PlayerConfig, PlayerEnv, SegmentRequest, SessionEnd, SessionLog, SessionStream,
+};
+use lingxi_user::{consult, ExitModel};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -78,20 +84,27 @@ impl SessionBuffers {
     }
 }
 
-/// The mutable collaborators a [`ManagedSession`] needs at every step.
-///
-/// The stepper itself holds only the per-session state machine; callers
-/// (the linear driver here, the fleet contention kernel) own the ABR,
-/// controller, predictor, user model, buffers and RNG, and lend them per
-/// call — which is what lets one kernel interleave many sessions without
-/// self-referential borrows.
-pub struct ManagedHooks<'h, R: Rng> {
-    /// The ABR whose parameters LingXi manages.
-    pub abr: &'h mut dyn Abr,
+/// LingXi's part of a [`ManagedSession`]: the pieces that observe each
+/// segment and re-tune the ABR between segments.
+pub struct LingXiHooks<'h> {
     /// The per-user controller (long-term state across sessions).
     pub controller: &'h mut LingXiController,
     /// The rollout exit-rate predictor.
     pub predictor: &'h mut dyn RolloutPredictor,
+}
+
+/// The mutable collaborators a [`ManagedSession`] needs at every step.
+///
+/// The stepper itself holds only the per-session state machine; callers
+/// (the linear driver here, the fleet's user agent) own the ABR,
+/// controller, predictor, user model, buffers and RNG, and lend them per
+/// call — which is what lets one kernel interleave many sessions without
+/// self-referential borrows.
+pub struct ManagedHooks<'h, R: Rng> {
+    /// The ABR playing the session (and whose parameters LingXi manages).
+    pub abr: &'h mut dyn Abr,
+    /// LingXi, when it manages this session; `None` is a plain session.
+    pub lingxi: Option<LingXiHooks<'h>>,
     /// The user's exit model.
     pub user: &'h mut dyn ExitModel,
     /// Log / deployment / Monte-Carlo scratch buffers.
@@ -100,37 +113,28 @@ pub struct ManagedHooks<'h, R: Rng> {
     pub rng: &'h mut R,
 }
 
-/// A managed session as a resumable per-segment state machine — the
-/// managed-path twin of [`lingxi_player::SessionStream`].
+fn player_err(e: lingxi_player::PlayerError) -> CoreError {
+    CoreError::Subsystem(e.to_string())
+}
+
+/// A session as a resumable per-segment state machine with LingXi's hook:
+/// a [`SessionStream`] recording into the caller's [`SessionBuffers`],
+/// whose `select` is the ABR and whose `exit` is observe → maybe
+/// re-optimize → ask the user.
 ///
 /// Alternate [`ManagedSession::next_request`] with
-/// [`ManagedSession::complete`], then [`ManagedSession::finalize`] writes
-/// the log tail into the buffers. [`run_managed_session_in`] is exactly
-/// this loop against one [`BandwidthProcess`].
-///
-/// This deliberately does not wrap `SessionStream`: segments must land in
-/// the caller's reusable [`SessionBuffers`] (the fleet hot path amortizes
-/// that allocation across sessions), while the stream owns a per-session
-/// vector. The watch-time arithmetic is shared
-/// ([`lingxi_player::content_watch_time`]); the per-segment protocols are
-/// cross-checked by `buffered_variant_matches_allocating_variant` below
-/// and pinned by `tests/golden_regression.rs`.
+/// [`ManagedSession::complete`], then [`ManagedSession::finalize`] hands
+/// the log to the buffers. [`run_managed_session_in`] is exactly this loop
+/// against one [`BandwidthProcess`].
 #[derive(Debug)]
 pub struct ManagedSession<'a> {
-    user_id: u64,
-    video: &'a Video,
-    ladder: &'a BitrateLadder,
-    env: PlayerEnv,
-    pending: Option<(usize, f64)>,
-    end: SessionEnd,
-    exit_segment: Option<usize>,
-    finished: bool,
+    stream: SessionStream<'a>,
 }
 
 impl<'a> ManagedSession<'a> {
-    /// Start a managed session: resets the user model, applies the
-    /// controller's current best parameters to the ABR (restored long-term
-    /// state warm-starts it) and clears the log buffers.
+    /// Start a session: resets the user model, applies the controller's
+    /// current best parameters to the ABR (restored long-term state
+    /// warm-starts it) and takes over the log buffers.
     pub fn begin<R: Rng>(
         user_id: u64,
         video: &'a Video,
@@ -138,27 +142,20 @@ impl<'a> ManagedSession<'a> {
         player_config: PlayerConfig,
         hooks: &mut ManagedHooks<'_, R>,
     ) -> Result<Self> {
-        let env = PlayerEnv::new(player_config).map_err(|e| CoreError::Subsystem(e.to_string()))?;
-        hooks.buffers.log.segments.clear();
-        hooks.buffers.log.segments.reserve(video.n_segments());
         hooks.buffers.deployments.clear();
         hooks.user.reset_session();
-        hooks.abr.set_params(hooks.controller.params());
-        Ok(Self {
-            user_id,
-            video,
-            ladder,
-            env,
-            pending: None,
-            end: SessionEnd::Completed,
-            exit_segment: None,
-            finished: false,
-        })
+        if let Some(lingxi) = &hooks.lingxi {
+            hooks.abr.set_params(lingxi.controller.params());
+        }
+        let segments = std::mem::take(&mut hooks.buffers.log.segments);
+        let stream = SessionStream::new_in(user_id, video, ladder, player_config, segments)
+            .map_err(player_err)?;
+        Ok(Self { stream })
     }
 
     /// The live player state.
     pub fn env(&self) -> &PlayerEnv {
-        &self.env
+        self.stream.env()
     }
 
     /// Run the ABR for the next segment and return its download request;
@@ -166,34 +163,10 @@ impl<'a> ManagedSession<'a> {
     pub fn next_request<R: Rng>(
         &mut self,
         hooks: &mut ManagedHooks<'_, R>,
-    ) -> Result<Option<SegmentRequest>> {
-        if self.finished || self.env.segment_index() >= self.video.n_segments() {
-            self.finished = true;
-            return Ok(None);
-        }
-        let k = self.env.segment_index();
-        let seg_duration = self.video.sizes.segment_duration();
-        let ctx = AbrContext {
-            ladder: self.ladder,
-            sizes: &self.video.sizes,
-            next_segment: k,
-            segment_duration: seg_duration,
-        };
-        let level = hooks
-            .abr
-            .select(&self.env, &ctx)
-            .min(self.ladder.top_level());
-        let size = self
-            .video
-            .sizes
-            .size_kbits(k, level)
-            .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-        self.pending = Some((level, size));
-        Ok(Some(SegmentRequest {
-            at: self.env.wall_time(),
-            size_kbits: size,
-            level,
-        }))
+    ) -> Option<SegmentRequest> {
+        let (ladder, video) = (self.stream.ladder(), self.stream.video());
+        self.stream
+            .next_request(drive(hooks.abr, ladder, &video.sizes))
     }
 
     /// Apply a completed download: advance the player, let LingXi observe
@@ -204,74 +177,54 @@ impl<'a> ManagedSession<'a> {
         download: Download,
         hooks: &mut ManagedHooks<'_, R>,
     ) -> Result<bool> {
-        let (level, size) = self
-            .pending
-            .take()
-            .ok_or_else(|| CoreError::Subsystem("complete() without a pending request".into()))?;
-        let seg_duration = self.video.sizes.segment_duration();
-        let k = self.env.segment_index();
-        let bandwidth = download.kbps;
-        let switched_from = self.env.last_level();
-        let outcome = self
-            .env
-            .step(size, level, bandwidth, seg_duration, hooks.rng)
-            .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-        let bitrate = self
-            .ladder
-            .bitrate(level)
-            .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-        let record = self
-            .env
-            .record(&outcome, level, bitrate, size, switched_from);
-        hooks.buffers.log.segments.push(record);
-
-        // LingXi observes the segment and may re-optimize.
-        hooks.controller.observe_segment(&record, seg_duration);
-        if let Some(out) = hooks.controller.maybe_optimize_in(
-            hooks.abr,
-            &self.env,
-            self.ladder,
-            hooks.predictor,
-            &mut hooks.buffers.mc,
-            hooks.rng,
-        )? {
-            hooks.buffers.deployments.push(out.params);
-        }
-
-        // User decision.
-        let view = SegmentView {
-            env: &self.env,
-            record: &record,
-            ladder: self.ladder,
+        let ManagedHooks {
+            abr,
+            lingxi,
+            user,
+            buffers,
+            rng,
+        } = hooks;
+        let ladder = self.stream.ladder();
+        let seg_duration = self.stream.video().sizes.segment_duration();
+        // A failed optimization pass ends the stream's step early and
+        // comes out of this call as the error it is, never as an exit.
+        let mut failed = None;
+        let exit = |env: &PlayerEnv, record: &lingxi_player::SegmentRecord, rng: &mut R| {
+            if let Some(lingxi) = lingxi.as_mut() {
+                lingxi.controller.observe_segment(record, seg_duration);
+                match lingxi.controller.maybe_optimize_in(
+                    &mut **abr,
+                    env,
+                    ladder,
+                    &mut *lingxi.predictor,
+                    &mut buffers.mc,
+                    rng,
+                ) {
+                    Ok(Some(out)) => buffers.deployments.push(out.params),
+                    Ok(None) => {}
+                    Err(e) => {
+                        failed = Some(e);
+                        return ExitDecision::Exit;
+                    }
+                }
+            }
+            let decision = consult(&mut **user, ladder)(env, record, rng);
+            if let (ExitDecision::Exit, Some(lingxi)) = (decision, lingxi.as_mut()) {
+                lingxi.controller.observe_exit(record.stall_time > 0.0);
+            }
+            decision
         };
-        if hooks.user.decide(&view, hooks.rng) {
-            hooks.controller.observe_exit(record.stall_time > 0.0);
-            self.end = SessionEnd::Exited;
-            self.exit_segment = Some(k);
-            self.finished = true;
-            return Ok(false);
-        }
-        Ok(true)
+        let more = self
+            .stream
+            .complete(download, exit, &mut **rng)
+            .map_err(player_err)?;
+        failed.map_or(Ok(more), Err)
     }
 
-    /// Write the session's log tail (identity, watch time, end state) into
-    /// the buffers whose `segments` the steps filled.
-    pub fn finalize(&self, buffers: &mut SessionBuffers) {
-        let video_duration = self.video.duration();
-        let seg_duration = self.video.sizes.segment_duration();
-        let watch_time = lingxi_player::content_watch_time(
-            self.end,
-            self.exit_segment,
-            seg_duration,
-            video_duration,
-            self.env.playback_time(),
-        );
-        buffers.log.user_id = self.user_id;
-        buffers.log.video_id = self.video.id;
-        buffers.log.video_duration = video_duration;
-        buffers.log.watch_time = watch_time;
-        buffers.log.end = self.end;
-        buffers.log.exit_segment = self.exit_segment;
+    /// Close the session: its log (identity, segments, watch time, end
+    /// state) lands in the buffers the segments were borrowed from.
+    pub fn finalize(self, buffers: &mut SessionBuffers) {
+        buffers.log = self.stream.finish();
     }
 }
 
@@ -333,16 +286,31 @@ pub fn run_managed_session_in<R: Rng>(
 ) -> Result<()> {
     let mut hooks = ManagedHooks {
         abr,
-        controller,
-        predictor,
+        lingxi: Some(LingXiHooks {
+            controller,
+            predictor,
+        }),
         user,
         buffers,
         rng,
     };
-    let mut session = ManagedSession::begin(user_id, video, ladder, player_config, &mut hooks)?;
-    while let Some(req) = session.next_request(&mut hooks)? {
+    play(user_id, video, ladder, process, player_config, &mut hooks)
+}
+
+/// The linear driver: one [`ManagedSession`] against one bandwidth process,
+/// start to finish.
+fn play<R: Rng>(
+    user_id: u64,
+    video: &Video,
+    ladder: &BitrateLadder,
+    process: &dyn BandwidthProcess,
+    player_config: PlayerConfig,
+    hooks: &mut ManagedHooks<'_, R>,
+) -> Result<()> {
+    let mut session = ManagedSession::begin(user_id, video, ladder, player_config, hooks)?;
+    while let Some(req) = session.next_request(hooks) {
         let download = process.download(req.at, req.size_kbits);
-        if !session.complete(download, &mut hooks)? {
+        if !session.complete(download, hooks)? {
             break;
         }
     }
@@ -501,6 +469,67 @@ mod tests {
             let fresh = run_fresh(s);
             assert_eq!(buffers.log(), &fresh.log, "session {s} log diverged");
             assert_eq!(buffers.deployments(), &fresh.deployments[..]);
+        }
+    }
+
+    /// The identity that lets the fleet play plain users through
+    /// [`ManagedSession`]: without LingXi it is `run_session` driven by the
+    /// two adapters, RNG draw for RNG draw.
+    #[test]
+    fn session_without_lingxi_is_run_session_with_the_adapters() {
+        let cat = catalog();
+        let player = PlayerConfig::default();
+        let sensitive = StallProfile::new(SensitivityKind::Sensitive, 1.0, 0.6).unwrap();
+        let mut patient = QosExitModel::calibrated(
+            StallProfile::new(SensitivityKind::Insensitive, 30.0, 0.0).unwrap(),
+        );
+        patient.base_exit = 0.0;
+        patient.quality_span = 0.0;
+        patient.switch_penalty = 0.0;
+        let cases = [
+            (
+                250.0,
+                QosExitModel::calibrated(sensitive),
+                SessionEnd::Exited,
+            ),
+            (20_000.0, patient, SessionEnd::Completed),
+        ];
+        let mut buffers = SessionBuffers::new();
+        for (s, (kbps, user, end)) in cases.into_iter().enumerate() {
+            let trace = BandwidthTrace::constant(kbps, 4000, 1.0).unwrap();
+            let (video, ladder) = (cat.video_cyclic(s), cat.ladder());
+
+            let (mut abr, mut model) = (Hyb::default_rule(), user);
+            let mut rng = StdRng::seed_from_u64(40 + s as u64);
+            let setup = lingxi_player::SessionSetup {
+                user_id: 5,
+                video,
+                ladder,
+                process: &trace,
+                config: player,
+            };
+            model.reset_session();
+            let reference = lingxi_player::run_session(
+                &setup,
+                drive(&mut abr, ladder, &video.sizes),
+                consult(&mut model, ladder),
+                &mut rng,
+            )
+            .unwrap();
+            assert_eq!(reference.end, end, "case {s} must exercise its ending");
+
+            let (mut abr, mut model) = (Hyb::default_rule(), user);
+            let mut rng = StdRng::seed_from_u64(40 + s as u64);
+            let mut hooks = ManagedHooks {
+                abr: &mut abr,
+                lingxi: None,
+                user: &mut model,
+                buffers: &mut buffers,
+                rng: &mut rng,
+            };
+            play(5, video, ladder, &trace, player, &mut hooks).unwrap();
+            assert_eq!(buffers.log(), &reference, "case {s} diverged");
+            assert!(buffers.deployments().is_empty());
         }
     }
 

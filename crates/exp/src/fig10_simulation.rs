@@ -8,12 +8,12 @@
 //! The shape to reproduce: fixed parameters barely move the needle; `L(F)`
 //! beats the best fixed setting; `L(B)` beats `L(F)`.
 
-use lingxi_abr::{Abr, Pensieve, PensieveConfig, PensieveTrainer, QoeParams, RobustMpc};
+use lingxi_abr::{drive, Abr, Pensieve, PensieveConfig, PensieveTrainer, QoeParams, RobustMpc};
 use lingxi_core::{
     run_managed_session, LingXiConfig, LingXiController, RolloutPredictor, SearchStrategy,
 };
 use lingxi_exit::StateMatrix;
-use lingxi_user::{ExitModel, QosExitModel, RuleBasedExit, SegmentView, UserRecord};
+use lingxi_user::{consult, ExitModel, QosExitModel, RuleBasedExit, UserRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,38 +110,18 @@ impl<'w> Bench<'w> {
                 let trace =
                     self.world
                         .session_trace(user, (video.duration() * 3.0) as usize, &mut rng)?;
+                let ladder = self.world.ladder();
                 let setup = lingxi_player::SessionSetup {
                     user_id: user.id,
                     video,
-                    ladder: self.world.ladder(),
+                    ladder,
                     process: &trace,
                     config: default_player(),
                 };
-                let ladder = self.world.ladder();
-                let sizes = &video.sizes;
                 let log = lingxi_player::run_session(
                     &setup,
-                    |env| {
-                        let ctx = lingxi_abr::AbrContext {
-                            ladder,
-                            sizes,
-                            next_segment: env.segment_index(),
-                            segment_duration: sizes.segment_duration(),
-                        };
-                        abr.select(env, &ctx)
-                    },
-                    |env, record, r| {
-                        let view = SegmentView {
-                            env,
-                            record,
-                            ladder,
-                        };
-                        if exit_model.decide(&view, r) {
-                            lingxi_player::ExitDecision::Exit
-                        } else {
-                            lingxi_player::ExitDecision::Continue
-                        }
-                    },
+                    drive(abr.as_mut(), ladder, &video.sizes),
+                    consult(exit_model, ladder),
                     &mut rng,
                 )
                 .map_err(sub)?;

@@ -6,7 +6,7 @@
 //! static baseline — largest reduction (paper: ~−15%) below 2 Mbps,
 //! convergence toward zero at high bandwidth.
 
-use lingxi_abr::{Abr, Hyb, QoeParams};
+use lingxi_abr::{drive, Abr, Hyb, QoeParams};
 use lingxi_core::{run_managed_session, LingXiConfig, LingXiController, ProfilePredictor};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -82,7 +82,6 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
             let mut arm_rng2 = StdRng::seed_from_u64(arm_rng.next_u64());
             let log2 = {
                 let ladder = world.ladder();
-                let sizes = &video.sizes;
                 let setup = lingxi_player::SessionSetup {
                     user_id: user.id,
                     video,
@@ -92,27 +91,8 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
                 };
                 lingxi_player::run_session(
                     &setup,
-                    |env| {
-                        let ctx = lingxi_abr::AbrContext {
-                            ladder,
-                            sizes,
-                            next_segment: env.segment_index(),
-                            segment_duration: sizes.segment_duration(),
-                        };
-                        abr2.select(env, &ctx)
-                    },
-                    |env, record, r| {
-                        let view = lingxi_user::SegmentView {
-                            env,
-                            record,
-                            ladder,
-                        };
-                        if lingxi_user::ExitModel::decide(&mut exit_model2, &view, r) {
-                            lingxi_player::ExitDecision::Exit
-                        } else {
-                            lingxi_player::ExitDecision::Continue
-                        }
-                    },
+                    drive(&mut abr2, ladder, &video.sizes),
+                    lingxi_user::consult(&mut exit_model2, ladder),
                     &mut arm_rng2,
                 )
                 .map_err(sub)?

@@ -6,17 +6,16 @@
 //! stall sensitivity ([`lingxi_user`]). Arm runners wire ABRs (with or
 //! without LingXi) into the A/B engine.
 
-use lingxi_abr::{Abr, Hyb, QoeParams};
-use lingxi_abtest::ArmRunner;
+use lingxi_abr::{drive, Abr, Hyb, QoeParams};
+use lingxi_abtest::{AbError, ArmRunner};
 use lingxi_core::{
     run_managed_session, LingXiConfig, LingXiController, ProfilePredictor, RolloutPredictor,
 };
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_net::BandwidthTrace;
-use lingxi_player::{run_session, ExitDecision, PlayerConfig, SessionSetup, SessionSummary};
+use lingxi_player::{run_session, PlayerConfig, SessionSetup, SessionSummary};
 use lingxi_user::{
-    ExitModel, PopulationConfig, QosExitModel, SegmentView, ToleranceDrift, UserPopulation,
-    UserRecord,
+    consult, ExitModel, PopulationConfig, QosExitModel, ToleranceDrift, UserPopulation, UserRecord,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -144,50 +143,33 @@ impl World {
     ) -> Result<lingxi_player::SessionLog> {
         let video = self.catalog.sample(rng);
         let trace = self.session_trace(user, (video.duration() * 3.0) as usize, rng)?;
+        let ladder = self.ladder();
         let setup = SessionSetup {
             user_id: user.id,
             video,
-            ladder: self.ladder(),
+            ladder,
             process: &trace,
             config: player,
         };
         exit_model.reset_session();
-        let sizes = &video.sizes;
-        let ladder = self.ladder();
-        // Borrow the ABR inside the closure, building contexts on the fly.
-        let log = run_session(
+        run_session(
             &setup,
-            |env| {
-                let ctx = lingxi_abr::AbrContext {
-                    ladder,
-                    sizes,
-                    next_segment: env.segment_index(),
-                    segment_duration: sizes.segment_duration(),
-                };
-                abr.select(env, &ctx)
-            },
-            |env, record, r| {
-                let view = SegmentView {
-                    env,
-                    record,
-                    ladder,
-                };
-                if exit_model.decide(&view, r) {
-                    ExitDecision::Exit
-                } else {
-                    ExitDecision::Continue
-                }
-            },
+            drive(abr, ladder, &video.sizes),
+            consult(exit_model, ladder),
             rng,
         )
-        .map_err(sub)?;
-        Ok(log)
+        .map_err(sub)
     }
 }
 
 /// Default player configuration used across the experiments.
 pub fn default_player() -> PlayerConfig {
     PlayerConfig::default()
+}
+
+/// A session an arm could not play, naming whose and when.
+fn arm_error(user: &UserRecord, day: usize, e: impl std::fmt::Display) -> AbError {
+    AbError::Arm(format!("user {} day {day}: {e}", user.id))
 }
 
 /// Arm: HYB with *static* parameters (the production baseline of §5.3).
@@ -205,8 +187,8 @@ impl ArmRunner for StaticHybArm {
         day: usize,
         _intervened: bool,
         rng: &mut dyn RngCore,
-    ) -> Vec<SessionSummary> {
-        let _ = day; // the caller's rng is already (user, day)-specific
+    ) -> lingxi_abtest::Result<Vec<SessionSummary>> {
+        // The caller's rng is already (user, day)-specific.
         let mut rng = StdRng::seed_from_u64(rng.next_u64());
         let sessions = self.world.sessions_today(user, &mut rng);
         let mut exit_model = user.exit_model_for_day(&self.world.drift, &mut rng);
@@ -214,17 +196,13 @@ impl ArmRunner for StaticHybArm {
         for _ in 0..sessions {
             let mut abr = Hyb::default_rule();
             abr.set_params(self.params);
-            if let Ok(log) = self.world.run_plain_session(
-                user,
-                &mut abr,
-                &mut exit_model,
-                default_player(),
-                &mut rng,
-            ) {
-                out.push(log.summary());
-            }
+            let log = self
+                .world
+                .run_plain_session(user, &mut abr, &mut exit_model, default_player(), &mut rng)
+                .map_err(|e| arm_error(user, day, e))?;
+            out.push(log.summary());
         }
-        out
+        Ok(out)
     }
 }
 
@@ -267,8 +245,8 @@ impl ArmRunner for LingXiHybArm {
         day: usize,
         intervened: bool,
         rng: &mut dyn RngCore,
-    ) -> Vec<SessionSummary> {
-        let _ = day; // the caller's rng is already (user, day)-specific
+    ) -> lingxi_abtest::Result<Vec<SessionSummary>> {
+        // The caller's rng is already (user, day)-specific.
         let mut rng = StdRng::seed_from_u64(rng.next_u64());
         let sessions = self.world.sessions_today(user, &mut rng);
         let mut exit_model = user.exit_model_for_day(&self.world.drift, &mut rng);
@@ -280,14 +258,10 @@ impl ArmRunner for LingXiHybArm {
                 // (video, then trace, then playback) so common-random-
                 // number pairing stays aligned with the static arm.
                 let video = self.world.catalog.sample(&mut rng);
-                let trace = match self.world.session_trace(
-                    user,
-                    (video.duration() * 3.0) as usize,
-                    &mut rng,
-                ) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
+                let trace = self
+                    .world
+                    .session_trace(user, (video.duration() * 3.0) as usize, &mut rng)
+                    .map_err(|e| arm_error(user, day, e))?;
                 let managed = run_managed_session(
                     user.id,
                     video,
@@ -299,25 +273,20 @@ impl ArmRunner for LingXiHybArm {
                     &mut self.predictor as &mut dyn RolloutPredictor,
                     &mut exit_model as &mut dyn ExitModel,
                     &mut rng,
-                );
-                if let Ok(m) = managed {
-                    out.push(m.log.summary());
-                }
+                )
+                .map_err(|e| arm_error(user, day, e))?;
+                out.push(managed.log.summary());
             } else {
                 // AA phase: identical code path to the static baseline.
                 abr.set_params(self.baseline);
-                if let Ok(log) = self.world.run_plain_session(
-                    user,
-                    &mut abr,
-                    &mut exit_model,
-                    default_player(),
-                    &mut rng,
-                ) {
-                    out.push(log.summary());
-                }
+                let log = self
+                    .world
+                    .run_plain_session(user, &mut abr, &mut exit_model, default_player(), &mut rng)
+                    .map_err(|e| arm_error(user, day, e))?;
+                out.push(log.summary());
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -366,7 +335,7 @@ mod tests {
             world: world.clone(),
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let summaries = arm.run_user_day(&user, 0, false, &mut rng);
+        let summaries = arm.run_user_day(&user, 0, false, &mut rng).unwrap();
         assert!(!summaries.is_empty());
     }
 
@@ -377,7 +346,7 @@ mod tests {
         let user = world.population.users()[1];
         let mut arm = LingXiHybArm::new(world.clone(), &user);
         let mut rng = StdRng::seed_from_u64(7);
-        let summaries = arm.run_user_day(&user, 0, false, &mut rng);
+        let summaries = arm.run_user_day(&user, 0, false, &mut rng).unwrap();
         assert!(!summaries.is_empty());
         // Pre-intervention: no optimizations should have run.
         assert_eq!(arm.controller.optimizations(), 0);

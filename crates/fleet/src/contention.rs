@@ -4,14 +4,21 @@
 //! In contention mode each shard owns whole *links* (the dispatch stage
 //! places every user on one before the shards run); this module runs one
 //! link's users as a deterministic discrete-event simulation. Each user
-//! is a [`LinkAgent`] wrapping the resumable session steppers
-//! ([`SessionStream`] / [`ManagedSession`]): the kernel pops the earliest event — a flow
-//! completion on the [`SharedBottleneck`], or a pending download request —
-//! hands completions to their agent (which advances its player, consults
-//! LingXi and the exit model, and issues its next request), and admits
-//! requests as new flows. Ties resolve completions-first, then ascending
-//! user id, so the event order is a pure function of (seed, link members,
-//! epoch) and merged metrics stay bit-identical across shard counts.
+//! is a [`LinkAgent`] holding the one [`ManagedSession`] it has in flight
+//! (a plain user is the same agent without LingXi on its hooks): the
+//! kernel pops the earliest event — a flow completion on the
+//! [`SharedBottleneck`], or a pending download request — hands
+//! completions to their agent (which advances its player, consults LingXi
+//! and the exit model, and issues its next request), and admits requests
+//! as new flows. Ties resolve completions-first, then ascending user id,
+//! so the event order is a pure function of (seed, link members, epoch)
+//! and merged metrics stay bit-identical across shard counts.
+//!
+//! The agent is also what independent mode runs: same constructor, same
+//! sessions, but each session plays start to finish over a private trace
+//! ([`LinkAgent::run_private`]) instead of being resumed by the kernel.
+//! The modes differ in where bandwidth comes from, not in what a user's
+//! epoch is.
 //!
 //! Population-dynamics mode threads through here naturally: a dynamic
 //! user's first arrival time comes from the workload schedule instead of
@@ -41,24 +48,22 @@
 //! id→agent `BTreeMap` (binary search on a dense sorted array), and the
 //! pending-arrival queue is a [`TimerWheel`] (pop-order equivalence
 //! with the reference `BinaryHeapQueue` is a property test in
-//! `lingxi-net`, over every queue method the kernel calls). Agent RNG
-//! streams are block-buffered ([`BlockRng`]) StdRng draws: same
-//! per-(user, epoch) stream, drawn in batches of 64 words.
+//! `lingxi-net`, over every queue method the kernel calls).
 
-use lingxi_abr::{Abr, AbrContext};
+use lingxi_abr::Abr;
 use lingxi_abtest::DayAccum;
 use lingxi_core::{
-    LingXiController, LongTermState, ManagedHooks, ManagedSession, ProfilePredictor,
+    LingXiController, LingXiHooks, LongTermState, ManagedHooks, ManagedSession, ProfilePredictor,
     SessionBuffers, ShardedStateCache,
 };
-use lingxi_media::{BitrateLadder, Catalog, Video};
+use lingxi_media::{Catalog, Video};
 use lingxi_net::{
-    Download, EventQueue, FairnessObjective, FlowEnd, RttModel, SharedBottleneck, TimerWheel,
-    Topology,
+    BandwidthProcess, Download, EventQueue, FairnessObjective, RttModel, SharedBottleneck,
+    TimerWheel, Topology,
 };
-use lingxi_player::{ExitDecision, PlayerConfig, SessionStream};
-use lingxi_user::{ExitModel, QosExitModel, SegmentView, ToleranceDrift, UserRecord};
-use rand::rngs::{BlockRng, StdRng};
+use lingxi_player::{PlayerConfig, SegmentRequest};
+use lingxi_user::{QosExitModel, ToleranceDrift, UserRecord};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{EpochCtx, EpochUser, FleetEngine, ShardEpochOutput, UserEpochRow};
@@ -70,9 +75,6 @@ use crate::{sub, FleetError, Result};
 struct ArrivalPayload {
     size_kbits: f64,
 }
-
-/// Per-agent RNG: the per-(user, epoch) StdRng stream, block-buffered.
-type AgentRng = BlockRng<StdRng>;
 
 /// Reusable hot-path buffers for one shard's contended epochs. Owned by
 /// the engine (one per shard) and carried across epochs, so the steady
@@ -104,233 +106,210 @@ struct ManagedParts {
     state: LongTermState,
 }
 
-/// The current session's stepper.
-enum Stepper<'a> {
-    /// Between sessions.
-    Idle,
-    /// A plain (un-managed) session in flight.
-    Plain(SessionStream<'a>),
-    /// A LingXi-managed session in flight.
-    Managed(ManagedSession<'a>),
-}
-
-/// What the agent should do next (computed without holding `&mut self`).
-enum Next {
-    Request { at: f64, size_kbits: f64 },
-    EndSession,
-    BeginSession,
-    Done,
-}
-
-/// One user's epoch on a shared link, as a resumable event-driven agent.
-struct LinkAgent<'a> {
-    user: &'a UserRecord,
-    class: Option<u16>,
-    ladder: &'a BitrateLadder,
-    player: PlayerConfig,
-    rng: AgentRng,
+/// What an agent lends its session stepper at every call.
+struct AgentParts {
+    rng: StdRng,
     abr: Box<dyn Abr>,
     exit_model: QosExitModel,
+    /// `None` for a plain user: managed-ness is data, not a second path.
     managed: Option<ManagedParts>,
     buffers: SessionBuffers,
+}
+
+impl AgentParts {
+    fn hooks(&mut self) -> ManagedHooks<'_, StdRng> {
+        ManagedHooks {
+            abr: self.abr.as_mut(),
+            lingxi: self.managed.as_mut().map(|m| LingXiHooks {
+                controller: &mut m.controller,
+                predictor: &mut m.predictor,
+            }),
+            user: &mut self.exit_model,
+            buffers: &mut self.buffers,
+            rng: &mut self.rng,
+        }
+    }
+}
+
+/// One user's epoch as an agent: it plays its session budget one
+/// [`ManagedSession`] at a time over whoever owns the bandwidth. On a
+/// shared link the kernel below resumes it event by event
+/// ([`LinkAgent::request`] / [`LinkAgent::complete`]); in independent mode
+/// [`LinkAgent::run_private`] plays each session start to finish over its
+/// own trace.
+pub(crate) struct LinkAgent<'a> {
+    user: &'a UserRecord,
+    class: Option<u16>,
+    catalog: &'a Catalog,
+    player: PlayerConfig,
+    parts: AgentParts,
     sessions_left: usize,
-    /// Absolute start time of the current session.
+    /// Absolute start time of the current session (shared links only).
     t0: f64,
-    video: Option<&'a Video>,
-    stepper: Stepper<'a>,
+    /// The session the kernel is resuming; `None` between sessions.
+    session: Option<ManagedSession<'a>>,
     day: DayAccum,
 }
 
 impl<'a> LinkAgent<'a> {
-    /// Ask the agent for its next download request (absolute time + size),
+    /// Open a user's epoch. The head of the user's RNG stream is pinned
+    /// here, for both modes: a static user on a shared link draws its
+    /// arrival across the uniform ramp window first (a dynamic user
+    /// arrives at its workload-schedule time, an independent one needs no
+    /// clock), then the session count, then the day's exit model — which
+    /// is why the ramp is not one more arrival process: moving the draw
+    /// would reorder the stream. The managed state loads last.
+    pub(crate) fn new(
+        engine: &FleetEngine,
+        ctx: EpochCtx<'a>,
+        member: &'a EpochUser,
+        player: PlayerConfig,
+    ) -> Result<Self> {
+        let user = &member.record;
+        let contention = engine.config().contention.as_ref();
+        let mut rng = StdRng::seed_from_u64(engine.stream_seed(user.id, ctx.epoch));
+        let t0 = match (member.arrival, contention) {
+            (Some(at), _) => at,
+            (None, Some(contention)) => rng.gen::<f64>() * contention.arrival_window,
+            (None, None) => 0.0,
+        };
+        let sessions_left = engine.sessions_this_epoch(user, &mut rng);
+        let exit_model = user.exit_model_for_day(&ToleranceDrift::default(), &mut rng);
+        let policy = ctx.scenario.abr_mix.policy_for(user.id);
+        let managed = if policy.managed() && engine.lingxi_active(user.id, ctx.epoch) {
+            // Warm-start the controller from the user's persisted state.
+            let state = ctx.cache.load_or_new(user.id).map_err(sub)?;
+            let controller = LingXiController::with_state(
+                policy.lingxi_config(),
+                state.tracker.clone(),
+                state.params,
+            )
+            .map_err(sub)?;
+            Some(ManagedParts {
+                controller,
+                predictor: ProfilePredictor {
+                    profile: user.stall,
+                    base: 0.015,
+                },
+                state,
+            })
+        } else {
+            None
+        };
+        Ok(Self {
+            user,
+            class: member.class,
+            catalog: ctx.catalog,
+            player,
+            parts: AgentParts {
+                rng,
+                abr: policy.build(),
+                exit_model,
+                managed,
+                buffers: SessionBuffers::new(),
+            },
+            sessions_left,
+            t0,
+            session: None,
+            day: DayAccum::new(),
+        })
+    }
+
+    /// Ask the agent for its next download request (session-local time),
     /// rolling over finished sessions until one produces a request or the
-    /// epoch's session budget is exhausted (`None`). Completed sessions
-    /// fold into the agent's day accumulator and the shard `sketches`.
-    fn request(
-        &mut self,
-        catalog: &'a Catalog,
-        sketches: &mut EpochSketches,
-    ) -> Result<Option<(f64, f64)>> {
+    /// epoch's session budget is exhausted (`None`).
+    fn request(&mut self, sketches: &mut EpochSketches) -> Result<Option<SegmentRequest>> {
         loop {
-            let next = match &mut self.stepper {
-                Stepper::Idle => {
-                    if self.sessions_left == 0 {
-                        Next::Done
-                    } else {
-                        Next::BeginSession
-                    }
+            if let Some(session) = &mut self.session {
+                if let Some(req) = session.next_request(&mut self.parts.hooks()) {
+                    return Ok(Some(req));
                 }
-                Stepper::Plain(stream) => {
-                    let abr = &mut self.abr;
-                    let ladder = self.ladder;
-                    let video = self.video.expect("active session has a video");
-                    match stream.next_request(|env| {
-                        let ctx = AbrContext {
-                            ladder,
-                            sizes: &video.sizes,
-                            next_segment: env.segment_index(),
-                            segment_duration: video.sizes.segment_duration(),
-                        };
-                        abr.select(env, &ctx)
-                    }) {
-                        Some(req) => Next::Request {
-                            at: self.t0 + req.at,
-                            size_kbits: req.size_kbits,
-                        },
-                        None => Next::EndSession,
-                    }
-                }
-                Stepper::Managed(session) => {
-                    let parts = self.managed.as_mut().expect("managed stepper has parts");
-                    let mut hooks = ManagedHooks {
-                        abr: self.abr.as_mut(),
-                        controller: &mut parts.controller,
-                        predictor: &mut parts.predictor,
-                        user: &mut self.exit_model,
-                        buffers: &mut self.buffers,
-                        rng: &mut self.rng,
-                    };
-                    match session.next_request(&mut hooks).map_err(sub)? {
-                        Some(req) => Next::Request {
-                            at: self.t0 + req.at,
-                            size_kbits: req.size_kbits,
-                        },
-                        None => Next::EndSession,
-                    }
-                }
-            };
-            match next {
-                Next::Request { at, size_kbits } => return Ok(Some((at, size_kbits))),
-                Next::Done => return Ok(None),
-                Next::EndSession => self.end_session(sketches)?,
-                Next::BeginSession => self.begin_session(catalog)?,
             }
+            if let Some(finished) = self.session.take() {
+                self.end_session(finished, sketches);
+            }
+            if self.sessions_left == 0 {
+                return Ok(None);
+            }
+            let video = self.next_video();
+            self.session = Some(self.begin_session(video)?);
         }
     }
 
-    /// Start the next session: sample a video and build the stepper.
-    fn begin_session(&mut self, catalog: &'a Catalog) -> Result<()> {
+    /// Hand a completed download to the session [`LinkAgent::request`]
+    /// last announced one for.
+    fn complete(&mut self, download: Download) -> Result<()> {
+        let session = self.session.as_mut().ok_or_else(|| {
+            let id = self.user.id;
+            FleetError::Subsystem(format!(
+                "download for user {id}, who has no session in flight"
+            ))
+        })?;
+        session
+            .complete(download, &mut self.parts.hooks())
+            .map_err(sub)?;
+        Ok(())
+    }
+
+    /// Independent mode: play the whole epoch, each session start to
+    /// finish over its own private trace (drawn right after its video).
+    pub(crate) fn run_private(
+        mut self,
+        cache: &ShardedStateCache,
+        sketches: &mut EpochSketches,
+    ) -> Result<UserEpochRow> {
+        while self.sessions_left > 0 {
+            let video = self.next_video();
+            let seconds = ((video.duration() * 3.0) as usize).max(60);
+            let rng = &mut self.parts.rng;
+            let trace = self.user.net.trace(seconds, 1.0, rng).map_err(sub)?;
+            let mut session = self.begin_session(video)?;
+            let hooks = &mut self.parts.hooks();
+            while let Some(req) = session.next_request(hooks) {
+                let download = trace.download(req.at, req.size_kbits);
+                if !session.complete(download, hooks).map_err(sub)? {
+                    break;
+                }
+            }
+            self.end_session(session, sketches);
+        }
+        self.finish(cache)
+    }
+
+    /// Spend one session of the budget on a video sampled from the catalog.
+    fn next_video(&mut self) -> &'a Video {
         self.sessions_left -= 1;
-        let video = catalog.sample(&mut self.rng);
-        self.video = Some(video);
-        self.abr.reset();
-        self.stepper = match &mut self.managed {
-            Some(parts) => {
-                let mut hooks = ManagedHooks {
-                    abr: self.abr.as_mut(),
-                    controller: &mut parts.controller,
-                    predictor: &mut parts.predictor,
-                    user: &mut self.exit_model,
-                    buffers: &mut self.buffers,
-                    rng: &mut self.rng,
-                };
-                Stepper::Managed(
-                    ManagedSession::begin(
-                        self.user.id,
-                        video,
-                        self.ladder,
-                        self.player,
-                        &mut hooks,
-                    )
-                    .map_err(sub)?,
-                )
-            }
-            None => {
-                self.exit_model.reset_session();
-                Stepper::Plain(
-                    SessionStream::new(self.user.id, video, self.ladder, self.player)
-                        .map_err(sub)?,
-                )
-            }
-        };
-        Ok(())
+        self.catalog.sample(&mut self.parts.rng)
     }
 
-    /// Close the current session: fold its summary into the streaming
-    /// accumulators and advance the absolute clock to where the next
-    /// session can start (completed sessions play out the buffered tail
-    /// first).
-    fn end_session(&mut self, sketches: &mut EpochSketches) -> Result<()> {
-        match std::mem::replace(&mut self.stepper, Stepper::Idle) {
-            Stepper::Plain(stream) => {
-                let wall = stream.env().wall_time();
-                let tail = stream.env().buffer();
-                let log = stream.finish();
-                self.t0 += wall + if log.completed() { tail } else { 0.0 };
-                let summary = log.summary();
-                self.day.push(&summary);
-                sketches.push(&summary);
-            }
-            Stepper::Managed(session) => {
-                session.finalize(&mut self.buffers);
-                let wall = session.env().wall_time();
-                let tail = session.env().buffer();
-                let log = self.buffers.log();
-                self.t0 += wall + if log.completed() { tail } else { 0.0 };
-                let summary = log.summary();
-                self.day.push(&summary);
-                sketches.push(&summary);
-            }
-            Stepper::Idle => {
-                return Err(FleetError::Subsystem("end_session on an idle agent".into()))
-            }
-        }
-        Ok(())
+    /// Build the stepper for a session over `video`.
+    fn begin_session(&mut self, video: &'a Video) -> Result<ManagedSession<'a>> {
+        self.parts.abr.reset();
+        let ladder = self.catalog.ladder();
+        let hooks = &mut self.parts.hooks();
+        ManagedSession::begin(self.user.id, video, ladder, self.player, hooks).map_err(sub)
     }
 
-    /// Hand a completed flow to the in-flight session.
-    fn complete(&mut self, end: FlowEnd) -> Result<()> {
-        let download = Download {
-            duration: end.duration,
-            kbps: end.kbps,
-        };
-        match &mut self.stepper {
-            Stepper::Plain(stream) => {
-                let exit_model = &mut self.exit_model;
-                let ladder = self.ladder;
-                stream
-                    .complete(
-                        download,
-                        |env, record, r| {
-                            let view = SegmentView {
-                                env,
-                                record,
-                                ladder,
-                            };
-                            if exit_model.decide(&view, r) {
-                                ExitDecision::Exit
-                            } else {
-                                ExitDecision::Continue
-                            }
-                        },
-                        &mut self.rng,
-                    )
-                    .map_err(sub)?;
-            }
-            Stepper::Managed(session) => {
-                let parts = self.managed.as_mut().expect("managed stepper has parts");
-                let mut hooks = ManagedHooks {
-                    abr: self.abr.as_mut(),
-                    controller: &mut parts.controller,
-                    predictor: &mut parts.predictor,
-                    user: &mut self.exit_model,
-                    buffers: &mut self.buffers,
-                    rng: &mut self.rng,
-                };
-                session.complete(download, &mut hooks).map_err(sub)?;
-            }
-            Stepper::Idle => {
-                return Err(FleetError::Subsystem(
-                    "flow completion for an idle agent".into(),
-                ))
-            }
-        }
-        Ok(())
+    /// Close a finished session: fold its summary into the agent's day
+    /// accumulator and the shard `sketches`, and advance the absolute
+    /// clock to where the next session can start (completed sessions play
+    /// out the buffered tail first).
+    fn end_session(&mut self, session: ManagedSession<'a>, sketches: &mut EpochSketches) {
+        let wall = session.env().wall_time();
+        let tail = session.env().buffer();
+        session.finalize(&mut self.parts.buffers);
+        let log = self.parts.buffers.log();
+        self.t0 += wall + if log.completed() { tail } else { 0.0 };
+        let summary = log.summary();
+        self.day.push(&summary);
+        sketches.push(&summary);
     }
 
-    /// The user's epoch is over: persist managed state and emit the row.
+    /// The user's epoch is over: persist managed state (write-behind — the
+    /// epoch barrier or an LRU eviction batches it into the durable store)
+    /// and emit the row.
     fn finish(self, cache: &ShardedStateCache) -> Result<UserEpochRow> {
-        if let Some(mut parts) = self.managed {
+        if let Some(mut parts) = self.parts.managed {
             parts.state.tracker = parts.controller.tracker().clone();
             parts.state.params = parts.controller.params();
             parts.state.optimizations += parts.controller.optimizations();
@@ -430,8 +409,6 @@ fn run_link_epoch(
     };
     let link = SharedBottleneck::with_topology(topology.map_err(sub)?, objective).map_err(sub)?;
     let topo = link.topology();
-    let drift = ToleranceDrift::default();
-    let ladder = ctx.catalog.ladder();
     let registry = config.dynamics.as_ref().map(|d| &d.registry);
     // Per-flow rate cap: the contention access cap, tightened by the
     // user class's access-link cap when one applies.
@@ -465,11 +442,8 @@ fn run_link_epoch(
         }
     }
 
-    // Build agents in ascending user-id order. A dynamic user's first
-    // session arrives at its workload-schedule time; a static one draws
-    // its arrival across the uniform ramp window *from its own stream*,
-    // ahead of every other draw — which is why the ramp is not one more
-    // arrival process: moving the draw would reorder the stream.
+    // Build agents in ascending user-id order; each opens its epoch (see
+    // [`LinkAgent::new`]) and announces its first download.
     let mut agents: Vec<Option<LinkAgent<'_>>> = Vec::with_capacity(members.len());
     queue.clear();
     uids.clear();
@@ -478,33 +452,6 @@ fn run_link_epoch(
     for &(_, user_idx) in members {
         let member = &ctx.cohort[user_idx as usize];
         let user = &member.record;
-        let mut rng = AgentRng::seed_from_u64(engine.stream_seed(user.id, ctx.epoch));
-        let arrival = match member.arrival {
-            Some(at) => at,
-            None => rng.gen::<f64>() * contention.arrival_window,
-        };
-        let sessions_left = engine.sessions_this_epoch(user, &mut rng);
-        let exit_model = user.exit_model_for_day(&drift, &mut rng);
-        let policy = ctx.scenario.abr_mix.policy_for(user.id);
-        let managed = if policy.managed() && engine.lingxi_active(user.id, ctx.epoch) {
-            let state = ctx.cache.load_or_new(user.id).map_err(sub)?;
-            let controller = LingXiController::with_state(
-                policy.lingxi_config(),
-                state.tracker.clone(),
-                state.params,
-            )
-            .map_err(sub)?;
-            Some(ManagedParts {
-                controller,
-                predictor: ProfilePredictor {
-                    profile: user.stall,
-                    base: 0.015,
-                },
-                state,
-            })
-        } else {
-            None
-        };
         // The user's route (the degenerate topology has only route 0).
         let route = engine.route_of(user.id, topo.n_routes());
         // A fairness config makes RTT emergent: the route's
@@ -520,28 +467,16 @@ fn run_link_epoch(
                 jitter_mean: jitter,
             };
         }
-        let mut agent = LinkAgent {
-            user,
-            class: member.class,
-            ladder,
-            player,
-            rng,
-            abr: policy.build(),
-            exit_model,
-            managed,
-            buffers: SessionBuffers::new(),
-            sessions_left,
-            t0: arrival,
-            video: None,
-            stepper: Stepper::Idle,
-            day: DayAccum::new(),
-        };
-        match agent.request(ctx.catalog, sketches)? {
-            Some((at, size_kbits)) => {
+        let mut agent = LinkAgent::new(engine, ctx, member, player)?;
+        match agent.request(sketches)? {
+            Some(req) => {
                 uids.push(user.id);
                 caps.push(flow_cap_kbps(member));
                 routes.push(route);
-                queue.push(at, user.id, ArrivalPayload { size_kbits });
+                let payload = ArrivalPayload {
+                    size_kbits: req.size_kbits,
+                };
+                queue.push(agent.t0 + req.at, user.id, payload);
                 agents.push(Some(agent));
             }
             None => rows.push(agent.finish(ctx.cache)?),
@@ -588,10 +523,16 @@ fn run_link_epoch(
             let agent = agents[idx]
                 .as_mut()
                 .ok_or_else(|| FleetError::Subsystem("completion for finished agent".into()))?;
-            agent.complete(end)?;
-            match agent.request(ctx.catalog, sketches)? {
-                Some((at, size_kbits)) => {
-                    queue.push(at, end.id, ArrivalPayload { size_kbits });
+            agent.complete(Download {
+                duration: end.duration,
+                kbps: end.kbps,
+            })?;
+            match agent.request(sketches)? {
+                Some(req) => {
+                    let payload = ArrivalPayload {
+                        size_kbits: req.size_kbits,
+                    };
+                    queue.push(agent.t0 + req.at, end.id, payload);
                 }
                 None => {
                     let agent = agents[idx].take().expect("agent checked above");
@@ -614,9 +555,10 @@ fn run_link_epoch(
 #[cfg(test)]
 mod tests {
     use crate::{
-        ContentionConfig, FairnessConfig, FleetConfig, FleetEngine, FleetScenario,
+        AbSplit, AbrMix, ContentionConfig, FairnessConfig, FleetConfig, FleetEngine, FleetScenario,
         PopulationDynamics,
     };
+    use lingxi_core::{BinLogConfig, BinaryStateLog, StateBackend};
     use lingxi_net::{FairnessObjective, TopoLink, Topology};
     use lingxi_workload::{ArrivalKind, ClassRegistry, FlashRamp};
     use std::path::PathBuf;
@@ -690,6 +632,57 @@ mod tests {
         let a = run(3, 10_000.0, 4, "repA");
         let b = run(3, 10_000.0, 4, "repB");
         assert_eq!(a.first_divergence(&b), None);
+    }
+
+    /// Managed-ness is data on the one agent, so it needs contended
+    /// coverage too: under an A/B split the shared links stay
+    /// shard-invariant, and a treatment (odd-id) user plays plain sessions
+    /// before the intervention epoch and managed ones — state saved at
+    /// every barrier — from it on.
+    #[test]
+    fn contended_ab_split_is_shard_invariant_and_manages_only_the_intervened() {
+        let run_ab = |shards: usize| {
+            let dir = temp_dir(&format!("ab{shards}"));
+            let config = FleetConfig {
+                shards,
+                epochs: 4,
+                seed: 7,
+                state_dir: dir.clone(),
+                contention: Some(ContentionConfig {
+                    links: 6,
+                    capacity_kbps: 20_000.0,
+                    arrival_window: 10.0,
+                    access_cap_factor: 1.5,
+                }),
+                ab: Some(AbSplit {
+                    intervention_epoch: 2,
+                }),
+                ..FleetConfig::default()
+            };
+            let scenario = FleetScenario {
+                abr_mix: AbrMix::all_hyb(),
+                ..scenario()
+            };
+            let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
+            let log = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap();
+            let mut persisted = log.scan().unwrap().ids;
+            persisted.sort_unstable();
+            let _ = std::fs::remove_dir_all(&dir);
+            (report, persisted)
+        };
+        let (one, persisted) = run_ab(1);
+        assert_eq!(one.first_divergence(&run_ab(4).0), None);
+        assert_eq!(one.first_divergence(&run_ab(8).0), None);
+        let treatment: Vec<u64> = (0..24).filter(|id| id % 2 == 1).collect();
+        assert_eq!(
+            persisted, treatment,
+            "only treatment users are ever managed"
+        );
+        for e in &one.epochs {
+            let managed = if e.epoch < 2 { 0 } else { treatment.len() };
+            assert_eq!(e.flushed, managed, "epoch {}", e.epoch);
+            assert!(e.control.unwrap().sessions > 0 && e.treatment.unwrap().sessions > 0);
+        }
     }
 
     fn pod_topology() -> Topology {

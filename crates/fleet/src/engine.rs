@@ -14,6 +14,11 @@
 //! order-independent — so merged metrics are bit-identical for any shard
 //! count without ever materialising per-session records.
 //!
+//! A user's epoch exists once: the agent in `contention.rs`, built by one
+//! constructor in either mode. Independent and contention mode
+//! differ in the bandwidth source (a private trace per session vs shared
+//! links driven by the event kernel), not in the user loop.
+//!
 //! In population-dynamics mode (see
 //! [`crate::config::PopulationDynamics`]) the per-epoch cohort is not a
 //! fixed population: an arrival process emits `(time, class)` events, each
@@ -24,25 +29,18 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lingxi_abr::AbrContext;
 use lingxi_abtest::{did_report, AbSchedule, DayAccum};
-use lingxi_core::{
-    run_managed_session_in, BinaryStateLog, LingXiController, ProfilePredictor, SessionBuffers,
-    ShardedStateCache, StateBackend, StateStore,
-};
+use lingxi_core::{BinaryStateLog, ShardedStateCache, StateBackend, StateStore};
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_net::SolverStats;
-use lingxi_player::{run_session, ExitDecision, SessionSetup};
-use lingxi_user::{
-    ExitModel, PopulationConfig, SegmentView, ToleranceDrift, UserPopulation, UserRecord,
-};
+use lingxi_user::{PopulationConfig, UserPopulation, UserRecord};
 use lingxi_workload::ArrivalProcess;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::checkpoint::{FleetCheckpoint, CHECKPOINT_SCHEMA};
 use crate::config::{FleetConfig, FleetScenario, PersistenceConfig};
-use crate::contention::ContentionScratch;
+use crate::contention::{ContentionScratch, LinkAgent};
 use crate::dispatch::{DispatchConfig, DispatchEpoch, Dispatcher};
 use crate::report::{EpochMetrics, EpochSketches, FleetReport};
 use crate::{mix64, sub, FleetError, Result};
@@ -699,10 +697,10 @@ impl FleetEngine {
         })
     }
 
-    /// One shard worker's epoch: run every owned user's sessions.
-    /// Contention mode co-simulates each owned link's users on the event
-    /// kernel; independent mode drives each user's sessions start to
-    /// finish over private traces, one user after another.
+    /// One shard worker's epoch: run every owned user's agent. Contention
+    /// mode co-simulates each owned link's agents on the event kernel;
+    /// independent mode lets each agent play its sessions start to finish
+    /// over private traces, one user after another.
     fn run_shard_epoch(
         &self,
         ctx: EpochCtx<'_>,
@@ -718,15 +716,10 @@ impl FleetEngine {
             crate::contention::run_shard_epoch_contended(self, ctx, members, scratch, &mut out)?;
             return Ok(out);
         }
-        let mut buffers = SessionBuffers::new();
         for &i in members {
-            let user = &ctx.cohort[i as usize];
-            let day = self.run_user_epoch(ctx, &user.record, &mut buffers, &mut out.sketches)?;
-            out.rows.push(UserEpochRow {
-                user_id: user.record.id,
-                class: user.class,
-                day,
-            });
+            let agent = LinkAgent::new(self, ctx, &ctx.cohort[i as usize], self.config.player)?;
+            out.rows
+                .push(agent.run_private(ctx.cache, &mut out.sketches)?);
         }
         Ok(out)
     }
@@ -736,116 +729,6 @@ impl FleetEngine {
     pub(crate) fn sessions_this_epoch<R: Rng>(&self, user: &UserRecord, rng: &mut R) -> usize {
         let jitter = 0.5 + rng.gen::<f64>();
         ((user.sessions_per_day * jitter).round() as usize).clamp(1, 60)
-    }
-
-    /// Run one user's epoch worth of sessions, folded straight into a
-    /// bounded-memory day accumulator (play order) and the shard sketches.
-    fn run_user_epoch(
-        &self,
-        ctx: EpochCtx<'_>,
-        user: &UserRecord,
-        buffers: &mut SessionBuffers,
-        sketches: &mut EpochSketches,
-    ) -> Result<DayAccum> {
-        let EpochCtx { catalog, cache, .. } = ctx;
-        let rng = &mut StdRng::seed_from_u64(self.stream_seed(user.id, ctx.epoch));
-        let policy = ctx.scenario.abr_mix.policy_for(user.id);
-        let managed = policy.managed() && self.lingxi_active(user.id, ctx.epoch);
-        let n_sessions = self.sessions_this_epoch(user, rng);
-        let mut exit_model = user.exit_model_for_day(&ToleranceDrift::default(), rng);
-        let mut abr = policy.build();
-        let ladder = catalog.ladder();
-        let mut day = DayAccum::new();
-
-        if managed {
-            // Warm-start the controller from the user's persisted state.
-            let mut state = cache.load_or_new(user.id).map_err(sub)?;
-            let mut controller = LingXiController::with_state(
-                policy.lingxi_config(),
-                state.tracker.clone(),
-                state.params,
-            )
-            .map_err(sub)?;
-            let mut predictor = ProfilePredictor {
-                profile: user.stall,
-                base: 0.015,
-            };
-            for _ in 0..n_sessions {
-                let video = catalog.sample(rng);
-                let seconds = ((video.duration() * 3.0) as usize).max(60);
-                let trace = user.net.trace(seconds, 1.0, rng).map_err(sub)?;
-                abr.reset();
-                run_managed_session_in(
-                    user.id,
-                    video,
-                    ladder,
-                    &trace,
-                    self.config.player,
-                    abr.as_mut(),
-                    &mut controller,
-                    &mut predictor,
-                    &mut exit_model,
-                    buffers,
-                    rng,
-                )
-                .map_err(sub)?;
-                let summary = buffers.log().summary();
-                day.push(&summary);
-                sketches.push(&summary);
-            }
-            // Write-behind: dirty the cache entry; the epoch barrier (or an
-            // LRU eviction) batches it into the durable store.
-            state.tracker = controller.tracker().clone();
-            state.params = controller.params();
-            state.optimizations += controller.optimizations();
-            cache.save(&state).map_err(sub)?;
-        } else {
-            for _ in 0..n_sessions {
-                let video = catalog.sample(rng);
-                let seconds = ((video.duration() * 3.0) as usize).max(60);
-                let trace = user.net.trace(seconds, 1.0, rng).map_err(sub)?;
-                abr.reset();
-                exit_model.reset_session();
-                let setup = SessionSetup {
-                    user_id: user.id,
-                    video,
-                    ladder,
-                    process: &trace,
-                    config: self.config.player,
-                };
-                let sizes = &video.sizes;
-                let log = run_session(
-                    &setup,
-                    |env| {
-                        let ctx = AbrContext {
-                            ladder,
-                            sizes,
-                            next_segment: env.segment_index(),
-                            segment_duration: sizes.segment_duration(),
-                        };
-                        abr.select(env, &ctx)
-                    },
-                    |env, record, r| {
-                        let view = SegmentView {
-                            env,
-                            record,
-                            ladder,
-                        };
-                        if exit_model.decide(&view, r) {
-                            ExitDecision::Exit
-                        } else {
-                            ExitDecision::Continue
-                        }
-                    },
-                    rng,
-                )
-                .map_err(sub)?;
-                let summary = log.summary();
-                day.push(&summary);
-                sketches.push(&summary);
-            }
-        }
-        Ok(day)
     }
 }
 

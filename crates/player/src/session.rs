@@ -6,12 +6,14 @@
 //! crates provide adapters that wrap their richer trait objects into these
 //! closures.
 //!
-//! Two layers: [`SessionStream`] is a resumable per-segment stepper —
-//! *request* the next download, *complete* it with whatever duration the
-//! bandwidth process produced — and [`run_session`] is the linear driver
-//! that plays a stream against one [`BandwidthProcess`] start to finish.
-//! The fleet engine's contention kernel drives many streams concurrently
-//! over a shared link, interleaving their requests in virtual time.
+//! Two layers: [`SessionStream`] is the workspace's one per-segment
+//! stepper — *request* the next download, *complete* it with whatever
+//! duration the bandwidth process produced — and [`run_session`] is the
+//! linear driver that plays a stream against one [`BandwidthProcess`]
+//! start to finish. `lingxi_core::ManagedSession` is this stream with
+//! LingXi observing between "segment played" and "user decides"; the
+//! fleet engine drives many of those concurrently over a shared link,
+//! interleaving their requests in virtual time.
 
 use lingxi_media::{BitrateLadder, Video};
 use lingxi_net::{BandwidthProcess, Download};
@@ -63,9 +65,7 @@ pub struct SegmentRequest {
 /// The exit decision fires after the user has experienced segment `k`, so
 /// they watched `(k+1)·L` seconds of content. (Wall-clock playback
 /// position would under-credit sessions holding deeper buffers, biasing
-/// comparisons between ABR policies.) Shared by [`SessionStream::finish`]
-/// and `lingxi_core`'s managed-session finalizer so the two paths cannot
-/// drift.
+/// comparisons between ABR policies.)
 pub fn content_watch_time(
     end: SessionEnd,
     exit_segment: Option<usize>,
@@ -87,8 +87,7 @@ pub fn content_watch_time(
 /// applies the download's outcome to the player and consults the exit
 /// model), then call [`SessionStream::finish`] for the log. The linear
 /// driver [`run_session`] is exactly this loop against one bandwidth
-/// process; the fleet contention kernel interleaves many streams on a
-/// shared link.
+/// process.
 #[derive(Debug)]
 pub struct SessionStream<'a> {
     user_id: u64,
@@ -110,13 +109,29 @@ impl<'a> SessionStream<'a> {
         ladder: &'a BitrateLadder,
         config: PlayerConfig,
     ) -> Result<Self> {
+        Self::new_in(user_id, video, ladder, config, Vec::new())
+    }
+
+    /// Start a session that records into the caller-lent `segments`
+    /// (cleared, and grown to the video's length if smaller);
+    /// [`SessionStream::finish`] hands the vector back inside the log, so
+    /// a worker playing many sessions keeps one allocation.
+    pub fn new_in(
+        user_id: u64,
+        video: &'a Video,
+        ladder: &'a BitrateLadder,
+        config: PlayerConfig,
+        mut segments: Vec<SegmentRecord>,
+    ) -> Result<Self> {
+        segments.clear();
+        segments.reserve(video.n_segments());
         Ok(Self {
             user_id,
             video,
             ladder,
             env: PlayerEnv::new(config)?,
             pending: None,
-            segments: Vec::with_capacity(video.n_segments()),
+            segments,
             end: SessionEnd::Completed,
             exit_segment: None,
             finished: false,
@@ -126,6 +141,16 @@ impl<'a> SessionStream<'a> {
     /// The live player state (what ABRs and exit models observe).
     pub fn env(&self) -> &PlayerEnv {
         &self.env
+    }
+
+    /// The video being played.
+    pub fn video(&self) -> &'a Video {
+        self.video
+    }
+
+    /// The catalog's bitrate ladder.
+    pub fn ladder(&self) -> &'a BitrateLadder {
+        self.ladder
     }
 
     /// Select the next segment via `select` and return its download
@@ -310,6 +335,36 @@ mod tests {
         assert_eq!(log.segments.len(), 3);
         assert_eq!(log.exit_segment, Some(2));
         assert!(log.watch_time < log.video_duration);
+    }
+
+    #[test]
+    fn lent_vector_starts_empty_keeps_its_allocation_and_comes_back() {
+        let cat = catalog();
+        let trace = BandwidthTrace::constant(50_000.0, 100, 1.0).unwrap();
+        let video = cat.video_cyclic(0);
+        let config = PlayerConfig::deterministic(10.0, 0.0);
+        let play = |mut stream: SessionStream<'_>| {
+            let mut rng = StdRng::seed_from_u64(2);
+            while let Some(req) = stream.next_request(|_| 1) {
+                let download = trace.download(req.at, req.size_kbits);
+                stream
+                    .complete(download, |_, _, _| ExitDecision::Continue, &mut rng)
+                    .unwrap();
+            }
+            stream.finish()
+        };
+        let fresh = play(SessionStream::new(7, video, cat.ladder(), config).unwrap());
+
+        // A dirty vector, larger than the video needs.
+        let stale = fresh.segments[0];
+        let mut lent = vec![stale; 4 * video.n_segments()];
+        lent.truncate(3);
+        let (ptr, capacity) = (lent.as_ptr(), lent.capacity());
+        let stream = SessionStream::new_in(7, video, cat.ladder(), config, lent).unwrap();
+        let log = play(stream);
+        assert_eq!(log, fresh, "stale records must not leak into the log");
+        assert_eq!(log.segments.as_ptr(), ptr, "the lent allocation is kept");
+        assert_eq!(log.segments.capacity(), capacity);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod rules;
 pub use datadriven::{DataDrivenExit, DataDrivenTrainer};
 pub use population::{PopulationConfig, UserPopulation, UserRecord};
 pub use profile::{SensitivityKind, StallProfile, ToleranceDrift};
-pub use qos_model::{ExitModel, QosExitModel, SegmentView};
+pub use qos_model::{consult, ExitModel, QosExitModel, SegmentView};
 pub use rules::RuleBasedExit;
 
 /// Errors from user-model construction.

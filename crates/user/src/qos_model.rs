@@ -2,7 +2,7 @@
 //! behaviour, calibrated to Fig. 4's effect magnitudes.
 
 use lingxi_media::{BitrateLadder, QualityTier};
-use lingxi_player::{PlayerEnv, SegmentRecord};
+use lingxi_player::{ExitDecision, PlayerEnv, SegmentRecord};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -35,6 +35,27 @@ pub trait ExitModel: Send {
     fn decide(&mut self, view: &SegmentView<'_>, rng: &mut dyn rand::RngCore) -> bool {
         let p = self.exit_prob(view).clamp(0.0, 1.0);
         (*rng).gen::<f64>() < p
+    }
+}
+
+/// Wrap an [`ExitModel`] into the closure shape expected by
+/// [`lingxi_player::run_session`] and `SessionStream::complete`, binding
+/// the ladder — the exit-side twin of `lingxi_abr::drive`.
+pub fn consult<'a, R: rand::RngCore>(
+    user: &'a mut dyn ExitModel,
+    ladder: &'a BitrateLadder,
+) -> impl FnMut(&PlayerEnv, &SegmentRecord, &mut R) -> ExitDecision + 'a {
+    move |env, record, rng| {
+        let view = SegmentView {
+            env,
+            record,
+            ladder,
+        };
+        if user.decide(&view, rng) {
+            ExitDecision::Exit
+        } else {
+            ExitDecision::Continue
+        }
     }
 }
 

@@ -64,28 +64,19 @@ fn main() {
                 let trace = net
                     .trace((video.duration() * 3.0) as usize, 1.0, &mut trace_rng)
                     .expect("trace");
+                let ladder = catalog.ladder();
                 let setup = SessionSetup {
                     user_id: 0,
                     video,
-                    ladder: catalog.ladder(),
+                    ladder,
                     process: &trace,
                     config: PlayerConfig::default(),
                 };
                 abr.reset();
-                let ladder = catalog.ladder();
-                let sizes = &video.sizes;
                 let mut session_rng = StdRng::seed_from_u64(8000 + s as u64);
                 let log = run_session(
                     &setup,
-                    |env| {
-                        let ctx = AbrContext {
-                            ladder,
-                            sizes,
-                            next_segment: env.segment_index(),
-                            segment_duration: sizes.segment_duration(),
-                        };
-                        abr.select(env, &ctx)
-                    },
+                    drive(abr.as_mut(), ladder, &video.sizes),
                     |_, _, _| ExitDecision::Continue, // patient robot viewer
                     &mut session_rng,
                 )

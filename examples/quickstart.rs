@@ -85,38 +85,18 @@ fn main() {
         let mut abr2 = Hyb::default_rule();
         let mut user2 = QosExitModel::calibrated(profile);
         let mut arm_rng2 = StdRng::seed_from_u64(2000 + s as u64);
+        let ladder = catalog.ladder();
         let setup = SessionSetup {
             user_id: 1,
             video,
-            ladder: catalog.ladder(),
+            ladder,
             process: &trace,
             config: PlayerConfig::default(),
         };
-        let ladder = catalog.ladder();
-        let sizes = &video.sizes;
         let log = run_session(
             &setup,
-            |env| {
-                let ctx = AbrContext {
-                    ladder,
-                    sizes,
-                    next_segment: env.segment_index(),
-                    segment_duration: sizes.segment_duration(),
-                };
-                abr2.select(env, &ctx)
-            },
-            |env, record, r| {
-                let view = SegmentView {
-                    env,
-                    record,
-                    ladder,
-                };
-                if user2.decide(&view, r) {
-                    ExitDecision::Exit
-                } else {
-                    ExitDecision::Continue
-                }
-            },
+            drive(&mut abr2, ladder, &video.sizes),
+            consult(&mut user2, ladder),
             &mut arm_rng2,
         )
         .expect("static session");

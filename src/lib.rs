@@ -78,8 +78,8 @@ pub use lingxi_workload as workload;
 /// The commonly used types, one import away.
 pub mod prelude {
     pub use lingxi_abr::{
-        Abr, AbrContext, Bba, Bola, Hyb, Pensieve, PensieveConfig, QoeLin, QoeParams, RobustMpc,
-        ThroughputRule,
+        drive, Abr, AbrContext, Bba, Bola, Hyb, Pensieve, PensieveConfig, QoeLin, QoeParams,
+        RobustMpc, ThroughputRule,
     };
     pub use lingxi_abtest::{AbSchedule, AbTest, ArmRunner};
     pub use lingxi_bayes::{ObOptimizer, ObserverConfig};
@@ -112,8 +112,8 @@ pub mod prelude {
     };
     pub use lingxi_stats::{QuantileSketch, StreamingMoments};
     pub use lingxi_user::{
-        ExitModel, PopulationConfig, QosExitModel, RuleBasedExit, SegmentView, SensitivityKind,
-        StallProfile, UserPopulation, UserRecord,
+        consult, ExitModel, PopulationConfig, QosExitModel, RuleBasedExit, SegmentView,
+        SensitivityKind, StallProfile, UserPopulation, UserRecord,
     };
     pub use lingxi_workload::{
         ArrivalKind, ArrivalProcess, ClassRegistry, Diurnal, FlashRamp, LinkClass, Poisson, Replay,

@@ -63,38 +63,18 @@ fn full_managed_pipeline_reduces_stalls_for_sensitive_user() {
                 total_stall += out.log.total_stall();
                 completions += usize::from(out.log.completed());
             } else {
+                let ladder = catalog.ladder();
                 let setup = SessionSetup {
                     user_id: 1,
                     video,
-                    ladder: catalog.ladder(),
+                    ladder,
                     process: &trace,
                     config: PlayerConfig::default(),
                 };
-                let ladder = catalog.ladder();
-                let sizes = &video.sizes;
                 let log = run_session(
                     &setup,
-                    |env| {
-                        let ctx = AbrContext {
-                            ladder,
-                            sizes,
-                            next_segment: env.segment_index(),
-                            segment_duration: sizes.segment_duration(),
-                        };
-                        abr.select(env, &ctx)
-                    },
-                    |env, record, r| {
-                        let view = SegmentView {
-                            env,
-                            record,
-                            ladder,
-                        };
-                        if user.decide(&view, r) {
-                            ExitDecision::Exit
-                        } else {
-                            ExitDecision::Continue
-                        }
-                    },
+                    drive(&mut abr, ladder, &video.sizes),
+                    consult(&mut user, ladder),
                     &mut rng,
                 )
                 .unwrap();

@@ -164,26 +164,18 @@ proptest! {
         ).unwrap();
         let trace = BandwidthTrace::constant(kbps, 600, 1.0).unwrap();
         let video = catalog.video_cyclic(0);
+        let ladder = catalog.ladder();
         let setup = SessionSetup {
             user_id: 1,
             video,
-            ladder: catalog.ladder(),
+            ladder,
             process: &trace,
             config: PlayerConfig::default(),
         };
         let mut abr = Hyb::default_rule();
-        let ladder = catalog.ladder();
-        let sizes = &video.sizes;
         let log = run_session(
             &setup,
-            |env| {
-                let ctx = AbrContext {
-                    ladder, sizes,
-                    next_segment: env.segment_index(),
-                    segment_duration: sizes.segment_duration(),
-                };
-                abr.select(env, &ctx)
-            },
+            drive(&mut abr, ladder, &video.sizes),
             |_, record, _| {
                 // Deterministic pseudo-user: exits on heavy stall.
                 if record.stall_time > 6.0 { ExitDecision::Exit } else { ExitDecision::Continue }
