@@ -1,13 +1,16 @@
-//! A/B experimentation engine: cohorts, daily metric aggregation, AA/AB
-//! scheduling and difference-in-differences reporting.
+//! Difference-in-differences statistics and streaming day metrics for
+//! AA/AB experiments.
 //!
 //! §5.3 of the paper runs a 10-day difference-in-differences test on 8% of
 //! production traffic: days 1–5 are an AA phase (both groups run the
 //! baseline, measuring cohort bias), the intervention lands on day 6, and
 //! the effect is `mean(post differences) − mean(pre differences)` tested
-//! across days. This crate reproduces that pipeline over simulated
-//! populations; the experiment harness (`lingxi-exp`) supplies the arms.
-
+//! across days. This crate holds what every consumer of that design
+//! shares — the schedule ([`AbSchedule`]), the per-cohort-day metrics and
+//! their streaming accumulator ([`DayMetrics`], [`DayAccum`]) and the DiD
+//! report ([`did_report`]). It runs nothing itself: the fleet engine
+//! (`lingxi-fleet`, `FleetConfig.ab`) splits a population into cohorts,
+//! plays the epochs and feeds its per-epoch cohort metrics through here.
 //!
 //! ```
 //! use lingxi_abtest::{did_report, AbSchedule, DayMetrics};
@@ -28,18 +31,16 @@
 pub mod experiment;
 pub mod metrics;
 
-pub use experiment::{did_report, AbReport, AbSchedule, AbTest, ArmRunner, MetricSeries};
-pub use metrics::{aggregate_day, relative_diff_pct, DayAccum, DayMetrics};
+pub use experiment::{did_report, AbReport, AbSchedule, MetricSeries};
+pub use metrics::{relative_diff_pct, DayAccum, DayMetrics};
 
-/// Errors from experiment orchestration.
+/// Errors from schedule validation and the DiD report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AbError {
     /// Invalid configuration.
     InvalidConfig(String),
     /// A statistical routine failed (too few days, etc.).
     Stats(String),
-    /// An arm runner could not play one of its user's sessions.
-    Arm(String),
 }
 
 impl std::fmt::Display for AbError {
@@ -47,7 +48,6 @@ impl std::fmt::Display for AbError {
         match self {
             AbError::InvalidConfig(m) => write!(f, "invalid config: {m}"),
             AbError::Stats(m) => write!(f, "stats failure: {m}"),
-            AbError::Arm(m) => write!(f, "arm runner failure: {m}"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Daily metric aggregation over session summaries.
+//! Streaming daily metric aggregation over session summaries.
 
 use lingxi_player::SessionSummary;
 use serde::{Deserialize, Serialize};
@@ -34,19 +34,8 @@ impl DayMetrics {
     }
 }
 
-/// Aggregate one day's session summaries. A batch fold over [`DayAccum`],
-/// so the batch and streaming paths cannot drift apart.
-pub fn aggregate_day(summaries: &[SessionSummary]) -> DayMetrics {
-    let mut acc = DayAccum::new();
-    for s in summaries {
-        acc.push(s);
-    }
-    acc.metrics()
-}
-
 /// Streaming accumulator for [`DayMetrics`]: fold session summaries one at
-/// a time in O(1) memory instead of materialising the whole day's
-/// summaries before calling [`aggregate_day`].
+/// a time in O(1) memory; the only way a [`DayMetrics`] is computed.
 ///
 /// The fleet engine keeps one `DayAccum` per user (sessions folded in play
 /// order) and merges the per-user partials in ascending user-id order at
@@ -112,8 +101,7 @@ impl DayAccum {
         self.segments
     }
 
-    /// Finish into [`DayMetrics`] (identical to [`aggregate_day`] over the
-    /// same summaries in the same order).
+    /// Finish into [`DayMetrics`].
     pub fn metrics(&self) -> DayMetrics {
         DayMetrics {
             watch_time: self.watch_time,
@@ -164,12 +152,21 @@ mod tests {
         }
     }
 
+    fn day_of(summaries: &[SessionSummary]) -> DayAccum {
+        let mut acc = DayAccum::new();
+        for s in summaries {
+            acc.push(s);
+        }
+        acc
+    }
+
     #[test]
     fn aggregation_sums_and_weights() {
-        let day = aggregate_day(&[
+        let day = day_of(&[
             summary(30.0, 1.0, 1000.0, true, 10),
             summary(10.0, 0.0, 3000.0, false, 30),
-        ]);
+        ])
+        .metrics();
         assert_eq!(day.watch_time, 40.0);
         assert_eq!(day.stall_time, 1.0);
         assert_eq!(day.sessions, 2);
@@ -188,28 +185,30 @@ mod tests {
             summary(10.0, 0.0, 3000.0, false, 30),
             summary(5.0, 2.5, 800.0, false, 4),
         ];
-        let batch = aggregate_day(&sessions);
-        let mut acc = DayAccum::new();
-        for s in &sessions {
-            acc.push(s);
-        }
+        // The day's aggregate, by hand.
+        let batch = DayMetrics {
+            watch_time: 45.0,
+            stall_time: 3.5,
+            mean_bitrate: (1000.0 * 10.0 + 3000.0 * 30.0 + 800.0 * 4.0) / 44.0,
+            sessions: 3,
+            completions: 1,
+            stall_count: 2,
+            switches: 3,
+        };
+        let acc = day_of(&sessions);
         assert_eq!(acc.metrics(), batch);
         assert_eq!(acc.sessions(), 3);
         // Split + ordered merge reproduces the single-stream result.
-        let mut a = DayAccum::new();
-        a.push(&sessions[0]);
-        let mut b = DayAccum::new();
-        b.push(&sessions[1]);
-        b.push(&sessions[2]);
-        a.merge(&b);
+        let mut a = day_of(&sessions[..1]);
+        a.merge(&day_of(&sessions[1..]));
         assert_eq!(a.metrics().sessions, batch.sessions);
         assert!((a.metrics().watch_time - batch.watch_time).abs() < 1e-12);
-        assert_eq!(DayAccum::new().metrics(), aggregate_day(&[]));
+        assert_eq!(DayAccum::new().metrics(), DayMetrics::default());
     }
 
     #[test]
     fn empty_day_is_zero() {
-        let day = aggregate_day(&[]);
+        let day = DayAccum::new().metrics();
         assert_eq!(day.sessions, 0);
         assert_eq!(day.completion_rate(), 0.0);
         assert_eq!(day.mean_bitrate, 0.0);

@@ -293,5 +293,24 @@ mod tests {
         assert_eq!(topo.n_links(), 4);
         assert_eq!(topo.n_routes(), 3);
         assert!(!topo.is_single_link());
+        // The constants on record. `benchmark/src/workloads.rs::pod_topology`
+        // is a copy of them in frozen source (the `fairness_alpha2`
+        // workload): a change here must fail until that copy follows.
+        let links: Vec<(f64, f64)> = topo
+            .links()
+            .iter()
+            .map(|l| (l.capacity_kbps, l.prop_delay_s))
+            .collect();
+        assert_eq!(
+            links,
+            [
+                (8_000.0, 0.004),
+                (8_000.0, 0.004),
+                (12_000.0, 0.008),
+                (16_000.0, 0.012)
+            ]
+        );
+        let routes: Vec<&[u16]> = (0..3).map(|r| topo.route(r)).collect();
+        assert_eq!(routes, [&[0, 2, 3][..], &[1, 3], &[3]]);
     }
 }

@@ -5,6 +5,11 @@
 //! most volatile on weak links; (b) relative stall-time change vs the
 //! static baseline — largest reduction (paper: ~−15%) below 2 Mbps,
 //! convergence toward zero at high bandwidth.
+//!
+//! This figure and fig15 keep their own per-user session loops over the
+//! shared [`World`] rather than running as fleet cells like fig12: they
+//! plot per-user β trajectories, which `FleetReport` — population
+//! aggregates and sketches only — deliberately does not retain.
 
 use lingxi_abr::{drive, Abr, Hyb, QoeParams};
 use lingxi_core::{run_managed_session, LingXiConfig, LingXiController, ProfilePredictor};

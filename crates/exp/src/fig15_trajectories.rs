@@ -7,6 +7,7 @@
 //! force — the trajectory panels of the figure. The shape to reproduce:
 //! high-tolerance users settle in the upper β band, sensitive users in the
 //! lower band, with visible downward corrections after exit clusters.
+//! (A per-user loop, not a fleet cell — why is in `fig13_longtail`'s docs.)
 
 use lingxi_abr::Hyb;
 use lingxi_core::{run_managed_session, LingXiConfig, LingXiController, ProfilePredictor};

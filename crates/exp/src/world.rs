@@ -1,24 +1,21 @@
-//! Shared simulation world: catalog + population + arm runners.
+//! Shared simulation world: catalog + population.
 //!
-//! The experiments all draw from one synthetic "production environment":
-//! a short-video catalog ([`lingxi_media`]), a bandwidth population matched
-//! to Fig. 2(a) ([`lingxi_net`]) and a user population with heterogeneous
-//! stall sensitivity ([`lingxi_user`]). Arm runners wire ABRs (with or
-//! without LingXi) into the A/B engine.
+//! The per-figure experiments all draw from one synthetic "production
+//! environment": a short-video catalog ([`lingxi_media`]), a bandwidth
+//! population matched to Fig. 2(a) ([`lingxi_net`]) and a user population
+//! with heterogeneous stall sensitivity ([`lingxi_user`]). The A/B figure
+//! (fig12) does not play sessions here: it hands this world's population
+//! shape to the fleet engine, which builds and runs its own.
 
-use lingxi_abr::{drive, Abr, Hyb, QoeParams};
-use lingxi_abtest::{AbError, ArmRunner};
-use lingxi_core::{
-    run_managed_session, LingXiConfig, LingXiController, ProfilePredictor, RolloutPredictor,
-};
+use lingxi_abr::{drive, Abr};
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_net::BandwidthTrace;
-use lingxi_player::{run_session, PlayerConfig, SessionSetup, SessionSummary};
+use lingxi_player::{run_session, PlayerConfig, SessionSetup};
 use lingxi_user::{
     consult, ExitModel, PopulationConfig, QosExitModel, ToleranceDrift, UserPopulation, UserRecord,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::{sub, Result};
 
@@ -167,132 +164,10 @@ pub fn default_player() -> PlayerConfig {
     PlayerConfig::default()
 }
 
-/// A session an arm could not play, naming whose and when.
-fn arm_error(user: &UserRecord, day: usize, e: impl std::fmt::Display) -> AbError {
-    AbError::Arm(format!("user {} day {day}: {e}", user.id))
-}
-
-/// Arm: HYB with *static* parameters (the production baseline of §5.3).
-pub struct StaticHybArm {
-    /// Fixed parameters.
-    pub params: QoeParams,
-    /// Shared world handle.
-    pub world: std::sync::Arc<World>,
-}
-
-impl ArmRunner for StaticHybArm {
-    fn run_user_day(
-        &mut self,
-        user: &UserRecord,
-        day: usize,
-        _intervened: bool,
-        rng: &mut dyn RngCore,
-    ) -> lingxi_abtest::Result<Vec<SessionSummary>> {
-        // The caller's rng is already (user, day)-specific.
-        let mut rng = StdRng::seed_from_u64(rng.next_u64());
-        let sessions = self.world.sessions_today(user, &mut rng);
-        let mut exit_model = user.exit_model_for_day(&self.world.drift, &mut rng);
-        let mut out = Vec::with_capacity(sessions);
-        for _ in 0..sessions {
-            let mut abr = Hyb::default_rule();
-            abr.set_params(self.params);
-            let log = self
-                .world
-                .run_plain_session(user, &mut abr, &mut exit_model, default_player(), &mut rng)
-                .map_err(|e| arm_error(user, day, e))?;
-            out.push(log.summary());
-        }
-        Ok(out)
-    }
-}
-
-/// Arm: HYB managed by LingXi once intervened (the treatment of §5.3).
-/// Holds per-user persistent controller state across days.
-pub struct LingXiHybArm {
-    /// Shared world handle.
-    pub world: std::sync::Arc<World>,
-    /// Baseline parameters used pre-intervention (must equal the control
-    /// arm's for a clean AA phase).
-    pub baseline: QoeParams,
-    /// The per-user controller (long-term state across days).
-    pub controller: LingXiController,
-    /// The user's rollout predictor.
-    pub predictor: ProfilePredictor,
-}
-
-impl LingXiHybArm {
-    /// Build for one user.
-    pub fn new(world: std::sync::Arc<World>, user: &UserRecord) -> Self {
-        let controller =
-            LingXiController::new(LingXiConfig::for_hyb()).expect("static config valid");
-        let predictor = ProfilePredictor {
-            profile: user.stall,
-            base: 0.015,
-        };
-        Self {
-            world,
-            baseline: QoeParams::default(),
-            controller,
-            predictor,
-        }
-    }
-}
-
-impl ArmRunner for LingXiHybArm {
-    fn run_user_day(
-        &mut self,
-        user: &UserRecord,
-        day: usize,
-        intervened: bool,
-        rng: &mut dyn RngCore,
-    ) -> lingxi_abtest::Result<Vec<SessionSummary>> {
-        // The caller's rng is already (user, day)-specific.
-        let mut rng = StdRng::seed_from_u64(rng.next_u64());
-        let sessions = self.world.sessions_today(user, &mut rng);
-        let mut exit_model = user.exit_model_for_day(&self.world.drift, &mut rng);
-        let mut out = Vec::with_capacity(sessions);
-        for _ in 0..sessions {
-            let mut abr = Hyb::default_rule();
-            if intervened {
-                // Consume the stream exactly like run_plain_session does
-                // (video, then trace, then playback) so common-random-
-                // number pairing stays aligned with the static arm.
-                let video = self.world.catalog.sample(&mut rng);
-                let trace = self
-                    .world
-                    .session_trace(user, (video.duration() * 3.0) as usize, &mut rng)
-                    .map_err(|e| arm_error(user, day, e))?;
-                let managed = run_managed_session(
-                    user.id,
-                    video,
-                    self.world.ladder(),
-                    &trace,
-                    default_player(),
-                    &mut abr,
-                    &mut self.controller,
-                    &mut self.predictor as &mut dyn RolloutPredictor,
-                    &mut exit_model as &mut dyn ExitModel,
-                    &mut rng,
-                )
-                .map_err(|e| arm_error(user, day, e))?;
-                out.push(managed.log.summary());
-            } else {
-                // AA phase: identical code path to the static baseline.
-                abr.set_params(self.baseline);
-                let log = self
-                    .world
-                    .run_plain_session(user, &mut abr, &mut exit_model, default_player(), &mut rng)
-                    .map_err(|e| arm_error(user, day, e))?;
-                out.push(log.summary());
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lingxi_abr::Hyb;
 
     #[test]
     fn world_builds_deterministically() {
@@ -323,32 +198,5 @@ mod tests {
             .unwrap();
         assert!(!log.segments.is_empty());
         assert!(log.watch_time >= 0.0);
-    }
-
-    #[test]
-    fn static_arm_runs_a_day() {
-        let world =
-            std::sync::Arc::new(World::build(&WorldConfig::default().scaled(0.05), 4).unwrap());
-        let user = world.population.users()[0];
-        let mut arm = StaticHybArm {
-            params: QoeParams::default(),
-            world: world.clone(),
-        };
-        let mut rng = StdRng::seed_from_u64(5);
-        let summaries = arm.run_user_day(&user, 0, false, &mut rng).unwrap();
-        assert!(!summaries.is_empty());
-    }
-
-    #[test]
-    fn lingxi_arm_aa_phase_matches_baseline_behaviour() {
-        let world =
-            std::sync::Arc::new(World::build(&WorldConfig::default().scaled(0.05), 6).unwrap());
-        let user = world.population.users()[1];
-        let mut arm = LingXiHybArm::new(world.clone(), &user);
-        let mut rng = StdRng::seed_from_u64(7);
-        let summaries = arm.run_user_day(&user, 0, false, &mut rng).unwrap();
-        assert!(!summaries.is_empty());
-        // Pre-intervention: no optimizations should have run.
-        assert_eq!(arm.controller.optimizations(), 0);
     }
 }

@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 
 use lingxi_abr::{Abr, Bola, Hyb, ThroughputRule};
+use lingxi_abtest::{AbError, AbSchedule};
 use lingxi_core::{BinLogConfig, CacheConfig, LingXiConfig};
 use lingxi_net::{FairnessObjective, ProductionMixture, Topology};
 use lingxi_player::PlayerConfig;
@@ -23,6 +24,24 @@ pub struct AbSplit {
     /// earlier epochs form the AA phase. The DiD t-test needs ≥ 2 epochs
     /// on each side.
     pub intervention_epoch: usize,
+}
+
+impl AbSplit {
+    /// The DiD schedule of an `epochs`-long run, one day per epoch —
+    /// valid, or the reason it is not ([`AbSchedule::validate`] owns the
+    /// rule). Config validation and the final report both come here.
+    pub fn schedule(&self, epochs: usize) -> Result<AbSchedule> {
+        let schedule = AbSchedule {
+            days: epochs,
+            intervention_day: self.intervention_epoch,
+        };
+        match schedule.validate() {
+            Ok(()) => Ok(schedule),
+            Err(AbError::InvalidConfig(why) | AbError::Stats(why)) => {
+                Err(FleetError::InvalidConfig(format!("A/B mode: {why}")))
+            }
+        }
+    }
 }
 
 /// Which ABR a user runs. Only HYB is LingXi-managed (its β is the knob
@@ -400,11 +419,7 @@ impl FleetConfig {
             dispatch.validate(contention.links, self.dynamics.is_some())?;
         }
         if let Some(ab) = &self.ab {
-            if ab.intervention_epoch < 2 || self.epochs.saturating_sub(ab.intervention_epoch) < 2 {
-                return Err(FleetError::InvalidConfig(
-                    "A/B mode needs >= 2 epochs on each side of the intervention".into(),
-                ));
-            }
+            ab.schedule(self.epochs)?;
         }
         Ok(())
     }

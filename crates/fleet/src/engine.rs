@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lingxi_abtest::{did_report, AbSchedule, DayAccum};
+use lingxi_abtest::{did_report, DayAccum};
 use lingxi_core::{BinaryStateLog, ShardedStateCache, StateBackend, StateStore};
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_net::SolverStats;
@@ -666,10 +666,7 @@ impl FleetEngine {
         let did = match &self.config.ab {
             Some(ab) => Some(
                 did_report(
-                    AbSchedule {
-                        days: self.config.epochs,
-                        intervention_day: ab.intervention_epoch,
-                    },
+                    ab.schedule(self.config.epochs)?,
                     progress.epochs.iter().filter_map(|e| e.control).collect(),
                     progress.epochs.iter().filter_map(|e| e.treatment).collect(),
                 )

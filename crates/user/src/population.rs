@@ -127,21 +127,6 @@ impl UserPopulation {
             .filter(|u| u.net.mean_kbps < kbps)
             .collect()
     }
-
-    /// Split users into `n` traffic buckets by id hash — the A/B cohort
-    /// assignment (8% buckets in §5.3 are built from these).
-    pub fn traffic_split(&self, n: usize) -> Vec<Vec<&UserRecord>> {
-        let mut buckets: Vec<Vec<&UserRecord>> = (0..n.max(1)).map(|_| Vec::new()).collect();
-        for u in &self.users {
-            // Simple splitmix-style hash for stable assignment.
-            let mut h = u.id.wrapping_add(0x9E3779B97F4A7C15);
-            h = (h ^ (h >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            h = (h ^ (h >> 27)).wrapping_mul(0x94D049BB133111EB);
-            h ^= h >> 31;
-            buckets[(h % n.max(1) as u64) as usize].push(u);
-        }
-        buckets
-    }
 }
 
 #[cfg(test)]
@@ -182,31 +167,6 @@ mod tests {
         .unwrap();
         let share = pop.low_bandwidth_users(2000.0).len() as f64 / pop.len() as f64;
         assert!((share - 0.10).abs() < 0.03, "share {share}");
-    }
-
-    #[test]
-    fn traffic_split_partitions_everyone() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let pop = UserPopulation::generate(
-            &PopulationConfig {
-                n_users: 1000,
-                ..PopulationConfig::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        let buckets = pop.traffic_split(12);
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 1000);
-        // Buckets roughly even (within 3x of ideal).
-        for b in &buckets {
-            assert!(b.len() > 1000 / 12 / 3, "bucket size {}", b.len());
-        }
-        // Deterministic: same split twice.
-        let again = pop.traffic_split(12);
-        for (a, b) in buckets.iter().zip(&again) {
-            assert_eq!(a.len(), b.len());
-        }
     }
 
     #[test]

@@ -1,48 +1,60 @@
-//! A compact version of the paper's §5.3 A/B test: 10 days, AA then AB,
-//! difference-in-differences on watch time, bitrate and stall time.
+//! A compact version of the paper's §5.3 A/B test on the fleet engine:
+//! 10 epochs ("days"), AA then AB, difference-in-differences on watch
+//! time, bitrate and stall time between user-id-parity cohorts.
 //!
 //! Run with: `cargo run --release --example ab_experiment`
 
-use std::sync::Arc;
-
-use lingxi::exp::world::{LingXiHybArm, StaticHybArm, World, WorldConfig};
 use lingxi::prelude::*;
 
 fn main() {
-    let world = Arc::new(World::build(&WorldConfig::default().scaled(0.15), 11).expect("world"));
-    let buckets = world.population.traffic_split(2);
-    let control: Vec<UserRecord> = buckets[0].iter().map(|u| **u).collect();
-    let treatment: Vec<UserRecord> = buckets[1].iter().map(|u| **u).collect();
+    let schedule = AbSchedule::paper_default();
+    let state_dir = std::env::temp_dir().join("lingxi_example_ab_state");
+    // A fresh directory: leftover state would warm-start the treatment
+    // cohort before its intervention.
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let config = FleetConfig {
+        epochs: schedule.days,
+        seed: 77,
+        state_dir: state_dir.clone(),
+        ab: Some(AbSplit {
+            intervention_epoch: schedule.intervention_day,
+        }),
+        ..FleetConfig::default()
+    };
+    let scenario = FleetScenario {
+        name: "ab_experiment".into(),
+        n_users: 2_000,
+        n_videos: 30,
+        abr_mix: AbrMix::all_hyb(),
+        ..FleetScenario::default()
+    };
+    let report = FleetEngine::new(config)
+        .expect("config")
+        .run(&scenario)
+        .expect("experiment");
+    let _ = std::fs::remove_dir_all(&state_dir);
     println!(
-        "cohorts: {} control users, {} treatment users, 10 days (AA days 1-5)",
-        control.len(),
-        treatment.len()
+        "cohorts: {} even-id control users, {} odd-id treatment users, {} sessions over {} days \
+         (AA days 1-{})",
+        report.users.div_ceil(2),
+        report.users / 2,
+        report.sessions,
+        schedule.days,
+        schedule.intervention_day
     );
 
-    let test = AbTest::new(77);
-    let wc = world.clone();
-    let wt = world.clone();
-    let report = test
-        .run(
-            &control,
-            &treatment,
-            move |_| {
-                Box::new(StaticHybArm {
-                    params: QoeParams::default(),
-                    world: wc.clone(),
-                }) as Box<dyn ArmRunner>
-            },
-            move |u| Box::new(LingXiHybArm::new(wt.clone(), u)) as Box<dyn ArmRunner>,
-        )
-        .expect("experiment");
-
-    for series in [&report.watch_time, &report.bitrate, &report.stall_time] {
+    let did = report.did.expect("A/B mode reports DiD");
+    for series in [&did.watch_time, &did.bitrate, &did.stall_time] {
         println!(
             "\n=== {} (relative % diff, treatment vs control) ===",
             series.name
         );
         for (d, v) in series.daily_rel_diff_pct.iter().enumerate() {
-            let phase = if d < 5 { "AA" } else { "AB" };
+            let phase = if d < schedule.intervention_day {
+                "AA"
+            } else {
+                "AB"
+            };
             println!("  day {:>2} [{phase}]  {v:>8.3}%", d + 1);
         }
         println!(

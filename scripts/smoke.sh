@@ -14,6 +14,9 @@
 #    resume to completion, and diff every series CSV against the
 #    straight run. headline.csv is excluded — it carries wall-clock
 #    throughput; every simulated series must match byte for byte.
+# 3. `examples/ab_experiment.rs`: the §5.3 A/B on the fleet engine
+#    through the facade crate — the one example CI runs, not only
+#    compiles.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,4 +44,6 @@ for f in "$tmp"/straight/population/*.csv; do
         diff -u "$f" "$tmp/resumed/population/$base"
     fi
 done
+
+cargo run --release --locked --example ab_experiment
 echo ">>> smoke: all green"

@@ -23,7 +23,7 @@
 //! | [`exit`] | the Fig. 7 exit-rate predictor and hybrid model |
 //! | [`bayes`] | GP regression, acquisition functions, online BO |
 //! | [`core`] | the LingXi controller (Algorithms 1 & 2) |
-//! | [`abtest`] | AA/AB difference-in-differences experimentation |
+//! | [`abtest`] | AA/AB DiD statistics + streaming day metrics (the fleet runs the A/B) |
 //! | [`workload`] | arrival processes and user/link heterogeneity classes |
 //! | [`fleet`] | sharded multi-threaded fleet simulation (see ARCHITECTURE.md) |
 //! | [`exp`] | per-figure experiment harness + the systems scenarios |
@@ -81,7 +81,7 @@ pub mod prelude {
         drive, Abr, AbrContext, Bba, Bola, Hyb, Pensieve, PensieveConfig, QoeLin, QoeParams,
         RobustMpc, ThroughputRule,
     };
-    pub use lingxi_abtest::{AbSchedule, AbTest, ArmRunner};
+    pub use lingxi_abtest::{AbReport, AbSchedule};
     pub use lingxi_bayes::{ObOptimizer, ObserverConfig};
     pub use lingxi_core::{
         evaluate_parameters, run_managed_session, run_managed_session_in, CacheConfig,

@@ -84,10 +84,13 @@ fn prelude_reexports_resolve() {
     let _: Option<StateStore> = None;
     let _: Option<RolloutContext> = None;
     let _: Option<Box<dyn RolloutPredictor>> = None;
-    // abtest
-    let _: AbSchedule = AbSchedule::paper_default();
-    let _: Option<AbTest> = None;
-    let _: Option<Box<dyn ArmRunner>> = None;
+    // abtest: the schedule and report types; the fleet's `AbSplit` runs it
+    let paper: AbSchedule = AbSchedule::paper_default();
+    let split = AbSplit {
+        intervention_epoch: 5,
+    };
+    assert_eq!(split.schedule(10).unwrap(), paper);
+    let _: Option<AbReport> = None;
 }
 
 /// The quickstart doctest path, under a fixed seed, with a wall-clock

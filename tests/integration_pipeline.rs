@@ -199,38 +199,67 @@ fn predictor_training_pipeline_end_to_end() {
 
 #[test]
 fn ab_engine_runs_lingxi_vs_static_end_to_end() {
-    use lingxi::exp::world::{LingXiHybArm, StaticHybArm, World, WorldConfig};
-    use std::sync::Arc;
+    use lingxi::core::{BinLogConfig, BinaryStateLog, StateBackend};
+    use lingxi::fleet::{RunControl, RunOutcome};
 
-    let world = Arc::new(World::build(&WorldConfig::default().scaled(0.04), 5).unwrap());
-    let users: Vec<UserRecord> = world.population.users().to_vec();
-    let mut test = AbTest::new(6);
-    test.common_random_numbers = true;
-    let wc = world.clone();
-    let wt = world.clone();
-    let report = test
-        .run(
-            &users,
-            &users,
-            move |_| {
-                Box::new(StaticHybArm {
-                    params: QoeParams::default(),
-                    world: wc.clone(),
-                }) as Box<dyn ArmRunner>
-            },
-            move |u| Box::new(LingXiHybArm::new(wt.clone(), u)) as Box<dyn ArmRunner>,
-        )
-        .unwrap();
-    // CRN + identical AA behaviour ⇒ zero pre-intervention differences.
-    for d in 0..5 {
-        assert!(
-            report.watch_time.daily_rel_diff_pct[d].abs() < 1e-9,
-            "AA day {d} diff {}",
-            report.watch_time.daily_rel_diff_pct[d]
-        );
-    }
-    // Stall effect direction: LingXi must not increase stalls.
-    assert!(report.stall_time.did.effect < 10.0);
+    const N_USERS: usize = 240;
+    const INTERVENTION: usize = 5;
+    let dir = std::env::temp_dir().join(format!("lingxi_it_ab_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = FleetConfig {
+        shards: 2,
+        epochs: 10,
+        seed: 6,
+        state_dir: dir.clone(),
+        ab: Some(AbSplit {
+            intervention_epoch: INTERVENTION,
+        }),
+        ..FleetConfig::default()
+    };
+    let scenario = FleetScenario {
+        name: "ab".into(),
+        n_users: N_USERS,
+        n_videos: 12,
+        abr_mix: AbrMix::all_hyb(),
+        ..FleetScenario::default()
+    };
+    let persisted = || {
+        let log = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap();
+        log.scan().unwrap().ids
+    };
+
+    // AA phase, killed at the intervention barrier: both cohorts played
+    // static HYB, so no user has LingXi state yet.
+    let aa = RunControl {
+        resume: false,
+        stop_after_epochs: Some(INTERVENTION),
+    };
+    let engine = FleetEngine::new(config).unwrap();
+    assert!(matches!(
+        engine.run_resumable(&scenario, aa).unwrap(),
+        RunOutcome::Suspended(_)
+    ));
+    assert_eq!(persisted(), Vec::<u64>::new());
+
+    // AB phase: the treatment (odd-id) cohort is managed, and every user
+    // plays every epoch — exactly that cohort has persisted state.
+    let ab = RunControl {
+        resume: true,
+        stop_after_epochs: None,
+    };
+    let RunOutcome::Complete(report) = engine.run_resumable(&scenario, ab).unwrap() else {
+        panic!("the resumed run completes");
+    };
+    let treatment: Vec<u64> = (0..N_USERS as u64).filter(|id| id % 2 == 1).collect();
+    assert_eq!(persisted(), treatment);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let did = report.did.expect("A/B mode reports DiD");
+    assert!(
+        did.stall_time.did.effect < 0.0,
+        "LingXi must cut stall time: DiD {}",
+        did.stall_time.did.effect
+    );
 }
 
 #[test]
