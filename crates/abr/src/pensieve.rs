@@ -148,43 +148,6 @@ impl Pensieve {
         softmax(&logits).row(0).to_vec()
     }
 
-    /// Action probabilities for a whole batch of states: one network
-    /// forward (a single matrix multiply per layer) instead of one per
-    /// session. Every layer computes output rows independently and
-    /// softmax is row-wise, so the result is bit-identical to calling
-    /// [`Pensieve::action_probs`] on each pair in order.
-    pub fn action_probs_batch(&mut self, items: &[(&PlayerEnv, &AbrContext<'_>)]) -> Vec<Vec<f64>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let rows: Vec<Vec<f64>> = items
-            .iter()
-            .map(|(env, ctx)| state_vector(env, ctx, &self.params, &self.config))
-            .collect();
-        let x = Matrix::from_rows(&rows).expect("uniform state dims");
-        let logits = self.net.forward(&x).expect("net shapes fixed at build");
-        let probs = softmax(&logits);
-        (0..items.len()).map(|r| probs.row(r).to_vec()).collect()
-    }
-
-    /// Greedy level per batch item, clamped to each context's ladder.
-    /// Bit-identical to calling [`Abr::select`] on each pair in order.
-    pub fn select_batch(&mut self, items: &[(&PlayerEnv, &AbrContext<'_>)]) -> Vec<usize> {
-        self.action_probs_batch(items)
-            .iter()
-            .zip(items)
-            .map(|(probs, (_, ctx))| {
-                probs
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-                    .min(ctx.ladder.top_level())
-            })
-            .collect()
-    }
-
     /// Configuration.
     pub fn config(&self) -> &PensieveConfig {
         &self.config
@@ -665,43 +628,6 @@ mod tests {
             .filter(|(a, b)| (*a - *b).abs() > 1e-12)
             .count();
         assert!(diff <= 2);
-    }
-
-    #[test]
-    fn batched_probs_and_select_match_sequential() {
-        let (ladder, sizes) = fixture();
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut p = Pensieve::new(PensieveConfig::default(), &mut rng).unwrap();
-        p.set_params(QoeParams::stall_averse());
-        // Envs with different playback histories so every state differs.
-        let mut envs: Vec<PlayerEnv> = (0..5)
-            .map(|_| PlayerEnv::new(PlayerConfig::deterministic(10.0, 0.0)).unwrap())
-            .collect();
-        for (i, env) in envs.iter_mut().enumerate() {
-            for k in 0..i {
-                let size = sizes.size_kbits(k, k % 4).unwrap();
-                env.step(size, k % 4, 3000.0 + 500.0 * i as f64, 2.0, &mut rng)
-                    .unwrap();
-            }
-        }
-        let ctxs: Vec<AbrContext<'_>> = (0..5)
-            .map(|i| AbrContext {
-                ladder: &ladder,
-                sizes: &sizes,
-                next_segment: i,
-                segment_duration: 2.0,
-            })
-            .collect();
-        let items: Vec<(&PlayerEnv, &AbrContext<'_>)> = envs.iter().zip(ctxs.iter()).collect();
-        let batch_probs = p.action_probs_batch(&items);
-        let batch_sel = p.select_batch(&items);
-        for (i, &(env, ctx)) in items.iter().enumerate() {
-            // Exact equality: batching must not perturb a single bit.
-            assert_eq!(p.action_probs(env, ctx), batch_probs[i]);
-            assert_eq!(p.select(env, ctx), batch_sel[i]);
-        }
-        assert!(p.action_probs_batch(&[]).is_empty());
-        assert!(p.select_batch(&[]).is_empty());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Sharded append-only binary state log with compacting snapshots — the
-//! fleet-scale persistence backend that retires file-per-user JSON.
+//! fleet's persistence backend.
 //!
-//! The legacy [`StateStore`] writes one `user_<id>.json` per churning
-//! user, so a fleet flush costs O(users) file creations plus a JSON serde
-//! round-trip each. [`BinaryStateLog`] replaces that with per-shard
-//! append-only log files and a compact hand-rolled binary record encoding
-//! (length-prefixed, CRC-32-checksummed, schema-versioned): a flush is a
-//! handful of sequential buffered writes however many users churned.
+//! The client-side [`StateStore`](crate::state::StateStore) writes one
+//! `user_<id>.json` per user, which at fleet scale would cost O(users)
+//! file creations plus a JSON serde round-trip each per flush.
+//! [`BinaryStateLog`] instead keeps per-shard append-only log files and a
+//! compact hand-rolled binary record encoding (length-prefixed,
+//! CRC-32-checksummed, schema-versioned): a flush is a handful of
+//! sequential buffered writes however many users churned.
 //!
 //! On-disk layout of a log directory:
 //!
@@ -21,8 +22,12 @@
 //!
 //! ```text
 //! u32 payload_len | u32 crc32(payload) | payload
-//! payload: u8 op (1 = put, 2 = delete) | u64 user_id | [state if put]
+//! payload: u8 op (1 = put) | u64 user_id | state
 //! ```
+//!
+//! Put is the only op. Any other op byte in a CRC-valid frame is a hard
+//! error at open — never skipped: the log cannot tell what the record
+//! meant to change.
 //!
 //! The snapshot's sorted `(user_id, offset, len)` index block is binary
 //! searched *on disk*, so point loads of cold users cost O(log n) reads
@@ -51,7 +56,7 @@ use std::path::{Path, PathBuf};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::state::{LongTermState, StateBackend, StateScan, StateStore};
+use crate::state::{LongTermState, StateBackend, StateScan};
 use crate::{CoreError, Result};
 use lingxi_exit::{TrackerParts, UserStateTracker};
 
@@ -70,7 +75,6 @@ const FRAME_OVERHEAD: usize = 8; // u32 len + u32 crc
 const FOOTER_LEN: u64 = 24; // u64 index_off + u64 count + u32 crc + magic
 const INDEX_ENTRY_LEN: usize = 20; // u64 user_id + u64 offset + u32 len
 const OP_PUT: u8 = 1;
-const OP_DELETE: u8 = 2;
 
 /// Sizing and policy of a [`BinaryStateLog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,12 +352,12 @@ fn perr(path: &Path, what: &str, e: std::io::Error) -> CoreError {
 // Shard state
 // ---------------------------------------------------------------------------
 
-/// Where a shard's live value for a user is, in log-file coordinates
+/// Where a shard's live frame for a user is, in log-file coordinates
 /// (offsets may point into the not-yet-written append buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TailLoc {
-    Put { off: u64, len: u32 },
-    Tombstone,
+struct TailLoc {
+    off: u64,
+    len: u32,
 }
 
 #[derive(Debug)]
@@ -713,28 +717,15 @@ impl BinaryStateLog {
                         let mut c = Cursor::new(&payload);
                         let op = c.u8()?;
                         let user_id = c.u64()?;
-                        let frame_len = (len + FRAME_OVERHEAD as u64) as u32;
-                        match op {
-                            OP_PUT => {
-                                shard.tail.insert(
-                                    user_id,
-                                    TailLoc::Put {
-                                        off,
-                                        len: frame_len,
-                                    },
-                                );
-                            }
-                            OP_DELETE => {
-                                shard.tail.insert(user_id, TailLoc::Tombstone);
-                            }
-                            other => {
-                                return Err(CoreError::Persistence(format!(
-                                    "{:?}: unknown record op {other} at offset {off}",
-                                    shard.log_path
-                                )))
-                            }
+                        if op != OP_PUT {
+                            return Err(CoreError::Persistence(format!(
+                                "{:?}: unknown record op {op} at offset {off}",
+                                shard.log_path
+                            )));
                         }
-                        off += frame_len as u64;
+                        let len = (len + FRAME_OVERHEAD as u64) as u32;
+                        shard.tail.insert(user_id, TailLoc { off, len });
+                        off += len as u64;
                         good = true;
                     }
                 }
@@ -766,16 +757,11 @@ impl BinaryStateLog {
         &self.shards[(h >> 32) as usize % self.shards.len()]
     }
 
-    /// Append one framed record to a shard, updating its tail index.
-    fn append(&self, shard: &mut Shard, user_id: u64, loc_for: u8, payload: &[u8]) -> Result<()> {
+    /// Append one framed put record to a shard, updating its tail index.
+    fn append(&self, shard: &mut Shard, user_id: u64, payload: &[u8]) -> Result<()> {
         let off = shard.committed + shard.buf.len() as u64;
         let len = append_frame(&mut shard.buf, payload);
-        let loc = if loc_for == OP_PUT {
-            TailLoc::Put { off, len }
-        } else {
-            TailLoc::Tombstone
-        };
-        shard.tail.insert(user_id, loc);
+        shard.tail.insert(user_id, TailLoc { off, len });
         if shard.buf.len() >= self.config.buffer_bytes {
             shard.write_buf()?;
         }
@@ -811,19 +797,14 @@ impl BinaryStateLog {
                     break;
                 }
                 tail_iter.next();
-                if let TailLoc::Put { off, len } = loc {
-                    let frame = shard.read_frame(off, len)?;
-                    write_frame(frame, tid, &mut out);
-                }
+                let frame = shard.read_frame(loc.off, loc.len)?;
+                write_frame(frame, tid, &mut out);
             }
             match tail_iter.peek() {
                 Some((&tid, &loc)) if tid == id => {
                     tail_iter.next();
-                    if let TailLoc::Put { off, len } = loc {
-                        let frame = shard.read_frame(off, len)?;
-                        write_frame(frame, tid, &mut out);
-                    }
-                    // Tombstone: the snapshot copy is dropped too.
+                    let frame = shard.read_frame(loc.off, loc.len)?;
+                    write_frame(frame, tid, &mut out);
                 }
                 _ => {
                     let snap = shard.snap.as_mut().expect("entries imply snapshot");
@@ -837,10 +818,8 @@ impl BinaryStateLog {
             }
         }
         for (&tid, &loc) in tail_iter {
-            if let TailLoc::Put { off, len } = loc {
-                let frame = shard.read_frame(off, len)?;
-                write_frame(frame, tid, &mut out);
-            }
+            let frame = shard.read_frame(loc.off, loc.len)?;
+            write_frame(frame, tid, &mut out);
         }
 
         // Index block + footer.
@@ -886,7 +865,7 @@ impl StateBackend for BinaryStateLog {
         let mut payload = Vec::with_capacity(256);
         encode_put_payload(state, &mut payload)?;
         let mut shard = self.shard_of(state.user_id).lock();
-        self.append(&mut shard, state.user_id, OP_PUT, &payload)
+        self.append(&mut shard, state.user_id, &payload)
     }
 
     fn save_batch(&self, batch: &[&LongTermState]) -> Result<usize> {
@@ -895,7 +874,7 @@ impl StateBackend for BinaryStateLog {
             payload.clear();
             encode_put_payload(state, &mut payload)?;
             let mut shard = self.shard_of(state.user_id).lock();
-            self.append(&mut shard, state.user_id, OP_PUT, &payload)?;
+            self.append(&mut shard, state.user_id, &payload)?;
         }
         Ok(batch.len())
     }
@@ -903,29 +882,12 @@ impl StateBackend for BinaryStateLog {
     fn load(&self, user_id: u64) -> Result<Option<LongTermState>> {
         let mut shard = self.shard_of(user_id).lock();
         match shard.tail.get(&user_id).copied() {
-            Some(TailLoc::Put { off, len }) => {
+            Some(TailLoc { off, len }) => {
                 let frame = shard.read_frame(off, len)?;
                 Shard::decode_frame(&frame).map(Some)
             }
-            Some(TailLoc::Tombstone) => Ok(None),
             None => shard.snap_lookup(user_id),
         }
-    }
-
-    fn delete(&self, user_id: u64) -> Result<bool> {
-        let mut shard = self.shard_of(user_id).lock();
-        let existed = match shard.tail.get(&user_id).copied() {
-            Some(TailLoc::Put { .. }) => true,
-            Some(TailLoc::Tombstone) => false,
-            None => shard.snap_lookup(user_id)?.is_some(),
-        };
-        if existed {
-            let mut payload = Vec::with_capacity(16);
-            payload.push(OP_DELETE);
-            put_u64(&mut payload, user_id);
-            self.append(&mut shard, user_id, OP_DELETE, &payload)?;
-        }
-        Ok(existed)
     }
 
     fn scan(&self) -> Result<StateScan> {
@@ -941,13 +903,7 @@ impl StateBackend for BinaryStateLog {
                     scan.ids.push(id);
                 }
             }
-            scan.ids.extend(
-                shard
-                    .tail
-                    .iter()
-                    .filter(|(_, loc)| matches!(loc, TailLoc::Put { .. }))
-                    .map(|(&id, _)| id),
-            );
+            scan.ids.extend(shard.tail.keys());
         }
         scan.ids.sort_unstable();
         Ok(scan)
@@ -975,43 +931,6 @@ impl StateBackend for BinaryStateLog {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Migration from the legacy file-per-user store
-// ---------------------------------------------------------------------------
-
-/// Outcome of [`migrate_file_store`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MigrationReport {
-    /// Users copied into the log.
-    pub migrated: usize,
-    /// Warnings from [`StateStore::scan`]: malformed filenames in the
-    /// source directory that could not be attributed to a user. Surfaced
-    /// instead of silently skipped — each is a user whose history would
-    /// otherwise vanish without a trace.
-    pub warnings: Vec<String>,
-}
-
-/// Convert a legacy file-per-user [`StateStore`] directory into a
-/// [`BinaryStateLog`], checkpointing at the end so the result is a single
-/// compact snapshot per shard. Returns how many users were migrated plus
-/// the source scan's malformed-filename warnings.
-pub fn migrate_file_store(store: &StateStore, log: &BinaryStateLog) -> Result<MigrationReport> {
-    let scan = store.scan()?;
-    for &id in &scan.ids {
-        let state = store.load(id)?.ok_or_else(|| {
-            CoreError::Persistence(format!(
-                "user {id} vanished from source store mid-migration"
-            ))
-        })?;
-        log.save(&state)?;
-    }
-    log.checkpoint()?;
-    Ok(MigrationReport {
-        migrated: scan.ids.len(),
-        warnings: scan.warnings,
-    })
 }
 
 #[cfg(test)]
@@ -1068,10 +987,6 @@ mod tests {
         log.save(&state(2, 99)).unwrap();
         assert_eq!(log.load(2).unwrap().unwrap(), state(2, 99));
         assert_eq!(log.list().unwrap(), vec![1, 2, 3]);
-        assert!(log.delete(2).unwrap());
-        assert!(!log.delete(2).unwrap());
-        assert!(log.load(2).unwrap().is_none());
-        assert_eq!(log.list().unwrap(), vec![1, 3]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1109,7 +1024,6 @@ mod tests {
                 // Overwrites: compaction must keep only the latest.
                 log.save(&state(id, id + 1000)).unwrap();
             }
-            log.delete(7).unwrap();
             log.checkpoint().unwrap();
             // Logs are truncated back to their headers.
             for k in 0..2 {
@@ -1121,8 +1035,7 @@ mod tests {
         }
         let log = BinaryStateLog::open(&dir, cfg).unwrap();
         let ids = log.list().unwrap();
-        assert_eq!(ids.len(), 49);
-        assert!(!ids.contains(&7));
+        assert_eq!(ids.len(), 50);
         for &id in &ids {
             assert_eq!(log.load(id).unwrap().unwrap(), state(id, id + 1000));
         }
@@ -1194,6 +1107,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Format v1 once defined op 2 (a tombstone); nothing writes it any
+    /// more, and a log that holds one must not open as if it did not.
+    #[test]
+    fn a_delete_frame_is_refused_as_an_unknown_op() {
+        let dir = temp_dir("op2");
+        let cfg = BinLogConfig {
+            shards: 1,
+            ..BinLogConfig::default()
+        };
+        {
+            let log = BinaryStateLog::open(&dir, cfg).unwrap();
+            log.save(&state(1, 1)).unwrap();
+            log.flush().unwrap();
+        }
+        let path = dir.join("shard_0.log");
+        let offset = std::fs::metadata(&path).unwrap().len();
+        let mut payload = vec![2u8];
+        put_u64(&mut payload, 1);
+        let mut frame = Vec::new();
+        append_frame(&mut frame, &payload);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&frame).unwrap();
+        drop(f);
+        let err = BinaryStateLog::open(&dir, cfg).unwrap_err().to_string();
+        assert!(
+            err.contains("unknown record op 2") && err.contains(&format!("offset {offset}")),
+            "{err}"
+        );
+        // Refused, not repaired: the frame is still there.
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            offset + frame.len() as u64
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn manifest_pins_shard_count() {
         let dir = temp_dir("manifest");
@@ -1243,30 +1192,5 @@ mod tests {
         assert!(dir.join("shard_0.snap").exists());
         assert_eq!(log.list().unwrap().len(), 64);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migration_copies_store_and_surfaces_warnings() {
-        let src = temp_dir("mig_src");
-        let dst = temp_dir("mig_dst");
-        let store = StateStore::open(&src).unwrap();
-        for id in [5u64, 1, 9] {
-            store.save(&state(id, id * 3)).unwrap();
-        }
-        std::fs::write(src.join("user_oops.json"), "{").unwrap();
-        std::fs::write(src.join("README.txt"), "hi").unwrap();
-        let log = BinaryStateLog::open(&dst, BinLogConfig::default()).unwrap();
-        let report = migrate_file_store(&store, &log).unwrap();
-        assert_eq!(report.migrated, 3);
-        assert_eq!(report.warnings.len(), 2);
-        assert_eq!(log.list().unwrap(), vec![1, 5, 9]);
-        for id in [1u64, 5, 9] {
-            assert_eq!(
-                log.load(id).unwrap().unwrap(),
-                store.load(id).unwrap().unwrap()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&src);
-        let _ = std::fs::remove_dir_all(&dst);
     }
 }

@@ -11,10 +11,8 @@
 //! backend in batches ([`ShardedStateCache::flush`], called at fleet
 //! epoch barriers) or when an LRU eviction forces a single entry out.
 //!
-//! The flush batch goes through [`StateBackend::save_batch`], so the
-//! backend picks its own strategy: the legacy file-per-user
-//! [`StateStore`] splits the batch across writer threads, while the
-//! [`BinaryStateLog`](crate::binlog::BinaryStateLog) turns it into a
+//! The flush batch goes through [`StateBackend::save_batch`], which the
+//! [`BinaryStateLog`](crate::binlog::BinaryStateLog) turns into a
 //! handful of sequential buffered appends.
 //!
 //! The observable contract is that the cache is transparent: any
@@ -27,7 +25,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::state::{LongTermState, StateBackend, StateStore};
+use crate::state::{LongTermState, StateBackend};
 use crate::{CoreError, Result};
 
 /// Cache sizing and policy.
@@ -160,12 +158,6 @@ pub struct ShardedStateCache {
 }
 
 impl ShardedStateCache {
-    /// Wrap the legacy file-per-user `store` with a cache configured by
-    /// `config` (convenience for [`ShardedStateCache::with_backend`]).
-    pub fn new(store: StateStore, config: CacheConfig) -> Result<Self> {
-        Self::with_backend(Arc::new(store), config)
-    }
-
     /// Wrap any [`StateBackend`] with a cache configured by `config`.
     pub fn with_backend(backend: Arc<dyn StateBackend>, config: CacheConfig) -> Result<Self> {
         config.validate()?;
@@ -268,12 +260,11 @@ impl ShardedStateCache {
     ///
     /// Dirty entries are snapshotted under the shard locks in ascending
     /// `(shard, user_id)` order, handed to [`StateBackend::save_batch`]
-    /// in one call without holding any lock (the file-per-user backend
-    /// splits it across writer threads; the binary log turns it into
-    /// sequential appends), then marked clean — but only when the cached
-    /// state still equals the snapshot that was written, so a save racing
-    /// the flush keeps its entry dirty for the next flush instead of
-    /// being lost.
+    /// in one call without holding any lock (the binary log turns it
+    /// into sequential appends), then marked clean — but only when the
+    /// cached state still equals the snapshot that was written, so a save
+    /// racing the flush keeps its entry dirty for the next flush instead
+    /// of being lost.
     pub fn flush(&self) -> Result<usize> {
         // Phase 1: snapshot dirty entries under the shard locks.
         let mut batch: Vec<(usize, LongTermState)> = Vec::new();
@@ -339,6 +330,7 @@ impl ShardedStateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StateStore;
     use std::fs;
     use std::path::PathBuf;
 
@@ -360,7 +352,9 @@ mod tests {
     #[test]
     fn write_behind_defers_until_flush() {
         let (dir, store) = temp_store("behind");
-        let cache = ShardedStateCache::new(store.clone(), CacheConfig::default()).unwrap();
+        let cache =
+            ShardedStateCache::with_backend(Arc::new(store.clone()), CacheConfig::default())
+                .unwrap();
         cache.save(&state(1, 3)).unwrap();
         // Not yet durable...
         assert!(store.load(1).unwrap().is_none());
@@ -380,7 +374,7 @@ mod tests {
             write_through: true,
             ..CacheConfig::default()
         };
-        let cache = ShardedStateCache::new(store.clone(), cfg).unwrap();
+        let cache = ShardedStateCache::with_backend(Arc::new(store.clone()), cfg).unwrap();
         cache.save(&state(2, 5)).unwrap();
         assert_eq!(store.load(2).unwrap().unwrap().optimizations, 5);
         assert_eq!(cache.flush().unwrap(), 0);
@@ -395,7 +389,7 @@ mod tests {
             capacity_per_shard: 2,
             write_through: false,
         };
-        let cache = ShardedStateCache::new(store.clone(), cfg).unwrap();
+        let cache = ShardedStateCache::with_backend(Arc::new(store.clone()), cfg).unwrap();
         cache.save(&state(1, 1)).unwrap();
         cache.save(&state(2, 2)).unwrap();
         // Touch 1 so 2 becomes the LRU victim.
@@ -412,7 +406,8 @@ mod tests {
     #[test]
     fn evict_and_reload_round_trips() {
         let (dir, store) = temp_store("evict");
-        let cache = ShardedStateCache::new(store, CacheConfig::default()).unwrap();
+        let cache =
+            ShardedStateCache::with_backend(Arc::new(store), CacheConfig::default()).unwrap();
         cache.save(&state(7, 9)).unwrap();
         assert!(cache.evict(7).unwrap());
         assert!(!cache.evict(7).unwrap());
@@ -425,7 +420,9 @@ mod tests {
     #[test]
     fn concurrent_saves_from_many_threads() {
         let (dir, store) = temp_store("threads");
-        let cache = ShardedStateCache::new(store.clone(), CacheConfig::default()).unwrap();
+        let cache =
+            ShardedStateCache::with_backend(Arc::new(store.clone()), CacheConfig::default())
+                .unwrap();
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let cache = &cache;
@@ -447,16 +444,16 @@ mod tests {
     #[test]
     fn config_validation() {
         let (dir, store) = temp_store("cfg");
-        assert!(ShardedStateCache::new(
-            store.clone(),
+        assert!(ShardedStateCache::with_backend(
+            Arc::new(store.clone()),
             CacheConfig {
                 shards: 0,
                 ..CacheConfig::default()
             }
         )
         .is_err());
-        assert!(ShardedStateCache::new(
-            store,
+        assert!(ShardedStateCache::with_backend(
+            Arc::new(store),
             CacheConfig {
                 capacity_per_shard: 0,
                 ..CacheConfig::default()

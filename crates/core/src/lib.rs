@@ -20,8 +20,9 @@
 //! trigger, and both pruning stages (virtual-playback early termination and
 //! the pre-playback `μ − 3σ > Q_max` skip). For fleet-scale workloads the
 //! [`cache`] module layers a sharded, write-behind [`ShardedStateCache`]
-//! over a durable [`StateBackend`] — either the legacy file-per-user
-//! [`StateStore`] or the sharded append-only [`BinaryStateLog`] (see
+//! over a durable [`StateBackend`]: the sharded append-only
+//! [`BinaryStateLog`] for the fleet, with the file-per-user
+//! [`StateStore`] as the client store and the tests' reference (see
 //! ARCHITECTURE.md, "Persistence layer").
 //!
 //! ```
@@ -45,9 +46,7 @@ pub mod predictor;
 pub mod session;
 pub mod state;
 
-pub use binlog::{
-    migrate_file_store, BinLogConfig, BinaryStateLog, MigrationReport, BINLOG_FORMAT_VERSION,
-};
+pub use binlog::{BinLogConfig, BinaryStateLog, BINLOG_FORMAT_VERSION};
 pub use cache::{CacheConfig, CacheStats, ShardedStateCache};
 pub use controller::{LingXiConfig, LingXiController, OptimizeOutcome, ParamDim, SearchStrategy};
 pub use montecarlo::{

@@ -40,23 +40,26 @@ impl LongTermState {
     }
 }
 
-/// Below this many states per writer thread, extra threads cost more in
-/// spawn overhead than they recover in I/O overlap (used by the default
-/// file-per-user [`StateBackend::save_batch`]).
-const BATCH_CHUNK_MIN: usize = 64;
-
 /// A durable layer for per-user [`LongTermState`].
 ///
-/// Two implementations exist: the legacy file-per-user [`StateStore`]
-/// (kept for single-session tooling and migration) and the sharded
-/// append-only [`BinaryStateLog`] (the fleet-scale default). The cache
-/// ([`ShardedStateCache`]) and the fleet engine are written against this
-/// trait, so the two are interchangeable; the property tests in
-/// `tests/cache_props.rs` assert they are observably equivalent.
+/// The fleet runs on one implementation, the sharded append-only
+/// [`BinaryStateLog`]. The file-per-user [`StateStore`] implements the
+/// trait too, for two reasons only: it is the paper's §4 *client* store
+/// (what `examples/personalized_streaming.rs` persists), and it is the
+/// reference `tests/cache_props.rs` holds the log to — the same
+/// operation script must leave both backends observably equal, directly
+/// and through the [`ShardedStateCache`]. Nothing converts one layout
+/// into the other; the engine only refuses a `state_dir` that holds
+/// `user_<id>.json` files and no log manifest, a check on outside input
+/// (opening a log there would silently start every user fresh).
 ///
-/// Durability contract: `save`/`save_batch`/`delete` may buffer;
-/// [`flush`] makes every prior write durable (crash-recoverable), and
-/// [`checkpoint`] additionally compacts the on-disk representation.
+/// The trait is put-only. The write-behind cache could not honour a
+/// delete — a dirty resident entry would resurrect the user at the next
+/// flush, a clean one would keep being served from memory.
+///
+/// Durability contract: `save`/`save_batch` may buffer; [`flush`] makes
+/// every prior write durable (crash-recoverable), and [`checkpoint`]
+/// additionally compacts the on-disk representation.
 ///
 /// [`BinaryStateLog`]: crate::binlog::BinaryStateLog
 /// [`ShardedStateCache`]: crate::cache::ShardedStateCache
@@ -67,8 +70,8 @@ pub trait StateBackend: std::fmt::Debug + Send + Sync {
     fn save(&self, state: &LongTermState) -> Result<()>;
 
     /// Persist a batch of states; returns how many were written. The
-    /// batch is the fleet flush path — backends optimize it (sequential
-    /// appends, parallel writers) where a per-user loop would not.
+    /// batch is the fleet flush path; this loop is its reference
+    /// semantics, which the log overrides with sequential appends.
     fn save_batch(&self, batch: &[&LongTermState]) -> Result<usize> {
         for state in batch {
             self.save(state)?;
@@ -78,10 +81,6 @@ pub trait StateBackend: std::fmt::Debug + Send + Sync {
 
     /// Load a user's state; `None` for first-time users.
     fn load(&self, user_id: u64) -> Result<Option<LongTermState>>;
-
-    /// Delete a user's state (account removal / privacy request).
-    /// Returns whether the user existed.
-    fn delete(&self, user_id: u64) -> Result<bool>;
 
     /// Enumerate the backend: all persisted user ids (ascending) plus
     /// one warning per malformed / unrecoverable entry encountered.
@@ -150,16 +149,6 @@ impl StateStore {
         }
     }
 
-    /// Delete a user's state (account removal / privacy request).
-    pub fn delete(&self, user_id: u64) -> Result<bool> {
-        let path = self.path_for(user_id);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(CoreError::Persistence(format!("delete {path:?}: {e}"))),
-        }
-    }
-
     /// User ids currently persisted. Lossy: entries that do not parse as
     /// `user_<id>.json` are dropped; use [`StateStore::scan`] when the
     /// caller must know about them (fleet startup does).
@@ -211,47 +200,8 @@ impl StateBackend for StateStore {
         StateStore::save(self, state)
     }
 
-    /// The file-per-user layout makes saves to distinct users fully
-    /// independent, so the batch is split across writer threads to
-    /// overlap the per-file write+rename syscall pairs.
-    fn save_batch(&self, batch: &[&LongTermState]) -> Result<usize> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(batch.len().div_ceil(BATCH_CHUNK_MIN).max(1));
-        if threads <= 1 {
-            for state in batch {
-                StateStore::save(self, state)?;
-            }
-        } else {
-            let chunk = batch.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            for state in part {
-                                StateStore::save(self, state)?;
-                            }
-                            Ok::<(), CoreError>(())
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("batch writer panicked")?;
-                }
-                Ok::<(), CoreError>(())
-            })?;
-        }
-        Ok(batch.len())
-    }
-
     fn load(&self, user_id: u64) -> Result<Option<LongTermState>> {
         StateStore::load(self, user_id)
-    }
-
-    fn delete(&self, user_id: u64) -> Result<bool> {
-        StateStore::delete(self, user_id)
     }
 
     fn scan(&self) -> Result<StateScan> {
@@ -262,8 +212,9 @@ impl StateBackend for StateStore {
         StateStore::list(self)
     }
 
-    // `flush`/`checkpoint` are the defaults: every write-then-rename save
-    // is already durable on its own, and there is nothing to compact.
+    // `save_batch`/`flush`/`checkpoint` are the defaults: every
+    // write-then-rename save is already durable on its own, and there is
+    // nothing to batch or compact.
 }
 
 /// Result of [`StateStore::scan`]: the parseable user ids plus one warning
@@ -318,9 +269,6 @@ mod tests {
             store.save(&LongTermState::new(id)).unwrap();
         }
         assert_eq!(store.list().unwrap(), vec![1, 2, 3]);
-        assert!(store.delete(2).unwrap());
-        assert!(!store.delete(2).unwrap());
-        assert_eq!(store.list().unwrap(), vec![1, 3]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -82,8 +82,8 @@ proptest! {
     ) {
         let cache_dir = fresh_dir("cache");
         let direct_dir = fresh_dir("direct");
-        let cache = ShardedStateCache::new(
-            StateStore::open(&cache_dir).unwrap(),
+        let cache = ShardedStateCache::with_backend(
+            Arc::new(StateStore::open(&cache_dir).unwrap()),
             CacheConfig {
                 shards,
                 capacity_per_shard: capacity,
@@ -236,13 +236,13 @@ proptest! {
     ) {
         let wb_dir = fresh_dir("wb");
         let wt_dir = fresh_dir("wt");
-        let wb = ShardedStateCache::new(
-            StateStore::open(&wb_dir).unwrap(),
+        let wb = ShardedStateCache::with_backend(
+            Arc::new(StateStore::open(&wb_dir).unwrap()),
             CacheConfig { shards: 3, capacity_per_shard: 2, write_through: false },
         )
         .unwrap();
-        let wt = ShardedStateCache::new(
-            StateStore::open(&wt_dir).unwrap(),
+        let wt = ShardedStateCache::with_backend(
+            Arc::new(StateStore::open(&wt_dir).unwrap()),
             CacheConfig { shards: 1, capacity_per_shard: 64, write_through: true },
         )
         .unwrap();

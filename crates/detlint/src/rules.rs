@@ -89,8 +89,8 @@ pub struct FileCtx {
     /// Repo-relative path, used verbatim in diagnostics.
     pub path: String,
     /// Whether the owning crate is on the simulation path (D1 applies).
-    /// Timing/bench/CLI crates (`lingxi-exp`, `lingxi-bench`, the linter
-    /// itself) are off-path: their output never feeds merged metrics.
+    /// Timing/CLI crates (`lingxi-exp`, the linter itself) are
+    /// off-path: their output never feeds merged metrics.
     pub sim_path: bool,
 }
 

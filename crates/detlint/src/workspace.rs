@@ -5,10 +5,10 @@
 //!
 //! Scope decisions, deliberately:
 //!
-//! - only `src/` trees are linted — `tests/`, `benches/` and `examples/`
-//!   may use wall clocks, hash maps and ambient entropy freely (their
-//!   output is asserted, not merged into metrics), and the engine also
-//!   drops `#[cfg(test)]` regions inside `src/` files;
+//! - only `src/` trees are linted — `tests/` and `examples/` may use
+//!   wall clocks, hash maps and ambient entropy freely (their output is
+//!   asserted, not merged into metrics), and the engine also drops
+//!   `#[cfg(test)]` regions inside `src/` files;
 //! - vendored crates are not linted rule-by-rule (they stand in for
 //!   crates.io and follow upstream idiom) but their `unsafe` footprint
 //!   is pinned: the budget file records a *raw* word count per crate —
@@ -22,10 +22,10 @@ use std::path::{Path, PathBuf};
 
 use crate::rules::{lint_source, FileCtx, Finding, RuleId};
 
-/// Workspace members whose code is *off* the simulation path — timing,
-/// benchmarking and CLI layers where wall-clock use is expected (still
+/// Workspace members whose code is *off* the simulation path — timing
+/// and CLI layers where wall-clock use is expected (still
 /// annotation-gated by D2) and hash collections never feed metrics.
-pub const NON_SIM_CRATES: &[&str] = &["lingxi-exp", "lingxi-bench", "lingxi-detlint"];
+pub const NON_SIM_CRATES: &[&str] = &["lingxi-exp", "lingxi-detlint"];
 
 /// The complete result of linting a workspace.
 #[derive(Debug)]

@@ -6,23 +6,23 @@
 //! experiments <figNN|SCENARIO|all|smoke> \
 //!     [--seed N] [--scale F] [--out DIR] [--days D] \
 //!     [--checkpoint-every N] [--resume] [--state-dir DIR] [--stop-after-epochs N]
-//! experiments migrate-state <json-dir> <log-dir>
 //! ```
 //!
 //! Prints each experiment's series and writes CSVs under `--out`
-//! (default `results/`). `SCENARIO` is an id of the `lingxi_exp::SYSTEMS`
-//! table (run without arguments to list them); `all` runs the paper
-//! figures; `smoke` runs every systems scenario at its table
-//! `smoke_scale` (or at `--scale` when given) — each gates itself, so a
-//! non-zero exit is a real property violation. `--days` selects the
-//! simulated-day count of the `population` scenario;
+//! (default `results/`). `figNN` is an id of the `lingxi_exp::FIGURES`
+//! table and `SCENARIO` one of the `lingxi_exp::SYSTEMS` table (run
+//! without arguments to list both); `all` runs the paper figures;
+//! `smoke` runs every systems scenario at its table `smoke_scale` (or at
+//! `--scale` when given) — each gates itself, so a non-zero exit is a
+//! real property violation. `--days` selects the simulated-day count of
+//! the `population` scenario;
 //! `--checkpoint-every`/`--resume`/`--state-dir`/`--stop-after-epochs`
 //! thread its kill/resume knobs (a suspended run restarts from its
-//! epoch-barrier manifest with bit-identical output). A flag whose value
-//! is missing or does not parse is an error, never a default.
-//! `migrate-state` converts a legacy file-per-user JSON state directory
-//! into a sharded binary state log, reporting malformed-filename
-//! warnings.
+//! epoch-barrier manifest with bit-identical output). These five are
+//! rejected when the run does not include `population` — a flag nothing
+//! reads is an error, like a flag whose value is missing or does not
+//! parse, never a default. So is a CSV that cannot be written: the run
+//! stops there and exits non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -30,27 +30,35 @@ use std::env;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use lingxi_core::{migrate_file_store, BinLogConfig, BinaryStateLog, StateStore};
 use lingxi_exp::population::CheckpointOpts;
-use lingxi_exp::{population, run_experiment, ALL_EXPERIMENTS, SYSTEMS};
+use lingxi_exp::{population, run_experiment, FIGURES, SYSTEMS};
+
+/// Flags only the `population` scenario reads.
+const POPULATION_FLAGS: [&str; 5] = [
+    "--days",
+    "--checkpoint-every",
+    "--resume",
+    "--state-dir",
+    "--stop-after-epochs",
+];
 
 fn usage() {
+    let figures: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
     let systems: Vec<&str> = SYSTEMS.iter().map(|s| s.id).collect();
     eprintln!(
         "usage: experiments <figNN|{}|all|smoke> [--seed N] [--scale F] [--out DIR] [--days D]",
         systems.join("|")
     );
     eprintln!("                   [--checkpoint-every N] [--resume] [--state-dir DIR] [--stop-after-epochs N]");
-    eprintln!("       experiments migrate-state <json-dir> <log-dir>");
-    eprintln!("figures: {}", ALL_EXPERIMENTS.join(", "));
-    eprintln!("(`all` runs the paper figures; `smoke` runs the systems scenarios — {} — at their smoke scales; `migrate-state` converts file-per-user JSON state to the binary log)", systems.join(", "));
+    eprintln!("figures: {}", figures.join(", "));
+    eprintln!("(`all` runs the paper figures; `smoke` runs the systems scenarios — {} — at their smoke scales; {} apply to `population` only)", systems.join(", "), POPULATION_FLAGS.join("/"));
 }
 
 /// Everything the flags after the target can set.
 #[derive(Debug)]
 struct Opts {
     seed: u64,
-    /// `None`: 1.0, or each scenario's `smoke_scale` under `smoke`.
+    /// `None`: each run's own default (see [`runs_of`]).
     scale: Option<f64>,
     out_dir: String,
     days: usize,
@@ -68,7 +76,22 @@ fn value<'a, T: FromStr>(
         .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
 }
 
-fn parse_flags(args: &[String]) -> Result<Opts, String> {
+/// A run list, in order: `(id, scale when --scale is absent)`.
+type Runs<'a> = Vec<(&'a str, f64)>;
+
+/// What `target` runs.
+fn runs_of(target: &str) -> Runs<'_> {
+    match target {
+        "all" => FIGURES.iter().map(|&(id, _)| (id, 1.0)).collect(),
+        "smoke" => SYSTEMS.iter().map(|s| (s.id, s.smoke_scale)).collect(),
+        id => vec![(id, 1.0)],
+    }
+}
+
+/// Parse the flags after the target. `population` says whether the run
+/// includes the `population` scenario; without it nothing would read
+/// [`POPULATION_FLAGS`], so they are errors rather than silently ignored.
+fn parse_flags(args: &[String], population: bool) -> Result<Opts, String> {
     let mut opts = Opts {
         seed: 42,
         scale: None,
@@ -78,6 +101,11 @@ fn parse_flags(args: &[String]) -> Result<Opts, String> {
     };
     let mut rest = args.iter();
     while let Some(flag) = rest.next() {
+        if !population && POPULATION_FLAGS.contains(&flag.as_str()) {
+            return Err(format!(
+                "{flag} applies to `population` only, which this run does not include"
+            ));
+        }
         match flag.as_str() {
             "--seed" => opts.seed = value(flag, &mut rest)?,
             "--scale" => opts.scale = Some(value(flag, &mut rest)?),
@@ -93,81 +121,22 @@ fn parse_flags(args: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// `migrate-state <json-dir> <log-dir>`: copy every user of a legacy
-/// file-per-user store into a fresh binary state log and compact it.
-fn migrate_state(src: &str, dest: &str) -> ExitCode {
-    let store = match StateStore::open(src) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("migrate-state: cannot open source store {src}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let log = match BinaryStateLog::open(dest, BinLogConfig::default()) {
-        Ok(log) => log,
-        Err(e) => {
-            eprintln!("migrate-state: cannot open destination log {dest}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match migrate_file_store(&store, &log) {
-        Ok(report) => {
-            println!(
-                "migrate-state: {} users migrated from {src} to {dest}",
-                report.migrated
-            );
-            for w in &report.warnings {
-                eprintln!("warning: {w}");
-            }
-            if !report.warnings.is_empty() {
-                eprintln!(
-                    "migrate-state: {} warning(s); the flagged files were skipped, the source directory is untouched",
-                    report.warnings.len()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("migrate-state failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// The whole command line: the target's run list and the flags, checked
+/// against each other.
+fn parse_args(args: &[String]) -> Result<(Runs<'_>, Opts), String> {
+    let target = args.first().ok_or("no target given")?;
+    let runs = runs_of(target);
+    let population = runs.iter().any(|(id, _)| *id == "population");
+    Ok((runs, parse_flags(&args[1..], population)?))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let Some(target) = args.first() else {
-        usage();
-        return ExitCode::FAILURE;
-    };
-    if target == "migrate-state" {
-        if args.len() != 3 {
-            usage();
-            return ExitCode::FAILURE;
-        }
-        return migrate_state(&args[1], &args[2]);
-    }
-    let opts = match parse_flags(&args[1..]) {
-        Ok(opts) => opts,
-        Err(message) => {
-            eprintln!("{message}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+/// Run every `(id, default scale)` in order, printing each result and
+/// writing its CSVs. The first failure — a run that errors or a CSV that
+/// cannot be written — ends the whole run.
+fn execute(runs: &[(&str, f64)], opts: &Opts) -> Result<(), String> {
     let (seed, out_dir) = (opts.seed, &opts.out_dir);
-    let full = opts.scale.unwrap_or(1.0);
-
-    let runs: Vec<(&str, f64)> = match target.as_str() {
-        "all" => ALL_EXPERIMENTS.iter().map(|&id| (id, full)).collect(),
-        "smoke" => SYSTEMS
-            .iter()
-            .map(|s| (s.id, opts.scale.unwrap_or(s.smoke_scale)))
-            .collect(),
-        id => vec![(id, full)],
-    };
-
-    for (id, scale) in runs {
+    for &(id, default_scale) in runs {
+        let scale = opts.scale.unwrap_or(default_scale);
         eprintln!(">>> running {id} (seed {seed}, scale {scale})");
         // `population` takes the extra --days and checkpoint/resume knobs;
         // everything else runs through the uniform (seed, scale) registry.
@@ -176,22 +145,33 @@ fn main() -> ExitCode {
         } else {
             run_experiment(id, seed, scale)
         };
-        match run {
-            Ok(result) => {
-                print!("{}", result.render());
-                if let Err(e) = result.write_csv(out_dir) {
-                    eprintln!("warning: failed to write CSVs for {id}: {e}");
-                } else {
-                    eprintln!("    CSVs written to {out_dir}/{id}/");
-                }
-            }
-            Err(e) => {
-                eprintln!("error running {id}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let result = run.map_err(|e| format!("error running {id}: {e}"))?;
+        print!("{}", result.render());
+        result
+            .write_csv(out_dir)
+            .map_err(|e| format!("error writing CSVs for {id} under {out_dir}: {e}"))?;
+        eprintln!("    CSVs written to {out_dir}/{id}/");
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    let (runs, opts) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("{message}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    match execute(&runs, &opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -199,8 +179,11 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Result<Opts, String> {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        parse_flags(&args)
+        parse_flags(&words(line), true)
+    }
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
 
     #[test]
@@ -245,5 +228,39 @@ mod tests {
             assert!(parse(flag).unwrap_err().contains("needs a value"));
         }
         assert!(parse("--sed 1").unwrap_err().contains("unknown"));
+    }
+
+    /// A flag only `population` reads is an error on a run without it
+    /// (it used to be parsed and dropped), and still fine on runs with it.
+    #[test]
+    fn a_population_only_flag_is_rejected_on_a_run_without_population() {
+        for flag in POPULATION_FLAGS {
+            for target in ["fig02", "all", "fleet"] {
+                let err = parse_args(&words(&format!("{target} {flag} 1"))).unwrap_err();
+                assert!(err.contains(flag) && err.contains("population"), "{err}");
+            }
+        }
+        let args = words("population --days 9 --resume");
+        let (runs, opts) = parse_args(&args).unwrap();
+        assert_eq!(runs, vec![("population", 1.0)]);
+        assert!(opts.days == 9 && opts.ckpt.resume);
+        let args = words("smoke --days 3");
+        let (runs, opts) = parse_args(&args).unwrap();
+        assert_eq!((runs.len(), opts.days), (SYSTEMS.len(), 3));
+        assert!(parse_args(&[]).is_err());
+    }
+
+    /// A CSV that cannot be written fails the run (it used to be a
+    /// warning and exit 0): `--out` under a regular file cannot be created.
+    #[test]
+    fn a_failed_csv_write_is_an_error() {
+        let file = env::temp_dir().join(format!("lingxi_cli_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, "a regular file").unwrap();
+        let out = file.join("results");
+        let opts = parse(&format!("--out {}", out.display())).unwrap();
+        let err = execute(&[("fig05", 0.02)], &opts).unwrap_err();
+        assert!(err.contains("error writing CSVs for fig05"), "{err}");
+        assert!(!out.exists());
+        let _ = std::fs::remove_file(&file);
     }
 }

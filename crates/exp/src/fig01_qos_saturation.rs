@@ -151,20 +151,10 @@ mod tests {
         // 4 metrics × 3 algorithms.
         assert_eq!(r.series.len(), 12);
         // Alg3 (quality-seeking) should not lose on bitrate to Alg1.
-        let ratio = r
-            .headline
-            .iter()
-            .find(|(k, _)| k == "bitrate_ratio_alg3_over_alg1")
-            .unwrap()
-            .1;
+        let ratio = r.headline_named("bitrate_ratio_alg3_over_alg1").unwrap();
         assert!(ratio >= 0.98, "bitrate ratio {ratio}");
         // Alg1 should not stall more than Alg3.
-        let stall_ratio = r
-            .headline
-            .iter()
-            .find(|(k, _)| k == "stall_ratio_alg1_over_alg3")
-            .unwrap()
-            .1;
+        let stall_ratio = r.headline_named("stall_ratio_alg1_over_alg3").unwrap();
         assert!(stall_ratio <= 1.1, "stall ratio {stall_ratio}");
         // Normalised series are positive.
         for s in &r.series {

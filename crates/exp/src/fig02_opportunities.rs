@@ -85,27 +85,12 @@ mod tests {
     #[test]
     fn fig02_matches_paper_shape() {
         let r = run(3, 0.1).unwrap();
-        let below = r
-            .headline
-            .iter()
-            .find(|(k, _)| k == "frac_users_below_max_bitrate")
-            .unwrap()
-            .1;
+        let below = r.headline_named("frac_users_below_max_bitrate").unwrap();
         // Paper: ~10% below max bitrate (mixture gives 10–30% at small n).
         assert!(below > 0.02 && below < 0.40, "below-max {below}");
         // Most users stall-free; nearly all ≤ 2 stalls.
-        let stall_free = r
-            .headline
-            .iter()
-            .find(|(k, _)| k == "frac_stall_free_users")
-            .unwrap()
-            .1;
-        let le2 = r
-            .headline
-            .iter()
-            .find(|(k, _)| k == "frac_at_most_two_stalls")
-            .unwrap()
-            .1;
+        let stall_free = r.headline_named("frac_stall_free_users").unwrap();
+        let le2 = r.headline_named("frac_at_most_two_stalls").unwrap();
         assert!(stall_free > 0.5, "stall-free {stall_free}");
         assert!(le2 >= stall_free);
         assert!(le2 > 0.7, "≤2 stalls {le2}");

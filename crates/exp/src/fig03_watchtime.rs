@@ -145,12 +145,7 @@ mod tests {
         let stall = r.series_named("norm_watch_by_stall_rate").unwrap();
         assert_eq!(stall.points.len(), 6);
         // The claim is noise: daily watch time has substantial dispersion.
-        let cv = r
-            .headline
-            .iter()
-            .find(|(k, _)| k == "watch_time_cv")
-            .unwrap()
-            .1;
+        let cv = r.headline_named("watch_time_cv").unwrap();
         assert!(cv > 0.2, "cv {cv}");
     }
 }

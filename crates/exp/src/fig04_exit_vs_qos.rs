@@ -67,7 +67,6 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
             let mut session_stall = 0.0;
             let mut events = 0usize;
             let mut watch = 0.0;
-            let n = log.segments.len();
             for (i, seg) in log.segments.iter().enumerate() {
                 if seg.stall_time > 0.0 {
                     session_stall += seg.stall_time;
@@ -79,7 +78,6 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
                     QualityTier::Hd => 2,
                     QualityTier::FullHd => 3,
                 };
-                let _ = n;
                 let exited = log.exit_segment == Some(i);
                 observations.push(Obs {
                     tier,
@@ -197,7 +195,7 @@ mod tests {
     #[test]
     fn fig04_magnitude_hierarchy() {
         let r = run(7, 0.15).unwrap();
-        let get = |k: &str| r.headline.iter().find(|(n, _)| n == k).unwrap().1;
+        let get = |k: &str| r.headline_named(k).unwrap();
         let q = get("quality_effect_span");
         let s = get("switch_effect_span");
         let st = get("stall_effect_span");

@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn fig05_population_shares() {
         let r = run(2, 0.2).unwrap();
-        let get = |k: &str| r.headline.iter().find(|(n, _)| n == k).unwrap().1;
+        let get = |k: &str| r.headline_named(k).unwrap();
         // Fig. 5a: ~20% minimal tolerance; ~20% > 5 s; ~10% > 10 s.
         assert!((get("frac_tolerance_below_2s") - 0.2).abs() < 0.15);
         assert!(get("frac_tolerance_above_5s") > 0.12);

@@ -142,12 +142,7 @@ mod tests {
             );
         }
         // Stall entries were harvested.
-        let n = r
-            .headline
-            .iter()
-            .find(|(k, _)| k == "n_stall_entries")
-            .unwrap()
-            .1;
+        let n = r.headline_named("n_stall_entries").unwrap();
         assert!(n > 10.0, "too few stall entries: {n}");
     }
 }

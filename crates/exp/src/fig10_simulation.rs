@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn fig10_lingxi_competitive_with_fixed() {
         let r = run(23, 0.25).unwrap();
-        let get = |k: &str| r.headline.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
+        let get = |k: &str| r.headline_named(k);
         // For each panel, L(B) should be at least near the best fixed
         // parameters (the paper shows it beating them; at tiny scale we
         // accept parity within noise).

@@ -172,13 +172,11 @@ mod tests {
     #[test]
     fn fig14_negative_correlation() {
         let r = run(41, 0.2).unwrap();
-        let mean = r.headline.iter().find(|(k, _)| k == "mean_pearson");
-        if let Some((_, corr)) = mean {
-            // Fig. 14: robustly negative (paper −0.23..−0.52). Allow noise
-            // at small scale but demand the sign.
-            assert!(*corr < 0.15, "mean pearson {corr} should be negative-ish");
-        } else {
-            panic!("no correlation computed — too few stalling users");
-        }
+        let corr = r
+            .headline_named("mean_pearson")
+            .expect("no correlation computed — too few stalling users");
+        // Fig. 14: robustly negative (paper −0.23..−0.52). Allow noise at
+        // small scale but demand the sign.
+        assert!(corr < 0.15, "mean pearson {corr} should be negative-ish");
     }
 }

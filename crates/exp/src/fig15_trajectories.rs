@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn fig15_tolerant_users_get_higher_beta() {
         let r = run(43, 0.4).unwrap();
-        let get = |k: &str| r.headline.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
+        let get = |k: &str| r.headline_named(k);
         let h = get("high_tolerance_mean_beta");
         let l = get("sensitive_mean_beta");
         if let (Some(h), Some(l)) = (h, l) {

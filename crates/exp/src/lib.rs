@@ -1,12 +1,12 @@
 //! Experiment harness: one module per figure/table of the paper's
 //! evaluation, each regenerating the corresponding series.
 //!
-//! Every figure module — and every systems scenario of the [`SYSTEMS`]
-//! table — exposes `run(seed, scale) -> ExperimentResult`; `scale`
-//! shrinks population/session counts so the same code drives unit tests
-//! (scale ≈ 0.05), criterion benches (scale ≈ 0.1) and the full CLI runs
-//! (scale = 1.0). The `experiments` binary prints the series and writes
-//! CSVs under `results/`.
+//! Every figure of the [`FIGURES`] table — and every systems scenario of
+//! the [`SYSTEMS`] table — exposes `run(seed, scale) -> ExperimentResult`;
+//! `scale` shrinks population/session counts so the same code drives
+//! unit tests (scale ≈ 0.05) and the full CLI runs (scale = 1.0). The
+//! `experiments` binary prints the series and writes CSVs under
+//! `results/`.
 //!
 //! Absolute values are simulator-scale, not production-scale; what must
 //! match the paper is the *shape* of each series (see README.md,
@@ -86,11 +86,24 @@ pub fn sub<E: std::fmt::Display>(e: E) -> ExpError {
     ExpError::Subsystem(e.to_string())
 }
 
-/// All paper-figure experiment ids in paper order — what `all` runs.
-/// The systems scenarios are the [`SYSTEMS`] table.
-pub const ALL_EXPERIMENTS: [&str; 13] = [
-    "fig01", "fig02", "fig03", "fig04", "fig05", "fig08", "fig09", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15",
+/// Which paper figures exist, in paper order: the one table `all`, the
+/// CLI usage text and [`run_experiment`] read. Each entry is the figure
+/// at `(seed, scale)`. The systems scenarios are the [`SYSTEMS`] table.
+#[allow(clippy::type_complexity)] // an (id, run) pair; a named type would say no more
+pub const FIGURES: [(&str, fn(u64, f64) -> Result<ExperimentResult>); 13] = [
+    ("fig01", fig01_qos_saturation::run),
+    ("fig02", fig02_opportunities::run),
+    ("fig03", fig03_watchtime::run),
+    ("fig04", fig04_exit_vs_qos::run),
+    ("fig05", fig05_personalization::run),
+    ("fig08", fig08_trigger::run),
+    ("fig09", fig09_predictor::run),
+    ("fig10", fig10_simulation::run),
+    ("fig11", fig11_heatmap::run),
+    ("fig12", fig12_abtest::run),
+    ("fig13", fig13_longtail::run),
+    ("fig14", fig14_correlation::run),
+    ("fig15", fig15_trajectories::run),
 ];
 
 /// One systems scenario: a fleet benchmark that gates itself (the run
@@ -107,7 +120,7 @@ pub struct SystemsScenario {
     pub smoke_scale: f64,
 }
 
-/// Which systems scenarios exist: the one table `run_experiment`, the
+/// Which systems scenarios exist: the one table [`run_experiment`], the
 /// CLI usage text, `experiments smoke` and the module tests read.
 pub const SYSTEMS: [SystemsScenario; 6] = [
     SystemsScenario {
@@ -142,26 +155,16 @@ pub const SYSTEMS: [SystemsScenario; 6] = [
     },
 ];
 
-/// Run one experiment by id: a paper figure or a [`SYSTEMS`] scenario.
+/// Run one experiment by id: a [`FIGURES`] figure or a [`SYSTEMS`] scenario.
 pub fn run_experiment(id: &str, seed: u64, scale: f64) -> Result<ExperimentResult> {
-    if let Some(scenario) = SYSTEMS.iter().find(|s| s.id == id) {
-        return (scenario.run)(seed, scale);
-    }
-    match id {
-        "fig01" => fig01_qos_saturation::run(seed, scale),
-        "fig02" => fig02_opportunities::run(seed, scale),
-        "fig03" => fig03_watchtime::run(seed, scale),
-        "fig04" => fig04_exit_vs_qos::run(seed, scale),
-        "fig05" => fig05_personalization::run(seed, scale),
-        "fig08" => fig08_trigger::run(seed, scale),
-        "fig09" => fig09_predictor::run(seed, scale),
-        "fig10" => fig10_simulation::run(seed, scale),
-        "fig11" => fig11_heatmap::run(seed, scale),
-        "fig12" => fig12_abtest::run(seed, scale),
-        "fig13" => fig13_longtail::run(seed, scale),
-        "fig14" => fig14_correlation::run(seed, scale),
-        "fig15" => fig15_trajectories::run(seed, scale),
-        other => Err(ExpError::Subsystem(format!("unknown experiment {other}"))),
+    let figure = FIGURES
+        .iter()
+        .find(|(fig, _)| *fig == id)
+        .map(|(_, run)| *run);
+    let scenario = SYSTEMS.iter().find(|s| s.id == id).map(|s| s.run);
+    match figure.or(scenario) {
+        Some(run) => run(seed, scale),
+        None => Err(ExpError::Subsystem(format!("unknown experiment {id}"))),
     }
 }
 

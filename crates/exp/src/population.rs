@@ -14,9 +14,7 @@
 //! bit-identical across 1, 4 and 8 shards.
 //!
 //! Long-term state persists through the sharded append-only
-//! [`lingxi_core::BinaryStateLog`] (the file-per-user JSON store is
-//! retired from the experiment paths; `experiments migrate-state`
-//! converts old directories). The CLI's `--checkpoint-every`,
+//! [`lingxi_core::BinaryStateLog`]. The CLI's `--checkpoint-every`,
 //! `--resume`, `--state-dir` and `--stop-after-epochs` flags thread into
 //! [`run_opts`], so a killed run restarts from its epoch-barrier
 //! checkpoint manifest and finishes with bit-identical series — the CI

@@ -284,8 +284,8 @@ impl PopulationDynamics {
 /// Which durable [`lingxi_core::StateBackend`] persists long-term user
 /// state under [`FleetConfig::state_dir`]. The fleet has one backend; the
 /// enum is how a caller names it and carries its sizing. (The
-/// file-per-user JSON store is retired from the fleet path:
-/// `experiments migrate-state` converts its directories.)
+/// file-per-user JSON store is the client store, not a fleet backend:
+/// the engine refuses a `state_dir` that holds its files and no log.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistenceConfig {
     /// Sharded append-only binary log with compacting snapshots

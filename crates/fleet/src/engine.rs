@@ -198,10 +198,12 @@ fn link_tables(config: &FleetConfig) -> (Vec<f64>, Vec<f64>) {
         .unzip()
 }
 
-/// Refuse a state directory that holds legacy file-per-user JSON state
-/// and no binary-log manifest: opening the log there would write a fresh
-/// manifest and start every user from scratch, silently. The JSON store's
-/// own scan says whether it has users there.
+/// Refuse a state directory that holds file-per-user JSON state
+/// (`user_<id>.json`, the client store's layout) and no binary-log
+/// manifest: opening the log there would write a fresh manifest and
+/// start every user from scratch, silently. This is a check on outside
+/// input, not a conversion aid: nothing turns one layout into the other.
+/// The JSON store's own scan says whether it has users there.
 fn refuse_legacy_json_dir(dir: &Path) -> Result<()> {
     if dir.join("manifest.json").exists() {
         return Ok(());
@@ -211,8 +213,8 @@ fn refuse_legacy_json_dir(dir: &Path) -> Result<()> {
         0 => Ok(()),
         n => Err(FleetError::InvalidConfig(format!(
             "state_dir {dir:?} holds file-per-user JSON state ({n} users) but no binary-log \
-             manifest; convert it first with `experiments migrate-state <json-dir> <log-dir>` \
-             and point state_dir at the log directory"
+             manifest; the fleet reads only the binary state log, so point state_dir at a \
+             log directory or an empty one"
         ))),
     }
 }
@@ -885,8 +887,9 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
         assert!(
-            err.to_string()
-                .contains("experiments migrate-state <json-dir> <log-dir>"),
+            err.to_string().contains(
+                "(1 users) but no binary-log manifest; the fleet reads only the binary state log"
+            ),
             "{err}"
         );
         assert!(

@@ -11,9 +11,10 @@
 # 2. The population kill/resume recipe, end to end through the CLI
 #    flags: run population straight, run it again killed at the barrier
 #    after epoch 1 (leaving a checkpoint manifest + binary-log state),
-#    resume to completion, and diff every series CSV against the
-#    straight run. headline.csv is excluded — it carries wall-clock
-#    throughput; every simulated series must match byte for byte.
+#    resume to completion, and diff the two output directories: a
+#    series missing from or extra in either side fails like a differing
+#    one. headline.csv is excluded — it carries wall-clock throughput;
+#    every simulated series must match byte for byte.
 # 3. `examples/ab_experiment.rs`: the §5.3 A/B on the fleet engine
 #    through the facade crate — the one example CI runs, not only
 #    compiles.
@@ -38,12 +39,7 @@ population=("$bin" population --seed 7 --scale 0.01 --days 2)
 "${population[@]}" --out "$tmp/killed" \
     --state-dir "$tmp/state" --checkpoint-every 1 --stop-after-epochs 1
 "${population[@]}" --out "$tmp/resumed" --state-dir "$tmp/state" --resume
-for f in "$tmp"/straight/population/*.csv; do
-    base=$(basename "$f")
-    if [ "$base" != headline.csv ]; then
-        diff -u "$f" "$tmp/resumed/population/$base"
-    fi
-done
+diff -r --exclude=headline.csv "$tmp/straight/population" "$tmp/resumed/population"
 
 cargo run --release --locked --example ab_experiment
 echo ">>> smoke: all green"
