@@ -148,6 +148,7 @@ mod tests {
     #[test]
     fn fig01_shape_holds_at_small_scale() {
         let r = run(11, 0.05).unwrap();
+        assert_eq!(r.fingerprint(), 0xc903_4fb2_532b_d8f6);
         // 4 metrics × 3 algorithms.
         assert_eq!(r.series.len(), 12);
         // Alg3 (quality-seeking) should not lose on bitrate to Alg1.

@@ -85,6 +85,7 @@ mod tests {
     #[test]
     fn fig02_matches_paper_shape() {
         let r = run(3, 0.1).unwrap();
+        assert_eq!(r.fingerprint(), 0xe703_b1ef_5788_da7c);
         let below = r.headline_named("frac_users_below_max_bitrate").unwrap();
         // Paper: ~10% below max bitrate (mixture gives 10–30% at small n).
         assert!(below > 0.02 && below < 0.40, "below-max {below}");

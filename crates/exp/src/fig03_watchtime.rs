@@ -139,6 +139,7 @@ mod tests {
     #[test]
     fn fig03_produces_noisy_watch_series() {
         let r = run(5, 0.05).unwrap();
+        assert_eq!(r.fingerprint(), 0x12df_6b0a_553c_7a38);
         let tier = r.series_named("norm_watch_by_tier").unwrap();
         assert_eq!(tier.points.len(), 4);
         assert!(tier.ys().iter().all(|&y| (0.0..=1.0 + 1e-9).contains(&y)));

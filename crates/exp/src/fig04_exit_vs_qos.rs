@@ -195,6 +195,7 @@ mod tests {
     #[test]
     fn fig04_magnitude_hierarchy() {
         let r = run(7, 0.15).unwrap();
+        assert_eq!(r.fingerprint(), 0xf453_90e7_7ff3_14cb);
         let get = |k: &str| r.headline_named(k).unwrap();
         let q = get("quality_effect_span");
         let s = get("switch_effect_span");

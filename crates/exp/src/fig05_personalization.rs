@@ -99,6 +99,7 @@ mod tests {
     #[test]
     fn fig05_population_shares() {
         let r = run(2, 0.2).unwrap();
+        assert_eq!(r.fingerprint(), 0x98c3_cbcc_aac2_a7f9);
         let get = |k: &str| r.headline_named(k).unwrap();
         // Fig. 5a: ~20% minimal tolerance; ~20% > 5 s; ~10% > 10 s.
         assert!((get("frac_tolerance_below_2s") - 0.2).abs() < 0.15);

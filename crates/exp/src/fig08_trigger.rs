@@ -129,6 +129,7 @@ mod tests {
     #[test]
     fn fig08_bucket_cdfs_ordered() {
         let r = run(13, 0.15).unwrap();
+        assert_eq!(r.fingerprint(), 0x4a3c_fde6_55ef_aba2);
         // High-bandwidth users stall less: CDF at 0 higher for 10+Mbps
         // than for 0-2Mbps (when both buckets are populated).
         let low = r.series_named("stall_cdf/0-2Mbps");

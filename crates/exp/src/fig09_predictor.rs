@@ -138,6 +138,7 @@ mod tests {
     #[test]
     fn fig09_stall_dataset_dominates() {
         let r = run(17, 0.15).unwrap();
+        assert_eq!(r.fingerprint(), 0x0983_3534_4701_a5ec);
         let stall = r.series_named("metrics/Stall");
         let all = r.series_named("metrics/ALL");
         if let (Some(stall), Some(all)) = (stall, all) {

@@ -345,6 +345,7 @@ mod tests {
     #[test]
     fn fig10_lingxi_competitive_with_fixed() {
         let r = run(23, 0.25).unwrap();
+        assert_eq!(r.fingerprint(), 0xa6b5_e0ea_889b_3e70);
         let get = |k: &str| r.headline_named(k);
         // For each panel, L(B) should be at least near the best fixed
         // parameters (the paper shows it beating them; at tiny scale we

@@ -152,6 +152,7 @@ mod tests {
     #[test]
     fn fig11_produces_grid() {
         let r = run(29, 0.25).unwrap();
+        assert_eq!(r.fingerprint(), 0x3c89_3bf9_2534_89a9);
         assert!(!r.series.is_empty(), "heatmap rows must exist");
         for s in &r.series {
             for (_, v) in &s.points {

@@ -177,6 +177,7 @@ mod tests {
     #[test]
     fn fig13_beta_rises_with_bandwidth() {
         let r = run(37, 0.15).unwrap();
+        assert_eq!(r.fingerprint(), 0x5fe2_78fb_7cef_033f);
         let means = r.series_named("beta_mean").unwrap().ys();
         assert!(!means.is_empty());
         // All betas within the valid range.

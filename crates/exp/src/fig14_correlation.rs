@@ -172,6 +172,7 @@ mod tests {
     #[test]
     fn fig14_negative_correlation() {
         let r = run(41, 0.2).unwrap();
+        assert_eq!(r.fingerprint(), 0xcd81_5c07_c387_2d4c);
         let corr = r
             .headline_named("mean_pearson")
             .expect("no correlation computed — too few stalling users");

@@ -91,6 +91,32 @@ impl ExperimentResult {
         self.series.iter().find(|s| s.name == name)
     }
 
+    /// FNV-1a over the id, the headline `(name, f64 bits)` and every
+    /// series' `(name, label, f64 bits)`. Each figure's unit test pins it,
+    /// so a reordered RNG draw fails a test instead of shifting a curve.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(self.id.as_bytes());
+        for (name, value) in &self.headline {
+            eat(name.as_bytes());
+            eat(&value.to_bits().to_le_bytes());
+        }
+        for s in &self.series {
+            eat(s.name.as_bytes());
+            for (label, y) in &s.points {
+                eat(label.as_bytes());
+                eat(&y.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
     /// Render as a text report (what the CLI prints).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -163,6 +189,10 @@ mod tests {
         assert!(r.series_named("nope").is_none());
         assert_eq!(r.headline_named("effect"), Some(0.146));
         assert_eq!(r.headline_named("nope"), None);
+        // One ulp in one value is a different fingerprint.
+        let pinned = r.fingerprint();
+        r.series[0].points[0].1 = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_ne!(r.fingerprint(), pinned);
     }
 
     #[test]
