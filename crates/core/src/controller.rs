@@ -271,22 +271,9 @@ impl LingXiController {
 
     /// Run one full optimization pass (Algorithm 1 lines 7–20) and deploy
     /// the winner to `abr`. Returns `None` when the trigger hasn't fired
-    /// or the pre-playback prune removed the work.
-    pub fn maybe_optimize<R: Rng + ?Sized>(
-        &mut self,
-        abr: &mut dyn Abr,
-        env: &PlayerEnv,
-        ladder: &BitrateLadder,
-        predictor: &mut dyn RolloutPredictor,
-        rng: &mut R,
-    ) -> Result<Option<OptimizeOutcome>> {
-        self.maybe_optimize_in(abr, env, ladder, predictor, &mut McScratch::new(), rng)
-    }
-
-    /// [`LingXiController::maybe_optimize`] with caller-owned Monte-Carlo
-    /// scratch, so fleet workers amortize rollout allocations across every
-    /// session they run. A fresh scratch reproduces `maybe_optimize`
-    /// exactly.
+    /// or the pre-playback prune removed the work. Rollouts build their
+    /// virtual video in the caller's `scratch`; a fresh one and a reused
+    /// one give identical results.
     pub fn maybe_optimize_in<R: Rng + ?Sized>(
         &mut self,
         abr: &mut dyn Abr,
@@ -476,20 +463,29 @@ mod tests {
         user.base_exit = 0.0;
         let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
         controller.config.mc.samples = 0;
-        let out = crate::run_managed_session(
-            2,
-            cat.video_cyclic(0),
-            cat.ladder(),
-            &trace,
-            PlayerConfig::deterministic(10.0, 0.0),
-            &mut Hyb::default_rule(),
-            &mut controller,
-            &mut ProfilePredictor {
-                profile,
-                base: 0.002,
+        let video = cat.video_cyclic(0);
+        let setup = lingxi_player::SessionSetup {
+            user_id: 2,
+            video,
+            ladder: cat.ladder(),
+            process: &trace,
+            config: PlayerConfig::deterministic(10.0, 0.0),
+        };
+        let out = crate::play(
+            &setup,
+            &mut crate::ManagedHooks {
+                abr: &mut Hyb::default_rule(),
+                lingxi: Some(crate::LingXiHooks {
+                    controller: &mut controller,
+                    predictor: &mut ProfilePredictor {
+                        profile,
+                        base: 0.002,
+                    },
+                }),
+                user: &mut user,
+                buffers: &mut crate::SessionBuffers::new(),
+                rng: &mut rng,
             },
-            &mut user,
-            &mut rng,
         );
         assert!(matches!(out, Err(CoreError::InvalidConfig(_))), "{out:?}");
     }
@@ -509,17 +505,28 @@ mod tests {
         assert_eq!(c2.pending_stalls(), 0);
     }
 
+    /// One pass of `c` over `abr` on the default ladder, with a fresh
+    /// Monte-Carlo scratch.
+    fn pass(
+        c: &mut LingXiController,
+        abr: &mut Hyb,
+        env: &PlayerEnv,
+        predictor: &mut dyn RolloutPredictor,
+        seed: u64,
+    ) -> Option<OptimizeOutcome> {
+        let ladder = BitrateLadder::default_short_video();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scratch = &mut McScratch::new();
+        c.maybe_optimize_in(abr, env, &ladder, predictor, scratch, &mut rng)
+            .unwrap()
+    }
+
     #[test]
     fn no_optimization_without_trigger() {
         let mut c = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
-        let mut abr = Hyb::default_rule();
         let env = env_with_bandwidth(3000.0, 8);
-        let ladder = BitrateLadder::default_short_video();
         let mut pred = ConstantPredictor { p: 0.05 };
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = c
-            .maybe_optimize(&mut abr, &env, &ladder, &mut pred, &mut rng)
-            .unwrap();
+        let out = pass(&mut c, &mut Hyb::default_rule(), &env, &mut pred, 1);
         assert!(out.is_none());
     }
 
@@ -528,19 +535,14 @@ mod tests {
         let mut c = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
         let mut abr = Hyb::default_rule();
         let env = env_with_bandwidth(1200.0, 8);
-        let ladder = BitrateLadder::default_short_video();
         let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.35).unwrap();
         let mut pred = ProfilePredictor {
             profile,
             base: 0.01,
         };
-        let mut rng = StdRng::seed_from_u64(2);
         c.observe_segment(&stalled_record(1.5), 2.0);
         c.observe_segment(&stalled_record(2.0), 2.0);
-        let out = c
-            .maybe_optimize(&mut abr, &env, &ladder, &mut pred, &mut rng)
-            .unwrap()
-            .expect("trigger fired");
+        let out = pass(&mut c, &mut abr, &env, &mut pred, 2).expect("trigger fired");
         assert!(out.trials > 0);
         assert!(out.predicted_exit_rate.is_finite());
         assert_eq!(c.params(), out.params);
@@ -554,23 +556,17 @@ mod tests {
         // A stall-sensitive user on a weak link should end with a β no
         // higher than an insensitive user's on the same link (Fig. 14's
         // negative correlation, in expectation).
-        let ladder = BitrateLadder::default_short_video();
         let env = env_with_bandwidth(900.0, 8);
         let run = |profile: StallProfile, seed: u64| {
             let mut c = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
-            let mut abr = Hyb::default_rule();
             let mut pred = ProfilePredictor {
                 profile,
                 base: 0.01,
             };
-            let mut rng = StdRng::seed_from_u64(seed);
             c.observe_segment(&stalled_record(2.0), 2.0);
             c.observe_segment(&stalled_record(2.0), 2.0);
-            c.maybe_optimize(&mut abr, &env, &ladder, &mut pred, &mut rng)
-                .unwrap()
-                .unwrap()
-                .params
-                .beta
+            let out = pass(&mut c, &mut Hyb::default_rule(), &env, &mut pred, seed);
+            out.expect("trigger fired").params.beta
         };
         let sensitive = StallProfile::new(SensitivityKind::Sensitive, 1.0, 0.4).unwrap();
         let tolerant = StallProfile::new(SensitivityKind::Insensitive, 8.0, 0.1).unwrap();
@@ -593,14 +589,10 @@ mod tests {
         // 40 Mbps stable: μ − 3σ ≫ 4300 kbps.
         let env = env_with_bandwidth(40_000.0, 8);
         assert!(c.prunable(&env, &ladder));
-        let mut abr = Hyb::default_rule();
         let mut pred = ConstantPredictor { p: 0.05 };
-        let mut rng = StdRng::seed_from_u64(3);
         c.observe_segment(&stalled_record(1.0), 2.0);
         c.observe_segment(&stalled_record(1.0), 2.0);
-        let out = c
-            .maybe_optimize(&mut abr, &env, &ladder, &mut pred, &mut rng)
-            .unwrap();
+        let out = pass(&mut c, &mut Hyb::default_rule(), &env, &mut pred, 3);
         assert!(out.is_none());
         assert_eq!(c.prunes(), 1);
         assert_eq!(c.pending_stalls(), 0, "prune still clears the trigger");

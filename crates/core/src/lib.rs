@@ -49,13 +49,10 @@ pub mod state;
 pub use binlog::{BinLogConfig, BinaryStateLog, BINLOG_FORMAT_VERSION};
 pub use cache::{CacheConfig, CacheStats, ShardedStateCache};
 pub use controller::{LingXiConfig, LingXiController, OptimizeOutcome, ParamDim, SearchStrategy};
-pub use montecarlo::{
-    evaluate_parameters, evaluate_parameters_in, McConfig, McEvaluation, McScratch,
-};
+pub use montecarlo::{evaluate_parameters_in, McConfig, McEvaluation, McScratch};
 pub use predictor::{ConstantPredictor, ProfilePredictor, RolloutContext, RolloutPredictor};
 pub use session::{
-    run_managed_session, run_managed_session_in, LingXiHooks, ManagedHooks, ManagedOutcome,
-    ManagedSession, SessionBuffers,
+    play, run_managed_session_in, LingXiHooks, ManagedHooks, ManagedSession, SessionBuffers,
 };
 pub use state::{LongTermState, StateBackend, StateScan, StateStore};
 

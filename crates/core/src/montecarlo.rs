@@ -98,8 +98,8 @@ pub struct McEvaluation {
 /// Each evaluation builds a virtual video (a [`SegmentSizes`] table); a
 /// scratch owned by the caller amortizes that allocation across the many
 /// evaluations of an optimization pass — and, in the fleet engine, across
-/// every session a shard worker runs. A fresh scratch behaves identically
-/// to none at all, so results never depend on scratch reuse.
+/// every session a user agent runs. A fresh scratch and a reused one give
+/// identical results, so nothing depends on scratch reuse.
 #[derive(Debug, Default)]
 pub struct McScratch {
     sizes: Option<SegmentSizes>,
@@ -112,37 +112,8 @@ impl McScratch {
     }
 }
 
-/// Evaluate candidate `params` by virtual playback (Algorithm 2).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_parameters<R: Rng + ?Sized>(
-    abr: &mut dyn Abr,
-    params: QoeParams,
-    bandwidth: NormalDist,
-    user_state: &UserStateTracker,
-    env: &PlayerEnv,
-    ladder: &BitrateLadder,
-    predictor: &mut dyn RolloutPredictor,
-    config: &McConfig,
-    prune_threshold: Option<f64>,
-    rng: &mut R,
-) -> Result<McEvaluation> {
-    evaluate_parameters_in(
-        abr,
-        params,
-        bandwidth,
-        user_state,
-        env,
-        ladder,
-        predictor,
-        config,
-        prune_threshold,
-        &mut McScratch::new(),
-        rng,
-    )
-}
-
-/// [`evaluate_parameters`] with caller-owned scratch buffers — the
-/// allocation-amortized variant the fleet hot path uses.
+/// Evaluate candidate `params` by virtual playback (Algorithm 2), building
+/// the virtual video in the caller's `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_parameters_in<R: Rng + ?Sized>(
     abr: &mut dyn Abr,
@@ -334,34 +305,39 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn fixture() -> (BitrateLadder, PlayerEnv, UserStateTracker) {
-        (
-            BitrateLadder::default_short_video(),
-            PlayerEnv::new(PlayerConfig::deterministic(10.0, 0.0)).unwrap(),
-            UserStateTracker::new(),
+    /// One evaluation of HYB's default parameters from a fresh player and
+    /// an empty history into `scratch`: a constant-`p` predictor under
+    /// `N(mu, sigma²)`.
+    fn evaluate(
+        p: f64,
+        (mu, sigma): (f64, f64),
+        cfg: &McConfig,
+        prune_threshold: Option<f64>,
+        scratch: &mut McScratch,
+        seed: u64,
+    ) -> McEvaluation {
+        evaluate_parameters_in(
+            &mut Hyb::default_rule(),
+            QoeParams::default(),
+            NormalDist::new(mu, sigma).unwrap(),
+            &UserStateTracker::new(),
+            &PlayerEnv::new(PlayerConfig::deterministic(10.0, 0.0)).unwrap(),
+            &BitrateLadder::default_short_video(),
+            &mut ConstantPredictor { p },
+            cfg,
+            prune_threshold,
+            scratch,
+            &mut StdRng::seed_from_u64(seed),
         )
+        .unwrap()
     }
+
+    const RICH_LINK: (f64, f64) = (8000.0, 1000.0);
 
     #[test]
     fn zero_exit_predictor_watches_everything() {
-        let (ladder, env, tracker) = fixture();
-        let mut abr = Hyb::default_rule();
-        let mut pred = ConstantPredictor { p: 0.0 };
-        let mut rng = StdRng::seed_from_u64(1);
         let cfg = McConfig::default();
-        let eval = evaluate_parameters(
-            &mut abr,
-            QoeParams::default(),
-            NormalDist::new(8000.0, 1000.0).unwrap(),
-            &tracker,
-            &env,
-            &ladder,
-            &mut pred,
-            &cfg,
-            None,
-            &mut rng,
-        )
-        .unwrap();
+        let eval = evaluate(0.0, RICH_LINK, &cfg, None, &mut McScratch::new(), 1);
         assert_eq!(eval.exit_rate, 0.0);
         assert_eq!(eval.exited, 0);
         assert_eq!(eval.watched, cfg.samples * cfg.segments_per_sample());
@@ -370,104 +346,40 @@ mod tests {
 
     #[test]
     fn certain_exit_predictor_exits_immediately() {
-        let (ladder, env, tracker) = fixture();
-        let mut abr = Hyb::default_rule();
-        let mut pred = ConstantPredictor { p: 1.0 };
-        let mut rng = StdRng::seed_from_u64(2);
         let cfg = McConfig::default();
-        let eval = evaluate_parameters(
-            &mut abr,
-            QoeParams::default(),
-            NormalDist::new(8000.0, 1000.0).unwrap(),
-            &tracker,
-            &env,
-            &ladder,
-            &mut pred,
-            &cfg,
-            None,
-            &mut rng,
-        )
-        .unwrap();
+        let eval = evaluate(1.0, RICH_LINK, &cfg, None, &mut McScratch::new(), 2);
         assert_eq!(eval.exit_rate, 1.0);
         assert_eq!(eval.watched, cfg.samples); // one segment per rollout
     }
 
     #[test]
     fn estimate_tracks_constant_probability() {
-        let (ladder, env, tracker) = fixture();
-        let mut abr = Hyb::default_rule();
         let p = 0.08;
-        let mut pred = ConstantPredictor { p };
-        let mut rng = StdRng::seed_from_u64(3);
         let cfg = McConfig {
             samples: 200,
             ..McConfig::default()
         };
-        let eval = evaluate_parameters(
-            &mut abr,
-            QoeParams::default(),
-            NormalDist::new(8000.0, 1000.0).unwrap(),
-            &tracker,
-            &env,
-            &ladder,
-            &mut pred,
-            &cfg,
-            None,
-            &mut rng,
-        )
-        .unwrap();
+        let eval = evaluate(p, RICH_LINK, &cfg, None, &mut McScratch::new(), 3);
         // Per-segment exit probability p → exit rate ≈ p.
         assert!((eval.exit_rate - p).abs() < 0.03, "rate {}", eval.exit_rate);
     }
 
     #[test]
     fn pruning_short_circuits_hopeless_candidates() {
-        let (ladder, env, tracker) = fixture();
-        let mut abr = Hyb::default_rule();
-        let mut pred = ConstantPredictor { p: 0.5 };
-        let mut rng = StdRng::seed_from_u64(4);
         let cfg = McConfig {
             samples: 64,
             ..McConfig::default()
         };
         // Sibling candidate achieved 0.01: this one can't win.
-        let eval = evaluate_parameters(
-            &mut abr,
-            QoeParams::default(),
-            NormalDist::new(8000.0, 1000.0).unwrap(),
-            &tracker,
-            &env,
-            &ladder,
-            &mut pred,
-            &cfg,
-            Some(0.01),
-            &mut rng,
-        )
-        .unwrap();
+        let eval = evaluate(0.5, RICH_LINK, &cfg, Some(0.01), &mut McScratch::new(), 4);
         assert!(eval.pruned);
         assert!(eval.watched < cfg.samples * cfg.segments_per_sample() / 2);
     }
 
     #[test]
     fn low_bandwidth_rollouts_stall() {
-        let (ladder, env, tracker) = fixture();
-        let mut abr = Hyb::default_rule();
-        let mut pred = ConstantPredictor { p: 0.0 };
-        let mut rng = StdRng::seed_from_u64(5);
         let cfg = McConfig::default();
-        let eval = evaluate_parameters(
-            &mut abr,
-            QoeParams::default(),
-            NormalDist::new(300.0, 50.0).unwrap(),
-            &tracker,
-            &env,
-            &ladder,
-            &mut pred,
-            &cfg,
-            None,
-            &mut rng,
-        )
-        .unwrap();
+        let eval = evaluate(0.0, (300.0, 50.0), &cfg, None, &mut McScratch::new(), 5);
         assert!(
             eval.mean_stall > 0.0,
             "300 kbps below the ladder floor must stall"
@@ -492,53 +404,26 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_transparent() {
-        let (ladder, env, tracker) = fixture();
-        let eval_with = |scratch: &mut McScratch| {
-            let mut abr = Hyb::default_rule();
-            let mut pred = ConstantPredictor { p: 0.05 };
-            let mut rng = StdRng::seed_from_u64(11);
-            evaluate_parameters_in(
-                &mut abr,
-                QoeParams::default(),
-                NormalDist::new(4000.0, 1500.0).unwrap(),
-                &tracker,
-                &env,
-                &ladder,
-                &mut pred,
-                &McConfig::default(),
-                None,
-                scratch,
-                &mut rng,
-            )
-            .unwrap()
-        };
+        let cfg = McConfig::default();
         let mut scratch = McScratch::new();
-        let first = eval_with(&mut scratch);
+        let first = evaluate(0.05, (4000.0, 1500.0), &cfg, None, &mut scratch, 11);
         // Reusing the warm scratch must not change anything.
-        let second = eval_with(&mut scratch);
+        let second = evaluate(0.05, (4000.0, 1500.0), &cfg, None, &mut scratch, 11);
         assert_eq!(first, second);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let (ladder, env, tracker) = fixture();
-        let run = |seed: u64| {
-            let mut abr = Hyb::default_rule();
-            let mut pred = ConstantPredictor { p: 0.05 };
-            let mut rng = StdRng::seed_from_u64(seed);
-            evaluate_parameters(
-                &mut abr,
-                QoeParams::default(),
-                NormalDist::new(5000.0, 2000.0).unwrap(),
-                &tracker,
-                &env,
-                &ladder,
-                &mut pred,
-                &McConfig::default(),
+        let cfg = McConfig::default();
+        let run = |seed| {
+            evaluate(
+                0.05,
+                (5000.0, 2000.0),
+                &cfg,
                 None,
-                &mut rng,
+                &mut McScratch::new(),
+                seed,
             )
-            .unwrap()
         };
         assert_eq!(run(9), run(9));
     }

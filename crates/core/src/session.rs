@@ -10,38 +10,34 @@
 //! [`lingxi_player::SessionStream`] with one observer placed between
 //! "segment played" and "user decides" — and a session without LingXi is
 //! the same code with the observer absent.
+//!
+//! Managed-ness is data: [`ManagedHooks::lingxi`] is `Some` or `None`, and
+//! there is one linear driver, [`play`], for both. A caller comparing the
+//! two arms (every result of §5 is "the same session with and without
+//! LingXi") writes one call and varies that field.
 
 use lingxi_abr::{drive, Abr, QoeParams};
 use lingxi_media::{BitrateLadder, Video};
 use lingxi_net::{BandwidthProcess, Download};
 use lingxi_player::{
-    ExitDecision, PlayerConfig, PlayerEnv, SegmentRequest, SessionEnd, SessionLog, SessionStream,
+    ExitDecision, PlayerConfig, PlayerEnv, SegmentRequest, SessionEnd, SessionLog, SessionSetup,
+    SessionStream,
 };
 use lingxi_user::{consult, ExitModel};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::controller::LingXiController;
 use crate::montecarlo::McScratch;
 use crate::predictor::RolloutPredictor;
 use crate::{CoreError, Result};
 
-/// Everything produced by one managed session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ManagedOutcome {
-    /// The playback log.
-    pub log: SessionLog,
-    /// Parameter values deployed during the session (one entry per
-    /// optimization pass that fired).
-    pub deployments: Vec<lingxi_abr::QoeParams>,
-}
-
-/// Reusable buffers for driving many managed sessions from one worker.
+/// Where a session's results land, and the scratch it reuses.
 ///
-/// A managed session's hot-path allocations are the per-segment log and
-/// the Monte-Carlo rollout scratch; a worker that owns one `SessionBuffers`
-/// and calls [`run_managed_session_in`] amortizes both across every session
-/// it runs. The fleet engine keeps one per shard worker.
+/// A session's hot-path allocations are the per-segment log and the
+/// Monte-Carlo rollout scratch; a caller that owns one `SessionBuffers`
+/// and lends it to every [`play`] amortizes both across the sessions it
+/// runs, and reads each session's log and deployments back from it. The
+/// fleet engine builds one per user agent per epoch.
 #[derive(Debug)]
 pub struct SessionBuffers {
     log: SessionLog,
@@ -124,8 +120,8 @@ fn player_err(e: lingxi_player::PlayerError) -> CoreError {
 ///
 /// Alternate [`ManagedSession::next_request`] with
 /// [`ManagedSession::complete`], then [`ManagedSession::finalize`] hands
-/// the log to the buffers. [`run_managed_session_in`] is exactly this loop
-/// against one [`BandwidthProcess`].
+/// the log to the buffers. [`play`] is exactly this loop against one
+/// [`BandwidthProcess`].
 #[derive(Debug)]
 pub struct ManagedSession<'a> {
     stream: SessionStream<'a>,
@@ -228,48 +224,35 @@ impl<'a> ManagedSession<'a> {
     }
 }
 
-/// Run one session with LingXi managing `abr`'s parameters.
+/// The linear driver: play `setup`'s session start to finish against its
+/// bandwidth process, with LingXi managing the ABR when `hooks.lingxi` is
+/// `Some` and as a plain session (bit-identical to
+/// [`lingxi_player::run_session`] over the `drive`/`consult` adapters)
+/// when it is `None`.
 ///
-/// Convenience wrapper over [`run_managed_session_in`] that allocates
-/// fresh buffers and returns an owned [`ManagedOutcome`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_managed_session<R: Rng>(
-    user_id: u64,
-    video: &Video,
-    ladder: &BitrateLadder,
-    process: &dyn BandwidthProcess,
-    player_config: PlayerConfig,
-    abr: &mut dyn Abr,
-    controller: &mut LingXiController,
-    predictor: &mut dyn RolloutPredictor,
-    user: &mut dyn ExitModel,
-    rng: &mut R,
-) -> Result<ManagedOutcome> {
-    let mut buffers = SessionBuffers::new();
-    run_managed_session_in(
-        user_id,
-        video,
-        ladder,
-        process,
-        player_config,
-        abr,
-        controller,
-        predictor,
-        user,
-        &mut buffers,
-        rng,
+/// The playback log and the parameters deployed land in `hooks.buffers` —
+/// read them via [`SessionBuffers::log`] / [`SessionBuffers::deployments`]
+/// before the next session overwrites them.
+pub fn play<R: Rng>(setup: &SessionSetup<'_>, hooks: &mut ManagedHooks<'_, R>) -> Result<()> {
+    let mut session = ManagedSession::begin(
+        setup.user_id,
+        setup.video,
+        setup.ladder,
+        setup.config,
+        hooks,
     )?;
-    Ok(ManagedOutcome {
-        log: buffers.log,
-        deployments: buffers.deployments,
-    })
+    while let Some(req) = session.next_request(hooks) {
+        let download = setup.process.download(req.at, req.size_kbits);
+        if !session.complete(download, hooks)? {
+            break;
+        }
+    }
+    session.finalize(hooks.buffers);
+    Ok(())
 }
 
-/// Run one managed session into caller-owned buffers (the fleet hot path).
-///
-/// The playback log lands in `buffers` — read it via
-/// [`SessionBuffers::log`] before the next call overwrites it. Results are
-/// bit-identical to [`run_managed_session`] under the same RNG stream.
+/// [`play`] with LingXi present, under the positional signature the frozen
+/// benchmark probes import.
 #[allow(clippy::too_many_arguments)]
 pub fn run_managed_session_in<R: Rng>(
     user_id: u64,
@@ -284,6 +267,13 @@ pub fn run_managed_session_in<R: Rng>(
     buffers: &mut SessionBuffers,
     rng: &mut R,
 ) -> Result<()> {
+    let setup = SessionSetup {
+        user_id,
+        video,
+        ladder,
+        process,
+        config: player_config,
+    };
     let mut hooks = ManagedHooks {
         abr,
         lingxi: Some(LingXiHooks {
@@ -294,28 +284,7 @@ pub fn run_managed_session_in<R: Rng>(
         buffers,
         rng,
     };
-    play(user_id, video, ladder, process, player_config, &mut hooks)
-}
-
-/// The linear driver: one [`ManagedSession`] against one bandwidth process,
-/// start to finish.
-fn play<R: Rng>(
-    user_id: u64,
-    video: &Video,
-    ladder: &BitrateLadder,
-    process: &dyn BandwidthProcess,
-    player_config: PlayerConfig,
-    hooks: &mut ManagedHooks<'_, R>,
-) -> Result<()> {
-    let mut session = ManagedSession::begin(user_id, video, ladder, player_config, hooks)?;
-    while let Some(req) = session.next_request(hooks) {
-        let download = process.download(req.at, req.size_kbits);
-        if !session.complete(download, hooks)? {
-            break;
-        }
-    }
-    session.finalize(hooks.buffers);
-    Ok(())
+    play(&setup, &mut hooks)
 }
 
 #[cfg(test)]
@@ -345,35 +314,62 @@ mod tests {
         .unwrap()
     }
 
+    fn setup<'a>(
+        user_id: u64,
+        cat: &'a Catalog,
+        video: usize,
+        trace: &'a BandwidthTrace,
+    ) -> SessionSetup<'a> {
+        SessionSetup {
+            user_id,
+            video: cat.video_cyclic(video),
+            ladder: cat.ladder(),
+            process: trace,
+            config: PlayerConfig::deterministic(10.0, 0.0),
+        }
+    }
+
+    /// `play` one session with LingXi managing a fresh HYB, into fresh
+    /// buffers.
+    fn play_managed(
+        setup: &SessionSetup<'_>,
+        controller: &mut LingXiController,
+        mut predictor: ProfilePredictor,
+        user: &mut QosExitModel,
+        rng: &mut StdRng,
+    ) -> SessionBuffers {
+        let mut buffers = SessionBuffers::new();
+        let lingxi = Some(LingXiHooks {
+            controller,
+            predictor: &mut predictor,
+        });
+        let mut hooks = ManagedHooks {
+            abr: &mut Hyb::default_rule(),
+            lingxi,
+            user,
+            buffers: &mut buffers,
+            rng,
+        };
+        play(setup, &mut hooks).unwrap();
+        buffers
+    }
+
     #[test]
     fn managed_session_runs_cleanly_on_good_link() {
         let cat = catalog();
         let trace = BandwidthTrace::constant(20_000.0, 200, 1.0).unwrap();
-        let mut abr = Hyb::default_rule();
         let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
         let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.35).unwrap();
-        let mut predictor = ProfilePredictor {
+        let predictor = ProfilePredictor {
             profile,
             base: 0.01,
         };
-        let mut user = QosExitModel::calibrated(profile);
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = run_managed_session(
-            1,
-            cat.video_cyclic(0),
-            cat.ladder(),
-            &trace,
-            PlayerConfig::deterministic(10.0, 0.0),
-            &mut abr,
-            &mut controller,
-            &mut predictor,
-            &mut user,
-            &mut rng,
-        )
-        .unwrap();
-        assert!(!out.log.segments.is_empty());
+        let (mut user, mut rng) = (QosExitModel::calibrated(profile), StdRng::seed_from_u64(2));
+        let setup = setup(1, &cat, 0, &trace);
+        let out = play_managed(&setup, &mut controller, predictor, &mut user, &mut rng);
+        assert!(!out.log().segments.is_empty());
         // Rich link: no optimization should fire (startup stall at most).
-        assert!(out.deployments.len() <= 1);
+        assert!(out.deployments().len() <= 1);
     }
 
     #[test]
@@ -381,100 +377,29 @@ mod tests {
         let cat = catalog();
         // Below the ladder floor: every segment stalls.
         let trace = BandwidthTrace::constant(300.0, 2000, 1.0).unwrap();
-        let mut abr = Hyb::default_rule();
         let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
         let profile = StallProfile::new(SensitivityKind::Insensitive, 10.0, 0.05).unwrap();
-        let mut predictor = ProfilePredictor {
+        let predictor = ProfilePredictor {
             profile,
             base: 0.002,
         };
         // Insensitive user so the session survives long enough to trigger.
         let mut user = QosExitModel::calibrated(profile);
         user.base_exit = 0.0;
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = run_managed_session(
-            2,
-            cat.video_cyclic(1),
-            cat.ladder(),
-            &trace,
-            PlayerConfig::deterministic(10.0, 0.0),
-            &mut abr,
-            &mut controller,
-            &mut predictor,
-            &mut user,
-            &mut rng,
-        )
-        .unwrap();
-        assert!(out.log.total_stall() > 0.0);
+        let (setup, mut rng) = (setup(2, &cat, 1, &trace), StdRng::seed_from_u64(3));
+        let out = play_managed(&setup, &mut controller, predictor, &mut user, &mut rng);
+        assert!(out.log().total_stall() > 0.0);
         assert!(
             controller.optimizations() > 0,
             "stall-heavy session must trigger OBO"
         );
-        assert!(!out.deployments.is_empty());
-    }
-
-    #[test]
-    fn buffered_variant_matches_allocating_variant() {
-        let cat = catalog();
-        let trace = BandwidthTrace::constant(900.0, 2000, 1.0).unwrap();
-        let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.3).unwrap();
-        let run_fresh = |s: usize| {
-            let mut abr = Hyb::default_rule();
-            let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
-            let mut predictor = ProfilePredictor {
-                profile,
-                base: 0.01,
-            };
-            let mut user = QosExitModel::calibrated(profile);
-            let mut rng = StdRng::seed_from_u64(100 + s as u64);
-            run_managed_session(
-                9,
-                cat.video_cyclic(s),
-                cat.ladder(),
-                &trace,
-                PlayerConfig::deterministic(10.0, 0.0),
-                &mut abr,
-                &mut controller,
-                &mut predictor,
-                &mut user,
-                &mut rng,
-            )
-            .unwrap()
-        };
-        // One reused buffer across sessions must reproduce each fresh run.
-        let mut buffers = SessionBuffers::new();
-        for s in 0..3 {
-            let mut abr = Hyb::default_rule();
-            let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
-            let mut predictor = ProfilePredictor {
-                profile,
-                base: 0.01,
-            };
-            let mut user = QosExitModel::calibrated(profile);
-            let mut rng = StdRng::seed_from_u64(100 + s as u64);
-            run_managed_session_in(
-                9,
-                cat.video_cyclic(s),
-                cat.ladder(),
-                &trace,
-                PlayerConfig::deterministic(10.0, 0.0),
-                &mut abr,
-                &mut controller,
-                &mut predictor,
-                &mut user,
-                &mut buffers,
-                &mut rng,
-            )
-            .unwrap();
-            let fresh = run_fresh(s);
-            assert_eq!(buffers.log(), &fresh.log, "session {s} log diverged");
-            assert_eq!(buffers.deployments(), &fresh.deployments[..]);
-        }
+        assert!(!out.deployments().is_empty());
     }
 
     /// The identity that lets the fleet play plain users through
-    /// [`ManagedSession`]: without LingXi it is `run_session` driven by the
-    /// two adapters, RNG draw for RNG draw.
+    /// [`ManagedSession`], and every caller write its static arm as
+    /// [`play`] with `lingxi: None`: without LingXi it is `run_session`
+    /// driven by the two adapters, RNG draw for RNG draw.
     #[test]
     fn session_without_lingxi_is_run_session_with_the_adapters() {
         let cat = catalog();
@@ -501,7 +426,7 @@ mod tests {
 
             let (mut abr, mut model) = (Hyb::default_rule(), user);
             let mut rng = StdRng::seed_from_u64(40 + s as u64);
-            let setup = lingxi_player::SessionSetup {
+            let setup = SessionSetup {
                 user_id: 5,
                 video,
                 ladder,
@@ -527,7 +452,7 @@ mod tests {
                 buffers: &mut buffers,
                 rng: &mut rng,
             };
-            play(5, video, ladder, &trace, player, &mut hooks).unwrap();
+            play(&setup, &mut hooks).unwrap();
             assert_eq!(buffers.log(), &reference, "case {s} diverged");
             assert!(buffers.deployments().is_empty());
         }
@@ -542,25 +467,12 @@ mod tests {
         let profile = StallProfile::new(SensitivityKind::Sensitive, 1.5, 0.3).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         for s in 0..3 {
-            let mut abr = Hyb::default_rule();
-            let mut predictor = ProfilePredictor {
+            let predictor = ProfilePredictor {
                 profile,
                 base: 0.01,
             };
-            let mut user = QosExitModel::calibrated(profile);
-            let _ = run_managed_session(
-                3,
-                cat.video_cyclic(s),
-                cat.ladder(),
-                &trace,
-                PlayerConfig::deterministic(10.0, 0.0),
-                &mut abr,
-                &mut controller,
-                &mut predictor,
-                &mut user,
-                &mut rng,
-            )
-            .unwrap();
+            let (setup, mut user) = (setup(3, &cat, s, &trace), QosExitModel::calibrated(profile));
+            play_managed(&setup, &mut controller, predictor, &mut user, &mut rng);
         }
         // Long-term tracker accumulated history across the sessions.
         assert!(controller.tracker().recent_stall_count() > 0);

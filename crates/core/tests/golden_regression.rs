@@ -1,22 +1,23 @@
 //! Golden regression pins for the `BandwidthProcess` refactor.
 //!
 //! These exact values were captured from the pre-refactor implementation
-//! (direct `BandwidthTrace` integration in `run_managed_session`, direct
-//! `NormalDist` sampling in `evaluate_parameters`). The refactor onto
-//! `&dyn BandwidthProcess` / `ModelProcess` must keep the same RNG stream
-//! and float expressions, so every assertion here is *bit-exact*.
+//! (direct `BandwidthTrace` integration in the managed-session driver,
+//! direct `NormalDist` sampling in the Monte-Carlo evaluator). The
+//! refactor onto `&dyn BandwidthProcess` / `ModelProcess` must keep the
+//! same RNG stream and float expressions, so every assertion here is
+//! *bit-exact*.
 // The literals carry every digit of the captured doubles on purpose.
 #![allow(clippy::excessive_precision)]
 
 use lingxi_abr::{Hyb, QoeParams};
 use lingxi_core::{
-    evaluate_parameters, run_managed_session, ConstantPredictor, LingXiConfig, LingXiController,
-    McConfig, ProfilePredictor,
+    evaluate_parameters_in, play, ConstantPredictor, LingXiConfig, LingXiController, LingXiHooks,
+    ManagedHooks, McConfig, McScratch, ProfilePredictor, SessionBuffers,
 };
 use lingxi_exit::UserStateTracker;
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_net::BandwidthTrace;
-use lingxi_player::{PlayerConfig, PlayerEnv};
+use lingxi_player::{PlayerConfig, PlayerEnv, SessionSetup};
 use lingxi_stats::NormalDist;
 use lingxi_user::{QosExitModel, SensitivityKind, StallProfile};
 use rand::rngs::StdRng;
@@ -49,27 +50,34 @@ fn managed_session_bit_identical_to_pre_refactor() {
     let mut user = QosExitModel::calibrated(profile);
     user.base_exit = 0.0;
     let mut srng = StdRng::seed_from_u64(424242);
-    let out = run_managed_session(
-        7,
-        cat.video_cyclic(1),
-        cat.ladder(),
-        &trace,
-        PlayerConfig::deterministic(10.0, 0.0),
-        &mut abr,
-        &mut controller,
-        &mut predictor,
-        &mut user,
-        &mut srng,
-    )
-    .unwrap();
+    let setup = SessionSetup {
+        user_id: 7,
+        video: cat.video_cyclic(1),
+        ladder: cat.ladder(),
+        process: &trace,
+        config: PlayerConfig::deterministic(10.0, 0.0),
+    };
+    let mut buffers = SessionBuffers::new();
+    let mut hooks = ManagedHooks {
+        abr: &mut abr,
+        lingxi: Some(LingXiHooks {
+            controller: &mut controller,
+            predictor: &mut predictor,
+        }),
+        user: &mut user,
+        buffers: &mut buffers,
+        rng: &mut srng,
+    };
+    play(&setup, &mut hooks).unwrap();
+    let log = buffers.log();
 
-    assert_eq!(out.log.watch_time, 52.0);
-    assert_eq!(out.log.segments.len(), 26);
-    assert_eq!(out.log.total_stall(), 8.10632183908045967e0);
-    assert_eq!(out.deployments.len(), 12);
-    let tp_sum: f64 = out.log.segments.iter().map(|s| s.throughput_kbps).sum();
+    assert_eq!(log.watch_time, 52.0);
+    assert_eq!(log.segments.len(), 26);
+    assert_eq!(log.total_stall(), 8.10632183908045967e0);
+    assert_eq!(buffers.deployments().len(), 12);
+    let tp_sum: f64 = log.segments.iter().map(|s| s.throughput_kbps).sum();
     assert_eq!(tp_sum, 7.83265522088428861e3);
-    let dl_sum: f64 = out.log.segments.iter().map(|s| s.download_time).sum();
+    let dl_sum: f64 = log.segments.iter().map(|s| s.download_time).sum();
     assert_eq!(dl_sum, 6.04166666666666714e1);
 }
 
@@ -81,7 +89,7 @@ fn monte_carlo_rollouts_bit_identical_to_pre_refactor() {
     let mut abr = Hyb::default_rule();
     let mut pred = ConstantPredictor { p: 0.05 };
     let mut rng = StdRng::seed_from_u64(11);
-    let eval = evaluate_parameters(
+    let eval = evaluate_parameters_in(
         &mut abr,
         QoeParams::default(),
         NormalDist::new(4000.0, 1500.0).unwrap(),
@@ -91,6 +99,7 @@ fn monte_carlo_rollouts_bit_identical_to_pre_refactor() {
         &mut pred,
         &McConfig::default(),
         None,
+        &mut McScratch::new(),
         &mut rng,
     )
     .unwrap();

@@ -2,11 +2,10 @@
 //! simulated playback (the "online logs" of §3.3).
 
 use lingxi_abr::Hyb;
+use lingxi_core::{ManagedHooks, SessionBuffers};
 use lingxi_exit::{ExitEntry, UserStateTracker};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::world::{default_player, World};
+use crate::world::{user_stream, World};
 use crate::Result;
 
 /// One user's harvested entries plus their per-entry accumulated stall
@@ -25,24 +24,24 @@ pub struct HarvestedEntry {
 /// entry per segment.
 pub fn harvest_entries(world: &World, seed: u64, days: usize) -> Result<Vec<HarvestedEntry>> {
     let mut out = Vec::new();
+    let mut buffers = SessionBuffers::new();
     for user in world.population.users() {
         let mut tracker = UserStateTracker::new();
         let mut stall_count = 0usize;
         for day in 0..days {
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ ((day as u64) << 40),
-            );
-            let sessions = world.sessions_today(user, &mut rng);
+            let mut rng = user_stream(seed, user.id, (day as u64) << 40);
+            let sessions = user.sessions_today(&mut rng);
             let mut exit_model = user.exit_model_for_day(&world.drift, &mut rng);
             for _ in 0..sessions {
-                let mut abr = Hyb::default_rule();
-                let log = world.run_plain_session(
-                    user,
-                    &mut abr,
-                    &mut exit_model,
-                    default_player(),
-                    &mut rng,
-                )?;
+                let mut hooks = ManagedHooks {
+                    abr: &mut Hyb::default_rule(),
+                    lingxi: None,
+                    user: &mut exit_model,
+                    buffers: &mut buffers,
+                    rng: &mut rng,
+                };
+                world.play(user, &mut hooks)?;
+                let log = buffers.log();
                 for (i, seg) in log.segments.iter().enumerate() {
                     let prior = stall_count;
                     let stalled = seg.stall_time > 0.0;

@@ -9,11 +9,10 @@
 //! consistent winner* — each series is normalised by the day's Alg2 value.
 
 use lingxi_abr::{qoe_lin_of_log, Abr, QoeLin, QoeParams, RobustMpc};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use lingxi_core::{ManagedHooks, SessionBuffers};
 
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{user_stream, World, WorldConfig};
 use crate::Result;
 
 const DAYS: usize = 5;
@@ -37,6 +36,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 
     // totals[alg][day]
     let mut totals: Vec<Vec<DayTotals>> = Vec::new();
+    let mut buffers = SessionBuffers::new();
     for (alg_idx, (_, params)) in presets.iter().enumerate() {
         let mut days = Vec::with_capacity(DAYS);
         for day in 0..DAYS {
@@ -48,26 +48,25 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
             };
             let mut sessions = 0usize;
             for user in world.population.users() {
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15)
-                        ^ ((day as u64) << 24)
-                        ^ ((alg_idx as u64) << 56),
-                );
+                let salt = ((day as u64) << 24) ^ ((alg_idx as u64) << 56);
+                let mut rng = user_stream(seed, user.id, salt);
                 // One representative session per user-day keeps Fig. 1
                 // affordable; engagement weighting happens via exit models.
                 let mut exit_model = user.exit_model_for_day(&world.drift, &mut rng);
                 let mut abr = RobustMpc::default_rule();
                 abr.set_params(*params);
-                let log = world.run_plain_session(
-                    user,
-                    &mut abr,
-                    &mut exit_model,
-                    default_player(),
-                    &mut rng,
-                )?;
+                let mut hooks = ManagedHooks {
+                    abr: &mut abr,
+                    lingxi: None,
+                    user: &mut exit_model,
+                    buffers: &mut buffers,
+                    rng: &mut rng,
+                };
+                world.play(user, &mut hooks)?;
+                let log = buffers.log();
                 t.bitrate += log.mean_bitrate();
                 t.stall += log.total_stall();
-                t.qoe += qoe_lin_of_log(&qoe_eval, world.ladder(), &log);
+                t.qoe += qoe_lin_of_log(&qoe_eval, world.ladder(), log);
                 t.watch += log.watch_time;
                 sessions += 1;
             }

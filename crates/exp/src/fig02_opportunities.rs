@@ -5,13 +5,46 @@
 //! counts: >90% stall-free, >99% with at most two stalls.
 
 use lingxi_abr::Hyb;
+use lingxi_core::{ManagedHooks, SessionBuffers};
 use lingxi_stats::Ecdf;
+use lingxi_user::UserRecord;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{user_stream, World, WorldConfig};
 use crate::{sub, Result};
+
+/// The stalls `user` meets in one simulated day of plain sessions on the
+/// default production HYB configuration, drawn from `rng`. Production
+/// counters exclude the unavoidable startup fill, so only mid-playback
+/// stalls count. (Fig. 8(a) plots the same count per bandwidth bucket.)
+pub(crate) fn daily_stall_count(
+    world: &World,
+    user: &UserRecord,
+    mut rng: StdRng,
+    buffers: &mut SessionBuffers,
+) -> Result<usize> {
+    let sessions = user.sessions_today(&mut rng);
+    let mut exit_model = user.exit_model();
+    let mut stalls = 0usize;
+    for _ in 0..sessions {
+        let mut hooks = ManagedHooks {
+            abr: &mut Hyb::default_rule(),
+            lingxi: None,
+            user: &mut exit_model,
+            buffers: &mut *buffers,
+            rng: &mut rng,
+        };
+        world.play(user, &mut hooks)?;
+        let played = &buffers.log().segments;
+        stalls += played
+            .iter()
+            .skip(1)
+            .filter(|s| s.stall_time > 0.05)
+            .count();
+    }
+    Ok(stalls)
+}
 
 /// Run the experiment.
 pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
@@ -32,31 +65,10 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     // (b) Daily stall counts per user: one simulated day on the default
     // production HYB configuration.
     let mut stall_counts: Vec<f64> = Vec::with_capacity(world.population.len());
+    let mut buffers = SessionBuffers::new();
     for user in world.population.users() {
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xF16);
-        let sessions = world.sessions_today(user, &mut rng);
-        let mut exit_model = user.exit_model();
-        let mut stalls = 0usize;
-        for _ in 0..sessions {
-            let mut abr = Hyb::default_rule();
-            let log = world.run_plain_session(
-                user,
-                &mut abr,
-                &mut exit_model,
-                default_player(),
-                &mut rng,
-            )?;
-            // Production counters exclude the unavoidable startup fill;
-            // count only mid-playback stalls.
-            stalls += log
-                .segments
-                .iter()
-                .skip(1)
-                .filter(|s| s.stall_time > 0.05)
-                .count();
-        }
-        stall_counts.push(stalls as f64);
+        let rng = user_stream(seed, user.id, 0xF16);
+        stall_counts.push(daily_stall_count(&world, user, rng, &mut buffers)? as f64);
     }
     let stall_cdf = Ecdf::new(&stall_counts).map_err(sub)?;
 

@@ -6,13 +6,12 @@
 //! panels: (a) normalised watch time per quality tier, (b) normalised
 //! watch time vs per-10000s stall exposure buckets.
 
-use lingxi_abr::{Abr, Hyb, QoeParams};
+use lingxi_abr::Hyb;
+use lingxi_core::{ManagedHooks, SessionBuffers};
 use lingxi_media::QualityTier;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{user_stream, World, WorldConfig};
 use crate::Result;
 
 /// Run the experiment.
@@ -22,24 +21,24 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     // Per user-day: watch time, dominant quality tier, stall per 10000 s.
     let mut by_tier: [Vec<f64>; 4] = Default::default();
     let mut stall_rate_watch: Vec<(f64, f64)> = Vec::new();
+    let mut buffers = SessionBuffers::new();
     for user in world.population.users() {
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xF03);
-        let sessions = world.sessions_today(user, &mut rng);
+        let mut rng = user_stream(seed, user.id, 0xF03);
+        let sessions = user.sessions_today(&mut rng);
         let mut exit_model = user.exit_model();
         let mut watch = 0.0;
         let mut stall = 0.0;
         let mut tier_histogram = [0usize; 4];
         for _ in 0..sessions {
-            let mut abr = Hyb::default_rule();
-            abr.set_params(QoeParams::default());
-            let log = world.run_plain_session(
-                user,
-                &mut abr,
-                &mut exit_model,
-                default_player(),
-                &mut rng,
-            )?;
+            let mut hooks = ManagedHooks {
+                abr: &mut Hyb::default_rule(),
+                lingxi: None,
+                user: &mut exit_model,
+                buffers: &mut buffers,
+                rng: &mut rng,
+            };
+            world.play(user, &mut hooks)?;
+            let log = buffers.log();
             watch += log.watch_time;
             stall += log.total_stall();
             for seg in &log.segments {

@@ -8,13 +8,11 @@
 //! lowers it, repeated stalls compound).
 
 use lingxi_abr::Hyb;
+use lingxi_core::{ManagedHooks, SessionBuffers};
 use lingxi_media::QualityTier;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{user_stream, World, WorldConfig};
 use crate::Result;
 
 /// One observed segment with its exit label and context.
@@ -47,23 +45,22 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     )?;
 
     let mut observations: Vec<Obs> = Vec::new();
+    let mut buffers = SessionBuffers::new();
     for user in world.population.users() {
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xF04);
-        let sessions = world.sessions_today(user, &mut rng);
+        let mut rng = user_stream(seed, user.id, 0xF04);
+        let sessions = user.sessions_today(&mut rng);
         for _ in 0..sessions {
-            let mut abr = Hyb::default_rule();
             let mut exit_model = user.exit_model();
-            // Instrumented session: replicate run_plain_session but record
-            // per-segment observations. We re-run the exit model on the log
-            // to recover per-segment decisions.
-            let log = world.run_plain_session(
-                user,
-                &mut abr,
-                &mut exit_model,
-                default_player(),
-                &mut rng,
-            )?;
+            // Per-segment observations are read back from the session's log.
+            let mut hooks = ManagedHooks {
+                abr: &mut Hyb::default_rule(),
+                lingxi: None,
+                user: &mut exit_model,
+                buffers: &mut buffers,
+                rng: &mut rng,
+            };
+            world.play(user, &mut hooks)?;
+            let log = buffers.log();
             let mut session_stall = 0.0;
             let mut events = 0usize;
             let mut watch = 0.0;

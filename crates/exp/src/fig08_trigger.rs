@@ -7,15 +7,16 @@
 //! climbs with history, with a visible jump between one and two events,
 //! which is why the paper sets the trigger η = 2.
 
-use lingxi_abr::Hyb;
+use lingxi_core::SessionBuffers;
 use lingxi_exit::{DatasetFlavor, ExitDataset, ExitPredictor, PredictorConfig};
 use lingxi_stats::{BinaryConfusion, Ecdf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::datasets::harvest_entries;
+use crate::fig02_opportunities::daily_stall_count;
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{user_stream, World, WorldConfig};
 use crate::{sub, Result};
 
 /// Run the experiment.
@@ -33,6 +34,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         ("4-10Mbps", 4000.0, 10_000.0),
         ("10+Mbps", 10_000.0, f64::INFINITY),
     ];
+    let mut buffers = SessionBuffers::new();
     for (label, lo, hi) in buckets {
         let mut counts = Vec::new();
         for user in world
@@ -41,28 +43,8 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
             .iter()
             .filter(|u| u.net.mean_kbps >= lo && u.net.mean_kbps < hi)
         {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xF08);
-            let sessions = world.sessions_today(user, &mut rng);
-            let mut exit_model = user.exit_model();
-            let mut stalls = 0usize;
-            for _ in 0..sessions {
-                let mut abr = Hyb::default_rule();
-                let log = world.run_plain_session(
-                    user,
-                    &mut abr,
-                    &mut exit_model,
-                    default_player(),
-                    &mut rng,
-                )?;
-                stalls += log
-                    .segments
-                    .iter()
-                    .skip(1)
-                    .filter(|s| s.stall_time > 0.05)
-                    .count();
-            }
-            counts.push(stalls as f64);
+            let rng = user_stream(seed, user.id, 0xF08);
+            counts.push(daily_stall_count(&world, user, rng, &mut buffers)? as f64);
         }
         if counts.is_empty() {
             continue;

@@ -6,7 +6,9 @@
 //! vs unbalanced sampling on the Stall dataset: dropping balancing costs
 //! recall (and hence F1).
 
-use lingxi_exit::{DatasetFlavor, ExitDataset, ExitEntry, ExitPredictor, PredictorConfig};
+use lingxi_exit::{
+    DatasetFlavor, ExitDataset, ExitEntry, ExitError, ExitPredictor, PredictorConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,21 +27,19 @@ fn train_eval(
 ) -> Result<Option<[f64; 4]>> {
     let ds = match ExitDataset::new(raw, flavor) {
         Ok(d) => d,
-        Err(_) => return Ok(None),
+        // The flavour keeps no entries: there is no series to plot for it.
+        Err(ExitError::BadDataset(_)) => return Ok(None),
+        Err(e) => return Err(sub(e)),
     };
     if ds.exit_fraction() == 0.0 || ds.exit_fraction() == 1.0 {
         return Ok(None);
     }
     let mut totals = [0.0f64; 4];
-    let mut runs = 0.0;
     for s in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed ^ (s << 16));
         let (train, test) = ds.split(&mut rng).map_err(sub)?;
         let train_idx = if balanced {
-            match ds.balance(&train, &mut rng) {
-                Ok(b) => b,
-                Err(_) => continue,
-            }
+            ds.balance(&train, &mut rng).map_err(sub)?
         } else {
             train
         };
@@ -59,13 +59,9 @@ fn train_eval(
         totals[1] += report.precision;
         totals[2] += report.recall;
         totals[3] += report.f1;
-        runs += 1.0;
-    }
-    if runs == 0.0 {
-        return Ok(None);
     }
     for t in totals.iter_mut() {
-        *t /= runs;
+        *t /= SEEDS as f64;
     }
     Ok(Some(totals))
 }
@@ -165,5 +161,8 @@ mod tests {
         } else {
             panic!("both ALL and Stall series must exist");
         }
+        // A flavour that keeps no entries is "no series", not an error.
+        let empty = train_eval(&[], DatasetFlavor::Stall, true, 17).unwrap();
+        assert!(empty.is_none());
     }
 }

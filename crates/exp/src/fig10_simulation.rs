@@ -7,18 +7,23 @@
 //! candidate set `L(F)`, (iii) LingXi with Bayesian optimization `L(B)`.
 //! The shape to reproduce: fixed parameters barely move the needle; `L(F)`
 //! beats the best fixed setting; `L(B)` beats `L(F)`.
+//!
+//! Every cell is one function, `Bench::completion`: the fixed-parameter
+//! cells pass no LingXi arm, the `L(F)`/`L(B)` cells pass theirs, and the
+//! sessions go through the same [`World::play`] either way.
 
-use lingxi_abr::{drive, Abr, Pensieve, PensieveConfig, PensieveTrainer, QoeParams, RobustMpc};
+use lingxi_abr::{Abr, Pensieve, PensieveConfig, PensieveTrainer, QoeParams, RobustMpc};
 use lingxi_core::{
-    run_managed_session, LingXiConfig, LingXiController, RolloutPredictor, SearchStrategy,
+    LingXiConfig, LingXiController, LingXiHooks, ManagedHooks, RolloutPredictor, SearchStrategy,
+    SessionBuffers,
 };
 use lingxi_exit::StateMatrix;
-use lingxi_user::{consult, ExitModel, QosExitModel, RuleBasedExit, UserRecord};
+use lingxi_user::{ExitModel, RuleBasedExit, UserRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{user_stream, World, WorldConfig};
 use crate::{sub, Result};
 
 /// The stall-parameter sweep of the paper's x-axis.
@@ -58,20 +63,16 @@ enum Baseline {
     Pensieve,
 }
 
-/// Which user model drives exits.
-enum UserModel {
-    Rule(RuleBasedExit),
-    Data(QosExitModel),
-}
+/// Builds the exit model that drives one user's exits (rule-based or the
+/// generative "data-driven" stand-in).
+type MakeUser<'a> = &'a dyn Fn(&UserRecord) -> Box<dyn ExitModel>;
 
-impl UserModel {
-    fn as_exit_model(&mut self) -> &mut dyn ExitModel {
-        match self {
-            UserModel::Rule(r) => r,
-            UserModel::Data(d) => d,
-        }
-    }
-}
+/// LingXi's side of a completion-rate cell: how it searches, and the
+/// rollout predictor matched to each user's exit model.
+type LingXiArm<'a> = (
+    SearchStrategy,
+    &'a dyn Fn(&UserRecord) -> Box<dyn RolloutPredictor>,
+);
 
 struct Bench<'w> {
     world: &'w World,
@@ -88,89 +89,50 @@ impl<'w> Bench<'w> {
         }
     }
 
-    /// Completion rate with *fixed* parameters.
-    fn completion_fixed(
+    /// Completion rate of `baseline` over the cohort, every session
+    /// starting from `params`. Without a LingXi arm they stay fixed; with
+    /// one, each user's controller takes the parameters over at session
+    /// start and re-tunes them from there.
+    fn completion(
         &self,
         baseline: Baseline,
         params: QoeParams,
-        mk_user: &dyn Fn(&UserRecord) -> UserModel,
+        lingxi: Option<LingXiArm<'_>>,
+        mk_user: MakeUser<'_>,
         seed: u64,
     ) -> Result<f64> {
         let mut completed = 0usize;
         let mut total = 0usize;
+        let mut buffers = SessionBuffers::new();
+        // The two arms draw from per-user streams a fixed salt apart.
+        let salt = if lingxi.is_some() { 0xA11 } else { 0 };
         for user in &self.users {
-            let mut rng = StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15));
+            let mut rng = user_stream(seed, user.id, salt);
+            let mut managed = match &lingxi {
+                Some((strategy, mk_pred)) => {
+                    let mut config = LingXiConfig::for_qoe_abr();
+                    config.strategy = strategy.clone();
+                    let controller = LingXiController::new(config).map_err(sub)?;
+                    Some((controller, mk_pred(user)))
+                }
+                None => None,
+            };
             let mut model = mk_user(user);
             for _ in 0..self.sessions_per_user {
                 let mut abr = self.make_abr(baseline);
                 abr.set_params(params);
-                let exit_model = model.as_exit_model();
-                exit_model.reset_session();
-                let video = self.world.catalog.sample(&mut rng);
-                let trace =
-                    self.world
-                        .session_trace(user, (video.duration() * 3.0) as usize, &mut rng)?;
-                let ladder = self.world.ladder();
-                let setup = lingxi_player::SessionSetup {
-                    user_id: user.id,
-                    video,
-                    ladder,
-                    process: &trace,
-                    config: default_player(),
+                let mut hooks = ManagedHooks {
+                    abr: abr.as_mut(),
+                    lingxi: managed.as_mut().map(|(controller, predictor)| LingXiHooks {
+                        controller,
+                        predictor: predictor.as_mut(),
+                    }),
+                    user: model.as_mut(),
+                    buffers: &mut buffers,
+                    rng: &mut rng,
                 };
-                let log = lingxi_player::run_session(
-                    &setup,
-                    drive(abr.as_mut(), ladder, &video.sizes),
-                    consult(exit_model, ladder),
-                    &mut rng,
-                )
-                .map_err(sub)?;
-                completed += usize::from(log.completed());
-                total += 1;
-            }
-        }
-        Ok(completed as f64 / total.max(1) as f64)
-    }
-
-    /// Completion rate with LingXi managing parameters.
-    fn completion_lingxi(
-        &self,
-        baseline: Baseline,
-        strategy: SearchStrategy,
-        mk_user: &dyn Fn(&UserRecord) -> UserModel,
-        mk_pred: &dyn Fn(&UserRecord) -> Box<dyn RolloutPredictor>,
-        seed: u64,
-    ) -> Result<f64> {
-        let mut completed = 0usize;
-        let mut total = 0usize;
-        for user in &self.users {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xA11);
-            let mut config = LingXiConfig::for_qoe_abr();
-            config.strategy = strategy.clone();
-            let mut controller = LingXiController::new(config).map_err(sub)?;
-            let mut predictor = mk_pred(user);
-            let mut model = mk_user(user);
-            for _ in 0..self.sessions_per_user {
-                let mut abr = self.make_abr(baseline);
-                let video = self.world.catalog.sample(&mut rng);
-                let trace =
-                    self.world
-                        .session_trace(user, (video.duration() * 3.0) as usize, &mut rng)?;
-                let out = run_managed_session(
-                    user.id,
-                    video,
-                    self.world.ladder(),
-                    &trace,
-                    default_player(),
-                    abr.as_mut(),
-                    &mut controller,
-                    predictor.as_mut(),
-                    model.as_exit_model(),
-                    &mut rng,
-                )
-                .map_err(sub)?;
-                completed += usize::from(out.log.completed());
+                self.world.play(user, &mut hooks)?;
+                completed += usize::from(buffers.log().completed());
                 total += 1;
             }
         }
@@ -250,13 +212,13 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 
     // One representative rule and the generative ("data-driven" stand-in)
     // model; the full 64-rule grid runs in fig11.
-    let rule_user = |u: &UserRecord| {
+    let rule_user = |u: &UserRecord| -> Box<dyn ExitModel> {
         // Deterministic per-user rule in the paper's 2..=9 grid.
         let t = 2.0 + (u.id % 8) as f64;
         let c = 2 + (u.id / 8 % 8) as usize;
-        UserModel::Rule(RuleBasedExit::new(t, c).expect("grid thresholds valid"))
+        Box::new(RuleBasedExit::new(t, c).expect("grid thresholds valid"))
     };
-    let data_user = |u: &UserRecord| UserModel::Data(u.exit_model());
+    let data_user = |u: &UserRecord| -> Box<dyn ExitModel> { Box::new(u.exit_model()) };
 
     let rule_pred = |u: &UserRecord| -> Box<dyn RolloutPredictor> {
         let t = 2.0 + (u.id % 8) as f64;
@@ -282,7 +244,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         (
             "rule_mpc",
             Baseline::RobustMpc,
-            &rule_user as &dyn Fn(&UserRecord) -> UserModel,
+            &rule_user as MakeUser<'_>,
             &rule_pred as &dyn Fn(&UserRecord) -> Box<dyn RolloutPredictor>,
         ),
         ("rule_pensieve", Baseline::Pensieve, &rule_user, &rule_pred),
@@ -294,7 +256,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         let switch_set: &[f64] = if scale >= 0.5 { &SWITCH_SWEEP } else { &[1.0] };
         let mut best_fixed = 0.0f64;
         for &switch in switch_set {
-            let pts: Vec<(f64, f64)> = STALL_SWEEP
+            let pts = STALL_SWEEP
                 .iter()
                 .map(|&stall| {
                     let params = QoeParams {
@@ -302,31 +264,24 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
                         switch_weight: switch,
                         ..QoeParams::default()
                     };
-                    let c = bench
-                        .completion_fixed(baseline, params, mk_user, seed ^ 0x10)
-                        .unwrap_or(0.0);
-                    (stall, c)
+                    let c = bench.completion(baseline, params, None, mk_user, seed ^ 0x10)?;
+                    Ok((stall, c))
                 })
-                .collect();
+                .collect::<Result<Vec<(f64, f64)>>>()?;
             for &(_, c) in &pts {
                 best_fixed = best_fixed.max(c);
             }
             result.push_series(Series::from_xy(&format!("{panel}/fixed_sw{switch}"), &pts));
         }
-        let lf = bench.completion_lingxi(
-            baseline,
+        let lingxi = |strategy, arm_seed| {
+            let arm = Some((strategy, mk_pred));
+            bench.completion(baseline, QoeParams::default(), arm, mk_user, arm_seed)
+        };
+        let lf = lingxi(
             SearchStrategy::FixedCandidates(fixed_candidates()),
-            mk_user,
-            mk_pred,
             seed ^ 0x1F,
         )?;
-        let lb = bench.completion_lingxi(
-            baseline,
-            SearchStrategy::Bayesian,
-            mk_user,
-            mk_pred,
-            seed ^ 0x1B,
-        )?;
+        let lb = lingxi(SearchStrategy::Bayesian, seed ^ 0x1B)?;
         result.push_series(Series::from_labelled(
             &format!("{panel}/lingxi"),
             &[("L(F)", lf), ("L(B)", lb)],

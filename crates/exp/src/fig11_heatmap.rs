@@ -6,15 +6,13 @@
 //! thresholds, right/upper cells), the *smaller* the stall parameter
 //! LingXi settles on.
 
-use lingxi_abr::{Abr, QoeParams, RobustMpc};
-use lingxi_core::{run_managed_session, LingXiConfig, LingXiController};
+use lingxi_abr::RobustMpc;
+use lingxi_core::{LingXiConfig, LingXiController, LingXiHooks, ManagedHooks, SessionBuffers};
 use lingxi_user::{RuleBasedExit, UserRecord};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::fig10_simulation::RuleRolloutPredictor;
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{user_stream, World, WorldConfig};
 use crate::{sub, Result};
 
 /// Mean deployed stall weight for one rule cell.
@@ -27,12 +25,10 @@ fn cell_mean_stall_param(
     seed: u64,
 ) -> Result<Option<f64>> {
     let mut deployed = Vec::new();
+    let mut buffers = SessionBuffers::new();
     for user in users {
-        let mut rng = StdRng::seed_from_u64(
-            seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15)
-                ^ ((stall_time_thr as u64) << 32)
-                ^ ((stall_count_thr as u64) << 48),
-        );
+        let salt = ((stall_time_thr as u64) << 32) ^ ((stall_count_thr as u64) << 48);
+        let mut rng = user_stream(seed, user.id, salt);
         let mut controller = LingXiController::new(LingXiConfig::for_qoe_abr()).map_err(sub)?;
         let mut predictor = RuleRolloutPredictor {
             max_stall_time: stall_time_thr,
@@ -40,26 +36,18 @@ fn cell_mean_stall_param(
         };
         let mut rule = RuleBasedExit::new(stall_time_thr, stall_count_thr).map_err(sub)?;
         for _ in 0..sessions {
-            let mut abr = RobustMpc::default_rule();
-            abr.set_params(QoeParams::default());
-            let video = world.catalog.sample(&mut rng);
-            let trace = world.session_trace(user, (video.duration() * 3.0) as usize, &mut rng)?;
-            let out = run_managed_session(
-                user.id,
-                video,
-                world.ladder(),
-                &trace,
-                default_player(),
-                &mut abr,
-                &mut controller,
-                &mut predictor,
-                &mut rule,
-                &mut rng,
-            )
-            .map_err(sub)?;
-            for p in out.deployments {
-                deployed.push(p.stall_weight);
-            }
+            let mut hooks = ManagedHooks {
+                abr: &mut RobustMpc::default_rule(),
+                lingxi: Some(LingXiHooks {
+                    controller: &mut controller,
+                    predictor: &mut predictor,
+                }),
+                user: &mut rule,
+                buffers: &mut buffers,
+                rng: &mut rng,
+            };
+            world.play(user, &mut hooks)?;
+            deployed.extend(buffers.deployments().iter().map(|p| p.stall_weight));
         }
     }
     if deployed.is_empty() {
@@ -148,6 +136,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lingxi_abr::QoeParams;
 
     #[test]
     fn fig11_produces_grid() {

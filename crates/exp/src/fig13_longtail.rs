@@ -10,14 +10,23 @@
 //! shared [`World`] rather than running as fleet cells like fig12: they
 //! plot per-user β trajectories, which `FleetReport` — population
 //! aggregates and sketches only — deliberately does not retain.
+//!
+//! The design is paired: each `(video, trace)` is drawn once and played
+//! twice, with LingXi and without. That is why this figure builds its own
+//! `SessionSetup` and calls [`lingxi_core::play`] for both arms instead of
+//! going through [`World::play`], which draws a fresh pair per call.
 
-use lingxi_abr::{drive, Abr, Hyb, QoeParams};
-use lingxi_core::{run_managed_session, LingXiConfig, LingXiController, ProfilePredictor};
+use lingxi_abr::Hyb;
+use lingxi_core::{
+    play, LingXiConfig, LingXiController, LingXiHooks, ManagedHooks, ProfilePredictor,
+    SessionBuffers,
+};
+use lingxi_player::SessionSetup;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{default_player, user_stream, World, WorldConfig};
 use crate::{sub, Result};
 
 struct UserOutcome {
@@ -40,10 +49,10 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     )?;
 
     let mut outcomes: Vec<UserOutcome> = Vec::new();
+    let mut buffers = SessionBuffers::new();
     for user in world.population.users() {
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xF13);
-        let sessions = world.sessions_today(user, &mut rng);
+        let mut rng = user_stream(seed, user.id, 0xF13);
+        let sessions = user.sessions_today(&mut rng);
         let mut controller = LingXiController::new(LingXiConfig::for_hyb()).map_err(sub)?;
         let mut predictor = ProfilePredictor {
             profile: user.stall,
@@ -52,57 +61,45 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         let mut betas = Vec::new();
         let mut stall_lingxi = 0.0;
         let mut stall_static = 0.0;
-        // Paired design: the same videos and traces drive both arms.
         for s in 0..sessions {
             let mut pair_rng =
                 StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(31) ^ ((s as u64) << 20));
             let video = world.catalog.sample(&mut pair_rng);
-            let trace =
-                world.session_trace(user, (video.duration() * 3.0) as usize, &mut pair_rng)?;
-
-            // LingXi arm.
-            let mut exit_model = user.exit_model();
-            let mut abr = Hyb::default_rule();
-            let mut arm_rng = StdRng::seed_from_u64(pair_rng.next_u64());
-            let out = run_managed_session(
-                user.id,
+            let trace = user
+                .private_trace(video.duration(), &mut pair_rng)
+                .map_err(sub)?;
+            let setup = SessionSetup {
+                user_id: user.id,
                 video,
-                world.ladder(),
-                &trace,
-                default_player(),
-                &mut abr,
-                &mut controller,
-                &mut predictor,
-                &mut exit_model,
-                &mut arm_rng,
-            )
-            .map_err(sub)?;
-            stall_lingxi += out.log.total_stall();
-            betas.push(controller.params().beta);
-
-            // Static arm on the identical (video, trace).
-            let mut exit_model2 = user.exit_model();
-            let mut abr2 = Hyb::default_rule();
-            abr2.set_params(QoeParams::default());
-            let mut arm_rng2 = StdRng::seed_from_u64(arm_rng.next_u64());
-            let log2 = {
-                let ladder = world.ladder();
-                let setup = lingxi_player::SessionSetup {
-                    user_id: user.id,
-                    video,
-                    ladder,
-                    process: &trace,
-                    config: default_player(),
-                };
-                lingxi_player::run_session(
-                    &setup,
-                    drive(&mut abr2, ladder, &video.sizes),
-                    lingxi_user::consult(&mut exit_model2, ladder),
-                    &mut arm_rng2,
-                )
-                .map_err(sub)?
+                ladder: world.ladder(),
+                process: &trace,
+                config: default_player(),
             };
-            stall_static += log2.total_stall();
+            // The LingXi arm, then the static arm on the identical setup:
+            // the same call, each arm on a stream seeded off the one before.
+            let mut arm_seed = pair_rng.next_u64();
+            for managed in [true, false] {
+                let mut arm_rng = StdRng::seed_from_u64(arm_seed);
+                let lingxi = managed.then_some(LingXiHooks {
+                    controller: &mut controller,
+                    predictor: &mut predictor,
+                });
+                let mut hooks = ManagedHooks {
+                    abr: &mut Hyb::default_rule(),
+                    lingxi,
+                    user: &mut user.exit_model(),
+                    buffers: &mut buffers,
+                    rng: &mut arm_rng,
+                };
+                play(&setup, &mut hooks).map_err(sub)?;
+                arm_seed = arm_rng.next_u64();
+                if managed {
+                    stall_lingxi += buffers.log().total_stall();
+                    betas.push(controller.params().beta);
+                } else {
+                    stall_static += buffers.log().total_stall();
+                }
+            }
         }
         outcomes.push(UserOutcome {
             mean_kbps: user.net.mean_kbps,

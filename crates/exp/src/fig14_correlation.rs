@@ -19,14 +19,14 @@
 //! by fig15's archetype separation and the controller unit tests.
 
 use lingxi_abr::Hyb;
-use lingxi_core::{run_managed_session, LingXiConfig, LingXiController, ProfilePredictor};
+use lingxi_core::{
+    LingXiConfig, LingXiController, LingXiHooks, ManagedHooks, ProfilePredictor, SessionBuffers,
+};
 use lingxi_stats::{linear_fit, pearson};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
-use crate::{sub, Result};
+use crate::world::{user_stream, World, WorldConfig};
+use crate::Result;
 
 const DAYS: usize = 6;
 /// Unmeasured bootstrap days: production users carry adaptation history
@@ -60,6 +60,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "Per-day correlation between stall-exit rate and deployed β",
     );
     let mut correlations = Vec::new();
+    let mut buffers = SessionBuffers::new();
     // Controllers persist across days (long-term state).
     let mut controllers: Vec<LingXiController> = users
         .iter()
@@ -70,10 +71,8 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         let mut xs = Vec::new(); // stall exit rate
         let mut ys = Vec::new(); // β
         for (uidx, user) in users.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ user.id.wrapping_mul(0x9E3779B97F4A7C15) ^ ((day as u64) << 16),
-            );
-            let sessions = world.sessions_today(user, &mut rng);
+            let mut rng = user_stream(seed, user.id, (day as u64) << 16);
+            let sessions = user.sessions_today(&mut rng);
             let mut exit_model = user.exit_model_for_day(&world.drift, &mut rng);
             let mut predictor = ProfilePredictor {
                 profile: user.stall,
@@ -82,23 +81,17 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
             let controller = &mut controllers[uidx];
             // Managed sessions drive the controller's adaptation.
             for _ in 0..sessions {
-                let mut abr = Hyb::default_rule();
-                let video = world.catalog.sample(&mut rng);
-                let trace =
-                    world.session_trace(user, (video.duration() * 3.0) as usize, &mut rng)?;
-                run_managed_session(
-                    user.id,
-                    video,
-                    world.ladder(),
-                    &trace,
-                    default_player(),
-                    &mut abr,
-                    controller,
-                    &mut predictor,
-                    &mut exit_model,
-                    &mut rng,
-                )
-                .map_err(sub)?;
+                let mut hooks = ManagedHooks {
+                    abr: &mut Hyb::default_rule(),
+                    lingxi: Some(LingXiHooks {
+                        controller: &mut *controller,
+                        predictor: &mut predictor,
+                    }),
+                    user: &mut exit_model,
+                    buffers: &mut buffers,
+                    rng: &mut rng,
+                };
+                world.play(user, &mut hooks)?;
             }
             // The stall-exit *rate* is the user's intrinsic propensity,
             // measured on default-parameter sessions (production measures
@@ -111,14 +104,15 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
             if measured {
                 let mut probe_model = user.exit_model_for_day(&world.drift, &mut rng);
                 for _ in 0..sessions {
-                    let mut abr = Hyb::default_rule();
-                    let log = world.run_plain_session(
-                        user,
-                        &mut abr,
-                        &mut probe_model,
-                        default_player(),
-                        &mut rng,
-                    )?;
+                    let mut hooks = ManagedHooks {
+                        abr: &mut Hyb::default_rule(),
+                        lingxi: None,
+                        user: &mut probe_model,
+                        buffers: &mut buffers,
+                        rng: &mut rng,
+                    };
+                    world.play(user, &mut hooks)?;
+                    let log = buffers.log();
                     for (i, seg) in log.segments.iter().enumerate() {
                         if seg.stall_time > 0.0 {
                             stalls += 1;

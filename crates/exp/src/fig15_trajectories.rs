@@ -10,14 +10,16 @@
 //! (A per-user loop, not a fleet cell — why is in `fig13_longtail`'s docs.)
 
 use lingxi_abr::Hyb;
-use lingxi_core::{run_managed_session, LingXiConfig, LingXiController, ProfilePredictor};
+use lingxi_core::{
+    LingXiConfig, LingXiController, LingXiHooks, ManagedHooks, ProfilePredictor, SessionBuffers,
+};
 use lingxi_net::{NetClass, UserNetProfile};
 use lingxi_user::{QosExitModel, SensitivityKind, StallProfile, UserRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::report::{ExperimentResult, Series};
-use crate::world::{default_player, World, WorldConfig};
+use crate::world::{World, WorldConfig};
 use crate::{sub, Result};
 
 struct Archetype {
@@ -66,6 +68,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 
     let mut high_mean = Vec::new();
     let mut low_mean = Vec::new();
+    let mut buffers = SessionBuffers::new();
     for (aidx, arch) in archetypes().into_iter().enumerate() {
         let user = UserRecord {
             id: 1000 + aidx as u64,
@@ -91,30 +94,25 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         let mut event_idx = 0usize;
         for _ in 0..sessions {
             let mut exit_model = QosExitModel::calibrated(arch.profile);
-            let mut abr = Hyb::default_rule();
-            let video = world.catalog.sample(&mut rng);
-            let trace = world.session_trace(&user, (video.duration() * 3.0) as usize, &mut rng)?;
-            let out = run_managed_session(
-                user.id,
-                video,
-                world.ladder(),
-                &trace,
-                default_player(),
-                &mut abr,
-                &mut controller,
-                &mut predictor,
-                &mut exit_model,
-                &mut rng,
-            )
-            .map_err(sub)?;
-            for (i, seg) in out.log.segments.iter().enumerate() {
+            let mut hooks = ManagedHooks {
+                abr: &mut Hyb::default_rule(),
+                lingxi: Some(LingXiHooks {
+                    controller: &mut controller,
+                    predictor: &mut predictor,
+                }),
+                user: &mut exit_model,
+                buffers: &mut buffers,
+                rng: &mut rng,
+            };
+            world.play(&user, &mut hooks)?;
+            let log = buffers.log();
+            for (i, seg) in log.segments.iter().enumerate() {
                 if seg.stall_time > 0.0 {
                     event_idx += 1;
                     let x = event_idx as f64;
                     stall_pts.push((x, seg.stall_time));
                     beta_pts.push((x, controller.params().beta));
-                    let exited =
-                        out.log.exit_segment == Some(i) || out.log.exit_segment == Some(i + 1);
+                    let exited = log.exit_segment == Some(i) || log.exit_segment == Some(i + 1);
                     exit_pts.push((x, if exited { 1.0 } else { 0.0 }));
                 }
             }

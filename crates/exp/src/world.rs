@@ -1,19 +1,20 @@
-//! Shared simulation world: catalog + population.
+//! Shared simulation world: catalog + population, and the one way a figure
+//! plays a session in it.
 //!
 //! The per-figure experiments all draw from one synthetic "production
 //! environment": a short-video catalog ([`lingxi_media`]), a bandwidth
 //! population matched to Fig. 2(a) ([`lingxi_net`]) and a user population
-//! with heterogeneous stall sensitivity ([`lingxi_user`]). The A/B figure
-//! (fig12) does not play sessions here: it hands this world's population
-//! shape to the fleet engine, which builds and runs its own.
+//! with heterogeneous stall sensitivity ([`lingxi_user`]). A figure plays a
+//! session with [`World::play`] — LingXi present or absent is the `lingxi`
+//! field of the hooks it passes, so "the same session with and without
+//! LingXi" is one call written once — on the user's [`user_stream`]. The
+//! A/B figure (fig12) does not play sessions here: it hands this world's
+//! population shape to the fleet engine, which builds and runs its own.
 
-use lingxi_abr::{drive, Abr};
+use lingxi_core::ManagedHooks;
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
-use lingxi_net::BandwidthTrace;
-use lingxi_player::{run_session, PlayerConfig, SessionSetup};
-use lingxi_user::{
-    consult, ExitModel, PopulationConfig, QosExitModel, ToleranceDrift, UserPopulation, UserRecord,
-};
+use lingxi_player::{PlayerConfig, SessionSetup};
+use lingxi_user::{PopulationConfig, ToleranceDrift, UserPopulation, UserRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,52 +112,32 @@ impl World {
         self.catalog.ladder()
     }
 
-    /// Number of sessions a user plays on one day (Poisson-ish rounding of
-    /// the user's engagement level, deterministic under `rng`).
-    pub fn sessions_today<R: Rng>(&self, user: &UserRecord, rng: &mut R) -> usize {
-        let lambda = user.sessions_per_day;
-        let jitter = 0.5 + rng.gen::<f64>();
-        ((lambda * jitter).round() as usize).clamp(1, 60)
-    }
-
-    /// Generate a bandwidth trace for one user session.
-    pub fn session_trace<R: Rng>(
-        &self,
-        user: &UserRecord,
-        seconds: usize,
-        rng: &mut R,
-    ) -> Result<BandwidthTrace> {
-        user.net.trace(seconds.max(60), 1.0, rng).map_err(sub)
-    }
-
-    /// Run one plain (un-managed) session of `user` with `abr`.
-    pub fn run_plain_session<R: Rng>(
-        &self,
-        user: &UserRecord,
-        abr: &mut dyn Abr,
-        exit_model: &mut QosExitModel,
-        player: PlayerConfig,
-        rng: &mut R,
-    ) -> Result<lingxi_player::SessionLog> {
-        let video = self.catalog.sample(rng);
-        let trace = self.session_trace(user, (video.duration() * 3.0) as usize, rng)?;
-        let ladder = self.ladder();
+    /// Play one session of `user`: sample a video, draw the user's private
+    /// trace for it, then [`lingxi_core::play`] it under the default player
+    /// — in that order, all from `hooks.rng`. LingXi manages the session
+    /// when `hooks.lingxi` is `Some`; the log (and LingXi's deployments)
+    /// land in `hooks.buffers`.
+    pub fn play<R: Rng>(&self, user: &UserRecord, hooks: &mut ManagedHooks<'_, R>) -> Result<()> {
+        let video = self.catalog.sample(hooks.rng);
+        let trace = user
+            .private_trace(video.duration(), hooks.rng)
+            .map_err(sub)?;
         let setup = SessionSetup {
             user_id: user.id,
             video,
-            ladder,
+            ladder: self.ladder(),
             process: &trace,
-            config: player,
+            config: default_player(),
         };
-        exit_model.reset_session();
-        run_session(
-            &setup,
-            drive(abr, ladder, &video.sizes),
-            consult(exit_model, ladder),
-            rng,
-        )
-        .map_err(sub)
+        lingxi_core::play(&setup, hooks).map_err(sub)
     }
+}
+
+/// The RNG stream of `user_id` under `seed`: `seed ^ id·φ ^ salt`, φ the
+/// 64-bit golden ratio. The `salt` keeps one figure's streams — and one
+/// figure's arms, days or grid cells — apart from another's.
+pub fn user_stream(seed: u64, user_id: u64, salt: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ user_id.wrapping_mul(0x9E3779B97F4A7C15) ^ salt)
 }
 
 /// Default player configuration used across the experiments.
@@ -186,17 +167,40 @@ mod tests {
         assert!(cfg.n_users >= 8);
     }
 
+    /// Both arms of a figure are this one call: without LingXi it is a
+    /// plain session, with it the controller is fed; either way the video
+    /// and the trace are the first two things drawn from the stream.
     #[test]
-    fn plain_session_produces_log() {
+    fn play_runs_a_session_with_and_without_lingxi() {
+        use lingxi_core::{LingXiConfig, LingXiController, LingXiHooks, SessionBuffers};
         let world = World::build(&WorldConfig::default().scaled(0.05), 2).unwrap();
         let user = world.population.users()[0];
-        let mut abr = Hyb::default_rule();
-        let mut exit_model = user.exit_model();
-        let mut rng = StdRng::seed_from_u64(3);
-        let log = world
-            .run_plain_session(&user, &mut abr, &mut exit_model, default_player(), &mut rng)
-            .unwrap();
-        assert!(!log.segments.is_empty());
-        assert!(log.watch_time >= 0.0);
+        let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
+        let mut predictor = lingxi_core::ProfilePredictor {
+            profile: user.stall,
+            base: 0.015,
+        };
+        let mut buffers = SessionBuffers::new();
+        let mut first_video = None;
+        for managed in [false, true] {
+            let lingxi = managed.then_some(LingXiHooks {
+                controller: &mut controller,
+                predictor: &mut predictor,
+            });
+            let mut hooks = ManagedHooks {
+                abr: &mut Hyb::default_rule(),
+                lingxi,
+                user: &mut user.exit_model(),
+                buffers: &mut buffers,
+                rng: &mut user_stream(3, user.id, 0),
+            };
+            world.play(&user, &mut hooks).unwrap();
+            let log = buffers.log();
+            assert!(log.user_id == user.id && !log.segments.is_empty());
+            // Same stream, same first draw: both arms play the same video.
+            assert_eq!(*first_video.get_or_insert(log.video_id), log.video_id);
+        }
+        // LingXi observed its arm.
+        assert_ne!(controller.tracker(), &lingxi_exit::UserStateTracker::new());
     }
 }

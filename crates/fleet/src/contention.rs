@@ -173,7 +173,7 @@ impl<'a> LinkAgent<'a> {
             (None, Some(contention)) => rng.gen::<f64>() * contention.arrival_window,
             (None, None) => 0.0,
         };
-        let sessions_left = engine.sessions_this_epoch(user, &mut rng);
+        let sessions_left = user.sessions_today(&mut rng);
         let exit_model = user.exit_model_for_day(&ToleranceDrift::default(), &mut rng);
         let policy = ctx.scenario.abr_mix.policy_for(user.id);
         let managed = if policy.managed() && engine.lingxi_active(user.id, ctx.epoch) {
@@ -260,9 +260,11 @@ impl<'a> LinkAgent<'a> {
     ) -> Result<UserEpochRow> {
         while self.sessions_left > 0 {
             let video = self.next_video();
-            let seconds = ((video.duration() * 3.0) as usize).max(60);
             let rng = &mut self.parts.rng;
-            let trace = self.user.net.trace(seconds, 1.0, rng).map_err(sub)?;
+            let trace = self
+                .user
+                .private_trace(video.duration(), rng)
+                .map_err(sub)?;
             let mut session = self.begin_session(video)?;
             let hooks = &mut self.parts.hooks();
             while let Some(req) = session.next_request(hooks) {

@@ -36,7 +36,7 @@ use lingxi_net::SolverStats;
 use lingxi_user::{PopulationConfig, UserPopulation, UserRecord};
 use lingxi_workload::ArrivalProcess;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::checkpoint::{FleetCheckpoint, CHECKPOINT_SCHEMA};
 use crate::config::{FleetConfig, FleetScenario, PersistenceConfig};
@@ -721,13 +721,6 @@ impl FleetEngine {
                 .push(agent.run_private(ctx.cache, &mut out.sketches)?);
         }
         Ok(out)
-    }
-
-    /// Sessions a user plays this epoch (Poisson-ish jitter around the
-    /// user's engagement level, drawn from the user's own stream).
-    pub(crate) fn sessions_this_epoch<R: Rng>(&self, user: &UserRecord, rng: &mut R) -> usize {
-        let jitter = 0.5 + rng.gen::<f64>();
-        ((user.sessions_per_day * jitter).round() as usize).clamp(1, 60)
     }
 }
 

@@ -102,16 +102,6 @@ pub struct SessionStream<'a> {
 }
 
 impl<'a> SessionStream<'a> {
-    /// Start a session.
-    pub fn new(
-        user_id: u64,
-        video: &'a Video,
-        ladder: &'a BitrateLadder,
-        config: PlayerConfig,
-    ) -> Result<Self> {
-        Self::new_in(user_id, video, ladder, config, Vec::new())
-    }
-
     /// Start a session that records into the caller-lent `segments`
     /// (cleared, and grown to the video's length if smaller);
     /// [`SessionStream::finish`] hands the vector back inside the log, so
@@ -253,7 +243,13 @@ where
     G: FnMut(&PlayerEnv, &SegmentRecord, &mut R) -> ExitDecision,
     R: Rng + ?Sized,
 {
-    let mut stream = SessionStream::new(setup.user_id, setup.video, setup.ladder, setup.config)?;
+    let mut stream = SessionStream::new_in(
+        setup.user_id,
+        setup.video,
+        setup.ladder,
+        setup.config,
+        Vec::new(),
+    )?;
     while let Some(req) = stream.next_request(&mut select) {
         let download = setup.process.download(req.at, req.size_kbits);
         if !stream.complete(download, &mut exit, rng)? {
@@ -353,7 +349,8 @@ mod tests {
             }
             stream.finish()
         };
-        let fresh = play(SessionStream::new(7, video, cat.ladder(), config).unwrap());
+        let fresh =
+            play(SessionStream::new_in(7, video, cat.ladder(), config, Vec::new()).unwrap());
 
         // A dirty vector, larger than the video needs.
         let stale = fresh.segments[0];

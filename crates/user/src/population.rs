@@ -1,7 +1,7 @@
 //! Population generation: users with network profiles, stall sensitivities
 //! and engagement behaviour.
 
-use lingxi_net::{ProductionMixture, UserNetProfile};
+use lingxi_net::{BandwidthTrace, ProductionMixture, UserNetProfile};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +37,25 @@ impl UserRecord {
     /// The user's baseline exit model (no drift).
     pub fn exit_model(&self) -> QosExitModel {
         QosExitModel::calibrated(self.stall)
+    }
+
+    /// Sessions this user plays on one day: the engagement level jittered
+    /// by `0.5 + U(0, 1)`, rounded and clamped to `1..=60` (one draw).
+    pub fn sessions_today<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let jitter = 0.5 + rng.gen::<f64>();
+        ((self.sessions_per_day * jitter).round() as usize).clamp(1, 60)
+    }
+
+    /// The private bandwidth trace of one session over a video of
+    /// `video_duration` seconds: three times the video (stalls stretch a
+    /// session past its content), at least a minute, at 1 s resolution.
+    pub fn private_trace<R: Rng + ?Sized>(
+        &self,
+        video_duration: f64,
+        rng: &mut R,
+    ) -> lingxi_net::Result<BandwidthTrace> {
+        let seconds = ((video_duration * 3.0) as usize).max(60);
+        self.net.trace(seconds, 1.0, rng)
     }
 }
 
@@ -152,6 +171,12 @@ mod tests {
         for (i, u) in pop.users().iter().enumerate() {
             assert_eq!(u.id, i as u64);
         }
+        // The user-day rules: 1..=60 sessions; a private trace is three
+        // times its video and never shorter than a minute.
+        let u = &pop.users()[0];
+        assert!((1..=60).contains(&u.sessions_today(&mut rng)));
+        assert_eq!(u.private_trace(5.0, &mut rng).unwrap().duration(), 60.0);
+        assert_eq!(u.private_trace(40.5, &mut rng).unwrap().duration(), 121.0);
     }
 
     #[test]

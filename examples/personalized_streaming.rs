@@ -65,26 +65,30 @@ fn main() {
         };
         let sessions = 14;
         let mut user_rng = StdRng::seed_from_u64(500 + uid as u64);
+        let mut buffers = SessionBuffers::new();
         for s in 0..sessions {
             let video = catalog.video_cyclic(s);
             let trace = net
                 .trace((video.duration() * 3.0) as usize, 1.0, &mut user_rng)
                 .expect("trace");
-            let mut abr = Hyb::default_rule();
-            let mut user = QosExitModel::calibrated(*profile);
-            let _ = run_managed_session(
-                uid as u64,
+            let setup = SessionSetup {
+                user_id: uid as u64,
                 video,
-                catalog.ladder(),
-                &trace,
-                PlayerConfig::default(),
-                &mut abr,
-                &mut controller,
-                &mut predictor,
-                &mut user,
-                &mut user_rng,
-            )
-            .expect("session");
+                ladder: catalog.ladder(),
+                process: &trace,
+                config: PlayerConfig::default(),
+            };
+            let mut hooks = ManagedHooks {
+                abr: &mut Hyb::default_rule(),
+                lingxi: Some(LingXiHooks {
+                    controller: &mut controller,
+                    predictor: &mut predictor,
+                }),
+                user: &mut QosExitModel::calibrated(*profile),
+                buffers: &mut buffers,
+                rng: &mut user_rng,
+            };
+            play(&setup, &mut hooks).expect("session");
         }
         // Persist long-term state (the app-termination hook of §4).
         let state = LongTermState {

@@ -4,8 +4,9 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! The example plays the same videos over the same bandwidth twice — once
-//! with static HYB parameters, once with LingXi re-tuning β after stalls —
-//! and prints the per-session stall/watch outcomes side by side.
+//! with LingXi re-tuning β after stalls, once with static HYB parameters —
+//! and prints the per-session stall/watch outcomes side by side. Both arms
+//! are the same `play` call: `lingxi` is `Some(..)` or `None`.
 
 use lingxi::prelude::*;
 use rand::rngs::StdRng;
@@ -44,77 +45,55 @@ fn main() {
     println!("session |      arm | watch(s) | stall(s) | stalls | beta_after");
     println!("--------+----------+----------+----------+--------+-----------");
     let sessions = 10;
-    let mut managed_stall = 0.0;
-    let mut static_stall = 0.0;
+    let mut total_stall = [0.0; 2];
+    let mut buffers = SessionBuffers::new();
     for s in 0..sessions {
         let video = catalog.video_cyclic(s);
         let mut trace_rng = StdRng::seed_from_u64(100 + s as u64);
         let trace = net
             .trace((video.duration() * 3.0) as usize, 1.0, &mut trace_rng)
             .expect("trace");
-
-        // Managed arm.
-        let mut abr = Hyb::default_rule();
-        let mut user = QosExitModel::calibrated(profile);
-        let mut arm_rng = StdRng::seed_from_u64(1000 + s as u64);
-        let managed = run_managed_session(
-            1,
-            video,
-            catalog.ladder(),
-            &trace,
-            PlayerConfig::default(),
-            &mut abr,
-            &mut controller,
-            &mut predictor,
-            &mut user,
-            &mut arm_rng,
-        )
-        .expect("managed session");
-        managed_stall += managed.log.total_stall();
-        println!(
-            "{:>7} | {:>8} | {:>8.1} | {:>8.2} | {:>6} | {:>9.2}",
-            s + 1,
-            "lingxi",
-            managed.log.watch_time,
-            managed.log.total_stall(),
-            managed.log.stall_count(),
-            controller.params().beta,
-        );
-
-        // Static arm on the same video/trace.
-        let mut abr2 = Hyb::default_rule();
-        let mut user2 = QosExitModel::calibrated(profile);
-        let mut arm_rng2 = StdRng::seed_from_u64(2000 + s as u64);
-        let ladder = catalog.ladder();
         let setup = SessionSetup {
             user_id: 1,
             video,
-            ladder,
+            ladder: catalog.ladder(),
             process: &trace,
             config: PlayerConfig::default(),
         };
-        let log = run_session(
-            &setup,
-            drive(&mut abr2, ladder, &video.sizes),
-            consult(&mut user2, ladder),
-            &mut arm_rng2,
-        )
-        .expect("static session");
-        static_stall += log.total_stall();
-        println!(
-            "{:>7} | {:>8} | {:>8.1} | {:>8.2} | {:>6} | {:>9.2}",
-            s + 1,
-            "static",
-            log.watch_time,
-            log.total_stall(),
-            log.stall_count(),
-            0.80,
-        );
+
+        // The managed arm, then the static arm on the same video/trace.
+        for (arm, name) in ["lingxi", "static"].into_iter().enumerate() {
+            let lingxi = (arm == 0).then_some(LingXiHooks {
+                controller: &mut controller,
+                predictor: &mut predictor,
+            });
+            let mut abr = Hyb::default_rule();
+            let mut hooks = ManagedHooks {
+                abr: &mut abr,
+                lingxi,
+                user: &mut QosExitModel::calibrated(profile),
+                buffers: &mut buffers,
+                rng: &mut StdRng::seed_from_u64(1000 * (arm as u64 + 1) + s as u64),
+            };
+            play(&setup, &mut hooks).expect("session");
+            let log = buffers.log();
+            total_stall[arm] += log.total_stall();
+            println!(
+                "{:>7} | {:>8} | {:>8.1} | {:>8.2} | {:>6} | {:>9.2}",
+                s + 1,
+                name,
+                log.watch_time,
+                log.total_stall(),
+                log.stall_count(),
+                abr.beta(),
+            );
+        }
     }
     println!();
     println!(
-        "total stall: lingxi {managed_stall:.1} s vs static {static_stall:.1} s \
-         ({} optimizations ran)",
+        "total stall: lingxi {:.1} s vs static {:.1} s ({} optimizations ran)",
+        total_stall[0],
+        total_stall[1],
         controller.optimizations()
     );
 }

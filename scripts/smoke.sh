@@ -15,9 +15,10 @@
 #    series missing from or extra in either side fails like a differing
 #    one. headline.csv is excluded — it carries wall-clock throughput;
 #    every simulated series must match byte for byte.
-# 3. `examples/ab_experiment.rs`: the §5.3 A/B on the fleet engine
-#    through the facade crate — the one example CI runs, not only
-#    compiles.
+# 3. The two examples CI runs, not only compiles, both through the
+#    facade crate: `ab_experiment` (the §5.3 A/B on the fleet engine) and
+#    `quickstart` (the one session driver, `play`, with LingXi present
+#    and absent on the same videos and traces).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,4 +43,5 @@ population=("$bin" population --seed 7 --scale 0.01 --days 2)
 diff -r --exclude=headline.csv "$tmp/straight/population" "$tmp/resumed/population"
 
 cargo run --release --locked --example ab_experiment
+cargo run --release --locked --example quickstart
 echo ">>> smoke: all green"

@@ -43,19 +43,37 @@
 //! ).unwrap();
 //! let trace = BandwidthTrace::constant(1200.0, 600, 1.0).unwrap();
 //!
-//! // An ABR under LingXi management, a stall-sensitive user.
-//! let mut abr = Hyb::default_rule();
-//! let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
-//! let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.5).unwrap();
-//! let mut predictor = ProfilePredictor { profile, base: 0.01 };
-//! let mut user = QosExitModel::calibrated(profile);
+//! let setup = SessionSetup {
+//!     user_id: 1,
+//!     video: catalog.video_cyclic(0),
+//!     ladder: catalog.ladder(),
+//!     process: &trace,
+//!     config: PlayerConfig::default(),
+//! };
 //!
-//! let outcome = run_managed_session(
-//!     1, catalog.video_cyclic(0), catalog.ladder(), &trace,
-//!     PlayerConfig::default(), &mut abr, &mut controller,
-//!     &mut predictor, &mut user, &mut rng,
-//! ).unwrap();
-//! assert!(!outcome.log.segments.is_empty());
+//! // A stall-sensitive user, and LingXi's per-user pieces.
+//! let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.5).unwrap();
+//! let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
+//! let mut predictor = ProfilePredictor { profile, base: 0.01 };
+//!
+//! // The same session with LingXi managing HYB, then without: one call,
+//! // and `lingxi` is `Some(..)` or `None`.
+//! let mut buffers = SessionBuffers::new();
+//! for managed in [true, false] {
+//!     let lingxi = managed.then_some(LingXiHooks {
+//!         controller: &mut controller,
+//!         predictor: &mut predictor,
+//!     });
+//!     let mut hooks = ManagedHooks {
+//!         abr: &mut Hyb::default_rule(),
+//!         lingxi,
+//!         user: &mut QosExitModel::calibrated(profile),
+//!         buffers: &mut buffers,
+//!         rng: &mut rng,
+//!     };
+//!     play(&setup, &mut hooks).unwrap();
+//!     assert!(!buffers.log().segments.is_empty());
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,9 +102,9 @@ pub mod prelude {
     pub use lingxi_abtest::{AbReport, AbSchedule};
     pub use lingxi_bayes::{ObOptimizer, ObserverConfig};
     pub use lingxi_core::{
-        evaluate_parameters, run_managed_session, run_managed_session_in, CacheConfig,
-        LingXiConfig, LingXiController, LongTermState, McConfig, ProfilePredictor, RolloutContext,
-        RolloutPredictor, SearchStrategy, SessionBuffers, ShardedStateCache, StateStore,
+        play, run_managed_session_in, CacheConfig, LingXiConfig, LingXiController, LingXiHooks,
+        LongTermState, ManagedHooks, McConfig, ProfilePredictor, RolloutContext, RolloutPredictor,
+        SearchStrategy, SessionBuffers, ShardedStateCache, StateStore,
     };
     pub use lingxi_exit::{
         DatasetFlavor, ExitDataset, ExitPredictor, HybridPredictor, PredictorConfig, StateMatrix,

@@ -1,6 +1,6 @@
 //! Facade smoke test: the `lingxi::prelude` re-exports resolve and the
-//! README/lib.rs quickstart path (`Catalog::generate` →
-//! `run_managed_session`) runs deterministically and fast.
+//! README/lib.rs quickstart path (`Catalog::generate` → `play`) runs
+//! deterministically and fast.
 
 use std::time::Instant;
 
@@ -84,6 +84,9 @@ fn prelude_reexports_resolve() {
     let _: Option<StateStore> = None;
     let _: Option<RolloutContext> = None;
     let _: Option<Box<dyn RolloutPredictor>> = None;
+    let _: Option<LingXiHooks<'_>> = None;
+    let _: Option<ManagedHooks<'_, StdRng>> = None;
+    let _: SessionBuffers = SessionBuffers::new();
     // abtest: the schedule and report types; the fleet's `AbSplit` runs it
     let paper: AbSchedule = AbSchedule::paper_default();
     let split = AbSplit {
@@ -99,78 +102,52 @@ fn prelude_reexports_resolve() {
 fn quickstart_path_runs_fast() {
     let start = Instant::now();
 
-    let mut rng = StdRng::seed_from_u64(7);
-    let catalog = Catalog::generate(
-        BitrateLadder::default_short_video(),
-        &CatalogConfig {
-            n_videos: 3,
-            ..CatalogConfig::default()
-        },
-        &mut rng,
-    )
-    .unwrap();
     let trace = BandwidthTrace::constant(1200.0, 600, 1.0).unwrap();
-
-    let mut abr = Hyb::default_rule();
-    let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
     let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.5).unwrap();
-    let mut predictor = ProfilePredictor {
-        profile,
-        base: 0.01,
+    let run = || {
+        let mut rng = StdRng::seed_from_u64(7);
+        let catalog = Catalog::generate(
+            BitrateLadder::default_short_video(),
+            &CatalogConfig {
+                n_videos: 3,
+                ..CatalogConfig::default()
+            },
+            &mut rng,
+        )
+        .unwrap();
+        let setup = SessionSetup {
+            user_id: 1,
+            video: catalog.video_cyclic(0),
+            ladder: catalog.ladder(),
+            process: &trace,
+            config: PlayerConfig::default(),
+        };
+        let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
+        let mut predictor = ProfilePredictor {
+            profile,
+            base: 0.01,
+        };
+        let mut buffers = SessionBuffers::new();
+        let mut hooks = ManagedHooks {
+            abr: &mut Hyb::default_rule(),
+            lingxi: Some(LingXiHooks {
+                controller: &mut controller,
+                predictor: &mut predictor,
+            }),
+            user: &mut QosExitModel::calibrated(profile),
+            buffers: &mut buffers,
+            rng: &mut rng,
+        };
+        play(&setup, &mut hooks).unwrap();
+        buffers.log().clone()
     };
-    let mut user = QosExitModel::calibrated(profile);
 
-    let outcome = run_managed_session(
-        1,
-        catalog.video_cyclic(0),
-        catalog.ladder(),
-        &trace,
-        PlayerConfig::default(),
-        &mut abr,
-        &mut controller,
-        &mut predictor,
-        &mut user,
-        &mut rng,
-    )
-    .unwrap();
-
-    assert!(!outcome.log.segments.is_empty());
-    assert!(outcome.log.total_stall() >= 0.0);
-    assert!(outcome.log.watch_time <= outcome.log.video_duration + 1e-9);
-
+    let log = run();
+    assert!(!log.segments.is_empty());
+    assert!(log.total_stall() >= 0.0);
+    assert!(log.watch_time <= log.video_duration + 1e-9);
     // Determinism: the same seed reproduces the same session.
-    let mut rng2 = StdRng::seed_from_u64(7);
-    let catalog2 = Catalog::generate(
-        BitrateLadder::default_short_video(),
-        &CatalogConfig {
-            n_videos: 3,
-            ..CatalogConfig::default()
-        },
-        &mut rng2,
-    )
-    .unwrap();
-    let mut abr2 = Hyb::default_rule();
-    let mut controller2 = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
-    let mut predictor2 = ProfilePredictor {
-        profile,
-        base: 0.01,
-    };
-    let mut user2 = QosExitModel::calibrated(profile);
-    let outcome2 = run_managed_session(
-        1,
-        catalog2.video_cyclic(0),
-        catalog2.ladder(),
-        &trace,
-        PlayerConfig::default(),
-        &mut abr2,
-        &mut controller2,
-        &mut predictor2,
-        &mut user2,
-        &mut rng2,
-    )
-    .unwrap();
-    assert_eq!(outcome.log.segments.len(), outcome2.log.segments.len());
-    assert_eq!(outcome.log.watch_time, outcome2.log.watch_time);
+    assert_eq!(run(), log);
 
     let elapsed = start.elapsed();
     assert!(

@@ -29,64 +29,47 @@ fn full_managed_pipeline_reduces_stalls_for_sensitive_user() {
         cv: 0.6,
     };
 
-    let run_arm = |managed: bool, seed: u64| -> (f64, usize) {
+    let run_arm = |managed: bool, seed: u64| -> f64 {
         let mut controller = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
         let mut predictor = ProfilePredictor {
             profile,
             base: 0.01,
         };
         let mut total_stall = 0.0;
-        let mut completions = 0usize;
+        let mut buffers = SessionBuffers::new();
         for s in 0..16 {
             let video = catalog.video_cyclic(s);
             let mut trace_rng = StdRng::seed_from_u64(9000 + s as u64);
             let trace = net
                 .trace((video.duration() * 3.0) as usize, 1.0, &mut trace_rng)
                 .unwrap();
-            let mut abr = Hyb::default_rule();
-            let mut user = QosExitModel::calibrated(profile);
-            let mut rng = StdRng::seed_from_u64(seed + s as u64);
-            if managed {
-                let out = run_managed_session(
-                    1,
-                    video,
-                    catalog.ladder(),
-                    &trace,
-                    PlayerConfig::default(),
-                    &mut abr,
-                    &mut controller,
-                    &mut predictor,
-                    &mut user,
-                    &mut rng,
-                )
-                .unwrap();
-                total_stall += out.log.total_stall();
-                completions += usize::from(out.log.completed());
-            } else {
-                let ladder = catalog.ladder();
-                let setup = SessionSetup {
-                    user_id: 1,
-                    video,
-                    ladder,
-                    process: &trace,
-                    config: PlayerConfig::default(),
-                };
-                let log = run_session(
-                    &setup,
-                    drive(&mut abr, ladder, &video.sizes),
-                    consult(&mut user, ladder),
-                    &mut rng,
-                )
-                .unwrap();
-                total_stall += log.total_stall();
-                completions += usize::from(log.completed());
-            }
+            let setup = SessionSetup {
+                user_id: 1,
+                video,
+                ladder: catalog.ladder(),
+                process: &trace,
+                config: PlayerConfig::default(),
+            };
+            // The static arm is the same call with LingXi absent.
+            let lingxi = managed.then_some(LingXiHooks {
+                controller: &mut controller,
+                predictor: &mut predictor,
+            });
+            let mut hooks = ManagedHooks {
+                abr: &mut Hyb::default_rule(),
+                lingxi,
+                user: &mut QosExitModel::calibrated(profile),
+                buffers: &mut buffers,
+                rng: &mut StdRng::seed_from_u64(seed + s as u64),
+            };
+            play(&setup, &mut hooks).unwrap();
+            total_stall += buffers.log().total_stall();
         }
-        (total_stall, completions)
+        total_stall
     };
 
-    let (stall_managed, _) = run_arm(true, 100);
-    let (stall_static, _) = run_arm(false, 100);
+    let stall_managed = run_arm(true, 100);
+    let stall_static = run_arm(false, 100);
     assert!(
         stall_managed < stall_static * 1.1,
         "managed stall {stall_managed:.1} should not exceed static {stall_static:.1}"
@@ -113,21 +96,24 @@ fn long_term_state_roundtrips_through_store() {
         let trace = net
             .trace((video.duration() * 3.0) as usize, 1.0, &mut rng)
             .unwrap();
-        let mut abr = Hyb::default_rule();
-        let mut user = QosExitModel::calibrated(profile);
-        run_managed_session(
-            42,
+        let setup = SessionSetup {
+            user_id: 42,
             video,
-            catalog.ladder(),
-            &trace,
-            PlayerConfig::default(),
-            &mut abr,
-            &mut controller,
-            &mut predictor,
-            &mut user,
-            &mut rng,
-        )
-        .unwrap();
+            ladder: catalog.ladder(),
+            process: &trace,
+            config: PlayerConfig::default(),
+        };
+        let mut hooks = ManagedHooks {
+            abr: &mut Hyb::default_rule(),
+            lingxi: Some(LingXiHooks {
+                controller: &mut controller,
+                predictor: &mut predictor,
+            }),
+            user: &mut QosExitModel::calibrated(profile),
+            buffers: &mut SessionBuffers::new(),
+            rng: &mut rng,
+        };
+        play(&setup, &mut hooks).unwrap();
     }
     let dir = std::env::temp_dir().join(format!("lingxi_it_state_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

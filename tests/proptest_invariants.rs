@@ -109,7 +109,7 @@ proptest! {
         p_exit in 0.0f64..0.5,
         seed in 0u64..200,
     ) {
-        use lingxi::core::{evaluate_parameters, ConstantPredictor, McConfig};
+        use lingxi::core::{evaluate_parameters_in, ConstantPredictor, McConfig, McScratch};
         use lingxi::stats::NormalDist;
         let ladder = BitrateLadder::default_short_video();
         let env = PlayerEnv::new(PlayerConfig::default()).unwrap();
@@ -118,7 +118,7 @@ proptest! {
         let mut pred = ConstantPredictor { p: p_exit };
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = McConfig { samples: 4, t_sample: 24.0, segment_duration: 2.0 };
-        let eval = evaluate_parameters(
+        let eval = evaluate_parameters_in(
             &mut abr,
             QoeParams::default(),
             NormalDist::new(mu, mu * sigma_frac).unwrap(),
@@ -128,6 +128,7 @@ proptest! {
             &mut pred,
             &cfg,
             None,
+            &mut McScratch::new(),
             &mut rng,
         ).unwrap();
         prop_assert!((0.0..=1.0).contains(&eval.exit_rate));
