@@ -1,8 +1,10 @@
-//! The determinism rules (D1–D5) and the `detlint::allow` annotation
-//! grammar, evaluated over the token stream from [`crate::lexer`].
+//! The lint rules (determinism D1–D5, reachability D7) and the
+//! `detlint::allow` annotation grammar, evaluated over the token stream
+//! from [`crate::lexer`].
 //!
-//! Each rule guards one invariant of the fleet's bit-identical-merge
-//! contract (see ARCHITECTURE.md, "Determinism contract"):
+//! D1–D5 each guard one invariant of the fleet's bit-identical-merge
+//! contract (see ARCHITECTURE.md, "Determinism contract"); D7 keeps every
+//! public item reached:
 //!
 //! | id | name | invariant |
 //! |----|------|-----------|
@@ -11,6 +13,7 @@
 //! | D3 | `unordered_float_merge` | float accumulation in a function that also joins threads, receives from channels, or touches `Hash*` state is an unordered-merge hazard (float addition is non-associative) |
 //! | D4 | `unsafe_code` | member crate roots carry `#![forbid(unsafe_code)]`; vendor crates stay within `vendor/UNSAFE_BUDGET` |
 //! | D5 | `float_comparator` | event-ordering comparators must not use `partial_cmp`, and `total_cmp` must chain a tie-break (`.then(...)`) |
+//! | D7 | `unreached_pub` | every name a member crate root re-exports from its own modules is named by some non-test code outside its own items (see [`crate::workspace`]) |
 //!
 //! A finding is silenced in place with
 //! `// detlint::allow(<rule-name>, reason = "...")` on the offending
@@ -32,6 +35,8 @@ pub enum RuleId {
     D4,
     /// Float comparison without the documented tie-break chain.
     D5,
+    /// A root re-export nothing outside its own items and tests names.
+    D7,
 }
 
 impl RuleId {
@@ -43,10 +48,11 @@ impl RuleId {
             RuleId::D3 => "unordered_float_merge",
             RuleId::D4 => "unsafe_code",
             RuleId::D5 => "float_comparator",
+            RuleId::D7 => "unreached_pub",
         }
     }
 
-    /// The short diagnostic id (`D1`…`D5`).
+    /// The short diagnostic id (`D1`…`D5`, `D7`).
     pub fn id(self) -> &'static str {
         match self {
             RuleId::D1 => "D1",
@@ -54,6 +60,7 @@ impl RuleId {
             RuleId::D3 => "D3",
             RuleId::D4 => "D4",
             RuleId::D5 => "D5",
+            RuleId::D7 => "D7",
         }
     }
 
@@ -96,7 +103,7 @@ pub struct FileCtx {
 
 /// A parsed `detlint::allow(name, reason = "...")` annotation.
 #[derive(Debug, Clone)]
-struct Allow {
+pub(crate) struct Allow {
     name: String,
     reason: Option<String>,
     /// Lines this annotation covers: its own line and the first
@@ -127,7 +134,7 @@ fn parse_allow(comment: &str) -> Option<(String, Option<String>)> {
 }
 
 /// Collect annotations and the lines they cover.
-fn collect_allows(src: &str, toks: &[Tok]) -> Vec<Allow> {
+pub(crate) fn collect_allows(src: &str, toks: &[Tok]) -> Vec<Allow> {
     let mut allows = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
@@ -158,7 +165,7 @@ fn collect_allows(src: &str, toks: &[Tok]) -> Vec<Allow> {
 /// the determinism rules skip test-only code (tests may freely use hash
 /// maps, wall clocks and ambient entropy — their output is asserted, not
 /// merged).
-fn test_mask(src: &str, toks: &[Tok]) -> Vec<bool> {
+pub(crate) fn test_mask(src: &str, toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let code = |i: usize| -> bool {
         !matches!(toks[i].kind, TokKind::LineComment | TokKind::BlockComment)
@@ -270,6 +277,28 @@ fn test_mask(src: &str, toks: &[Tok]) -> Vec<bool> {
     mask
 }
 
+/// A finding at `file:line`, allowed when one of the file's `allows`
+/// names `rule` and covers that line.
+pub(crate) fn annotated(
+    allows: &[Allow],
+    rule: RuleId,
+    file: &str,
+    line: u32,
+    message: String,
+) -> Finding {
+    let allow = allows
+        .iter()
+        .find(|a| a.name == rule.name() && a.lines.contains(&line));
+    Finding {
+        rule,
+        file: file.to_string(),
+        line,
+        message,
+        allowed: rule.annotatable() && allow.is_some(),
+        reason: allow.and_then(|a| a.reason.clone()),
+    }
+}
+
 /// Whether two consecutive tokens are byte-adjacent (no whitespace
 /// between them) — used to recognise multi-char operators like `+=`.
 fn adjacent(a: &Tok, b: &Tok) -> bool {
@@ -286,7 +315,7 @@ fn is_ident(src: &str, t: &Tok, name: &str) -> bool {
 
 /// Index of the token after the group opened at `open` (which must be an
 /// opening delimiter), balancing `(`/`)`, `[`/`]`, `{`/`}`.
-fn skip_group(src: &str, toks: &[Tok], open: usize) -> usize {
+pub(crate) fn skip_group(src: &str, toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i32;
     let mut k = open;
     while k < toks.len() {
@@ -316,17 +345,7 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     let mut push = |rule: RuleId, line: u32, message: String| {
-        let allow = allows
-            .iter()
-            .find(|a| a.name == rule.name() && a.lines.contains(&line));
-        findings.push(Finding {
-            rule,
-            file: ctx.path.clone(),
-            line,
-            message,
-            allowed: rule.annotatable() && allow.is_some(),
-            reason: allow.and_then(|a| a.reason.clone()),
-        });
+        findings.push(annotated(&allows, rule, &ctx.path, line, message));
     };
 
     // D5 only fires in files participating in the event-queue contract.

@@ -146,9 +146,84 @@ fn d4_forbid_and_vendor_budget() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// D7 reads a mini-workspace: crate `lib` exports one reached name, dead
+/// ones of every shape, and names reached only from outside the members.
+#[test]
+fn d7_unreached_pub() {
+    let root = std::env::temp_dir().join(format!("detlint_d7_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let files = [
+        ("src/lib.rs", "#![forbid(unsafe_code)]\n"),
+        (
+            "crates/lib/src/lib.rs",
+            "#![forbid(unsafe_code)]\nmod items;\n\
+             pub use items::{used, dead_fn, Dead, Helper};\n\
+             pub use items::{in_tests, in_cfg_test, in_text, from_bench, from_example};\n\
+             // detlint::allow(unreached_pub, reason = \"kept for the next caller\")\n\
+             pub use items::Kept;\n",
+        ),
+        (
+            "crates/lib/src/items.rs",
+            "pub fn used() {}\npub fn dead_fn() { dead_fn() }\n\
+             pub struct Dead(Helper);\n\
+             impl Clone for Dead { fn clone(&self) -> Dead { Dead(Helper) } }\n\
+             pub struct Helper;\npub struct Kept;\n\
+             pub fn in_tests() {}\npub fn in_cfg_test() {}\npub fn in_text() {}\n\
+             pub fn from_bench() {}\npub fn from_example() {}\n",
+        ),
+        (
+            "crates/lib/tests/own.rs",
+            "#[test]\nfn t() { lib::in_tests(); }\n",
+        ),
+        (
+            "crates/user/src/lib.rs",
+            "#![forbid(unsafe_code)]\npub fn go() { lib::used() }\n\
+             // lib::in_text\npub const S: &str = \"in_text\";\n\
+             #[cfg(test)]\nmod tests { fn t() { lib::in_cfg_test() } }\n",
+        ),
+        ("benchmark/src/main.rs", "fn main() { lib::from_bench() }\n"),
+        ("examples/demo.rs", "fn main() { lib::from_example() }\n"),
+    ];
+    for (path, src) in files {
+        let path = root.join(path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
+    }
+
+    let report = lint_workspace(&root).unwrap();
+    let d7 = by_rule(&report.findings, RuleId::D7);
+    let flagged = |name: &str| d7.iter().find(|f| f.message.contains(&format!("`{name}`")));
+    for name in ["used", "from_bench", "from_example"] {
+        assert!(flagged(name).is_none(), "{name} is reached: {d7:?}");
+    }
+    for name in ["dead_fn", "Dead", "in_tests", "in_cfg_test", "in_text"] {
+        let f = flagged(name).unwrap_or_else(|| panic!("{name} is dead: {d7:?}"));
+        assert!(!f.allowed && f.message.contains("(round 1)"), "{f:?}");
+        assert_eq!(f.file, "crates/lib/src/lib.rs");
+    }
+    // Only the dead `Dead` names `Helper`, so it is found a round later.
+    let helper = flagged("Helper").expect("Helper is dead once Dead is");
+    assert!(helper.message.contains("(round 2)"), "{helper:?}");
+    assert_eq!(helper.line, 3);
+    let kept = flagged("Kept").expect("an annotated dead export is reported");
+    assert!(kept.allowed);
+    assert_eq!(kept.reason.as_deref(), Some("kept for the next caller"));
+    assert_eq!(d7.len(), 7, "{d7:?}");
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn json_report_is_well_formed() {
-    let findings = lint_fixture("d1_hash.rs", true);
+    let mut findings = lint_fixture("d1_hash.rs", true);
+    findings.push(Finding {
+        rule: RuleId::D7,
+        file: "crates/x/src/lib.rs".into(),
+        line: 3,
+        message: "lingxi-x re-exports `X`".into(),
+        allowed: false,
+        reason: None,
+    });
     let report = lingxi_detlint::Report {
         findings,
         files_scanned: 1,
@@ -157,6 +232,7 @@ fn json_report_is_well_formed() {
     assert!(json.contains("\"schema\": 1"));
     assert!(json.contains("\"rule\": \"D1\""));
     assert!(json.contains("\"name\": \"hash_collection\""));
+    assert!(json.contains("\"rule\": \"D7\", \"name\": \"unreached_pub\""));
     // Balanced braces/brackets as a cheap well-formedness check.
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert!(json.contains("\"findings\": ["));

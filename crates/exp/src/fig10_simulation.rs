@@ -8,6 +8,10 @@
 //! The shape to reproduce: fixed parameters barely move the needle; `L(F)`
 //! beats the best fixed setting; `L(B)` beats `L(F)`.
 //!
+//! §5.2's data-driven user is a per-user exit predictor fitted to two
+//! weeks of production logs; with no logs here, the generative
+//! `QosExitModel` (`UserRecord::exit_model`) plays that role directly.
+//!
 //! Every cell is one function, `Bench::completion`: the fixed-parameter
 //! cells pass no LingXi arm, the `L(F)`/`L(B)` cells pass theirs, and the
 //! sessions go through the same [`World::play`] either way.

@@ -22,11 +22,11 @@ use lingxi_abr::Hyb;
 use lingxi_core::{
     LingXiConfig, LingXiController, LingXiHooks, ManagedHooks, ProfilePredictor, SessionBuffers,
 };
-use lingxi_stats::{linear_fit, pearson};
+use lingxi_stats::{linear_fit, pearson, StatsError};
 
 use crate::report::{ExperimentResult, Series};
 use crate::world::{user_stream, World, WorldConfig};
-use crate::Result;
+use crate::{sub, Result};
 
 const DAYS: usize = 6;
 /// Unmeasured bootstrap days: production users carry adaptation history
@@ -135,21 +135,27 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
             continue;
         }
         let day = day - WARMUP_DAYS;
-        if xs.len() >= 3 {
-            if let Ok(corr) = pearson(&xs, &ys) {
-                correlations.push(corr);
-                result.headline_value(&format!("pearson_day{}", day + 1), corr);
-                if let Ok(fit) = linear_fit(&xs, &ys) {
-                    result.push_series(Series::from_xy(
-                        &format!("trend_day{}", day + 1),
-                        &[(0.0, fit.predict(0.0)), (1.0, fit.predict(1.0))],
-                    ));
-                }
-                // Scatter points for this day.
-                let pts: Vec<(f64, f64)> = xs.iter().cloned().zip(ys.iter().cloned()).collect();
-                result.push_series(Series::from_xy(&format!("scatter_day{}", day + 1), &pts));
-            }
+        if xs.len() < 3 {
+            continue;
         }
+        let corr = match pearson(&xs, &ys) {
+            // Every measured user shares one stall-exit rate (or one β):
+            // the day has no correlation to report.
+            Err(StatsError::InsufficientData) => continue,
+            corr => corr.map_err(sub)?,
+        };
+        correlations.push(corr);
+        result.headline_value(&format!("pearson_day{}", day + 1), corr);
+        // `pearson` succeeding means the rates vary, which is all
+        // `linear_fit` needs.
+        let fit = linear_fit(&xs, &ys).map_err(sub)?;
+        result.push_series(Series::from_xy(
+            &format!("trend_day{}", day + 1),
+            &[(0.0, fit.predict(0.0)), (1.0, fit.predict(1.0))],
+        ));
+        // Scatter points for this day.
+        let pts: Vec<(f64, f64)> = xs.iter().cloned().zip(ys.iter().cloned()).collect();
+        result.push_series(Series::from_xy(&format!("scatter_day{}", day + 1), &pts));
     }
     if !correlations.is_empty() {
         let mean_corr = correlations.iter().sum::<f64>() / correlations.len() as f64;

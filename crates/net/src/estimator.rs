@@ -1,13 +1,10 @@
-//! Throughput estimators.
-//!
-//! Three estimators cover the algorithms in the paper's evaluation:
-//! - [`WindowEstimator`]: sliding-window `(mu, sigma)` normal model — the
-//!   `N(mu_Cpast, sigma^2_Cpast)` of Eq. 3 that both the Monte-Carlo sampler
-//!   and the pruning rule consume;
+//! Throughput estimators for the ABRs that predict bandwidth:
 //! - [`HarmonicMeanEstimator`]: RobustMPC's conservative predictor;
 //! - [`EwmaEstimator`]: the smoothed estimate HYB-style production rules use.
+//!
+//! (Eq. 3's `N(mu_Cpast, sigma^2_Cpast)` is not an estimator here: the
+//! player fits it over its own throughput history.)
 
-use lingxi_stats::NormalDist;
 use serde::{Deserialize, Serialize};
 
 use crate::{NetError, Result};
@@ -20,66 +17,6 @@ pub trait BandwidthEstimator {
     fn estimate(&self) -> Option<f64>;
     /// Number of observations absorbed.
     fn count(&self) -> usize;
-}
-
-/// Sliding-window estimator exposing a fitted [`NormalDist`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowEstimator {
-    window: usize,
-    samples: Vec<f64>,
-    total_seen: usize,
-}
-
-impl WindowEstimator {
-    /// Create with a window of `window` most-recent samples.
-    pub fn new(window: usize) -> Result<Self> {
-        if window == 0 {
-            return Err(NetError::InvalidConfig("window must be positive".into()));
-        }
-        Ok(Self {
-            window,
-            samples: Vec::with_capacity(window),
-            total_seen: 0,
-        })
-    }
-
-    /// The fitted normal model over the window (`None` until 1 sample).
-    pub fn normal_model(&self) -> Option<NormalDist> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        NormalDist::fit(&self.samples).ok()
-    }
-
-    /// Window contents, oldest first.
-    pub fn window_samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-impl BandwidthEstimator for WindowEstimator {
-    fn observe(&mut self, kbps: f64) {
-        if !(kbps > 0.0) || !kbps.is_finite() {
-            return; // drop garbage observations rather than poisoning state
-        }
-        if self.samples.len() == self.window {
-            self.samples.remove(0);
-        }
-        self.samples.push(kbps);
-        self.total_seen += 1;
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
-    fn count(&self) -> usize {
-        self.total_seen
-    }
 }
 
 /// Harmonic mean over a sliding window, optionally discounted by the
@@ -109,7 +46,7 @@ impl HarmonicMeanEstimator {
     }
 
     /// Robust (error-discounted) estimate:
-    /// `harmonic_mean / (1 + max recent relative error)`.
+    /// the harmonic mean divided by `1 + max recent relative error`.
     pub fn robust_estimate(&self) -> Option<f64> {
         let hm = self.estimate()?;
         let max_err = self.errors.iter().cloned().fold(0.0, f64::max);
@@ -199,31 +136,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn window_estimator_slides() {
-        let mut e = WindowEstimator::new(3).unwrap();
-        assert_eq!(e.estimate(), None);
-        for v in [1000.0, 2000.0, 3000.0, 4000.0] {
-            e.observe(v);
-        }
-        // Window holds [2000, 3000, 4000].
-        assert_eq!(e.estimate(), Some(3000.0));
-        assert_eq!(e.count(), 4);
-        let n = e.normal_model().unwrap();
-        assert_eq!(n.mu, 3000.0);
-    }
-
-    #[test]
-    fn window_estimator_ignores_garbage() {
-        let mut e = WindowEstimator::new(3).unwrap();
-        e.observe(-5.0);
-        e.observe(f64::NAN);
-        e.observe(0.0);
-        assert_eq!(e.estimate(), None);
-        e.observe(1000.0);
-        assert_eq!(e.estimate(), Some(1000.0));
-    }
-
-    #[test]
     fn harmonic_mean_below_arithmetic() {
         let mut e = HarmonicMeanEstimator::new(5).unwrap();
         for v in [1000.0, 4000.0] {
@@ -261,7 +173,6 @@ mod tests {
 
     #[test]
     fn constructor_validation() {
-        assert!(WindowEstimator::new(0).is_err());
         assert!(HarmonicMeanEstimator::new(0).is_err());
         assert!(EwmaEstimator::new(0.0).is_err());
         assert!(EwmaEstimator::new(1.5).is_err());

@@ -1,9 +1,9 @@
 //! Synthetic bandwidth-trace generators.
 //!
-//! Four regimes cover the behaviours that matter to an ABR: stationary
+//! Three regimes cover the behaviours that matter to an ABR: stationary
 //! noise (stable WiFi), two-state Markov bursts (cellular handover /
-//! congestion), log-normal fading (wireless) and a bounded random walk
-//! (slow drift). The production mixture (`mixture` module) composes them.
+//! congestion) and log-normal fading (wireless). The production mixture
+//! (`mixture` module) composes them.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -166,49 +166,6 @@ impl TraceGenerator for LogNormalFadeGen {
     }
 }
 
-/// Mean-reverting bounded random walk (Ornstein-Uhlenbeck style drift).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RandomWalkGen {
-    /// Long-run mean (kbps).
-    pub mean_kbps: f64,
-    /// Per-tick noise as a fraction of the mean.
-    pub step_cv: f64,
-    /// Mean-reversion strength in `(0, 1]`.
-    pub reversion: f64,
-}
-
-impl TraceGenerator for RandomWalkGen {
-    fn generate<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        tick_seconds: f64,
-        rng: &mut R,
-    ) -> Result<BandwidthTrace> {
-        if !(self.mean_kbps > 0.0) || !(self.step_cv >= 0.0) {
-            return Err(NetError::InvalidConfig("mean > 0, step_cv >= 0".into()));
-        }
-        if !(self.reversion > 0.0 && self.reversion <= 1.0) {
-            return Err(NetError::InvalidConfig("reversion must be in (0,1]".into()));
-        }
-        let mut x = self.mean_kbps;
-        let step = self.step_cv * self.mean_kbps;
-        let lo = self.mean_kbps * 0.2;
-        let hi = self.mean_kbps * 3.0;
-        let samples = (0..n.max(1))
-            .map(|_| {
-                x += self.reversion * (self.mean_kbps - x) + step * box_muller(rng);
-                x = x.clamp(lo.max(MIN_KBPS), hi);
-                x
-            })
-            .collect();
-        BandwidthTrace::new(tick_seconds, samples)
-    }
-
-    fn target_mean(&self) -> f64 {
-        self.mean_kbps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,23 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn random_walk_stays_bounded() {
-        let g = RandomWalkGen {
-            mean_kbps: 5000.0,
-            step_cv: 0.1,
-            reversion: 0.05,
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = g.generate(10_000, 1.0, &mut rng).unwrap();
-        assert!(t
-            .samples()
-            .iter()
-            .all(|&s| (1000.0..=15_000.0).contains(&s)));
-        let m = t.mean();
-        assert!((m - 5000.0).abs() / 5000.0 < 0.15, "mean {m}");
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         let mut rng = StdRng::seed_from_u64(4);
         assert!(StationaryGaussGen {
@@ -312,13 +252,6 @@ mod tests {
             p_gb: 1.5,
             p_bg: 0.1,
             cv: 0.0
-        }
-        .generate(10, 1.0, &mut rng)
-        .is_err());
-        assert!(RandomWalkGen {
-            mean_kbps: 1.0,
-            step_cv: 0.1,
-            reversion: 0.0
         }
         .generate(10, 1.0, &mut rng)
         .is_err());

@@ -31,12 +31,12 @@ pub mod rtt;
 pub mod topology;
 pub mod trace;
 
-pub use estimator::{BandwidthEstimator, EwmaEstimator, HarmonicMeanEstimator, WindowEstimator};
+pub use estimator::{BandwidthEstimator, EwmaEstimator, HarmonicMeanEstimator};
 pub use events::{BinaryHeapQueue, EventQueue, TimerWheel};
 pub use fairness::{
     allocate, Allocation, FairnessObjective, FlowDemand, SolverStats, MAX_SWEEPS, SOLVER_TOL,
 };
-pub use gen::{LogNormalFadeGen, MarkovGen, RandomWalkGen, StationaryGaussGen, TraceGenerator};
+pub use gen::{LogNormalFadeGen, MarkovGen, StationaryGaussGen, TraceGenerator};
 pub use mixture::{NetClass, ProductionMixture, UserNetProfile};
 pub use process::{BandwidthProcess, Download, FlowEnd, ModelProcess, SharedBottleneck};
 pub use rtt::RttModel;

@@ -7,7 +7,8 @@
 //! same building blocks for its policy network. The Rust ML ecosystem is
 //! thin, so this crate reimplements exactly the forward/backward math those
 //! two models need: dense and 1-D convolution layers, ReLU, softmax +
-//! cross-entropy, SGD and Adam, and a mini-batch trainer.
+//! cross-entropy, and Adam. Each model runs its own training loop
+//! (`lingxi-exit`'s predictor, `lingxi-abr`'s Pensieve trainer).
 //!
 //! Design notes:
 //! - Activations flow through [`Matrix`] values shaped `(batch, features)`;
@@ -35,14 +36,12 @@ pub mod loss;
 pub mod matrix;
 pub mod optim;
 pub mod seq;
-pub mod train;
 
 pub use layer::{Conv1d, Dense, Layer, Relu};
 pub use loss::{cross_entropy_loss, softmax, softmax_cross_entropy};
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use seq::Sequential;
-pub use train::{TrainConfig, TrainReport, Trainer};
 
 /// Errors from network construction or shape checking.
 #[derive(Debug, Clone, PartialEq, Eq)]

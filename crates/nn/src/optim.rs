@@ -1,80 +1,10 @@
-//! First-order optimizers: SGD (with momentum) and Adam.
+//! The Adam optimizer, which both trained models (the exit-rate predictor
+//! and Pensieve) step with.
 //!
-//! Optimizer state (momentum/moment buffers) is keyed by visit order of the
-//! parameter tensors, which is stable for a fixed network topology.
+//! Its moment buffers are keyed by visit order of the parameter tensors,
+//! which is stable for a fixed network topology.
 
 use serde::{Deserialize, Serialize};
-
-/// Common interface: consume the accumulated gradient of one parameter
-/// tensor and update it in place. `slot` identifies the tensor (stable visit
-/// index).
-pub trait Optimizer {
-    /// Apply one update step to `params` given `grads`.
-    fn step_param(&mut self, slot: usize, params: &mut [f64], grads: &[f64]);
-    /// Advance the global step counter (call once per mini-batch).
-    fn tick(&mut self);
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient in `[0, 1)`; 0 disables momentum.
-    pub momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f64) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    fn velocity_slot(&mut self, slot: usize, len: usize) -> &mut Vec<f64> {
-        while self.velocity.len() <= slot {
-            self.velocity.push(Vec::new());
-        }
-        let v = &mut self.velocity[slot];
-        if v.len() != len {
-            *v = vec![0.0; len];
-        }
-        v
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step_param(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
-        let lr = self.lr;
-        let mom = self.momentum;
-        if mom == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= lr * g;
-            }
-        } else {
-            let v = self.velocity_slot(slot, params.len());
-            for ((p, &g), vi) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-                *vi = mom * *vi + g;
-                *p -= lr * *vi;
-            }
-        }
-    }
-
-    fn tick(&mut self) {}
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -119,10 +49,10 @@ impl Adam {
         let (m, v) = (&mut self.m, &mut self.v);
         (&mut m[slot], &mut v[slot])
     }
-}
 
-impl Optimizer for Adam {
-    fn step_param(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
+    /// Consume the accumulated gradient of one parameter tensor and update
+    /// it in place. `slot` identifies the tensor (stable visit index).
+    pub fn step_param(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
         let (lr, b1, b2, eps, t) = (self.lr, self.beta1, self.beta2, self.eps, self.t);
         let (m, v) = self.slots(slot, params.len());
         let bc1 = 1.0 - b1.powi(t as i32);
@@ -136,7 +66,8 @@ impl Optimizer for Adam {
         }
     }
 
-    fn tick(&mut self) {
+    /// Advance the global step counter (call once per mini-batch).
+    pub fn tick(&mut self) {
         self.t += 1;
     }
 }
@@ -145,8 +76,8 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x-3)^2 with each optimizer; both should converge.
-    fn run<O: Optimizer>(opt: &mut O, iters: usize) -> f64 {
+    /// Minimise f(x) = (x-3)^2.
+    fn run(opt: &mut Adam, iters: usize) -> f64 {
         let mut x = vec![0.0f64];
         for _ in 0..iters {
             let g = vec![2.0 * (x[0] - 3.0)];
@@ -154,18 +85,6 @@ mod tests {
             opt.tick();
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = run(&mut Sgd::new(0.1), 200);
-        assert!((x - 3.0).abs() < 1e-6, "x={x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let x = run(&mut Sgd::with_momentum(0.05, 0.9), 400);
-        assert!((x - 3.0).abs() < 1e-4, "x={x}");
     }
 
     #[test]

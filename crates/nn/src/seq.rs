@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::layer::Layer;
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use crate::{Matrix, NnError, Result};
 
 /// A chain of layers applied in order.
@@ -72,8 +72,8 @@ impl Sequential {
         }
     }
 
-    /// Apply one optimizer step over every parameter tensor, then tick.
-    pub fn step<O: Optimizer>(&mut self, opt: &mut O) {
+    /// Apply one Adam step over every parameter tensor, then tick.
+    pub fn step(&mut self, opt: &mut Adam) {
         let mut slot = 0;
         for layer in &mut self.layers {
             layer.visit_params(&mut |p, g| {
@@ -218,8 +218,8 @@ impl Branched {
         self.head.zero_grad();
     }
 
-    /// One optimizer step over branches then head.
-    pub fn step<O: Optimizer>(&mut self, opt: &mut O) {
+    /// One Adam step over branches then head.
+    pub fn step(&mut self, opt: &mut Adam) {
         let mut slot = 0;
         for b in &mut self.branches {
             for layer in &mut b.layers {
@@ -249,7 +249,6 @@ mod tests {
     use super::*;
     use crate::layer::{Dense, Relu};
     use crate::loss::softmax_cross_entropy;
-    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,4 +1,4 @@
-//! Correlation coefficients.
+//! The Pearson correlation coefficient.
 //!
 //! §5.5.1 of the paper reports Pearson correlations between users' daily
 //! stall-exit rates and the β parameter LingXi assigns them (range −0.23 to
@@ -36,40 +36,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64> {
     Ok(sxy / (sxx * syy).sqrt())
 }
 
-/// Spearman rank correlation (Pearson over mid-ranks, handling ties).
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    if xs.len() != ys.len() {
-        return Err(StatsError::LengthMismatch);
-    }
-    let rx = ranks(xs);
-    let ry = ranks(ys);
-    pearson(&rx, &ry)
-}
-
-/// Mid-ranks (ties share the average of the ranks they span), 1-based.
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| {
-        xs[a]
-            .partial_cmp(&xs[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for k in i..=j {
-            out[idx[k]] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,18 +65,5 @@ mod tests {
         assert!(pearson(&[1.0], &[1.0]).is_err());
         assert!(pearson(&[1.0, 2.0], &[1.0]).is_err());
         assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_err()); // zero variance
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [1.0, 8.0, 27.0, 64.0, 125.0]; // monotone but nonlinear
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_handle_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 }

@@ -1,4 +1,5 @@
-//! Descriptive statistics over `f64` slices.
+//! Descriptive statistics over `f64` slices: mean, variance, percentiles
+//! and the [`Summary`] the figures report with error bars.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,19 +25,6 @@ pub fn variance(xs: &[f64]) -> Result<f64> {
 /// Unbiased sample standard deviation.
 pub fn std_dev(xs: &[f64]) -> Result<f64> {
     Ok(variance(xs)?.sqrt())
-}
-
-/// Harmonic mean, the robust throughput estimator used by MPC-family ABRs
-/// (`RobustMPC` divides it by the max observed error). All inputs must be
-/// strictly positive.
-pub fn harmonic_mean(xs: &[f64]) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(StatsError::Empty);
-    }
-    if xs.iter().any(|&x| x <= 0.0) {
-        return Err(StatsError::InvalidParameter);
-    }
-    Ok(xs.len() as f64 / xs.iter().map(|x| 1.0 / x).sum::<f64>())
 }
 
 /// Median (linear-interpolated for even lengths).
@@ -137,13 +125,6 @@ mod tests {
         assert!((variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert!(variance(&[1.0]).is_err());
         assert!((std_dev(&xs).unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn harmonic_mean_known() {
-        assert!((harmonic_mean(&[1.0, 4.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert!(harmonic_mean(&[1.0, 0.0]).is_err());
-        assert!(harmonic_mean(&[]).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Probability distributions: the standard normal special functions plus
-//! parameterised Normal / LogNormal models with sampling.
+//! the parameterised normal model with fitting and sampling.
 //!
 //! The player simulator models past bandwidth as `N(mu, sigma^2)` (paper
 //! Eq. 3) and the pre-playback pruning rule tests `mu - 3*sigma > Q_max`
@@ -34,65 +34,6 @@ pub fn norm_pdf(x: f64) -> f64 {
 /// Standard normal cumulative distribution function `Phi(x)`.
 pub fn norm_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Standard normal quantile function (inverse CDF) via the
-/// Acklam/Wichura-style rational approximation refined with one Halley step.
-///
-/// Returns an error unless `0 < p < 1`.
-pub fn norm_quantile(p: f64) -> Result<f64> {
-    if !(p > 0.0 && p < 1.0) {
-        return Err(StatsError::InvalidParameter);
-    }
-    // Peter Acklam's approximation.
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.38357751867269e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    // One Halley refinement step against the accurate erf-based CDF.
-    let e = norm_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    Ok(x - u / (1.0 + x * u / 2.0))
 }
 
 /// A normal distribution `N(mu, sigma^2)` with sampling and CDF access.
@@ -209,64 +150,6 @@ impl NormalDist {
     }
 }
 
-/// A log-normal distribution, parameterised by the mean and standard
-/// deviation of the *underlying* normal. Used for heavy-tailed bandwidth
-/// regimes and the long-tail of day-to-day tolerance drift (paper Fig. 5a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LogNormalDist {
-    /// Mean of ln(X).
-    pub mu_log: f64,
-    /// Standard deviation of ln(X), non-negative.
-    pub sigma_log: f64,
-}
-
-impl LogNormalDist {
-    /// Create from log-space parameters.
-    pub fn new(mu_log: f64, sigma_log: f64) -> Result<Self> {
-        if !mu_log.is_finite() || !sigma_log.is_finite() || sigma_log < 0.0 {
-            return Err(StatsError::InvalidParameter);
-        }
-        Ok(Self { mu_log, sigma_log })
-    }
-
-    /// Create a log-normal whose *linear-space* mean and standard deviation
-    /// match the given values.
-    pub fn from_mean_std(mean: f64, std: f64) -> Result<Self> {
-        if mean <= 0.0 || std < 0.0 {
-            return Err(StatsError::InvalidParameter);
-        }
-        let cv2 = (std / mean).powi(2);
-        let sigma_log = (cv2 + 1.0).ln().sqrt();
-        let mu_log = mean.ln() - sigma_log * sigma_log / 2.0;
-        Self::new(mu_log, sigma_log)
-    }
-
-    /// Draw one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let n = NormalDist {
-            mu: self.mu_log,
-            sigma: self.sigma_log,
-        };
-        n.sample(rng).exp()
-    }
-
-    /// Linear-space mean `exp(mu + sigma^2/2)`.
-    pub fn mean(&self) -> f64 {
-        (self.mu_log + self.sigma_log * self.sigma_log / 2.0).exp()
-    }
-
-    /// CDF at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        if self.sigma_log == 0.0 {
-            return if x.ln() >= self.mu_log { 1.0 } else { 0.0 };
-        }
-        norm_cdf((x.ln() - self.mu_log) / self.sigma_log)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,22 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_inverts_cdf() {
-        for p in [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999] {
-            let x = norm_quantile(p).unwrap();
-            assert!((norm_cdf(x) - p).abs() < 1e-6, "p={p}");
-        }
-    }
-
-    #[test]
-    fn quantile_rejects_bad_p() {
-        assert!(norm_quantile(0.0).is_err());
-        assert!(norm_quantile(1.0).is_err());
-        assert!(norm_quantile(-0.1).is_err());
-        assert!(norm_quantile(f64::NAN).is_err());
-    }
-
-    #[test]
     fn normal_sampling_moments() {
         let d = NormalDist::new(5.0, 2.0).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
@@ -375,29 +242,6 @@ mod tests {
         assert!(NormalDist::new(f64::NAN, 1.0).is_err());
         assert!(NormalDist::new(0.0, -1.0).is_err());
         assert!(NormalDist::new(0.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn lognormal_from_mean_std_matches_mean() {
-        let d = LogNormalDist::from_mean_std(4000.0, 1500.0).unwrap();
-        assert!((d.mean() - 4000.0).abs() < 1e-6);
-        let mut rng = StdRng::seed_from_u64(5);
-        let xs: Vec<f64> = (0..80_000).map(|_| d.sample(&mut rng)).collect();
-        let m = crate::describe::mean(&xs).unwrap();
-        assert!((m - 4000.0).abs() / 4000.0 < 0.02, "mean {m}");
-    }
-
-    #[test]
-    fn lognormal_cdf_monotone_nonneg() {
-        let d = LogNormalDist::from_mean_std(10.0, 5.0).unwrap();
-        assert_eq!(d.cdf(-1.0), 0.0);
-        assert_eq!(d.cdf(0.0), 0.0);
-        let mut prev = 0.0;
-        for i in 1..100 {
-            let c = d.cdf(i as f64);
-            assert!(c >= prev);
-            prev = c;
-        }
     }
 
     #[test]

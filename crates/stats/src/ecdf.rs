@@ -1,4 +1,4 @@
-//! Empirical CDFs and histograms.
+//! Empirical CDFs.
 //!
 //! Nearly half the paper's figures are CDFs (Fig. 2, 5a, 8a); the experiment
 //! harness evaluates them on fixed grids so the series can be printed and
@@ -83,82 +83,6 @@ impl Ecdf {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with values outside clamped into
-/// the edge bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create an empty histogram with `bins` equal-width bins.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self> {
-        if bins == 0 || !(hi > lo) {
-            return Err(StatsError::InvalidParameter);
-        }
-        Ok(Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        })
-    }
-
-    /// Insert one observation (NaN ignored).
-    pub fn add(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Insert many observations.
-    pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.add(x);
-        }
-    }
-
-    /// Raw counts per bin.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations inserted.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bin centre of bin `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// Normalised densities (fractions summing to 1, or all zeros if empty).
-    pub fn densities(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,26 +122,5 @@ mod tests {
             assert!(w[1].1 >= w[0].1);
         }
         assert_eq!(grid.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn histogram_binning_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        h.extend(&[-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 55.0]);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.counts()[0], 3); // -1, 0, 1.9
-        assert_eq!(h.counts()[1], 1); // 2.0
-        assert_eq!(h.counts()[4], 3); // 9.99, 10.0, 55.0
-        let d = h.densities();
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.center(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_empty_densities() {
-        let h = Histogram::new(0.0, 1.0, 4).unwrap();
-        assert_eq!(h.densities(), vec![0.0; 4]);
-        assert!(Histogram::new(0.0, 0.0, 4).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
     }
 }

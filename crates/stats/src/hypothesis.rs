@@ -16,12 +16,12 @@ use crate::{Result, StatsError};
 pub struct TTestResult {
     /// The t statistic.
     pub t: f64,
-    /// Welch-Satterthwaite (or `n-1`) degrees of freedom.
+    /// Welch-Satterthwaite degrees of freedom.
     pub df: f64,
     /// Two-sided p-value (normal approximation to the t distribution for
     /// `df > 30`, Hill's approximation otherwise).
     pub p_two_sided: f64,
-    /// Difference of means (a - b) or mean of differences.
+    /// Difference of means (a - b).
     pub estimate: f64,
     /// Standard error of the estimate.
     pub std_err: f64,
@@ -84,38 +84,6 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
         df,
         p_two_sided: t_sf_two_sided(t, df),
         estimate: ma - mb,
-        std_err: se,
-    })
-}
-
-/// Paired t-test on `a[i] - b[i]` differences.
-pub fn paired_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
-    if a.len() != b.len() {
-        return Err(StatsError::LengthMismatch);
-    }
-    if a.len() < 2 {
-        return Err(StatsError::InsufficientData);
-    }
-    let d: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
-    let md = mean(&d)?;
-    let vd = variance(&d)?;
-    let n = d.len() as f64;
-    let se = (vd / n).sqrt();
-    if se == 0.0 {
-        return Ok(TTestResult {
-            t: 0.0,
-            df: n - 1.0,
-            p_two_sided: if md == 0.0 { 1.0 } else { 0.0 },
-            estimate: md,
-            std_err: 0.0,
-        });
-    }
-    let t = md / se;
-    Ok(TTestResult {
-        t,
-        df: n - 1.0,
-        p_two_sided: t_sf_two_sided(t, n - 1.0),
-        estimate: md,
         std_err: se,
     })
 }
@@ -190,20 +158,6 @@ mod tests {
     #[test]
     fn welch_insufficient() {
         assert!(welch_t_test(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn paired_detects_consistent_improvement() {
-        let a = [10.1, 10.2, 10.15, 10.3, 10.25, 10.2];
-        let b = [10.0, 10.1, 10.05, 10.2, 10.15, 10.1];
-        let r = paired_t_test(&a, &b).unwrap();
-        assert!((r.estimate - 0.1).abs() < 1e-9);
-        assert!(r.p_two_sided < 0.01);
-    }
-
-    #[test]
-    fn paired_length_mismatch() {
-        assert!(paired_t_test(&[1.0, 2.0], &[1.0]).is_err());
     }
 
     #[test]

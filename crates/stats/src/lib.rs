@@ -33,13 +33,13 @@ pub mod sampling;
 pub mod streaming;
 
 pub use confusion::{BinaryConfusion, ClassMetrics};
-pub use corr::{pearson, spearman};
-pub use describe::{harmonic_mean, mean, median, percentile, std_dev, variance, Summary};
-pub use dist::{norm_cdf, norm_pdf, norm_quantile, LogNormalDist, NormalDist};
-pub use ecdf::{Ecdf, Histogram};
-pub use hypothesis::{did_estimate, paired_t_test, welch_t_test, DidResult, TTestResult};
+pub use corr::pearson;
+pub use describe::{mean, median, percentile, std_dev, variance, Summary};
+pub use dist::{norm_cdf, norm_pdf, NormalDist};
+pub use ecdf::Ecdf;
+pub use hypothesis::{did_estimate, welch_t_test, DidResult, TTestResult};
 pub use regress::{linear_fit, LinearFit};
-pub use sampling::{balanced_undersample, stratified_split, train_test_split};
+pub use sampling::{balanced_undersample, stratified_split};
 pub use streaming::{QuantileSketch, StreamingMoments};
 
 /// Errors produced by statistical routines.

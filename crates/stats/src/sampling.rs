@@ -11,27 +11,6 @@ use rand::Rng;
 
 use crate::{Result, StatsError};
 
-/// Split indices `0..n` into (train, test) with the given train fraction.
-///
-/// Shuffles deterministically under the caller's RNG.
-pub fn train_test_split<R: Rng + ?Sized>(
-    n: usize,
-    train_fraction: f64,
-    rng: &mut R,
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    if n == 0 {
-        return Err(StatsError::Empty);
-    }
-    if !(0.0..=1.0).contains(&train_fraction) || train_fraction.is_nan() {
-        return Err(StatsError::InvalidParameter);
-    }
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let cut = ((n as f64) * train_fraction).round() as usize;
-    let test = idx.split_off(cut.min(n));
-    Ok((idx, test))
-}
-
 /// Stratified train/test split: each class keeps the global train fraction,
 /// so the test set preserves class balance (the paper's "80:20
 /// stratification ratio").
@@ -130,24 +109,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn split_sizes() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let (tr, te) = train_test_split(100, 0.8, &mut rng).unwrap();
-        assert_eq!(tr.len(), 80);
-        assert_eq!(te.len(), 20);
-        let mut all: Vec<usize> = tr.iter().chain(te.iter()).cloned().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_rejects_bad_fraction() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(train_test_split(10, 1.5, &mut rng).is_err());
-        assert!(train_test_split(0, 0.5, &mut rng).is_err());
-    }
 
     #[test]
     fn stratified_preserves_class_ratio() {

@@ -69,21 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn normal_cdf_quantile_inverse(p in 0.001f64..0.999) {
-        let x = norm_quantile(p).unwrap();
-        prop_assert!((norm_cdf(x) - p).abs() < 1e-5);
-    }
-
-    #[test]
-    fn harmonic_leq_arithmetic(
-        xs in proptest::collection::vec(0.1f64..1e4, 1..60),
-    ) {
-        let hm = harmonic_mean(&xs).unwrap();
-        let am = mean(&xs).unwrap();
-        prop_assert!(hm <= am + 1e-9, "hm {hm} > am {am}");
-    }
-
-    #[test]
     fn linear_fit_residual_orthogonality(
         pts in proptest::collection::vec((-1e2f64..1e2, -1e2f64..1e2), 3..50),
     ) {

@@ -31,13 +31,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod datadriven;
 pub mod population;
 pub mod profile;
 pub mod qos_model;
 pub mod rules;
 
-pub use datadriven::{DataDrivenExit, DataDrivenTrainer};
 pub use population::{PopulationConfig, UserPopulation, UserRecord};
 pub use profile::{SensitivityKind, StallProfile, ToleranceDrift};
 pub use qos_model::{consult, ExitModel, QosExitModel, SegmentView};
