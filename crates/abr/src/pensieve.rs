@@ -270,7 +270,10 @@ impl PensieveTrainer {
                 self.accumulate_episode_gradient(policy, ladder, &ep, rng)?;
             }
             policy.net.step(&mut opt);
-            let rewards = self.greedy_rewards(policy, ladder, &eval_suite)?;
+            let rewards = eval_suite
+                .iter()
+                .map(|ep| self.greedy_reward(policy, ladder, ep))
+                .collect::<Result<Vec<f64>>>()?;
             epoch_rewards.push(rewards.iter().sum::<f64>() / rewards.len() as f64);
         }
         Ok(TrainStats { epoch_rewards })
@@ -420,87 +423,8 @@ impl PensieveTrainer {
         Ok(())
     }
 
-    /// Greedy rewards for a suite of episodes, advanced in **lockstep**:
-    /// at each decision tick the per-episode state vectors are stacked
-    /// and the policy network runs once for the whole suite via
-    /// [`Sequential::forward_rows`]. Episodes keep independent player
-    /// environments, objective parameters, and per-step RNG streams, and
-    /// every network layer computes rows independently, so each returned
-    /// reward is bit-identical to evaluating that episode alone with the
-    /// sequential reference (`greedy_reward`).
-    fn greedy_rewards(
-        &self,
-        policy: &mut Pensieve,
-        ladder: &BitrateLadder,
-        eps: &[Episode],
-    ) -> Result<Vec<f64>> {
-        let cfg = policy.config;
-        let mut envs = Vec::with_capacity(eps.len());
-        for _ in eps {
-            envs.push(
-                PlayerEnv::new(self.player).map_err(|e| AbrError::InvalidConfig(e.to_string()))?,
-            );
-        }
-        let mut step_rngs: Vec<StdRng> = eps
-            .iter()
-            .map(|ep| StdRng::seed_from_u64(ep.step_seed))
-            .collect();
-        let qoes: Vec<QoeLin> = eps
-            .iter()
-            .map(|ep| QoeLin::from_params(&ep.params, self.quality))
-            .collect();
-        let mut totals = vec![0.0; eps.len()];
-        let mut states: Vec<Vec<f64>> = Vec::with_capacity(eps.len());
-        for k in 0..self.episode_segments {
-            states.clear();
-            for (ep, env) in eps.iter().zip(&envs) {
-                let ctx = AbrContext {
-                    ladder,
-                    sizes: &ep.sizes,
-                    next_segment: k,
-                    segment_duration: 2.0,
-                };
-                states.push(state_vector(env, &ctx, &ep.params, &cfg));
-            }
-            let logit_rows = policy
-                .net
-                .forward_rows(&states)
-                .map_err(|e| AbrError::InvalidConfig(e.to_string()))?;
-            for (i, ep) in eps.iter().enumerate() {
-                // Same softmax-on-one-row + argmax as `Abr::select`.
-                let probs = softmax(&Matrix::row_vector(&logit_rows[i]));
-                let level = probs
-                    .row(0)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(c, _)| c)
-                    .unwrap_or(0)
-                    .min(ladder.top_level());
-                totals[i] += Self::step_env(
-                    &mut envs[i],
-                    ep,
-                    ladder,
-                    &qoes[i],
-                    k,
-                    level,
-                    &mut step_rngs[i],
-                )?;
-            }
-        }
-        // The sequential path sets the policy params per episode; leave
-        // the same final state behind.
-        if let Some(ep) = eps.last() {
-            policy.set_params(ep.params);
-        }
-        Ok(totals)
-    }
-
     /// Total reward of the argmax policy on `ep`. Deterministic for a
     /// given policy: the per-step draws replay from the episode's seed.
-    /// Sequential reference implementation for the lockstep-equivalence
-    /// test; production evaluation goes through `greedy_rewards`.
-    #[cfg(test)]
     fn greedy_reward(
         &self,
         policy: &mut Pensieve,
@@ -628,33 +552,6 @@ mod tests {
             .filter(|(a, b)| (*a - *b).abs() > 1e-12)
             .count();
         assert!(diff <= 2);
-    }
-
-    #[test]
-    fn lockstep_eval_matches_sequential_greedy() {
-        let ladder = BitrateLadder::default_short_video();
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut p = Pensieve::new(
-            PensieveConfig {
-                hidden: (16, 8),
-                ..PensieveConfig::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        let trainer = PensieveTrainer {
-            episode_segments: 12,
-            ..PensieveTrainer::default()
-        };
-        let eps: Vec<Episode> = (0..6)
-            .map(|_| trainer.sample_episode(&ladder, &mut rng).unwrap())
-            .collect();
-        let batched = trainer.greedy_rewards(&mut p, &ladder, &eps).unwrap();
-        let sequential: Vec<f64> = eps
-            .iter()
-            .map(|ep| trainer.greedy_reward(&mut p, &ladder, ep).unwrap())
-            .collect();
-        assert_eq!(batched, sequential);
     }
 
     #[test]

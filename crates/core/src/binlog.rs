@@ -86,10 +86,6 @@ pub struct BinLogConfig {
     /// before being written to the file (a [`StateBackend::flush`] always
     /// drains it).
     pub buffer_bytes: usize,
-    /// When a shard's log file exceeds this many bytes at flush time, the
-    /// shard is compacted into its snapshot automatically; `0` compacts
-    /// only on explicit [`StateBackend::checkpoint`] calls.
-    pub auto_compact_bytes: u64,
 }
 
 impl Default for BinLogConfig {
@@ -97,7 +93,6 @@ impl Default for BinLogConfig {
         Self {
             shards: 8,
             buffer_bytes: 256 * 1024,
-            auto_compact_bytes: 0,
         }
     }
 }
@@ -913,14 +908,6 @@ impl StateBackend for BinaryStateLog {
         for shard in &self.shards {
             shard.lock().write_buf()?;
         }
-        if self.config.auto_compact_bytes > 0 {
-            for (k, shard) in self.shards.iter().enumerate() {
-                let mut shard = shard.lock();
-                if shard.committed > self.config.auto_compact_bytes {
-                    self.compact_shard(&mut shard, k)?;
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1171,26 +1158,6 @@ mod tests {
         .unwrap();
         assert_eq!(log.config().shards, 4);
         assert_eq!(log.list().unwrap().len(), 32);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn auto_compaction_triggers_on_flush() {
-        let dir = temp_dir("auto");
-        let cfg = BinLogConfig {
-            shards: 1,
-            buffer_bytes: 64,
-            auto_compact_bytes: 512,
-        };
-        let log = BinaryStateLog::open(&dir, cfg).unwrap();
-        for id in 0..64u64 {
-            log.save(&state(id, id)).unwrap();
-        }
-        log.flush().unwrap();
-        let log_len = std::fs::metadata(dir.join("shard_0.log")).unwrap().len();
-        assert_eq!(log_len, HEADER_LEN, "flush compacted the oversized log");
-        assert!(dir.join("shard_0.snap").exists());
-        assert_eq!(log.list().unwrap().len(), 64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -297,30 +297,34 @@ impl LingXiController {
             _ => return Ok(None),
         };
 
+        // The incumbent and every challenger go through this one call.
+        let mut evaluate = |params, prune_threshold, rng: &mut R| {
+            evaluate_parameters_in(
+                abr,
+                params,
+                bandwidth,
+                &self.tracker,
+                env,
+                ladder,
+                predictor,
+                &self.config.mc,
+                prune_threshold,
+                scratch,
+                rng,
+            )
+        };
         // Evaluate the incumbent first: challengers must beat it by the
         // adoption margin, so flat objectives keep the current parameters.
-        let incumbent_eval = evaluate_parameters_in(
-            abr,
-            self.best_params,
-            bandwidth,
-            &self.tracker,
-            env,
-            ladder,
-            predictor,
-            &self.config.mc,
-            None,
-            scratch,
-            rng,
-        )?;
-        let incumbent_rate = incumbent_eval.exit_rate;
-        let mut best_rate = incumbent_rate;
+        let mut best_rate = evaluate(self.best_params, None, rng)?.exit_rate;
         let mut best_params = self.best_params;
         let mut pruned_trials = 0usize;
         let mut trials = 1usize;
         let margin = self.config.adoption_margin;
-        match self.config.strategy.clone() {
+        // L(B) asks the observer for each candidate; L(F) walks its fixed
+        // list, stopping early when the list runs out.
+        let dims = self.config.active_dims();
+        let (mut optimizer, fixed) = match &self.config.strategy {
             SearchStrategy::Bayesian => {
-                let dims = self.config.active_dims();
                 let mut optimizer = ObOptimizer::new(ObserverConfig::for_dim(dims.len()))
                     .map_err(|e| CoreError::Subsystem(e.to_string()))?;
                 // Warm start from the current best (OBO.init(x*, ...)).
@@ -328,66 +332,38 @@ impl LingXiController {
                 optimizer
                     .init_with(&warm)
                     .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-                for _ in 0..self.config.max_trials {
+                (Some(optimizer), &[][..])
+            }
+            SearchStrategy::FixedCandidates(list) => (None, list.as_slice()),
+        };
+        for trial in 0..self.config.max_trials {
+            let (candidate, xu) = match &optimizer {
+                Some(optimizer) => {
                     let xu = optimizer.next_candidate(rng);
                     let mut candidate = self.best_params;
                     for (d, &v) in dims.iter().zip(&xu) {
                         d.set_unit(&mut candidate, v);
                     }
-                    let prune = best_rate.is_finite().then_some(best_rate);
-                    let eval = evaluate_parameters_in(
-                        abr,
-                        candidate,
-                        bandwidth,
-                        &self.tracker,
-                        env,
-                        ladder,
-                        predictor,
-                        &self.config.mc,
-                        prune,
-                        scratch,
-                        rng,
-                    )?;
-                    trials += 1;
-                    if eval.pruned {
-                        pruned_trials += 1;
-                    } else {
-                        optimizer
-                            .update(xu, eval.exit_rate)
-                            .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-                    }
-                    if eval.exit_rate < best_rate - margin {
-                        best_rate = eval.exit_rate;
-                        best_params = candidate;
-                    }
+                    (candidate, Some(xu))
                 }
+                None => match fixed.get(trial) {
+                    Some(&candidate) => (candidate, None),
+                    None => break,
+                },
+            };
+            let prune = best_rate.is_finite().then_some(best_rate);
+            let eval = evaluate(candidate, prune, rng)?;
+            trials += 1;
+            if eval.pruned {
+                pruned_trials += 1;
+            } else if let (Some(optimizer), Some(xu)) = (optimizer.as_mut(), xu) {
+                optimizer
+                    .update(xu, eval.exit_rate)
+                    .map_err(|e| CoreError::Subsystem(e.to_string()))?;
             }
-            SearchStrategy::FixedCandidates(candidates) => {
-                // L(F): score every fixed candidate, capped by max_trials.
-                for candidate in candidates.into_iter().take(self.config.max_trials) {
-                    let prune = best_rate.is_finite().then_some(best_rate);
-                    let eval = evaluate_parameters_in(
-                        abr,
-                        candidate,
-                        bandwidth,
-                        &self.tracker,
-                        env,
-                        ladder,
-                        predictor,
-                        &self.config.mc,
-                        prune,
-                        scratch,
-                        rng,
-                    )?;
-                    trials += 1;
-                    if eval.pruned {
-                        pruned_trials += 1;
-                    }
-                    if eval.exit_rate < best_rate - margin {
-                        best_rate = eval.exit_rate;
-                        best_params = candidate;
-                    }
-                }
+            if eval.exit_rate < best_rate - margin {
+                best_rate = eval.exit_rate;
+                best_params = candidate;
             }
         }
 

@@ -1,10 +1,11 @@
 //! Monte-Carlo parameter evaluation — Algorithm 2 (`EvaluateParameters`).
 //!
 //! Each of `M` rollouts forks the live player environment and user state,
-//! applies the candidate parameters to the ABR, draws per-segment
-//! bandwidth from the client's normal model `N(μ_Cpast, σ²_Cpast)` and asks
-//! the exit-rate predictor for a per-segment exit probability; a random
-//! draw against it ends the rollout. The estimate is
+//! applies the candidate parameters to the ABR, draws each virtual
+//! segment's bandwidth from the client's normal model
+//! `N(μ_Cpast, σ²_Cpast)` (one draw per segment, from the caller's RNG) and
+//! asks the exit-rate predictor for a per-segment exit probability; a
+//! random draw against it ends the rollout. The estimate is
 //! `R_exit = exited_count / watched_count` over all samples.
 //!
 //! The first pruning stage of §4 lives here: when a `prune_threshold`
@@ -13,12 +14,9 @@
 //! completion (every remaining segment watched without exit) could not
 //! beat it.
 
-use std::cell::RefCell;
-
 use lingxi_abr::{Abr, AbrContext, QoeParams};
 use lingxi_exit::{StateMatrix, UserStateTracker};
 use lingxi_media::{BitrateLadder, SegmentSizes, VbrModel};
-use lingxi_net::{BandwidthProcess, ModelProcess};
 use lingxi_player::PlayerEnv;
 use lingxi_stats::NormalDist;
 use rand::Rng;
@@ -169,13 +167,6 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
     let mut total_stall = 0.0;
     let mut pruned = false;
 
-    // The client-side bandwidth model as a bandwidth process: rollouts
-    // stream over the same `BandwidthProcess` trait as live sessions, so
-    // the simulator cannot drift from the player's download semantics. The
-    // process borrows this evaluation's RNG, keeping every draw (bandwidth,
-    // RTT, exit) in one deterministic stream.
-    let rng = RefCell::new(rng);
-    let process = ModelProcess::new(bandwidth, MIN_ROLLOUT_KBPS, &rng);
     // Predictors that only read the short-term context get a zero matrix;
     // building the real one is a per-segment copy of the tracker rows. The
     // tracker fork itself is dead weight in that case too — it is only
@@ -209,16 +200,11 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
             let size = sizes
                 .size_kbits(k.min(n_segments - 1), level)
                 .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-            let c_k = process.download(t_sim, size).kbps;
+            // Every draw (bandwidth, RTT, exit) comes from this one stream.
+            let c_k = bandwidth.sample_truncated_low(rng, MIN_ROLLOUT_KBPS);
             let prev = env_sim.last_level();
             let outcome = env_sim
-                .step(
-                    size,
-                    level,
-                    c_k,
-                    config.segment_duration,
-                    &mut **rng.borrow_mut(),
-                )
+                .step(size, level, c_k, config.segment_duration, rng)
                 .map_err(|e| CoreError::Subsystem(e.to_string()))?;
             total_stall += outcome.stall_time;
 
@@ -261,7 +247,7 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
             watched += 1;
             t_sim += config.segment_duration;
             k += 1;
-            if rng.borrow_mut().gen::<f64>() < p_exit {
+            if rng.gen::<f64>() < p_exit {
                 exited += 1;
                 if let Some(tracker) = tracker.as_mut().filter(|_| stalled) {
                     tracker.push_stall_exit();

@@ -1,10 +1,12 @@
-//! Golden regression pins for the `BandwidthProcess` refactor.
+//! Golden regression pins for the managed-session driver and the
+//! Monte-Carlo evaluator.
 //!
-//! These exact values were captured from the pre-refactor implementation
-//! (direct `BandwidthTrace` integration in the managed-session driver,
-//! direct `NormalDist` sampling in the Monte-Carlo evaluator). The
-//! refactor onto `&dyn BandwidthProcess` / `ModelProcess` must keep the
-//! same RNG stream and float expressions, so every assertion here is
+//! These exact values were captured from the implementation that
+//! integrated the `BandwidthTrace` directly in the managed-session driver
+//! and sampled `NormalDist` directly in the Monte-Carlo evaluator. Live
+//! sessions now stream over `&dyn BandwidthProcess` and rollouts draw one
+//! truncated-normal sample per virtual segment; both must keep the same
+//! RNG stream and float expressions, so every assertion here is
 //! *bit-exact*.
 // The literals carry every digit of the captured doubles on purpose.
 #![allow(clippy::excessive_precision)]

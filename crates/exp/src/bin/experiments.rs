@@ -3,9 +3,7 @@
 //!
 //! Usage:
 //! ```text
-//! experiments <figNN|SCENARIO|all|smoke> \
-//!     [--seed N] [--scale F] [--out DIR] [--days D] \
-//!     [--checkpoint-every N] [--resume] [--state-dir DIR] [--stop-after-epochs N]
+//! experiments <figNN|SCENARIO|all|smoke> [--seed N] [--scale F] [--out DIR]
 //! ```
 //!
 //! Prints each experiment's series and writes CSVs under `--out`
@@ -14,15 +12,10 @@
 //! without arguments to list both); `all` runs the paper figures;
 //! `smoke` runs every systems scenario at its table `smoke_scale` (or at
 //! `--scale` when given) — each gates itself, so a non-zero exit is a
-//! real property violation. `--days` selects the simulated-day count of
-//! the `population` scenario;
-//! `--checkpoint-every`/`--resume`/`--state-dir`/`--stop-after-epochs`
-//! thread its kill/resume knobs (a suspended run restarts from its
-//! epoch-barrier manifest with bit-identical output). These five are
-//! rejected when the run does not include `population` — a flag nothing
-//! reads is an error, like a flag whose value is missing or does not
-//! parse, never a default. So is a CSV that cannot be written: the run
-//! stops there and exits non-zero.
+//! real property violation. An unknown flag, a flag whose value is
+//! missing or does not parse, and a `--scale` that is not positive and
+//! finite are errors, never a default or a silent clamp. So is a CSV
+//! that cannot be written: the run stops there and exits non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -30,28 +23,20 @@ use std::env;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use lingxi_exp::population::CheckpointOpts;
-use lingxi_exp::{population, run_experiment, FIGURES, SYSTEMS};
-
-/// Flags only the `population` scenario reads.
-const POPULATION_FLAGS: [&str; 5] = [
-    "--days",
-    "--checkpoint-every",
-    "--resume",
-    "--state-dir",
-    "--stop-after-epochs",
-];
+use lingxi_exp::{run_experiment, FIGURES, SYSTEMS};
 
 fn usage() {
     let figures: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
     let systems: Vec<&str> = SYSTEMS.iter().map(|s| s.id).collect();
     eprintln!(
-        "usage: experiments <figNN|{}|all|smoke> [--seed N] [--scale F] [--out DIR] [--days D]",
+        "usage: experiments <figNN|{}|all|smoke> [--seed N] [--scale F] [--out DIR]",
         systems.join("|")
     );
-    eprintln!("                   [--checkpoint-every N] [--resume] [--state-dir DIR] [--stop-after-epochs N]");
     eprintln!("figures: {}", figures.join(", "));
-    eprintln!("(`all` runs the paper figures; `smoke` runs the systems scenarios — {} — at their smoke scales; {} apply to `population` only)", systems.join(", "), POPULATION_FLAGS.join("/"));
+    eprintln!(
+        "(`all` runs the paper figures; `smoke` runs the systems scenarios — {} — at their smoke scales)",
+        systems.join(", ")
+    );
 }
 
 /// Everything the flags after the target can set.
@@ -61,8 +46,6 @@ struct Opts {
     /// `None`: each run's own default (see [`runs_of`]).
     scale: Option<f64>,
     out_dir: String,
-    days: usize,
-    ckpt: CheckpointOpts,
 }
 
 /// The value of `flag`: the next argument, parsed. A missing or
@@ -88,46 +71,37 @@ fn runs_of(target: &str) -> Runs<'_> {
     }
 }
 
-/// Parse the flags after the target. `population` says whether the run
-/// includes the `population` scenario; without it nothing would read
-/// [`POPULATION_FLAGS`], so they are errors rather than silently ignored.
-fn parse_flags(args: &[String], population: bool) -> Result<Opts, String> {
+/// Parse the flags after the target.
+fn parse_flags(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         seed: 42,
         scale: None,
         out_dir: String::from("results"),
-        days: population::DEFAULT_DAYS,
-        ckpt: CheckpointOpts::default(),
     };
     let mut rest = args.iter();
     while let Some(flag) = rest.next() {
-        if !population && POPULATION_FLAGS.contains(&flag.as_str()) {
-            return Err(format!(
-                "{flag} applies to `population` only, which this run does not include"
-            ));
-        }
         match flag.as_str() {
             "--seed" => opts.seed = value(flag, &mut rest)?,
-            "--scale" => opts.scale = Some(value(flag, &mut rest)?),
+            "--scale" => {
+                // Every run clamps its scale into its own range, so a
+                // value outside (0, ∞) would run at a clamp, not fail.
+                let scale: f64 = value(flag, &mut rest)?;
+                if !(scale > 0.0 && scale.is_finite()) {
+                    return Err(format!("{flag} must be positive and finite, got {scale}"));
+                }
+                opts.scale = Some(scale);
+            }
             "--out" => opts.out_dir = value(flag, &mut rest)?,
-            "--days" => opts.days = value(flag, &mut rest)?,
-            "--checkpoint-every" => opts.ckpt.checkpoint_every = value(flag, &mut rest)?,
-            "--resume" => opts.ckpt.resume = true,
-            "--state-dir" => opts.ckpt.state_root = Some(value(flag, &mut rest)?),
-            "--stop-after-epochs" => opts.ckpt.stop_after_epochs = Some(value(flag, &mut rest)?),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
     Ok(opts)
 }
 
-/// The whole command line: the target's run list and the flags, checked
-/// against each other.
+/// The whole command line: the target's run list and the flags.
 fn parse_args(args: &[String]) -> Result<(Runs<'_>, Opts), String> {
     let target = args.first().ok_or("no target given")?;
-    let runs = runs_of(target);
-    let population = runs.iter().any(|(id, _)| *id == "population");
-    Ok((runs, parse_flags(&args[1..], population)?))
+    Ok((runs_of(target), parse_flags(&args[1..])?))
 }
 
 /// Run every `(id, default scale)` in order, printing each result and
@@ -138,14 +112,8 @@ fn execute(runs: &[(&str, f64)], opts: &Opts) -> Result<(), String> {
     for &(id, default_scale) in runs {
         let scale = opts.scale.unwrap_or(default_scale);
         eprintln!(">>> running {id} (seed {seed}, scale {scale})");
-        // `population` takes the extra --days and checkpoint/resume knobs;
-        // everything else runs through the uniform (seed, scale) registry.
-        let run = if id == "population" {
-            population::run_opts(seed, scale, opts.days, &opts.ckpt)
-        } else {
-            run_experiment(id, seed, scale)
-        };
-        let result = run.map_err(|e| format!("error running {id}: {e}"))?;
+        let result =
+            run_experiment(id, seed, scale).map_err(|e| format!("error running {id}: {e}"))?;
         print!("{}", result.render());
         result
             .write_csv(out_dir)
@@ -179,7 +147,7 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Result<Opts, String> {
-        parse_flags(&words(line), true)
+        parse_flags(&words(line))
     }
 
     fn words(line: &str) -> Vec<String> {
@@ -188,66 +156,40 @@ mod tests {
 
     #[test]
     fn flags_parse_into_opts() {
-        let opts = parse(
-            "--seed 7 --scale 0.5 --out /tmp/x --days 3 --checkpoint-every 2 --resume \
-             --state-dir /tmp/s --stop-after-epochs 1",
-        )
-        .unwrap();
-        assert_eq!((opts.seed, opts.scale, opts.days), (7, Some(0.5), 3));
+        let opts = parse("--seed 7 --scale 0.5 --out /tmp/x").unwrap();
+        assert_eq!((opts.seed, opts.scale), (7, Some(0.5)));
         assert_eq!(opts.out_dir, "/tmp/x");
-        assert_eq!(opts.ckpt.checkpoint_every, 2);
-        assert!(opts.ckpt.resume);
-        assert_eq!(opts.ckpt.state_root.as_deref(), Some("/tmp/s".as_ref()));
-        assert_eq!(opts.ckpt.stop_after_epochs, Some(1));
         let defaults = parse("").unwrap();
-        assert_eq!(
-            (defaults.seed, defaults.scale, defaults.days),
-            (42, None, 2)
-        );
+        assert_eq!((defaults.seed, defaults.scale), (42, None));
+        let args = words("smoke --scale 0.1");
+        let (runs, opts) = parse_args(&args).unwrap();
+        assert_eq!((runs.len(), opts.scale), (SYSTEMS.len(), Some(0.1)));
+        assert!(parse_args(&[]).is_err());
     }
 
-    /// Every numeric flag rejects junk instead of running on its default
-    /// (for `--stop-after-epochs` the default was "no kill at all").
+    /// Every numeric flag rejects junk instead of running on its default,
+    /// and `--scale` rejects a value every run would silently clamp.
     #[test]
     fn each_numeric_flag_rejects_an_unparseable_value() {
-        for (flag, junk) in [
-            ("--seed", "abc"),
-            ("--scale", "x"),
-            ("--days", "two"),
-            ("--checkpoint-every", "-1"),
-            ("--stop-after-epochs", "junk"),
-        ] {
+        for (flag, junk) in [("--seed", "abc"), ("--seed", "-1"), ("--scale", "x")] {
             let err = parse(&format!("{flag} {junk}")).unwrap_err();
             assert!(err.contains(flag) && err.contains(junk), "{err}");
+        }
+        for junk in ["-1", "nan", "0", "inf"] {
+            let err = parse(&format!("--scale {junk}")).unwrap_err();
+            assert!(err.contains("--scale must be positive and finite"), "{err}");
+            assert!(parse_args(&words(&format!("fig05 --scale {junk}"))).is_err());
         }
     }
 
     #[test]
     fn a_flag_without_its_value_and_an_unknown_flag_are_errors() {
-        for flag in ["--seed", "--scale", "--out", "--days", "--state-dir"] {
+        for flag in ["--seed", "--scale", "--out"] {
             assert!(parse(flag).unwrap_err().contains("needs a value"));
         }
-        assert!(parse("--sed 1").unwrap_err().contains("unknown"));
-    }
-
-    /// A flag only `population` reads is an error on a run without it
-    /// (it used to be parsed and dropped), and still fine on runs with it.
-    #[test]
-    fn a_population_only_flag_is_rejected_on_a_run_without_population() {
-        for flag in POPULATION_FLAGS {
-            for target in ["fig02", "all", "fleet"] {
-                let err = parse_args(&words(&format!("{target} {flag} 1"))).unwrap_err();
-                assert!(err.contains(flag) && err.contains("population"), "{err}");
-            }
+        for junk in ["--sed 1", "--days 2"] {
+            assert!(parse(junk).unwrap_err().contains("unknown"), "{junk}");
         }
-        let args = words("population --days 9 --resume");
-        let (runs, opts) = parse_args(&args).unwrap();
-        assert_eq!(runs, vec![("population", 1.0)]);
-        assert!(opts.days == 9 && opts.ckpt.resume);
-        let args = words("smoke --days 3");
-        let (runs, opts) = parse_args(&args).unwrap();
-        assert_eq!((runs.len(), opts.days), (SYSTEMS.len(), 3));
-        assert!(parse_args(&[]).is_err());
     }
 
     /// A CSV that cannot be written fails the run (it used to be a

@@ -47,22 +47,13 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    /// One engine invocation at `shards` over `state_dir`, or over a
-    /// scratch directory of its own when there is none.
+    /// One engine invocation at `shards` over `state_dir`.
     pub(crate) fn run_in(
         &self,
-        state_dir: Option<&Path>,
+        state_dir: &Path,
         shards: usize,
         control: RunControl,
     ) -> Result<RunOutcome> {
-        let scratch;
-        let state_dir = match state_dir {
-            Some(dir) => dir,
-            None => {
-                scratch = ScratchDir::claim();
-                &scratch.0
-            }
-        };
         let config = FleetConfig {
             shards,
             state_dir: state_dir.to_path_buf(),
@@ -76,7 +67,8 @@ impl Cell {
 
     /// Run to completion at `shards` in a scratch state directory.
     pub(crate) fn run(&self, shards: usize) -> Result<FleetReport> {
-        self.complete(self.run_in(None, shards, RunControl::default())?)
+        let dir = ScratchDir::claim();
+        self.complete(self.run_in(&dir.0, shards, RunControl::default())?)
     }
 
     fn complete(&self, outcome: RunOutcome) -> Result<FleetReport> {
@@ -117,7 +109,7 @@ impl Cell {
                 resume: false,
                 stop_after_epochs: Some(stop_after),
             };
-            match self.run_in(Some(&dir.0), shards, kill)? {
+            match self.run_in(&dir.0, shards, kill)? {
                 RunOutcome::Suspended(at) if at.next_epoch == stop_after => {}
                 _ => {
                     return Err(ExpError::Subsystem(format!(
@@ -130,7 +122,7 @@ impl Cell {
                 resume: true,
                 stop_after_epochs: None,
             };
-            let resumed = self.complete(self.run_in(Some(&dir.0), shards, resume)?)?;
+            let resumed = self.complete(self.run_in(&dir.0, shards, resume)?)?;
             if let Some(at) = straight.first_divergence(&resumed) {
                 return Err(ExpError::Subsystem(format!(
                     "{}: kill/resume at {label} diverged from the straight run at {at}",

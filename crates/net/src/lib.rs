@@ -38,7 +38,7 @@ pub use fairness::{
 };
 pub use gen::{LogNormalFadeGen, MarkovGen, StationaryGaussGen, TraceGenerator};
 pub use mixture::{NetClass, ProductionMixture, UserNetProfile};
-pub use process::{BandwidthProcess, Download, FlowEnd, ModelProcess, SharedBottleneck};
+pub use process::{BandwidthProcess, Download, FlowEnd, SharedBottleneck};
 pub use rtt::RttModel;
 pub use topology::{TopoLink, Topology};
 pub use trace::BandwidthTrace;

@@ -1,31 +1,27 @@
-//! The unified bandwidth-process abstraction and the shared-bottleneck
-//! event kernel.
+//! The bandwidth-process abstraction and the shared-bottleneck event
+//! kernel.
 //!
-//! Every bandwidth source in the workspace — recorded traces
-//! ([`BandwidthTrace`]), the synthetic [`crate::TraceGenerator`] family,
-//! [`crate::ProductionMixture`] / [`crate::UserNetProfile`] sampling (which
-//! all *produce* traces) and the Monte-Carlo normal model
-//! ([`ModelProcess`]) — answers the same question: *how long does a
-//! download of `size_kbits` starting at time `at` take, and what effective
-//! throughput did it see?* [`BandwidthProcess`] is that question as a
-//! trait; the whole session stack (`lingxi-player` sessions,
-//! `lingxi-core` managed sessions and Monte-Carlo rollouts, the
-//! `lingxi-fleet` engine) streams over `&dyn BandwidthProcess`, so the
-//! client-side predictor and the simulator can never drift apart.
+//! [`BandwidthProcess`] answers one question: *how long does a download of
+//! `size_kbits` starting at time `at` take, and what effective throughput
+//! did it see?* Its implementation is the recorded or synthesised
+//! [`BandwidthTrace`] (the [`crate::TraceGenerator`] family and
+//! [`crate::ProductionMixture`] / [`crate::UserNetProfile`] sampling all
+//! *produce* traces). Live sessions — `lingxi-player` sessions,
+//! `lingxi-core` managed sessions and the `lingxi-fleet` engine's private
+//! traces — stream over `&dyn BandwidthProcess`. Monte-Carlo rollouts do
+//! not: they draw each virtual segment's bandwidth straight from the
+//! client's fitted normal model (Eq. 3).
 //!
-//! [`SharedBottleneck`] is the contention-aware implementation: a
+//! [`SharedBottleneck`] is the contention-aware event kernel: a
 //! deterministic discrete-event network that splits link capacity among
 //! concurrently-active downloads under a configurable
-//! [`FairnessObjective`], re-sharing on every flow arrival and departure.
-//! [`SharedBottleneck::new`] builds the classic degenerate case — a
-//! single max-min link — as a 1-hop [`Topology`], bit-identical to the
-//! historical single-link kernel; [`SharedBottleneck::with_topology`]
-//! generalizes to multi-hop routes and α-fair sharing. It powers the
-//! fleet engine's contention mode and the `flashcrowd`, `population` and
-//! `fairness` experiments.
+//! [`FairnessObjective`] over a [`Topology`], re-sharing on every flow
+//! arrival and departure. The classic single max-min link is the 1-hop
+//! [`Topology::single_link`]. It powers the fleet engine's contention
+//! mode and the `flashcrowd`, `population` and `fairness` experiments.
 //!
 //! ```
-//! use lingxi_net::{BandwidthProcess, BandwidthTrace, SharedBottleneck};
+//! use lingxi_net::{BandwidthProcess, BandwidthTrace, FairnessObjective, SharedBottleneck, Topology};
 //!
 //! // A trace is a (non-contended) bandwidth process.
 //! let trace = BandwidthTrace::constant(5000.0, 60, 1.0).unwrap();
@@ -33,17 +29,15 @@
 //! assert!((d.duration - 1.0).abs() < 1e-9);
 //!
 //! // A shared link with one active flow gives it the full capacity.
-//! let link = SharedBottleneck::new(8000.0).unwrap();
-//! let d = link.download(0.0, 8000.0);
-//! assert!((d.duration - 1.0).abs() < 1e-9 && (d.kbps - 8000.0).abs() < 1e-9);
+//! let topo = Topology::single_link(8000.0).unwrap();
+//! let link = SharedBottleneck::with_topology(topo, FairnessObjective::MaxMin).unwrap();
+//! link.begin_flow_on(7, 0, 0.0, 8000.0, f64::INFINITY).unwrap();
+//! let end = link.pop_completion().unwrap();
+//! assert!((end.duration - 1.0).abs() < 1e-9 && (end.kbps - 8000.0).abs() < 1e-9);
 //! ```
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-
-use rand::Rng;
-
-use lingxi_stats::NormalDist;
 
 use crate::fairness::{self, FairScratch, FairnessObjective, FlowDemand, SolverStats};
 use crate::topology::Topology;
@@ -61,9 +55,8 @@ pub struct Download {
 
 /// A source of download bandwidth: anything a session can stream over.
 ///
-/// Implementations take `&self` — stateful processes (the shared link, the
-/// sampling model) use interior mutability so one process can be shared by
-/// every session of a shard worker behind a plain `&dyn` reference.
+/// Implementations take `&self`, so one process can be shared by every
+/// session of a shard worker behind a plain `&dyn` reference.
 pub trait BandwidthProcess: std::fmt::Debug {
     /// Simulate downloading `size_kbits` starting at absolute time `at`
     /// (seconds). Returns the duration and the effective throughput; a
@@ -88,64 +81,6 @@ impl BandwidthProcess for BandwidthTrace {
 
     fn rate_at(&self, at: f64) -> f64 {
         self.at(at)
-    }
-}
-
-/// The Monte-Carlo bandwidth model as a process: each download's rate is
-/// one draw from `N(mu, sigma^2)` truncated below at `floor_kbps` — exactly
-/// the client-side model of Eq. 3 that rollouts simulate against.
-///
-/// The process *borrows* the caller's RNG through a [`RefCell`], so its
-/// draws interleave with the caller's other draws (RTT, exit decisions) in
-/// a single deterministic stream.
-pub struct ModelProcess<'c, 'r, R: Rng + ?Sized> {
-    dist: NormalDist,
-    floor_kbps: f64,
-    rng: &'c RefCell<&'r mut R>,
-}
-
-impl<'c, 'r, R: Rng + ?Sized> ModelProcess<'c, 'r, R> {
-    /// Wrap a fitted bandwidth model and a shared RNG handle.
-    pub fn new(dist: NormalDist, floor_kbps: f64, rng: &'c RefCell<&'r mut R>) -> Self {
-        Self {
-            dist,
-            floor_kbps,
-            rng,
-        }
-    }
-}
-
-impl<R: Rng + ?Sized> std::fmt::Debug for ModelProcess<'_, '_, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModelProcess")
-            .field("dist", &self.dist)
-            .field("floor_kbps", &self.floor_kbps)
-            .finish()
-    }
-}
-
-impl<R: Rng + ?Sized> BandwidthProcess for ModelProcess<'_, '_, R> {
-    fn download(&self, at: f64, size_kbits: f64) -> Download {
-        // Honour the trait contract for degenerate sizes without touching
-        // the shared RNG stream — a zero-size download must be free of
-        // side effects on every process implementation.
-        if !(size_kbits > 0.0) {
-            return Download {
-                duration: 0.0,
-                kbps: self.rate_at(at),
-            };
-        }
-        let kbps = self
-            .dist
-            .sample_truncated_low(&mut **self.rng.borrow_mut(), self.floor_kbps);
-        Download {
-            duration: size_kbits / kbps,
-            kbps,
-        }
-    }
-
-    fn rate_at(&self, _at: f64) -> f64 {
-        self.dist.mu.max(self.floor_kbps)
     }
 }
 
@@ -259,21 +194,14 @@ const FLOW_EPS_KBITS: f64 = 1e-9;
 /// configured [`FairnessObjective`] over the configured [`Topology`]:
 /// each flow is rate-limited by its own access cap and by every link on
 /// its route, and the allocation recomputes on every flow arrival and
-/// departure. The [`SharedBottleneck::new`] default is the degenerate
-/// 1-hop max-min link — with `k` concurrent uncapped flows each receives
-/// exactly `capacity / k` — bit-identical to the historical single-link
-/// kernel.
+/// departure. On the degenerate 1-hop max-min link
+/// ([`Topology::single_link`]) `k` concurrent uncapped flows each receive
+/// exactly `capacity / k`.
 ///
-/// Two usage modes:
-///
-/// - **Pull** (the [`BandwidthProcess`] impl): one session at a time calls
-///   [`BandwidthProcess::download`]; the flow is admitted, the link runs
-///   until that flow completes, and the duration reflects whatever other
-///   flows were active.
-/// - **Event kernel** (the fleet contention mode): a scheduler admits
-///   flows with [`SharedBottleneck::begin_flow`] in event order, asks
-///   [`SharedBottleneck::next_event_time`] for the earliest completion and
-///   consumes it with [`SharedBottleneck::pop_completion`].
+/// A scheduler admits flows with [`SharedBottleneck::begin_flow_on`] in
+/// event order, asks [`SharedBottleneck::next_event_time`] for the
+/// earliest completion and consumes it with
+/// [`SharedBottleneck::pop_completion`].
 ///
 /// All state lives behind a [`RefCell`], so a single simulation thread can
 /// share the link between sessions through `&SharedBottleneck`.
@@ -285,19 +213,6 @@ pub struct SharedBottleneck {
 }
 
 impl SharedBottleneck {
-    /// Flow id reserved for the pull-mode [`BandwidthProcess`] path.
-    const PULL_ID: u64 = u64::MAX;
-
-    /// Create the degenerate single max-min link; `capacity_kbps` must be
-    /// positive and finite. Equivalent to
-    /// `with_topology(Topology::single_link(..), FairnessObjective::MaxMin)`.
-    pub fn new(capacity_kbps: f64) -> Result<Self> {
-        Self::with_topology(
-            Topology::single_link(capacity_kbps)?,
-            FairnessObjective::MaxMin,
-        )
-    }
-
     /// Create a network over an explicit topology and fairness objective.
     pub fn with_topology(topology: Topology, objective: FairnessObjective) -> Result<Self> {
         objective.validate()?;
@@ -306,12 +221,6 @@ impl SharedBottleneck {
             objective,
             state: RefCell::new(LinkState::default()),
         })
-    }
-
-    /// Capacity of the first link (kbps) — *the* capacity on the
-    /// degenerate single-link topology.
-    pub fn capacity_kbps(&self) -> f64 {
-        self.topology.links()[0].capacity_kbps
     }
 
     /// The network topology.
@@ -413,12 +322,6 @@ impl SharedBottleneck {
         state.now = state.now.max(to);
     }
 
-    /// Admit a flow on route 0 — the one route of the degenerate
-    /// single-link topology. See [`SharedBottleneck::begin_flow_on`].
-    pub fn begin_flow(&self, id: u64, at: f64, size_kbits: f64, cap_kbps: f64) -> Result<()> {
-        self.begin_flow_on(id, 0, at, size_kbits, cap_kbps)
-    }
-
     /// Admit a flow of `size_kbits` on route `route` at absolute time
     /// `at` with an access cap of `cap_kbps` (`f64::INFINITY` for
     /// uncapped). `at` earlier than the network clock is clamped forward
@@ -509,57 +412,21 @@ impl SharedBottleneck {
         let mut state = self.state.borrow_mut();
         Self::advance(&self.topology, self.objective, &mut state, t);
     }
-
-    /// Run the link until flow `id` completes and return its record;
-    /// completions of other flows stay queued for their consumers.
-    fn run_flow_to_end(&self, id: u64) -> FlowEnd {
-        loop {
-            let mut state = self.state.borrow_mut();
-            if let Some(pos) = state.done.iter().position(|e| e.id == id) {
-                return state.done.remove(pos).expect("position just found");
-            }
-            assert!(
-                !state.flows.is_empty(),
-                "flow is active, so a completion exists"
-            );
-            state.refresh_earliest(&self.topology, self.objective);
-            let t = state.earliest;
-            Self::advance(&self.topology, self.objective, &mut state, t);
-        }
-    }
-}
-
-impl BandwidthProcess for SharedBottleneck {
-    fn download(&self, at: f64, size_kbits: f64) -> Download {
-        if !(size_kbits > 0.0) {
-            return Download {
-                duration: 0.0,
-                kbps: self.rate_at(at),
-            };
-        }
-        self.begin_flow(Self::PULL_ID, at, size_kbits, f64::INFINITY)
-            .expect("pull flow admission cannot fail on positive sizes");
-        let end = self.run_flow_to_end(Self::PULL_ID);
-        Download {
-            duration: end.duration,
-            kbps: end.kbps,
-        }
-    }
-
-    fn rate_at(&self, _at: f64) -> f64 {
-        // The equal share a new uncapped flow would start at (on the
-        // degenerate link exact; multi-hop uses the first link as the
-        // nominal bottleneck for this estimate).
-        self.capacity_kbps() / (self.active_flows() + 1) as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::TopoLink;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// The degenerate network: one max-min link of `capacity_kbps`, route 0.
+    fn single_link(capacity_kbps: f64) -> SharedBottleneck {
+        SharedBottleneck::with_topology(
+            Topology::single_link(capacity_kbps).unwrap(),
+            FairnessObjective::MaxMin,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn trace_process_matches_download_time() {
@@ -575,30 +442,17 @@ mod tests {
     }
 
     #[test]
-    fn model_process_draws_from_shared_stream() {
-        let dist = NormalDist::new(4000.0, 1500.0).unwrap();
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        let direct: Vec<f64> = (0..8)
-            .map(|_| dist.sample_truncated_low(&mut a, 50.0))
-            .collect();
-        let cell = RefCell::new(&mut b);
-        let p = ModelProcess::new(dist, 50.0, &cell);
-        for &want in &direct {
-            let d = p.download(0.0, 1000.0);
-            assert_eq!(d.kbps, want);
-            assert!((d.duration - 1000.0 / want).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn solo_flow_gets_full_capacity() {
-        let link = SharedBottleneck::new(10_000.0).unwrap();
-        let d = link.download(0.0, 5000.0);
+        let link = single_link(10_000.0);
+        link.begin_flow_on(1, 0, 0.0, 5000.0, f64::INFINITY)
+            .unwrap();
+        let d = link.pop_completion().unwrap();
         assert!((d.duration - 0.5).abs() < 1e-9);
         assert!((d.kbps - 10_000.0).abs() < 1e-9);
-        // Sequential downloads never contend with themselves.
-        let d2 = link.download(2.0, 5000.0);
+        // Sequential flows never contend with each other.
+        link.begin_flow_on(2, 0, 2.0, 5000.0, f64::INFINITY)
+            .unwrap();
+        let d2 = link.pop_completion().unwrap();
         assert!((d2.duration - 0.5).abs() < 1e-9);
         assert_eq!(link.active_flows(), 0);
     }
@@ -606,10 +460,10 @@ mod tests {
     #[test]
     fn k_equal_flows_each_get_capacity_over_k() {
         for k in [2u64, 3, 5, 8] {
-            let link = SharedBottleneck::new(12_000.0).unwrap();
+            let link = single_link(12_000.0);
             let size = 6000.0;
             for id in 0..k {
-                link.begin_flow(id, 0.0, size, f64::INFINITY).unwrap();
+                link.begin_flow_on(id, 0, 0.0, size, f64::INFINITY).unwrap();
             }
             let share = 12_000.0 / k as f64;
             let expect = size / share;
@@ -626,9 +480,11 @@ mod tests {
     #[test]
     fn late_arrival_slows_the_incumbent() {
         // 10 Mbps link; flow 1 starts alone, flow 2 joins at t=1.
-        let link = SharedBottleneck::new(10_000.0).unwrap();
-        link.begin_flow(1, 0.0, 15_000.0, f64::INFINITY).unwrap();
-        link.begin_flow(2, 1.0, 10_000.0, f64::INFINITY).unwrap();
+        let link = single_link(10_000.0);
+        link.begin_flow_on(1, 0, 0.0, 15_000.0, f64::INFINITY)
+            .unwrap();
+        link.begin_flow_on(2, 0, 1.0, 10_000.0, f64::INFINITY)
+            .unwrap();
         // Flow 1: 10_000 kbits alone in [0,1), then shares 5 Mbps → 1 s more.
         let e1 = link.pop_completion().unwrap();
         assert_eq!(e1.id, 1);
@@ -644,10 +500,12 @@ mod tests {
     fn access_caps_water_fill() {
         // 12 Mbps link, one flow capped at 2 Mbps: the other two split the
         // remaining 10 Mbps evenly (5 each) — classic max-min.
-        let link = SharedBottleneck::new(12_000.0).unwrap();
-        link.begin_flow(1, 0.0, 2_000.0, 2000.0).unwrap();
-        link.begin_flow(2, 0.0, 50_000.0, f64::INFINITY).unwrap();
-        link.begin_flow(3, 0.0, 50_000.0, f64::INFINITY).unwrap();
+        let link = single_link(12_000.0);
+        link.begin_flow_on(1, 0, 0.0, 2_000.0, 2000.0).unwrap();
+        link.begin_flow_on(2, 0, 0.0, 50_000.0, f64::INFINITY)
+            .unwrap();
+        link.begin_flow_on(3, 0, 0.0, 50_000.0, f64::INFINITY)
+            .unwrap();
         let e1 = link.pop_completion().unwrap();
         assert_eq!(e1.id, 1);
         assert!((e1.kbps - 2000.0).abs() < 1e-9, "kbps={}", e1.kbps);
@@ -660,11 +518,11 @@ mod tests {
 
     #[test]
     fn capacity_conserved_under_contention() {
-        let link = SharedBottleneck::new(8_000.0).unwrap();
+        let link = single_link(8_000.0);
         let mut begun = 0.0;
         for id in 0..6u64 {
             let size = 3000.0 + 500.0 * id as f64;
-            link.begin_flow(id, 0.2 * id as f64, size, f64::INFINITY)
+            link.begin_flow_on(id, 0, 0.2 * id as f64, size, f64::INFINITY)
                 .unwrap();
             begun += size;
         }
@@ -689,10 +547,10 @@ mod tests {
         // the minimal flow (rate × ULP ≈ 3e-3 kbits at 25 Mbps) dwarfs any
         // absolute epsilon. Completion must still make progress: the
         // pre-advance projection decides who finishes, not the residual.
-        let link = SharedBottleneck::new(25_000.0).unwrap();
+        let link = single_link(25_000.0);
         link.advance_to(1.0e9);
         for id in 0..3u64 {
-            link.begin_flow(id, 1.0e9, 4000.0 + id as f64, f64::INFINITY)
+            link.begin_flow_on(id, 0, 1.0e9, 4000.0 + id as f64, f64::INFINITY)
                 .unwrap();
         }
         for _ in 0..3 {
@@ -704,67 +562,14 @@ mod tests {
     }
 
     #[test]
-    fn model_process_zero_size_is_side_effect_free() {
-        let dist = NormalDist::new(4000.0, 1500.0).unwrap();
-        let mut a = StdRng::seed_from_u64(3);
-        let cell = RefCell::new(&mut a);
-        let p = ModelProcess::new(dist, 50.0, &cell);
-        let z = p.download(5.0, 0.0);
-        assert_eq!(z.duration, 0.0);
-        assert_eq!(z.kbps, p.rate_at(5.0));
-        // The zero-size call consumed no draws: the next download matches
-        // a fresh stream's first draw.
-        let first = p.download(5.0, 1000.0).kbps;
-        let mut b = StdRng::seed_from_u64(3);
-        assert_eq!(first, dist.sample_truncated_low(&mut b, 50.0));
-    }
-
-    #[test]
     fn invalid_links_and_flows_rejected() {
-        assert!(SharedBottleneck::new(0.0).is_err());
-        assert!(SharedBottleneck::new(f64::NAN).is_err());
-        let link = SharedBottleneck::new(1000.0).unwrap();
-        assert!(link.begin_flow(1, 0.0, 0.0, f64::INFINITY).is_err());
-        assert!(link.begin_flow(1, 0.0, 100.0, 0.0).is_err());
-        link.begin_flow(1, 0.0, 100.0, f64::INFINITY).unwrap();
-        assert!(link.begin_flow(1, 0.1, 100.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn degenerate_topology_is_bit_identical_to_new() {
-        // `with_topology(single_link, MaxMin)` must be the same machine,
-        // bit for bit, as `new(capacity)` — run the golden water-fill and
-        // late-arrival fixtures on both and compare raw completion bits.
-        type Fixture<'a> = &'a dyn Fn(&SharedBottleneck) -> Vec<FlowEnd>;
-        let fixtures: [Fixture<'_>; 2] = [
-            &|link| {
-                link.begin_flow(1, 0.0, 2_000.0, 2000.0).unwrap();
-                link.begin_flow(2, 0.0, 50_000.0, f64::INFINITY).unwrap();
-                link.begin_flow(3, 0.0, 50_000.0, f64::INFINITY).unwrap();
-                (0..3).map(|_| link.pop_completion().unwrap()).collect()
-            },
-            &|link| {
-                link.begin_flow(1, 0.0, 15_000.0, f64::INFINITY).unwrap();
-                link.begin_flow(2, 1.0, 10_000.0, f64::INFINITY).unwrap();
-                (0..2).map(|_| link.pop_completion().unwrap()).collect()
-            },
-        ];
-        for (i, fixture) in fixtures.iter().enumerate() {
-            let legacy = SharedBottleneck::new(12_000.0).unwrap();
-            let topo = SharedBottleneck::with_topology(
-                Topology::single_link(12_000.0).unwrap(),
-                FairnessObjective::MaxMin,
-            )
-            .unwrap();
-            let a = fixture(&legacy);
-            let b = fixture(&topo);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.id, y.id, "fixture {i}");
-                assert_eq!(x.at.to_bits(), y.at.to_bits(), "fixture {i}");
-                assert_eq!(x.duration.to_bits(), y.duration.to_bits(), "fixture {i}");
-                assert_eq!(x.kbps.to_bits(), y.kbps.to_bits(), "fixture {i}");
-            }
-        }
+        assert!(Topology::single_link(0.0).is_err());
+        assert!(Topology::single_link(f64::NAN).is_err());
+        let link = single_link(1000.0);
+        assert!(link.begin_flow_on(1, 0, 0.0, 0.0, f64::INFINITY).is_err());
+        assert!(link.begin_flow_on(1, 0, 0.0, 100.0, 0.0).is_err());
+        link.begin_flow_on(1, 0, 0.0, 100.0, f64::INFINITY).unwrap();
+        assert!(link.begin_flow_on(1, 0, 0.1, 100.0, f64::INFINITY).is_err());
     }
 
     #[test]
@@ -838,9 +643,9 @@ mod tests {
 
     #[test]
     fn next_event_time_tracks_queue_and_projection() {
-        let link = SharedBottleneck::new(1000.0).unwrap();
+        let link = single_link(1000.0);
         assert!(link.next_event_time().is_none());
-        link.begin_flow(1, 0.0, 500.0, f64::INFINITY).unwrap();
+        link.begin_flow_on(1, 0, 0.0, 500.0, f64::INFINITY).unwrap();
         assert!((link.next_event_time().unwrap() - 0.5).abs() < 1e-9);
         link.advance_to(1.0);
         // Completion already queued: still reported until consumed.

@@ -7,8 +7,17 @@
 //! delivers more than `capacity × window` kbits, whatever the arrival
 //! pattern.
 
-use lingxi_net::{BandwidthProcess, BandwidthTrace, SharedBottleneck};
+use lingxi_net::{BandwidthProcess, BandwidthTrace, FairnessObjective, SharedBottleneck, Topology};
 use proptest::prelude::*;
+
+/// The degenerate network: one max-min link of `capacity_kbps`, route 0.
+fn single_link(capacity_kbps: f64) -> SharedBottleneck {
+    SharedBottleneck::with_topology(
+        Topology::single_link(capacity_kbps).unwrap(),
+        FairnessObjective::MaxMin,
+    )
+    .unwrap()
+}
 
 /// Reference integral of `at(t)` over `[t0, t0 + dt]`, stepping tick
 /// boundaries exactly like the piecewise-constant trace definition.
@@ -96,14 +105,14 @@ proptest! {
         ),
         horizon in 1.0f64..40.0,
     ) {
-        let link = SharedBottleneck::new(capacity).unwrap();
+        let link = single_link(capacity);
         let mut arrivals: Vec<(f64, f64, f64)> = flows;
         arrivals.sort_by(|x, y| x.1.total_cmp(&y.1));
         let mut begun = 0.0;
         let earliest = arrivals[0].1;
         let latest = arrivals.last().unwrap().1;
         for (id, (size, at, cap)) in arrivals.iter().enumerate() {
-            link.begin_flow(id as u64, *at, *size, *cap).unwrap();
+            link.begin_flow_on(id as u64, 0, *at, *size, *cap).unwrap();
             begun += size;
         }
         link.advance_to(latest + horizon);
@@ -138,11 +147,11 @@ proptest! {
         ),
     ) {
         let run = || {
-            let link = SharedBottleneck::new(capacity).unwrap();
+            let link = single_link(capacity);
             let mut sorted = flows.clone();
             sorted.sort_by(|x, y| x.1.total_cmp(&y.1));
             for (id, (size, at)) in sorted.iter().enumerate() {
-                link.begin_flow(id as u64, *at, *size, f64::INFINITY).unwrap();
+                link.begin_flow_on(id as u64, 0, *at, *size, f64::INFINITY).unwrap();
             }
             let mut ends = Vec::new();
             while let Some(end) = link.pop_completion() {

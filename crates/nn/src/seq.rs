@@ -89,24 +89,6 @@ impl Sequential {
     pub fn predict(&mut self, x: &Matrix) -> Result<Matrix> {
         self.forward(x)
     }
-
-    /// Batched inference: stack `rows` into one matrix, run a single
-    /// forward pass, and return the output rows.
-    ///
-    /// Every layer kind (Dense, Conv1d, Relu) computes each output row
-    /// from its own input row alone, with a per-row accumulation order
-    /// that does not depend on the batch size. A batch-k call is
-    /// therefore **bit-identical** to k one-row calls — callers may batch
-    /// freely without perturbing deterministic simulations. The win is
-    /// doing one matrix multiply per layer instead of k.
-    pub fn forward_rows(&mut self, rows: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let x = Matrix::from_rows(rows)?;
-        let y = self.forward(&x)?;
-        Ok((0..y.rows()).map(|r| y.row(r).to_vec()).collect())
-    }
 }
 
 /// Concatenate per-branch outputs along the feature axis.
@@ -283,32 +265,6 @@ mod tests {
         for (r, &l) in labels.iter().enumerate() {
             assert!(probs.get(r, l) > 0.5, "row {r}");
         }
-    }
-
-    #[test]
-    fn forward_rows_bit_identical_to_sequential_forwards() {
-        use crate::layer::Conv1d;
-        let mut rng = StdRng::seed_from_u64(11);
-        // Conv → ReLU → Dense → ReLU → Dense: every layer kind at once.
-        let conv = Conv1d::new(1, 8, 4, 3, &mut rng).unwrap();
-        let width = conv.out_features();
-        let mut net = Sequential::new()
-            .push(Layer::Conv1d(conv))
-            .push(Layer::Relu(Relu::new()))
-            .push(Layer::Dense(Dense::new(width, 6, &mut rng).unwrap()))
-            .push(Layer::Relu(Relu::new()))
-            .push(Layer::Dense(Dense::new_xavier(6, 3, &mut rng).unwrap()));
-        let rows: Vec<Vec<f64>> = (0..7)
-            .map(|i| (0..8).map(|t| ((i * 8 + t) as f64 * 0.61).sin()).collect())
-            .collect();
-        let batched = net.forward_rows(&rows).unwrap();
-        for (row, got) in rows.iter().zip(&batched) {
-            let x = Matrix::row_vector(row);
-            let one = net.forward(&x).unwrap();
-            // Exact equality: batching must not perturb a single bit.
-            assert_eq!(one.row(0), got.as_slice());
-        }
-        assert!(net.forward_rows(&[]).unwrap().is_empty());
     }
 
     #[test]

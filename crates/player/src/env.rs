@@ -209,9 +209,9 @@ impl PlayerEnv {
         if self.throughput_history.is_empty() {
             return None;
         }
-        // `fit_slices(front, back)` visits the deque's elements in the same
-        // order as `fit_iter` over its iterator — bit-identical, minus the
-        // counting pass and the wrap-checking cursor.
+        // `fit_slices(front, back)` visits the deque's elements in
+        // iteration order — bit-identical to `fit` over a contiguous copy,
+        // without making one.
         let (front, back) = self.throughput_history.as_slices();
         NormalDist::fit_slices(front, back).ok()
     }

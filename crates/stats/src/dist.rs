@@ -60,33 +60,14 @@ impl NormalDist {
 
     /// Maximum-likelihood fit from samples (population sigma).
     pub fn fit(samples: &[f64]) -> Result<Self> {
-        Self::fit_iter(samples.iter().copied())
-    }
-
-    /// [`NormalDist::fit`] over any re-iterable sample source (e.g. a ring
-    /// buffer's iterator). Summation order follows iteration order, so for
-    /// the same sequence of samples this is bit-identical to `fit`.
-    pub fn fit_iter<I>(samples: I) -> Result<Self>
-    where
-        I: Iterator<Item = f64> + Clone,
-    {
-        let n = samples.clone().count();
-        if n == 0 {
-            return Err(StatsError::Empty);
-        }
-        let mu = samples.clone().sum::<f64>() / n as f64;
-        let var = samples.map(|x| (x - mu) * (x - mu)).sum::<f64>() / n as f64;
-        Self::new(mu, var.sqrt())
+        Self::fit_slices(samples, &[])
     }
 
     /// [`NormalDist::fit`] over a ring buffer's two contiguous halves,
-    /// visiting `front` then `back` — the same element order as
-    /// [`NormalDist::fit_iter`] over the deque's iterator, so every
-    /// floating-point operation happens in the same sequence and the fit is
-    /// bit-identical. This variant skips the counting pass (slice lengths
-    /// are known) and iterates slices instead of a wrap-checking deque
-    /// cursor, which is what the per-segment bandwidth-model refresh on the
-    /// player hot path wants.
+    /// visiting `front` then `back` — the deque's iteration order, so the
+    /// fit is bit-identical to `fit` over the concatenation, whatever the
+    /// split. The per-segment bandwidth-model refresh on the player hot
+    /// path fits its history window this way without copying it.
     pub fn fit_slices(front: &[f64], back: &[f64]) -> Result<Self> {
         let n = front.len() + back.len();
         if n == 0 {
@@ -157,10 +138,9 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn fit_slices_matches_fit_iter_bit_for_bit() {
-        // Any front/back split of the same sequence must reproduce
-        // `fit_iter` exactly — this is the ring-buffer fast path's
-        // bit-identity contract.
+    fn fit_slices_is_split_invariant_and_equals_fit() {
+        // Any front/back split of the same sequence must reproduce `fit`
+        // over the whole sequence exactly — the ring-buffer contract.
         let samples = [
             3121.75,
             980.0625,
@@ -171,7 +151,7 @@ mod tests {
             777.3125,
             3999.875,
         ];
-        let whole = NormalDist::fit_iter(samples.iter().copied()).unwrap();
+        let whole = NormalDist::fit(&samples).unwrap();
         for split in 0..=samples.len() {
             let (front, back) = samples.split_at(split);
             let fast = NormalDist::fit_slices(front, back).unwrap();
