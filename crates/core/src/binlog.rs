@@ -31,8 +31,20 @@
 //!
 //! The snapshot's sorted `(user_id, offset, len)` index block is binary
 //! searched *on disk*, so point loads of cold users cost O(log n) reads
-//! and the resident footprint stays O(tail) — only users written since
-//! the last snapshot hold an in-memory index entry.
+//! and the resident footprint stays O(dirty users) — only users written
+//! since the last snapshot hold an in-memory index entry.
+//!
+//! **Compaction** ([`StateBackend::checkpoint`]) is one streamed pass per
+//! shard. The old snapshot's records lie contiguously in index order from
+//! the header to the index block, so one buffered sequential reader walks
+//! them, seeking only past the records the tail replaces; the durable log
+//! tail is read once and its frames are sliced out of it; and the header,
+//! the merged frames, the new index and the footer go out through one
+//! buffered writer on `shard_<k>.snap.tmp`. No state is decoded and no
+//! frame allocated: while it runs, a compaction holds the log tail, the
+//! old and the new index blocks (20 bytes per user) and two I/O buffers of
+//! [`BinLogConfig::buffer_bytes`] — never the snapshot's records. Opening
+//! replays each log through one buffered sequential reader the same way.
 //!
 //! **Recovery invariant:** the store's contents are a pure function of
 //! (snapshot, log tail). Snapshots are written to a temp file and
@@ -42,15 +54,24 @@
 //! converges to the same latest-value-per-user state); and a torn or
 //! truncated final log record fails its length/CRC check, is reported as
 //! a recovery warning, and the log is truncated back to the last whole
-//! record. Appends are acknowledged durable only by [`flush`]
+//! record. A compaction that fails keeps its tail index, so the store
+//! still reads the newest records and the next checkpoint retries them.
+//! Each file's header names its kind, shard and shard count, and `open`
+//! refuses a file that sits in another shard's slot.
+//!
+//! **Durability:** appends are acknowledged only by [`flush`]
 //! ([`StateBackend::flush`]) — dropping the log loses buffered appends,
-//! which is exactly the crash model the property tests exercise.
+//! which is exactly the crash model the property tests exercise. `flush`
+//! and `checkpoint` hand their bytes to the operating system and never
+//! fsync: what they acknowledge survives a killed process, not a power
+//! cut or a kernel crash. Where fsyncs belong is open work (ROADMAP.md,
+//! crash enumeration).
 //!
 //! [`flush`]: StateBackend::flush
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
@@ -84,7 +105,8 @@ pub struct BinLogConfig {
     pub shards: usize,
     /// Appends gather in a per-shard memory buffer of this many bytes
     /// before being written to the file (a [`StateBackend::flush`] always
-    /// drains it).
+    /// drains it). The sequential reader that replays a log at open and
+    /// the reader and writer of a compaction use buffers of this size too.
     pub buffer_bytes: usize,
 }
 
@@ -127,10 +149,13 @@ struct Manifest {
 // one and the determinism contract forbids reaching for ambient hashers.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[s][i]` is the CRC register after byte `i` is followed by
+/// `s` zero bytes, so eight lookups advance the register eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -143,17 +168,40 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 }
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -320,7 +368,9 @@ fn file_header(kind: u16, shard: u32, shard_count: u32) -> [u8; HEADER_LEN as us
     h
 }
 
-fn check_header(h: &[u8], kind: u16, path: &Path) -> Result<()> {
+/// Check a file header against the kind and the shard slot it is opened
+/// for: a file copied into another shard's place is refused, not read.
+fn check_header(h: &[u8], kind: u16, shard: u32, shard_count: u32, path: &Path) -> Result<()> {
     let fail = |why: &str| {
         Err(CoreError::Persistence(format!(
             "{path:?}: not a valid state-log file ({why})"
@@ -335,6 +385,13 @@ fn check_header(h: &[u8], kind: u16, path: &Path) -> Result<()> {
     }
     if u16::from_le_bytes(h[6..8].try_into().expect("2")) != kind {
         return fail("wrong file kind");
+    }
+    let at = u32::from_le_bytes(h[8..12].try_into().expect("4"));
+    let of = u32::from_le_bytes(h[12..16].try_into().expect("4"));
+    if (at, of) != (shard, shard_count) {
+        return fail(&format!(
+            "header names shard {at} of {of}, expected shard {shard} of {shard_count}"
+        ));
     }
     Ok(())
 }
@@ -487,6 +544,101 @@ impl Shard {
 }
 
 // ---------------------------------------------------------------------------
+// Compaction streams
+// ---------------------------------------------------------------------------
+
+/// The old snapshot's frames, read in index order through one buffered
+/// sequential reader into one reused frame buffer. The frames lie
+/// contiguously from the header on, so the reader moves only when an
+/// entry does not start where it stands: past a frame the tail replaced.
+struct SnapFrames<'a> {
+    reader: BufReader<&'a File>,
+    path: &'a Path,
+    pos: u64,
+    frame: Vec<u8>,
+}
+
+impl<'a> SnapFrames<'a> {
+    fn new(mut file: &'a File, path: &'a Path, buffer_bytes: usize) -> Result<Self> {
+        file.seek(SeekFrom::Start(HEADER_LEN))
+            .map_err(|e| perr(path, "compact read of", e))?;
+        Ok(Self {
+            reader: BufReader::with_capacity(buffer_bytes, file),
+            path,
+            pos: HEADER_LEN,
+            frame: Vec::new(),
+        })
+    }
+
+    fn read(&mut self, off: u64, len: u32) -> Result<&[u8]> {
+        self.frame.resize(len as usize, 0);
+        // Inside the buffer (a zero step included) this moves no file
+        // offset; only a step past the buffered bytes seeks the file.
+        self.reader
+            .seek_relative(off as i64 - self.pos as i64)
+            .and_then(|_| self.reader.read_exact(&mut self.frame))
+            .map_err(|e| perr(self.path, "compact read of", e))?;
+        self.pos = off + len as u64;
+        Ok(&self.frame)
+    }
+}
+
+/// The new snapshot, streamed: the header and the frames go straight to a
+/// buffered writer while their index entries gather for the block that
+/// follows them.
+struct SnapWriter<'a> {
+    out: BufWriter<File>,
+    path: &'a Path,
+    pos: u64,
+    index: Vec<u8>,
+}
+
+impl<'a> SnapWriter<'a> {
+    fn create(path: &'a Path, header: &[u8], buffer_bytes: usize, entries: usize) -> Result<Self> {
+        let file = File::create(path).map_err(|e| perr(path, "create", e))?;
+        let mut w = Self {
+            out: BufWriter::with_capacity(buffer_bytes, file),
+            path,
+            pos: 0,
+            index: Vec::with_capacity(entries * INDEX_ENTRY_LEN),
+        };
+        w.write(header)?;
+        Ok(w)
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> Result<()> {
+        self.pos += bytes.len() as u64;
+        self.out
+            .write_all(bytes)
+            .map_err(|e| perr(self.path, "write", e))
+    }
+
+    fn frame(&mut self, user_id: u64, frame: &[u8]) -> Result<()> {
+        put_u64(&mut self.index, user_id);
+        put_u64(&mut self.index, self.pos);
+        put_u32(&mut self.index, frame.len() as u32);
+        self.write(frame)
+    }
+
+    /// Write the index block and the footer, flush, and close the file;
+    /// returns the new snapshot's `(index_off, count)`.
+    fn finish(mut self) -> Result<(u64, u64)> {
+        let index_off = self.pos;
+        let count = (self.index.len() / INDEX_ENTRY_LEN) as u64;
+        let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
+        put_u64(&mut footer, index_off);
+        put_u64(&mut footer, count);
+        put_u32(&mut footer, crc32(&self.index));
+        footer.extend_from_slice(INDEX_MAGIC);
+        let index = std::mem::take(&mut self.index);
+        self.write(&index)?;
+        self.write(&footer)?;
+        self.out.flush().map_err(|e| perr(self.path, "write", e))?;
+        Ok((index_off, count))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The log itself
 // ---------------------------------------------------------------------------
 
@@ -533,6 +685,9 @@ impl BinaryStateLog {
                     )));
                 }
                 config.shards = m.shards;
+                config
+                    .validate()
+                    .map_err(|e| CoreError::Persistence(format!("{manifest_path:?}: {e}")))?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 let m = Manifest {
@@ -553,7 +708,7 @@ impl BinaryStateLog {
         let mut shards = Vec::with_capacity(config.shards);
         let mut recovery_warnings = Vec::new();
         for k in 0..config.shards {
-            let shard = Self::open_shard(&dir, k, config.shards, &mut recovery_warnings)?;
+            let shard = Self::open_shard(&dir, k, &config, &mut recovery_warnings)?;
             shards.push(Mutex::new(shard));
         }
         recovery_warnings.sort_unstable();
@@ -586,11 +741,13 @@ impl BinaryStateLog {
     fn open_shard(
         dir: &Path,
         k: usize,
-        shard_count: usize,
+        config: &BinLogConfig,
         warnings: &mut Vec<String>,
     ) -> Result<Shard> {
         let log_path = dir.join(format!("shard_{k}.log"));
         let snap_path = dir.join(format!("shard_{k}.snap"));
+        // `validate` bounds the shard count by `u32::MAX`.
+        let (slot, shard_count) = (k as u32, config.shards as u32);
 
         let mut log_write = OpenOptions::new()
             .create(true)
@@ -606,7 +763,7 @@ impl BinaryStateLog {
             .len();
         if log_len == 0 {
             log_write
-                .write_all(&file_header(KIND_LOG, k as u32, shard_count as u32))
+                .write_all(&file_header(KIND_LOG, slot, shard_count))
                 .map_err(|e| perr(&log_path, "write header of", e))?;
         } else {
             let mut h = [0u8; HEADER_LEN as usize];
@@ -614,11 +771,11 @@ impl BinaryStateLog {
                 .seek(SeekFrom::Start(0))
                 .and_then(|_| log_write.read_exact(&mut h))
                 .map_err(|e| perr(&log_path, "read header of", e))?;
-            check_header(&h, KIND_LOG, &log_path)?;
+            check_header(&h, KIND_LOG, slot, shard_count, &log_path)?;
         }
 
         let snap = match File::open(&snap_path) {
-            Ok(file) => Some(Self::open_snapshot(file, &snap_path)?),
+            Ok(file) => Some(Self::open_snapshot(file, &snap_path, slot, shard_count)?),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(perr(&snap_path, "open", e)),
         };
@@ -633,12 +790,17 @@ impl BinaryStateLog {
             tail: BTreeMap::new(),
             snap,
         };
-        Self::replay_log(&mut shard, log_len.max(HEADER_LEN), warnings)?;
+        Self::replay_log(
+            &mut shard,
+            log_len.max(HEADER_LEN),
+            config.buffer_bytes,
+            warnings,
+        )?;
         Ok(shard)
     }
 
-    /// Validate a snapshot's footer and index checksum.
-    fn open_snapshot(mut file: File, path: &Path) -> Result<Snap> {
+    /// Validate a snapshot's header, footer and index checksum.
+    fn open_snapshot(mut file: File, path: &Path, slot: u32, shard_count: u32) -> Result<Snap> {
         let len = file.metadata().map_err(|e| perr(path, "stat", e))?.len();
         if len < HEADER_LEN + FOOTER_LEN {
             return Err(CoreError::Persistence(format!(
@@ -648,7 +810,7 @@ impl BinaryStateLog {
         let mut h = [0u8; HEADER_LEN as usize];
         file.read_exact(&mut h)
             .map_err(|e| perr(path, "read header of", e))?;
-        check_header(&h, KIND_SNAP, path)?;
+        check_header(&h, KIND_SNAP, slot, shard_count, path)?;
         let mut footer = [0u8; FOOTER_LEN as usize];
         file.seek(SeekFrom::Start(len - FOOTER_LEN))
             .and_then(|_| file.read_exact(&mut footer))
@@ -685,9 +847,19 @@ impl BinaryStateLog {
         })
     }
 
-    /// Rebuild a shard's tail index by replaying its log; truncates a
-    /// torn/truncated final record with a warning.
-    fn replay_log(shard: &mut Shard, log_len: u64, warnings: &mut Vec<String>) -> Result<()> {
+    /// Rebuild a shard's tail index by replaying its log front to back
+    /// through one buffered sequential reader; truncates a torn/truncated
+    /// final record with a warning.
+    fn replay_log(
+        shard: &mut Shard,
+        log_len: u64,
+        buffer_bytes: usize,
+        warnings: &mut Vec<String>,
+    ) -> Result<()> {
+        let mut file = &shard.log_read;
+        file.seek(SeekFrom::Start(HEADER_LEN))
+            .map_err(|e| perr(&shard.log_path, "replay", e))?;
+        let mut reader = BufReader::with_capacity(buffer_bytes, file);
         let mut off = HEADER_LEN;
         let mut frame_head = [0u8; FRAME_OVERHEAD];
         let mut payload = Vec::new();
@@ -695,17 +867,14 @@ impl BinaryStateLog {
             let whole = off + FRAME_OVERHEAD as u64 <= log_len;
             let mut good = false;
             if whole {
-                shard
-                    .log_read
-                    .seek(SeekFrom::Start(off))
-                    .and_then(|_| shard.log_read.read_exact(&mut frame_head))
+                reader
+                    .read_exact(&mut frame_head)
                     .map_err(|e| perr(&shard.log_path, "replay", e))?;
                 let len = u32::from_le_bytes(frame_head[0..4].try_into().expect("4")) as u64;
                 let crc = u32::from_le_bytes(frame_head[4..8].try_into().expect("4"));
                 if off + FRAME_OVERHEAD as u64 + len <= log_len {
                     payload.resize(len as usize, 0);
-                    shard
-                        .log_read
+                    reader
                         .read_exact(&mut payload)
                         .map_err(|e| perr(&shard.log_path, "replay", e))?;
                     if crc32(&payload) == crc {
@@ -763,94 +932,85 @@ impl BinaryStateLog {
         Ok(())
     }
 
-    /// Compact one shard: merge (snapshot, tail) into a fresh snapshot,
-    /// then truncate the log. No-op when the tail is empty.
+    /// Compact one shard in one streamed pass: merge (snapshot, tail) into
+    /// a fresh snapshot, then truncate the log. No-op when the tail is
+    /// empty. The tail index is cleared only once the new snapshot is
+    /// installed and the log truncated, so a compaction that fails part
+    /// way loses nothing: loads still see the tail, and the next
+    /// checkpoint merges it again.
     fn compact_shard(&self, shard: &mut Shard, k: usize) -> Result<()> {
         shard.write_buf()?;
         if shard.tail.is_empty() {
             return Ok(());
         }
-
-        // Stream-merge snapshot records (ascending user id) with the tail
-        // (a BTreeMap, also ascending) into the new snapshot.
+        let buffer_bytes = self.config.buffer_bytes;
         let snap_entries = shard.snap_ids()?;
-        let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
-        out.extend_from_slice(&file_header(KIND_SNAP, k as u32, self.shards.len() as u32));
-        let mut index: Vec<(u64, u64, u32)> = Vec::new();
 
-        let mut write_frame = |frame: Vec<u8>, user_id: u64, out: &mut Vec<u8>| {
-            index.push((user_id, out.len() as u64, frame.len() as u32));
-            out.extend_from_slice(&frame);
+        // The durable log tail, read once (`write_buf` drained the buffer,
+        // so every tail frame lies below `committed`).
+        let mut log = vec![0u8; (shard.committed - HEADER_LEN) as usize];
+        let mut file = &shard.log_read;
+        file.seek(SeekFrom::Start(HEADER_LEN))
+            .and_then(|_| file.read_exact(&mut log))
+            .map_err(|e| perr(&shard.log_path, "compact read of", e))?;
+        let tail_frame = |loc: &TailLoc| {
+            let start = (loc.off - HEADER_LEN) as usize;
+            log.get(start..start + loc.len as usize)
+                .ok_or_else(|| CoreError::Persistence("tail record out of range".into()))
         };
 
-        let tail = std::mem::take(&mut shard.tail);
-        let mut tail_iter = tail.iter().peekable();
+        // Stream-merge snapshot frames (ascending user id) with the tail
+        // (a BTreeMap, also ascending); the tail's frame wins per user.
+        let mut old = match &shard.snap {
+            Some(snap) => Some(SnapFrames::new(&snap.file, &shard.snap_path, buffer_bytes)?),
+            None => None,
+        };
+        let tmp = shard.snap_path.with_extension("snap.tmp");
+        let mut new = SnapWriter::create(
+            &tmp,
+            &file_header(KIND_SNAP, k as u32, self.shards.len() as u32),
+            buffer_bytes,
+            snap_entries.len() + shard.tail.len(),
+        )?;
+        let mut tail = shard.tail.iter().peekable();
         for (id, off, len) in snap_entries {
-            // Tail users at or below this snapshot id go first / instead.
-            while let Some((&tid, &loc)) = tail_iter.peek() {
-                if tid >= id {
-                    break;
-                }
-                tail_iter.next();
-                let frame = shard.read_frame(loc.off, loc.len)?;
-                write_frame(frame, tid, &mut out);
+            let mut replaced = false;
+            while let Some((&tid, loc)) = tail.next_if(|(&tid, _)| tid <= id) {
+                new.frame(tid, tail_frame(loc)?)?;
+                replaced = tid == id;
             }
-            match tail_iter.peek() {
-                Some((&tid, &loc)) if tid == id => {
-                    tail_iter.next();
-                    let frame = shard.read_frame(loc.off, loc.len)?;
-                    write_frame(frame, tid, &mut out);
-                }
-                _ => {
-                    let snap = shard.snap.as_mut().expect("entries imply snapshot");
-                    let mut frame = vec![0u8; len as usize];
-                    snap.file
-                        .seek(SeekFrom::Start(off))
-                        .and_then(|_| snap.file.read_exact(&mut frame))
-                        .map_err(|e| perr(&shard.snap_path, "compact read of", e))?;
-                    write_frame(frame, id, &mut out);
-                }
+            if !replaced {
+                let old = old.as_mut().expect("entries imply a snapshot");
+                new.frame(id, old.read(off, len)?)?;
             }
         }
-        for (&tid, &loc) in tail_iter {
-            let frame = shard.read_frame(loc.off, loc.len)?;
-            write_frame(frame, tid, &mut out);
+        for (&tid, loc) in tail {
+            new.frame(tid, tail_frame(loc)?)?;
         }
-
-        // Index block + footer.
-        let index_off = out.len() as u64;
-        let index_start = out.len();
-        for (id, off, len) in &index {
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *off);
-            put_u32(&mut out, *len);
-        }
-        let crc = crc32(&out[index_start..]);
-        put_u64(&mut out, index_off);
-        put_u64(&mut out, index.len() as u64);
-        put_u32(&mut out, crc);
-        out.extend_from_slice(INDEX_MAGIC);
+        let (index_off, count) = new.finish()?;
 
         // Atomic install: temp + rename, then truncate the log. A crash
         // in between merely leaves log records the snapshot already
-        // holds; replay re-converges to the same state.
-        let tmp = shard.snap_path.with_extension("snap.tmp");
-        std::fs::write(&tmp, &out).map_err(|e| perr(&tmp, "write", e))?;
+        // holds; replay re-converges to the same state. Until the
+        // truncation the tail index stays valid against the log.
         std::fs::rename(&tmp, &shard.snap_path)
             .map_err(|e| perr(&shard.snap_path, "rename to", e))?;
-        shard
-            .log_write
-            .set_len(HEADER_LEN)
-            .and_then(|_| shard.log_write.seek(SeekFrom::Start(HEADER_LEN)))
-            .map_err(|e| perr(&shard.log_path, "truncate", e))?;
-        shard.committed = HEADER_LEN;
-
         let file = File::open(&shard.snap_path).map_err(|e| perr(&shard.snap_path, "open", e))?;
         shard.snap = Some(Snap {
             file,
             index_off,
-            count: index.len() as u64,
+            count,
         });
+        shard
+            .log_write
+            .set_len(HEADER_LEN)
+            .map_err(|e| perr(&shard.log_path, "truncate", e))?;
+        shard.tail.clear();
+        shard.committed = HEADER_LEN;
+        shard
+            .log_write
+            .seek(SeekFrom::Start(HEADER_LEN))
+            .map_err(|e| perr(&shard.log_path, "truncate", e))?;
         Ok(())
     }
 }
@@ -941,11 +1101,42 @@ mod tests {
         s
     }
 
+    /// The bytewise loop `crc32` ran before slicing-by-8, kept as the
+    /// reference it must match on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_on_every_short_length() {
+        let bytes: Vec<u8> = (0..72u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_bytewise_on_random_buffers(
+            bytes in proptest::collection::vec(0u8..=255, 0..4097),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]
@@ -1158,6 +1349,94 @@ mod tests {
         .unwrap();
         assert_eq!(log.config().shards, 4);
         assert_eq!(log.list().unwrap().len(), 32);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint that fails before its rename must keep the tail: the
+    /// newer write stays readable, and the next checkpoint makes it
+    /// durable instead of truncating it away.
+    #[test]
+    fn a_failed_checkpoint_keeps_the_tail() {
+        let dir = temp_dir("failed_ckpt");
+        let cfg = BinLogConfig {
+            shards: 1,
+            ..BinLogConfig::default()
+        };
+        {
+            let log = BinaryStateLog::open(&dir, cfg).unwrap();
+            log.save(&state(1, 1)).unwrap();
+            log.checkpoint().unwrap();
+            log.save(&state(1, 2)).unwrap();
+            let blocker = dir.join("shard_0.snap.tmp");
+            std::fs::create_dir(&blocker).unwrap();
+            assert!(log.checkpoint().is_err());
+            assert_eq!(log.load(1).unwrap(), Some(state(1, 2)));
+            std::fs::remove_dir(&blocker).unwrap();
+            log.checkpoint().unwrap();
+            assert_eq!(log.load(1).unwrap(), Some(state(1, 2)));
+        }
+        let log = BinaryStateLog::open(&dir, cfg).unwrap();
+        assert_eq!(log.load(1).unwrap(), Some(state(1, 2)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each file's header names its shard slot; a file copied into
+    /// another shard's place fails `open`, naming the file, instead of
+    /// silently hiding that shard's users.
+    #[test]
+    fn a_file_in_another_shards_slot_is_refused() {
+        let dir = temp_dir("slot");
+        let cfg = BinLogConfig {
+            shards: 2,
+            ..BinLogConfig::default()
+        };
+        {
+            let log = BinaryStateLog::open(&dir, cfg).unwrap();
+            for id in 0..20u64 {
+                log.save(&state(id, id)).unwrap();
+            }
+            log.checkpoint().unwrap();
+        }
+        for kind in ["snap", "log"] {
+            let (from, to) = (
+                dir.join(format!("shard_0.{kind}")),
+                dir.join(format!("shard_1.{kind}")),
+            );
+            let original = std::fs::read(&to).unwrap();
+            std::fs::copy(&from, &to).unwrap();
+            let err = BinaryStateLog::open(&dir, cfg).unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, CoreError::Persistence(_)), "{msg}");
+            assert!(
+                msg.contains(&format!("shard_1.{kind}"))
+                    && msg.contains("names shard 0 of 2, expected shard 1 of 2"),
+                "{msg}"
+            );
+            std::fs::write(&to, original).unwrap();
+        }
+        let log = BinaryStateLog::open(&dir, cfg).unwrap();
+        assert_eq!(log.list().unwrap().len(), 20);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A manifest that pins zero shards is refused at `open`, not left to
+    /// panic on the first save.
+    #[test]
+    fn a_zero_shard_manifest_is_refused_at_open() {
+        let dir = temp_dir("zero_shards");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("manifest.json"),
+            r#"{"schema":1,"format":1,"shards":0}"#,
+        )
+        .unwrap();
+        let err = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, CoreError::Persistence(_)), "{msg}");
+        assert!(
+            msg.contains("manifest.json") && msg.contains("shards"),
+            "{msg}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -58,8 +58,10 @@ impl LongTermState {
 /// flush, a clean one would keep being served from memory.
 ///
 /// Durability contract: `save`/`save_batch` may buffer; [`flush`] makes
-/// every prior write durable (crash-recoverable), and [`checkpoint`]
-/// additionally compacts the on-disk representation.
+/// every prior write durable against a killed process, and [`checkpoint`]
+/// additionally compacts the on-disk representation. Neither backend
+/// calls fsync, so a power cut or a kernel crash may still lose what
+/// they acknowledged.
 ///
 /// [`BinaryStateLog`]: crate::binlog::BinaryStateLog
 /// [`ShardedStateCache`]: crate::cache::ShardedStateCache
