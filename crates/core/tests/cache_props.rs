@@ -14,6 +14,10 @@
 //! torn (checksum-failing) final write. Recovery must shed exactly the
 //! corrupt bytes, warn, and still agree with the direct file-per-user
 //! store, byte for byte of state.
+//!
+//! Another property holds the log's snapshot point loads (fence index,
+//! one index block per lookup) to a `BTreeMap` model across block
+//! boundaries.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -228,6 +232,54 @@ proptest! {
 
         let _ = std::fs::remove_dir_all(&log_dir);
         let _ = std::fs::remove_dir_all(&direct_dir);
+    }
+
+    /// Point loads from a snapshot agree with a `BTreeMap` model for every
+    /// id in and just around the stored range, plus random probes — with
+    /// snapshot sizes on and across the fence stride (128 index entries),
+    /// gaps between ids, and the fences built both by the compaction that
+    /// wrote the snapshot and by `open` reading it back.
+    #[test]
+    fn snapshot_lookup_matches_model_across_fence_blocks(
+        size in prop_oneof![
+            Just(0usize), Just(1), Just(127), Just(128), Just(129), Just(256), Just(257),
+            2usize..700,
+        ],
+        log_shards in 1usize..4,
+        base in 0u64..(1 << 40),
+        max_gap in 1u64..6,
+        gap_seed in 0u64..=u64::MAX,
+        probes in proptest::collection::vec(prop_oneof![0u64..=u64::MAX, 0u64..(1 << 40)], 0..16),
+    ) {
+        // Ids ascend from `base` with pseudo-random gaps in 1..=max_gap.
+        let mut model = std::collections::BTreeMap::new();
+        let (mut id, mut g) = (base, gap_seed);
+        for _ in 0..size {
+            model.insert(id, state_for(id, (id % 251) as u8));
+            g = g.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            id += 1 + (g >> 33) % max_gap;
+        }
+        let dir = fresh_dir("fences");
+        let cfg = BinLogConfig { shards: log_shards, ..BinLogConfig::default() };
+        let (lo, hi) = match (model.keys().next(), model.keys().next_back()) {
+            (Some(&lo), Some(&hi)) => (lo.saturating_sub(2), hi.saturating_add(2)),
+            _ => (base, base + 4),
+        };
+        let check = |log: &BinaryStateLog| -> std::result::Result<(), TestCaseError> {
+            for id in (lo..=hi).chain(probes.iter().copied()) {
+                prop_assert_eq!(log.load(id).unwrap(), model.get(&id).cloned(), "user {}", id);
+            }
+            Ok(())
+        };
+        {
+            let log = BinaryStateLog::open(&dir, cfg).unwrap();
+            let states: Vec<&LongTermState> = model.values().collect();
+            log.save_batch(&states).unwrap();
+            log.checkpoint().unwrap();
+            check(&log)?;
+        }
+        check(&BinaryStateLog::open(&dir, cfg).unwrap())?;
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
