@@ -1,11 +1,9 @@
 //! Sharded append-only binary state log with compacting snapshots — the
 //! fleet's persistence backend.
 //!
-//! The client-side [`StateStore`](crate::state::StateStore) writes one
-//! `user_<id>.json` per user, which at fleet scale would cost O(users)
-//! file creations plus a JSON serde round-trip each per flush.
-//! [`BinaryStateLog`] instead keeps per-shard append-only log files and a
-//! compact hand-rolled binary record encoding (length-prefixed,
+//! A file per user would cost O(users) file creations per flush at fleet
+//! scale. [`BinaryStateLog`] instead keeps per-shard append-only log
+//! files and a compact hand-rolled binary record encoding (length-prefixed,
 //! CRC-32-checksummed, schema-versioned): a flush is a handful of
 //! sequential buffered writes however many users churned.
 //!
@@ -17,6 +15,11 @@
 //!   shard_<k>.log   # header + records appended since the last snapshot
 //!   shard_<k>.snap  # header + records (ascending user id) + index + footer
 //! ```
+//!
+//! `open` creates a log only in a directory that is absent or empty (a
+//! stale `manifest.json.tmp` from a crash mid-creation aside): without a
+//! manifest, whatever else lies there is foreign, and a fresh log beside
+//! it would silently start every user over.
 //!
 //! Record framing (all integers little-endian):
 //!
@@ -411,6 +414,28 @@ fn perr(path: &Path, what: &str, e: std::io::Error) -> CoreError {
     CoreError::Persistence(format!("{what} {path:?}: {e}"))
 }
 
+/// Refuse to create a log in `dir` when it holds anything but a stale
+/// `manifest.json.tmp` (a creation that crashed before its rename): with
+/// no manifest, that content is foreign — file-per-user state, a mistyped
+/// path, shard files whose manifest was deleted. The error names the
+/// entry that sorts first, so it does not depend on listing order.
+fn refuse_foreign_content(dir: &Path) -> Result<()> {
+    let mut first: Option<std::ffi::OsString> = None;
+    for entry in std::fs::read_dir(dir).map_err(|e| perr(dir, "list", e))? {
+        let name = entry.map_err(|e| perr(dir, "list", e))?.file_name();
+        if name != "manifest.json.tmp" && first.as_ref().is_none_or(|f| name < *f) {
+            first = Some(name);
+        }
+    }
+    match first {
+        None => Ok(()),
+        Some(name) => Err(CoreError::Persistence(format!(
+            "{dir:?} holds {name:?} but no manifest.json; a state log is created only \
+             in an absent or empty directory"
+        ))),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shard state
 // ---------------------------------------------------------------------------
@@ -769,7 +794,10 @@ impl BinaryStateLog {
     /// truncated final record is truncated away with a warning (see
     /// [`StateBackend::scan`]). The shard count is fixed at creation by
     /// `manifest.json` — reopening with a different `config.shards`
-    /// adopts the manifest's count.
+    /// adopts the manifest's count. A directory without a manifest must
+    /// be absent or empty (a stale `manifest.json.tmp` aside); anything
+    /// else fails with [`CoreError::Persistence`], naming the directory
+    /// and one entry found there, and nothing is written.
     pub fn open<P: AsRef<Path>>(dir: P, config: BinLogConfig) -> Result<Self> {
         config.validate()?;
         let dir = dir.as_ref().to_path_buf();
@@ -794,6 +822,7 @@ impl BinaryStateLog {
                     .map_err(|e| CoreError::Persistence(format!("{manifest_path:?}: {e}")))?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                refuse_foreign_content(&dir)?;
                 let m = Manifest {
                     schema: BINLOG_MANIFEST_SCHEMA,
                     format: BINLOG_FORMAT_VERSION,
@@ -1670,5 +1699,61 @@ mod tests {
             "{msg}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sorted entries of `dir`.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
+    /// Without a manifest, `open` creates a log only in an absent or
+    /// empty directory, overwriting a stale `manifest.json.tmp`; any other
+    /// entry — file-per-user JSON state, shard files whose manifest was
+    /// deleted — fails `open`, naming it, and nothing is written.
+    #[test]
+    fn open_creates_a_log_only_in_an_absent_or_empty_dir() {
+        let dir = temp_dir("create_guard");
+        let cfg = BinLogConfig::default();
+        BinaryStateLog::open(&dir, cfg).unwrap();
+        assert!(dir.join("manifest.json").exists(), "absent dir");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir(&dir).unwrap();
+        BinaryStateLog::open(&dir, cfg).unwrap();
+        assert!(dir.join("manifest.json").exists(), "empty dir");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir(&dir).unwrap();
+        std::fs::write(dir.join("manifest.json.tmp"), "{\"sch").unwrap();
+        BinaryStateLog::open(&dir, cfg).unwrap();
+        assert!(!listing(&dir).contains(&"manifest.json.tmp".to_string()));
+        let log = BinaryStateLog::open(&dir, cfg).unwrap();
+        log.save(&state(5, 5)).unwrap();
+        log.flush().unwrap();
+        drop(log);
+
+        // A deleted manifest beside shard files, and file-per-user state.
+        std::fs::remove_file(dir.join("manifest.json")).unwrap();
+        let json_dir = temp_dir("create_guard_json");
+        std::fs::create_dir(&json_dir).unwrap();
+        std::fs::write(json_dir.join("user_5.json"), "{}").unwrap();
+        for (at, entry) in [(&dir, "shard_0.log"), (&json_dir, "user_5.json")] {
+            let before = listing(at);
+            let err = BinaryStateLog::open(at, cfg).unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, CoreError::Persistence(_)), "{msg}");
+            assert!(
+                msg.contains(&format!("{at:?} holds \"{entry}\" but no manifest.json")),
+                "{msg}"
+            );
+            assert_eq!(listing(at), before, "refusal writes nothing");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&json_dir);
     }
 }

@@ -18,7 +18,8 @@
 //! The observable contract is that the cache is transparent: any
 //! interleaving of `save`/`load`/`evict`/`flush` leaves the durable layer
 //! in the same state as calling the backend directly once a final
-//! `flush` lands (property-tested in `tests/cache_props.rs`).
+//! `flush` lands (property-tested in `tests/cache_props.rs` against an
+//! in-memory model).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -330,16 +331,16 @@ impl ShardedStateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::StateStore;
+    use crate::binlog::{BinLogConfig, BinaryStateLog};
     use std::fs;
     use std::path::PathBuf;
 
-    fn temp_store(tag: &str) -> (PathBuf, StateStore) {
+    fn temp_store(tag: &str) -> (PathBuf, Arc<BinaryStateLog>) {
         let dir =
             std::env::temp_dir().join(format!("lingxi_cache_test_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let store = StateStore::open(&dir).unwrap();
-        (dir, store)
+        let store = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap();
+        (dir, Arc::new(store))
     }
 
     fn state(user_id: u64, optimizations: usize) -> LongTermState {
@@ -352,9 +353,7 @@ mod tests {
     #[test]
     fn write_behind_defers_until_flush() {
         let (dir, store) = temp_store("behind");
-        let cache =
-            ShardedStateCache::with_backend(Arc::new(store.clone()), CacheConfig::default())
-                .unwrap();
+        let cache = ShardedStateCache::with_backend(store.clone(), CacheConfig::default()).unwrap();
         cache.save(&state(1, 3)).unwrap();
         // Not yet durable...
         assert!(store.load(1).unwrap().is_none());
@@ -374,7 +373,7 @@ mod tests {
             write_through: true,
             ..CacheConfig::default()
         };
-        let cache = ShardedStateCache::with_backend(Arc::new(store.clone()), cfg).unwrap();
+        let cache = ShardedStateCache::with_backend(store.clone(), cfg).unwrap();
         cache.save(&state(2, 5)).unwrap();
         assert_eq!(store.load(2).unwrap().unwrap().optimizations, 5);
         assert_eq!(cache.flush().unwrap(), 0);
@@ -389,7 +388,7 @@ mod tests {
             capacity_per_shard: 2,
             write_through: false,
         };
-        let cache = ShardedStateCache::with_backend(Arc::new(store.clone()), cfg).unwrap();
+        let cache = ShardedStateCache::with_backend(store.clone(), cfg).unwrap();
         cache.save(&state(1, 1)).unwrap();
         cache.save(&state(2, 2)).unwrap();
         // Touch 1 so 2 becomes the LRU victim.
@@ -406,8 +405,7 @@ mod tests {
     #[test]
     fn evict_and_reload_round_trips() {
         let (dir, store) = temp_store("evict");
-        let cache =
-            ShardedStateCache::with_backend(Arc::new(store), CacheConfig::default()).unwrap();
+        let cache = ShardedStateCache::with_backend(store, CacheConfig::default()).unwrap();
         cache.save(&state(7, 9)).unwrap();
         assert!(cache.evict(7).unwrap());
         assert!(!cache.evict(7).unwrap());
@@ -420,9 +418,7 @@ mod tests {
     #[test]
     fn concurrent_saves_from_many_threads() {
         let (dir, store) = temp_store("threads");
-        let cache =
-            ShardedStateCache::with_backend(Arc::new(store.clone()), CacheConfig::default())
-                .unwrap();
+        let cache = ShardedStateCache::with_backend(store.clone(), CacheConfig::default()).unwrap();
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let cache = &cache;
@@ -445,7 +441,7 @@ mod tests {
     fn config_validation() {
         let (dir, store) = temp_store("cfg");
         assert!(ShardedStateCache::with_backend(
-            Arc::new(store.clone()),
+            store.clone(),
             CacheConfig {
                 shards: 0,
                 ..CacheConfig::default()
@@ -453,7 +449,7 @@ mod tests {
         )
         .is_err());
         assert!(ShardedStateCache::with_backend(
-            Arc::new(store),
+            store,
             CacheConfig {
                 capacity_per_shard: 0,
                 ..CacheConfig::default()

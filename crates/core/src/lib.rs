@@ -15,15 +15,13 @@
 //! 4. the parameters with the lowest simulated exit rate are deployed to
 //!    the underlying ABR (`ABR.update(x*)`).
 //!
-//! Deployment machinery (§4) is here too: dual-layer state management with
-//! JSON persistence (HDF5 substitution documented in DESIGN.md), the
-//! trigger, and both pruning stages (virtual-playback early termination and
-//! the pre-playback `μ − 3σ > Q_max` skip). For fleet-scale workloads the
-//! [`cache`] module layers a sharded, write-behind [`ShardedStateCache`]
-//! over a durable [`StateBackend`]: the sharded append-only
-//! [`BinaryStateLog`] for the fleet, with the file-per-user
-//! [`StateStore`] as the client store and the tests' reference (see
-//! ARCHITECTURE.md, "Persistence layer").
+//! Deployment machinery (§4) is here too: dual-layer state management
+//! persisted through the sharded append-only [`BinaryStateLog`] (HDF5
+//! substitution documented in DESIGN.md), the trigger, and both pruning
+//! stages (virtual-playback early termination and the pre-playback
+//! `μ − 3σ > Q_max` skip). For fleet-scale workloads the [`cache`] module
+//! layers a sharded, write-behind [`ShardedStateCache`] over that durable
+//! [`StateBackend`] (see ARCHITECTURE.md, "Persistence layer").
 //!
 //! ```
 //! use lingxi_core::{LingXiConfig, LingXiController};
@@ -54,7 +52,7 @@ pub use predictor::{ConstantPredictor, ProfilePredictor, RolloutContext, Rollout
 pub use session::{
     play, run_managed_session_in, LingXiHooks, ManagedHooks, ManagedSession, SessionBuffers,
 };
-pub use state::{LongTermState, StateBackend, StateScan, StateStore};
+pub use state::{LongTermState, StateBackend, StateScan};
 
 /// Errors from the LingXi control loop.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,31 +1,31 @@
-//! Property-based equivalence of the sharded write-behind cache and the
-//! direct [`StateStore`] path — for both durable backends.
+//! Property-based equivalence of the sharded write-behind cache over the
+//! binary state log and an in-memory model: a `BTreeMap` from user id to
+//! [`LongTermState`], where `save` inserts and `load` is `get`.
 //!
 //! The contract under test (see `lingxi_core::cache`): for ANY interleaving
 //! of save/load/evict/flush — across any shard count and any LRU capacity,
 //! including capacities small enough to force evictions mid-sequence —
-//! every `load` observes exactly what the direct store path would, and
-//! after a final `flush` the durable layer holds exactly the same
-//! [`LongTermState`] per user as a store written directly.
+//! every `load` observes exactly what the model holds, and after a final
+//! `flush` the log holds exactly the model's [`LongTermState`] per user.
 //!
-//! The binary-log battery additionally interleaves *crash points*: the log
+//! The battery also interleaves compactions and *crash points*: the log
 //! is dropped and reopened mid-sequence (recovery replays snapshot + tail),
 //! optionally with its tail corrupted first — a truncated final record or a
 //! torn (checksum-failing) final write. Recovery must shed exactly the
-//! corrupt bytes, warn, and still agree with the direct file-per-user
-//! store, byte for byte of state.
+//! corrupt bytes, warn, and still agree with the model, byte for byte of
+//! state.
 //!
 //! Another property holds the log's snapshot point loads (fence index,
-//! one index block per lookup) to a `BTreeMap` model across block
+//! one index block per lookup) to the same kind of model across block
 //! boundaries.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lingxi_core::{
     BinLogConfig, BinaryStateLog, CacheConfig, LongTermState, ShardedStateCache, StateBackend,
-    StateStore,
 };
 use proptest::prelude::*;
 
@@ -49,26 +49,21 @@ fn state_for(user: u64, stamp: u8) -> LongTermState {
     s
 }
 
-/// Durable layers agree: same users, same state per user — and reads
-/// through the cache match a direct-store read for every user probed.
-fn assert_backends_agree(
+/// The durable layer holds exactly the model — same users, same state per
+/// user — and reads through the cache match the model for every user
+/// probed.
+fn assert_matches_model(
     cache: &ShardedStateCache,
-    direct: &StateStore,
+    model: &BTreeMap<u64, LongTermState>,
     users: std::ops::Range<u64>,
 ) -> std::result::Result<(), TestCaseError> {
     let behind = cache.backend().list().unwrap();
-    prop_assert_eq!(&behind, &StateBackend::list(direct).unwrap());
+    prop_assert_eq!(&behind, &model.keys().copied().collect::<Vec<_>>());
     for id in behind {
-        prop_assert_eq!(
-            cache.backend().load(id).unwrap(),
-            StateBackend::load(direct, id).unwrap()
-        );
+        prop_assert_eq!(cache.backend().load(id).unwrap(), model.get(&id).cloned());
     }
     for user in users {
-        prop_assert_eq!(
-            cache.load(user).unwrap(),
-            StateBackend::load(direct, user).unwrap()
-        );
+        prop_assert_eq!(cache.load(user).unwrap(), model.get(&user).cloned());
     }
     Ok(())
 }
@@ -77,69 +72,21 @@ proptest! {
     // Filesystem-heavy: keep the default case count modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The binary log behind the cache is observably the model — through
+    /// any interleaving of save/load/evict/flush plus compactions and
+    /// crash-reopen points with tail corruption.
     #[test]
-    fn any_interleaving_roundtrips_like_direct_store(
-        // (op, user, stamp): 0 = save, 1 = load, 2 = evict, 3 = flush.
-        ops in proptest::collection::vec((0u8..4, 0u64..12, 0u8..=254), 1..60),
-        shards in 1usize..5,
-        capacity in 1usize..6,
-    ) {
-        let cache_dir = fresh_dir("cache");
-        let direct_dir = fresh_dir("direct");
-        let cache = ShardedStateCache::with_backend(
-            Arc::new(StateStore::open(&cache_dir).unwrap()),
-            CacheConfig {
-                shards,
-                capacity_per_shard: capacity,
-                write_through: false,
-            },
-        )
-        .unwrap();
-        let direct = StateStore::open(&direct_dir).unwrap();
-
-        for (op, user, stamp) in &ops {
-            match op {
-                0 => {
-                    let s = state_for(*user, *stamp);
-                    cache.save(&s).unwrap();
-                    direct.save(&s).unwrap();
-                }
-                1 => {
-                    // Cached read must observe exactly the direct value.
-                    prop_assert_eq!(cache.load(*user).unwrap(), direct.load(*user).unwrap());
-                }
-                2 => {
-                    // Eviction is invisible to the API contract.
-                    cache.evict(*user).unwrap();
-                }
-                _ => {
-                    cache.flush().unwrap();
-                }
-            }
-        }
-        cache.flush().unwrap();
-        assert_backends_agree(&cache, &direct, 0..12)?;
-
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let _ = std::fs::remove_dir_all(&direct_dir);
-    }
-
-    /// The binary log behind the cache is observably the file-per-user
-    /// store — through any interleaving of save/load/evict/flush plus
-    /// compactions and crash-reopen points with tail corruption.
-    #[test]
-    fn binlog_recovery_matches_direct_store(
+    fn binlog_recovery_matches_model(
         // (op, user, stamp):
         //   0 = save, 1 = load, 2 = evict, 3 = flush, 4 = checkpoint,
         //   5 = crash + clean reopen,
         //   6 = crash + truncated tail record, 7 = crash + torn final write.
-        ops in proptest::collection::vec((0u8..8, 0u64..12, 0u8..=254), 1..50),
+        ops in proptest::collection::vec((0u8..8, 0u64..12, 0u8..=254), 1..60),
         log_shards in 1usize..4,
-        cache_shards in 1usize..4,
+        cache_shards in 1usize..5,
         capacity in 1usize..6,
     ) {
         let log_dir = fresh_dir("binlog");
-        let direct_dir = fresh_dir("binlog_direct");
         let cache_cfg = CacheConfig {
             shards: cache_shards,
             capacity_per_shard: capacity,
@@ -151,7 +98,7 @@ proptest! {
             ShardedStateCache::with_backend(Arc::new(log), cache_cfg).unwrap()
         };
         let mut cache = open_cache();
-        let direct = StateStore::open(&direct_dir).unwrap();
+        let mut model = BTreeMap::new();
         let mut corruptions = 0usize;
 
         for (op, user, stamp) in &ops {
@@ -159,15 +106,14 @@ proptest! {
                 0 => {
                     let s = state_for(*user, *stamp);
                     cache.save(&s).unwrap();
-                    direct.save(&s).unwrap();
+                    model.insert(*user, s);
                 }
                 1 => {
-                    prop_assert_eq!(
-                        cache.load(*user).unwrap(),
-                        StateBackend::load(&direct, *user).unwrap()
-                    );
+                    // A cached read observes exactly the model's value.
+                    prop_assert_eq!(cache.load(*user).unwrap(), model.get(user).cloned());
                 }
                 2 => {
+                    // Eviction is invisible to the API contract.
                     cache.evict(*user).unwrap();
                 }
                 3 => {
@@ -179,10 +125,10 @@ proptest! {
                     cache.backend().checkpoint().unwrap();
                 }
                 crash => {
-                    // Crash point. Flush first so the direct store and the
-                    // log agree on what is durable, then drop everything
-                    // mid-flight and (maybe) corrupt the tail of one shard
-                    // log before recovery reopens it.
+                    // Crash point. Flush first so the model holds exactly
+                    // what is durable, then drop everything mid-flight and
+                    // (maybe) corrupt the tail of one shard log before
+                    // recovery reopens it.
                     cache.flush().unwrap();
                     drop(cache);
                     let shard_log =
@@ -214,24 +160,23 @@ proptest! {
                             scan.warnings
                         );
                     }
-                    // Recovery ≡ the direct file-per-user store.
-                    assert_backends_agree(&cache, &direct, 0..12)?;
+                    // Recovery ≡ the model.
+                    assert_matches_model(&cache, &model, 0..12)?;
                 }
             }
         }
         cache.flush().unwrap();
-        assert_backends_agree(&cache, &direct, 0..12)?;
+        assert_matches_model(&cache, &model, 0..12)?;
         // Corruption never breaks a later checkpoint + reopen.
         if corruptions > 0 {
             cache.backend().checkpoint().unwrap();
             drop(cache);
             let cache = open_cache();
             prop_assert!(cache.backend().scan().unwrap().warnings.is_empty());
-            assert_backends_agree(&cache, &direct, 0..12)?;
+            assert_matches_model(&cache, &model, 0..12)?;
         }
 
         let _ = std::fs::remove_dir_all(&log_dir);
-        let _ = std::fs::remove_dir_all(&direct_dir);
     }
 
     /// Point loads from a snapshot agree with a `BTreeMap` model for every
@@ -288,13 +233,16 @@ proptest! {
     ) {
         let wb_dir = fresh_dir("wb");
         let wt_dir = fresh_dir("wt");
+        let log = |dir: &PathBuf| {
+            Arc::new(BinaryStateLog::open(dir, BinLogConfig::default()).unwrap())
+        };
         let wb = ShardedStateCache::with_backend(
-            Arc::new(StateStore::open(&wb_dir).unwrap()),
+            log(&wb_dir),
             CacheConfig { shards: 3, capacity_per_shard: 2, write_through: false },
         )
         .unwrap();
         let wt = ShardedStateCache::with_backend(
-            Arc::new(StateStore::open(&wt_dir).unwrap()),
+            log(&wt_dir),
             CacheConfig { shards: 1, capacity_per_shard: 64, write_through: true },
         )
         .unwrap();

@@ -283,9 +283,7 @@ impl PopulationDynamics {
 
 /// Which durable [`lingxi_core::StateBackend`] persists long-term user
 /// state under [`FleetConfig::state_dir`]. The fleet has one backend; the
-/// enum is how a caller names it and carries its sizing. (The
-/// file-per-user JSON store is the client store, not a fleet backend:
-/// the engine refuses a `state_dir` that holds its files and no log.)
+/// enum is how a caller names it and carries its sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistenceConfig {
     /// Sharded append-only binary log with compacting snapshots
@@ -324,9 +322,11 @@ pub struct FleetConfig {
     /// Base seed; every (user, epoch) derives its own stream, so results
     /// do not depend on the shard count.
     pub seed: u64,
-    /// Directory backing the durable state backend. Reusing a non-empty
+    /// Directory backing the durable state backend. Reusing a log
     /// directory warm-starts users from persisted state (a production
-    /// restart); use a fresh directory for reproducible runs.
+    /// restart); use a fresh directory for reproducible runs. A directory
+    /// that holds anything else and no log manifest fails the run
+    /// ([`lingxi_core::BinaryStateLog::open`]).
     pub state_dir: PathBuf,
     /// Which durable backend lives in `state_dir`.
     pub persistence: PersistenceConfig,

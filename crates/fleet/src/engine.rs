@@ -25,12 +25,11 @@
 //! materialised into a transient classed user who joins a shared link at
 //! its arrival time and departs when its session budget drains.
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lingxi_abtest::{did_report, DayAccum};
-use lingxi_core::{BinaryStateLog, ShardedStateCache, StateBackend, StateStore};
+use lingxi_core::{BinaryStateLog, ShardedStateCache, StateBackend};
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_net::SolverStats;
 use lingxi_user::{PopulationConfig, UserPopulation, UserRecord};
@@ -198,27 +197,6 @@ fn link_tables(config: &FleetConfig) -> (Vec<f64>, Vec<f64>) {
         .unzip()
 }
 
-/// Refuse a state directory that holds file-per-user JSON state
-/// (`user_<id>.json`, the client store's layout) and no binary-log
-/// manifest: opening the log there would write a fresh manifest and
-/// start every user from scratch, silently. This is a check on outside
-/// input, not a conversion aid: nothing turns one layout into the other.
-/// The JSON store's own scan says whether it has users there.
-fn refuse_legacy_json_dir(dir: &Path) -> Result<()> {
-    if dir.join("manifest.json").exists() {
-        return Ok(());
-    }
-    let legacy = StateStore::open(dir).and_then(|store| store.scan());
-    match legacy.map_err(sub)?.ids.len() {
-        0 => Ok(()),
-        n => Err(FleetError::InvalidConfig(format!(
-            "state_dir {dir:?} holds file-per-user JSON state ({n} users) but no binary-log \
-             manifest; the fleet reads only the binary state log, so point state_dir at a \
-             log directory or an empty one"
-        ))),
-    }
-}
-
 impl FleetEngine {
     /// Create an engine; validates the configuration.
     pub fn new(config: FleetConfig) -> Result<Self> {
@@ -313,7 +291,6 @@ impl FleetEngine {
 
         // Durable layer + cache; surface the startup scan (torn log
         // tails) instead of silently dropping users.
-        refuse_legacy_json_dir(&self.config.state_dir)?;
         let PersistenceConfig::BinaryLog(log_config) = self.config.persistence;
         let backend: Arc<dyn StateBackend> =
             Arc::new(BinaryStateLog::open(&self.config.state_dir, log_config).map_err(sub)?);
@@ -872,17 +849,15 @@ mod tests {
     fn legacy_json_state_dir_is_refused_not_silently_reset() {
         let dir = temp_dir("legacy_json");
         let (config, scenario) = managed_cell(&dir);
-        let store = lingxi_core::StateStore::open(&dir).unwrap();
-        store.save(&lingxi_core::LongTermState::new(5)).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("user_5.json"), "{}").unwrap();
         let err = FleetEngine::new(config)
             .unwrap()
             .run(&scenario)
             .unwrap_err();
-        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
         assert!(
-            err.to_string().contains(
-                "(1 users) but no binary-log manifest; the fleet reads only the binary state log"
-            ),
+            err.to_string()
+                .contains("holds \"user_5.json\" but no manifest.json"),
             "{err}"
         );
         assert!(

@@ -4,9 +4,11 @@
 //! Run with: `cargo run --release --example personalized_streaming`
 //!
 //! Also demonstrates the deployment state machinery of §4: each user's
-//! long-term state is persisted to a `StateStore` and restored, as the
-//! production client does across app restarts.
+//! long-term state is persisted to a `BinaryStateLog` and restored from a
+//! fresh handle on the same directory, as the production client does
+//! across app restarts.
 
+use lingxi::core::{BinLogConfig, BinaryStateLog, StateBackend};
 use lingxi::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,23 +44,19 @@ fn main() {
         ),
     ];
 
-    let store_dir = std::env::temp_dir().join("lingxi_example_state");
-    let store = StateStore::open(&store_dir).expect("state store");
+    // A log is created only in an absent or empty directory.
+    let state_dir =
+        std::env::temp_dir().join(format!("lingxi_example_state_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let log = BinaryStateLog::open(&state_dir, BinLogConfig::default()).expect("state log");
+    let mut saved = Vec::new();
 
     println!(
         "{:<14} {:>9} {:>12} {:>14}",
         "user", "sessions", "final beta", "optimizations"
     );
     for (uid, (name, profile)) in users.iter().enumerate() {
-        // Restore long-term state if this user streamed before.
-        let restored = store.load(uid as u64).expect("load");
-        let mut controller = match restored {
-            Some(state) => {
-                LingXiController::with_state(LingXiConfig::for_hyb(), state.tracker, state.params)
-                    .expect("controller")
-            }
-            None => LingXiController::new(LingXiConfig::for_hyb()).expect("controller"),
-        };
+        let mut controller = LingXiController::new(LingXiConfig::for_hyb()).expect("controller");
         let mut predictor = ProfilePredictor {
             profile: *profile,
             base: 0.01,
@@ -97,7 +95,8 @@ fn main() {
             params: controller.params(),
             optimizations: controller.optimizations(),
         };
-        store.save(&state).expect("save");
+        log.save(&state).expect("save");
+        saved.push(state);
         println!(
             "{:<14} {:>9} {:>12.3} {:>14}",
             name,
@@ -106,5 +105,26 @@ fn main() {
             controller.optimizations()
         );
     }
-    println!("\nlong-term state persisted under {store_dir:?} (restored on next run)");
+    // Appends are durable only once flushed; a dropped buffer is lost.
+    log.flush().expect("flush");
+    drop(log);
+
+    // App relaunch: a fresh handle recovers every user's state, and a
+    // controller restored from it carries the tuned parameters.
+    let log = BinaryStateLog::open(&state_dir, BinLogConfig::default()).expect("reopen");
+    let restored = saved
+        .iter()
+        .filter(|&state| match log.load(state.user_id).expect("load") {
+            Some(back) if back == *state => {
+                LingXiController::with_state(LingXiConfig::for_hyb(), back.tracker, back.params)
+                    .expect("controller")
+                    .params()
+                    == state.params
+            }
+            _ => false,
+        })
+        .count();
+    println!("\nrestored {restored}/{} users", saved.len());
+    drop(log);
+    let _ = std::fs::remove_dir_all(&state_dir);
 }

@@ -9,10 +9,13 @@
 #    ordering, kill/resume bit-equivalence in `checkpoint`,
 #    LSQ-beats-static-hash), so a red run is a real property violation,
 #    not a flaky threshold.
-# 2. The two examples CI runs, not only compiles, both through the
-#    facade crate: `ab_experiment` (the §5.3 A/B on the fleet engine) and
+# 2. The three examples CI runs, not only compiles, all through the
+#    facade crate: `ab_experiment` (the §5.3 A/B on the fleet engine),
 #    `quickstart` (the one session driver, `play`, with LingXi present
-#    and absent on the same videos and traces).
+#    and absent on the same videos and traces) and
+#    `personalized_streaming` (three users' long-term state saved to the
+#    binary state log, then restored by a fresh handle on the same
+#    directory; fails unless it prints `restored 3/3 users`).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,4 +34,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 cargo run --release --locked --example ab_experiment
 cargo run --release --locked --example quickstart
+cargo run --release --locked --example personalized_streaming | tee "$tmp/personalized.txt"
+grep -qx 'restored 3/3 users' "$tmp/personalized.txt" || {
+    echo "smoke: personalized_streaming did not restore every user" >&2
+    exit 1
+}
 echo ">>> smoke: all green"

@@ -104,7 +104,7 @@ pub mod prelude {
     pub use lingxi_core::{
         play, run_managed_session_in, CacheConfig, LingXiConfig, LingXiController, LingXiHooks,
         LongTermState, ManagedHooks, McConfig, ProfilePredictor, RolloutContext, RolloutPredictor,
-        SearchStrategy, SessionBuffers, ShardedStateCache, StateStore,
+        SearchStrategy, SessionBuffers, ShardedStateCache,
     };
     pub use lingxi_exit::{
         DatasetFlavor, ExitDataset, ExitPredictor, HybridPredictor, PredictorConfig, StateMatrix,

@@ -81,7 +81,6 @@ fn prelude_reexports_resolve() {
     };
     let _: SearchStrategy = SearchStrategy::default();
     let _: LongTermState = LongTermState::new(1);
-    let _: Option<StateStore> = None;
     let _: Option<RolloutContext> = None;
     let _: Option<Box<dyn RolloutPredictor>> = None;
     let _: Option<LingXiHooks<'_>> = None;

@@ -78,6 +78,8 @@ fn full_managed_pipeline_reduces_stalls_for_sensitive_user() {
 
 #[test]
 fn long_term_state_roundtrips_through_store() {
+    use lingxi::core::{BinLogConfig, BinaryStateLog, StateBackend};
+
     let catalog = small_catalog(2);
     let profile = StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.5).unwrap();
     let net = UserNetProfile {
@@ -117,33 +119,22 @@ fn long_term_state_roundtrips_through_store() {
     }
     let dir = std::env::temp_dir().join(format!("lingxi_it_state_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = StateStore::open(&dir).unwrap();
     let state = LongTermState {
         user_id: 42,
         tracker: controller.tracker().clone(),
         params: controller.params(),
         optimizations: controller.optimizations(),
     };
-    store.save(&state).unwrap();
-    let restored = store.load(42).unwrap().expect("state saved");
-    // JSON float text round-trips can drift by one ulp; compare the fields
-    // that matter semantically.
-    assert_eq!(restored.user_id, state.user_id);
-    assert_eq!(restored.optimizations, state.optimizations);
-    assert_eq!(restored.params, state.params);
-    assert_eq!(
-        restored.tracker.recent_stall_count(),
-        state.tracker.recent_stall_count()
-    );
-    for (a, b) in restored
-        .tracker
-        .matrix()
-        .flat()
-        .iter()
-        .zip(state.tracker.matrix().flat())
     {
-        assert!((a - b).abs() < 1e-9);
+        let log = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap();
+        log.save(&state).unwrap();
+        // Appends are durable only once flushed; a dropped buffer is lost.
+        log.flush().unwrap();
     }
+    // A fresh handle stands in for the app relaunch; the codec is bit-exact.
+    let log = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap();
+    let restored = log.load(42).unwrap().expect("state saved");
+    assert_eq!(restored, state);
     // A controller restored from the state carries the tuned parameters.
     let c2 =
         LingXiController::with_state(LingXiConfig::for_hyb(), restored.tracker, restored.params)
