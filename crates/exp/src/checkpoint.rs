@@ -1,6 +1,7 @@
 //! `checkpoint` — the kill/resume equivalence scenario (not a paper
 //! figure): a population-dynamics fleet run over the binary state log is
-//! killed at an epoch barrier and resumed from its checkpoint manifest,
+//! killed at each inner epoch barrier in turn and resumed from its
+//! checkpoint manifest,
 //! and the experiment *fails* unless the resumed run's merged metrics and
 //! distribution sketches are bit-identical to an uninterrupted run — at
 //! 1, 4 and 8 shards, which must also agree with each other.
@@ -16,16 +17,12 @@
 use lingxi_fleet::{ContentionConfig, FleetConfig, FleetScenario, PopulationDynamics};
 use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
 
-use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
 use crate::Result;
+use lingxi_fleet::harness::Cell;
 
 /// Epochs (simulated days) per run.
 const EPOCHS: usize = 4;
-
-/// The barrier the interrupted run is killed at (epochs completed before
-/// the kill).
-const STOP_AFTER: usize = 2;
 
 fn cell(seed: u64, scale: f64) -> Cell {
     let scenario = FleetScenario {
@@ -63,10 +60,11 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "checkpoint",
         "Kill-at-barrier + resume over the binary state log: bit-identical at 1/4/8 shards",
     );
-    // Both gates in one call: kill/resume equals straight at every shard
-    // count, and the shard counts equal each other — checkpointing
-    // composes with the engine's standing shard-invariance contract.
-    let straight = cell(seed, scale).kill_resume(STOP_AFTER)?;
+    // Both gates in one call: a kill at every inner barrier and a resume
+    // equal the straight run at every shard count, and the shard counts
+    // equal each other — checkpointing composes with the engine's
+    // standing shard-invariance contract.
+    let straight = cell(seed, scale).contract()?;
     let throughput: Vec<(f64, f64)> = straight
         .iter()
         .map(|(_, r)| (r.shards as f64, r.sessions_per_sec()))
@@ -74,7 +72,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     result.headline_value("kill/resume bit-identical (1 = yes)", 1.0);
     result.headline_value("shard invariance (1 = identical)", 1.0);
     result.headline_value("epochs per run", EPOCHS as f64);
-    result.headline_value("killed after epoch", STOP_AFTER as f64);
+    result.headline_value("kills per shard count", (EPOCHS - 1) as f64);
     result.headline_value("arrivals simulated", straight[0].1.users as f64);
     result.headline_value("sessions simulated", straight[0].1.sessions as f64);
     result.push_series(Series::from_xy(
@@ -96,6 +94,6 @@ mod tests {
         let s = r
             .series_named("checkpoint/straight_sessions_per_sec_by_shards")
             .unwrap();
-        assert_eq!(s.points.len(), crate::harness::SHARD_COUNTS.len());
+        assert_eq!(s.points.len(), lingxi_fleet::harness::SHARD_COUNTS.len());
     }
 }

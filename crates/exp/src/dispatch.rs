@@ -22,9 +22,9 @@ use lingxi_fleet::{
     ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetReport, FleetScenario,
 };
 
-use crate::harness::{identical, Cell};
 use crate::report::{ExperimentResult, Series};
 use crate::{ExpError, Result};
+use lingxi_fleet::harness::{identical, Cell};
 
 /// Links in the dispatch pod. Two of them (indices 0 and 4) are fat.
 pub const LINKS: usize = 8;

@@ -29,9 +29,9 @@ use lingxi_fleet::{
 use lingxi_net::{FairnessObjective, TopoLink, Topology};
 use lingxi_workload::{ArrivalKind, ClassRegistry, Diurnal, LinkClass};
 
-use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
 use crate::{ExpError, Result};
+use lingxi_fleet::harness::Cell;
 
 /// The objectives swept by the experiment, with their cell labels.
 pub const OBJECTIVES: [(&str, FairnessObjective); 3] = [
@@ -148,7 +148,7 @@ pub fn run_cell(
     shards: usize,
     seed: u64,
 ) -> Result<FleetReport> {
-    cell(objective, scale, seed)?.run(shards)
+    Ok(cell(objective, scale, seed)?.run(shards)?)
 }
 
 /// Session-weighted aggregate of one class across all epochs:

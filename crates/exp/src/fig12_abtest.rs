@@ -23,10 +23,10 @@
 use lingxi_abtest::MetricSeries;
 use lingxi_fleet::{AbSplit, AbrMix, FleetConfig, FleetScenario};
 
-use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
 use crate::world::WorldConfig;
 use crate::Result;
+use lingxi_fleet::harness::Cell;
 
 /// Epochs per run: the paper's ten days.
 const EPOCHS: usize = 10;
@@ -129,16 +129,17 @@ mod tests {
         }
     }
 
-    /// The A/B cell under the engine's two contracts, killed exactly at
-    /// the intervention barrier (`kill_resume` compares the straight
-    /// 1/4/8-shard runs to each other too): per-cohort metrics are
+    /// The A/B cell under the engine's determinism contract, killed at
+    /// every barrier — the intervention's among them — and resumed
+    /// (`Cell::contract` compares the straight 1/4/8-shard runs to each
+    /// other too): per-cohort metrics are
     /// bit-identical across shard counts and across kill/resume, and the
     /// treatment cohort's controller state starts being persisted at the
     /// intervention — nothing is flushed in the AA phase, something in
     /// every AB epoch.
     #[test]
     fn fig12_cell_is_shard_invariant_and_resumes_at_the_intervention() {
-        let runs = cell(7, 0.02).kill_resume(INTERVENTION_EPOCH).unwrap();
+        let runs = cell(7, 0.02).contract().unwrap();
         for (label, run) in &runs {
             assert!(run.did.is_some(), "{label}");
             for e in &run.epochs {

@@ -20,9 +20,9 @@ use lingxi_fleet::{ContentionConfig, FleetConfig, FleetScenario, PopulationDynam
 use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, FlashRamp};
 
-use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
 use crate::Result;
+use lingxi_fleet::harness::Cell;
 
 /// Users-per-link ramp: offered load grows ~2x per cell.
 const RAMP: [usize; 5] = [2, 4, 8, 16, 32];

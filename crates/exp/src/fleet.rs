@@ -17,9 +17,9 @@
 use lingxi_fleet::{AbSplit, AbrMix, FleetConfig, FleetScenario};
 use lingxi_net::ProductionMixture;
 
-use crate::harness::{identical, Cell};
 use crate::report::{ExperimentResult, Series};
 use crate::Result;
+use lingxi_fleet::harness::{identical, Cell};
 
 /// Scale population counts like the rest of the harness: `scale = 1` is
 /// the full fleet, tests run at ~0.01.

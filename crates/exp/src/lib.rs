@@ -44,7 +44,6 @@ pub mod fig14_correlation;
 pub mod fig15_trajectories;
 pub mod flashcrowd;
 pub mod fleet;
-mod harness;
 pub mod population;
 pub mod report;
 pub mod world;
@@ -75,6 +74,12 @@ impl std::error::Error for ExpError {}
 impl From<std::io::Error> for ExpError {
     fn from(e: std::io::Error) -> Self {
         ExpError::Io(e)
+    }
+}
+
+impl From<lingxi_fleet::FleetError> for ExpError {
+    fn from(e: lingxi_fleet::FleetError) -> Self {
+        sub(e)
     }
 }
 

@@ -21,9 +21,9 @@
 use lingxi_fleet::{ContentionConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics};
 use lingxi_workload::{ArrivalKind, ClassRegistry, Diurnal};
 
-use crate::harness::Cell;
 use crate::report::{ExperimentResult, Series};
 use crate::Result;
+use lingxi_fleet::harness::Cell;
 
 /// Arrival-rate multipliers swept by the experiment.
 const RATE_RAMP: [f64; 4] = [0.5, 1.0, 2.0, 4.0];

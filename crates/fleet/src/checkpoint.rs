@@ -113,9 +113,9 @@ mod tests {
 
     #[test]
     fn manifest_roundtrips_bit_exactly() {
-        let dir = std::env::temp_dir().join(format!("lingxi_ckpt_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = crate::harness::ScratchDir::claim();
+        let dir = scratch.path();
+        std::fs::create_dir_all(dir).unwrap();
         let mut sketches = EpochSketches::new();
         sketches.push(&lingxi_player::SessionSummary {
             user_id: 1,
@@ -166,18 +166,17 @@ mod tests {
                 }),
             }],
         };
-        assert!(FleetCheckpoint::load(&dir).unwrap().is_none());
-        ckpt.save(&dir).unwrap();
-        let back = FleetCheckpoint::load(&dir).unwrap().unwrap();
+        assert!(FleetCheckpoint::load(dir).unwrap().is_none());
+        ckpt.save(dir).unwrap();
+        let back = FleetCheckpoint::load(dir).unwrap().unwrap();
         assert_eq!(back, ckpt);
         // Bit-exact, not approximately equal.
         assert_eq!(
             back.epochs[0].all.watch_time.to_bits(),
             ckpt.epochs[0].all.watch_time.to_bits()
         );
-        FleetCheckpoint::remove(&dir).unwrap();
-        assert!(FleetCheckpoint::load(&dir).unwrap().is_none());
-        FleetCheckpoint::remove(&dir).unwrap(); // idempotent
-        let _ = std::fs::remove_dir_all(&dir);
+        FleetCheckpoint::remove(dir).unwrap();
+        assert!(FleetCheckpoint::load(dir).unwrap().is_none());
+        FleetCheckpoint::remove(dir).unwrap(); // idempotent
     }
 }

@@ -556,23 +556,14 @@ fn run_link_epoch(
 
 #[cfg(test)]
 mod tests {
+    use crate::harness::{Cell, ScratchDir};
     use crate::{
-        AbSplit, AbrMix, ContentionConfig, FairnessConfig, FleetConfig, FleetEngine, FleetScenario,
+        AbSplit, AbrMix, ContentionConfig, FairnessConfig, FleetConfig, FleetReport, FleetScenario,
         PopulationDynamics,
     };
     use lingxi_core::{BinLogConfig, BinaryStateLog, StateBackend};
     use lingxi_net::{FairnessObjective, TopoLink, Topology};
     use lingxi_workload::{ArrivalKind, ClassRegistry, FlashRamp};
-    use std::path::PathBuf;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "lingxi_contention_test_{tag}_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn scenario() -> FleetScenario {
         FleetScenario {
@@ -584,43 +575,30 @@ mod tests {
         }
     }
 
-    fn run(shards: usize, capacity_kbps: f64, links: usize, tag: &str) -> crate::FleetReport {
-        let dir = temp_dir(tag);
-        let config = FleetConfig {
-            shards,
-            epochs: 2,
-            seed: 7,
-            state_dir: dir.clone(),
-            contention: Some(ContentionConfig {
-                links,
-                capacity_kbps,
-                arrival_window: 10.0,
-                access_cap_factor: 1.5,
-            }),
-            ..FleetConfig::default()
-        };
-        let report = FleetEngine::new(config).unwrap().run(&scenario()).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        report
-    }
-
-    #[test]
-    fn contended_metrics_identical_across_shard_counts() {
-        let one = run(1, 20_000.0, 6, "inv1");
-        let four = run(4, 20_000.0, 6, "inv4");
-        let eight = run(8, 20_000.0, 6, "inv8");
-        assert_eq!(one.first_divergence(&four), None);
-        assert_eq!(one.first_divergence(&eight), None);
-        assert!(one.sessions >= 24, "every user plays >= 1 session");
+    fn contended(capacity_kbps: f64, links: usize) -> Cell {
+        Cell {
+            config: FleetConfig {
+                epochs: 2,
+                seed: 7,
+                contention: Some(ContentionConfig {
+                    links,
+                    capacity_kbps,
+                    arrival_window: 10.0,
+                    access_cap_factor: 1.5,
+                }),
+                ..FleetConfig::default()
+            },
+            scenario: scenario(),
+        }
     }
 
     #[test]
     fn tighter_links_degrade_qoe() {
         // One congested cell vs ample per-link capacity: the same
         // population must stall more and watch less when contended.
-        let tight = run(2, 2_500.0, 1, "tight");
-        let ample = run(2, 80_000.0, 6, "ample");
-        let stall = |r: &crate::FleetReport| r.epochs.iter().map(|e| e.all.stall_time).sum::<f64>();
+        let tight = contended(2_500.0, 1).run(2).unwrap();
+        let ample = contended(80_000.0, 6).run(2).unwrap();
+        let stall = |r: &FleetReport| r.epochs.iter().map(|e| e.all.stall_time).sum::<f64>();
         assert!(
             stall(&tight) > stall(&ample),
             "tight {} vs ample {}",
@@ -631,123 +609,38 @@ mod tests {
 
     #[test]
     fn contended_runs_are_reproducible() {
-        let a = run(3, 10_000.0, 4, "repA");
-        let b = run(3, 10_000.0, 4, "repB");
+        let cell = contended(10_000.0, 4);
+        let (a, b) = (cell.run(3).unwrap(), cell.run(3).unwrap());
         assert_eq!(a.first_divergence(&b), None);
     }
 
     /// Managed-ness is data on the one agent, so it needs contended
-    /// coverage too: under an A/B split the shared links stay
-    /// shard-invariant, and a treatment (odd-id) user plays plain sessions
-    /// before the intervention epoch and managed ones — state saved at
-    /// every barrier — from it on.
+    /// coverage too: under an A/B split a treatment (odd-id) user plays
+    /// plain sessions before the intervention epoch and managed ones —
+    /// state saved at every barrier — from it on. (Shard invariance and
+    /// kill/resume of this regime are a row of `tests/contract.rs`.)
     #[test]
-    fn contended_ab_split_is_shard_invariant_and_manages_only_the_intervened() {
-        let run_ab = |shards: usize| {
-            let dir = temp_dir(&format!("ab{shards}"));
-            let config = FleetConfig {
-                shards,
-                epochs: 4,
-                seed: 7,
-                state_dir: dir.clone(),
-                contention: Some(ContentionConfig {
-                    links: 6,
-                    capacity_kbps: 20_000.0,
-                    arrival_window: 10.0,
-                    access_cap_factor: 1.5,
-                }),
-                ab: Some(AbSplit {
-                    intervention_epoch: 2,
-                }),
-                ..FleetConfig::default()
-            };
-            let scenario = FleetScenario {
-                abr_mix: AbrMix::all_hyb(),
-                ..scenario()
-            };
-            let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
-            let log = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap();
-            let mut persisted = log.scan().unwrap().ids;
-            persisted.sort_unstable();
-            let _ = std::fs::remove_dir_all(&dir);
-            (report, persisted)
-        };
-        let (one, persisted) = run_ab(1);
-        assert_eq!(one.first_divergence(&run_ab(4).0), None);
-        assert_eq!(one.first_divergence(&run_ab(8).0), None);
+    fn contended_ab_split_manages_only_the_intervened() {
+        let mut cell = contended(20_000.0, 6);
+        cell.config.epochs = 4;
+        cell.config.ab = Some(AbSplit {
+            intervention_epoch: 2,
+        });
+        cell.scenario.abr_mix = AbrMix::all_hyb();
+        let dir = ScratchDir::claim();
+        let report = cell.complete_in(dir.path(), 4).unwrap();
+        let log = BinaryStateLog::open(dir.path(), BinLogConfig::default()).unwrap();
+        let mut persisted = log.scan().unwrap().ids;
+        persisted.sort_unstable();
         let treatment: Vec<u64> = (0..24).filter(|id| id % 2 == 1).collect();
         assert_eq!(
             persisted, treatment,
             "only treatment users are ever managed"
         );
-        for e in &one.epochs {
+        for e in &report.epochs {
             let managed = if e.epoch < 2 { 0 } else { treatment.len() };
             assert_eq!(e.flushed, managed, "epoch {}", e.epoch);
             assert!(e.control.unwrap().sessions > 0 && e.treatment.unwrap().sessions > 0);
-        }
-    }
-
-    fn pod_topology() -> Topology {
-        Topology::new(
-            vec![
-                TopoLink {
-                    capacity_kbps: 12_000.0,
-                    prop_delay_s: 0.004,
-                },
-                TopoLink {
-                    capacity_kbps: 20_000.0,
-                    prop_delay_s: 0.008,
-                },
-                TopoLink {
-                    capacity_kbps: 45_000.0,
-                    prop_delay_s: 0.012,
-                },
-            ],
-            vec![vec![0, 1, 2], vec![1, 2], vec![2]],
-        )
-        .unwrap()
-    }
-
-    fn run_fair(shards: usize, objective: FairnessObjective, tag: &str) -> crate::FleetReport {
-        let dir = temp_dir(tag);
-        let config = FleetConfig {
-            shards,
-            epochs: 2,
-            seed: 7,
-            state_dir: dir.clone(),
-            contention: Some(ContentionConfig {
-                links: 4,
-                capacity_kbps: 20_000.0,
-                arrival_window: 10.0,
-                access_cap_factor: 1.5,
-            }),
-            fairness: Some(FairnessConfig {
-                objective,
-                topology: pod_topology(),
-            }),
-            ..FleetConfig::default()
-        };
-        let report = FleetEngine::new(config).unwrap().run(&scenario()).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        report
-    }
-
-    #[test]
-    fn fairness_metrics_identical_across_shard_counts() {
-        // The whole point of the path-group ownership design: a multi-hop
-        // topology with a non-trivial objective is still bit-identical for
-        // any shard count.
-        for objective in [
-            FairnessObjective::MaxMin,
-            FairnessObjective::ProportionalFair,
-            FairnessObjective::AlphaFair(2.0),
-        ] {
-            let one = run_fair(1, objective, "fair1");
-            let four = run_fair(4, objective, "fair4");
-            let eight = run_fair(8, objective, "fair8");
-            assert_eq!(one.first_divergence(&four), None, "{objective:?}");
-            assert_eq!(one.first_divergence(&eight), None, "{objective:?}");
-            assert!(one.sessions >= 24, "every user plays >= 1 session");
         }
     }
 
@@ -755,8 +648,24 @@ mod tests {
     fn fairness_objectives_diverge() {
         // Different objectives allocate the shared pod differently, so the
         // merged QoE metrics must not be byte-for-byte the same run.
-        let mm = run_fair(2, FairnessObjective::MaxMin, "div_mm");
-        let pf = run_fair(2, FairnessObjective::ProportionalFair, "div_pf");
+        let pod = |objective| {
+            let mut cell = contended(20_000.0, 4);
+            cell.config.fairness = Some(FairnessConfig {
+                objective,
+                topology: Topology::new(
+                    vec![
+                        TopoLink::new(12_000.0, 0.004),
+                        TopoLink::new(20_000.0, 0.008),
+                        TopoLink::new(45_000.0, 0.012),
+                    ],
+                    vec![vec![0, 1, 2], vec![1, 2], vec![2]],
+                )
+                .unwrap(),
+            });
+            cell.run(2).unwrap()
+        };
+        let mm = pod(FairnessObjective::MaxMin);
+        let pf = pod(FairnessObjective::ProportionalFair);
         assert_ne!(mm.first_divergence(&pf), None);
     }
 
@@ -764,34 +673,22 @@ mod tests {
     fn flash_ramp_dynamics_match_crowd_size() {
         // A FlashRamp schedule through the dynamics path delivers exactly
         // the crowd onto the links and every arrival plays.
-        let dir = temp_dir("ramp");
-        let config = FleetConfig {
-            shards: 2,
-            epochs: 1,
-            seed: 21,
-            state_dir: dir.clone(),
-            contention: Some(ContentionConfig {
-                links: 3,
-                capacity_kbps: 20_000.0,
-                arrival_window: 10.0,
-                access_cap_factor: 1.5,
-            }),
-            dynamics: Some(PopulationDynamics {
-                arrivals: ArrivalKind::FlashRamp(FlashRamp::uniform(30, 15.0)),
-                registry: ClassRegistry::single(
-                    lingxi_net::ProductionMixture::default(),
-                    2.0,
-                    20_000.0,
-                ),
-                day_seconds: 600.0,
-            }),
-            ..FleetConfig::default()
-        };
-        let report = FleetEngine::new(config).unwrap().run(&scenario()).unwrap();
+        let mut cell = contended(20_000.0, 3);
+        cell.config.epochs = 1;
+        cell.config.seed = 21;
+        cell.config.dynamics = Some(PopulationDynamics {
+            arrivals: ArrivalKind::FlashRamp(FlashRamp::uniform(30, 15.0)),
+            registry: ClassRegistry::single(
+                lingxi_net::ProductionMixture::default(),
+                2.0,
+                20_000.0,
+            ),
+            day_seconds: 600.0,
+        });
+        let report = cell.run(2).unwrap();
         assert_eq!(report.users, 30);
         assert!(report.sessions >= 30, "every arrival plays >= 1 session");
         assert_eq!(report.epochs[0].classes.len(), 1);
         assert_eq!(report.epochs[0].classes[0].sessions, report.sessions);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -256,8 +256,9 @@ impl FleetEngine {
     /// (config, scenario, durable state) — the per-(user, epoch) RNG
     /// streams derive from the base seed alone. A run suspended at any
     /// barrier and resumed therefore produces merged metrics and sketches
-    /// bit-identical to an uninterrupted run (tested at 1/4/8 shards in
-    /// `tests/checkpoint_resume.rs`).
+    /// bit-identical to an uninterrupted run (checked at 1/4/8 shards and
+    /// every inner barrier, once per engine regime, by
+    /// [`crate::harness::Cell::contract`] in `tests/contract.rs`).
     pub fn run_resumable(
         &self,
         scenario: &FleetScenario,
@@ -705,15 +706,8 @@ impl FleetEngine {
 mod tests {
     use super::*;
     use crate::config::{AbSplit, AbrMix, ContentionConfig, PopulationDynamics};
+    use crate::harness::{Cell, ScratchDir};
     use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
-    use std::path::PathBuf;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("lingxi_fleet_test_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn small_scenario() -> FleetScenario {
         FleetScenario {
@@ -727,22 +721,16 @@ mod tests {
 
     #[test]
     fn merged_metrics_identical_across_shard_counts() {
-        let scenario = small_scenario();
-        let run = |shards: usize, tag: &str| {
-            let dir = temp_dir(tag);
-            let config = FleetConfig {
-                shards,
+        let cell = Cell {
+            config: FleetConfig {
                 epochs: 2,
                 seed: 7,
-                state_dir: dir.clone(),
                 ..FleetConfig::default()
-            };
-            let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-            report
+            },
+            scenario: small_scenario(),
         };
-        let one = run(1, "inv1");
-        let four = run(4, "inv4");
+        let one = cell.run(1).unwrap();
+        let four = cell.run(4).unwrap();
         assert_eq!(one.first_divergence(&four), None);
         assert!(one.sessions >= 24, "every user plays >= 1 session");
         // Sketches saw every session.
@@ -757,22 +745,21 @@ mod tests {
 
     #[test]
     fn ab_mode_produces_population_did() {
-        let dir = temp_dir("ab");
-        let config = FleetConfig {
-            shards: 3,
-            epochs: 4,
-            seed: 11,
-            state_dir: dir.clone(),
-            ab: Some(AbSplit {
-                intervention_epoch: 2,
-            }),
-            ..FleetConfig::default()
+        let cell = Cell {
+            config: FleetConfig {
+                epochs: 4,
+                seed: 11,
+                ab: Some(AbSplit {
+                    intervention_epoch: 2,
+                }),
+                ..FleetConfig::default()
+            },
+            scenario: FleetScenario {
+                abr_mix: AbrMix::all_hyb(),
+                ..small_scenario()
+            },
         };
-        let scenario = FleetScenario {
-            abr_mix: AbrMix::all_hyb(),
-            ..small_scenario()
-        };
-        let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
+        let report = cell.run(3).unwrap();
         let did = report.did.expect("A/B mode reports DiD");
         assert_eq!(did.watch_time.daily_rel_diff_pct.len(), 4);
         assert!(did.watch_time.did.effect.is_finite());
@@ -781,29 +768,27 @@ mod tests {
             let t = e.treatment.unwrap();
             assert!(c.sessions > 0 && t.sessions > 0);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A stall-heavy all-HYB cell: every user is managed, optimizes and
     /// persists state.
-    fn managed_cell(dir: &std::path::Path) -> (FleetConfig, FleetScenario) {
-        let scenario = FleetScenario {
-            abr_mix: AbrMix::all_hyb(),
-            mixture: lingxi_net::ProductionMixture {
-                p_constrained: 0.6,
-                p_cellular: 0.3,
-                p_wifi: 0.1,
+    fn managed_cell() -> Cell {
+        Cell {
+            config: FleetConfig {
+                epochs: 1,
+                seed: 3,
+                ..FleetConfig::default()
             },
-            ..small_scenario()
-        };
-        let config = FleetConfig {
-            shards: 2,
-            epochs: 1,
-            seed: 3,
-            state_dir: dir.to_path_buf(),
-            ..FleetConfig::default()
-        };
-        (config, scenario)
+            scenario: FleetScenario {
+                abr_mix: AbrMix::all_hyb(),
+                mixture: lingxi_net::ProductionMixture {
+                    p_constrained: 0.6,
+                    p_cellular: 0.3,
+                    p_wifi: 0.1,
+                },
+                ..small_scenario()
+            },
+        }
     }
 
     fn persisted_ids(dir: &std::path::Path) -> Vec<u64> {
@@ -813,17 +798,18 @@ mod tests {
 
     #[test]
     fn state_persists_and_warm_starts_across_runs() {
-        let dir = temp_dir("persist");
-        let (config, scenario) = managed_cell(&dir);
-        let first = FleetEngine::new(config.clone())
-            .unwrap()
-            .run(&scenario)
-            .unwrap();
+        let dir = ScratchDir::claim();
+        let cell = managed_cell();
+        let first = cell.complete_in(dir.path(), 2).unwrap();
         assert!(first.state_warnings.is_empty());
-        assert_eq!(persisted_ids(&dir).len(), 24, "write-behind flushed all");
+        assert_eq!(
+            persisted_ids(dir.path()).len(),
+            24,
+            "write-behind flushed all"
+        );
         // Tear the tail of one shard log (a crash mid-append): the second
         // run warm-starts from disk and surfaces the truncation.
-        let torn = std::fs::read_dir(&dir)
+        let torn = std::fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.extension().is_some_and(|x| x == "log"))
@@ -832,7 +818,7 @@ mod tests {
         let mut bytes = std::fs::read(&torn).unwrap();
         bytes.extend_from_slice(&[0xAB; 7]);
         std::fs::write(&torn, bytes).unwrap();
-        let second = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
+        let second = cell.complete_in(dir.path(), 2).unwrap();
         assert_eq!(
             second.state_warnings.len(),
             1,
@@ -842,53 +828,46 @@ mod tests {
         let shard = torn.file_name().unwrap().to_string_lossy().into_owned();
         assert!(second.state_warnings[0].contains(&shard));
         assert!(second.cache.misses > 0, "warm start loads from the log");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn legacy_json_state_dir_is_refused_not_silently_reset() {
-        let dir = temp_dir("legacy_json");
-        let (config, scenario) = managed_cell(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("user_5.json"), "{}").unwrap();
-        let err = FleetEngine::new(config)
-            .unwrap()
-            .run(&scenario)
-            .unwrap_err();
+        let dir = ScratchDir::claim();
+        std::fs::create_dir_all(dir.path()).unwrap();
+        std::fs::write(dir.path().join("user_5.json"), "{}").unwrap();
+        let err = managed_cell().complete_in(dir.path(), 2).unwrap_err();
         assert!(
             err.to_string()
                 .contains("holds \"user_5.json\" but no manifest.json"),
             "{err}"
         );
         assert!(
-            !dir.join("manifest.json").exists(),
+            !dir.path().join("manifest.json").exists(),
             "refusal must not initialise a log over the JSON state"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn abr_mix_runs_unmanaged_policies() {
-        let dir = temp_dir("mix");
-        let config = FleetConfig {
-            shards: 2,
-            epochs: 1,
-            seed: 5,
-            state_dir: dir.clone(),
-            ..FleetConfig::default()
-        };
-        let scenario = FleetScenario {
-            // No HYB users at all: nothing is managed, no state persists.
-            abr_mix: AbrMix {
-                p_hyb: 0.0,
-                p_throughput: 0.5,
+        let cell = Cell {
+            config: FleetConfig {
+                epochs: 1,
+                seed: 5,
+                ..FleetConfig::default()
             },
-            ..small_scenario()
+            scenario: FleetScenario {
+                // No HYB users at all: nothing is managed, no state persists.
+                abr_mix: AbrMix {
+                    p_hyb: 0.0,
+                    p_throughput: 0.5,
+                },
+                ..small_scenario()
+            },
         };
-        let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
+        let dir = ScratchDir::claim();
+        let report = cell.complete_in(dir.path(), 2).unwrap();
         assert!(report.sessions > 0);
-        assert!(persisted_ids(&dir).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(persisted_ids(dir.path()).is_empty());
     }
 
     #[test]
@@ -904,15 +883,14 @@ mod tests {
         assert!(FleetEngine::new(config).is_err());
     }
 
+    /// (Shard invariance and kill/resume of a dynamic cohort are a row of
+    /// `tests/contract.rs`.)
     #[test]
     fn dynamic_population_reports_per_class_metrics() {
-        let run = |shards: usize, tag: &str| {
-            let dir = temp_dir(tag);
-            let config = FleetConfig {
-                shards,
+        let cell = Cell {
+            config: FleetConfig {
                 epochs: 2,
                 seed: 13,
-                state_dir: dir.clone(),
                 contention: Some(ContentionConfig {
                     links: 4,
                     capacity_kbps: 25_000.0,
@@ -925,21 +903,16 @@ mod tests {
                     day_seconds: 600.0,
                 }),
                 ..FleetConfig::default()
-            };
-            let report = FleetEngine::new(config)
-                .unwrap()
-                .run(&small_scenario())
-                .unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-            report
+            },
+            scenario: small_scenario(),
         };
-        let one = run(1, "dyn1");
-        let four = run(4, "dyn4");
-        // The dynamic cohort and its merged metrics are shard-invariant.
-        assert_eq!(one.first_divergence(&four), None);
-        assert!(one.users > 0, "Poisson(0.05/s × 600s × 2 epochs) arrivals");
-        assert_eq!(one.class_names, vec!["mobile", "desktop", "tv"]);
-        for e in &one.epochs {
+        let report = cell.run(1).unwrap();
+        assert!(
+            report.users > 0,
+            "Poisson(0.05/s × 600s × 2 epochs) arrivals"
+        );
+        assert_eq!(report.class_names, vec!["mobile", "desktop", "tv"]);
+        for e in &report.epochs {
             assert_eq!(e.classes.len(), 3);
             let class_sessions: usize = e.classes.iter().map(|c| c.sessions).sum();
             assert_eq!(class_sessions, e.all.sessions, "classes partition the day");

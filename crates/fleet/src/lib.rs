@@ -12,7 +12,9 @@
 //! runs the same six stages — populate → dispatch → partition → run
 //! shards → merge → flush/checkpoint (see [`engine`]); the optional modes
 //! of [`FleetConfig`] choose what a stage does, never which stages run.
-//! See ARCHITECTURE.md for the data-flow diagram.
+//! [`harness`] runs a cell under the determinism contract — 1/4/8
+//! shards, killed and resumed at every inner barrier. See
+//! ARCHITECTURE.md for the data-flow diagram.
 //!
 //! ```
 //! use lingxi_fleet::{FleetConfig, FleetEngine, FleetScenario};
@@ -34,6 +36,7 @@ pub mod config;
 pub(crate) mod contention;
 pub mod dispatch;
 pub mod engine;
+pub mod harness;
 pub mod report;
 
 pub use checkpoint::{FleetCheckpoint, CHECKPOINT_FILE, CHECKPOINT_SCHEMA};
@@ -57,6 +60,9 @@ pub enum FleetError {
     Subsystem(String),
     /// A shard worker panicked.
     WorkerPanic(String),
+    /// Two runs the determinism contract says are bit-identical were not
+    /// (see [`harness::Cell::contract`]).
+    Divergence(String),
 }
 
 impl std::fmt::Display for FleetError {
@@ -65,6 +71,7 @@ impl std::fmt::Display for FleetError {
             FleetError::InvalidConfig(m) => write!(f, "invalid config: {m}"),
             FleetError::Subsystem(m) => write!(f, "subsystem failure: {m}"),
             FleetError::WorkerPanic(m) => write!(f, "worker panic: {m}"),
+            FleetError::Divergence(m) => write!(f, "determinism contract broken: {m}"),
         }
     }
 }

@@ -268,52 +268,44 @@ impl FleetReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ContentionConfig, FleetConfig, FleetEngine, FleetReport, FleetScenario};
+    use crate::harness::Cell;
+    use crate::{ContentionConfig, FleetConfig, FleetReport, FleetScenario};
     use crate::{DispatchConfig, DispatchPolicy, PopulationDynamics};
     use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
 
     /// A contended dynamics cell under LSQ: every compared field —
     /// classes, sketches, dispatch records — is populated.
-    fn run(shards: usize) -> FleetReport {
-        let dir = std::env::temp_dir().join(format!(
-            "lingxi_report_test_{shards}_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = FleetConfig {
-            shards,
-            seed: 13,
-            state_dir: dir.clone(),
-            contention: Some(ContentionConfig {
-                links: 4,
-                arrival_window: 10.0,
-                ..ContentionConfig::default()
-            }),
-            dynamics: Some(PopulationDynamics {
-                arrivals: ArrivalKind::Poisson(Poisson { rate_per_sec: 0.05 }),
-                registry: ClassRegistry::default_heterogeneous(),
-                day_seconds: 600.0,
-            }),
-            dispatch: Some(DispatchConfig {
-                policy: DispatchPolicy::Lsq { dispatchers: 2 },
-                capacity_weights: Vec::new(),
-            }),
-            ..FleetConfig::default()
-        };
-        let scenario = FleetScenario {
-            n_users: 24,
-            n_videos: 8,
-            ..FleetScenario::default()
-        };
-        let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        report
+    fn cell() -> Cell {
+        Cell {
+            config: FleetConfig {
+                seed: 13,
+                contention: Some(ContentionConfig {
+                    links: 4,
+                    arrival_window: 10.0,
+                    ..ContentionConfig::default()
+                }),
+                dynamics: Some(PopulationDynamics {
+                    arrivals: ArrivalKind::Poisson(Poisson { rate_per_sec: 0.05 }),
+                    registry: ClassRegistry::default_heterogeneous(),
+                    day_seconds: 600.0,
+                }),
+                dispatch: Some(DispatchConfig {
+                    policy: DispatchPolicy::Lsq { dispatchers: 2 },
+                    capacity_weights: Vec::new(),
+                }),
+                ..FleetConfig::default()
+            },
+            scenario: FleetScenario {
+                n_users: 24,
+                n_videos: 8,
+                ..FleetScenario::default()
+            },
+        }
     }
 
     #[test]
     fn first_divergence_names_the_epoch_and_field_and_ignores_run_diagnostics() {
-        let one = run(1);
-        assert_eq!(one.first_divergence(&run(3)), None);
+        let one = cell().run(1).unwrap();
         assert!(one.epochs.len() == 2 && one.sessions > 0);
 
         let doctored = |edit: &dyn Fn(&mut FleetReport)| {

@@ -9,61 +9,38 @@
 //! snapshots/weights; the engine-level contracts run full (small) fleet
 //! runs.
 
+use lingxi_fleet::harness::Cell;
 use lingxi_fleet::{
     static_link_of, ContentionConfig, DispatchConfig, DispatchPolicy, Dispatcher, FleetConfig,
-    FleetEngine, FleetScenario, Lsq, StaticHash, DISPATCH_STREAMS,
+    FleetReport, FleetScenario, Lsq, StaticHash, DISPATCH_STREAMS,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "lingxi_dispatch_props_{tag}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn scenario() -> FleetScenario {
-    FleetScenario {
-        name: "dispatch_props".into(),
-        n_users: 24,
-        n_videos: 8,
-        mean_sessions_per_epoch: 2.0,
-        ..FleetScenario::default()
-    }
-}
-
-fn contended(links: usize) -> ContentionConfig {
-    ContentionConfig {
-        links,
-        capacity_kbps: 20_000.0,
-        arrival_window: 10.0,
-        access_cap_factor: 1.5,
-    }
-}
-
-/// A contended fleet run with the given dispatch layer (or none).
-fn run_fleet(
-    shards: usize,
-    links: usize,
-    dispatch: Option<DispatchConfig>,
-    tag: &str,
-) -> lingxi_fleet::FleetReport {
-    let dir = temp_dir(tag);
-    let config = FleetConfig {
-        shards,
-        epochs: 2,
-        seed: 7,
-        state_dir: dir.clone(),
-        contention: Some(contended(links)),
-        dispatch,
-        ..FleetConfig::default()
+/// A contended fleet run at `shards` with the given dispatch layer (or
+/// none).
+fn run_fleet(shards: usize, links: usize, dispatch: Option<DispatchConfig>) -> FleetReport {
+    let cell = Cell {
+        config: FleetConfig {
+            epochs: 2,
+            seed: 7,
+            contention: Some(ContentionConfig {
+                links,
+                capacity_kbps: 20_000.0,
+                arrival_window: 10.0,
+                access_cap_factor: 1.5,
+            }),
+            dispatch,
+            ..FleetConfig::default()
+        },
+        scenario: FleetScenario {
+            name: "dispatch_props".into(),
+            n_users: 24,
+            n_videos: 8,
+            mean_sessions_per_epoch: 2.0,
+            ..FleetScenario::default()
+        },
     };
-    let report = FleetEngine::new(config).unwrap().run(&scenario()).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    report
+    cell.run(shards).unwrap()
 }
 
 proptest! {
@@ -169,16 +146,17 @@ proptest! {
 
 /// Merged metrics are bit-identical across physical dispatcher counts:
 /// the engine-level version of the stream-pinning argument, through full
-/// contended runs at 1/2/4 dispatchers (and a shard-count cross-check).
+/// contended runs at 1/2/4 dispatchers. (The shard-count and kill/resume
+/// axes under LSQ are rows of `tests/contract.rs`.)
 #[test]
 fn merged_metrics_invariant_across_dispatcher_counts() {
     let lsq = |dispatchers: usize| DispatchConfig {
         policy: DispatchPolicy::Lsq { dispatchers },
         capacity_weights: vec![4.0, 1.0, 1.0, 1.0, 4.0, 1.0],
     };
-    let one = run_fleet(2, 6, Some(lsq(1)), "d1");
-    let two = run_fleet(2, 6, Some(lsq(2)), "d2");
-    let four = run_fleet(2, 6, Some(lsq(4)), "d4");
+    let one = run_fleet(2, 6, Some(lsq(1)));
+    let two = run_fleet(2, 6, Some(lsq(2)));
+    let four = run_fleet(2, 6, Some(lsq(4)));
     // Placements (not just aggregates) are part of the compared payload;
     // only the load accounting regroups.
     assert_eq!(one.first_divergence(&two), None);
@@ -192,10 +170,6 @@ fn merged_metrics_invariant_across_dispatcher_counts() {
             b.dispatcher_loads.iter().sum::<u64>()
         );
     }
-    // And across shard counts under LSQ, since shard ownership follows
-    // the placed link.
-    let eight_shards = run_fleet(8, 6, Some(lsq(2)), "d2s8");
-    assert_eq!(two.first_divergence(&eight_shards), None);
 }
 
 /// With no dispatch layer configured the engine places through
@@ -203,7 +177,7 @@ fn merged_metrics_invariant_across_dispatcher_counts() {
 /// `static_link_of` histogram of the cohort.
 #[test]
 fn default_placement_histogram_matches_static_link_of() {
-    let report = run_fleet(4, 6, None, "default");
+    let report = run_fleet(4, 6, None);
     let occ = report
         .max_weighted_occupancy()
         .expect("contention mode records placements");

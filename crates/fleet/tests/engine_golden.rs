@@ -20,19 +20,17 @@
 //! with the reason written down, via
 //! `cargo test -p lingxi-fleet --test engine_golden -- --ignored --nocapture`.
 
+use lingxi_fleet::harness::Cell;
 use lingxi_fleet::{
-    AbSplit, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetEngine,
-    FleetReport, FleetScenario, PopulationDynamics,
+    AbSplit, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetReport,
+    FleetScenario, PopulationDynamics,
 };
 use lingxi_workload::{ArrivalKind, ClassRegistry, FlashRamp};
 
-/// Run one cell in its own scratch state directory.
+/// Run one cell at its configured shard count in a scratch state
+/// directory.
 fn run_cell(name: &str, n_users: usize, config: FleetConfig) -> FleetReport {
-    let dir = std::env::temp_dir().join(format!(
-        "lingxi_engine_golden_{name}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let shards = config.shards;
     let scenario = FleetScenario {
         name: format!("golden_{name}"),
         n_users,
@@ -40,13 +38,7 @@ fn run_cell(name: &str, n_users: usize, config: FleetConfig) -> FleetReport {
         mean_sessions_per_epoch: 2.0,
         ..FleetScenario::default()
     };
-    let config = FleetConfig {
-        state_dir: dir.clone(),
-        ..config
-    };
-    let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    report
+    Cell { config, scenario }.run(shards).unwrap()
 }
 
 fn run_contended() -> FleetReport {

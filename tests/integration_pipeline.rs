@@ -177,31 +177,31 @@ fn predictor_training_pipeline_end_to_end() {
 #[test]
 fn ab_engine_runs_lingxi_vs_static_end_to_end() {
     use lingxi::core::{BinLogConfig, BinaryStateLog, StateBackend};
+    use lingxi::fleet::harness::{Cell, ScratchDir};
     use lingxi::fleet::{RunControl, RunOutcome};
 
     const N_USERS: usize = 240;
     const INTERVENTION: usize = 5;
-    let dir = std::env::temp_dir().join(format!("lingxi_it_ab_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = FleetConfig {
-        shards: 2,
-        epochs: 10,
-        seed: 6,
-        state_dir: dir.clone(),
-        ab: Some(AbSplit {
-            intervention_epoch: INTERVENTION,
-        }),
-        ..FleetConfig::default()
+    let cell = Cell {
+        config: FleetConfig {
+            epochs: 10,
+            seed: 6,
+            ab: Some(AbSplit {
+                intervention_epoch: INTERVENTION,
+            }),
+            ..FleetConfig::default()
+        },
+        scenario: FleetScenario {
+            name: "ab".into(),
+            n_users: N_USERS,
+            n_videos: 12,
+            abr_mix: AbrMix::all_hyb(),
+            ..FleetScenario::default()
+        },
     };
-    let scenario = FleetScenario {
-        name: "ab".into(),
-        n_users: N_USERS,
-        n_videos: 12,
-        abr_mix: AbrMix::all_hyb(),
-        ..FleetScenario::default()
-    };
+    let dir = ScratchDir::claim();
     let persisted = || {
-        let log = BinaryStateLog::open(&dir, BinLogConfig::default()).unwrap();
+        let log = BinaryStateLog::open(dir.path(), BinLogConfig::default()).unwrap();
         log.scan().unwrap().ids
     };
 
@@ -211,9 +211,8 @@ fn ab_engine_runs_lingxi_vs_static_end_to_end() {
         resume: false,
         stop_after_epochs: Some(INTERVENTION),
     };
-    let engine = FleetEngine::new(config).unwrap();
     assert!(matches!(
-        engine.run_resumable(&scenario, aa).unwrap(),
+        cell.run_in(dir.path(), 2, aa).unwrap(),
         RunOutcome::Suspended(_)
     ));
     assert_eq!(persisted(), Vec::<u64>::new());
@@ -224,12 +223,11 @@ fn ab_engine_runs_lingxi_vs_static_end_to_end() {
         resume: true,
         stop_after_epochs: None,
     };
-    let RunOutcome::Complete(report) = engine.run_resumable(&scenario, ab).unwrap() else {
+    let RunOutcome::Complete(report) = cell.run_in(dir.path(), 2, ab).unwrap() else {
         panic!("the resumed run completes");
     };
     let treatment: Vec<u64> = (0..N_USERS as u64).filter(|id| id % 2 == 1).collect();
     assert_eq!(persisted(), treatment);
-    let _ = std::fs::remove_dir_all(&dir);
 
     let did = report.did.expect("A/B mode reports DiD");
     assert!(
