@@ -104,20 +104,43 @@ impl GpModel {
         if q.len() != self.x[0].len() {
             return Err(BayesError::InvalidConfig("query dimension mismatch".into()));
         }
-        let kq: Vec<f64> = self
-            .x
-            .iter()
-            .map(|p| self.config.kernel.eval(p, q))
-            .collect();
-        let mean_st: f64 = kq.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
-        // var = k(q,q) − kqᵀ K⁻¹ kq via v = L⁻¹ kq.
-        let v = self.chol.solve_lower(&kq)?;
-        let var_st =
-            (self.config.kernel.variance() - v.iter().map(|x| x * x).sum::<f64>()).max(1e-12);
-        Ok((
+        Ok(self.predict_into(q, &mut Vec::new()))
+    }
+
+    /// [`GpModel::predict`] into a caller-owned solve buffer `v`, for
+    /// scoring many queries against one fit without allocating.
+    ///
+    /// `q` must have the fitted dimension (the caller's contract; `fit`
+    /// checked every observation). One pass over the observations builds
+    /// the kernel vector `k_q` a row at a time, accumulates the mean
+    /// `k_qᵀα` and forward-solves `v = L⁻¹ k_q` in place, in the operation
+    /// order of the separate kernel-vector / dot-product / `solve_lower`
+    /// steps — so the result is bit-identical to them.
+    pub fn predict_into(&self, q: &[f64], v: &mut Vec<f64>) -> (f64, f64) {
+        debug_assert_eq!(q.len(), self.x[0].len(), "query dimension mismatch");
+        v.clear();
+        // `Iterator::sum` over f64 folds from -0.0; the fused
+        // accumulators start there too.
+        let mut mean_st = -0.0;
+        let mut v_norm2 = -0.0;
+        for (i, (p, a)) in self.x.iter().zip(&self.alpha).enumerate() {
+            let kq = self.config.kernel.eval(p, q);
+            mean_st += kq * a;
+            // var = k(q,q) − kqᵀ K⁻¹ kq via v = L⁻¹ kq.
+            let row = &self.chol.factor_row(i)[..=i];
+            let mut sum = kq;
+            for (l, &vk) in row[..i].iter().zip(v.iter()) {
+                sum -= l * vk;
+            }
+            let vi = sum / row[i];
+            v.push(vi);
+            v_norm2 += vi * vi;
+        }
+        let var_st = (self.config.kernel.variance() - v_norm2).max(1e-12);
+        (
             mean_st * self.y_std + self.y_mean,
             var_st * self.y_std * self.y_std,
-        ))
+        )
     }
 
     /// Number of observations.
@@ -195,6 +218,31 @@ mod tests {
         assert!(GpModel::fit(bad, &[vec![0.1]], &[1.0]).is_err());
         let gp = GpModel::fit(GpConfig::default(), &[vec![0.1]], &[1.0]).unwrap();
         assert!(gp.predict(&[0.1, 0.2]).is_err());
+    }
+
+    /// The fused posterior is bit-identical to the separate kernel-vector,
+    /// dot-product and `solve_lower` steps it replaces, through a reused
+    /// buffer.
+    #[test]
+    fn predict_into_matches_the_unfused_steps() {
+        let x: Vec<Vec<f64>> = (0..7)
+            .map(|i| vec![(i as f64 * 0.37) % 1.0, (i as f64 * 0.61) % 1.0])
+            .collect();
+        let y: Vec<f64> = x.iter().map(|p| (p[0] - 0.3).powi(2) - p[1]).collect();
+        let gp = GpModel::fit(GpConfig::default(), &x, &y).unwrap();
+        let mut v = Vec::new();
+        for j in 0..50 {
+            let q = [(j as f64 * 0.173) % 1.0, (j as f64 * 0.291) % 1.0];
+            let kq: Vec<f64> = gp.x.iter().map(|p| gp.config.kernel.eval(p, &q)).collect();
+            let mean_st: f64 = kq.iter().zip(&gp.alpha).map(|(a, b)| a * b).sum();
+            let solved = gp.chol.solve_lower(&kq).unwrap();
+            let var_st = (gp.config.kernel.variance() - solved.iter().map(|x| x * x).sum::<f64>())
+                .max(1e-12);
+            let (mean, var) = gp.predict_into(&q, &mut v);
+            assert_eq!(mean.to_bits(), (mean_st * gp.y_std + gp.y_mean).to_bits());
+            assert_eq!(var.to_bits(), (var_st * gp.y_std * gp.y_std).to_bits());
+            assert_eq!(v, solved);
+        }
     }
 
     #[test]

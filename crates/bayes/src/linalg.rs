@@ -43,6 +43,11 @@ impl Cholesky {
         self.n
     }
 
+    /// Row `i` of `L` (zero above the diagonal).
+    pub(crate) fn factor_row(&self, i: usize) -> &[f64] {
+        &self.l[i * self.n..(i + 1) * self.n]
+    }
+
     /// Solve `L y = b` (forward substitution).
     pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
         if b.len() != self.n {

@@ -44,7 +44,10 @@ impl ObserverConfig {
 #[derive(Debug, Clone)]
 pub struct ObOptimizer {
     config: ObserverConfig,
-    observations: Vec<(Vec<f64>, f64)>,
+    /// Evaluated points, parallel to `ys`: the GP refit reads both as
+    /// they are stored.
+    xs: Vec<Vec<f64>>,
+    ys: Vec<f64>,
     warm_start: Option<Vec<f64>>,
 }
 
@@ -61,7 +64,8 @@ impl ObOptimizer {
         }
         Ok(Self {
             config,
-            observations: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
             warm_start: None,
         })
     }
@@ -83,21 +87,23 @@ impl ObOptimizer {
         if !y.is_finite() {
             return Err(BayesError::InvalidConfig("objective must be finite".into()));
         }
-        self.observations.push((x, y));
+        self.xs.push(x);
+        self.ys.push(y);
         Ok(())
     }
 
     /// Best observation so far.
     pub fn best(&self) -> Option<(&[f64], f64)> {
-        self.observations
+        self.xs
             .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(x, y)| (x.as_slice(), *y))
+            .zip(&self.ys)
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(x, &y)| (x.as_slice(), y))
     }
 
     /// Number of recorded trials.
     pub fn n_observations(&self) -> usize {
-        self.observations.len()
+        self.ys.len()
     }
 
     /// Propose the next candidate (`OBO.next_candidate()`).
@@ -107,7 +113,7 @@ impl ObOptimizer {
     /// `n_candidates` random points under the acquisition function.
     pub fn next_candidate<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let d = self.config.dim;
-        if self.observations.len() < self.config.warmup {
+        if self.ys.len() < self.config.warmup {
             return match &self.warm_start {
                 Some(x0) => x0
                     .iter()
@@ -119,36 +125,39 @@ impl ObOptimizer {
                 None => (0..d).map(|_| rng.gen()).collect(),
             };
         }
-        let xs: Vec<Vec<f64>> = self.observations.iter().map(|(x, _)| x.clone()).collect();
-        let ys: Vec<f64> = self.observations.iter().map(|(_, y)| *y).collect();
-        let best = self.best().map(|(_, y)| y).unwrap_or(0.0);
-        let gp = match GpModel::fit(self.config.gp, &xs, &ys) {
+        let gp = match GpModel::fit(self.config.gp, &self.xs, &self.ys) {
             Ok(g) => g,
             // Surrogate failure: degrade gracefully to random search.
             Err(_) => return (0..d).map(|_| rng.gen()).collect(),
         };
+        // A successful fit saw at least one observation, so there is an
+        // incumbent; it is fixed for the whole call.
+        let incumbent = self.best();
+        let best = incumbent.map(|(_, y)| y).unwrap_or(0.0);
         let mut best_x: Vec<f64> = (0..d).map(|_| rng.gen()).collect();
         let mut best_score = f64::NEG_INFINITY;
+        // One candidate buffer and one posterior solve buffer serve every
+        // candidate of the call.
+        let mut cand = vec![0.0; d];
+        let mut solve = Vec::with_capacity(self.ys.len());
         for i in 0..self.config.n_candidates {
             // Mix global uniform candidates with local ones near the
             // incumbent (classic BO candidate pool).
-            let cand: Vec<f64> = if i % 4 == 0 {
-                if let Some((bx, _)) = self.best() {
-                    bx.iter()
-                        .map(|&v| (v + (rng.gen::<f64>() * 2.0 - 1.0) * 0.1).clamp(0.0, 1.0))
-                        .collect()
-                } else {
-                    (0..d).map(|_| rng.gen()).collect()
+            match incumbent.filter(|_| i % 4 == 0) {
+                Some((bx, _)) => {
+                    for (c, &v) in cand.iter_mut().zip(bx) {
+                        *c = (v + (rng.gen::<f64>() * 2.0 - 1.0) * 0.1).clamp(0.0, 1.0);
+                    }
                 }
-            } else {
-                (0..d).map(|_| rng.gen()).collect()
-            };
-            if let Ok((mean, var)) = gp.predict(&cand) {
-                let score = self.config.acquisition.score(mean, var, best);
-                if score > best_score {
-                    best_score = score;
-                    best_x = cand;
-                }
+                None => cand.iter_mut().for_each(|c| *c = rng.gen()),
+            }
+            // Every observation and `cand` have dimension `d`, so the
+            // posterior cannot fail.
+            let (mean, var) = gp.predict_into(&cand, &mut solve);
+            let score = self.config.acquisition.score(mean, var, best);
+            if score > best_score {
+                best_score = score;
+                best_x.copy_from_slice(&cand);
             }
         }
         best_x

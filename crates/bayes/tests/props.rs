@@ -2,6 +2,8 @@
 
 use lingxi_bayes::*;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     // GP fits per case: moderate count keeps CI time bounded while
@@ -98,5 +100,131 @@ proptest! {
         let lcb2 = Acquisition::LowerConfidenceBound { kappa: 2.0 };
         // More exploration never lowers the score of an uncertain point.
         prop_assert!(lcb2.score(mean, var, best) >= lcb1.score(mean, var, best) - 1e-12);
+    }
+}
+
+/// `ObOptimizer::next_candidate` as it was written before the scorer
+/// reused its buffers: a refit, then a fresh candidate `Vec` and an
+/// allocating `GpModel::predict` per candidate, the incumbent looked up
+/// per local candidate, and a candidate skipped when its posterior fails.
+fn reference_next_candidate(
+    config: &ObserverConfig,
+    warm_start: Option<&[f64]>,
+    observations: &[(Vec<f64>, f64)],
+    rng: &mut StdRng,
+) -> Vec<f64> {
+    let d = config.dim;
+    let best_obs = || {
+        observations
+            .iter()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(x, y)| (x.as_slice(), *y))
+    };
+    if observations.len() < config.warmup {
+        return match warm_start {
+            Some(x0) => x0
+                .iter()
+                .map(|&v| {
+                    (v.clamp(0.0, 1.0) + (rng.gen::<f64>() * 2.0 - 1.0) * config.warm_radius)
+                        .clamp(0.0, 1.0)
+                })
+                .collect(),
+            None => (0..d).map(|_| rng.gen()).collect(),
+        };
+    }
+    let xs: Vec<Vec<f64>> = observations.iter().map(|(x, _)| x.clone()).collect();
+    let ys: Vec<f64> = observations.iter().map(|(_, y)| *y).collect();
+    let best = best_obs().map(|(_, y)| y).unwrap_or(0.0);
+    let gp = match GpModel::fit(config.gp, &xs, &ys) {
+        Ok(g) => g,
+        Err(_) => return (0..d).map(|_| rng.gen()).collect(),
+    };
+    let mut best_x: Vec<f64> = (0..d).map(|_| rng.gen()).collect();
+    let mut best_score = f64::NEG_INFINITY;
+    for i in 0..config.n_candidates {
+        let cand: Vec<f64> = if i % 4 == 0 {
+            if let Some((bx, _)) = best_obs() {
+                bx.iter()
+                    .map(|&v| (v + (rng.gen::<f64>() * 2.0 - 1.0) * 0.1).clamp(0.0, 1.0))
+                    .collect()
+            } else {
+                (0..d).map(|_| rng.gen()).collect()
+            }
+        } else {
+            (0..d).map(|_| rng.gen()).collect()
+        };
+        if let Ok((mean, var)) = gp.predict(&cand) {
+            let score = config.acquisition.score(mean, var, best);
+            if score > best_score {
+                best_score = score;
+                best_x = cand;
+            }
+        }
+    }
+    best_x
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The allocation-free scorer proposes bit-identical candidates, and
+    /// leaves the caller's RNG where the allocating reference does, across
+    /// dimensions 1..3, warmup and surrogate phases (0..12 observations),
+    /// each acquisition, and duplicate points that force the fit's jitter
+    /// escalation (a near-zero noise floor makes the kernel matrix
+    /// singular).
+    #[test]
+    fn next_candidate_matches_allocating_reference(
+        dim in 1usize..=3,
+        n_obs in 0usize..12,
+        distinct in 1usize..6,
+        tiny_noise in 0u8..2,
+        warm in 0u8..2,
+        acquisition in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut config = ObserverConfig::for_dim(dim);
+        config.n_candidates = 64;
+        if tiny_noise == 1 {
+            config.gp.noise = 1e-15;
+        }
+        config.acquisition = [
+            Acquisition::default_ei(),
+            Acquisition::ProbabilityOfImprovement { xi: 0.01 },
+            Acquisition::LowerConfidenceBound { kappa: 2.0 },
+        ][acquisition];
+        let mut gen = StdRng::seed_from_u64(seed);
+        // `distinct` points, revisited round-robin: duplicates whenever
+        // n_obs > distinct.
+        let points: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| (0..dim).map(|_| gen.gen()).collect())
+            .collect();
+        let observations: Vec<(Vec<f64>, f64)> = (0..n_obs)
+            .map(|i| (points[i % distinct].clone(), gen.gen::<f64>() * 0.2))
+            .collect();
+        let warm_start: Option<Vec<f64>> =
+            (warm == 1).then(|| (0..dim).map(|_| gen.gen::<f64>() * 1.4 - 0.2).collect());
+
+        let mut opt = ObOptimizer::new(config).unwrap();
+        if let Some(x0) = &warm_start {
+            opt.init_with(x0).unwrap();
+        }
+        for (x, y) in &observations {
+            opt.update(x.clone(), *y).unwrap();
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut reference_rng = rng.clone();
+        for _ in 0..3 {
+            let got = opt.next_candidate(&mut rng);
+            let want = reference_next_candidate(
+                &config,
+                warm_start.as_deref(),
+                &observations,
+                &mut reference_rng,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+        }
     }
 }
