@@ -13,7 +13,7 @@ use lingxi_player::{PlayerEnv, SegmentRecord};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::montecarlo::{evaluate_parameters_in, McConfig, McScratch};
+use crate::montecarlo::{evaluate_in_pass, McConfig, McScratch};
 use crate::predictor::RolloutPredictor;
 use crate::{CoreError, Result};
 
@@ -271,9 +271,12 @@ impl LingXiController {
 
     /// Run one full optimization pass (Algorithm 1 lines 7–20) and deploy
     /// the winner to `abr`. Returns `None` when the trigger hasn't fired
-    /// or the pre-playback prune removed the work. Rollouts build their
-    /// virtual video in the caller's `scratch`; a fresh one and a reused
-    /// one give identical results.
+    /// or the pre-playback prune removed the work. A pass that runs draws
+    /// one pass seed from `rng`, and its candidates are compared on the
+    /// common random numbers it seeds (see [`crate::montecarlo`]); the
+    /// optimizer's proposals draw from `rng` after it. Rollouts work in
+    /// the caller's `scratch`; a fresh one and a reused one give identical
+    /// results.
     pub fn maybe_optimize_in<R: Rng + ?Sized>(
         &mut self,
         abr: &mut dyn Abr,
@@ -297,9 +300,11 @@ impl LingXiController {
             _ => return Ok(None),
         };
 
-        // The incumbent and every challenger go through this one call.
-        let mut evaluate = |params, prune_threshold, rng: &mut R| {
-            evaluate_parameters_in(
+        // The incumbent and every challenger go through this one call, as
+        // candidates of one pass: rollout m of each replays the same draws.
+        scratch.begin_pass(rng.gen());
+        let mut evaluate = |params, prune_threshold| {
+            evaluate_in_pass(
                 abr,
                 params,
                 bandwidth,
@@ -310,12 +315,11 @@ impl LingXiController {
                 &self.config.mc,
                 prune_threshold,
                 scratch,
-                rng,
             )
         };
         // Evaluate the incumbent first: challengers must beat it by the
         // adoption margin, so flat objectives keep the current parameters.
-        let mut best_rate = evaluate(self.best_params, None, rng)?.exit_rate;
+        let mut best_rate = evaluate(self.best_params, None)?.exit_rate;
         let mut best_params = self.best_params;
         let mut pruned_trials = 0usize;
         let mut trials = 1usize;
@@ -352,7 +356,7 @@ impl LingXiController {
                 },
             };
             let prune = best_rate.is_finite().then_some(best_rate);
-            let eval = evaluate(candidate, prune, rng)?;
+            let eval = evaluate(candidate, prune)?;
             trials += 1;
             if eval.pruned {
                 pruned_trials += 1;

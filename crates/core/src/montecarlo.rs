@@ -3,10 +3,20 @@
 //! Each of `M` rollouts forks the live player environment and user state,
 //! applies the candidate parameters to the ABR, draws each virtual
 //! segment's bandwidth from the client's normal model
-//! `N(μ_Cpast, σ²_Cpast)` (one draw per segment, from the caller's RNG) and
-//! asks the exit-rate predictor for a per-segment exit probability; a
-//! random draw against it ends the rollout. The estimate is
-//! `R_exit = exited_count / watched_count` over all samples.
+//! `N(μ_Cpast, σ²_Cpast)` and asks the exit-rate predictor for a
+//! per-segment exit probability; a uniform draw against it ends the
+//! rollout. The estimate is `R_exit = exited_count / watched_count` over
+//! all samples.
+//!
+//! Candidates of one optimization pass are compared on common random
+//! numbers: a pass has one seed ([`McScratch::begin_pass`]), rollout `m`
+//! of *every* candidate draws from the stream [`rollout_stream`]`(seed,
+//! m)`, and per virtual segment that stream yields the bandwidth, then the
+//! RTT, then the exit uniform ([`SegmentDraw`]). The draws never depend on
+//! the candidate, so the first candidate to reach segment `k` of rollout
+//! `m` draws it into the scratch's table and later candidates read it.
+//! Each evaluation is still Algorithm 2's estimate; only the comparison
+//! between siblings now happens on common paths.
 //!
 //! The first pruning stage of §4 lives here: when a `prune_threshold`
 //! (the minimum exit rate observed across sibling candidates) is given,
@@ -17,9 +27,11 @@
 use lingxi_abr::{Abr, AbrContext, QoeParams};
 use lingxi_exit::{StateMatrix, UserStateTracker};
 use lingxi_media::{BitrateLadder, SegmentSizes, VbrModel};
+use lingxi_net::RttModel;
 use lingxi_player::PlayerEnv;
 use lingxi_stats::NormalDist;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::predictor::{RolloutContext, RolloutPredictor};
@@ -74,6 +86,17 @@ impl McConfig {
     pub fn segments_per_sample(&self) -> usize {
         (self.t_sample / self.segment_duration).ceil() as usize
     }
+
+    /// Virtual segments a rollout plays unless it exits: the playback
+    /// clock advances by `segment_duration` while it is below `t_sample`.
+    fn rollout_steps(&self) -> usize {
+        let (mut t, mut steps) = (0.0, 0);
+        while t < self.t_sample {
+            t += self.segment_duration;
+            steps += 1;
+        }
+        steps
+    }
 }
 
 /// Outcome of one evaluation.
@@ -87,20 +110,105 @@ pub struct McEvaluation {
     pub exited: usize,
     /// Whether early termination fired.
     pub pruned: bool,
-    /// Mean stall seconds per rollout (diagnostic).
+    /// Mean stall seconds per rollout run (a pruned evaluation averages
+    /// over the rollouts it ran; diagnostic).
     pub mean_stall: f64,
 }
 
-/// Reusable scratch space for Monte-Carlo evaluations.
+/// The random inputs of one virtual segment, drawn in field order from
+/// its rollout's stream.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SegmentDraw {
+    /// Bandwidth `C_k` (kbps) from `N(μ, σ²)`, truncated below at 50 kbps.
+    pub bandwidth_kbps: f64,
+    /// RTT (seconds) from the player's RTT model.
+    pub rtt: f64,
+    /// Uniform on `[0, 1)`; the rollout exits when it falls below the
+    /// predicted exit probability.
+    pub exit_u: f64,
+}
+
+/// The stream rollout `m` of every candidate of the pass seeded `pass_seed`
+/// draws from.
+pub fn rollout_stream(pass_seed: u64, m: usize) -> StdRng {
+    StdRng::seed_from_u64(mix64(pass_seed ^ mix64(m as u64)))
+}
+
+/// SplitMix64 finalizer: decorrelates the per-rollout seeds (the vendored
+/// `seed_from_u64` expands by SplitMix64 steps, so seeds an increment
+/// apart would share most of their state).
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One pass's common random numbers: `samples × steps` segment draws,
+/// row `m` filled lazily, in segment order, from [`rollout_stream`]`(seed,
+/// m)` by whichever candidate first reaches a segment.
+#[derive(Debug, Default)]
+struct DrawTable {
+    seed: u64,
+    /// What the filled draws were made under. `None` after
+    /// [`McScratch::begin_pass`]; an evaluation under another model
+    /// re-seeds the rows, so every entry is a pure function of
+    /// (seed, model, m, k).
+    model: Option<(McConfig, NormalDist, RttModel)>,
+    steps: usize,
+    table: Vec<SegmentDraw>,
+    streams: Vec<StdRng>,
+    filled: Vec<usize>,
+}
+
+impl DrawTable {
+    fn prepare(&mut self, config: &McConfig, bandwidth: NormalDist, rtt: RttModel) {
+        let model = Some((*config, bandwidth, rtt));
+        if self.model == model {
+            return;
+        }
+        self.model = model;
+        self.steps = config.rollout_steps();
+        self.table
+            .resize(config.samples * self.steps, SegmentDraw::default());
+        self.streams.clear();
+        self.streams
+            .extend((0..config.samples).map(|m| rollout_stream(self.seed, m)));
+        self.filled.clear();
+        self.filled.resize(config.samples, 0);
+    }
+
+    /// Segment `k` of rollout `m`; rollouts read their segments in order,
+    /// so `k` is at most the row's fill count.
+    fn draw(&mut self, m: usize, k: usize, bandwidth: &NormalDist, rtt: &RttModel) -> SegmentDraw {
+        let slot = m * self.steps + k;
+        if k == self.filled[m] {
+            let stream = &mut self.streams[m];
+            let bandwidth_kbps = bandwidth.sample_truncated_low(stream, MIN_ROLLOUT_KBPS);
+            let rtt = rtt.sample(stream);
+            let exit_u = stream.gen::<f64>();
+            self.table[slot] = SegmentDraw {
+                bandwidth_kbps,
+                rtt,
+                exit_u,
+            };
+            self.filled[m] += 1;
+        }
+        self.table[slot]
+    }
+}
+
+/// Reusable scratch space for Monte-Carlo evaluations: the virtual video
+/// (a [`SegmentSizes`] table) and the current pass's draw table.
 ///
-/// Each evaluation builds a virtual video (a [`SegmentSizes`] table); a
-/// scratch owned by the caller amortizes that allocation across the many
-/// evaluations of an optimization pass — and, in the fleet engine, across
-/// every session a user agent runs. A fresh scratch and a reused one give
-/// identical results, so nothing depends on scratch reuse.
+/// A scratch owned by the caller amortizes both allocations across the
+/// evaluations of a pass — and, in the fleet engine, across every session
+/// a user agent runs. The draws of a pass depend only on its seed, so a
+/// fresh scratch and a reused one give identical results.
 #[derive(Debug, Default)]
 pub struct McScratch {
     sizes: Option<SegmentSizes>,
+    draws: DrawTable,
 }
 
 impl McScratch {
@@ -108,10 +216,31 @@ impl McScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Start a pass seeded `seed`: every evaluation until the next call
+    /// is a candidate of this pass, and rollout `m` of each draws from
+    /// [`rollout_stream`]`(seed, m)`.
+    pub fn begin_pass(&mut self, seed: u64) {
+        self.draws.seed = seed;
+        self.draws.model = None;
+    }
+
+    /// The segment draws rollout `m` of the current pass has made so far
+    /// (empty before the pass's first evaluation, or past `M`).
+    pub fn rollout_draws(&self, m: usize) -> &[SegmentDraw] {
+        match (self.draws.model, self.draws.filled.get(m)) {
+            (Some(_), Some(&filled)) => {
+                let start = m * self.draws.steps;
+                &self.draws.table[start..start + filled]
+            }
+            _ => &[],
+        }
+    }
 }
 
-/// Evaluate candidate `params` by virtual playback (Algorithm 2), building
-/// the virtual video in the caller's `scratch`.
+/// Evaluate candidate `params` by virtual playback (Algorithm 2) as a
+/// one-candidate pass: the pass seed is one draw from `rng`, then
+/// [`evaluate_in_pass`].
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_parameters_in<R: Rng + ?Sized>(
     abr: &mut dyn Abr,
@@ -126,6 +255,37 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
     scratch: &mut McScratch,
     rng: &mut R,
 ) -> Result<McEvaluation> {
+    scratch.begin_pass(rng.gen());
+    evaluate_in_pass(
+        abr,
+        params,
+        bandwidth,
+        user_state,
+        env,
+        ladder,
+        predictor,
+        config,
+        prune_threshold,
+        scratch,
+    )
+}
+
+/// Evaluate candidate `params` by virtual playback (Algorithm 2) as one
+/// candidate of the pass `scratch` is on ([`McScratch::begin_pass`]):
+/// its rollouts replay the pass's common draws.
+#[allow(clippy::too_many_arguments)]
+pub fn evaluate_in_pass(
+    abr: &mut dyn Abr,
+    params: QoeParams,
+    bandwidth: NormalDist,
+    user_state: &UserStateTracker,
+    env: &PlayerEnv,
+    ladder: &BitrateLadder,
+    predictor: &mut dyn RolloutPredictor,
+    config: &McConfig,
+    prune_threshold: Option<f64>,
+    scratch: &mut McScratch,
+) -> Result<McEvaluation> {
     config.validate()?;
     if !(bandwidth.mu > 0.0) {
         return Err(CoreError::InvalidConfig(
@@ -133,10 +293,14 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
         ));
     }
     let n_segments = config.segments_per_sample();
+    let McScratch { sizes, draws } = scratch;
+    let rtt = env.config().rtt;
+    draws.prepare(config, bandwidth, rtt);
     // Virtual video: CBR segments at the ladder's nominal rates. CBR draws
-    // nothing from `rng`, so refilling a reused table and generating a
-    // fresh one are indistinguishable.
-    let sizes: &SegmentSizes = match &mut scratch.sizes {
+    // nothing from its stream, so a constant one serves, and refilling a
+    // reused table and generating a fresh one are indistinguishable.
+    let cbr_stream = &mut StdRng::seed_from_u64(0);
+    let sizes: &SegmentSizes = match sizes {
         Some(sizes) => {
             sizes
                 .refill(
@@ -144,7 +308,7 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
                     n_segments,
                     config.segment_duration,
                     &VbrModel::cbr(),
-                    rng,
+                    cbr_stream,
                 )
                 .map_err(|e| CoreError::Subsystem(e.to_string()))?;
             sizes
@@ -155,7 +319,7 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
                 n_segments,
                 config.segment_duration,
                 &VbrModel::cbr(),
-                rng,
+                cbr_stream,
             )
             .map_err(|e| CoreError::Subsystem(e.to_string()))?,
         ),
@@ -165,6 +329,7 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
     let mut watched = 0usize;
     let mut exited = 0usize;
     let mut total_stall = 0.0;
+    let mut rollouts = 0usize;
     let mut pruned = false;
 
     // Predictors that only read the short-term context get a zero matrix;
@@ -186,10 +351,9 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
         let mut tracker = wants_state.then(|| user_state.clone());
         abr.reset();
         let mut t_sim = 0.0;
-        let mut k = 0usize;
         let mut session_stall = 0.0;
         let mut session_events = 0usize;
-        while t_sim < config.t_sample {
+        for k in 0..draws.steps {
             let ctx = AbrContext {
                 ladder,
                 sizes,
@@ -200,11 +364,18 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
             let size = sizes
                 .size_kbits(k.min(n_segments - 1), level)
                 .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-            // Every draw (bandwidth, RTT, exit) comes from this one stream.
-            let c_k = bandwidth.sample_truncated_low(rng, MIN_ROLLOUT_KBPS);
+            // Bandwidth, RTT and exit uniform: rollout m's k-th draws,
+            // common to every candidate of the pass.
+            let draw = draws.draw(m, k, &bandwidth, &rtt);
             let prev = env_sim.last_level();
             let outcome = env_sim
-                .step(size, level, c_k, config.segment_duration, rng)
+                .step_with_rtt(
+                    size,
+                    level,
+                    draw.bandwidth_kbps,
+                    config.segment_duration,
+                    draw.rtt,
+                )
                 .map_err(|e| CoreError::Subsystem(e.to_string()))?;
             total_stall += outcome.stall_time;
 
@@ -246,8 +417,7 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
             let p_exit = predictor.predict(&matrix, &rollout_ctx).clamp(0.0, 1.0);
             watched += 1;
             t_sim += config.segment_duration;
-            k += 1;
-            if rng.gen::<f64>() < p_exit {
+            if draw.exit_u < p_exit {
                 exited += 1;
                 if let Some(tracker) = tracker.as_mut().filter(|_| stalled) {
                     tracker.push_stall_exit();
@@ -255,6 +425,7 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
                 break;
             }
         }
+        rollouts += 1;
 
         // Early-termination pruning (§4): optimistic bound on the final
         // exit rate assuming every remaining rollout watches its full
@@ -278,7 +449,7 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
         watched,
         exited,
         pruned,
-        mean_stall: total_stall / config.samples as f64,
+        mean_stall: total_stall / rollouts as f64,
     })
 }
 
@@ -360,6 +531,22 @@ mod tests {
         let eval = evaluate(0.5, RICH_LINK, &cfg, Some(0.01), &mut McScratch::new(), 4);
         assert!(eval.pruned);
         assert!(eval.watched < cfg.samples * cfg.segments_per_sample() / 2);
+    }
+
+    /// A pruned evaluation averages its stall over the rollouts it ran.
+    /// Rollout m's draws do not depend on M, so a threshold of 0 (prune
+    /// after the first rollout) at M = 8 must report what M = 1 does.
+    #[test]
+    fn pruned_mean_stall_averages_the_rollouts_run() {
+        let low = (300.0, 50.0);
+        let cfg = McConfig::default();
+        let pruned = evaluate(0.0, low, &cfg, Some(0.0), &mut McScratch::new(), 6);
+        let one = McConfig { samples: 1, ..cfg };
+        let single = evaluate(0.0, low, &one, None, &mut McScratch::new(), 6);
+        assert!(pruned.pruned && !single.pruned);
+        assert_eq!(pruned.watched, single.watched);
+        assert!(single.mean_stall > 0.0);
+        assert_eq!(pruned.mean_stall, single.mean_stall);
     }
 
     #[test]

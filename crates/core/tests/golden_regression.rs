@@ -8,6 +8,14 @@
 //! truncated-normal sample per virtual segment; both must keep the same
 //! RNG stream and float expressions, so every assertion here is
 //! *bit-exact*.
+//!
+//! Re-pinned once, when optimization passes moved to common random
+//! numbers: a pass (and a lone `evaluate_parameters_in`, a one-candidate
+//! pass) draws one seed from the caller's stream, and rollout `m` of every
+//! candidate replays the stream seeded from (pass seed, `m`) — bandwidth,
+//! RTT, exit uniform per segment — instead of drawing from the caller's
+//! stream. Both pins moved with the draws; the session's first pass is
+//! where its stream diverges.
 // The literals carry every digit of the captured doubles on purpose.
 #![allow(clippy::excessive_precision)]
 
@@ -40,7 +48,7 @@ fn managed_session_bit_identical_to_pre_refactor() {
     )
     .unwrap();
     // Sub-ladder-floor bandwidth: stalls on every segment, so the session
-    // exercises the optimizer path (12 deployments) and its RNG draws.
+    // exercises the optimizer path (8 deployments) and its RNG draws.
     let trace = BandwidthTrace::new(1.0, vec![300.0, 310.0, 290.0, 305.0]).unwrap();
     let profile = StallProfile::new(SensitivityKind::Insensitive, 10.0, 0.05).unwrap();
     let mut abr = Hyb::default_rule();
@@ -73,14 +81,14 @@ fn managed_session_bit_identical_to_pre_refactor() {
     play(&setup, &mut hooks).unwrap();
     let log = buffers.log();
 
-    assert_eq!(log.watch_time, 52.0);
-    assert_eq!(log.segments.len(), 26);
-    assert_eq!(log.total_stall(), 8.10632183908045967e0);
-    assert_eq!(buffers.deployments().len(), 12);
+    assert_eq!(log.watch_time, 36.0);
+    assert_eq!(log.segments.len(), 18);
+    assert_eq!(log.total_stall(), 5.49610678531701957e0);
+    assert_eq!(buffers.deployments().len(), 8);
     let tp_sum: f64 = log.segments.iter().map(|s| s.throughput_kbps).sum();
-    assert_eq!(tp_sum, 7.83265522088428861e3);
+    assert_eq!(tp_sum, 5.42524712157330305e3);
     let dl_sum: f64 = log.segments.iter().map(|s| s.download_time).sum();
-    assert_eq!(dl_sum, 6.04166666666666714e1);
+    assert_eq!(dl_sum, 4.18064516129032242e1);
 }
 
 #[test]
@@ -105,8 +113,8 @@ fn monte_carlo_rollouts_bit_identical_to_pre_refactor() {
         &mut rng,
     )
     .unwrap();
-    assert_eq!(eval.exit_rate, 7.14285714285714246e-2);
-    assert_eq!(eval.watched, 112);
-    assert_eq!(eval.exited, 8);
-    assert_eq!(eval.mean_stall, 3.80031757197938180e0);
+    assert_eq!(eval.exit_rate, 4.06504065040650397e-2);
+    assert_eq!(eval.watched, 123);
+    assert_eq!(eval.exited, 5);
+    assert_eq!(eval.mean_stall, 2.19666592626064983e0);
 }

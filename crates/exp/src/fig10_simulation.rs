@@ -304,7 +304,10 @@ mod tests {
     #[test]
     fn fig10_lingxi_competitive_with_fixed() {
         let r = run(23, 0.25).unwrap();
-        assert_eq!(r.fingerprint(), 0xa6b5_e0ea_889b_3e70);
+        // Re-pinned when optimization passes moved to common random
+        // numbers (one pass seed; rollout m of every candidate replays one
+        // stream), which changed every pass's draws.
+        assert_eq!(r.fingerprint(), 0xb964_6fac_34ca_768a);
         let get = |k: &str| r.headline_named(k);
         // For each panel, L(B) should be at least near the best fixed
         // parameters (the paper shows it beating them; at tiny scale we

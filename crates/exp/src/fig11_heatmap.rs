@@ -141,7 +141,10 @@ mod tests {
     #[test]
     fn fig11_produces_grid() {
         let r = run(29, 0.25).unwrap();
-        assert_eq!(r.fingerprint(), 0x3c89_3bf9_2534_89a9);
+        // Re-pinned when optimization passes moved to common random
+        // numbers (one pass seed; rollout m of every candidate replays one
+        // stream), which changed every pass's draws.
+        assert_eq!(r.fingerprint(), 0x9f3f_5056_8cbf_9b92);
         assert!(!r.series.is_empty(), "heatmap rows must exist");
         for s in &r.series {
             for (_, v) in &s.points {

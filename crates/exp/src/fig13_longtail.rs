@@ -174,7 +174,10 @@ mod tests {
     #[test]
     fn fig13_beta_rises_with_bandwidth() {
         let r = run(37, 0.15).unwrap();
-        assert_eq!(r.fingerprint(), 0x5fe2_78fb_7cef_033f);
+        // Re-pinned when optimization passes moved to common random
+        // numbers (one pass seed; rollout m of every candidate replays one
+        // stream), which changed every pass's draws.
+        assert_eq!(r.fingerprint(), 0x9dbc_663f_8280_9edf);
         let means = r.series_named("beta_mean").unwrap().ys();
         assert!(!means.is_empty());
         // All betas within the valid range.

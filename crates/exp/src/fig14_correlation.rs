@@ -172,7 +172,10 @@ mod tests {
     #[test]
     fn fig14_negative_correlation() {
         let r = run(41, 0.2).unwrap();
-        assert_eq!(r.fingerprint(), 0xcd81_5c07_c387_2d4c);
+        // Re-pinned when optimization passes moved to common random
+        // numbers (one pass seed; rollout m of every candidate replays one
+        // stream), which changed every pass's draws.
+        assert_eq!(r.fingerprint(), 0x0e0b_3b90_f7b8_ae19);
         let corr = r
             .headline_named("mean_pearson")
             .expect("no correlation computed — too few stalling users");

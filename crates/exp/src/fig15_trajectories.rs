@@ -150,7 +150,10 @@ mod tests {
     #[test]
     fn fig15_tolerant_users_get_higher_beta() {
         let r = run(43, 0.4).unwrap();
-        assert_eq!(r.fingerprint(), 0x1ee9_58c2_f31c_c464);
+        // Re-pinned when optimization passes moved to common random
+        // numbers (one pass seed; rollout m of every candidate replays one
+        // stream), which changed every pass's draws.
+        assert_eq!(r.fingerprint(), 0xe041_5b7f_6a0d_7678);
         let get = |k: &str| r.headline_named(k);
         let h = get("high_tolerance_mean_beta");
         let l = get("sensitive_mean_beta");

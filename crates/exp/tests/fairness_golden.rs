@@ -30,6 +30,13 @@
 //! powers above replaced `powf`. The optimum being solved for is the
 //! same; the iterate path, and with it the last bits of every rate, is
 //! not. `maxmin` never enters the dual solver and kept its constant.
+//!
+//! All three were re-pinned once more, for a change outside the allocator:
+//! LingXi's optimization passes moved to common random numbers (one pass
+//! seed drawn from the user's stream; rollout `m` of every candidate
+//! replays the stream seeded from (pass seed, `m`)). The managed users of
+//! the cell draw differently after their first pass, so their sessions,
+//! and the flows they put on the links, moved under every objective.
 
 use lingxi_exp::fairness::{run_cell, OBJECTIVES};
 use lingxi_fleet::FleetReport;
@@ -54,9 +61,9 @@ fn fingerprint(r: &FleetReport) -> u64 {
 /// Committed per-objective fingerprints of the scale-0.05, seed-42 cell
 /// (identical across 1/4/8 shards by contract 1).
 const GOLDEN: [(&str, u64); 3] = [
-    ("maxmin", 0x5c356dac2071f249),
-    ("proportional", 0xe2504b6693a3b5ee),
-    ("alpha2", 0xbea1dc4f1a261d55),
+    ("maxmin", 0x3e9b7e909e94d0db),
+    ("proportional", 0xbb097d5e639bd430),
+    ("alpha2", 0xbf7f9cdaa91bf1e4),
 ];
 
 #[test]

@@ -19,6 +19,14 @@
 //! all four alone; an intentional simulation change re-pins them once,
 //! with the reason written down, via
 //! `cargo test -p lingxi-fleet --test engine_golden -- --ignored --nocapture`.
+//!
+//! Re-pin history. `dynamics`, `independent_ab` and `lsq_static` were
+//! re-pinned once when LingXi's optimization passes moved to common random
+//! numbers: a pass draws one seed from the user's stream and rollout `m`
+//! of every candidate replays the stream seeded from (pass seed, `m`)
+//! instead of drawing from the user's stream, so every managed user's
+//! draws after its first pass moved. `contended` has no pass in its cell
+//! and kept its constant.
 
 use lingxi_fleet::harness::Cell;
 use lingxi_fleet::{
@@ -192,20 +200,20 @@ const CONTENDED_FINGERPRINT: &[u64] = &[
 ];
 
 const DYNAMICS_FINGERPRINT: &[u64] = &[
-    4659593939072843776,
-    4621462916202313255,
-    4657779177101044590,
+    4659646715630977024,
+    4621732296852319081,
+    4657802098368525852,
     97,
-    61,
-    13,
-    380,
+    60,
+    14,
+    378,
     97,
-    1677,
+    1689,
 ];
 
-const INDEPENDENT_AB_DIGEST: u64 = 0xa7567309668e1cb8;
+const INDEPENDENT_AB_DIGEST: u64 = 0x10aba602d8928eee;
 
-const LSQ_STATIC_DIGEST: u64 = 0x482e317cd585a220;
+const LSQ_STATIC_DIGEST: u64 = 0xc65bda6606f25dc5;
 
 #[test]
 #[ignore = "regeneration helper: prints the fingerprint constants"]

@@ -230,9 +230,8 @@ impl PlayerEnv {
     }
 
     /// Execute one segment download of `size_kbits` at `level`, observing
-    /// effective bandwidth `bandwidth_kbps`, with RTT drawn from the config.
-    ///
-    /// Implements Eq. 3 verbatim; also advances clocks and histories.
+    /// effective bandwidth `bandwidth_kbps`, with RTT drawn from the config:
+    /// one RTT draw from `rng`, then [`PlayerEnv::step_with_rtt`].
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         size_kbits: f64,
@@ -240,6 +239,23 @@ impl PlayerEnv {
         bandwidth_kbps: f64,
         segment_duration: f64,
         rng: &mut R,
+    ) -> Result<SegmentOutcome> {
+        let rtt = self.config.rtt.sample(rng);
+        self.step_with_rtt(size_kbits, level, bandwidth_kbps, segment_duration, rtt)
+    }
+
+    /// [`PlayerEnv::step`] with the RTT (seconds) supplied by the caller —
+    /// the Monte-Carlo rollouts draw it ahead of time from a rollout
+    /// stream shared by every candidate of a pass.
+    ///
+    /// Implements Eq. 3 verbatim; also advances clocks and histories.
+    pub fn step_with_rtt(
+        &mut self,
+        size_kbits: f64,
+        level: usize,
+        bandwidth_kbps: f64,
+        segment_duration: f64,
+        rtt: f64,
     ) -> Result<SegmentOutcome> {
         if !(bandwidth_kbps > 0.0) || !bandwidth_kbps.is_finite() {
             return Err(PlayerError::InvalidStep(format!(
@@ -256,7 +272,11 @@ impl PlayerEnv {
                 "segment duration must be positive".into(),
             ));
         }
-        let rtt = self.config.rtt.sample(rng);
+        if !(rtt >= 0.0) {
+            return Err(PlayerError::InvalidStep(format!(
+                "RTT must be non-negative, got {rtt}"
+            )));
+        }
         let download_time = size_kbits / bandwidth_kbps;
         // Rebuffer stall: the part of the download the buffer couldn't
         // cover. The very first segment necessarily faces an empty buffer —
@@ -473,6 +493,9 @@ mod tests {
         assert!(e.step(0.0, 0, 1000.0, 2.0, &mut rng).is_err());
         assert!(e.step(1000.0, 0, 1000.0, 0.0, &mut rng).is_err());
         assert!(e.step(1000.0, 0, f64::NAN, 2.0, &mut rng).is_err());
+        assert!(e.step_with_rtt(1000.0, 0, 1000.0, 2.0, -0.1).is_err());
+        assert!(e.step_with_rtt(1000.0, 0, 1000.0, 2.0, f64::NAN).is_err());
+        assert_eq!(e.segment_index(), 0, "a rejected step changes nothing");
     }
 
     #[test]
