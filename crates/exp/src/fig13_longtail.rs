@@ -50,6 +50,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
 
     let mut outcomes: Vec<UserOutcome> = Vec::new();
     let mut buffers = SessionBuffers::new();
+    let mut samples = Vec::new();
     for user in world.population.users() {
         let mut rng = user_stream(seed, user.id, 0xF13);
         let sessions = user.sessions_today(&mut rng);
@@ -66,7 +67,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
                 StdRng::seed_from_u64(seed ^ user.id.wrapping_mul(31) ^ ((s as u64) << 20));
             let video = world.catalog.sample(&mut pair_rng);
             let trace = user
-                .private_trace(video.duration(), &mut pair_rng)
+                .private_trace(video.duration(), &mut pair_rng, samples)
                 .map_err(sub)?;
             let setup = SessionSetup {
                 user_id: user.id,
@@ -100,6 +101,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
                     stall_static += buffers.log().total_stall();
                 }
             }
+            samples = trace.into_samples().map_err(sub)?;
         }
         outcomes.push(UserOutcome {
             mean_kbps: user.net.mean_kbps,

@@ -117,10 +117,14 @@ impl World {
     /// — in that order, all from `hooks.rng`. LingXi manages the session
     /// when `hooks.lingxi` is `Some`; the log (and LingXi's deployments)
     /// land in `hooks.buffers`.
-    pub fn play<R: Rng>(&self, user: &UserRecord, hooks: &mut ManagedHooks<'_, R>) -> Result<()> {
+    pub fn play<R: Rng + Clone>(
+        &self,
+        user: &UserRecord,
+        hooks: &mut ManagedHooks<'_, R>,
+    ) -> Result<()> {
         let video = self.catalog.sample(hooks.rng);
         let trace = user
-            .private_trace(video.duration(), hooks.rng)
+            .private_trace(video.duration(), hooks.rng, Vec::new())
             .map_err(sub)?;
         let setup = SessionSetup {
             user_id: user.id,
@@ -129,7 +133,9 @@ impl World {
             process: &trace,
             config: default_player(),
         };
-        lingxi_core::play(&setup, hooks).map_err(sub)
+        lingxi_core::play(&setup, hooks).map_err(sub)?;
+        trace.into_samples().map_err(sub)?;
+        Ok(())
     }
 }
 

@@ -252,18 +252,19 @@ impl<'a> LinkAgent<'a> {
     }
 
     /// Independent mode: play the whole epoch, each session start to
-    /// finish over its own private trace (drawn right after its video).
+    /// finish over its own private trace (drawn right after its video,
+    /// generated on demand into one sample buffer the sessions reuse).
     pub(crate) fn run_private(
         mut self,
         cache: &ShardedStateCache,
         sketches: &mut EpochSketches,
     ) -> Result<UserEpochRow> {
+        let mut samples = Vec::new();
         while self.sessions_left > 0 {
             let video = self.next_video();
-            let rng = &mut self.parts.rng;
             let trace = self
                 .user
-                .private_trace(video.duration(), rng)
+                .private_trace(video.duration(), &mut self.parts.rng, samples)
                 .map_err(sub)?;
             let mut session = self.begin_session(video)?;
             let hooks = &mut self.parts.hooks();
@@ -273,6 +274,7 @@ impl<'a> LinkAgent<'a> {
                     break;
                 }
             }
+            samples = trace.into_samples().map_err(sub)?;
             self.end_session(session, sketches);
         }
         self.finish(cache)

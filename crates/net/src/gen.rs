@@ -4,6 +4,12 @@
 //! noise (stable WiFi), two-state Markov bursts (cellular handover /
 //! congestion) and log-normal fading (wireless). The production mixture
 //! (`mixture` module) composes them.
+//!
+//! Every generator is one per-tick step, a [`TickSampler`], that draws a
+//! fixed number of words from the stream per tick
+//! ([`TickSampler::words_per_tick`]). The eager [`TraceGenerator::generate`]
+//! runs it `n` times; a [`crate::LazyTrace`] runs it on demand and skips
+//! the caller's stream past the words it would have drawn.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -13,13 +19,19 @@ use crate::{NetError, Result};
 
 /// Common interface for trace generators.
 pub trait TraceGenerator {
+    /// Validate the parameters and draw the generator's up-front words
+    /// (Markov's initial state); the result samples one tick per call.
+    fn ticks<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<TickSampler>;
+
     /// Generate `n` samples at `tick_seconds` spacing.
     fn generate<R: Rng + ?Sized>(
         &self,
         n: usize,
         tick_seconds: f64,
         rng: &mut R,
-    ) -> Result<BandwidthTrace>;
+    ) -> Result<BandwidthTrace> {
+        self.ticks(rng)?.trace(n, tick_seconds, rng)
+    }
 
     /// The long-run mean bandwidth this generator targets (kbps).
     fn target_mean(&self) -> f64;
@@ -27,10 +39,62 @@ pub trait TraceGenerator {
 
 const MIN_KBPS: f64 = 10.0;
 
+/// Two words: `u1` in `[EPSILON, 1)`, then `u2` in `[0, 1)`.
 fn box_muller<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// One generator's per-tick step and the state it carries between ticks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TickSampler(Step);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    Gauss { mean: f64, sigma: f64 },
+    Markov { gen: MarkovGen, good: bool },
+    LogNormal { mu: f64, sigma: f64 },
+}
+
+impl TickSampler {
+    /// The stream words one [`Self::next_tick`] draws, whatever it
+    /// returns: 2 for Gauss and log-normal (one Box–Muller draw), 3 for
+    /// Markov (Box–Muller plus the transition uniform).
+    pub const fn words_per_tick(&self) -> usize {
+        match self.0 {
+            Step::Gauss { .. } | Step::LogNormal { .. } => 2,
+            Step::Markov { .. } => 3,
+        }
+    }
+
+    /// Sample the next tick (kbps).
+    pub fn next_tick<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        match &mut self.0 {
+            Step::Gauss { mean, sigma } => (*mean + *sigma * box_muller(rng)).max(MIN_KBPS),
+            Step::Markov { gen, good } => {
+                let mean = if *good { gen.good_kbps } else { gen.bad_kbps };
+                let sample = (mean * (1.0 + gen.cv * box_muller(rng))).max(MIN_KBPS);
+                let flip = if *good { gen.p_gb } else { gen.p_bg };
+                if rng.gen::<f64>() < flip {
+                    *good = !*good;
+                }
+                sample
+            }
+            Step::LogNormal { mu, sigma } => (*mu + *sigma * box_muller(rng)).exp().max(MIN_KBPS),
+        }
+    }
+
+    /// Sample `n` ticks (at least one) into an eager trace.
+    pub(crate) fn trace<R: Rng + ?Sized>(
+        mut self,
+        n: usize,
+        tick_seconds: f64,
+        rng: &mut R,
+    ) -> Result<BandwidthTrace> {
+        let samples = (0..n.max(1)).map(|_| self.next_tick(rng)).collect();
+        BandwidthTrace::new(tick_seconds, samples)
+    }
 }
 
 /// IID Gaussian samples clamped positive: `N(mean, (cv*mean)^2)`.
@@ -43,22 +107,16 @@ pub struct StationaryGaussGen {
 }
 
 impl TraceGenerator for StationaryGaussGen {
-    fn generate<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        tick_seconds: f64,
-        rng: &mut R,
-    ) -> Result<BandwidthTrace> {
+    fn ticks<R: Rng + ?Sized>(&self, _rng: &mut R) -> Result<TickSampler> {
         if !(self.mean_kbps > 0.0) || !(self.cv >= 0.0) {
             return Err(NetError::InvalidConfig(
                 "mean > 0 and cv >= 0 required".into(),
             ));
         }
-        let sigma = self.cv * self.mean_kbps;
-        let samples = (0..n.max(1))
-            .map(|_| (self.mean_kbps + sigma * box_muller(rng)).max(MIN_KBPS))
-            .collect();
-        BandwidthTrace::new(tick_seconds, samples)
+        Ok(TickSampler(Step::Gauss {
+            mean: self.mean_kbps,
+            sigma: self.cv * self.mean_kbps,
+        }))
     }
 
     fn target_mean(&self) -> f64 {
@@ -94,12 +152,9 @@ impl MarkovGen {
 }
 
 impl TraceGenerator for MarkovGen {
-    fn generate<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        tick_seconds: f64,
-        rng: &mut R,
-    ) -> Result<BandwidthTrace> {
+    /// Draws one up-front word: the initial state, from the stationary
+    /// distribution.
+    fn ticks<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<TickSampler> {
         if !(self.good_kbps > 0.0 && self.bad_kbps > 0.0) {
             return Err(NetError::InvalidConfig(
                 "state means must be positive".into(),
@@ -113,17 +168,8 @@ impl TraceGenerator for MarkovGen {
         if !(self.cv >= 0.0) {
             return Err(NetError::InvalidConfig("cv must be >= 0".into()));
         }
-        let mut good = rng.gen::<f64>() < self.stationary_good_prob();
-        let mut samples = Vec::with_capacity(n.max(1));
-        for _ in 0..n.max(1) {
-            let mean = if good { self.good_kbps } else { self.bad_kbps };
-            samples.push((mean * (1.0 + self.cv * box_muller(rng))).max(MIN_KBPS));
-            let flip = if good { self.p_gb } else { self.p_bg };
-            if rng.gen::<f64>() < flip {
-                good = !good;
-            }
-        }
-        BandwidthTrace::new(tick_seconds, samples)
+        let good = rng.gen::<f64>() < self.stationary_good_prob();
+        Ok(TickSampler(Step::Markov { gen: *self, good }))
     }
 
     fn target_mean(&self) -> f64 {
@@ -142,12 +188,7 @@ pub struct LogNormalFadeGen {
 }
 
 impl TraceGenerator for LogNormalFadeGen {
-    fn generate<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        tick_seconds: f64,
-        rng: &mut R,
-    ) -> Result<BandwidthTrace> {
+    fn ticks<R: Rng + ?Sized>(&self, _rng: &mut R) -> Result<TickSampler> {
         if !(self.mean_kbps > 0.0) || !(self.cv >= 0.0) {
             return Err(NetError::InvalidConfig(
                 "mean > 0 and cv >= 0 required".into(),
@@ -155,10 +196,7 @@ impl TraceGenerator for LogNormalFadeGen {
         }
         let sigma = (self.cv * self.cv + 1.0).ln().sqrt();
         let mu = self.mean_kbps.ln() - sigma * sigma / 2.0;
-        let samples = (0..n.max(1))
-            .map(|_| (mu + sigma * box_muller(rng)).exp().max(MIN_KBPS))
-            .collect();
-        BandwidthTrace::new(tick_seconds, samples)
+        Ok(TickSampler(Step::LogNormal { mu, sigma }))
     }
 
     fn target_mean(&self) -> f64 {

@@ -41,7 +41,7 @@ pub use mixture::{NetClass, ProductionMixture, UserNetProfile};
 pub use process::{BandwidthProcess, Download, FlowEnd, SharedBottleneck};
 pub use rtt::RttModel;
 pub use topology::{TopoLink, Topology};
-pub use trace::BandwidthTrace;
+pub use trace::{BandwidthTrace, LazyTrace};
 
 /// Errors from network-model construction.
 #[derive(Debug, Clone, PartialEq)]

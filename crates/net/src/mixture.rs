@@ -8,11 +8,11 @@
 //! are burstier (cellular-like) than high-bandwidth ones (fixed-line-like),
 //! matching the stall-count-per-bandwidth-bucket CDFs of Fig. 8(a).
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use crate::gen::{LogNormalFadeGen, MarkovGen, StationaryGaussGen, TraceGenerator};
-use crate::trace::BandwidthTrace;
+use crate::gen::{LogNormalFadeGen, MarkovGen, StationaryGaussGen, TickSampler, TraceGenerator};
+use crate::trace::{BandwidthTrace, LazyTrace};
 use crate::{NetError, Result};
 
 /// Coarse network class of one user.
@@ -57,6 +57,26 @@ impl UserNetProfile {
         tick_seconds: f64,
         rng: &mut R,
     ) -> Result<BandwidthTrace> {
+        self.ticks(rng)?.trace(n, tick_seconds, rng)
+    }
+
+    /// The same trace as [`Self::trace`], generated on demand: `rng` ends
+    /// exactly where [`Self::trace`] leaves it, and every tick read equals
+    /// that trace's. `samples` is a buffer to fill (its contents are
+    /// dropped); [`LazyTrace::into_samples`] hands it back.
+    pub fn lazy_trace<R: RngCore + Clone>(
+        &self,
+        n: usize,
+        tick_seconds: f64,
+        rng: &mut R,
+        samples: Vec<f64>,
+    ) -> Result<LazyTrace<R>> {
+        let sampler = self.ticks(rng)?;
+        LazyTrace::new(sampler, n, tick_seconds, rng, samples)
+    }
+
+    /// This profile's generator, validated, with its up-front words drawn.
+    fn ticks<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<TickSampler> {
         match self.class {
             NetClass::Constrained => MarkovGen {
                 good_kbps: self.mean_kbps * 1.6,
@@ -65,7 +85,7 @@ impl UserNetProfile {
                 p_bg: 0.10,
                 cv: self.cv * 0.5,
             }
-            .generate(n, tick_seconds, rng),
+            .ticks(rng),
             NetClass::Cellular => MarkovGen {
                 good_kbps: self.mean_kbps * 1.4,
                 bad_kbps: self.mean_kbps * 0.5,
@@ -73,17 +93,17 @@ impl UserNetProfile {
                 p_bg: 0.12,
                 cv: self.cv * 0.5,
             }
-            .generate(n, tick_seconds, rng),
+            .ticks(rng),
             NetClass::Wifi => LogNormalFadeGen {
                 mean_kbps: self.mean_kbps,
                 cv: self.cv,
             }
-            .generate(n, tick_seconds, rng),
+            .ticks(rng),
             NetClass::Broadband => StationaryGaussGen {
                 mean_kbps: self.mean_kbps,
                 cv: self.cv,
             }
-            .generate(n, tick_seconds, rng),
+            .ticks(rng),
         }
     }
 }

@@ -3,14 +3,21 @@
 //!
 //! [`BandwidthProcess`] answers one question: *how long does a download of
 //! `size_kbits` starting at time `at` take, and what effective throughput
-//! did it see?* Its implementation is the recorded or synthesised
-//! [`BandwidthTrace`] (the [`crate::TraceGenerator`] family and
-//! [`crate::ProductionMixture`] / [`crate::UserNetProfile`] sampling all
-//! *produce* traces). Live sessions — `lingxi-player` sessions,
-//! `lingxi-core` managed sessions and the `lingxi-fleet` engine's private
-//! traces — stream over `&dyn BandwidthProcess`. Monte-Carlo rollouts do
-//! not: they draw each virtual segment's bandwidth straight from the
-//! client's fitted normal model (Eq. 3).
+//! did it see?* It has two trace implementations, which share one
+//! download-integration loop:
+//! - [`crate::BandwidthTrace`], a trace held whole: recorded, or generated
+//!   eagerly by the [`crate::TraceGenerator`] family and
+//!   [`crate::UserNetProfile::trace`];
+//! - [`crate::LazyTrace`], the same synthesised trace generated on demand
+//!   ([`crate::UserNetProfile::lazy_trace`]): only the ticks a session
+//!   reads are drawn, bit-identical to the eager trace's. Every session's
+//!   private trace is one.
+//!
+//! Live sessions — `lingxi-player` sessions, `lingxi-core` managed
+//! sessions and the `lingxi-fleet` engine's private traces — stream over
+//! `&dyn BandwidthProcess`. Monte-Carlo rollouts do not: they draw each
+//! virtual segment's bandwidth straight from the client's fitted normal
+//! model (Eq. 3).
 //!
 //! [`SharedBottleneck`] is the contention-aware event kernel: a
 //! deterministic discrete-event network that splits link capacity among
@@ -41,7 +48,6 @@ use std::collections::VecDeque;
 
 use crate::fairness::{self, FairScratch, FairnessObjective, FlowDemand, SolverStats};
 use crate::topology::Topology;
-use crate::trace::BandwidthTrace;
 use crate::{NetError, Result};
 
 /// Outcome of one simulated download over a bandwidth process.
@@ -66,22 +72,6 @@ pub trait BandwidthProcess: std::fmt::Debug {
     /// Instantaneous throughput estimate at time `at` (kbps) — the rate a
     /// new download issued now would start at.
     fn rate_at(&self, at: f64) -> f64;
-}
-
-impl BandwidthProcess for BandwidthTrace {
-    fn download(&self, at: f64, size_kbits: f64) -> Download {
-        let duration = self.download_time(at, size_kbits);
-        let kbps = if duration > 0.0 {
-            size_kbits / duration
-        } else {
-            self.at(at)
-        };
-        Download { duration, kbps }
-    }
-
-    fn rate_at(&self, at: f64) -> f64 {
-        self.at(at)
-    }
 }
 
 /// One completed flow on a [`SharedBottleneck`].
@@ -418,6 +408,7 @@ impl SharedBottleneck {
 mod tests {
     use super::*;
     use crate::topology::TopoLink;
+    use crate::trace::BandwidthTrace;
 
     /// The degenerate network: one max-min link of `capacity_kbps`, route 0.
     fn single_link(capacity_kbps: f64) -> SharedBottleneck {

@@ -1,7 +1,13 @@
-//! Bandwidth traces: a piecewise-constant throughput timeline.
+//! Bandwidth traces: a piecewise-constant throughput timeline, held
+//! whole ([`BandwidthTrace`]) or generated on demand ([`LazyTrace`]).
 
+use std::cell::RefCell;
+
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
+use crate::gen::TickSampler;
+use crate::process::{BandwidthProcess, Download};
 use crate::{NetError, Result};
 
 /// A bandwidth trace: throughput samples (kbps) at a fixed tick interval.
@@ -41,38 +47,17 @@ impl BandwidthTrace {
 
     /// Throughput at absolute time `t` seconds (wrapping).
     pub fn at(&self, t: f64) -> f64 {
-        let idx = (t.max(0.0) / self.tick_seconds) as usize;
-        self.samples_kbps[idx % self.samples_kbps.len()]
+        self.samples_kbps[tick_index(t, self.tick_seconds) % self.samples_kbps.len()]
     }
 
     /// Mean throughput needed to download `kbits` starting at time `t`,
     /// integrating across tick boundaries (wrapping). Returns the download
     /// duration in seconds.
     pub fn download_time(&self, t_start: f64, kbits: f64) -> f64 {
-        if kbits <= 0.0 {
-            return 0.0;
-        }
-        let mut remaining = kbits;
-        let mut t = t_start.max(0.0);
-        // Track the tick as an integer: recomputing boundaries from `t`
-        // can stall at zero-width spans when `tick_seconds` has no exact
-        // float representation (floor(t/tick)·tick + tick == t).
-        let first_tick = (t / self.tick_seconds) as usize;
-        let mut elapsed = 0.0;
-        // Hard cap to keep pathological inputs bounded.
-        for tick_idx in first_tick..first_tick + 1_000_000 {
-            let rate = self.samples_kbps[tick_idx % self.samples_kbps.len()];
-            let tick_end = (tick_idx + 1) as f64 * self.tick_seconds;
-            let span = (tick_end - t).max(0.0);
-            let capacity = rate * span;
-            if capacity >= remaining {
-                return elapsed + remaining / rate;
-            }
-            remaining -= capacity;
-            elapsed += span;
-            t = tick_end;
-        }
-        elapsed
+        let n = self.samples_kbps.len();
+        integrate(self.tick_seconds, t_start, kbits, |i| {
+            self.samples_kbps[i % n]
+        })
     }
 
     /// Raw samples (kbps).
@@ -105,6 +90,198 @@ impl BandwidthTrace {
             .sum::<f64>()
             / self.samples_kbps.len() as f64)
             .sqrt()
+    }
+}
+
+/// The index of the tick covering time `t` (before wrapping).
+fn tick_index(t: f64, tick_seconds: f64) -> usize {
+    (t.max(0.0) / tick_seconds) as usize
+}
+
+/// The download loop every trace shares: integrate the piecewise-constant
+/// `rate(tick)` from `t_start` until `kbits` have arrived and return the
+/// duration in seconds. `rate` takes the unwrapped tick index; the trace
+/// wraps it.
+fn integrate(
+    tick_seconds: f64,
+    t_start: f64,
+    kbits: f64,
+    mut rate: impl FnMut(usize) -> f64,
+) -> f64 {
+    if kbits <= 0.0 {
+        return 0.0;
+    }
+    let mut remaining = kbits;
+    let mut t = t_start.max(0.0);
+    // Track the tick as an integer: recomputing boundaries from `t`
+    // can stall at zero-width spans when `tick_seconds` has no exact
+    // float representation (floor(t/tick)·tick + tick == t).
+    let first_tick = tick_index(t, tick_seconds);
+    let mut elapsed = 0.0;
+    // Hard cap to keep pathological inputs bounded.
+    for tick_idx in first_tick..first_tick + 1_000_000 {
+        let rate = rate(tick_idx);
+        let tick_end = (tick_idx + 1) as f64 * tick_seconds;
+        let span = (tick_end - t).max(0.0);
+        let capacity = rate * span;
+        if capacity >= remaining {
+            return elapsed + remaining / rate;
+        }
+        remaining -= capacity;
+        elapsed += span;
+        t = tick_end;
+    }
+    elapsed
+}
+
+/// One download over a trace's `rate(tick)`: [`integrate`], or the
+/// instantaneous rate for a download that takes no time.
+fn download_over(
+    tick_seconds: f64,
+    at: f64,
+    size_kbits: f64,
+    mut rate: impl FnMut(usize) -> f64,
+) -> Download {
+    let duration = integrate(tick_seconds, at, size_kbits, &mut rate);
+    let kbps = if duration > 0.0 {
+        size_kbits / duration
+    } else {
+        rate(tick_index(at, tick_seconds))
+    };
+    Download { duration, kbps }
+}
+
+impl BandwidthProcess for BandwidthTrace {
+    fn download(&self, at: f64, size_kbits: f64) -> Download {
+        let n = self.samples_kbps.len();
+        download_over(self.tick_seconds, at, size_kbits, |i| {
+            self.samples_kbps[i % n]
+        })
+    }
+
+    fn rate_at(&self, at: f64) -> f64 {
+        self.at(at)
+    }
+}
+
+/// A bandwidth trace generated on demand: the trace a [`TickSampler`]
+/// would produce eagerly from the same stream, but only as far as the
+/// last tick read.
+///
+/// Construction copies the caller's stream at the trace's first tick and
+/// advances the caller past the `len × words_per_tick` words the eager
+/// trace would have drawn, so every later draw and every tick read are
+/// bit-identical to the eager path. Reads past the end wrap, as on a
+/// [`BandwidthTrace`]. A generated tick [`BandwidthTrace::new`] would
+/// reject (not positive and finite) is played as drawn and fails
+/// [`Self::into_samples`].
+pub struct LazyTrace<R> {
+    tick_seconds: f64,
+    len: usize,
+    fill: RefCell<Fill<R>>,
+}
+
+/// The generated prefix of a [`LazyTrace`] and the stream it continues.
+struct Fill<R> {
+    rng: R,
+    sampler: TickSampler,
+    samples: Vec<f64>,
+    /// The first generated tick that is not positive and finite.
+    rejected: Option<(usize, f64)>,
+}
+
+impl<R: RngCore> Fill<R> {
+    /// Tick `i` (`i < len`), generating up to it on first read.
+    fn tick(&mut self, i: usize) -> f64 {
+        while self.samples.len() <= i {
+            let s = self.sampler.next_tick(&mut self.rng);
+            if !(s > 0.0) || !s.is_finite() {
+                self.rejected.get_or_insert((self.samples.len(), s));
+            }
+            self.samples.push(s);
+        }
+        self.samples[i]
+    }
+}
+
+impl<R: RngCore + Clone> LazyTrace<R> {
+    /// A trace of `n` ticks (at least one) drawn by `sampler` from `rng`,
+    /// filled into `samples` (its contents are dropped). Leaves `rng`
+    /// where [`TickSampler::trace`] would.
+    pub(crate) fn new(
+        sampler: TickSampler,
+        n: usize,
+        tick_seconds: f64,
+        rng: &mut R,
+        mut samples: Vec<f64>,
+    ) -> Result<Self> {
+        if !(tick_seconds > 0.0) || !tick_seconds.is_finite() {
+            return Err(NetError::InvalidConfig("tick must be positive".into()));
+        }
+        let len = n.max(1);
+        let own = rng.clone();
+        for _ in 0..len * sampler.words_per_tick() {
+            rng.next_u64();
+        }
+        samples.clear();
+        Ok(Self {
+            tick_seconds,
+            len,
+            fill: RefCell::new(Fill {
+                rng: own,
+                sampler,
+                samples,
+                rejected: None,
+            }),
+        })
+    }
+}
+
+impl<R: RngCore> BandwidthProcess for LazyTrace<R> {
+    fn download(&self, at: f64, size_kbits: f64) -> Download {
+        let mut fill = self.fill.borrow_mut();
+        download_over(self.tick_seconds, at, size_kbits, |i| {
+            fill.tick(i % self.len)
+        })
+    }
+
+    fn rate_at(&self, at: f64) -> f64 {
+        let i = tick_index(at, self.tick_seconds);
+        self.fill.borrow_mut().tick(i % self.len)
+    }
+}
+
+impl<R> LazyTrace<R> {
+    /// Trace duration in seconds (one full cycle).
+    pub fn duration(&self) -> f64 {
+        self.len as f64 * self.tick_seconds
+    }
+
+    /// Ticks generated so far: never more than the highest tick read + 1.
+    pub fn generated(&self) -> usize {
+        self.fill.borrow().samples.len()
+    }
+
+    /// The generated ticks, to reuse as the next trace's buffer; an error
+    /// if any of them is not positive and finite.
+    pub fn into_samples(self) -> Result<Vec<f64>> {
+        let fill = self.fill.into_inner();
+        match fill.rejected {
+            None => Ok(fill.samples),
+            Some((i, s)) => Err(NetError::InvalidConfig(format!(
+                "samples must be positive and finite: tick {i} is {s} kbps"
+            ))),
+        }
+    }
+}
+
+impl<R> std::fmt::Debug for LazyTrace<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LazyTrace")
+            .field("tick_seconds", &self.tick_seconds)
+            .field("len", &self.len)
+            .field("generated", &self.generated())
+            .finish_non_exhaustive()
     }
 }
 

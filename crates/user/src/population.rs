@@ -1,8 +1,8 @@
 //! Population generation: users with network profiles, stall sensitivities
 //! and engagement behaviour.
 
-use lingxi_net::{BandwidthTrace, ProductionMixture, UserNetProfile};
-use rand::Rng;
+use lingxi_net::{LazyTrace, ProductionMixture, UserNetProfile};
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::profile::{sample_profile, StallProfile, ToleranceDrift};
@@ -49,13 +49,17 @@ impl UserRecord {
     /// The private bandwidth trace of one session over a video of
     /// `video_duration` seconds: three times the video (stalls stretch a
     /// session past its content), at least a minute, at 1 s resolution.
-    pub fn private_trace<R: Rng + ?Sized>(
+    /// It is generated on demand into `samples` (a buffer to reuse, see
+    /// [`LazyTrace::into_samples`]); `rng` advances as if it were drawn
+    /// whole.
+    pub fn private_trace<R: RngCore + Clone>(
         &self,
         video_duration: f64,
         rng: &mut R,
-    ) -> lingxi_net::Result<BandwidthTrace> {
+        samples: Vec<f64>,
+    ) -> lingxi_net::Result<LazyTrace<R>> {
         let seconds = ((video_duration * 3.0) as usize).max(60);
-        self.net.trace(seconds, 1.0, rng)
+        self.net.lazy_trace(seconds, 1.0, rng, samples)
     }
 }
 
@@ -175,8 +179,13 @@ mod tests {
         // times its video and never shorter than a minute.
         let u = &pop.users()[0];
         assert!((1..=60).contains(&u.sessions_today(&mut rng)));
-        assert_eq!(u.private_trace(5.0, &mut rng).unwrap().duration(), 60.0);
-        assert_eq!(u.private_trace(40.5, &mut rng).unwrap().duration(), 121.0);
+        let trace = u.private_trace(5.0, &mut rng, Vec::new()).unwrap();
+        assert_eq!(trace.duration(), 60.0);
+        let samples = trace.into_samples().unwrap();
+        assert_eq!(
+            u.private_trace(40.5, &mut rng, samples).unwrap().duration(),
+            121.0
+        );
     }
 
     #[test]
