@@ -5,12 +5,10 @@
 //! HYB's β in lieu of an explicit objective. One struct carries all three so
 //! the optimizer is agnostic to which ABR consumes it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AbrError, Result};
 
 /// Tunable QoE/behaviour parameters of an ABR algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeParams {
     /// Stall penalty weight μ of `QoE_lin` (paper sweep: 1–20).
     pub stall_weight: f64,

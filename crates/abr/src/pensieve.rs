@@ -15,7 +15,6 @@ use lingxi_nn::{softmax, Dense, Layer, Matrix, Relu, Sequential};
 use lingxi_player::{PlayerConfig, PlayerEnv};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::abr::{Abr, AbrContext};
 use crate::params::QoeParams;
@@ -23,7 +22,7 @@ use crate::qoe::QoeLin;
 use crate::{AbrError, Result};
 
 /// Pensieve hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PensieveConfig {
     /// Number of ladder levels the policy outputs over.
     pub n_levels: usize,
@@ -102,7 +101,7 @@ fn state_dim(config: &PensieveConfig) -> usize {
 }
 
 /// The Pensieve policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Pensieve {
     config: PensieveConfig,
     net: Sequential,
@@ -187,7 +186,7 @@ impl Abr for Pensieve {
 }
 
 /// Per-training-run statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainStats {
     /// Mean episode reward per epoch.
     pub epoch_rewards: Vec<f64>,
@@ -585,15 +584,6 @@ mod tests {
             last > first - 5.0,
             "reward collapsed: first {first}, last {last}"
         );
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let p = Pensieve::new(PensieveConfig::default(), &mut rng).unwrap();
-        let json = serde_json::to_string(&p).unwrap();
-        let q: Pensieve = serde_json::from_str(&json).unwrap();
-        assert_eq!(q.config().n_levels, 4);
     }
 
     #[test]

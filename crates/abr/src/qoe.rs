@@ -6,12 +6,11 @@
 
 use lingxi_media::{BitrateLadder, QualityMap};
 use lingxi_player::SessionLog;
-use serde::{Deserialize, Serialize};
 
 use crate::params::QoeParams;
 
 /// A `QoE_lin` evaluator bound to a ladder and quality map.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeLin {
     /// Quality mapping `q(·)`.
     pub quality: QualityMap,

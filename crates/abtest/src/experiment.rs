@@ -2,13 +2,12 @@
 //! per-day cohort metrics.
 
 use lingxi_stats::{did_estimate, DidResult};
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{relative_diff_pct, DayMetrics};
 use crate::{AbError, Result};
 
 /// Experiment schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbSchedule {
     /// Total days.
     pub days: usize,
@@ -46,7 +45,7 @@ impl AbSchedule {
 }
 
 /// One metric's daily series and DiD verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSeries {
     /// Metric name.
     pub name: String,
@@ -57,7 +56,7 @@ pub struct MetricSeries {
 }
 
 /// Full experiment report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbReport {
     /// Schedule used.
     pub schedule: AbSchedule,

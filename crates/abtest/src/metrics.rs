@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// Aggregated metrics of one cohort-day — the three panels of Fig. 12
 /// plus supporting counts.
+// detlint::allow(serde_derive, reason = "EpochMetrics aggregates in the fleet checkpoint, fleet_ckpt.json")
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DayMetrics {
     /// Total watch time (seconds) — the primary QoE metric (§5.3.1).
@@ -42,7 +43,7 @@ impl DayMetrics {
 /// the epoch barrier — an order that is a pure function of the population,
 /// never of the shard layout, so the merged [`DayMetrics`] are
 /// bit-identical for any shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DayAccum {
     watch_time: f64,
     stall_time: f64,

@@ -2,10 +2,9 @@
 //! predicted exit rate, lower is better).
 
 use lingxi_stats::{norm_cdf, norm_pdf};
-use serde::{Deserialize, Serialize};
 
 /// Acquisition functions for minimization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Acquisition {
     /// Expected improvement below the incumbent best.
     ExpectedImprovement {

@@ -1,13 +1,11 @@
 //! Gaussian-process regression — the OBO surrogate model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::Kernel;
 use crate::linalg::Cholesky;
 use crate::{BayesError, Result};
 
 /// GP configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpConfig {
     /// Covariance kernel.
     pub kernel: Kernel,

@@ -1,9 +1,7 @@
 //! Covariance kernels for the GP surrogate.
 
-use serde::{Deserialize, Serialize};
-
 /// Stationary kernels over unit-cube points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// Squared-exponential `σ² exp(−r²/(2ℓ²))`.
     Rbf {

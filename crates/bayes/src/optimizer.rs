@@ -2,14 +2,13 @@
 //! (Algorithm 1's `OBO.init`, `OBO.next_candidate`, `OBO.update`).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::acquisition::Acquisition;
 use crate::gp::{GpConfig, GpModel};
 use crate::{BayesError, Result};
 
 /// Optimizer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObserverConfig {
     /// Search-space dimension (unit cube).
     pub dim: usize,

@@ -151,6 +151,7 @@ impl BinLogConfig {
 }
 
 /// `manifest.json`: the layout facts recovery must not guess.
+// detlint::allow(serde_derive, reason = "the state log's manifest.json")
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Manifest {
     schema: u32,

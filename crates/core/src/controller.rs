@@ -11,7 +11,6 @@ use lingxi_exit::UserStateTracker;
 use lingxi_media::BitrateLadder;
 use lingxi_player::{PlayerEnv, SegmentRecord};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::montecarlo::{evaluate_in_pass, McConfig, McScratch};
 use crate::predictor::RolloutPredictor;
@@ -19,7 +18,7 @@ use crate::{CoreError, Result};
 
 /// Which QoE parameters the optimizer searches over. HYB deployments tune
 /// β only; explicit-objective ABRs tune stall/switch weights (§5.2–5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamDim {
     /// Stall penalty weight μ.
     Stall,
@@ -53,7 +52,7 @@ impl ParamDim {
 /// How candidate parameters are proposed — §5.2 compares LingXi with a
 /// fixed candidate set (`L(F)`) against full Bayesian optimization
 /// (`L(B)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum SearchStrategy {
     /// Online Bayesian optimization over the active dimensions.
     #[default]
@@ -63,7 +62,7 @@ pub enum SearchStrategy {
 }
 
 /// Controller configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LingXiConfig {
     /// Trigger threshold η: optimize once this many stalls accumulate
     /// since the last optimization (paper picks 2 — Fig. 8b).
@@ -151,7 +150,7 @@ impl LingXiConfig {
 }
 
 /// Result of one optimization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizeOutcome {
     /// The parameters deployed.
     pub params: QoeParams,

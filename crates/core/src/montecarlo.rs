@@ -32,7 +32,6 @@ use lingxi_player::PlayerEnv;
 use lingxi_stats::NormalDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::predictor::{RolloutContext, RolloutPredictor};
 use crate::{CoreError, Result};
@@ -42,7 +41,7 @@ use crate::{CoreError, Result};
 const MIN_ROLLOUT_KBPS: f64 = 50.0;
 
 /// Monte-Carlo configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McConfig {
     /// Number of rollouts `M`.
     pub samples: usize,
@@ -100,7 +99,7 @@ impl McConfig {
 }
 
 /// Outcome of one evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McEvaluation {
     /// Estimated exit rate `exited / watched`.
     pub exit_rate: f64,

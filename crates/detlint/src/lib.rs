@@ -18,14 +18,17 @@
 //! - **D5 `float_comparator`** — event-ordering comparators must use
 //!   `total_cmp` with the documented `(time, id)` tie-break chain.
 //!
-//! One more rule keeps the public surface honest rather than
-//! deterministic:
+//! Two more rules keep the public and the serialized surface honest
+//! rather than deterministic:
 //!
 //! - **D7 `unreached_pub`** — every name a member crate root `pub use`s
 //!   from its own modules is named by some non-test code outside its own
 //!   items, read across the workspace, root `tests/`/`examples/` and
 //!   `benchmark/src`; dead exports are found to a fixpoint (see
-//!   [`workspace`]).
+//!   [`workspace`]);
+//! - **D8 `serde_derive`** — `Serialize`/`Deserialize` are derived only on
+//!   the types a file on disk holds, each annotated with a reason that
+//!   names that file (`fleet_ckpt.json`, the state log's `manifest.json`).
 //!
 //! Known-legitimate sites are annotated in place:
 //!

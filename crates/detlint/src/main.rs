@@ -13,7 +13,8 @@ fn usage() -> ! {
         "usage: detlint [--root DIR] [--json PATH] [--quiet]\n\
          \n\
          Statically enforces the workspace determinism contract (rules\n\
-         D1-D5) and that every root re-export is reached (D7; see\n\
+         D1-D5), that every root re-export is reached (D7) and that\n\
+         serde is derived on persisted types only (D8; see\n\
          crates/detlint). Exits 1 on unannotated findings.\n\
          --root   workspace root (default: this checkout)\n\
          --json   where to write the machine-readable report\n\

@@ -1,10 +1,10 @@
-//! The lint rules (determinism D1–D5, reachability D7) and the
-//! `detlint::allow` annotation grammar, evaluated over the token stream
-//! from [`crate::lexer`].
+//! The lint rules (determinism D1–D5, reachability D7, serialized surface
+//! D8) and the `detlint::allow` annotation grammar, evaluated over the
+//! token stream from [`crate::lexer`].
 //!
 //! D1–D5 each guard one invariant of the fleet's bit-identical-merge
 //! contract (see ARCHITECTURE.md, "Determinism contract"); D7 keeps every
-//! public item reached:
+//! public item reached, and D8 keeps serde on the persisted types only:
 //!
 //! | id | name | invariant |
 //! |----|------|-----------|
@@ -14,6 +14,7 @@
 //! | D4 | `unsafe_code` | member crate roots carry `#![forbid(unsafe_code)]`; vendor crates stay within `vendor/UNSAFE_BUDGET` |
 //! | D5 | `float_comparator` | event-ordering comparators must not use `partial_cmp`, and `total_cmp` must chain a tie-break (`.then(...)`) |
 //! | D7 | `unreached_pub` | every name a member crate root re-exports from its own modules is named by some non-test code outside its own items (see [`crate::workspace`]) |
+//! | D8 | `serde_derive` | `Serialize`/`Deserialize` are derived only on a type some file on disk holds; the allow's reason names that file |
 //!
 //! A finding is silenced in place with
 //! `// detlint::allow(<rule-name>, reason = "...")` on the offending
@@ -37,6 +38,8 @@ pub enum RuleId {
     D5,
     /// A root re-export nothing outside its own items and tests names.
     D7,
+    /// A serde derive on a type no file on disk holds.
+    D8,
 }
 
 impl RuleId {
@@ -49,10 +52,11 @@ impl RuleId {
             RuleId::D4 => "unsafe_code",
             RuleId::D5 => "float_comparator",
             RuleId::D7 => "unreached_pub",
+            RuleId::D8 => "serde_derive",
         }
     }
 
-    /// The short diagnostic id (`D1`…`D5`, `D7`).
+    /// The short diagnostic id (`D1`…`D5`, `D7`, `D8`).
     pub fn id(self) -> &'static str {
         match self {
             RuleId::D1 => "D1",
@@ -61,6 +65,7 @@ impl RuleId {
             RuleId::D4 => "D4",
             RuleId::D5 => "D5",
             RuleId::D7 => "D7",
+            RuleId::D8 => "D8",
         }
     }
 
@@ -336,8 +341,8 @@ pub(crate) fn skip_group(src: &str, toks: &[Tok], open: usize) -> usize {
     toks.len()
 }
 
-/// Run rules D1, D2, D3 and D5 over one source file. (D4 is structural
-/// and evaluated per-crate by [`crate::workspace`].)
+/// Run rules D1, D2, D3, D5 and D8 over one source file. (D4 and D7
+/// are structural and evaluated per-crate by [`crate::workspace`].)
 pub fn lint_source(src: &str, ctx: &FileCtx) -> Vec<Finding> {
     let toks = lex(src);
     let allows = collect_allows(src, &toks);
@@ -396,6 +401,30 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> Vec<Finding> {
             );
         }
 
+        // D8: a serde derive, once per `#[derive(...)]`.
+        if text == "derive"
+            && i >= 2
+            && is_punct(src, &toks[i - 1], "[")
+            && is_punct(src, &toks[i - 2], "#")
+            && i + 1 < toks.len()
+            && is_punct(src, &toks[i + 1], "(")
+        {
+            let end = skip_group(src, &toks, i + 1);
+            let serde = toks[i + 1..end]
+                .iter()
+                .any(|d| is_ident(src, d, "Serialize") || is_ident(src, d, "Deserialize"));
+            if serde {
+                push(
+                    RuleId::D8,
+                    t.line,
+                    "serde derive: only a type some file on disk holds is \
+                     serialized; delete the derive, or annotate it with the \
+                     file the type is persisted in"
+                        .to_string(),
+                );
+            }
+        }
+
         // D5: comparator hygiene in event-queue files.
         if event_queue_file && i > 0 && is_punct(src, &toks[i - 1], ".") {
             if text == "partial_cmp" {
@@ -435,7 +464,32 @@ pub fn lint_source(src: &str, ctx: &FileCtx) -> Vec<Finding> {
     // D3: float accumulation in functions with unordered inputs.
     lint_unordered_merge(src, &toks, &masked, &mut push);
 
+    // D8's allow must say where the type is persisted.
+    for f in &mut findings {
+        if f.rule == RuleId::D8 && f.allowed && !f.reason.as_deref().is_some_and(names_a_file) {
+            f.allowed = false;
+            f.message
+                .push_str("; the allow's reason names no file (`name.ext`)");
+        }
+    }
+
     findings
+}
+
+/// Whether `reason` names a file: some word `name.ext` whose extension is
+/// one to four lowercase letters or digits (`fleet_ckpt.json`, not
+/// `EpochMetrics.solver`).
+fn names_a_file(reason: &str) -> bool {
+    reason.split_whitespace().any(|word| {
+        let word = word.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+        word.rsplit_once('.').is_some_and(|(name, ext)| {
+            !name.is_empty()
+                && (1..=4).contains(&ext.len())
+                && ext
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+        })
+    })
 }
 
 /// Scan each `fn` body; when the body both joins/receives/iterates

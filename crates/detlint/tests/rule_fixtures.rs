@@ -85,6 +85,27 @@ fn d5_requires_event_queue_context() {
     assert!(by_rule(&findings, RuleId::D5).is_empty());
 }
 
+#[test]
+fn d8_serde_derives() {
+    let findings = lint_fixture("d8_serde.rs", true);
+    let d8 = by_rule(&findings, RuleId::D8);
+    assert_eq!(d8.len(), 3, "{d8:?}");
+    assert!(!d8[0].allowed, "an unannotated derive is a violation");
+    assert_eq!(d8[0].line, 8);
+    assert!(d8[1].allowed, "a derive annotated with its file is allowed");
+    assert_eq!(
+        d8[1].reason.as_deref(),
+        Some("the run's checkpoint, ckpt.json")
+    );
+    assert!(!d8[2].allowed, "a reason that names no file does not allow");
+    assert!(d8[2].message.contains("names no file"), "{:?}", d8[2]);
+    // D8 is about the serialized surface, not the simulation path.
+    assert_eq!(
+        by_rule(&lint_fixture("d8_serde.rs", false), RuleId::D8).len(),
+        3
+    );
+}
+
 /// D4 is structural, so it is exercised on a synthetic mini-workspace:
 /// a crate root without the forbid attribute, plus a vendored crate
 /// whose unsafe count drifts from the committed budget.

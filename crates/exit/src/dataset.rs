@@ -6,7 +6,6 @@
 //! choice). Entries pair a [`StateMatrix`] with the observed exit label.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use lingxi_stats::sampling::{balanced_undersample, stratified_split};
 
@@ -14,7 +13,7 @@ use crate::features::StateMatrix;
 use crate::{ExitError, Result};
 
 /// One labelled training entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExitEntry {
     /// User state at decision time.
     pub state: StateMatrix,
@@ -27,7 +26,7 @@ pub struct ExitEntry {
 }
 
 /// Which segments a dataset keeps — the Fig. 9(a) ablation axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetFlavor {
     /// Every segment.
     All,
@@ -58,7 +57,7 @@ impl DatasetFlavor {
 }
 
 /// A labelled dataset with split/sampling utilities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExitDataset {
     entries: Vec<ExitEntry>,
 }

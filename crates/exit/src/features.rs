@@ -6,8 +6,6 @@
 //! the last eight video segments, while the last three dimensions relate to
 //! stall events and user engagement."
 
-use serde::{Deserialize, Serialize};
-
 /// Row length of the state matrix.
 pub const MATRIX_LEN: usize = 8;
 /// Number of feature dimensions (rows).
@@ -21,7 +19,7 @@ const INTERVAL_SCALE: f64 = 120.0;
 
 /// A dense 5×8 state matrix, rows in the order: bitrate, throughput,
 /// stall time, stall interval, stall→exit interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateMatrix {
     /// `rows[d][t]`, normalised into roughly `[0, ~3]`.
     pub rows: [[f64; MATRIX_LEN]; N_DIMS],
@@ -53,7 +51,7 @@ impl StateMatrix {
 /// Rolling tracker that maintains the state matrix across a user's
 /// playback history (short-term video state + long-term engagement state,
 /// persisted across sessions by LingXi's state management).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UserStateTracker {
     bitrates: Vec<f64>,
     throughputs: Vec<f64>,

@@ -2,7 +2,6 @@
 //! statistics (OS) for quality and smoothness.
 
 use lingxi_media::QualityTier;
-use serde::{Deserialize, Serialize};
 
 use crate::features::StateMatrix;
 use crate::model::ExitPredictor;
@@ -11,7 +10,7 @@ use crate::{ExitError, Result};
 /// Overall-statistics table: empirical exit rates by quality tier and
 /// switch bucket, fitted by counting over the whole population (the effects
 /// too small for per-user modelling — Takeaway 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OsTable {
     /// Base exit rate per segment with no switch, per tier (LD..FullHD).
     tier_rates: [f64; 4],
@@ -114,7 +113,7 @@ impl OsTable {
 
 /// The Eq. 4 hybrid: `NN(stall) + OS(quality, smoothness)` when the segment
 /// stalled, `OS(...)` otherwise.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HybridPredictor {
     /// The stall-specialist network.
     pub nn: ExitPredictor,

@@ -8,14 +8,13 @@ use lingxi_nn::{
 use lingxi_stats::BinaryConfusion;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::ExitDataset;
 use crate::features::{StateMatrix, MATRIX_LEN, N_DIMS};
 use crate::{ExitError, Result};
 
 /// Predictor hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PredictorConfig {
     /// Conv channels per branch (paper: 64).
     pub channels: usize,
@@ -61,7 +60,7 @@ impl PredictorConfig {
 }
 
 /// Accuracy / precision / recall / F1 on a held-out set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// Confusion-derived metrics.
     pub accuracy: f64,
@@ -76,7 +75,7 @@ pub struct EvalReport {
 }
 
 /// The neural exit predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExitPredictor {
     config: PredictorConfig,
     net: Branched,
@@ -352,17 +351,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut p = ExitPredictor::new(PredictorConfig::small(), &mut rng).unwrap();
         assert!(p.train(&ds, &[], &mut rng).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_predictions() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut p = ExitPredictor::new(PredictorConfig::small(), &mut rng).unwrap();
-        let mut s = StateMatrix::zeros();
-        s.rows[2][7] = 0.5;
-        let before = p.predict(&s);
-        let json = serde_json::to_string(&p).unwrap();
-        let mut q: ExitPredictor = serde_json::from_str(&json).unwrap();
-        assert!((q.predict(&s) - before).abs() < 1e-9);
     }
 }

@@ -4,13 +4,11 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Result;
 
 /// One named series of `(x, y)` points (x kept as a label so categorical
 /// axes like quality tiers print naturally).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Series name (legend entry).
     pub name: String,
@@ -45,7 +43,7 @@ impl Series {
 }
 
 /// A complete experiment output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Experiment id (`fig12`, ...).
     pub id: String,

@@ -30,6 +30,7 @@ pub const CHECKPOINT_SCHEMA: u32 = 2;
 pub const CHECKPOINT_FILE: &str = "fleet_ckpt.json";
 
 /// Everything needed to restart a fleet run from an epoch barrier.
+// detlint::allow(serde_derive, reason = "the whole of fleet_ckpt.json")
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetCheckpoint {
     /// Manifest schema version.
@@ -175,6 +176,23 @@ mod tests {
             back.epochs[0].all.watch_time.to_bits(),
             ckpt.epochs[0].all.watch_time.to_bits()
         );
+
+        // An epoch written without the `dispatch` and `solver` keys loads
+        // with `None` for both (`#[serde(default)]`).
+        let bare = FleetCheckpoint {
+            epochs: vec![EpochMetrics {
+                dispatch: None,
+                solver: None,
+                ..ckpt.epochs[0].clone()
+            }],
+            ..ckpt.clone()
+        };
+        let json = serde_json::to_string(&bare).unwrap();
+        let without = json.replace(",\"dispatch\":null,\"solver\":null", "");
+        assert!(!without.contains("dispatch") && !without.contains("solver"));
+        std::fs::write(FleetCheckpoint::path_in(dir), without).unwrap();
+        assert_eq!(FleetCheckpoint::load(dir).unwrap().unwrap(), bare);
+
         FleetCheckpoint::remove(dir).unwrap();
         assert!(FleetCheckpoint::load(dir).unwrap().is_none());
         FleetCheckpoint::remove(dir).unwrap(); // idempotent

@@ -179,8 +179,8 @@ pub trait Dispatcher: std::fmt::Debug + Send {
     fn place(&mut self, user_id: u64, stream_seed: u64) -> u64;
 
     /// Epoch barrier: adopt the realized per-queue placement counts of
-    /// the finished epoch as the new (now-stale) estimates and reset the
-    /// per-dispatcher load accounting.
+    /// the finished epoch (`snapshot`, one per link) as the new
+    /// (now-stale) estimates and reset the per-dispatcher load accounting.
     fn refresh(&mut self, snapshot: &[u64]);
 
     /// Placements made by each *physical* dispatcher since the last
@@ -300,13 +300,13 @@ impl Dispatcher for Lsq {
 
     fn refresh(&mut self, snapshot: &[u64]) {
         let links = self.weights.len();
+        assert_eq!(snapshot.len(), links, "one barrier count per link");
         // Each stream adopts its *share* of the barrier counts (see the
         // module docs: raw counts would sit at fleet scale and drown the
         // stream's own unit increments).
-        for stream in 0..DISPATCH_STREAMS {
-            for q in 0..links {
-                self.est[stream * links + q] =
-                    snapshot.get(q).copied().unwrap_or(0) as f64 / DISPATCH_STREAMS as f64;
+        for est in self.est.chunks_exact_mut(links) {
+            for (e, &count) in est.iter_mut().zip(snapshot) {
+                *e = count as f64 / DISPATCH_STREAMS as f64;
             }
         }
         for l in &mut self.loads {
@@ -323,6 +323,7 @@ impl Dispatcher for Lsq {
 /// [`crate::EpochMetrics`] so it rides the checkpoint manifest: a resumed
 /// run re-seeds its estimates from the last completed epoch's placements
 /// and stays bit-identical to an uninterrupted one.
+// detlint::allow(serde_derive, reason = "EpochMetrics::dispatch in fleet_ckpt.json")
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DispatchEpoch {
     /// Users placed on each link this epoch (the next barrier snapshot).

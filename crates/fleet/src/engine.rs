@@ -404,7 +404,8 @@ impl FleetEngine {
     }
 
     /// The checkpoint manifest a `resume` run continues from; refused
-    /// when absent or written by a different run.
+    /// when absent, written by a different run, or carrying a dispatch
+    /// record that does not fit this run's links.
     fn load_checkpoint(&self, scenario: &FleetScenario) -> Result<FleetCheckpoint> {
         let ckpt = FleetCheckpoint::load(&self.config.state_dir)?.ok_or_else(|| {
             FleetError::InvalidConfig(format!(
@@ -425,6 +426,23 @@ impl FleetEngine {
                 self.config.seed,
                 self.config.epochs,
                 scenario.name
+            )));
+        }
+        // The dispatch snapshot resumes from the last epoch's placements,
+        // so they must be the record this run writes: one count per link
+        // in contention mode, none in independent mode.
+        let recorded = ckpt
+            .epochs
+            .last()
+            .map(|e| e.dispatch.as_ref().map(|d| d.placements.len()));
+        let links = self.config.contention.as_ref().map(|c| c.links);
+        if recorded.is_some_and(|recorded| recorded != links) {
+            let shape =
+                |n: Option<usize>| n.map_or("no links".to_string(), |n| format!("{n} links"));
+            return Err(FleetError::InvalidConfig(format!(
+                "checkpoint records placements on {} but this run places users on {}",
+                shape(recorded.flatten()),
+                shape(links)
             )));
         }
         Ok(ckpt)

@@ -22,6 +22,7 @@ use crate::dispatch::DispatchEpoch;
 /// Serializable (the checkpoint manifest carries completed epochs; the
 /// integer bin counts and finite `f64` ranges round-trip bit-exactly
 /// through `serde_json`).
+// detlint::allow(serde_derive, reason = "EpochMetrics::sketches in fleet_ckpt.json")
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochSketches {
     /// Per-session total stall time (seconds).
@@ -74,6 +75,7 @@ impl Default for EpochSketches {
 /// Serializable so checkpoint manifests can carry completed epochs; all
 /// float fields are finite by construction, so the JSON round-trip is
 /// bit-exact (Rust's shortest-round-trip float formatting).
+// detlint::allow(serde_derive, reason = "completed epochs in fleet_ckpt.json")
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochMetrics {
     /// Epoch index (a simulated day).

@@ -5,10 +5,13 @@
 //! adds a static cohort at 2 shards and checks what the manifest itself
 //! promises: a suspended run leaves one,
 //! a completed run removes it, and a resume refuses a manifest that is
-//! missing or belongs to another run.
+//! missing, belongs to another run, or records placements on other links.
 
 use lingxi_fleet::harness::{Cell, ScratchDir};
-use lingxi_fleet::{FleetCheckpoint, FleetConfig, FleetScenario, RunControl, RunOutcome};
+use lingxi_fleet::{
+    ContentionConfig, DispatchConfig, FleetCheckpoint, FleetConfig, FleetError, FleetScenario,
+    RunControl, RunOutcome,
+};
 
 fn cell() -> Cell {
     Cell {
@@ -92,4 +95,41 @@ fn resume_refuses_mismatched_run() {
     let empty = ScratchDir::claim();
     let err = cell().run_in(empty.path(), 2, RESUME).unwrap_err();
     assert!(err.to_string().contains("no checkpoint"), "{err}");
+}
+
+#[test]
+fn resume_refuses_a_dispatch_record_that_does_not_fit() {
+    // A 4-link LSQ run suspended after epoch 1 records 4 placements.
+    let lsq = |links: usize| {
+        let mut cell = cell();
+        cell.config.contention = Some(ContentionConfig {
+            links,
+            ..ContentionConfig::default()
+        });
+        cell.config.dispatch = Some(DispatchConfig::lsq(2));
+        cell
+    };
+    let dir = ScratchDir::claim();
+    let outcome = lsq(4).run_in(dir.path(), 2, KILL_AFTER_1).unwrap();
+    assert!(matches!(outcome, RunOutcome::Suspended(_)));
+
+    // Resumed with 6 links, the LSQ snapshot would be zero-padded.
+    let err = lsq(6).run_in(dir.path(), 2, RESUME).unwrap_err();
+    assert!(
+        matches!(err, FleetError::InvalidConfig(ref m) if m.contains("4 links") && m.contains("6 links")),
+        "{err}"
+    );
+    // Resumed in independent mode, the record has no links to refresh.
+    let err = cell().run_in(dir.path(), 2, RESUME).unwrap_err();
+    assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
+
+    // An independent-mode manifest carries no record for a contended run.
+    let independent = ScratchDir::claim();
+    let outcome = cell().run_in(independent.path(), 2, KILL_AFTER_1).unwrap();
+    assert!(matches!(outcome, RunOutcome::Suspended(_)));
+    let err = lsq(4).run_in(independent.path(), 2, RESUME).unwrap_err();
+    assert!(
+        matches!(err, FleetError::InvalidConfig(ref m) if m.contains("no links")),
+        "{err}"
+    );
 }

@@ -54,14 +54,16 @@ proptest! {
         seed in 0u64..1_000_000,
         links in 1usize..12,
         n_users in 1usize..120,
-        snapshot in proptest::collection::vec(0u64..500, 0..12),
+        snapshot in proptest::collection::vec(0u64..500, 11..12),
         fat_every in 1usize..5,
     ) {
+        // A barrier snapshot holds one count per link.
+        let snapshot = &snapshot[..links];
         let weights: Vec<f64> = (0..links)
             .map(|q| if q % fat_every == 0 { 4.0 } else { 1.0 })
             .collect();
         let place_all = |d: &mut dyn Dispatcher| -> Vec<u64> {
-            d.refresh(&snapshot);
+            d.refresh(snapshot);
             (0..n_users as u64)
                 .map(|u| d.place(u, seed ^ u.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
                 .collect()
@@ -88,12 +90,13 @@ proptest! {
         seed in 0u64..1_000_000,
         links in 1usize..10,
         n_users in 1usize..100,
-        snapshot in proptest::collection::vec(0u64..200, 0..10),
+        snapshot in proptest::collection::vec(0u64..200, 9..10),
     ) {
+        let snapshot = &snapshot[..links];
         let weights = vec![1.0; links];
         let run = |dispatchers: usize| {
             let mut d = Lsq::new(weights.clone(), dispatchers);
-            d.refresh(&snapshot);
+            d.refresh(snapshot);
             let placements: Vec<u64> = (0..n_users as u64)
                 .map(|u| d.place(u, seed ^ u.rotate_left(17)))
                 .collect();
@@ -118,14 +121,15 @@ proptest! {
         seed in 0u64..1_000_000,
         links in 1usize..12,
         n_users in 1usize..150,
-        snapshot in proptest::collection::vec(0u64..300, 0..12),
+        snapshot in proptest::collection::vec(0u64..300, 11..12),
         fat_every in 1usize..5,
     ) {
+        let snapshot = &snapshot[..links];
         let weights: Vec<f64> = (0..links)
             .map(|q| if q % fat_every == 0 { 4.8 } else { 1.0 })
             .collect();
         let mut lsq = Lsq::new(weights.clone(), 2);
-        lsq.refresh(&snapshot);
+        lsq.refresh(snapshot);
         for uid in 0..n_users as u64 {
             let stream_seed = seed ^ uid.wrapping_mul(0xBF58_476D_1CE4_E5B9);
             let stream = Lsq::stream_of(stream_seed);

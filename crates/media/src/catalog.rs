@@ -6,14 +6,13 @@
 //! module generates such catalogs deterministically.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::ladder::BitrateLadder;
 use crate::segment::{SegmentSizes, VbrModel};
 use crate::{MediaError, Result};
 
 /// One video: an id, its segmentation and per-level sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Video {
     /// Stable identifier within the catalog.
     pub id: u64,
@@ -34,7 +33,7 @@ impl Video {
 }
 
 /// Catalog generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogConfig {
     /// Number of videos to generate.
     pub n_videos: usize,
@@ -65,7 +64,7 @@ impl Default for CatalogConfig {
 }
 
 /// A generated collection of videos sharing one bitrate ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Catalog {
     ladder: BitrateLadder,
     videos: Vec<Video>,

@@ -1,12 +1,10 @@
 //! Bitrate ladders and the four quality tiers of the paper's analyses.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MediaError, Result};
 
 /// The four user-facing quality tiers used throughout §2 of the paper
 /// (Fig. 3a, Fig. 4a): Low / Standard / High / Full-High definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QualityTier {
     /// Low definition.
     Ld,
@@ -44,7 +42,7 @@ impl QualityTier {
 /// level per tier: 350 / 800 / 1850 / 4300 kbps. `Q_max` (the top bitrate)
 /// doubles as the stall-penalty weight μ in `QoE_lin` ("we set \[μ\] to the
 /// maximum video quality value", §2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BitrateLadder {
     levels_kbps: Vec<f64>,
     tiers: Vec<QualityTier>,

@@ -7,13 +7,11 @@
 //! three. The stall weight μ defaults to the maximum video quality value,
 //! exactly as §2.1 sets it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ladder::BitrateLadder;
 use crate::Result;
 
 /// The quality function family.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QualityMap {
     /// `q(b) = b / 1000` (Mbps-scaled linear quality).
     LinearMbps,

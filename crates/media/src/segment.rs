@@ -5,7 +5,6 @@
 //! model (Eq. 3) downloads `d_k(Q_k)`; this module generates those sizes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::ladder::BitrateLadder;
 use crate::{MediaError, Result};
@@ -14,7 +13,7 @@ use crate::{MediaError, Result};
 ///
 /// A `spread` of 0 gives constant-bitrate segments; production short-video
 /// encoders typically land around 0.2–0.35 relative deviation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VbrModel {
     /// Relative standard deviation of segment size around nominal (>= 0).
     pub spread: f64,
@@ -69,7 +68,7 @@ impl VbrModel {
 /// Per-segment, per-level sizes in **kilobits** for one video.
 ///
 /// `size(k, level) = bitrate_kbps(level) × segment_duration × complexity_k`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentSizes {
     segment_duration: f64,
     /// Levels per segment (the flat table's row stride).

@@ -5,8 +5,6 @@
 //! (Eq. 3's `N(mu_Cpast, sigma^2_Cpast)` is not an estimator here: the
 //! player fits it over its own throughput history.)
 
-use serde::{Deserialize, Serialize};
-
 use crate::{NetError, Result};
 
 /// Common estimator interface over per-segment throughput observations.
@@ -21,7 +19,7 @@ pub trait BandwidthEstimator {
 
 /// Harmonic mean over a sliding window, optionally discounted by the
 /// maximum recent relative prediction error (the RobustMPC trick).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HarmonicMeanEstimator {
     window: usize,
     samples: Vec<f64>,
@@ -88,7 +86,7 @@ impl BandwidthEstimator for HarmonicMeanEstimator {
 }
 
 /// Exponentially weighted moving average.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwmaEstimator {
     alpha: f64,
     value: Option<f64>,

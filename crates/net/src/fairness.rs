@@ -125,7 +125,7 @@ const PRICE_TINY: f64 = 1e-12;
 pub const ALPHA_FLOOR: f64 = 0.125;
 
 /// How a topology splits capacity among concurrent flows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FairnessObjective {
     /// Progressive water-filling (the α → ∞ limit).
     MaxMin,
@@ -248,6 +248,7 @@ impl SolveOutcome {
 /// What the dual solver did over a stretch of a run: integer sums and a
 /// float maximum, so accumulating per link group and merging is exactly
 /// order-independent — bit-identical for any shard count.
+// detlint::allow(serde_derive, reason = "EpochMetrics::solver in fleet_ckpt.json")
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SolverStats {
     /// Allocations that swept at least once (max-min allocations, and

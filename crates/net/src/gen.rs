@@ -12,7 +12,6 @@
 //! the caller's stream past the words it would have drawn.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::trace::BandwidthTrace;
 use crate::{NetError, Result};
@@ -98,7 +97,7 @@ impl TickSampler {
 }
 
 /// IID Gaussian samples clamped positive: `N(mean, (cv*mean)^2)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StationaryGaussGen {
     /// Mean bandwidth (kbps).
     pub mean_kbps: f64,
@@ -126,7 +125,7 @@ impl TraceGenerator for StationaryGaussGen {
 
 /// Two-state (good/bad) Markov-modulated bandwidth with Gaussian noise in
 /// each state — the classic cellular burst model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarkovGen {
     /// Good-state mean (kbps).
     pub good_kbps: f64,
@@ -179,7 +178,7 @@ impl TraceGenerator for MarkovGen {
 }
 
 /// IID log-normal fading with the requested linear-space mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalFadeGen {
     /// Linear-space mean (kbps).
     pub mean_kbps: f64,

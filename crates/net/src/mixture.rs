@@ -9,14 +9,13 @@
 //! matching the stall-count-per-bandwidth-bucket CDFs of Fig. 8(a).
 
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 
 use crate::gen::{LogNormalFadeGen, MarkovGen, StationaryGaussGen, TickSampler, TraceGenerator};
 use crate::trace::{BandwidthTrace, LazyTrace};
 use crate::{NetError, Result};
 
 /// Coarse network class of one user.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetClass {
     /// Congested / cellular edge; mean below ~2 Mbps, very bursty.
     Constrained,
@@ -39,7 +38,7 @@ impl NetClass {
 }
 
 /// One user's network profile: a class, a long-run mean and a generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserNetProfile {
     /// Coarse class.
     pub class: NetClass,
@@ -109,7 +108,7 @@ impl UserNetProfile {
 }
 
 /// Population mixture calibrated to Fig. 2(a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProductionMixture {
     /// Fraction of users in [`NetClass::Constrained`] (paper: ~10% below
     /// the max bitrate).

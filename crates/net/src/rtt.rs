@@ -4,12 +4,11 @@
 //! links see a base propagation delay plus jitter.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{NetError, Result};
 
 /// RTT = `base + Exp(jitter_mean)` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RttModel {
     /// Base (propagation) RTT in seconds.
     pub base_seconds: f64,

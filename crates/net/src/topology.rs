@@ -30,8 +30,6 @@
 //! assert!((topo.min_capacity_on(0) - 12_000.0).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::{NetError, Result};
 
 /// Maximum hops per route. The ISSUE's topologies are small pods; a hard
@@ -47,7 +45,7 @@ pub const KLEINROCK_PACKET_KBITS: f64 = 12.0;
 pub const RHO_MAX: f64 = 0.95;
 
 /// One directed link: a capacity and a propagation delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopoLink {
     /// Link capacity (kbps). Must be positive and finite.
     pub capacity_kbps: f64,
@@ -91,38 +89,20 @@ impl TopoLink {
 /// Construction also derives the tables the allocator reads on every
 /// solve — per-route tightest capacity, the routes crossing each link,
 /// and the links split into single-route and shared (most-shared first)
-/// — so they cost nothing per flow event. They are functions of `(links, routes)`: serialization writes
-/// only those two, and deserialization goes back through
-/// [`Topology::new`], validation included.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// — so they cost nothing per flow event.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     links: Vec<TopoLink>,
     routes: Vec<Vec<u16>>,
     /// Smallest link capacity along each route.
-    #[serde(skip)]
     route_min_capacity: Vec<f64>,
     /// Routes crossing each link, ascending.
-    #[serde(skip)]
     link_routes: Vec<Vec<u16>>,
     /// Links crossed by exactly one route, ascending.
-    #[serde(skip)]
     single_route_links: Vec<u16>,
     /// Links crossed by two or more routes, by descending route count,
     /// ties by ascending index.
-    #[serde(skip)]
     shared_links: Vec<u16>,
-}
-
-impl Deserialize for Topology {
-    fn from_value(v: &serde::value::Value) -> std::result::Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct Wire {
-            links: Vec<TopoLink>,
-            routes: Vec<Vec<u16>>,
-        }
-        let Wire { links, routes } = Wire::from_value(v)?;
-        Self::new(links, routes).map_err(serde::Error::custom)
-    }
 }
 
 impl Topology {
@@ -364,27 +344,6 @@ mod tests {
         .unwrap();
         assert_eq!(t.shared_links(), &[2, 0, 1]);
         assert!(t.single_route_links().is_empty());
-    }
-
-    #[test]
-    fn serialization_carries_links_and_routes_and_revalidates() {
-        let t = Topology::new(
-            vec![
-                TopoLink::new(12_000.0, 0.004),
-                TopoLink::new(45_000.0, 0.012),
-            ],
-            vec![vec![0, 1], vec![1]],
-        )
-        .unwrap();
-        let value = t.to_value();
-        assert_eq!(value.as_map().map(<[_]>::len), Some(2));
-        assert_eq!(Topology::from_value(&value).unwrap(), t);
-        // A route through a missing link does not deserialize.
-        let bad = Topology {
-            routes: vec![vec![0, 7]],
-            ..t
-        };
-        assert!(Topology::from_value(&bad.to_value()).is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use std::cell::RefCell;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use crate::gen::TickSampler;
 use crate::process::{BandwidthProcess, Download};
@@ -14,7 +13,7 @@ use crate::{NetError, Result};
 ///
 /// Lookups past the end wrap around (the convention of the Pensieve /
 /// MPC evaluation harnesses, which loop traces to cover long sessions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthTrace {
     tick_seconds: f64,
     samples_kbps: Vec<f64>,

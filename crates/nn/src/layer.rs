@@ -1,26 +1,21 @@
 //! Network layers: dense, 1-D convolution, ReLU.
 //!
 //! Each layer caches its forward input so `backward` can compute parameter
-//! gradients; caches are `#[serde(skip)]`-ped so serialized models hold only
-//! weights.
+//! gradients. Layers live in-process only: nothing serializes them.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::init::{he_uniform, xavier_uniform};
 use crate::{Matrix, NnError, Result};
 
 /// A fully-connected layer `y = x W + b` with `x: (batch, in)`,
 /// `W: (in, out)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     w: Matrix,
     b: Vec<f64>,
-    #[serde(skip)]
     grad_w: Option<Matrix>,
-    #[serde(skip)]
     grad_b: Vec<f64>,
-    #[serde(skip)]
     cache_x: Option<Matrix>,
 }
 
@@ -96,7 +91,7 @@ impl Dense {
 /// blocks (`x[ic*len + t]`). Output layout: `out_channels * out_len` with
 /// `out_len = length - kernel + 1`. For the paper's predictor the per-row
 /// convs are `Conv1d(in=1, len=8, out=64, kernel=4)` giving `64×5` features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv1d {
     in_ch: usize,
     len: usize,
@@ -105,11 +100,8 @@ pub struct Conv1d {
     /// `(out_ch, in_ch*kernel)` filter bank.
     w: Matrix,
     b: Vec<f64>,
-    #[serde(skip)]
     grad_w: Option<Matrix>,
-    #[serde(skip)]
     grad_b: Vec<f64>,
-    #[serde(skip)]
     cache_x: Option<Matrix>,
 }
 
@@ -241,9 +233,8 @@ impl Conv1d {
 }
 
 /// Element-wise rectified linear unit.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
-    #[serde(skip)]
     cache_mask: Vec<bool>,
 }
 
@@ -277,8 +268,8 @@ impl Relu {
     }
 }
 
-/// Closed set of layer kinds so networks serialize with plain serde.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Closed set of layer kinds: a layer call is a `match`, not a virtual call.
+#[derive(Debug, Clone)]
 pub enum Layer {
     /// Fully connected.
     Dense(Dense),

@@ -13,9 +13,11 @@
 //! Design notes:
 //! - Activations flow through [`Matrix`] values shaped `(batch, features)`;
 //!   convolution layers interpret the feature axis as `channels × length`.
-//! - Layers are a closed [`Layer`] enum rather than trait objects so models
-//!   serialize with plain `serde` (the deployment section of the paper
-//!   persists long-term state; we persist trained models the same way).
+//! - Layers are a closed [`Layer`] enum rather than trait objects, so a
+//!   model is a plain `Clone` value and a layer call is a `match`.
+//! - Models live in-process: each is trained (or freshly initialized) by
+//!   the run that uses it, and nothing persists them. The only state the
+//!   deployment persists is per-user long-term state (`lingxi-core`).
 //! - All randomness is injected; training is reproducible given a seed.
 //!
 //! ```

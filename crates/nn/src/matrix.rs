@@ -1,11 +1,9 @@
 //! Row-major 2-D matrix of `f64` — the only tensor type this library needs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{NnError, Result};
 
 /// A dense row-major matrix. Activations are `(batch, features)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

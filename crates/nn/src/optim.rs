@@ -4,10 +4,8 @@
 //! Its moment buffers are keyed by visit order of the parameter tensors,
 //! which is stable for a fixed network topology.
 
-use serde::{Deserialize, Serialize};
-
 /// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f64,

@@ -7,14 +7,12 @@
 //! (with [`concat_features`]/[`split_features`]) handles the branch +
 //! merge pattern.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::Layer;
 use crate::optim::Adam;
 use crate::{Matrix, NnError, Result};
 
 /// A chain of layers applied in order.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Sequential {
     layers: Vec<Layer>,
 }
@@ -145,13 +143,12 @@ pub fn split_features(grad: &Matrix, widths: &[usize]) -> Result<Vec<Matrix>> {
 /// A branch + merge network: `branches[i]` consumes input slice `i`; their
 /// outputs are concatenated and fed to `head`. This is the exact topology of
 /// the paper's exit-rate predictor (five conv branches → merge → FC stack).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Branched {
     /// Per-input-slice subnetworks.
     pub branches: Vec<Sequential>,
     /// Shared head after the merge.
     pub head: Sequential,
-    #[serde(skip)]
     branch_widths: Vec<usize>,
 }
 
@@ -327,23 +324,5 @@ mod tests {
             last = loss;
         }
         assert!(last < 0.1, "branched loss {last}");
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_weights() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut net = Sequential::new()
-            .push(Layer::Dense(Dense::new(3, 4, &mut rng).unwrap()))
-            .push(Layer::Relu(Relu::new()))
-            .push(Layer::Dense(Dense::new(4, 2, &mut rng).unwrap()));
-        let x = Matrix::from_vec(1, 3, vec![0.1, -0.2, 0.7]).unwrap();
-        let y1 = net.forward(&x).unwrap();
-        let json = serde_json::to_string(&net).unwrap();
-        let mut restored: Sequential = serde_json::from_str(&json).unwrap();
-        let y2 = restored.forward(&x).unwrap();
-        // JSON float text round-trips can differ in the last ulp.
-        for (a, b) in y1.as_slice().iter().zip(y2.as_slice()) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 }

@@ -2,7 +2,6 @@
 
 use lingxi_net::RttModel;
 use lingxi_stats::NormalDist;
-use serde::{Deserialize, Serialize};
 
 use crate::{PlayerError, Result};
 
@@ -13,7 +12,7 @@ use crate::{PlayerError, Result};
 /// stalls) and shrink it on strong stable links (avoid wasted downloads when
 /// the user swipes away). [`BmaxPolicy::BandwidthAdaptive`] implements that
 /// shape; [`BmaxPolicy::Fixed`] pins it for controlled experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BmaxPolicy {
     /// Constant cap in seconds.
     Fixed(f64),
@@ -98,7 +97,7 @@ impl BmaxPolicy {
 }
 
 /// Full player configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayerConfig {
     /// Buffer-cap policy.
     pub bmax: BmaxPolicy,

@@ -4,14 +4,13 @@ use std::collections::VecDeque;
 
 use lingxi_stats::NormalDist;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::PlayerConfig;
 use crate::log::SegmentRecord;
 use crate::{PlayerError, Result};
 
 /// One stall event: when it started (wall time) and how long it lasted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallEvent {
     /// Wall-clock time the stall began (seconds since session start).
     pub at: f64,
@@ -22,7 +21,7 @@ pub struct StallEvent {
 }
 
 /// Outcome of downloading + playing one segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentOutcome {
     /// Download time `d_k/C_k` (seconds).
     pub download_time: f64,
@@ -41,7 +40,7 @@ pub struct SegmentOutcome {
 /// Cloning an env forks the simulation — this is exactly how the
 /// Monte-Carlo evaluator of Algorithm 2 seeds each rollout with the live
 /// player state (`E_sim ← E_player`).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct PlayerEnv {
     config: PlayerConfig,
     /// Current playback buffer (seconds).

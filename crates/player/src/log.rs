@@ -6,10 +6,8 @@
 //! segment, such as buffer size, bitrate levels, segment sizes, download
 //! time, and stall time" — [`SessionLog`] carries exactly those fields.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-segment record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentRecord {
     /// Segment index within the video.
     pub index: usize,
@@ -48,7 +46,7 @@ impl SegmentRecord {
 }
 
 /// Why a session ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionEnd {
     /// Watched to the end of the video.
     Completed,
@@ -59,7 +57,7 @@ pub enum SessionEnd {
 }
 
 /// A complete playback session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionLog {
     /// User that played the session (0 when unowned).
     pub user_id: u64,
@@ -132,7 +130,7 @@ impl SessionLog {
 }
 
 /// Aggregate numbers of one session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSummary {
     /// Owner.
     pub user_id: u64,

@@ -4,10 +4,8 @@
 //! (Fig. 9) and studies recall vs accumulated stall count to choose the
 //! trigger threshold (Fig. 8b). "Positive" throughout means *exit*.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of a binary confusion matrix. Positive class = "user exits".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BinaryConfusion {
     /// Predicted exit, user exited.
     pub tp: u64,
@@ -82,7 +80,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 }
 
 /// Accuracy / precision / recall / F1, the four bars of Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMetrics {
     /// Fraction of correct predictions.
     pub accuracy: f64,

@@ -1,8 +1,6 @@
 //! Descriptive statistics over `f64` slices: mean, variance, percentiles
 //! and the [`Summary`] the figures report with error bars.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, StatsError};
 
 /// Arithmetic mean. Errors on empty input.
@@ -55,7 +53,7 @@ pub fn percentile(xs: &[f64], p: f64) -> Result<f64> {
 }
 
 /// Five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

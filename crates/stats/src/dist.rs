@@ -6,7 +6,6 @@
 //! (paper §4); both rely on this module.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, StatsError};
 
@@ -40,7 +39,7 @@ pub fn norm_cdf(x: f64) -> f64 {
 ///
 /// `sigma` may be zero, in which case the distribution is a point mass
 /// (useful for deterministic bandwidth in tests).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalDist {
     /// Mean.
     pub mu: f64,

@@ -4,12 +4,10 @@
 //! harness evaluates them on fixed grids so the series can be printed and
 //! compared against the published curves.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, StatsError};
 
 /// An empirical cumulative distribution function built from a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -5,14 +5,12 @@
 //! +0.103% ± 0.015% (t = 6.867), stall −1.287% ± 0.103% (t = −12.495).
 //! [`did_estimate`] + [`welch_t_test`] regenerate that analysis shape.
 
-use serde::{Deserialize, Serialize};
-
 use crate::describe::{mean, variance};
 use crate::dist::norm_cdf;
 use crate::{Result, StatsError};
 
 /// Output of a t-test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TTestResult {
     /// The t statistic.
     pub t: f64,
@@ -89,7 +87,7 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
 }
 
 /// Difference-in-differences estimate from daily relative differences.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DidResult {
     /// Mean post-intervention difference minus mean pre-intervention
     /// difference (the DiD effect, in whatever units the inputs carry —

@@ -3,12 +3,10 @@
 //! Fig. 14's per-day trend lines between stall-exit rate and the β parameter
 //! are "fitted using least squares linear regression" (paper §5.5.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, StatsError};
 
 /// Result of fitting `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope coefficient.
     pub slope: f64,

@@ -28,7 +28,7 @@ use crate::{Result, StatsError};
 
 /// Streaming count/sum/sum-of-squares accumulator: O(1) memory mean and
 /// variance over a value stream, with exact min/max.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingMoments {
     /// Number of observations.
     pub count: u64,
@@ -117,6 +117,7 @@ impl StreamingMoments {
 /// Because the state is integer counts, [`QuantileSketch::merge`] is
 /// exactly associative and commutative — shards can accumulate
 /// independently and merge in any order with bit-identical results.
+// detlint::allow(serde_derive, reason = "EpochSketches in fleet_ckpt.json")
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantileSketch {
     lo: f64,

@@ -3,14 +3,13 @@
 
 use lingxi_net::{LazyTrace, ProductionMixture, UserNetProfile};
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::{sample_profile, StallProfile, ToleranceDrift};
 use crate::qos_model::QosExitModel;
 use crate::{Result, UserError};
 
 /// One synthetic user.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserRecord {
     /// Stable identifier.
     pub id: u64,
@@ -64,7 +63,7 @@ impl UserRecord {
 }
 
 /// Population generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationConfig {
     /// Number of users.
     pub n_users: usize,
@@ -85,7 +84,7 @@ impl Default for PopulationConfig {
 }
 
 /// A generated user population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserPopulation {
     users: Vec<UserRecord>,
 }

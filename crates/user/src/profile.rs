@@ -1,12 +1,11 @@
 //! Per-user stall-sensitivity profiles and their temporal drift.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, UserError};
 
 /// The three response archetypes of Fig. 5(b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensitivityKind {
     /// Exit probability ramps quickly with stall time.
     Sensitive,
@@ -18,7 +17,7 @@ pub enum SensitivityKind {
 
 /// Day-to-day tolerance drift (Fig. 5a, right curve): most users are
 /// stable; ~20% fluctuate by 2–4 s; the rest follow a long tail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ToleranceDrift {
     /// Fraction of users with (near-)zero drift.
     pub p_stable: f64,
@@ -59,7 +58,7 @@ impl ToleranceDrift {
 /// an additional per-segment exit probability, shaped by the archetype and
 /// the personal tolerance τ. The magnitudes keep the overall stall effect in
 /// the 1e-1 band with a ~0.3 maximum differential (Fig. 4c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallProfile {
     /// Archetype.
     pub kind: SensitivityKind,

@@ -4,7 +4,6 @@
 use lingxi_media::{BitrateLadder, QualityTier};
 use lingxi_player::{ExitDecision, PlayerEnv, SegmentRecord};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::profile::StallProfile;
 
@@ -69,7 +68,7 @@ pub fn consult<'a, R: rand::RngCore>(
 /// - engagement beyond 20 s of watch time halves the stall response;
 /// - watching Full HD *increases* stall response by 1.4×;
 /// - a repeated stall (2nd+ event in a session) scales it by 1.5×.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosExitModel {
     /// Per-segment content-driven (QoS-unrelated) exit probability. This is
     /// the noise floor that makes ALL-dataset predictors unlearnable
@@ -83,10 +82,8 @@ pub struct QosExitModel {
     /// The user's stall profile (the 1e-1 term).
     pub stall: StallProfile,
     /// Session stall accumulated so far (model state).
-    #[serde(skip)]
     session_stall: f64,
     /// Stall events seen this session (model state).
-    #[serde(skip)]
     session_stall_events: usize,
 }
 

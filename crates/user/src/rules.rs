@@ -5,22 +5,18 @@
 //! Exit thresholds for both metrics are systematically varied between 2 and
 //! 9, generating a comprehensive set of 64 distinct engagement rules."
 
-use serde::{Deserialize, Serialize};
-
 use crate::qos_model::{ExitModel, SegmentView};
 use crate::{Result, UserError};
 
 /// Exit deterministically once cumulative stall time (seconds) or stall
 /// count crosses its threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuleBasedExit {
     /// Cumulative stall-time threshold (seconds).
     pub max_stall_time: f64,
     /// Stall-count threshold.
     pub max_stall_count: usize,
-    #[serde(skip)]
     session_stall: f64,
-    #[serde(skip)]
     session_events: usize,
 }
 

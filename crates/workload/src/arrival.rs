@@ -11,14 +11,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::classes::ClassRegistry;
 use crate::{mix64, Result, WorkloadError};
 
 /// One arrival: a user of class `class` (index into the registry's user
 /// classes) shows up at simulation time `at` (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalEvent {
     /// Arrival time (seconds from epoch start).
     pub at: f64,
@@ -45,7 +44,7 @@ fn arrival_rng(seed: u64) -> StdRng {
 
 /// Homogeneous Poisson arrivals at `rate_per_sec`; also the candidate
 /// generator behind every thinned (time-varying) process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     /// Mean arrivals per second.
     pub rate_per_sec: f64,
@@ -102,7 +101,7 @@ impl ArrivalProcess for Poisson {
 /// `amplitude = 0` degenerates to [`Poisson`]; `amplitude = 1` silences
 /// the trough entirely. The defaults put the peak at 21:00 of an 86 400 s
 /// day — the evening prime time of a short-video service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Diurnal {
     /// Mean arrivals per second averaged over a full period.
     pub base_rate: f64,
@@ -172,7 +171,7 @@ impl ArrivalProcess for Diurnal {
 /// uniform `u` — `shape = 1` is the uniform ramp the `flashcrowd`
 /// experiment used to hard-code, `shape > 1` front-loads the crowd,
 /// `shape < 1` back-loads it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashRamp {
     /// Crowd size.
     pub users: usize,
@@ -230,7 +229,7 @@ impl ArrivalProcess for FlashRamp {
 /// production timestamps). Events beyond the horizon are dropped; the
 /// schedule is re-sorted defensively so downstream kernels can rely on
 /// time order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Replay {
     /// The schedule to replay.
     pub schedule: Vec<ArrivalEvent>,
@@ -281,7 +280,7 @@ fn attach_classes(
 
 /// Plain-data wrapper over the arrival processes so configs that embed a
 /// workload stay `Clone + PartialEq` without trait objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalKind {
     /// Homogeneous Poisson arrivals.
     Poisson(Poisson),

@@ -7,12 +7,11 @@ use lingxi_user::profile::sample_profile;
 use lingxi_user::UserRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{mix64, Result, WorkloadError};
 
 /// One user class: the per-class knobs production heterogeneity turns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserClass {
     /// Class label (reports key per-class metrics on it).
     pub name: String,
@@ -94,7 +93,7 @@ impl UserClass {
 
 /// One link class: shared-bottleneck links hash onto these, giving the
 /// topology heterogeneous capacities (congested cells next to fiber).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkClass {
     /// Class label.
     pub name: String,
@@ -125,7 +124,7 @@ impl LinkClass {
 
 /// The heterogeneity registry: categorical mixtures of user and link
 /// classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassRegistry {
     /// User classes (at least one; weights need not sum to 1).
     pub users: Vec<UserClass>,
