@@ -38,6 +38,11 @@ pub trait Abr: Send {
     /// Reset per-session state (estimator windows etc.).
     fn reset(&mut self);
 
+    /// A private copy (configuration, parameters and per-session state)
+    /// to play virtual segments on: Monte-Carlo rollouts run on a fork,
+    /// so the live instance only ever sees `set_params`.
+    fn fork(&self) -> Box<dyn Abr>;
+
     /// Short algorithm name for reports.
     fn name(&self) -> &'static str;
 }
@@ -49,13 +54,17 @@ pub trait Abr: Send {
 /// estimators count every observation they absorbed, so the number of new
 /// samples is `env.segment_index() − estimator.count()`, of which at most
 /// the window length is still visible. (Comparing against the window length
-/// alone would stop syncing forever once the window fills.)
+/// alone would stop syncing forever once the window fills.) The new samples
+/// that already left the window count as consumed, so an estimator synced
+/// for the first time mid-session — every rollout's, after `reset` — takes
+/// each visible sample once and then one per segment.
 pub fn sync_estimator<E: lingxi_net::BandwidthEstimator>(estimator: &mut E, env: &PlayerEnv) {
     let total = env.segment_index();
     let seen = estimator.count();
     let new = total.saturating_sub(seen);
     let hist = env.throughput_history();
     let take = new.min(hist.len());
+    estimator.skip(new - take);
     for &s in hist.iter().skip(hist.len() - take) {
         estimator.observe(s);
     }
@@ -83,11 +92,13 @@ pub fn drive<'a>(
 mod tests {
     use super::*;
     use lingxi_media::VbrModel;
+    use lingxi_net::BandwidthEstimator;
     use lingxi_player::PlayerConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Trivial Abr for exercising the adapter.
+    #[derive(Clone)]
     struct Fixed(usize, QoeParams);
 
     impl Abr for Fixed {
@@ -101,6 +112,9 @@ mod tests {
             self.1
         }
         fn reset(&mut self) {}
+        fn fork(&self) -> Box<dyn Abr> {
+            Box::new(self.clone())
+        }
         fn name(&self) -> &'static str {
             "fixed"
         }
@@ -115,6 +129,55 @@ mod tests {
         let env = PlayerEnv::new(PlayerConfig::deterministic(10.0, 0.0)).unwrap();
         let mut f = drive(&mut abr, &ladder, &sizes);
         assert_eq!(f(&env), 2);
+    }
+
+    /// Records every sample it absorbs.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<f64>,
+        skipped: usize,
+    }
+
+    impl BandwidthEstimator for Recorder {
+        fn observe(&mut self, kbps: f64) {
+            self.seen.push(kbps);
+        }
+        fn estimate(&self) -> Option<f64> {
+            self.seen.last().copied()
+        }
+        fn count(&self) -> usize {
+            self.seen.len() + self.skipped
+        }
+        fn skip(&mut self, n: usize) {
+            self.skipped += n;
+        }
+    }
+
+    /// A sync absorbs every throughput exactly once: from the first
+    /// segment on, and from a first sync mid-session (segment 20, window
+    /// 8), where the samples that already left the window count as
+    /// consumed instead of being re-absorbed by the next syncs.
+    #[test]
+    fn sync_absorbs_each_sample_once() {
+        let mut env = PlayerEnv::new(PlayerConfig::deterministic(10.0, 0.0)).unwrap();
+        let kbps = |i: usize| 1000.0 + i as f64;
+        let mut live = Recorder::default();
+        for i in 0..20 {
+            sync_estimator(&mut live, &env);
+            env.step_with_rtt(500.0, 0, kbps(i), 2.0, 0.0).unwrap();
+        }
+        assert_eq!(live.seen, (0..19).map(kbps).collect::<Vec<_>>());
+        assert_eq!(env.throughput_history().len(), 8);
+
+        let mut late = Recorder::default();
+        for i in 20..23 {
+            sync_estimator(&mut late, &env);
+            assert_eq!(late.count(), env.segment_index());
+            env.step_with_rtt(500.0, 0, kbps(i), 2.0, 0.0).unwrap();
+        }
+        sync_estimator(&mut late, &env);
+        assert_eq!(late.seen, (12..23).map(kbps).collect::<Vec<_>>());
+        assert_eq!(late.count(), 23);
     }
 
     #[test]

@@ -66,6 +66,10 @@ impl Abr for Bba {
 
     fn reset(&mut self) {}
 
+    fn fork(&self) -> Box<dyn Abr> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "bba"
     }

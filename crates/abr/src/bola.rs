@@ -88,6 +88,10 @@ impl Abr for Bola {
 
     fn reset(&mut self) {}
 
+    fn fork(&self) -> Box<dyn Abr> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "bola"
     }

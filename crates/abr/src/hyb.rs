@@ -95,6 +95,10 @@ impl Abr for Hyb {
         self.estimator = EwmaEstimator::new(self.alpha).expect("alpha validated");
     }
 
+    fn fork(&self) -> Box<dyn Abr> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "hyb"
     }

@@ -135,6 +135,10 @@ impl Abr for RobustMpc {
         self.estimator = HarmonicMeanEstimator::new(self.window).expect("window validated");
     }
 
+    fn fork(&self) -> Box<dyn Abr> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "robust_mpc"
     }

@@ -180,6 +180,10 @@ impl Abr for Pensieve {
 
     fn reset(&mut self) {}
 
+    fn fork(&self) -> Box<dyn Abr> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "pensieve"
     }

@@ -62,6 +62,10 @@ impl Abr for ThroughputRule {
         self.estimator = HarmonicMeanEstimator::new(self.window).expect("window validated");
     }
 
+    fn fork(&self) -> Box<dyn Abr> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "throughput"
     }

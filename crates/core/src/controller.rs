@@ -269,7 +269,8 @@ impl LingXiController {
     }
 
     /// Run one full optimization pass (Algorithm 1 lines 7–20) and deploy
-    /// the winner to `abr`. Returns `None` when the trigger hasn't fired
+    /// the winner to `abr` — `set_params` is the only change the pass
+    /// makes to it, since rollouts play on forks. Returns `None` when the trigger hasn't fired
     /// or the pre-playback prune removed the work. A pass that runs draws
     /// one pass seed from `rng`, and its candidates are compared on the
     /// common random numbers it seeds (see [`crate::montecarlo`]); the
@@ -488,7 +489,7 @@ mod tests {
     /// Monte-Carlo scratch.
     fn pass(
         c: &mut LingXiController,
-        abr: &mut Hyb,
+        abr: &mut dyn Abr,
         env: &PlayerEnv,
         predictor: &mut dyn RolloutPredictor,
         seed: u64,
@@ -528,6 +529,65 @@ mod tests {
         assert_eq!(lingxi_abr::Abr::params(&abr), out.params);
         assert_eq!(c.pending_stalls(), 0);
         assert_eq!(c.optimizations(), 1);
+    }
+
+    /// Play segments `range` of a CBR video with `abr` over a bandwidth
+    /// that swings between weak and strong, returning the levels chosen.
+    fn play_live(
+        abr: &mut dyn Abr,
+        env: &mut PlayerEnv,
+        range: std::ops::Range<usize>,
+    ) -> Vec<usize> {
+        use lingxi_abr::AbrContext;
+        use lingxi_media::{SegmentSizes, VbrModel};
+        let ladder = BitrateLadder::default_short_video();
+        let cbr = &mut StdRng::seed_from_u64(0);
+        let sizes = SegmentSizes::generate(&ladder, 16, 2.0, &VbrModel::cbr(), cbr).unwrap();
+        let mut levels = Vec::new();
+        for k in range {
+            let ctx = AbrContext {
+                ladder: &ladder,
+                sizes: &sizes,
+                next_segment: k,
+                segment_duration: 2.0,
+            };
+            let level = abr.select(env, &ctx);
+            let kbps = [700.0, 2600.0, 5200.0, 1100.0][k % 4];
+            let size = sizes.size_kbits(k, level).unwrap();
+            env.step_with_rtt(size, level, kbps, 2.0, 0.0).unwrap();
+            levels.push(level);
+        }
+        levels
+    }
+
+    /// The live ABR is never lent to a rollout: after a pass it decides
+    /// exactly as an untouched twin that was only handed the pass's
+    /// winner. (A live estimator that ran the rollouts would be left on
+    /// their virtual bandwidth, with its sample count ahead of the live
+    /// segment index.)
+    #[test]
+    fn a_pass_changes_the_live_abr_only_by_its_params() {
+        fn check<A: Abr + Clone>(mut live: A, mut config: LingXiConfig) {
+            config.adoption_margin = 0.0;
+            let mut env = PlayerEnv::new(PlayerConfig::deterministic(10.0, 0.0)).unwrap();
+            play_live(&mut live, &mut env, 0..8);
+            let mut twin = live.clone();
+            let mut c = LingXiController::new(config).unwrap();
+            c.observe_segment(&stalled_record(1.5), 2.0);
+            c.observe_segment(&stalled_record(2.0), 2.0);
+            let mut pred = ConstantPredictor { p: 0.0 };
+            let out = pass(&mut c, &mut live, &env, &mut pred, 7).expect("trigger fired");
+            twin.set_params(out.params);
+            let mut twin_env = env.clone();
+            let after = play_live(&mut live, &mut env, 8..16);
+            let twin_after = play_live(&mut twin, &mut twin_env, 8..16);
+            assert_eq!(after, twin_after, "{}", live.name());
+        }
+        check(Hyb::default_rule(), LingXiConfig::for_hyb());
+        check(
+            lingxi_abr::RobustMpc::default_rule(),
+            LingXiConfig::for_qoe_abr(),
+        );
     }
 
     #[test]

@@ -271,7 +271,8 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
 
 /// Evaluate candidate `params` by virtual playback (Algorithm 2) as one
 /// candidate of the pass `scratch` is on ([`McScratch::begin_pass`]):
-/// its rollouts replay the pass's common draws.
+/// its rollouts replay the pass's common draws. They play on a fork of
+/// `abr` ([`Abr::fork`]); `abr` itself is left as it was.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_in_pass(
     abr: &mut dyn Abr,
@@ -324,6 +325,9 @@ pub fn evaluate_in_pass(
         ),
     };
 
+    // The rollouts play on a private fork: the caller's ABR is never lent
+    // to them, so its estimator and parameters stay as it left them.
+    let mut abr = abr.fork();
     abr.set_params(params);
     let mut watched = 0usize;
     let mut exited = 0usize;

@@ -175,7 +175,12 @@ mod tests {
         // Re-pinned when optimization passes moved to common random
         // numbers (one pass seed; rollout m of every candidate replays one
         // stream), which changed every pass's draws.
-        assert_eq!(r.fingerprint(), 0x0e0b_3b90_f7b8_ae19);
+        // Re-pinned when rollouts moved onto a private fork of the ABR (the
+        // live one used to keep the last rollout's estimator, so it ignored
+        // live throughput for up to a rollout's horizon after each pass)
+        // and when a mid-session estimator sync stopped re-absorbing the
+        // samples of its first sync.
+        assert_eq!(r.fingerprint(), 0xae75_8d2d_0a94_1fd0);
         let corr = r
             .headline_named("mean_pearson")
             .expect("no correlation computed — too few stalling users");

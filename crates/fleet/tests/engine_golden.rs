@@ -27,6 +27,14 @@
 //! instead of drawing from the user's stream, so every managed user's
 //! draws after its first pass moved. `contended` has no pass in its cell
 //! and kept its constant.
+//!
+//! `independent_ab` and `lsq_static` were re-pinned once more when
+//! rollouts moved onto a private fork of the ABR — the live HYB used to
+//! keep the last rollout's estimator, ignoring live throughput for up to a
+//! rollout's horizon after each pass — and an estimator's first sync
+//! mid-session stopped being re-absorbed by the next two. Their managed
+//! users pick different live levels after a pass. `contended` and
+//! `dynamics` did not move and kept their constants.
 
 use lingxi_fleet::harness::Cell;
 use lingxi_fleet::{
@@ -211,9 +219,9 @@ const DYNAMICS_FINGERPRINT: &[u64] = &[
     1689,
 ];
 
-const INDEPENDENT_AB_DIGEST: u64 = 0x10aba602d8928eee;
+const INDEPENDENT_AB_DIGEST: u64 = 0xe1cc883dd9eea365;
 
-const LSQ_STATIC_DIGEST: u64 = 0xc65bda6606f25dc5;
+const LSQ_STATIC_DIGEST: u64 = 0xe212af913ed65d99;
 
 #[test]
 #[ignore = "regeneration helper: prints the fingerprint constants"]

@@ -15,6 +15,9 @@ pub trait BandwidthEstimator {
     fn estimate(&self) -> Option<f64>;
     /// Number of observations absorbed.
     fn count(&self) -> usize;
+    /// Count `n` observations as absorbed without seeing them (they left
+    /// the player's history window before the estimator was synced).
+    fn skip(&mut self, n: usize);
 }
 
 /// Harmonic mean over a sliding window, optionally discounted by the
@@ -83,6 +86,10 @@ impl BandwidthEstimator for HarmonicMeanEstimator {
     fn count(&self) -> usize {
         self.total_seen
     }
+
+    fn skip(&mut self, n: usize) {
+        self.total_seen += n;
+    }
 }
 
 /// Exponentially weighted moving average.
@@ -126,6 +133,10 @@ impl BandwidthEstimator for EwmaEstimator {
 
     fn count(&self) -> usize {
         self.total_seen
+    }
+
+    fn skip(&mut self, n: usize) {
+        self.total_seen += n;
     }
 }
 
