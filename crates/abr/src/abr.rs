@@ -1,6 +1,8 @@
 //! The [`Abr`] trait and the adapter driving any `Abr` through the player's
 //! closure-based session runner.
 
+use std::collections::VecDeque;
+
 use lingxi_media::{BitrateLadder, SegmentSizes};
 use lingxi_player::PlayerEnv;
 
@@ -43,6 +45,14 @@ pub trait Abr: Send {
     /// so the live instance only ever sees `set_params`.
     fn fork(&self) -> Box<dyn Abr>;
 
+    /// HYB's EWMA α; `None` for every other ABR. The Monte-Carlo
+    /// evaluator steps HYB's rollouts on a kernel of its own (an estimate
+    /// table per pass and [`crate::Hyb::decide`], at the candidate's β)
+    /// instead of through [`Abr::select`].
+    fn hyb_alpha(&self) -> Option<f64> {
+        None
+    }
+
     /// Short algorithm name for reports.
     fn name(&self) -> &'static str;
 }
@@ -59,10 +69,18 @@ pub trait Abr: Send {
 /// for the first time mid-session — every rollout's, after `reset` — takes
 /// each visible sample once and then one per segment.
 pub fn sync_estimator<E: lingxi_net::BandwidthEstimator>(estimator: &mut E, env: &PlayerEnv) {
-    let total = env.segment_index();
+    sync_window(estimator, env.segment_index(), env.throughput_history());
+}
+
+/// [`sync_estimator`] against a player at segment index `total` whose
+/// throughput window is `hist`.
+pub fn sync_window<E: lingxi_net::BandwidthEstimator>(
+    estimator: &mut E,
+    total: usize,
+    hist: &VecDeque<f64>,
+) {
     let seen = estimator.count();
     let new = total.saturating_sub(seen);
-    let hist = env.throughput_history();
     let take = new.min(hist.len());
     estimator.skip(new - take);
     for &s in hist.iter().skip(hist.len() - take) {

@@ -44,21 +44,27 @@ impl Hyb {
     pub fn beta(&self) -> f64 {
         self.params.beta
     }
-}
 
-impl Abr for Hyb {
-    fn select(&mut self, env: &PlayerEnv, ctx: &AbrContext<'_>) -> usize {
-        crate::abr::sync_estimator(&mut self.estimator, env);
-        let est = match self.estimator.estimate() {
+    /// HYB's decision at aggressiveness `beta` on a bandwidth `estimate`
+    /// (`None` before the first observation: lowest level), a `buffer` of
+    /// seconds and the previous segment's level.
+    pub fn decide(
+        beta: f64,
+        estimate: Option<f64>,
+        buffer: f64,
+        last_level: Option<usize>,
+        ctx: &AbrContext<'_>,
+    ) -> usize {
+        let est = match estimate {
             None => return 0,
             Some(e) => e,
         };
-        let buffer = env.buffer().max(ctx.segment_duration * 0.25); // grace at startup
+        let buffer = buffer.max(ctx.segment_duration * 0.25); // grace at startup
         let k = ctx
             .next_segment
             .min(ctx.sizes.n_segments().saturating_sub(1));
         // Highest level whose expected download time fits within β·B.
-        let limit = self.params.beta * buffer;
+        let limit = beta * buffer;
         let mut choice = 0;
         for level in 0..=ctx.ladder.top_level() {
             let size = match ctx.sizes.size_kbits(k, level) {
@@ -72,15 +78,28 @@ impl Abr for Hyb {
         // Upward hysteresis (production rules damp oscillation): only climb
         // above the previous level if the target also fits with a 20%
         // margin; otherwise hold. Downward moves are never delayed.
-        if let Some(last) = env.last_level() {
+        if let Some(last) = last_level {
             if choice > last {
                 let size_up = ctx.sizes.size_kbits(k, choice).unwrap_or(f64::INFINITY);
-                if size_up / est >= 0.8 * self.params.beta * buffer {
+                if size_up / est >= 0.8 * beta * buffer {
                     choice = last; // hold: not enough margin to climb yet
                 }
             }
         }
         choice
+    }
+}
+
+impl Abr for Hyb {
+    fn select(&mut self, env: &PlayerEnv, ctx: &AbrContext<'_>) -> usize {
+        crate::abr::sync_estimator(&mut self.estimator, env);
+        Self::decide(
+            self.params.beta,
+            self.estimator.estimate(),
+            env.buffer(),
+            env.last_level(),
+            ctx,
+        )
     }
 
     fn set_params(&mut self, params: QoeParams) {
@@ -97,6 +116,10 @@ impl Abr for Hyb {
 
     fn fork(&self) -> Box<dyn Abr> {
         Box::new(self.clone())
+    }
+
+    fn hyb_alpha(&self) -> Option<f64> {
+        Some(self.alpha)
     }
 
     fn name(&self) -> &'static str {

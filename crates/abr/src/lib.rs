@@ -38,7 +38,7 @@ pub mod pensieve;
 pub mod qoe;
 pub mod throughput;
 
-pub use abr::{drive, sync_estimator, Abr, AbrContext};
+pub use abr::{drive, sync_estimator, sync_window, Abr, AbrContext};
 pub use bba::Bba;
 pub use bola::Bola;
 pub use hyb::Hyb;

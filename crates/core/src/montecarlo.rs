@@ -18,17 +18,29 @@
 //! Each evaluation is still Algorithm 2's estimate; only the comparison
 //! between siblings now happens on common paths.
 //!
+//! The rollouts never touch the caller's ABR. HYB, the §5.3 ABR, runs on a
+//! kernel of its own: a virtual segment's observed throughput is its
+//! bandwidth draw whatever level was fetched, so the throughput window,
+//! the EWMA estimate HYB decides on and the `B_max` each segment steps
+//! under are the same for every candidate, and the table holds them
+//! beside the draws. A HYB candidate's rollout then carries only what its
+//! β changes: buffer, last level, stall counters, exit — and the tracker
+//! fork when the predictor reads it. Every other ABR plays a forked
+//! [`PlayerEnv`] through a fork of itself ([`Abr::fork`]).
+//!
 //! The first pruning stage of §4 lives here: when a `prune_threshold`
 //! (the minimum exit rate observed across sibling candidates) is given,
 //! evaluation terminates early as soon as even the most optimistic
 //! completion (every remaining segment watched without exit) could not
 //! beat it.
 
-use lingxi_abr::{Abr, AbrContext, QoeParams};
+use std::collections::VecDeque;
+
+use lingxi_abr::{sync_window, Abr, AbrContext, Hyb, QoeParams};
 use lingxi_exit::{StateMatrix, UserStateTracker};
 use lingxi_media::{BitrateLadder, SegmentSizes, VbrModel};
-use lingxi_net::RttModel;
-use lingxi_player::PlayerEnv;
+use lingxi_net::{BandwidthEstimator, EwmaEstimator};
+use lingxi_player::{buffer_step, PlayerConfig, PlayerEnv, SegmentOutcome};
 use lingxi_stats::NormalDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,57 +155,164 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// What a pass's table rows are a pure function of, besides `(m, k)`.
+#[derive(Debug)]
+struct TableKey {
+    seed: u64,
+    config: McConfig,
+    bandwidth: NormalDist,
+    /// The virtual video's ladder.
+    ladder: BitrateLadder,
+    /// The forked env's player config (RTT model, `B_max` policy, history
+    /// window), segment index, throughput window and `B_max`.
+    player: PlayerConfig,
+    segment_index: usize,
+    history: Vec<f64>,
+    bmax: f64,
+    /// HYB's EWMA α when the ABR is HYB: the rows then carry its columns.
+    alpha: Option<f64>,
+}
+
+impl TableKey {
+    fn matches(
+        &self,
+        seed: u64,
+        config: &McConfig,
+        bandwidth: NormalDist,
+        env: &PlayerEnv,
+        ladder: &BitrateLadder,
+        alpha: Option<f64>,
+    ) -> bool {
+        self.seed == seed
+            && self.config == *config
+            && self.bandwidth == bandwidth
+            && self.alpha == alpha
+            && self.player == *env.config()
+            && self.segment_index == env.segment_index()
+            && self.bmax == env.bmax()
+            && self.history.iter().eq(env.throughput_history())
+            && self.ladder == *ladder
+    }
+}
+
+/// A forked env's throughput window and `B_max`, and HYB's estimator over
+/// them, as of a row's fill count.
+#[derive(Debug)]
+struct Shadow {
+    history: VecDeque<f64>,
+    bmax: f64,
+    estimator: EwmaEstimator,
+}
+
 /// One pass's common random numbers: `samples × steps` segment draws,
 /// row `m` filled lazily, in segment order, from [`rollout_stream`]`(seed,
-/// m)` by whichever candidate first reaches a segment.
+/// m)` by whichever candidate first reaches a segment — with, when the
+/// ABR is HYB, the estimate and `B_max` of each segment beside its draw.
 #[derive(Debug, Default)]
 struct DrawTable {
+    /// The seed of the pass begun last.
     seed: u64,
-    /// What the filled draws were made under. `None` after
-    /// [`McScratch::begin_pass`]; an evaluation under another model
-    /// re-seeds the rows, so every entry is a pure function of
-    /// (seed, model, m, k).
-    model: Option<(McConfig, NormalDist, RttModel)>,
+    /// What the rows were filled under; every entry is a pure function of
+    /// (key, m, k), so rows are kept while the key holds and re-seeded
+    /// when it changes.
+    key: Option<TableKey>,
     steps: usize,
     table: Vec<SegmentDraw>,
+    /// HYB columns, parallel to `table`: the EWMA estimate segment `k`
+    /// decides on and the `B_max` it steps under.
+    estimate: Vec<Option<f64>>,
+    bmax: Vec<f64>,
     streams: Vec<StdRng>,
     filled: Vec<usize>,
+    shadows: Vec<Shadow>,
 }
 
 impl DrawTable {
-    fn prepare(&mut self, config: &McConfig, bandwidth: NormalDist, rtt: RttModel) {
-        let model = Some((*config, bandwidth, rtt));
-        if self.model == model {
-            return;
-        }
-        self.model = model;
-        self.steps = config.rollout_steps();
-        self.table
-            .resize(config.samples * self.steps, SegmentDraw::default());
+    /// Re-key the table and empty its rows.
+    fn rekey(
+        &mut self,
+        config: &McConfig,
+        bandwidth: NormalDist,
+        env: &PlayerEnv,
+        ladder: &BitrateLadder,
+        estimator: Option<EwmaEstimator>,
+        alpha: Option<f64>,
+    ) {
+        let mut history = self.key.take().map(|key| key.history).unwrap_or_default();
+        history.clear();
+        history.extend(env.throughput_history());
+        self.key = Some(TableKey {
+            seed: self.seed,
+            config: *config,
+            bandwidth,
+            ladder: ladder.clone(),
+            player: *env.config(),
+            segment_index: env.segment_index(),
+            history,
+            bmax: env.bmax(),
+            alpha,
+        });
+        let (samples, steps) = (config.samples, config.rollout_steps());
+        self.steps = steps;
+        self.table.resize(samples * steps, SegmentDraw::default());
         self.streams.clear();
         self.streams
-            .extend((0..config.samples).map(|m| rollout_stream(self.seed, m)));
+            .extend((0..samples).map(|m| rollout_stream(self.seed, m)));
         self.filled.clear();
-        self.filled.resize(config.samples, 0);
+        self.filled.resize(samples, 0);
+        if let Some(estimator) = estimator {
+            self.estimate.resize(samples * steps, None);
+            self.bmax.resize(samples * steps, 0.0);
+            self.shadows.resize_with(samples, || Shadow {
+                history: VecDeque::new(),
+                bmax: 0.0,
+                estimator,
+            });
+            for shadow in &mut self.shadows {
+                shadow.history.clone_from(env.throughput_history());
+                shadow.bmax = env.bmax();
+                shadow.estimator = estimator;
+            }
+        }
     }
 
-    /// Segment `k` of rollout `m`; rollouts read their segments in order,
-    /// so `k` is at most the row's fill count.
-    fn draw(&mut self, m: usize, k: usize, bandwidth: &NormalDist, rtt: &RttModel) -> SegmentDraw {
+    /// The slot of segment `k` of rollout `m`, drawn first if it is the
+    /// row's next: rollouts read their segments in order, so `k` is at
+    /// most the row's fill count.
+    fn fill(&mut self, m: usize, k: usize) -> usize {
         let slot = m * self.steps + k;
         if k == self.filled[m] {
+            let key = self.key.as_ref().expect("a keyed table");
             let stream = &mut self.streams[m];
-            let bandwidth_kbps = bandwidth.sample_truncated_low(stream, MIN_ROLLOUT_KBPS);
-            let rtt = rtt.sample(stream);
+            let bandwidth_kbps = key.bandwidth.sample_truncated_low(stream, MIN_ROLLOUT_KBPS);
+            let rtt = key.player.rtt.sample(stream);
             let exit_u = stream.gen::<f64>();
             self.table[slot] = SegmentDraw {
                 bandwidth_kbps,
                 rtt,
                 exit_u,
             };
+            if key.alpha.is_some() {
+                // What a forked env and HYB's estimator over it hold
+                // before segment k, then `step_with_rtt`'s history and
+                // cap updates with the segment's throughput.
+                let shadow = &mut self.shadows[m];
+                sync_window(
+                    &mut shadow.estimator,
+                    key.segment_index + k,
+                    &shadow.history,
+                );
+                self.estimate[slot] = shadow.estimator.estimate();
+                self.bmax[slot] = shadow.bmax;
+                shadow.history.push_back(bandwidth_kbps);
+                if shadow.history.len() > key.player.history_window {
+                    shadow.history.pop_front();
+                }
+                shadow.bmax = key.player.bmax.refreshed(shadow.bmax, &shadow.history);
+            }
             self.filled[m] += 1;
         }
-        self.table[slot]
+        slot
     }
 }
 
@@ -202,8 +321,9 @@ impl DrawTable {
 ///
 /// A scratch owned by the caller amortizes both allocations across the
 /// evaluations of a pass — and, in the fleet engine, across every session
-/// a user agent runs. The draws of a pass depend only on its seed, so a
-/// fresh scratch and a reused one give identical results.
+/// a user agent runs. Everything it holds is a pure function of the pass
+/// seed and the evaluation's inputs, so a fresh scratch and a reused one
+/// give identical results.
 #[derive(Debug, Default)]
 pub struct McScratch {
     sizes: Option<SegmentSizes>,
@@ -221,20 +341,75 @@ impl McScratch {
     /// [`rollout_stream`]`(seed, m)`.
     pub fn begin_pass(&mut self, seed: u64) {
         self.draws.seed = seed;
-        self.draws.model = None;
     }
 
     /// The segment draws rollout `m` of the current pass has made so far
     /// (empty before the pass's first evaluation, or past `M`).
     pub fn rollout_draws(&self, m: usize) -> &[SegmentDraw] {
-        match (self.draws.model, self.draws.filled.get(m)) {
-            (Some(_), Some(&filled)) => {
-                let start = m * self.draws.steps;
-                &self.draws.table[start..start + filled]
+        let draws = &self.draws;
+        match (&draws.key, draws.filled.get(m)) {
+            (Some(key), Some(&filled)) if key.seed == draws.seed => {
+                let start = m * draws.steps;
+                &draws.table[start..start + filled]
             }
             _ => &[],
         }
     }
+
+    /// Key the table to this evaluation and build the virtual video, both
+    /// once per pass: they change only with the key.
+    fn prepare(
+        &mut self,
+        config: &McConfig,
+        bandwidth: NormalDist,
+        env: &PlayerEnv,
+        ladder: &BitrateLadder,
+        alpha: Option<f64>,
+    ) -> Result<()> {
+        let seed = self.draws.seed;
+        let keyed = (self.draws.key.as_ref())
+            .is_some_and(|key| key.matches(seed, config, bandwidth, env, ladder, alpha));
+        if !keyed {
+            // Unkey first: a failure below must not leave the old video
+            // behind a matching key.
+            self.draws.key = None;
+            let estimator = alpha
+                .map(EwmaEstimator::new)
+                .transpose()
+                .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
+            // Virtual video: CBR segments at the ladder's nominal rates.
+            // CBR draws nothing from its stream, so a constant one serves,
+            // and refilling a reused table and generating a fresh one are
+            // indistinguishable.
+            let n_segments = config.segments_per_sample();
+            let cbr_stream = &mut StdRng::seed_from_u64(0);
+            let cbr = &VbrModel::cbr();
+            match &mut self.sizes {
+                Some(sizes) => {
+                    sizes.refill(ladder, n_segments, config.segment_duration, cbr, cbr_stream)
+                }
+                slot @ None => SegmentSizes::generate(
+                    ladder,
+                    n_segments,
+                    config.segment_duration,
+                    cbr,
+                    cbr_stream,
+                )
+                .map(|sizes| {
+                    *slot = Some(sizes);
+                }),
+            }
+            .map_err(subsystem)?;
+            self.draws
+                .rekey(config, bandwidth, env, ladder, estimator, alpha);
+        }
+        Ok(())
+    }
+}
+
+/// A lower layer's error, as this crate's.
+fn subsystem(e: impl std::fmt::Display) -> CoreError {
+    CoreError::Subsystem(e.to_string())
 }
 
 /// Evaluate candidate `params` by virtual playback (Algorithm 2) as a
@@ -271,8 +446,9 @@ pub fn evaluate_parameters_in<R: Rng + ?Sized>(
 
 /// Evaluate candidate `params` by virtual playback (Algorithm 2) as one
 /// candidate of the pass `scratch` is on ([`McScratch::begin_pass`]):
-/// its rollouts replay the pass's common draws. They play on a fork of
-/// `abr` ([`Abr::fork`]); `abr` itself is left as it was.
+/// its rollouts replay the pass's common draws. `abr` is only read: a HYB
+/// ([`Abr::hyb_alpha`]) runs on the HYB kernel, any other ABR's rollouts
+/// play on a fork of it ([`Abr::fork`]).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_in_pass(
     abr: &mut dyn Abr,
@@ -292,168 +468,308 @@ pub fn evaluate_in_pass(
             "bandwidth model mean must be positive".into(),
         ));
     }
-    let n_segments = config.segments_per_sample();
+    let alpha = abr.hyb_alpha();
+    scratch.prepare(config, bandwidth, env, ladder, alpha)?;
     let McScratch { sizes, draws } = scratch;
-    let rtt = env.config().rtt;
-    draws.prepare(config, bandwidth, rtt);
-    // Virtual video: CBR segments at the ladder's nominal rates. CBR draws
-    // nothing from its stream, so a constant one serves, and refilling a
-    // reused table and generating a fresh one are indistinguishable.
-    let cbr_stream = &mut StdRng::seed_from_u64(0);
-    let sizes: &SegmentSizes = match sizes {
-        Some(sizes) => {
-            sizes
-                .refill(
-                    ladder,
-                    n_segments,
-                    config.segment_duration,
-                    &VbrModel::cbr(),
-                    cbr_stream,
-                )
-                .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-            sizes
-        }
-        slot @ None => slot.insert(
-            SegmentSizes::generate(
-                ladder,
-                n_segments,
-                config.segment_duration,
-                &VbrModel::cbr(),
-                cbr_stream,
-            )
-            .map_err(|e| CoreError::Subsystem(e.to_string()))?,
-        ),
+    let rollouts = Rollouts {
+        config,
+        ladder,
+        sizes: sizes.as_ref().expect("built with the key"),
+        user_state,
+        env,
+        predictor,
+        prune_threshold,
     };
-
-    // The rollouts play on a private fork: the caller's ABR is never lent
-    // to them, so its estimator and parameters stay as it left them.
-    let mut abr = abr.fork();
-    abr.set_params(params);
-    let mut watched = 0usize;
-    let mut exited = 0usize;
-    let mut total_stall = 0.0;
-    let mut rollouts = 0usize;
-    let mut pruned = false;
-
-    // Predictors that only read the short-term context get a zero matrix;
-    // building the real one is a per-segment copy of the tracker rows. The
-    // tracker fork itself is dead weight in that case too — it is only
-    // ever read back through `matrix()` and is dropped when the rollout
-    // ends — so the fork and its per-segment pushes are skipped as well.
-    let wants_state = predictor.wants_state();
-    let zero_matrix = StateMatrix::zeros();
-
-    // One scratch fork, re-seeded per rollout (`clone_from` keeps the
-    // history buffers' allocations alive across rollouts).
-    let mut env_sim = env.clone();
-    'samples: for m in 0..config.samples {
-        // Fork the live state (S_sim ← S, E_sim ← E_player).
-        if m > 0 {
-            env_sim.clone_from(env);
-        }
-        let mut tracker = wants_state.then(|| user_state.clone());
-        abr.reset();
-        let mut t_sim = 0.0;
-        let mut session_stall = 0.0;
-        let mut session_events = 0usize;
-        for k in 0..draws.steps {
-            let ctx = AbrContext {
-                ladder,
-                sizes,
-                next_segment: k.min(n_segments - 1),
-                segment_duration: config.segment_duration,
-            };
-            let level = abr.select(&env_sim, &ctx).min(ladder.top_level());
-            let size = sizes
-                .size_kbits(k.min(n_segments - 1), level)
-                .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-            // Bandwidth, RTT and exit uniform: rollout m's k-th draws,
-            // common to every candidate of the pass.
-            let draw = draws.draw(m, k, &bandwidth, &rtt);
-            let prev = env_sim.last_level();
-            let outcome = env_sim
-                .step_with_rtt(
-                    size,
-                    level,
-                    draw.bandwidth_kbps,
-                    config.segment_duration,
-                    draw.rtt,
-                )
-                .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-            total_stall += outcome.stall_time;
-
-            let stalled = outcome.stall_time > 0.0;
-            if stalled {
-                session_stall += outcome.stall_time;
-                session_events += 1;
-            }
-            // Update the user-state matrix (skipped entirely when the
-            // predictor never reads it).
-            if let Some(tracker) = tracker.as_mut() {
-                let bitrate = ladder
-                    .bitrate(level)
-                    .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-                tracker.push_segment(bitrate, outcome.throughput_kbps, config.segment_duration);
-                if stalled {
-                    tracker.push_stall(outcome.stall_time);
-                }
-            }
-            let tier = ladder
-                .tier(level)
-                .map_err(|e| CoreError::Subsystem(e.to_string()))?;
-            let gran = match prev {
-                Some(p) => level as i64 - p as i64,
-                None => 0,
-            };
-            let rollout_ctx = RolloutContext {
-                stalled,
-                tier,
-                switch_granularity: gran,
-                session_stall,
-                session_stall_events: session_events,
-                playback_time: t_sim,
-            };
-            let matrix = match tracker.as_ref() {
-                Some(tracker) => tracker.matrix(),
-                None => zero_matrix,
-            };
-            let p_exit = predictor.predict(&matrix, &rollout_ctx).clamp(0.0, 1.0);
-            watched += 1;
-            t_sim += config.segment_duration;
-            if draw.exit_u < p_exit {
-                exited += 1;
-                if let Some(tracker) = tracker.as_mut().filter(|_| stalled) {
-                    tracker.push_stall_exit();
-                }
-                break;
-            }
-        }
-        rollouts += 1;
-
-        // Early-termination pruning (§4): optimistic bound on the final
-        // exit rate assuming every remaining rollout watches its full
-        // horizon without a single exit.
-        if let Some(threshold) = prune_threshold {
-            let remaining = (config.samples - m - 1) * n_segments;
-            let optimistic = exited as f64 / (watched + remaining).max(1) as f64;
-            if optimistic >= threshold {
-                pruned = true;
-                break 'samples;
-            }
+    match alpha {
+        Some(_) => rollouts.run(
+            &mut HybRollout {
+                beta: params.beta,
+                startup: false,
+                buffer: 0.0,
+                last_level: None,
+            },
+            draws,
+        ),
+        None => {
+            let mut abr = abr.fork();
+            abr.set_params(params);
+            rollouts.run(
+                &mut ForkedRollout {
+                    abr,
+                    env: env.clone(),
+                },
+                draws,
+            )
         }
     }
+}
 
-    Ok(McEvaluation {
-        exit_rate: if watched == 0 {
-            1.0
-        } else {
-            exited as f64 / watched as f64
-        },
-        watched,
-        exited,
-        pruned,
-        mean_stall: total_stall / rollouts as f64,
-    })
+/// One virtual segment, played.
+struct Step {
+    level: usize,
+    /// The level of the segment before it.
+    prev: Option<usize>,
+    outcome: SegmentOutcome,
+    exit_u: f64,
+}
+
+/// The player side of a rollout: what it carries from one virtual segment
+/// to the next, and how it picks and plays one.
+trait Rollout {
+    /// Fork the live state for the next rollout.
+    fn start(&mut self, env: &PlayerEnv);
+
+    /// Pick and play segment `k` of rollout `m`.
+    fn step(
+        &mut self,
+        m: usize,
+        k: usize,
+        ctx: &AbrContext<'_>,
+        draws: &mut DrawTable,
+    ) -> Result<Step>;
+}
+
+/// Any ABR: a fork of it decides on a forked player env.
+struct ForkedRollout {
+    abr: Box<dyn Abr>,
+    env: PlayerEnv,
+}
+
+impl Rollout for ForkedRollout {
+    fn start(&mut self, env: &PlayerEnv) {
+        self.env.clone_from(env);
+        self.abr.reset();
+    }
+
+    fn step(
+        &mut self,
+        m: usize,
+        k: usize,
+        ctx: &AbrContext<'_>,
+        draws: &mut DrawTable,
+    ) -> Result<Step> {
+        let level = self.abr.select(&self.env, ctx).min(ctx.ladder.top_level());
+        let size = ctx
+            .sizes
+            .size_kbits(ctx.next_segment, level)
+            .map_err(subsystem)?;
+        let slot = draws.fill(m, k);
+        let draw = draws.table[slot];
+        let prev = self.env.last_level();
+        let outcome = self
+            .env
+            .step_with_rtt(
+                size,
+                level,
+                draw.bandwidth_kbps,
+                ctx.segment_duration,
+                draw.rtt,
+            )
+            .map_err(subsystem)?;
+        Ok(Step {
+            level,
+            prev,
+            outcome,
+            exit_u: draw.exit_u,
+        })
+    }
+}
+
+/// HYB at the candidate's β: the table holds each segment's estimate and
+/// `B_max`, so a rollout carries only its buffer and last level.
+struct HybRollout {
+    beta: f64,
+    /// Whether the live session is at its first segment.
+    startup: bool,
+    buffer: f64,
+    last_level: Option<usize>,
+}
+
+impl Rollout for HybRollout {
+    fn start(&mut self, env: &PlayerEnv) {
+        self.startup = env.segment_index() == 0;
+        self.buffer = env.buffer();
+        self.last_level = env.last_level();
+    }
+
+    fn step(
+        &mut self,
+        m: usize,
+        k: usize,
+        ctx: &AbrContext<'_>,
+        draws: &mut DrawTable,
+    ) -> Result<Step> {
+        let slot = draws.fill(m, k);
+        let draw = draws.table[slot];
+        let level = Hyb::decide(
+            self.beta,
+            draws.estimate[slot],
+            self.buffer,
+            self.last_level,
+            ctx,
+        )
+        .min(ctx.ladder.top_level());
+        let size = ctx
+            .sizes
+            .size_kbits(ctx.next_segment, level)
+            .map_err(subsystem)?;
+        let outcome = buffer_step(
+            self.buffer,
+            draws.bmax[slot],
+            self.startup && k == 0,
+            size,
+            draw.bandwidth_kbps,
+            ctx.segment_duration,
+            draw.rtt,
+        )
+        .map_err(subsystem)?;
+        self.buffer = outcome.buffer_after;
+        Ok(Step {
+            level,
+            prev: self.last_level.replace(level),
+            outcome,
+            exit_u: draw.exit_u,
+        })
+    }
+}
+
+/// What every rollout of one evaluation reads.
+struct Rollouts<'a> {
+    config: &'a McConfig,
+    ladder: &'a BitrateLadder,
+    sizes: &'a SegmentSizes,
+    user_state: &'a UserStateTracker,
+    env: &'a PlayerEnv,
+    predictor: &'a mut dyn RolloutPredictor,
+    prune_threshold: Option<f64>,
+}
+
+impl Rollouts<'_> {
+    /// Algorithm 2's loop over `M` rollouts of `rollout`'s player side.
+    fn run<S: Rollout>(self, rollout: &mut S, draws: &mut DrawTable) -> Result<McEvaluation> {
+        let Rollouts {
+            config,
+            ladder,
+            sizes,
+            user_state,
+            env,
+            predictor,
+            prune_threshold,
+        } = self;
+        let n_segments = config.segments_per_sample();
+        let mut watched = 0usize;
+        let mut exited = 0usize;
+        let mut total_stall = 0.0;
+        let mut rollouts = 0usize;
+        let mut pruned = false;
+
+        // Predictors that only read the short-term context get a zero
+        // matrix; building the real one is a per-segment copy of the
+        // tracker rows. The tracker fork itself is dead weight in that case
+        // too — it is only ever read back through `matrix()` and is dropped
+        // when the rollout ends — so the fork and its per-segment pushes
+        // are skipped as well.
+        let wants_state = predictor.wants_state();
+        let zero_matrix = StateMatrix::zeros();
+
+        'samples: for m in 0..config.samples {
+            // Fork the live state (S_sim ← S, E_sim ← E_player).
+            rollout.start(env);
+            let mut tracker = wants_state.then(|| user_state.clone());
+            let mut t_sim = 0.0;
+            let mut session_stall = 0.0;
+            let mut session_events = 0usize;
+            for k in 0..draws.steps {
+                let ctx = AbrContext {
+                    ladder,
+                    sizes,
+                    next_segment: k.min(n_segments - 1),
+                    segment_duration: config.segment_duration,
+                };
+                // Bandwidth, RTT and exit uniform: rollout m's k-th draws,
+                // common to every candidate of the pass.
+                let Step {
+                    level,
+                    prev,
+                    outcome,
+                    exit_u,
+                } = rollout.step(m, k, &ctx, draws)?;
+                total_stall += outcome.stall_time;
+
+                let stalled = outcome.stall_time > 0.0;
+                if stalled {
+                    session_stall += outcome.stall_time;
+                    session_events += 1;
+                }
+                // Update the user-state matrix (skipped entirely when the
+                // predictor never reads it).
+                if let Some(tracker) = tracker.as_mut() {
+                    let bitrate = ladder.bitrate(level).map_err(subsystem)?;
+                    tracker.push_segment(bitrate, outcome.throughput_kbps, config.segment_duration);
+                    if stalled {
+                        tracker.push_stall(outcome.stall_time);
+                    }
+                }
+                let tier = ladder.tier(level).map_err(subsystem)?;
+                let gran = match prev {
+                    Some(p) => level as i64 - p as i64,
+                    None => 0,
+                };
+                let rollout_ctx = RolloutContext {
+                    stalled,
+                    tier,
+                    switch_granularity: gran,
+                    session_stall,
+                    session_stall_events: session_events,
+                    playback_time: t_sim,
+                };
+                // Borrowed, not copied: the matrix is 320 bytes.
+                let built;
+                let matrix = match tracker.as_ref() {
+                    Some(tracker) => {
+                        built = tracker.matrix();
+                        &built
+                    }
+                    None => &zero_matrix,
+                };
+                let p_exit = predictor.predict(matrix, &rollout_ctx).clamp(0.0, 1.0);
+                watched += 1;
+                t_sim += config.segment_duration;
+                if exit_u < p_exit {
+                    exited += 1;
+                    if let Some(tracker) = tracker.as_mut().filter(|_| stalled) {
+                        tracker.push_stall_exit();
+                    }
+                    break;
+                }
+            }
+            rollouts += 1;
+
+            // Early-termination pruning (§4): optimistic bound on the final
+            // exit rate assuming every remaining rollout watches its full
+            // horizon without a single exit.
+            if let Some(threshold) = prune_threshold {
+                let remaining = (config.samples - m - 1) * n_segments;
+                let optimistic = exited as f64 / (watched + remaining).max(1) as f64;
+                if optimistic >= threshold {
+                    pruned = true;
+                    break 'samples;
+                }
+            }
+        }
+
+        Ok(McEvaluation {
+            exit_rate: if watched == 0 {
+                1.0
+            } else {
+                exited as f64 / watched as f64
+            },
+            watched,
+            exited,
+            pruned,
+            mean_stall: total_stall / rollouts as f64,
+        })
+    }
 }
 
 #[cfg(test)]

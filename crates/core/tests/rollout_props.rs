@@ -11,13 +11,20 @@
 //!   candidate (a fresh scratch per candidate), bit for bit, and the
 //!   table holds exactly the streams' draws in that order;
 //! - equal parameters in one pass give equal evaluations;
-//! - a scratch reused across passes equals a fresh one.
+//! - a scratch reused across passes equals a fresh one, and so does one
+//!   that evaluated another live state under the same pass seed: the
+//!   table is keyed by the forked env as well as by the seed;
+//! - HYB's kernel (the table's estimate and `B_max` columns, a rollout
+//!   carrying only buffer and last level) equals HYB played through its
+//!   own `select` on a forked env, the loop every other ABR takes.
 //!
 //! Cases cover M 1..16, horizons whose segment count is not a whole ratio,
-//! no / fixed / sibling-minimum prune thresholds, and predictors that do
-//! and do not read the state matrix (`wants_state`).
+//! no / fixed / sibling-minimum prune thresholds, predictors that do and
+//! do not read the state matrix (`wants_state`), and live states from the
+//! first segment (startup) past a full history window, under a fixed and
+//! an adaptive `B_max`.
 
-use lingxi_abr::{Hyb, QoeParams};
+use lingxi_abr::{Abr, AbrContext, Hyb, QoeParams};
 use lingxi_core::montecarlo::{evaluate_in_pass, rollout_stream};
 use lingxi_core::{
     ConstantPredictor, McConfig, McEvaluation, McScratch, ProfilePredictor, RolloutContext,
@@ -25,7 +32,7 @@ use lingxi_core::{
 };
 use lingxi_exit::{StateMatrix, UserStateTracker};
 use lingxi_media::BitrateLadder;
-use lingxi_player::{PlayerConfig, PlayerEnv};
+use lingxi_player::{BmaxPolicy, PlayerConfig, PlayerEnv};
 use lingxi_stats::NormalDist;
 use lingxi_user::{SensitivityKind, StallProfile};
 use proptest::prelude::*;
@@ -42,6 +49,32 @@ impl RolloutPredictor for StatePredictor {
         let tput: f64 = state.row(1).iter().sum();
         let stalled = if ctx.stalled { 0.04 } else { 0.0 };
         (0.03 + 0.05 * stall - 0.002 * tput + stalled).clamp(0.0, 1.0)
+    }
+}
+
+/// HYB without its kernel: every call delegates, but `hyb_alpha` keeps the
+/// default `None`, so rollouts take the generic loop on a fork.
+#[derive(Clone)]
+struct ViaSelect(Hyb);
+
+impl Abr for ViaSelect {
+    fn select(&mut self, env: &PlayerEnv, ctx: &AbrContext<'_>) -> usize {
+        self.0.select(env, ctx)
+    }
+    fn set_params(&mut self, params: QoeParams) {
+        self.0.set_params(params);
+    }
+    fn params(&self) -> QoeParams {
+        Abr::params(&self.0)
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+    fn fork(&self) -> Box<dyn Abr> {
+        Box::new(self.clone())
+    }
+    fn name(&self) -> &'static str {
+        "hyb_via_select"
     }
 }
 
@@ -101,7 +134,47 @@ impl Pass {
         }
     }
 
+    /// The same pass over another live state: `live` segments played at
+    /// bandwidths drawn from `env_seed` (0 leaves the session at startup)
+    /// with a throughput window of `window` segments, under a fixed or the
+    /// adaptive `B_max`.
+    fn with_env(mut self, live: usize, fixed_bmax: bool, env_seed: u64, window: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(env_seed);
+        let config = PlayerConfig {
+            bmax: if fixed_bmax {
+                BmaxPolicy::Fixed(12.0)
+            } else {
+                BmaxPolicy::default_adaptive()
+            },
+            history_window: window,
+            ..PlayerConfig::default()
+        };
+        self.env = PlayerEnv::new(config).unwrap();
+        self.tracker = UserStateTracker::new();
+        for _ in 0..live {
+            let kbps = rng.gen_range(200.0..30_000.0);
+            let level = rng.gen_range(0..4usize);
+            let size = [400.0, 1600.0, 3700.0, 8600.0][level];
+            let outcome = self.env.step(size, level, kbps, 2.0, &mut rng).unwrap();
+            self.tracker.push_segment(800.0, kbps, 2.0);
+            if outcome.stall_time > 0.0 {
+                self.tracker.push_stall(outcome.stall_time);
+            }
+        }
+        self
+    }
+
     fn evaluate(&self, beta: f64, prune: Option<f64>, scratch: &mut McScratch) -> McEvaluation {
+        self.evaluate_on(&mut Hyb::default_rule(), beta, prune, scratch)
+    }
+
+    fn evaluate_on(
+        &self,
+        abr: &mut dyn Abr,
+        beta: f64,
+        prune: Option<f64>,
+        scratch: &mut McScratch,
+    ) -> McEvaluation {
         let mut constant = ConstantPredictor { p: 0.04 };
         let mut profile = ProfilePredictor {
             profile: StallProfile::new(SensitivityKind::Sensitive, 2.0, 0.35).unwrap(),
@@ -114,7 +187,7 @@ impl Pass {
             _ => &mut state,
         };
         evaluate_in_pass(
-            &mut Hyb::default_rule(),
+            abr,
             QoeParams {
                 beta,
                 ..QoeParams::default()
@@ -135,6 +208,16 @@ impl Pass {
     /// `fresh_streams`, each candidate gets a fresh scratch instead, so
     /// every rollout's stream is re-seeded for it.
     fn run(&self, scratch: &mut McScratch, fresh_streams: bool) -> Vec<McEvaluation> {
+        self.run_on(&mut Hyb::default_rule(), scratch, fresh_streams)
+    }
+
+    /// [`Pass::run`] with `abr`'s rollouts.
+    fn run_on(
+        &self,
+        abr: &mut dyn Abr,
+        scratch: &mut McScratch,
+        fresh_streams: bool,
+    ) -> Vec<McEvaluation> {
         scratch.begin_pass(self.seed);
         let mut best = f64::INFINITY;
         let mut out = Vec::new();
@@ -143,9 +226,9 @@ impl Pass {
             let eval = if fresh_streams {
                 let mut fresh = McScratch::new();
                 fresh.begin_pass(self.seed);
-                self.evaluate(beta, prune, &mut fresh)
+                self.evaluate_on(abr, beta, prune, &mut fresh)
             } else {
-                self.evaluate(beta, prune, scratch)
+                self.evaluate_on(abr, beta, prune, scratch)
             };
             best = best.min(eval.exit_rate);
             out.push(eval);
@@ -279,5 +362,80 @@ proptest! {
         let warm = pass.run(&mut reused, false);
         let cold = pass.run(&mut McScratch::new(), false);
         prop_assert_eq!(all_bits(&warm), all_bits(&cold));
+    }
+
+    /// HYB's kernel plays every candidate of a pass bit for bit as HYB's
+    /// own `select` does on a forked env — whatever the live state, the
+    /// cap policy, α, M, horizon, prune mode and predictor — alone or
+    /// interleaved with the generic loop on one scratch.
+    #[test]
+    fn hyb_kernel_equals_the_generic_loop(
+        seed in 0u64..u64::MAX,
+        samples in 1usize..=16,
+        horizon in horizon(),
+        bandwidth in (200.0f64..6000.0, 0.0f64..3000.0),
+        predictor in 0usize..3,
+        prune in (0usize..3, 0.0f64..0.3),
+        betas in collection::vec(0.05f64..1.0, 1..7),
+        live in 0usize..14,
+        fixed_bmax in 0u8..2,
+        window in 1usize..=10,
+        alpha in 0.05f64..=1.0,
+    ) {
+        let pass = Pass::new(seed, samples, horizon, bandwidth, predictor, prune_of(prune), betas)
+            .with_env(live, fixed_bmax == 1, seed, window);
+        let hyb = Hyb::new(alpha).unwrap();
+        let kernel = pass.run_on(&mut hyb.clone(), &mut McScratch::new(), false);
+        let generic = pass.run_on(&mut ViaSelect(hyb.clone()), &mut McScratch::new(), false);
+        prop_assert_eq!(all_bits(&kernel), all_bits(&generic));
+
+        let mut scratch = McScratch::new();
+        scratch.begin_pass(seed);
+        for &beta in &pass.betas {
+            let k = pass.evaluate_on(&mut hyb.clone(), beta, None, &mut scratch);
+            let g = pass.evaluate_on(&mut ViaSelect(hyb.clone()), beta, None, &mut scratch);
+            prop_assert_eq!(bits(&k), bits(&g));
+        }
+    }
+
+    /// The table is keyed by the live state it forks, not only by the pass
+    /// seed: a scratch that evaluated one live state evaluates another
+    /// under the same seed exactly as a fresh scratch does — in the next
+    /// pass, or interleaved inside one pass.
+    #[test]
+    fn table_is_keyed_by_the_live_state(
+        seed in 0u64..u64::MAX,
+        samples in 1usize..=16,
+        horizon in horizon(),
+        bandwidth in (200.0f64..6000.0, 0.0f64..3000.0),
+        predictor in 0usize..3,
+        betas in collection::vec(0.05f64..1.0, 1..5),
+        lives in (0usize..14, 0usize..14),
+        fixed_bmax in (0u8..2, 0u8..2),
+        env_seeds in (0u64..3, 0u64..3),
+    ) {
+        let pass = |live, fixed: u8, env_seed| {
+            Pass::new(seed, samples, horizon, bandwidth, predictor, None, betas.clone())
+                .with_env(live, fixed == 1, env_seed, 8)
+        };
+        let a = pass(lives.0, fixed_bmax.0, env_seeds.0);
+        let b = pass(lives.1, fixed_bmax.1, env_seeds.1);
+        let cold_a = a.run(&mut McScratch::new(), false);
+        let cold_b = b.run(&mut McScratch::new(), false);
+
+        let mut reused = McScratch::new();
+        prop_assert_eq!(all_bits(&a.run(&mut reused, false)), all_bits(&cold_a));
+        prop_assert_eq!(all_bits(&b.run(&mut reused, false)), all_bits(&cold_b));
+
+        let fresh = |pass: &Pass, beta| {
+            let mut scratch = McScratch::new();
+            scratch.begin_pass(seed);
+            bits(&pass.evaluate(beta, None, &mut scratch))
+        };
+        reused.begin_pass(seed);
+        for &beta in &betas {
+            prop_assert_eq!(bits(&a.evaluate(beta, None, &mut reused)), fresh(&a, beta));
+            prop_assert_eq!(bits(&b.evaluate(beta, None, &mut reused)), fresh(&b, beta));
+        }
     }
 }

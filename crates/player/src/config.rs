@@ -1,5 +1,7 @@
 //! Player configuration: buffer cap policy and RTT.
 
+use std::collections::VecDeque;
+
 use lingxi_net::RttModel;
 use lingxi_stats::NormalDist;
 
@@ -69,6 +71,19 @@ impl BmaxPolicy {
             }
         }
         Ok(())
+    }
+
+    /// The cap once the player's throughput window is `history`: a fixed
+    /// cap keeps `current` (the player pinned it at construction, and
+    /// fitting the window just to discard the fit would be pure per-step
+    /// overhead); an adaptive one is re-evaluated on the window's normal
+    /// fit, keeping `current` while the window is empty.
+    pub fn refreshed(&self, current: f64, history: &VecDeque<f64>) -> f64 {
+        if matches!(self, BmaxPolicy::Fixed(_)) {
+            return current;
+        }
+        let (front, back) = history.as_slices();
+        NormalDist::fit_slices(front, back).map_or(current, |model| self.cap(&model))
     }
 
     /// Evaluate the cap (seconds) for the given bandwidth model.

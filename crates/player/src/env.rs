@@ -217,15 +217,10 @@ impl PlayerEnv {
 
     /// Refresh `B_max` from the current bandwidth model (`B_max = f(N)`).
     pub fn update_bmax(&mut self) {
-        // A fixed cap ignores the model, and `new` already pinned `bmax`
-        // to it — fitting the history just to discard the result would be
-        // pure per-step overhead.
-        if matches!(self.config.bmax, crate::BmaxPolicy::Fixed(_)) {
-            return;
-        }
-        if let Some(model) = self.bandwidth_model() {
-            self.bmax = self.config.bmax.cap(&model);
-        }
+        self.bmax = self
+            .config
+            .bmax
+            .refreshed(self.bmax, &self.throughput_history);
     }
 
     /// Execute one segment download of `size_kbits` at `level`, observing
@@ -247,7 +242,8 @@ impl PlayerEnv {
     /// the Monte-Carlo rollouts draw it ahead of time from a rollout
     /// stream shared by every candidate of a pass.
     ///
-    /// Implements Eq. 3 verbatim; also advances clocks and histories.
+    /// Implements Eq. 3 verbatim ([`buffer_step`]); also advances clocks
+    /// and histories.
     pub fn step_with_rtt(
         &mut self,
         size_kbits: f64,
@@ -256,45 +252,28 @@ impl PlayerEnv {
         segment_duration: f64,
         rtt: f64,
     ) -> Result<SegmentOutcome> {
-        if !(bandwidth_kbps > 0.0) || !bandwidth_kbps.is_finite() {
-            return Err(PlayerError::InvalidStep(format!(
-                "bandwidth must be positive, got {bandwidth_kbps}"
-            )));
-        }
-        if !(size_kbits > 0.0) || !size_kbits.is_finite() {
-            return Err(PlayerError::InvalidStep(format!(
-                "segment size must be positive, got {size_kbits}"
-            )));
-        }
-        if !(segment_duration > 0.0) {
-            return Err(PlayerError::InvalidStep(
-                "segment duration must be positive".into(),
-            ));
-        }
-        if !(rtt >= 0.0) {
-            return Err(PlayerError::InvalidStep(format!(
-                "RTT must be non-negative, got {rtt}"
-            )));
-        }
-        let download_time = size_kbits / bandwidth_kbps;
-        // Rebuffer stall: the part of the download the buffer couldn't
-        // cover. The very first segment necessarily faces an empty buffer —
-        // production players account that wait as *startup delay*, not a
-        // stall (the paper's stall analyses concern rebuffering), so it is
-        // tracked separately and excluded from stall events.
         let is_startup = self.segment_index == 0;
+        let outcome = buffer_step(
+            self.buffer,
+            self.bmax,
+            is_startup,
+            size_kbits,
+            bandwidth_kbps,
+            segment_duration,
+            rtt,
+        )?;
+        let SegmentOutcome {
+            download_time,
+            stall_time,
+            wait_time,
+            buffer_after,
+            ..
+        } = outcome;
+        // The whole wait for the download, startup delay included.
         let raw_wait = (download_time - self.buffer).max(0.0);
-        let stall_time = if is_startup { 0.0 } else { raw_wait };
         if is_startup {
             self.startup_delay = raw_wait;
         }
-        // Post-download buffer before waiting: [B_k − d/C]_+ + L.
-        let after_download = (self.buffer - download_time).max(0.0) + segment_duration;
-        // Waiting: overflow beyond B_max plus RTT (Eq. 3's δt_k).
-        let overflow_wait = (after_download - self.bmax).max(0.0);
-        let wait_time = overflow_wait + rtt;
-        // Final buffer: [B' − δt]_+ clamped into [0, B_max].
-        let buffer_after = (after_download - wait_time).max(0.0).min(self.bmax);
 
         // Advance clocks: wall time grows by download + wait; playback
         // advances by the wall time minus stall (content only plays while
@@ -319,8 +298,7 @@ impl PlayerEnv {
         self.segment_index += 1;
         self.last_level = Some(level);
 
-        let throughput = bandwidth_kbps;
-        self.throughput_history.push_back(throughput);
+        self.throughput_history.push_back(outcome.throughput_kbps);
         self.level_history.push_back(level);
         if self.throughput_history.len() > self.config.history_window {
             self.throughput_history.pop_front();
@@ -328,13 +306,7 @@ impl PlayerEnv {
         }
         self.update_bmax();
 
-        Ok(SegmentOutcome {
-            download_time,
-            stall_time,
-            wait_time,
-            buffer_after,
-            throughput_kbps: throughput,
-        })
+        Ok(outcome)
     }
 
     /// Convenience: build a [`SegmentRecord`] out of a step.
@@ -358,6 +330,69 @@ impl PlayerEnv {
             switched_from,
         }
     }
+}
+
+/// Eq. 3 on a bare buffer: the outcome of downloading `size_kbits` at
+/// `bandwidth_kbps` into `buffer` seconds of content capped at `bmax`,
+/// then waiting out any overflow plus `rtt`, with every check
+/// [`PlayerEnv::step_with_rtt`] makes. `startup` marks a session's first
+/// segment, whose wait is startup delay rather than a stall. Clocks and
+/// histories are the caller's: `step_with_rtt` advances a player's, and
+/// Monte-Carlo rollouts that need none of them call this directly.
+pub fn buffer_step(
+    buffer: f64,
+    bmax: f64,
+    startup: bool,
+    size_kbits: f64,
+    bandwidth_kbps: f64,
+    segment_duration: f64,
+    rtt: f64,
+) -> Result<SegmentOutcome> {
+    if !(bandwidth_kbps > 0.0) || !bandwidth_kbps.is_finite() {
+        return Err(PlayerError::InvalidStep(format!(
+            "bandwidth must be positive, got {bandwidth_kbps}"
+        )));
+    }
+    if !(size_kbits > 0.0) || !size_kbits.is_finite() {
+        return Err(PlayerError::InvalidStep(format!(
+            "segment size must be positive, got {size_kbits}"
+        )));
+    }
+    if !(segment_duration > 0.0) {
+        return Err(PlayerError::InvalidStep(
+            "segment duration must be positive".into(),
+        ));
+    }
+    if !(rtt >= 0.0) {
+        return Err(PlayerError::InvalidStep(format!(
+            "RTT must be non-negative, got {rtt}"
+        )));
+    }
+    let download_time = size_kbits / bandwidth_kbps;
+    // Rebuffer stall: the part of the download the buffer couldn't cover.
+    // The very first segment necessarily faces an empty buffer —
+    // production players account that wait as *startup delay*, not a
+    // stall (the paper's stall analyses concern rebuffering), so it is
+    // excluded from stall events.
+    let stall_time = if startup {
+        0.0
+    } else {
+        (download_time - buffer).max(0.0)
+    };
+    // Post-download buffer before waiting: [B_k − d/C]_+ + L.
+    let after_download = (buffer - download_time).max(0.0) + segment_duration;
+    // Waiting: overflow beyond B_max plus RTT (Eq. 3's δt_k).
+    let overflow_wait = (after_download - bmax).max(0.0);
+    let wait_time = overflow_wait + rtt;
+    // Final buffer: [B' − δt]_+ clamped into [0, B_max].
+    let buffer_after = (after_download - wait_time).max(0.0).min(bmax);
+    Ok(SegmentOutcome {
+        download_time,
+        stall_time,
+        wait_time,
+        buffer_after,
+        throughput_kbps: bandwidth_kbps,
+    })
 }
 
 #[cfg(test)]

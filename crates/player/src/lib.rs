@@ -39,7 +39,7 @@ pub mod log;
 pub mod session;
 
 pub use config::{BmaxPolicy, PlayerConfig};
-pub use env::{PlayerEnv, SegmentOutcome, StallEvent};
+pub use env::{buffer_step, PlayerEnv, SegmentOutcome, StallEvent};
 pub use log::{SegmentRecord, SessionEnd, SessionLog, SessionSummary};
 pub use session::{
     content_watch_time, run_session, ExitDecision, SegmentRequest, SessionSetup, SessionStream,
