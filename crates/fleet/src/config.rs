@@ -138,11 +138,11 @@ impl AbrMix {
 /// each link's capacity max-min fair.
 ///
 /// Determinism: placement is a pure function of (seed, user id, epoch,
-/// barrier snapshot) — see [`crate::dispatch`] — and in contention mode
-/// shards own *links* rather than users, so every link's event-driven
-/// co-simulation runs single-threaded with an event order derived from
-/// (seed, link members, epoch) alone — merged metrics stay bit-identical
-/// for any shard count.
+/// barrier snapshot) — see [`crate::dispatch`] — and in contention mode a
+/// link group is one unit of the epoch's work list, and a unit is never
+/// split, so every link's event-driven co-simulation runs single-threaded
+/// on one worker with an event order derived from (seed, link members,
+/// epoch) alone — merged metrics stay bit-identical for any shard count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionConfig {
     /// Number of shared bottleneck links users are placed on.
@@ -213,9 +213,9 @@ impl ContentionConfig {
 ///
 /// Determinism: a user's route depends only on (seed, user id); the
 /// α-fair allocator is a fixed-budget deterministic iteration (see
-/// `lingxi_net::fairness`); and a shard owns *all* links of a path group
-/// (the group is the unit hashed onto shards), so merged metrics keep
-/// the bit-identical shard-invariance contract.
+/// `lingxi_net::fairness`); and a pod instance is one unit of the work
+/// list, never split, so one worker runs *all* links of a path group and
+/// merged metrics keep the bit-identical shard-invariance contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FairnessConfig {
     /// How each group's links split capacity among concurrent flows.
@@ -314,8 +314,11 @@ impl PersistenceConfig {
 /// Engine sizing and policy (scenario-independent).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Worker shards (threads). User ids — in contention mode, link ids —
-    /// hash onto shards.
+    /// Worker threads per epoch (a single-core host runs one, inline on
+    /// the calling thread). It does not decide which worker runs which
+    /// users: the workers pull whole units — link groups, or chunks of
+    /// users — off one work list that does not depend on it, and neither
+    /// do the results.
     pub shards: usize,
     /// Simulated days; state persists across epochs through the cache.
     pub epochs: usize,

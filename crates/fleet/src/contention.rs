@@ -1,18 +1,20 @@
 //! The shared-bottleneck contention kernel: event-driven co-simulation of
 //! every session sharing a link.
 //!
-//! In contention mode each shard owns whole *links* (the dispatch stage
-//! places every user on one before the shards run); this module runs one
-//! link's users as a deterministic discrete-event simulation. Each user
-//! is a [`LinkAgent`] holding the one [`ManagedSession`] it has in flight
-//! (a plain user is the same agent without LingXi on its hooks): the
-//! kernel pops the earliest event — a flow completion on the
+//! In contention mode a unit of the epoch's work list is one whole *link
+//! group* (the dispatch stage places every user on a link before the
+//! workers run, and a unit is never split between workers); this module
+//! runs one link's users as a deterministic discrete-event simulation.
+//! Each user is a [`LinkAgent`] holding the one [`ManagedSession`] it has
+//! in flight (a plain user is the same agent without LingXi on its
+//! hooks): the kernel pops the earliest event — a flow completion on the
 //! [`SharedBottleneck`], or a pending download request — hands
-//! completions to their agent (which advances its player, consults LingXi
-//! and the exit model, and issues its next request), and admits requests
-//! as new flows. Ties resolve completions-first, then ascending user id,
+//! completions to their agent (which advances its player, consults
+//! LingXi and the exit model, and issues its next request), and admits
+//! requests as new flows. Ties resolve completions-first, then ascending user id,
 //! so the event order is a pure function of (seed, link members, epoch)
-//! and merged metrics stay bit-identical across shard counts.
+//! and merged metrics stay bit-identical whichever worker runs the group,
+//! for any shard count.
 //!
 //! The agent is also what independent mode runs: same constructor, same
 //! sessions, but each session plays start to finish over a private trace
@@ -34,21 +36,24 @@
 //! splits under the configured [`lingxi_net::FairnessObjective`], and
 //! each member's session RTT/jitter become the Kleinrock-composed
 //! per-path delay under the group's static offered load instead of a
-//! constant. A shard still owns the whole group — and with it every link
-//! of every path — so the event order and merged metrics remain pure
-//! functions of (seed, group members, epoch).
+//! constant. The group is one unit — and with it every link of every
+//! path — so the event order and merged metrics remain pure functions of
+//! (seed, group members, epoch).
 //!
 //! # Fast-path layout
 //!
-//! The kernel keeps its hot lookup state in struct-of-arrays owned by
-//! [`ContentionScratch`] and reused across links and epochs: a flat
-//! `(link, user index)` pair buffer replaces the per-epoch
-//! `BTreeMap<u64, Vec<&EpochUser>>` grouping (one sort, contiguous runs
-//! per link), ascending `uids` / `caps` vectors replace the per-link
-//! id→agent `BTreeMap` (binary search on a dense sorted array), and the
-//! pending-arrival queue is a [`TimerWheel`] (pop-order equivalence
-//! with the reference `BinaryHeapQueue` is a property test in
-//! `lingxi-net`, over every queue method the kernel calls).
+//! The grouping by link happens once per epoch, in the engine's plan
+//! stage: one counting sort of the cohort into the work list, each unit a
+//! link's members in ascending user id. Inside a unit the kernel keys
+//! every pending arrival and flow by the agent's index in the unit, not
+//! its user id: indices follow ascending user id, so every tie breaks
+//! the same way, and an event finds its agent, flow cap and route by
+//! indexing — no id→agent map or search. That state lives in
+//! struct-of-arrays owned by [`ContentionScratch`] and reused across
+//! links and epochs, and the pending-arrival queue is a [`TimerWheel`]
+//! (pop-order equivalence with the reference `BinaryHeapQueue` is a
+//! property test in `lingxi-net`, over every queue method the kernel
+//! calls).
 
 use lingxi_abr::Abr;
 use lingxi_abtest::DayAccum;
@@ -66,32 +71,27 @@ use lingxi_user::{QosExitModel, ToleranceDrift, UserRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{EpochCtx, EpochUser, FleetEngine, ShardEpochOutput, UserEpochRow};
+use crate::engine::{EpochCtx, EpochUser, FleetEngine, UnitRows, UserEpochRow, WorkerOutput};
 use crate::report::EpochSketches;
 use crate::{sub, FleetError, Result};
 
-/// Payload of a pending download request; the `(time, user id)` key lives
-/// in the event queue itself.
+/// Payload of a pending download request; the `(time, agent index)` key
+/// lives in the event queue itself.
 struct ArrivalPayload {
     size_kbits: f64,
 }
 
-/// Reusable hot-path buffers for one shard's contended epochs. Owned by
-/// the engine (one per shard) and carried across epochs, so the steady
+/// Reusable hot-path buffers for one worker's link groups. Owned by the
+/// engine (one per worker) and carried across epochs, so the steady
 /// state allocates nothing per epoch or per link.
 #[derive(Default)]
 pub(crate) struct ContentionScratch {
-    /// `(link id, index into the epoch cohort)` of the shard's users,
-    /// sorted by `(link, user id)` at epoch start — the flat form of a
-    /// per-epoch `BTreeMap` link grouping.
-    pairs: Vec<(u64, u32)>,
     /// Pending arrivals, cleared between links.
     queue: TimerWheel<ArrivalPayload>,
-    /// Ascending user ids of the link's live agents.
-    uids: Vec<u64>,
-    /// Per-agent flow caps, parallel to `uids` (struct-of-arrays).
+    /// Per-agent flow caps, indexed by the agent's event key
+    /// (struct-of-arrays).
     caps: Vec<f64>,
-    /// Per-agent route indices, parallel to `uids` (always 0 on the
+    /// Per-agent route indices, indexed like `caps` (always 0 on the
     /// degenerate topology — its one route).
     routes: Vec<u16>,
     /// Per-link utilization estimates for the Kleinrock RTT (fairness
@@ -327,65 +327,27 @@ impl<'a> LinkAgent<'a> {
     }
 }
 
-/// One shard's epoch in contention mode: group the shard's users by link
-/// and co-simulate each link's group on its own event kernel.
-pub(crate) fn run_shard_epoch_contended(
+/// Event-driven co-simulation of one link's users for one epoch: one
+/// unit of the work list. `members` are the link group's cohort indices,
+/// ascending by user id; rows go into the unit's `rows`, sketches and
+/// solver counters fold into the worker's `out`.
+pub(crate) fn run_link_epoch(
     engine: &FleetEngine,
     ctx: EpochCtx<'_>,
     members: &[u32],
     scratch: &mut ContentionScratch,
-    out: &mut ShardEpochOutput,
-) -> Result<()> {
-    // Flat sorted link index: one reusable buffer and one sort give the
-    // (ascending link, ascending user id) iteration a per-epoch
-    // `BTreeMap<u64, Vec<&EpochUser>>` would, without rebuilding a tree.
-    // Every user's link was fixed by the dispatch stage before any kernel
-    // runs, so the grouping is a pure function of (seed, cohort, epoch).
-    let cohort = ctx.cohort;
-    scratch.pairs.clear();
-    scratch
-        .pairs
-        .extend(members.iter().map(|&i| (cohort[i as usize].link, i)));
-    scratch
-        .pairs
-        .sort_unstable_by_key(|&(link, i)| (link, cohort[i as usize].record.id));
-    let mut start = 0usize;
-    while start < scratch.pairs.len() {
-        let link_id = scratch.pairs[start].0;
-        let mut end = start + 1;
-        while end < scratch.pairs.len() && scratch.pairs[end].0 == link_id {
-            end += 1;
-        }
-        run_link_epoch(engine, ctx, scratch, start..end, out)?;
-        start = end;
-    }
-    Ok(())
-}
-
-/// Event-driven co-simulation of one link's users for one epoch.
-/// `group` is this link's run of `scratch.pairs` — `(link, cohort index)`,
-/// ascending by user id; rows and sketches fold into `out`.
-fn run_link_epoch(
-    engine: &FleetEngine,
-    ctx: EpochCtx<'_>,
-    scratch: &mut ContentionScratch,
-    group: std::ops::Range<usize>,
-    out: &mut ShardEpochOutput,
+    rows: &mut UnitRows<'_>,
+    out: &mut WorkerOutput,
 ) -> Result<()> {
     let ContentionScratch {
-        pairs,
         queue,
-        uids,
         caps,
         routes,
         rho,
     } = scratch;
-    let ShardEpochOutput {
-        rows,
-        sketches,
-        solver,
+    let WorkerOutput {
+        sketches, solver, ..
     } = out;
-    let members = &pairs[group];
     let config = engine.config();
     let contention = config
         .contention
@@ -393,7 +355,7 @@ fn run_link_epoch(
         .expect("contended epoch requires a contention config");
     // Heterogeneous plant: the link-class registry (dynamics mode) or the
     // dispatch layer's capacity weights set this link's real capacity.
-    let capacity_kbps = engine.link_capacity_kbps[members[0].0 as usize];
+    let capacity_kbps = engine.link_capacity_kbps[ctx.cohort[members[0] as usize].link as usize];
     let fairness = config.fairness.as_ref();
     // Every link group is one topology instance under one objective. A
     // fairness config supplies the template, its capacities scaled with
@@ -433,8 +395,8 @@ fn run_link_epoch(
     rho.clear();
     if fairness.is_some() {
         rho.resize(topo.n_links(), 0.0);
-        for &(_, user_idx) in members {
-            let member = &ctx.cohort[user_idx as usize];
+        for &i in members {
+            let member = &ctx.cohort[i as usize];
             let user = &member.record;
             let demand = user.net.mean_kbps.min(flow_cap_kbps(member));
             for &l in topo.route(engine.route_of(user.id, topo.n_routes())) {
@@ -450,11 +412,10 @@ fn run_link_epoch(
     // [`LinkAgent::new`]) and announces its first download.
     let mut agents: Vec<Option<LinkAgent<'_>>> = Vec::with_capacity(members.len());
     queue.clear();
-    uids.clear();
     caps.clear();
     routes.clear();
-    for &(_, user_idx) in members {
-        let member = &ctx.cohort[user_idx as usize];
+    for &i in members {
+        let member = &ctx.cohort[i as usize];
         let user = &member.record;
         // The user's route (the degenerate topology has only route 0).
         let route = engine.route_of(user.id, topo.n_routes());
@@ -474,13 +435,12 @@ fn run_link_epoch(
         let mut agent = LinkAgent::new(engine, ctx, member, player)?;
         match agent.request(sketches)? {
             Some(req) => {
-                uids.push(user.id);
                 caps.push(flow_cap_kbps(member));
                 routes.push(route);
                 let payload = ArrivalPayload {
                     size_kbits: req.size_kbits,
                 };
-                queue.push(agent.t0 + req.at, user.id, payload);
+                queue.push(agent.t0 + req.at, agents.len() as u64, payload);
                 agents.push(Some(agent));
             }
             None => rows.push(agent.finish(ctx.cache)?),
@@ -488,12 +448,11 @@ fn run_link_epoch(
     }
 
     // The kernel: completions first on time ties, then arrivals in
-    // (time, user id) order. Agent lookup is a binary search over the
-    // dense ascending `uids` array.
-    let index_of = |uids: &[u64], uid: u64| {
-        uids.binary_search(&uid)
-            .map_err(|_| FleetError::Subsystem(format!("unknown flow {uid}")))
-    };
+    // (time, user id) order. Arrivals and flows are keyed by the agent's
+    // index in `agents`, which is the lookup: agents were built in
+    // ascending user id, so index order is user-id order and every tie —
+    // in the queue and in the allocator's (cap, id) flow order — breaks
+    // exactly as it would on user ids.
     // Dynamic counterpart to detlint rule D5: the merged event stream
     // must pop in monotone non-decreasing time order, whatever queue
     // implementation is compiled in. Debug builds assert it per event.
@@ -523,10 +482,15 @@ fn run_link_epoch(
         }
         if take_completion {
             let end = link.pop_completion().expect("completion event exists");
-            let idx = index_of(uids, end.id)?;
-            let agent = agents[idx]
-                .as_mut()
-                .ok_or_else(|| FleetError::Subsystem("completion for finished agent".into()))?;
+            let idx = end.id as usize;
+            let agent = agents
+                .get_mut(idx)
+                .and_then(Option::as_mut)
+                .ok_or_else(|| {
+                    FleetError::Subsystem(format!(
+                        "completion for flow {idx}, which has no live agent"
+                    ))
+                })?;
             agent.complete(Download {
                 duration: end.duration,
                 kbps: end.kbps,
@@ -544,9 +508,9 @@ fn run_link_epoch(
                 }
             }
         } else {
-            let (at, uid, payload) = queue.pop().expect("peeked arrival exists");
-            let idx = index_of(uids, uid)?;
-            link.begin_flow_on(uid, routes[idx], at, payload.size_kbits, caps[idx])
+            let (at, key, payload) = queue.pop().expect("peeked arrival exists");
+            let idx = key as usize;
+            link.begin_flow_on(key, routes[idx], at, payload.size_kbits, caps[idx])
                 .map_err(sub)?;
         }
     }

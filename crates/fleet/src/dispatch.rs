@@ -4,7 +4,7 @@
 //! Contention mode always places through a [`Dispatcher`]. The default
 //! is the static id-hash ([`StaticHash`], [`static_link_of`]) — the
 //! degenerate dispatcher, blind to load, under which one hot link
-//! serializes a whole shard while others idle. The load-aware policy is
+//! becomes one long unit of work while other links sit empty. The load-aware policy is
 //! LSQ ("local shortest queue") from the load-balancing literature:
 //! multiple dispatchers place arrivals using *local, possibly-stale*
 //! queue-length estimates with per-queue capacity weights for
@@ -18,9 +18,10 @@
 //! barrier snapshot)` — never of the shard count *or the physical
 //! dispatcher count*. Two pins make that hold bit-exactly:
 //!
-//! - **Queues are links, not shards.** Dispatch assigns a user to a
-//!   shared link; shard ownership remains `mix64(link) % shards`, so the
-//!   existing shard-count invariance survives any placement policy.
+//! - **Queues are links, not workers.** Dispatch assigns a user to a
+//!   shared link; the link's whole group is one unit of the engine's work
+//!   list, never split between workers, so the existing shard-count
+//!   invariance survives any placement policy.
 //! - **Logical dispatcher streams are pinned at
 //!   [`DISPATCH_STREAMS`].** A physical dispatcher count `D` merely
 //!   *groups* the fixed streams (stream `s` belongs to dispatcher

@@ -1,18 +1,21 @@
 //! The sharded fleet engine: one epoch pipeline — populate → dispatch →
-//! partition → run shards → merge → flush/checkpoint — over shard
-//! workers, with a deterministic streaming metric merge at the barrier.
+//! plan units → run workers → merge → flush/checkpoint — over worker
+//! threads, with a deterministic streaming metric merge at the barrier.
 //!
 //! Determinism model: every (user, epoch) derives its own RNG stream from
-//! the base seed alone — never from the shard id or thread schedule — and
-//! a user's long-term state is only ever touched by the worker that owns
-//! the user in that epoch. Any partition of users over shards therefore
-//! computes identical per-user results. Metrics are held as bounded-memory
-//! streaming accumulators: one [`lingxi_abtest::DayAccum`] per user
-//! (sessions folded in play order) merged at the epoch barrier in
-//! ascending user-id order, plus integer-binned
-//! [`crate::report::EpochSketches`] whose merge is exactly
-//! order-independent — so merged metrics are bit-identical for any shard
-//! count without ever materialising per-session records.
+//! the base seed alone — never from the worker or thread schedule — and
+//! a user's long-term state is only ever touched by the worker that runs
+//! the user's unit in that epoch. The epoch's work list is a pure function
+//! of the cohort, and a unit's work a pure function of (seed, members,
+//! epoch), so whichever worker pulls which unit, every per-user result is
+//! the same. Metrics are held as bounded-memory streaming accumulators:
+//! one [`lingxi_abtest::DayAccum`] per user (sessions folded in play
+//! order) merged at the epoch barrier in ascending user-id order, plus
+//! per-worker integer-binned [`crate::report::EpochSketches`] and integer
+//! [`SolverStats`] sums (with one float max), whose merges are exact in
+//! any grouping and order — so merged metrics are bit-identical for any
+//! shard count and any schedule without ever materialising per-session
+//! records.
 //!
 //! A user's epoch exists once: the agent in `contention.rs`, built by one
 //! constructor in either mode. Independent and contention mode
@@ -25,7 +28,9 @@
 //! materialised into a transient classed user who joins a shared link at
 //! its arrival time and departs when its session budget drains.
 
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lingxi_abtest::{did_report, DayAccum};
@@ -79,35 +84,178 @@ pub(crate) struct EpochUser {
     /// Index into the dynamics registry's user classes.
     pub(crate) class: Option<u16>,
     /// The shared link this user's sessions contend on this epoch,
-    /// written by the dispatch stage; shard ownership follows it.
+    /// written by the dispatch stage; the work list groups users by it.
     /// Unused in independent mode (there are no links).
     pub(crate) link: u64,
 }
 
-/// One user's epoch, reduced to bounded-memory accumulators by the shard
-/// worker that owned the user.
+/// One user's epoch, reduced to bounded-memory accumulators by the
+/// worker that ran the user's unit.
 pub(crate) struct UserEpochRow {
     pub(crate) user_id: u64,
     pub(crate) class: Option<u16>,
     pub(crate) day: DayAccum,
 }
 
-/// Everything one shard worker hands to the epoch barrier.
-pub(crate) struct ShardEpochOutput {
-    pub(crate) rows: Vec<UserEpochRow>,
-    pub(crate) sketches: EpochSketches,
-    /// Dual-solver counters summed over the shard's link groups.
-    pub(crate) solver: SolverStats,
+/// Users per unit in independent mode. A constant: the work list never
+/// depends on the shard count. Small enough that the last units balance
+/// the workers' finish times, large enough that pulling one costs
+/// nothing next to playing its sessions.
+const UNIT_USERS: usize = 64;
+
+/// Stage 3's output: the epoch's units of work, in the order workers pull
+/// them. A unit is one link group (contention mode) or a chunk of
+/// [`UNIT_USERS`] consecutive cohort indices (independent mode); it is
+/// never split between workers.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct WorkList {
+    /// Cohort indices, unit after unit.
+    members: Vec<u32>,
+    /// Exclusive end of each unit in `members`; a unit starts where the
+    /// previous one ends.
+    ends: Vec<usize>,
 }
 
-/// What every shard worker reads during one epoch.
+impl WorkList {
+    /// Number of units.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Unit `u`'s cohort indices; `None` past the last unit.
+    fn unit(&self, u: usize) -> Option<&[u32]> {
+        let end = *self.ends.get(u)?;
+        let start = u.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.members[start..end])
+    }
+
+    /// Every unit, in pull order.
+    fn units(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len()).map_while(|u| self.unit(u))
+    }
+
+    /// Independent mode: consecutive chunks of [`UNIT_USERS`] cohort
+    /// indices, in cohort (ascending user-id) order.
+    fn chunks(&mut self, n: usize) {
+        self.members.clear();
+        self.members.extend(0..n as u32);
+        self.ends.clear();
+        self.ends
+            .extend((1..=n.div_ceil(UNIT_USERS)).map(|k| (k * UNIT_USERS).min(n)));
+    }
+
+    /// Contention mode: one unit per non-empty link group, its members in
+    /// ascending user id, units ordered largest first (ties by ascending
+    /// link id) so the longest co-simulations start first and the short
+    /// ones fill in behind them. A counting sort over the cohort, which
+    /// is already in ascending user-id order.
+    fn link_groups(&mut self, cohort: &[EpochUser], links: usize) {
+        debug_assert!(
+            cohort.windows(2).all(|w| w[0].record.id < w[1].record.id),
+            "the cohort is in ascending user-id order"
+        );
+        let mut sizes = vec![0usize; links];
+        for user in cohort {
+            sizes[user.link as usize] += 1;
+        }
+        let mut order: Vec<usize> = (0..links).filter(|&l| sizes[l] > 0).collect();
+        order.sort_unstable_by_key(|&l| (Reverse(sizes[l]), l));
+        // Each link's write cursor: where its run of `members` starts.
+        let mut cursor = vec![0usize; links];
+        self.ends.clear();
+        let mut end = 0;
+        for &link in &order {
+            cursor[link] = end;
+            end += sizes[link];
+            self.ends.push(end);
+        }
+        self.members.clear();
+        self.members.resize(cohort.len(), 0);
+        for (i, user) in cohort.iter().enumerate() {
+            let at = &mut cursor[user.link as usize];
+            self.members[*at] = i as u32;
+            *at += 1;
+        }
+    }
+
+    /// Split the epoch's row buffer into one slice per unit, in unit
+    /// order, each behind a lock its one worker takes once.
+    fn split<'r, T>(&self, mut buf: &'r mut [T]) -> Vec<Mutex<&'r mut [T]>> {
+        self.units()
+            .map(|unit| {
+                let (head, tail) = std::mem::take(&mut buf).split_at_mut(unit.len());
+                buf = tail;
+                Mutex::new(head)
+            })
+            .collect()
+    }
+}
+
+/// One unit's slice of the epoch's row buffer: one slot per member,
+/// filled in the order the unit's users finish.
+pub(crate) struct UnitRows<'a> {
+    slots: &'a mut [Option<UserEpochRow>],
+    filled: usize,
+}
+
+impl UnitRows<'_> {
+    /// Emit one finished user's row.
+    pub(crate) fn push(&mut self, row: UserEpochRow) {
+        self.slots[self.filled] = Some(row);
+        self.filled += 1;
+    }
+
+    /// Every member emitted its row.
+    fn check_full(&self) -> Result<()> {
+        if self.filled == self.slots.len() {
+            return Ok(());
+        }
+        Err(FleetError::Subsystem(format!(
+            "a unit of {} users emitted {} rows",
+            self.slots.len(),
+            self.filled
+        )))
+    }
+}
+
+/// What one worker hands to the epoch barrier besides its rows. A worker
+/// that pulled no unit hands over empty sketches and zero counters.
+#[derive(Default)]
+pub(crate) struct WorkerOutput {
+    /// Sketches of every session the worker's units played.
+    pub(crate) sketches: EpochSketches,
+    /// Dual-solver counters summed over the worker's link groups.
+    pub(crate) solver: SolverStats,
+    /// The first unit the worker failed, with its error. The worker keeps
+    /// pulling after a failure, so every unit runs and the epoch fails on
+    /// the lowest failing unit, whichever worker ran it.
+    failure: Option<(usize, FleetError)>,
+}
+
+/// Stage 4's output: the epoch's rows, one slot per cohort user in unit
+/// order, and one output per worker.
+struct EpochOutput {
+    rows: Vec<Option<UserEpochRow>>,
+    workers: Vec<WorkerOutput>,
+}
+
+/// The queue every worker pulls from during one epoch: the work list,
+/// each unit's row slice, and the cursor handing out unit indices.
+#[derive(Clone, Copy)]
+struct WorkQueue<'q, 'r> {
+    work: &'q WorkList,
+    rows: &'q [Mutex<&'r mut [Option<UserEpochRow>]>],
+    next: &'q AtomicUsize,
+}
+
+/// What every worker reads during one epoch.
 #[derive(Clone, Copy)]
 pub(crate) struct EpochCtx<'a> {
     pub(crate) epoch: usize,
     pub(crate) scenario: &'a FleetScenario,
     pub(crate) catalog: &'a Catalog,
     pub(crate) cache: &'a ShardedStateCache,
-    /// The whole epoch cohort; shards index into it.
+    /// The whole epoch cohort; units index into it.
     pub(crate) cohort: &'a [EpochUser],
 }
 
@@ -134,17 +282,16 @@ struct RunState<'a> {
     cohort: Vec<EpochUser>,
     /// `None` in independent mode: there are no links to place users on.
     placement: Option<Placement>,
-    /// Per-shard indices into `cohort`, refilled by the partition stage.
-    shard_members: Vec<Vec<u32>>,
-    /// One contention scratch per shard, reused across every epoch so the
-    /// contended hot path allocates nothing in steady state.
+    /// The epoch's units, refilled by the plan stage.
+    work: WorkList,
+    /// One contention scratch per worker, reused across every epoch so
+    /// the contended hot path allocates nothing in steady state. A single
+    /// one — one shard, or a single-core host, where worker threads would
+    /// only time-slice each other — runs the one worker inline on the
+    /// calling thread; units are independent within an epoch and their
+    /// outputs merge exactly in any grouping, so both ways produce the
+    /// same results.
     scratches: Vec<ContentionScratch>,
-    /// Run the shards one after another on the calling thread: set for
-    /// one shard, and on a single-core host, where worker threads would
-    /// only time-slice each other. Shards are independent within an epoch
-    /// and the barrier folds their outputs in shard order, so both ways
-    /// produce the same results.
-    inline: bool,
     /// The run so far, in the shape a checkpoint persists: epoch cursor,
     /// merged epochs and running counters. A fresh run starts from the
     /// empty manifest, a resumed one from the manifest it loaded.
@@ -269,9 +416,9 @@ impl FleetEngine {
         for epoch in first_epoch..self.config.epochs {
             self.populate(&mut run, epoch);
             let placed = self.dispatch(&mut run, epoch);
-            self.partition(&mut run);
-            let outputs = self.run_shards(&mut run, epoch)?;
-            let metrics = self.merge(&mut run.progress, epoch, outputs, placed);
+            self.plan(&mut run.work, &run.cohort);
+            let output = self.run_workers(&mut run, epoch)?;
+            let metrics = self.merge(&mut run.progress, epoch, output, placed)?;
             let suspend = control
                 .stop_after_epochs
                 .is_some_and(|n| n > 0 && epoch + 1 - first_epoch >= n);
@@ -342,6 +489,8 @@ impl FleetEngine {
                 ),
         });
 
+        let single_core = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
+        let workers = if single_core { 1 } else { self.config.shards };
         Ok(RunState {
             scenario,
             catalog,
@@ -350,12 +499,8 @@ impl FleetEngine {
             state_warnings,
             cohort,
             placement,
-            shard_members: vec![Vec::new(); self.config.shards],
-            scratches: (0..self.config.shards)
-                .map(|_| ContentionScratch::default())
-                .collect(),
-            inline: self.config.shards == 1
-                || std::thread::available_parallelism().is_ok_and(|n| n.get() == 1),
+            work: WorkList::default(),
+            scratches: (0..workers).map(|_| ContentionScratch::default()).collect(),
             prior_elapsed: Duration::from_secs_f64(progress.elapsed_s),
             progress,
             // detlint::allow(wall_clock, reason = "wall-time reporting only; never feeds simulated state or metrics")
@@ -507,30 +652,27 @@ impl FleetEngine {
         })
     }
 
-    /// Stage 3 — partition: hand each shard the cohort indices it owns
-    /// (ascending id per shard). Independent mode hashes the user; in
-    /// contention mode ownership follows the user's *link*, so every
-    /// link's co-simulation stays whole on one shard and the shard-count
-    /// invariance survives contention — under any dispatch policy, since
-    /// placement never consults the shard count. Redone every epoch
-    /// because placements may move at every barrier.
-    fn partition(&self, run: &mut RunState) {
-        for members in &mut run.shard_members {
-            members.clear();
-        }
-        for (i, user) in run.cohort.iter().enumerate() {
-            let key = match &self.config.contention {
-                Some(_) => user.link,
-                None => user.record.id,
-            };
-            let shard = (mix64(key) % self.config.shards as u64) as usize;
-            run.shard_members[shard].push(i as u32);
+    /// Stage 3 — plan units: the epoch's work list, a pure function of
+    /// the cohort — never of the shard count. In contention mode a unit is
+    /// one whole link group, so every link's co-simulation stays on one
+    /// worker and the shard-count invariance survives contention — under
+    /// any dispatch policy, since placement never consults the shard
+    /// count. Redone every epoch because placements may move at every
+    /// barrier.
+    pub(crate) fn plan(&self, work: &mut WorkList, cohort: &[EpochUser]) {
+        match &self.config.contention {
+            Some(contention) => work.link_groups(cohort, contention.links),
+            None => work.chunks(cohort.len()),
         }
     }
 
-    /// Stage 4 — run shards: one worker per shard, inline or on scoped
-    /// threads (see `RunState::inline`). Outputs come back in shard order.
-    fn run_shards(&self, run: &mut RunState, epoch: usize) -> Result<Vec<ShardEpochOutput>> {
+    /// Stage 4 — run workers: `scratches.len()` workers pull units off one
+    /// queue until it is empty, inline on the calling thread when there
+    /// is one (see `RunState::scratches`), else on scoped threads. Each
+    /// unit writes its rows into its own slice of one epoch-sized buffer.
+    /// Nothing here accumulates: what the workers return folds at the
+    /// barrier.
+    fn run_workers(&self, run: &mut RunState, epoch: usize) -> Result<EpochOutput> {
         let ctx = EpochCtx {
             epoch,
             scenario: run.scenario,
@@ -538,53 +680,121 @@ impl FleetEngine {
             cache: &run.cache,
             cohort: &run.cohort,
         };
-        let shards = run.shard_members.iter().zip(run.scratches.iter_mut());
-        if run.inline {
-            return shards
-                .map(|(members, scratch)| self.run_shard_epoch(ctx, members, scratch))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .map(|(members, scratch)| {
-                    scope.spawn(move || self.run_shard_epoch(ctx, members, scratch))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        Err(FleetError::WorkerPanic(
-                            p.downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "unknown panic".into()),
-                        ))
+        let mut rows: Vec<Option<UserEpochRow>> = (0..run.cohort.len()).map(|_| None).collect();
+        let slices = run.work.split(&mut rows);
+        let next = AtomicUsize::new(0);
+        let queue = WorkQueue {
+            work: &run.work,
+            rows: &slices,
+            next: &next,
+        };
+        let workers = match run.scratches.as_mut_slice() {
+            [scratch] => vec![self.run_worker(ctx, queue, scratch)],
+            scratches => std::thread::scope(|scope| {
+                let handles: Vec<_> = scratches
+                    .iter_mut()
+                    .map(|scratch| scope.spawn(move || self.run_worker(ctx, queue, scratch)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().map_err(|p| {
+                            FleetError::WorkerPanic(
+                                p.downcast_ref::<String>()
+                                    .cloned()
+                                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                                    .unwrap_or_else(|| "unknown panic".into()),
+                            )
+                        })
                     })
-                })
-                .collect()
-        })
+                    .collect::<Result<Vec<_>>>()
+            })?,
+        };
+        drop(slices);
+        Ok(EpochOutput { rows, workers })
     }
 
-    /// Stage 5 — merge (the epoch barrier): fold per-user accumulators in
-    /// user-id order (sketch merges are exactly order-independent) into
-    /// the epoch's metrics and the run's counters.
+    /// One worker: pull the next unit index until the list runs out, and
+    /// run each unit into its row slice.
+    fn run_worker(
+        &self,
+        ctx: EpochCtx<'_>,
+        queue: WorkQueue<'_, '_>,
+        scratch: &mut ContentionScratch,
+    ) -> WorkerOutput {
+        let mut out = WorkerOutput::default();
+        loop {
+            // Relaxed: the cursor only hands out distinct indices; the
+            // scope's join orders every write a worker made.
+            let u = queue.next.fetch_add(1, Ordering::Relaxed);
+            let Some(members) = queue.work.unit(u) else {
+                return out;
+            };
+            // Taken once, by the one worker that pulled `u`: uncontended,
+            // and never held by a worker that panicked before.
+            let mut slots = queue.rows[u]
+                .lock()
+                .expect("a unit's rows are locked once, by the worker that pulled it");
+            let mut rows = UnitRows {
+                slots: &mut slots,
+                filled: 0,
+            };
+            let ran = self.run_unit(ctx, members, &mut rows, scratch, &mut out);
+            if let Err(e) = ran.and_then(|()| rows.check_full()) {
+                out.failure.get_or_insert((u, e));
+            }
+        }
+    }
+
+    /// One unit's epoch. Contention mode co-simulates the link group's
+    /// agents on the event kernel; independent mode lets each agent play
+    /// its sessions start to finish over private traces, one user after
+    /// another.
+    fn run_unit(
+        &self,
+        ctx: EpochCtx<'_>,
+        members: &[u32],
+        rows: &mut UnitRows<'_>,
+        scratch: &mut ContentionScratch,
+        out: &mut WorkerOutput,
+    ) -> Result<()> {
+        if self.config.contention.is_some() {
+            return crate::contention::run_link_epoch(self, ctx, members, scratch, rows, out);
+        }
+        for &i in members {
+            let agent = LinkAgent::new(self, ctx, &ctx.cohort[i as usize], self.config.player)?;
+            rows.push(agent.run_private(ctx.cache, &mut out.sketches)?);
+        }
+        Ok(())
+    }
+
+    /// Stage 5 — merge (the epoch barrier): fail on the lowest failing
+    /// unit, else fold the workers' sketches and solver counters (exact
+    /// in any grouping and order) and the per-user accumulators, in
+    /// user-id order, into the epoch's metrics and the run's counters.
     fn merge(
         &self,
         progress: &mut FleetCheckpoint,
         epoch: usize,
-        outputs: Vec<ShardEpochOutput>,
+        output: EpochOutput,
         dispatch: Option<DispatchEpoch>,
-    ) -> EpochMetrics {
-        let mut rows: Vec<UserEpochRow> = Vec::new();
+    ) -> Result<EpochMetrics> {
+        let EpochOutput { mut rows, workers } = output;
+        let failures = workers.iter().filter_map(|w| w.failure.as_ref());
+        if let Some((_, e)) = failures.min_by_key(|(u, _)| *u) {
+            return Err(e.clone());
+        }
         let mut sketches = EpochSketches::new();
         let mut solver = SolverStats::default();
-        for output in outputs {
-            sketches.merge(&output.sketches);
-            solver.merge(&output.solver);
-            rows.extend(output.rows);
+        for worker in &workers {
+            sketches.merge(&worker.sketches);
+            solver.merge(&worker.solver);
         }
-        rows.sort_by_key(|r| r.user_id);
+        // Contention units finish users out of id order; independent rows
+        // arrive sorted, which the stable sort passes in one linear scan.
+        // No slot is empty: every unit that ran without failing filled
+        // its slice.
+        rows.sort_by_key(|r| r.as_ref().map(|r| r.user_id));
 
         let ab_mode = self.config.ab.is_some();
         let n_classes = self
@@ -596,7 +806,7 @@ impl FleetEngine {
         let mut control = DayAccum::new();
         let mut treatment = DayAccum::new();
         let mut classes = vec![DayAccum::new(); n_classes];
-        for row in &rows {
+        for row in rows.iter().flatten() {
             progress.sessions += row.day.sessions();
             progress.segments += row.day.segments();
             all.merge(&row.day);
@@ -611,7 +821,7 @@ impl FleetEngine {
                 acc.merge(&row.day);
             }
         }
-        EpochMetrics {
+        Ok(EpochMetrics {
             epoch,
             all: all.metrics(),
             control: ab_mode.then(|| control.metrics()),
@@ -621,7 +831,7 @@ impl FleetEngine {
             flushed: 0, // set by the flush stage
             dispatch,
             solver: (solver.calls > 0).then_some(solver),
-        }
+        })
     }
 
     /// Stage 6 — flush/checkpoint: flush the write-behind cache, which
@@ -690,33 +900,6 @@ impl FleetEngine {
             state_warnings: run.state_warnings,
             did,
         })
-    }
-
-    /// One shard worker's epoch: run every owned user's agent. Contention
-    /// mode co-simulates each owned link's agents on the event kernel;
-    /// independent mode lets each agent play its sessions start to finish
-    /// over private traces, one user after another.
-    fn run_shard_epoch(
-        &self,
-        ctx: EpochCtx<'_>,
-        members: &[u32],
-        scratch: &mut ContentionScratch,
-    ) -> Result<ShardEpochOutput> {
-        let mut out = ShardEpochOutput {
-            rows: Vec::with_capacity(members.len()),
-            sketches: EpochSketches::new(),
-            solver: SolverStats::default(),
-        };
-        if self.config.contention.is_some() {
-            crate::contention::run_shard_epoch_contended(self, ctx, members, scratch, &mut out)?;
-            return Ok(out);
-        }
-        for &i in members {
-            let agent = LinkAgent::new(self, ctx, &ctx.cohort[i as usize], self.config.player)?;
-            out.rows
-                .push(agent.run_private(ctx.cache, &mut out.sketches)?);
-        }
-        Ok(out)
     }
 }
 
@@ -899,6 +1082,193 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(FleetEngine::new(config).is_err());
+    }
+
+    /// A cohort of `sizes.iter().sum()` users, ids ascending, placed on
+    /// links round-robin over the links that still need users, so no
+    /// link's members are consecutive ids.
+    fn placed_cohort(sizes: &[(u64, usize)]) -> Vec<EpochUser> {
+        let registry = ClassRegistry::default_heterogeneous();
+        let mut left: Vec<(u64, usize)> = sizes.to_vec();
+        let mut cohort = Vec::new();
+        while left.iter().any(|&(_, n)| n > 0) {
+            for (link, n) in left.iter_mut().filter(|(_, n)| *n > 0) {
+                let id = cohort.len() as u64 * 3 + 1;
+                cohort.push(EpochUser {
+                    record: registry.users[0].sample_user(5, id),
+                    arrival: None,
+                    class: None,
+                    link: *link,
+                });
+                *n -= 1;
+            }
+        }
+        cohort
+    }
+
+    fn contention_config(links: usize) -> FleetConfig {
+        FleetConfig {
+            contention: Some(ContentionConfig {
+                links,
+                capacity_kbps: 20_000.0,
+                arrival_window: 10.0,
+                access_cap_factor: 1.5,
+            }),
+            ..FleetConfig::default()
+        }
+    }
+
+    fn planned(config: &FleetConfig, shards: usize, cohort: &[EpochUser]) -> WorkList {
+        let engine = FleetEngine::new(FleetConfig {
+            shards,
+            ..config.clone()
+        })
+        .unwrap();
+        let mut work = WorkList::default();
+        engine.plan(&mut work, cohort);
+        work
+    }
+
+    /// Every cohort index lies in exactly one unit.
+    fn assert_partition(work: &WorkList, n: usize) {
+        let mut all: Vec<u32> = work.units().flatten().copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..n as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn contention_units_are_whole_link_groups_largest_first() {
+        // Three-way tie at 40 users (links 2, 3, 9), links 1, 4, 6 and 8
+        // empty.
+        let sizes = [(9, 40), (2, 40), (5, 70), (0, 10), (3, 40), (7, 1)];
+        let cohort = placed_cohort(&sizes);
+        let config = contention_config(10);
+        let work = planned(&config, 1, &cohort);
+        assert_partition(&work, cohort.len());
+        let shape: Vec<(u64, usize)> = work
+            .units()
+            .map(|unit| (cohort[unit[0] as usize].link, unit.len()))
+            .collect();
+        assert_eq!(
+            shape,
+            [(5, 70), (2, 40), (3, 40), (9, 40), (0, 10), (7, 1)],
+            "size descending, ties by ascending link id, no empty unit"
+        );
+        for unit in work.units() {
+            let link = cohort[unit[0] as usize].link;
+            let mut expected: Vec<u64> = cohort
+                .iter()
+                .filter(|u| u.link == link)
+                .map(|u| u.record.id)
+                .collect();
+            expected.sort_unstable();
+            let ids: Vec<u64> = unit.iter().map(|&i| cohort[i as usize].record.id).collect();
+            assert_eq!(ids, expected, "link {link}: all its members, ascending id");
+        }
+        for shards in [2, 3, 8, 64] {
+            assert_eq!(planned(&config, shards, &cohort), work, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn independent_units_are_fixed_size_chunks() {
+        let cohort = placed_cohort(&[(0, 2 * UNIT_USERS + 9)]);
+        let config = FleetConfig::default();
+        let work = planned(&config, 1, &cohort);
+        assert_partition(&work, cohort.len());
+        let mut next = 0u32;
+        for (u, unit) in work.units().enumerate() {
+            let expected = if u + 1 < work.len() { UNIT_USERS } else { 9 };
+            assert_eq!(unit.len(), expected, "unit {u}");
+            assert_eq!(unit, (next..next + unit.len() as u32).collect::<Vec<_>>());
+            next += unit.len() as u32;
+        }
+        for shards in [2, 3, 8, 64] {
+            assert_eq!(planned(&config, shards, &cohort), work, "{shards} shards");
+        }
+        assert_eq!(planned(&config, 4, &[]).len(), 0, "no users, no units");
+    }
+
+    /// Epoch 0 of `cell` at `shards` through stage 4, before the barrier:
+    /// the cohort size, the worker count and the stage's output.
+    fn epoch_zero(cell: &Cell, shards: usize) -> (usize, usize, EpochOutput) {
+        let dir = ScratchDir::claim();
+        let engine = FleetEngine::new(FleetConfig {
+            shards,
+            state_dir: dir.path().to_path_buf(),
+            ..cell.config.clone()
+        })
+        .unwrap();
+        let mut run = engine.begin_run(&cell.scenario, false).unwrap();
+        engine.populate(&mut run, 0);
+        engine.dispatch(&mut run, 0);
+        engine.plan(&mut run.work, &run.cohort);
+        let output = engine.run_workers(&mut run, 0).unwrap();
+        (run.cohort.len(), run.scratches.len(), output)
+    }
+
+    /// Workers that pull no unit hand over empty sketches and counters,
+    /// and no row: the row buffer holds exactly one row per cohort user.
+    fn assert_idle_workers_are_empty(cell: &Cell, shards: usize, max_busy: usize) {
+        let (users, workers, output) = epoch_zero(cell, shards);
+        assert_eq!(output.workers.len(), workers);
+        assert_eq!(output.rows.len(), users);
+        assert!(output.rows.iter().all(Option::is_some), "every slot filled");
+        let busy = output
+            .workers
+            .iter()
+            .filter(|w| w.sketches.stall.count() > 0)
+            .count();
+        assert!(busy <= max_busy, "{busy} workers played sessions");
+        for w in &output.workers {
+            assert!(w.failure.is_none());
+            if w.sketches.stall.count() == 0 {
+                assert_eq!(w.sketches, EpochSketches::new());
+                assert_eq!(w.solver, SolverStats::default());
+            }
+        }
+    }
+
+    #[test]
+    fn more_workers_than_units_match_one_shard() {
+        let cell = Cell {
+            config: FleetConfig {
+                epochs: 2,
+                seed: 9,
+                ..contention_config(2)
+            },
+            scenario: small_scenario(),
+        };
+        let one = cell.run(1).unwrap();
+        assert_eq!(one.first_divergence(&cell.run(8).unwrap()), None);
+        assert!(one.sessions >= 24);
+        assert_idle_workers_are_empty(&cell, 8, 2);
+    }
+
+    #[test]
+    fn an_epoch_without_arrivals_matches_one_shard() {
+        let cell = Cell {
+            config: FleetConfig {
+                epochs: 2,
+                seed: 9,
+                dynamics: Some(PopulationDynamics {
+                    arrivals: ArrivalKind::Poisson(Poisson { rate_per_sec: 0.0 }),
+                    registry: ClassRegistry::default_heterogeneous(),
+                    day_seconds: 600.0,
+                }),
+                ..contention_config(4)
+            },
+            scenario: small_scenario(),
+        };
+        let one = cell.run(1).unwrap();
+        assert_eq!(one.first_divergence(&cell.run(8).unwrap()), None);
+        assert_eq!((one.users, one.sessions), (0, 0));
+        assert_eq!(one.epochs.len(), 2);
+        for e in &one.epochs {
+            assert_eq!(e.sketches, EpochSketches::new());
+            assert_eq!(e.dispatch.as_ref().unwrap().placements, [0; 4]);
+        }
+        assert_idle_workers_are_empty(&cell, 8, 0);
     }
 
     /// (Shard invariance and kill/resume of a dynamic cohort are a row of

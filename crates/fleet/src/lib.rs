@@ -2,15 +2,17 @@
 //! the "large-scale practice" of the paper's title).
 //!
 //! The paper deploys LingXi across a production fleet serving millions of
-//! users; this crate reproduces that *shape* in simulation: user ids hash
-//! onto N shards, each shard owns a `std::thread` worker with its own
-//! deterministic RNG streams, long-term user state lives in a shard-local
-//! in-memory cache with write-behind batch persistence into the durable
-//! [`lingxi_core::BinaryStateLog`], and per-shard metric accumulators are
-//! merged at epoch barriers in user-id order — so the merged metrics are
-//! bit-identical for *any* shard count under the same seed. Every epoch
-//! runs the same six stages — populate → dispatch → partition → run
-//! shards → merge → flush/checkpoint (see [`engine`]); the optional modes
+//! users; this crate reproduces that *shape* in simulation: each epoch's
+//! users form one deterministic work list of units (link groups, or
+//! chunks of users), N `std::thread` workers pull units off it, every
+//! user has its own deterministic RNG streams, long-term user state lives
+//! in a sharded in-memory cache with write-behind batch persistence into
+//! the durable [`lingxi_core::BinaryStateLog`], and per-worker metric
+//! accumulators are merged at epoch barriers in user-id order — so the
+//! merged metrics are bit-identical for *any* shard count under the same
+//! seed. Every epoch runs the same six stages — populate → dispatch →
+//! plan units → run workers → merge → flush/checkpoint (see [`engine`]);
+//! the optional modes
 //! of [`FleetConfig`] choose what a stage does, never which stages run.
 //! [`harness`] runs a cell under the determinism contract — 1/4/8
 //! shards, killed and resumed at every inner barrier. See

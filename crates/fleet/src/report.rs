@@ -15,9 +15,9 @@ use crate::dispatch::DispatchEpoch;
 /// Bounded-memory QoE distribution sketches for one epoch: per-session
 /// stall time, watch time and mean bitrate.
 ///
-/// The sketches hold integer bin counts, so accumulating them per shard
-/// and merging is *exactly* order-independent — bit-identical for any
-/// shard count — while a million-session epoch costs O(bins) memory
+/// The sketches hold integer bin counts, so accumulating them per worker
+/// and merging is *exactly* independent of grouping and order —
+/// bit-identical for any shard count and any schedule — while a million-session epoch costs O(bins) memory
 /// instead of O(sessions).
 /// Serializable (the checkpoint manifest carries completed epochs; the
 /// integer bin counts and finite `f64` ranges round-trip bit-exactly
@@ -270,10 +270,65 @@ impl FleetReport {
 
 #[cfg(test)]
 mod tests {
+    use super::EpochSketches;
     use crate::harness::Cell;
     use crate::{ContentionConfig, FleetConfig, FleetReport, FleetScenario};
     use crate::{DispatchConfig, DispatchPolicy, PopulationDynamics};
+    use lingxi_player::SessionSummary;
     use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
+    use proptest::prelude::*;
+
+    /// A session value for one sketch: in range, on a bin edge, or past
+    /// either end of the range `[0, hi)`.
+    fn value(hi: f64) -> impl Strategy<Value = f64> {
+        prop_oneof![
+            6 => 0.0..hi,
+            1 => Just(0.0),
+            1 => Just(hi),
+            1 => hi..4.0 * hi,
+            1 => -1.0..0.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// What dynamic assignment relies on: sessions split into any
+        /// groups (the units one worker ran), each group folded on its
+        /// own and the groups merged in any order, equal one sequential
+        /// fold bit for bit. A per-worker float sum would fail here.
+        #[test]
+        fn sketches_merge_exactly_in_any_grouping_and_order(
+            sessions in collection::vec((value(120.0), value(900.0), value(6000.0), 0..8usize), 0..160),
+            groups in 1..9usize,
+            order_keys in collection::vec(0..u64::MAX, 8..9),
+        ) {
+            let mut sequential = EpochSketches::new();
+            let mut per_group = vec![EpochSketches::new(); groups];
+            for &(total_stall, watch_time, mean_bitrate, g) in &sessions {
+                let summary = SessionSummary {
+                    user_id: 0,
+                    watch_time,
+                    total_stall,
+                    stall_count: 0,
+                    mean_bitrate,
+                    switch_count: 0,
+                    completed: true,
+                    segments: 1,
+                };
+                sequential.push(&summary);
+                per_group[g % groups].push(&summary);
+            }
+            let mut order: Vec<usize> = (0..groups).collect();
+            order.sort_by_key(|&g| (order_keys[g], g));
+            let mut merged = EpochSketches::new();
+            for g in order {
+                merged.merge(&per_group[g]);
+            }
+            prop_assert_eq!(format!("{merged:?}"), format!("{sequential:?}"));
+            prop_assert_eq!(merged, sequential);
+        }
+    }
 
     /// A contended dynamics cell under LSQ: every compared field —
     /// classes, sketches, dispatch records — is populated.

@@ -1341,6 +1341,42 @@ mod tests {
         );
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// What dynamic assignment relies on: solve outcomes split into
+        /// any groups (the link groups one worker ran), each group
+        /// recorded on its own and the groups merged in any order, equal
+        /// one sequential record bit for bit — exact, sweep-less and
+        /// non-converged calls alike.
+        #[test]
+        fn solver_stats_merge_exactly_in_any_grouping_and_order(
+            solves in proptest::collection::vec(
+                (0..4usize, proptest::prop_oneof![0.0..SOLVER_TOL, SOLVER_TOL..1.0, proptest::strategy::Just(0.0)], 0..8usize),
+                0..160,
+            ),
+            groups in 1..9usize,
+            order_keys in proptest::collection::vec(0..u64::MAX, 8..9),
+        ) {
+            let mut sequential = SolverStats::default();
+            let mut per_group = vec![SolverStats::default(); groups];
+            for &(sweeps, kkt_residual, g) in &solves {
+                // Sweep counts up to past the budget.
+                let solve = SolveOutcome { sweeps: sweeps * MAX_SWEEPS / 2, kkt_residual };
+                sequential.record(solve);
+                per_group[g % groups].record(solve);
+            }
+            let mut order: Vec<usize> = (0..groups).collect();
+            order.sort_by_key(|&g| (order_keys[g], g));
+            let mut merged = SolverStats::default();
+            for g in order {
+                merged.merge(&per_group[g]);
+            }
+            let bits = |s: &SolverStats| (s.calls, s.sweeps, s.non_converged, s.max_kkt_residual.to_bits());
+            proptest::prop_assert_eq!(bits(&merged), bits(&sequential));
+        }
+    }
+
     #[test]
     fn allocate_rejects_bad_flows() {
         let topo = Topology::single_link(1000.0).unwrap();

@@ -77,7 +77,8 @@ pub trait BandwidthProcess: std::fmt::Debug {
 /// One completed flow on a [`SharedBottleneck`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowEnd {
-    /// Flow identifier (the fleet engine uses user ids).
+    /// Flow identifier (the fleet engine uses each agent's index in its
+    /// link group, which orders like the user id).
     pub id: u64,
     /// Absolute completion time (seconds).
     pub at: f64,
