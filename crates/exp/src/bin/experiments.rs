@@ -13,9 +13,10 @@
 //! `smoke` runs every systems scenario at its table `smoke_scale` (or at
 //! `--scale` when given) — each gates itself, so a non-zero exit is a
 //! real property violation. An unknown flag, a flag whose value is
-//! missing or does not parse, and a `--scale` that is not positive and
-//! finite are errors, never a default or a silent clamp. So is a CSV
-//! that cannot be written: the run stops there and exits non-zero.
+//! missing or does not parse, and a `--scale` outside
+//! `lingxi_exp::SCALE_RANGE` ([0.01, 10]) are errors, never a default or
+//! a silent clamp. So is a CSV that cannot be written: the run stops
+//! there and exits non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -23,7 +24,7 @@ use std::env;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use lingxi_exp::{run_experiment, FIGURES, SYSTEMS};
+use lingxi_exp::{run_experiment, FIGURES, SCALE_RANGE, SYSTEMS};
 
 fn usage() {
     let figures: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
@@ -83,11 +84,13 @@ fn parse_flags(args: &[String]) -> Result<Opts, String> {
         match flag.as_str() {
             "--seed" => opts.seed = value(flag, &mut rest)?,
             "--scale" => {
-                // Every run clamps its scale into its own range, so a
-                // value outside (0, ∞) would run at a clamp, not fail.
                 let scale: f64 = value(flag, &mut rest)?;
-                if !(scale > 0.0 && scale.is_finite()) {
-                    return Err(format!("{flag} must be positive and finite, got {scale}"));
+                if !SCALE_RANGE.contains(&scale) {
+                    return Err(format!(
+                        "{flag} must be within [{}, {}], got {scale}",
+                        SCALE_RANGE.start(),
+                        SCALE_RANGE.end()
+                    ));
                 }
                 opts.scale = Some(scale);
             }
@@ -168,17 +171,21 @@ mod tests {
     }
 
     /// Every numeric flag rejects junk instead of running on its default,
-    /// and `--scale` rejects a value every run would silently clamp.
+    /// and `--scale` rejects a value outside the range every run honours
+    /// instead of running it at a clamp.
     #[test]
     fn each_numeric_flag_rejects_an_unparseable_value() {
         for (flag, junk) in [("--seed", "abc"), ("--seed", "-1"), ("--scale", "x")] {
             let err = parse(&format!("{flag} {junk}")).unwrap_err();
             assert!(err.contains(flag) && err.contains(junk), "{err}");
         }
-        for junk in ["-1", "nan", "0", "inf"] {
+        for junk in ["-1", "nan", "0", "inf", "20", "0.005"] {
             let err = parse(&format!("--scale {junk}")).unwrap_err();
-            assert!(err.contains("--scale must be positive and finite"), "{err}");
+            assert!(err.contains("--scale must be within [0.01, 10]"), "{err}");
             assert!(parse_args(&words(&format!("fig05 --scale {junk}"))).is_err());
+        }
+        for edge in ["0.01", "10"] {
+            assert!(parse(&format!("--scale {edge}")).is_ok(), "{edge}");
         }
     }
 

@@ -6,22 +6,23 @@
 //!
 //! The experiment reports per-class stall/watch per session under each
 //! objective and the per-class tail-stall divergence across objectives
-//! (how much the sharing rule moves each class's QoE). The run *fails*
-//! unless
+//! (how much the sharing rule moves each class's QoE). Each objective's
+//! cell runs once at 4 shards, and the run *fails* unless
 //!
-//! 1. every objective's cell is bit-identical across 1, 4 and 8 shards
-//!    (scalars, distribution sketches **and** the dual solver's
-//!    counters),
-//! 2. per-class QoE ordering holds under every objective: stall
+//! 1. per-class QoE ordering holds under every objective: stall
 //!    quantiles are monotone (p50 ≤ p90 ≤ p99) and the uncapped `tv`
 //!    class never ends up with a lower session-weighted mean bitrate
 //!    than the capped `mobile` class, and
-//! 3. the dual solver held up under every finite-α objective: at most
+//! 2. the dual solver held up under every finite-α objective: at most
 //!    one call in a thousand ran out of sweep budget (a call that did
 //!    not is one whose KKT residual closed below
 //!    `lingxi_net::SOLVER_TOL`, 1e-9). The headline reports
 //!    `solver_calls`, `sweeps_per_call` and `non_converged` per
 //!    objective.
+//!
+//! Each cell's 1/4/8-shard identity is pinned by `tests/fairness_golden.rs`,
+//! and each objective's kill/resume by the `fairness_*` rows of
+//! `lingxi-fleet`'s `tests/contract.rs`.
 
 use lingxi_fleet::{
     ContentionConfig, FairnessConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics,
@@ -93,7 +94,6 @@ pub fn pod_topology() -> Result<Topology> {
 /// One fairness cell: the diurnal heterogeneous population on the pod
 /// topology under `objective`.
 fn cell(objective: FairnessObjective, scale: f64, seed: u64) -> Result<Cell> {
-    let scale = scale.clamp(0.001, 10.0);
     let daily = (BASE_ARRIVALS_PER_DAY * scale).max(40.0);
     let scenario = FleetScenario {
         name: format!("fairness_{objective:?}"),
@@ -175,13 +175,10 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "Same diurnal population under max-min / proportional-fair / alpha=2 sharing",
     );
 
-    // Shard-variance gate: each objective's cell must be bit-exact for
-    // any shard count, or the whole experiment fails.
     let mut reports: Vec<(&str, FleetReport)> = Vec::new();
     for (name, objective) in OBJECTIVES {
-        reports.push((name, cell(objective, scale, seed)?.shard_invariant()?));
+        reports.push((name, run_cell(objective, scale, 4, seed)?));
     }
-    result.headline_value("shard invariance (1 = identical)", 1.0);
 
     // Per-class QoE under each objective, plus the ordering gates.
     let class_names = reports[0].1.class_names.clone();
@@ -268,7 +265,6 @@ mod tests {
     fn fairness_runs_at_test_scale() {
         let r = crate::smoke("fairness", 9);
         let headline = |name: &str| r.headline_named(name).unwrap();
-        assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
         assert!(headline("sessions simulated") > 0.0);
         assert!(headline("max per-class stall divergence (s)") >= 0.0);
         // Max-min never runs the dual; the finite-α cells do, and report it.

@@ -12,9 +12,8 @@
 //! produce this curve: it is exactly the co-variance the
 //! `SharedBottleneck` event kernel adds.
 //!
-//! Like the `fleet` experiment, the run *fails* unless the heaviest cell's
-//! merged metrics are bit-identical across 1, 4 and 8 shards — contention
-//! must not cost the engine its determinism contract.
+//! Every cell runs once at 4 shards; the contention regime's 1/4/8-shard
+//! and kill/resume contract is `lingxi-fleet`'s `tests/contract.rs`.
 
 use lingxi_fleet::{ContentionConfig, FleetConfig, FleetScenario, PopulationDynamics};
 use lingxi_net::ProductionMixture;
@@ -84,7 +83,7 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     );
     // `scale` shrinks the number of links (cells stay oversubscribed to
     // the same degree, just with fewer parallel samples).
-    let links = ((8.0 * scale.clamp(0.001, 10.0)).round() as usize).max(2);
+    let links = ((8.0 * scale).round() as usize).max(2);
 
     let mut stalls = Vec::with_capacity(RAMP.len());
     let mut watch = Vec::with_capacity(RAMP.len());
@@ -116,12 +115,6 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "bitrate at max load / min load",
         bitrate.last().map(|s| s.1).unwrap_or(0.0) / bitrate[0].1.max(1e-9),
     );
-
-    // ---- determinism assertion: the heaviest cell across shard counts ----
-    let peak = *RAMP.last().expect("ramp non-empty");
-    let four = cell(peak, links, seed + 1).shard_invariant()?;
-    result.headline_value("shard invariance (1 = identical)", 1.0);
-    result.headline_value("peak-load sessions/sec", four.sessions_per_sec());
     Ok(result)
 }
 
@@ -133,9 +126,7 @@ mod tests {
     fn flashcrowd_runs_at_test_scale() {
         let r = crate::smoke("flashcrowd", 5);
         assert!(r.series_named("flashcrowd/stall_per_session").is_some());
-        let headline = |name: &str| r.headline_named(name).unwrap();
-        assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
-        assert!(headline("sessions simulated") > 0.0);
+        assert!(r.headline_named("sessions simulated").unwrap() > 0.0);
     }
 
     #[test]

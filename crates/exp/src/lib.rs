@@ -25,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod datasets;
 pub mod dispatch;
 pub mod fairness;
@@ -83,6 +82,10 @@ impl From<lingxi_fleet::FleetError> for ExpError {
     }
 }
 
+/// The `scale` range every run honours: the `experiments` CLI refuses a
+/// `--scale` outside it, and [`WorldConfig::scaled`] clamps into it.
+pub const SCALE_RANGE: std::ops::RangeInclusive<f64> = 0.01..=10.0;
+
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, ExpError>;
 
@@ -111,9 +114,9 @@ pub const FIGURES: [(&str, fn(u64, f64) -> Result<ExperimentResult>); 13] = [
     ("fig15", fig15_trajectories::run),
 ];
 
-/// One systems scenario: a fleet benchmark that gates itself (the run
-/// errors unless its determinism and QoE predicates hold), not a paper
-/// figure.
+/// One systems scenario: a fleet experiment that gates itself (the run
+/// errors unless its QoE predicates hold), not a paper figure. Like a
+/// figure, its output is a pure function of `(seed, scale)`.
 pub struct SystemsScenario {
     /// Experiment id, as `run_experiment` and the CLI take it.
     pub id: &'static str,
@@ -127,7 +130,7 @@ pub struct SystemsScenario {
 
 /// Which systems scenarios exist: the one table [`run_experiment`], the
 /// CLI usage text, `experiments smoke` and the module tests read.
-pub const SYSTEMS: [SystemsScenario; 6] = [
+pub const SYSTEMS: [SystemsScenario; 5] = [
     SystemsScenario {
         id: "fleet",
         run: fleet::run,
@@ -149,11 +152,6 @@ pub const SYSTEMS: [SystemsScenario; 6] = [
         smoke_scale: 0.01,
     },
     SystemsScenario {
-        id: "checkpoint",
-        run: checkpoint::run,
-        smoke_scale: 0.05,
-    },
-    SystemsScenario {
         id: "dispatch",
         run: dispatch::run,
         smoke_scale: 0.02,
@@ -173,9 +171,19 @@ pub fn run_experiment(id: &str, seed: u64, scale: f64) -> Result<ExperimentResul
     }
 }
 
-/// The named systems scenario at its smoke scale.
+/// The named systems scenario at its smoke scale, run twice: the two
+/// results must carry the same [`ExperimentResult::fingerprint`], so every
+/// scenario test also checks that the output is a pure function of
+/// `(seed, scale)`.
 #[cfg(test)]
 pub(crate) fn smoke(id: &str, seed: u64) -> ExperimentResult {
     let scenario = SYSTEMS.iter().find(|s| s.id == id).expect("a SYSTEMS id");
-    (scenario.run)(seed, scenario.smoke_scale).expect("the scenario's gates hold")
+    let run = || (scenario.run)(seed, scenario.smoke_scale).expect("the scenario's gates hold");
+    let (first, second) = (run(), run());
+    assert_eq!(
+        first.fingerprint(),
+        second.fingerprint(),
+        "{id}: two runs at seed {seed} differ"
+    );
+    first
 }

@@ -9,14 +9,12 @@
 //! produce. Tail QoE comes from the epoch quantile sketches (p50/p90/p99
 //! stall), which hold O(bins) memory however many sessions run.
 //!
-//! Like `fleet` and `flashcrowd`, the run *fails* unless the heaviest
-//! cell's merged metrics — scalars **and** distribution sketches — are
-//! bit-identical across 1, 4 and 8 shards.
-//!
 //! Long-term state persists through the sharded append-only
-//! [`lingxi_core::BinaryStateLog`] in each cell's scratch directory. The
-//! kill/resume contract for that state is gated by the `checkpoint`
-//! scenario, not here.
+//! [`lingxi_core::BinaryStateLog`] in each cell's scratch directory.
+//! Every cell runs once at 4 shards; the 1/4/8-shard and kill/resume
+//! contract for this regime (contention + arrivals over the
+//! heterogeneous registry) is the `dynamics` row of `lingxi-fleet`'s
+//! `tests/contract.rs`.
 
 use lingxi_fleet::{ContentionConfig, FleetConfig, FleetReport, FleetScenario, PopulationDynamics};
 use lingxi_workload::{ArrivalKind, ClassRegistry, Diurnal};
@@ -82,8 +80,8 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "population",
         "Diurnal heterogeneous population: arrival rate vs per-class QoE",
     );
-    let arrivals_per_day = (BASE_ARRIVALS_PER_DAY * scale.clamp(0.001, 10.0)).max(40.0);
-    let links = ((64.0 * scale.clamp(0.001, 10.0)).round() as usize).max(3);
+    let arrivals_per_day = (BASE_ARRIVALS_PER_DAY * scale).max(40.0);
+    let links = ((64.0 * scale).round() as usize).max(3);
 
     // ---- the rate ramp: per-class QoE vs offered arrival rate ----
     let mut arrivals_total = 0usize;
@@ -130,7 +128,6 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
     result.headline_value("arrivals simulated", arrivals_total as f64);
     result.headline_value("sessions simulated", sessions_total as f64);
     result.headline_value("days per cell", DAYS as f64);
-    result.headline_value("peak-cell sessions/sec", peak.sessions_per_sec());
 
     // Tail QoE at the heaviest load, straight from the O(bins) sketches
     // of the last simulated day.
@@ -145,11 +142,6 @@ pub fn run(seed: u64, scale: f64) -> Result<ExperimentResult> {
         "peak-load watch p50 (s)",
         sketches.watch.quantile(0.5).map_err(crate::sub)?,
     );
-
-    // ---- determinism assertion: heaviest cell across shard counts ----
-    let peak_mult = *RATE_RAMP.last().expect("ramp non-empty");
-    cell(peak_mult, arrivals_per_day, links, seed + 1).shard_invariant()?;
-    result.headline_value("shard invariance (1 = identical)", 1.0);
     Ok(result)
 }
 
@@ -161,7 +153,6 @@ mod tests {
     fn population_runs_at_test_scale() {
         let r = crate::smoke("population", 5);
         let headline = |name: &str| r.headline_named(name).unwrap();
-        assert_eq!(headline("shard invariance (1 = identical)"), 1.0);
         assert!(headline("arrivals simulated") > 0.0);
         assert!(headline("sessions simulated") > 0.0);
         assert!(headline("peak-load stall p99 (s)") >= headline("peak-load stall p50 (s)"));

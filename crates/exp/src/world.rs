@@ -59,7 +59,7 @@ pub fn stall_heavy_mixture() -> lingxi_net::ProductionMixture {
 impl WorldConfig {
     /// Scale population/session counts by `scale` (for tests and benches).
     pub fn scaled(mut self, scale: f64) -> Self {
-        let s = scale.clamp(0.01, 10.0);
+        let s = scale.clamp(*crate::SCALE_RANGE.start(), *crate::SCALE_RANGE.end());
         self.n_users = ((self.n_users as f64 * s).round() as usize).max(8);
         self.n_videos = ((self.n_videos as f64 * s.sqrt()).round() as usize).max(8);
         self.mean_sessions_per_day = (self.mean_sessions_per_day * s.sqrt()).max(2.0);

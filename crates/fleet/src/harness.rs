@@ -1,10 +1,9 @@
 //! The one fleet-cell harness. A [`Cell`] is an engine configuration
 //! and a scenario; [`Cell::contract`] checks the determinism contract on
-//! it, comparing runs with [`FleetReport::first_divergence`] (through
-//! [`identical`]) at every [`SHARD_COUNTS`] entry; every run gets a
-//! [`ScratchDir`] of its own. `tests/contract.rs` calls it once per
-//! engine regime, and every systems scenario of `lingxi-exp` runs its
-//! cells through it.
+//! it, comparing runs with [`FleetReport::first_divergence`] at every
+//! [`SHARD_COUNTS`] entry; every run gets a [`ScratchDir`] of its own.
+//! `tests/contract.rs` calls it once per engine regime, and every
+//! systems scenario of `lingxi-exp` runs its cells through [`Cell::run`].
 //!
 //! ```
 //! use lingxi_fleet::harness::Cell;
@@ -109,23 +108,6 @@ impl Cell {
         }
     }
 
-    /// One run per [`SHARD_COUNTS`] entry, labelled by shard count.
-    pub fn shard_sweep(&self) -> Result<Vec<(String, FleetReport)>> {
-        SHARD_COUNTS
-            .iter()
-            .map(|&shards| Ok((format!("{shards} shards"), self.run(shards)?)))
-            .collect()
-    }
-
-    /// The shard-invariance half of the contract: errors with the first
-    /// divergence between any two shard counts, else returns the 4-shard
-    /// report.
-    pub fn shard_invariant(&self) -> Result<FleetReport> {
-        let mut runs = self.shard_sweep()?;
-        identical(&self.scenario.name, &runs)?;
-        Ok(runs.swap_remove(1).1)
-    }
-
     /// The whole determinism contract: the straight runs at every
     /// [`SHARD_COUNTS`] entry are bit-identical to each other, and at
     /// every shard count and every inner barrier `k` (`1..epochs`) a run
@@ -140,7 +122,10 @@ impl Cell {
                 self.scenario.name, self.config.epochs
             )));
         }
-        let runs = self.shard_sweep()?;
+        let runs = SHARD_COUNTS
+            .iter()
+            .map(|&shards| Ok((format!("{shards} shards"), self.run(shards)?)))
+            .collect::<Result<Vec<_>>>()?;
         identical(&self.scenario.name, &runs)?;
         let name = &self.scenario.name;
         for (shards, (label, straight)) in SHARD_COUNTS.into_iter().zip(&runs) {
@@ -175,7 +160,7 @@ impl Cell {
 
 /// Errors unless every labelled run is bit-identical to the first,
 /// naming the offending label and the first divergent epoch and field.
-pub fn identical(what: &str, runs: &[(String, FleetReport)]) -> Result<()> {
+fn identical(what: &str, runs: &[(String, FleetReport)]) -> Result<()> {
     let Some(((base_label, base), rest)) = runs.split_first() else {
         return Ok(());
     };

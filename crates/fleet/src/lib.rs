@@ -26,7 +26,7 @@
 //! let scenario = FleetScenario { n_users: 16, n_videos: 8, ..FleetScenario::default() };
 //! let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
 //! assert!(report.sessions >= 16); // every user plays at least one session
-//! assert!(report.sessions_per_sec() > 0.0);
+//! assert_eq!(report.epochs.len(), 1);
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 

@@ -141,26 +141,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Sessions per wall-clock second — the fleet throughput metric.
-    pub fn sessions_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.sessions as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Segments per wall-clock second.
-    pub fn segments_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.segments as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// What "bit-identical" means for two fleet runs: `None` when they
     /// agree on the whole shard-invariant payload, else the first epoch
     /// and field where they differ.

@@ -4,11 +4,13 @@
 # Usage: scripts/smoke.sh all
 #
 # 1. `experiments smoke`: every systems scenario of the `SYSTEMS` table
-#    in crates/exp/src/lib.rs, at its table smoke scale. The scenarios
-#    gate themselves (shard/dispatcher invariance, per-class QoE
-#    ordering, kill/resume bit-equivalence in `checkpoint`,
+#    in crates/exp/src/lib.rs, at its table smoke scale, run twice into
+#    two directories. `fairness` and `dispatch` gate themselves
+#    (per-class QoE ordering and the dual solver's sweep budget;
 #    LSQ-beats-static-hash), so a red run is a real property violation,
-#    not a flaky threshold.
+#    not a flaky threshold. Every output is a pure function of the seed,
+#    so any `diff -r` between the two runs fails the script. The
+#    1/4/8-shard and kill/resume contract is crates/fleet/tests/contract.rs.
 # 2. The three examples CI runs, not only compiles, all through the
 #    facade crate: `ab_experiment` (the §5.3 A/B on the fleet engine),
 #    `quickstart` (the one session driver, `play`, with LingXi present
@@ -31,6 +33,11 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 "$bin" smoke --out "$tmp/smoke"
+"$bin" smoke --out "$tmp/smoke_again"
+diff -r "$tmp/smoke" "$tmp/smoke_again" || {
+    echo "smoke: two runs of experiments smoke differ" >&2
+    exit 1
+}
 
 cargo run --release --locked --example ab_experiment
 cargo run --release --locked --example quickstart
