@@ -14,15 +14,22 @@
 //! - a scratch reused across passes equals a fresh one, and so does one
 //!   that evaluated another live state under the same pass seed: the
 //!   table is keyed by the forked env as well as by the seed;
-//! - HYB's kernel (the table's estimate and `B_max` columns, a rollout
-//!   carrying only buffer and last level) equals HYB played through its
-//!   own `select` on a forked env, the loop every other ABR takes.
+//! - HYB's kernel (the table's `B_max`, ratio and download-time columns, a
+//!   rollout carrying only buffer and last level, and a candidate adding a
+//!   sibling's recorded rollout wherever its β lies strictly inside that
+//!   rollout's β interval) equals HYB played through its own `select` on
+//!   a forked env, the loop every other ABR takes;
+//! - recorded rollouts hold only under the live buffer, last level and
+//!   tracker they were played from, and a scratch whose next pass rolls
+//!   out against another predictor forgets the rollouts it recorded under
+//!   the last one.
 //!
 //! Cases cover M 1..16, horizons whose segment count is not a whole ratio,
 //! no / fixed / sibling-minimum prune thresholds, predictors that do and
-//! do not read the state matrix (`wants_state`), and live states from the
+//! do not read the state matrix (`wants_state`), live states from the
 //! first segment (startup) past a full history window, under a fixed and
-//! an adaptive `B_max`.
+//! an adaptive `B_max`, and candidate lists that repeat βs and hold their
+//! one-ulp neighbours, where a replay must tell siblings apart.
 
 use lingxi_abr::{Abr, AbrContext, Hyb, QoeParams};
 use lingxi_core::montecarlo::{evaluate_in_pass, rollout_stream};
@@ -164,6 +171,37 @@ impl Pass {
         self
     }
 
+    /// The same pass over a live state that saw the bandwidths
+    /// `env_seed` draws but fetched the levels `level_seed` draws, with
+    /// one more stall in its tracker when `stalled`: the table key holds
+    /// (same history, segment index and fixed `B_max`) while the buffer,
+    /// the last level or the tracker differ.
+    fn with_levels(mut self, live: usize, env_seed: u64, level_seed: u64, stalled: bool) -> Self {
+        let (mut rng, mut levels) = (
+            StdRng::seed_from_u64(env_seed),
+            StdRng::seed_from_u64(level_seed),
+        );
+        let config = PlayerConfig {
+            bmax: BmaxPolicy::Fixed(12.0),
+            ..PlayerConfig::default()
+        };
+        self.env = PlayerEnv::new(config).unwrap();
+        self.tracker = UserStateTracker::new();
+        for _ in 0..live {
+            let kbps = rng.gen_range(200.0..30_000.0);
+            let level = levels.gen_range(0..4usize);
+            let size = [400.0, 1600.0, 3700.0, 8600.0][level];
+            self.env
+                .step_with_rtt(size, level, kbps, 2.0, 0.05)
+                .unwrap();
+            self.tracker.push_segment(800.0, kbps, 2.0);
+        }
+        if stalled {
+            self.tracker.push_stall(1.5);
+        }
+        self
+    }
+
     fn evaluate(&self, beta: f64, prune: Option<f64>, scratch: &mut McScratch) -> McEvaluation {
         self.evaluate_on(&mut Hyb::default_rule(), beta, prune, scratch)
     }
@@ -262,6 +300,23 @@ fn horizon() -> impl Strategy<Value = (f64, f64)> {
     ]
 }
 
+/// Candidate βs from generated `(kind, β, index)` ops, as a pass might
+/// propose them: kind 0 (and the first op) a fresh β, 1 a repeat of an
+/// earlier β, 2 and 3 its one-ulp neighbours below and above.
+fn candidates(ops: &[(usize, f64, usize)]) -> Vec<f64> {
+    let mut betas: Vec<f64> = Vec::with_capacity(ops.len());
+    for &(kind, beta, index) in ops {
+        let earlier = betas.get(index % betas.len().max(1)).copied();
+        betas.push(match (kind, earlier) {
+            (1, Some(earlier)) => earlier,
+            (2, Some(earlier)) => earlier.next_down(),
+            (3, Some(earlier)) => earlier.next_up(),
+            _ => beta,
+        });
+    }
+    betas
+}
+
 /// Prune thresholds: `(0, _)` none (controller-style sibling minimum in
 /// [`Pass::run`]), `(1, t)` a fixed `t`, `(2, _)` 1.0, which fires only
 /// when every segment watched so far ended its rollout.
@@ -315,7 +370,8 @@ proptest! {
     }
 
     /// Equal parameters in one pass give equal evaluations, whatever was
-    /// evaluated between them.
+    /// evaluated between them — repeats and one-ulp neighbours included —
+    /// and each equals the candidate alone on a fresh scratch.
     #[test]
     fn equal_params_in_one_pass_evaluate_equal(
         seed in 0u64..u64::MAX,
@@ -324,7 +380,7 @@ proptest! {
         bandwidth in (200.0f64..6000.0, 0.0f64..3000.0),
         predictor in 0usize..3,
         beta in 0.05f64..1.0,
-        other in 0.05f64..1.0,
+        others in collection::vec((0usize..4, 0.05f64..1.0, 0usize..64), 1..9),
         threshold in (0usize..3, 0.0f64..0.3),
     ) {
         let pass = Pass::new(seed, samples, horizon, bandwidth, predictor, None, Vec::new());
@@ -332,7 +388,17 @@ proptest! {
         scratch.begin_pass(seed);
         let threshold = prune_of(threshold);
         let first = pass.evaluate(beta, threshold, &mut scratch);
-        pass.evaluate(other, None, &mut scratch);
+        let mut ops = vec![(0, beta, 0)];
+        ops.extend(others);
+        for other in candidates(&ops).into_iter().skip(1) {
+            let mut fresh = McScratch::new();
+            fresh.begin_pass(seed);
+            prop_assert_eq!(
+                bits(&pass.evaluate(other, None, &mut scratch)),
+                bits(&pass.evaluate(other, None, &mut fresh)),
+                "β {}", other
+            );
+        }
         let again = pass.evaluate(beta, threshold, &mut scratch);
         prop_assert_eq!(bits(&first), bits(&again));
     }
@@ -366,8 +432,9 @@ proptest! {
 
     /// HYB's kernel plays every candidate of a pass bit for bit as HYB's
     /// own `select` does on a forked env — whatever the live state, the
-    /// cap policy, α, M, horizon, prune mode and predictor — alone or
-    /// interleaved with the generic loop on one scratch.
+    /// cap policy, α, M, horizon, prune mode and predictor, and however
+    /// the candidates repeat each other's βs or sit one ulp from them —
+    /// alone or interleaved with the generic loop on one scratch.
     #[test]
     fn hyb_kernel_equals_the_generic_loop(
         seed in 0u64..u64::MAX,
@@ -376,12 +443,13 @@ proptest! {
         bandwidth in (200.0f64..6000.0, 0.0f64..3000.0),
         predictor in 0usize..3,
         prune in (0usize..3, 0.0f64..0.3),
-        betas in collection::vec(0.05f64..1.0, 1..7),
+        ops in collection::vec((0usize..4, 0.05f64..1.0, 0usize..64), 1..10),
         live in 0usize..14,
         fixed_bmax in 0u8..2,
         window in 1usize..=10,
         alpha in 0.05f64..=1.0,
     ) {
+        let betas = candidates(&ops);
         let pass = Pass::new(seed, samples, horizon, bandwidth, predictor, prune_of(prune), betas)
             .with_env(live, fixed_bmax == 1, seed, window);
         let hyb = Hyb::new(alpha).unwrap();
@@ -437,5 +505,71 @@ proptest! {
             prop_assert_eq!(bits(&a.evaluate(beta, None, &mut reused)), fresh(&a, beta));
             prop_assert_eq!(bits(&b.evaluate(beta, None, &mut reused)), fresh(&b, beta));
         }
+    }
+
+    /// A pass's recorded rollouts are kept under the live buffer, last
+    /// level and tracker they were played from: candidates of one pass
+    /// over live states that share the table key (history, segment index,
+    /// `B_max`) but differ in the levels fetched or in one tracked stall
+    /// evaluate each exactly as on a fresh scratch.
+    #[test]
+    fn recorded_rollouts_are_keyed_by_the_live_state(
+        seed in 0u64..u64::MAX,
+        samples in 1usize..=16,
+        horizon in horizon(),
+        bandwidth in (200.0f64..6000.0, 0.0f64..3000.0),
+        predictor in 0usize..3,
+        ops in collection::vec((0usize..4, 0.05f64..1.0, 0usize..64), 1..6),
+        live in 1usize..14,
+        level_seeds in (0u64..4, 0u64..4),
+    ) {
+        let betas = candidates(&ops);
+        let pass = |level_seed, stalled| {
+            Pass::new(seed, samples, horizon, bandwidth, predictor, None, Vec::new())
+                .with_levels(live, seed, level_seed, stalled)
+        };
+        let states = [
+            pass(level_seeds.0, false),
+            pass(level_seeds.1, false),
+            pass(level_seeds.0, true),
+        ];
+        let mut shared = McScratch::new();
+        shared.begin_pass(seed);
+        for &beta in &betas {
+            for state in &states {
+                let mut fresh = McScratch::new();
+                fresh.begin_pass(seed);
+                prop_assert_eq!(
+                    bits(&state.evaluate(beta, None, &mut shared)),
+                    bits(&state.evaluate(beta, None, &mut fresh))
+                );
+            }
+        }
+    }
+
+    /// A scratch whose next pass, under the same seed and live state,
+    /// rolls out against another predictor evaluates it exactly as a fresh
+    /// scratch does: the table's draws are kept, the recorded rollouts —
+    /// the old predictor's answers — are not.
+    #[test]
+    fn a_new_pass_forgets_the_last_predictors_rollouts(
+        seed in 0u64..u64::MAX,
+        samples in 1usize..=16,
+        horizon in horizon(),
+        bandwidth in (200.0f64..6000.0, 0.0f64..3000.0),
+        predictors in (0usize..3, 0usize..3),
+        ops in collection::vec((0usize..4, 0.05f64..1.0, 0usize..64), 1..8),
+        live in 0usize..14,
+    ) {
+        let betas = candidates(&ops);
+        let pass = |predictor| {
+            Pass::new(seed, samples, horizon, bandwidth, predictor, None, betas.clone())
+                .with_env(live, false, seed, 8)
+        };
+        let (before, after) = (pass(predictors.0), pass(predictors.1));
+        let mut reused = McScratch::new();
+        before.run(&mut reused, false);
+        let warm = after.run(&mut reused, false);
+        prop_assert_eq!(all_bits(&warm), all_bits(&after.run(&mut McScratch::new(), false)));
     }
 }

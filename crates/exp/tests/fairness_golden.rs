@@ -65,8 +65,11 @@ fn fingerprint(r: &FleetReport) -> u64 {
     h
 }
 
-/// Committed per-objective fingerprints of the scale-0.05, seed-42 cell
-/// (identical across 1/4/8 shards by contract 1).
+/// Committed per-objective fingerprints of the scale-0.05, seed-42 cell,
+/// identical across 1/4/8 shards: this test runs each cell at all three
+/// shard counts. The `fairness_*` rows of `crates/fleet/tests/contract.rs`
+/// hold each objective's pod cell to the same shard counts and to
+/// kill/resume.
 const GOLDEN: [(&str, u64); 3] = [
     ("maxmin", 0x4573feed06f305ef),
     ("proportional", 0x51b39073cfe65f0d),

@@ -337,8 +337,11 @@ impl PlayerEnv {
 /// then waiting out any overflow plus `rtt`, with every check
 /// [`PlayerEnv::step_with_rtt`] makes. `startup` marks a session's first
 /// segment, whose wait is startup delay rather than a stall. Clocks and
-/// histories are the caller's: `step_with_rtt` advances a player's, and
-/// Monte-Carlo rollouts that need none of them call this directly.
+/// histories are the caller's: `step_with_rtt` advances a player's.
+///
+/// It is [`validate_step`] followed by [`buffer_step_timed`] on the
+/// download time `size_kbits / bandwidth_kbps`; Monte-Carlo rollouts call
+/// the two halves apart, checking and dividing once per table entry.
 pub fn buffer_step(
     buffer: f64,
     bmax: f64,
@@ -348,6 +351,27 @@ pub fn buffer_step(
     segment_duration: f64,
     rtt: f64,
 ) -> Result<SegmentOutcome> {
+    validate_step(size_kbits, bandwidth_kbps, segment_duration, rtt)?;
+    Ok(buffer_step_timed(
+        buffer,
+        bmax,
+        startup,
+        size_kbits / bandwidth_kbps,
+        bandwidth_kbps,
+        segment_duration,
+        rtt,
+    ))
+}
+
+/// The checks [`buffer_step`] makes on its inputs, in its order: a
+/// positive, finite bandwidth and segment size, a positive segment
+/// duration and a non-negative RTT.
+pub fn validate_step(
+    size_kbits: f64,
+    bandwidth_kbps: f64,
+    segment_duration: f64,
+    rtt: f64,
+) -> Result<()> {
     if !(bandwidth_kbps > 0.0) || !bandwidth_kbps.is_finite() {
         return Err(PlayerError::InvalidStep(format!(
             "bandwidth must be positive, got {bandwidth_kbps}"
@@ -368,7 +392,21 @@ pub fn buffer_step(
             "RTT must be non-negative, got {rtt}"
         )));
     }
-    let download_time = size_kbits / bandwidth_kbps;
+    Ok(())
+}
+
+/// [`buffer_step`] past its checks: Eq. 3 on a `download_time` the
+/// caller computed as `size_kbits / bandwidth_kbps` from inputs
+/// [`validate_step`] accepted.
+pub fn buffer_step_timed(
+    buffer: f64,
+    bmax: f64,
+    startup: bool,
+    download_time: f64,
+    bandwidth_kbps: f64,
+    segment_duration: f64,
+    rtt: f64,
+) -> SegmentOutcome {
     // Rebuffer stall: the part of the download the buffer couldn't cover.
     // The very first segment necessarily faces an empty buffer —
     // production players account that wait as *startup delay*, not a
@@ -386,13 +424,13 @@ pub fn buffer_step(
     let wait_time = overflow_wait + rtt;
     // Final buffer: [B' − δt]_+ clamped into [0, B_max].
     let buffer_after = (after_download - wait_time).max(0.0).min(bmax);
-    Ok(SegmentOutcome {
+    SegmentOutcome {
         download_time,
         stall_time,
         wait_time,
         buffer_after,
         throughput_kbps: bandwidth_kbps,
-    })
+    }
 }
 
 #[cfg(test)]
