@@ -46,9 +46,9 @@ pub trait Abr: Send {
     fn fork(&self) -> Box<dyn Abr>;
 
     /// HYB's EWMA α; `None` for every other ABR. The Monte-Carlo
-    /// evaluator steps HYB's rollouts on a kernel of its own (an estimate
-    /// table per pass and [`crate::Hyb::decide`], at the candidate's β)
-    /// instead of through [`Abr::select`].
+    /// evaluator steps HYB's rollouts on a kernel of its own instead of
+    /// through [`Abr::select`]: it calls [`crate::Hyb::decide`], the rule
+    /// `select` runs, on a per-pass ratio table with a β witness.
     fn hyb_alpha(&self) -> Option<f64> {
         None
     }

@@ -45,44 +45,52 @@ impl Hyb {
         self.params.beta
     }
 
-    /// HYB's decision at aggressiveness `beta` on a bandwidth `estimate`
-    /// (`None` before the first observation: lowest level), a `buffer` of
-    /// seconds and the previous segment's level.
-    pub fn decide(
+    /// HYB's decision at aggressiveness `beta`: the next segment's level
+    /// from each of `levels` levels' ratio `size / estimate` (`None`
+    /// before the first observation), the `buffer`, the last level and
+    /// the segment duration, reporting each comparison to `witness`.
+    #[inline]
+    pub fn decide<W: BetaWitness>(
         beta: f64,
-        estimate: Option<f64>,
+        levels: usize,
+        ratios: Option<impl Fn(usize) -> f64>,
         buffer: f64,
         last_level: Option<usize>,
-        ctx: &AbrContext<'_>,
+        segment_duration: f64,
+        witness: &mut W,
     ) -> usize {
-        let est = match estimate {
-            None => return 0,
-            Some(e) => e,
+        let Some(ratio) = ratios else {
+            return 0; // no estimate: the lowest level, whatever β
         };
-        let buffer = buffer.max(ctx.segment_duration * 0.25); // grace at startup
-        let k = ctx
-            .next_segment
-            .min(ctx.sizes.n_segments().saturating_sub(1));
-        // Highest level whose expected download time fits within β·B.
+        // A quarter segment of grace at startup.
+        let buffer = buffer.max(segment_duration * 0.25);
+        // The highest level whose expected download time fits within β·B,
+        // else level 0; `above` is the least ratio of the levels above it.
         let limit = beta * buffer;
         let mut choice = 0;
-        for level in 0..=ctx.ladder.top_level() {
-            let size = match ctx.sizes.size_kbits(k, level) {
-                Ok(s) => s,
-                Err(_) => break,
-            };
-            if size / est < limit {
+        let mut above = f64::INFINITY;
+        for level in (1..levels).rev() {
+            let r = ratio(level);
+            if r < limit {
                 choice = level;
+                break;
             }
+            above = above.min(r);
         }
-        // Upward hysteresis (production rules damp oscillation): only climb
-        // above the previous level if the target also fits with a 20%
-        // margin; otherwise hold. Downward moves are never delayed.
-        if let Some(last) = last_level {
-            if choice > last {
-                let size_up = ctx.sizes.size_kbits(k, choice).unwrap_or(f64::INFINITY);
-                if size_up / est >= 0.8 * beta * buffer {
+        if choice + 1 < levels {
+            witness.bound_above(above, buffer);
+        }
+        if choice > 0 {
+            let r = ratio(choice);
+            witness.bound_below(r, buffer);
+            // Upward hysteresis (production rules damp oscillation): climb
+            // above the last level only with a 20% margin, else hold.
+            if let Some(last) = last_level.filter(|&last| choice > last) {
+                if r >= 0.8 * beta * buffer {
+                    witness.bound_above(r, 0.8 * buffer);
                     choice = last; // hold: not enough margin to climb yet
+                } else {
+                    witness.bound_below(r, 0.8 * buffer);
                 }
             }
         }
@@ -90,15 +98,43 @@ impl Hyb {
     }
 }
 
+/// The comparisons [`Hyb::decide`] makes, each of a level's `ratio` with β
+/// times a `scale` (`0.8·B` for the hysteresis test's `fl(0.8·β)·B`).
+pub trait BetaWitness {
+    /// `ratio ≥ β·scale` held.
+    fn bound_above(&mut self, ratio: f64, scale: f64);
+    /// `ratio < β·scale` held.
+    fn bound_below(&mut self, ratio: f64, scale: f64);
+}
+
+/// No witness: the live player's.
+impl BetaWitness for () {
+    fn bound_above(&mut self, _: f64, _: f64) {}
+    fn bound_below(&mut self, _: f64, _: f64) {}
+}
+
 impl Abr for Hyb {
     fn select(&mut self, env: &PlayerEnv, ctx: &AbrContext<'_>) -> usize {
         crate::abr::sync_estimator(&mut self.estimator, env);
+        let k = ctx
+            .next_segment
+            .min(ctx.sizes.n_segments().saturating_sub(1));
+        // A level the video lacks never fits.
+        let ratios = self.estimator.estimate().map(|est| {
+            move |level| {
+                ctx.sizes
+                    .size_kbits(k, level)
+                    .map_or(f64::INFINITY, |size| size / est)
+            }
+        });
         Self::decide(
             self.params.beta,
-            self.estimator.estimate(),
+            ctx.ladder.len(),
+            ratios,
             env.buffer(),
             env.last_level(),
-            ctx,
+            ctx.segment_duration,
+            &mut (),
         )
     }
 
@@ -150,6 +186,55 @@ mod tests {
                 .unwrap();
         }
         env
+    }
+
+    /// [`Hyb::decide`] on a row of ratios at L = 2 s, unwitnessed.
+    fn decide(beta: f64, ratios: &[f64], buffer: f64, last: Option<usize>) -> usize {
+        let row = Some(|level: usize| ratios[level]);
+        Hyb::decide(beta, ratios.len(), row, buffer, last, 2.0, &mut ())
+    }
+
+    #[test]
+    fn level_zero_is_chosen_even_when_its_own_ratio_fails() {
+        // β·B = 1: no level fits, level 0 included.
+        assert_eq!(decide(0.5, &[3.0, 4.0, 5.0], 2.0, None), 0);
+        assert_eq!(decide(0.5, &[f64::INFINITY; 3], 2.0, Some(2)), 0);
+    }
+
+    #[test]
+    fn a_ratio_equal_to_beta_times_buffer_does_not_fit() {
+        // β·B = 0.5 · 4 = 2 exactly.
+        assert_eq!(decide(0.5, &[0.1, 2.0, 3.0], 4.0, None), 0);
+        assert_eq!(decide(0.5, &[0.1, 2.0f64.next_down(), 3.0], 4.0, None), 1);
+    }
+
+    #[test]
+    fn the_hysteresis_holds_at_exactly_its_margin() {
+        let (beta, buffer) = (0.5, 4.0);
+        let margin = 0.8 * beta * buffer; // fits: below β·B = 2
+        assert_eq!(decide(beta, &[0.1, margin, 3.0], buffer, Some(0)), 0);
+        assert_eq!(
+            decide(beta, &[0.1, margin.next_down(), 3.0], buffer, Some(0)),
+            1
+        );
+        // Only a climb waits.
+        assert_eq!(decide(beta, &[0.1, margin, 3.0], buffer, None), 1);
+        assert_eq!(decide(beta, &[0.1, margin, 3.0], buffer, Some(2)), 1);
+    }
+
+    #[test]
+    fn a_buffer_below_a_quarter_segment_counts_as_a_quarter() {
+        // L/4 = 0.5 s: at β = 1 the threshold is 0.5 for any smaller buffer.
+        for buffer in [0.0, 0.1, 0.5] {
+            assert_eq!(decide(1.0, &[0.1, 0.45, 0.55], buffer, None), 1);
+        }
+        assert_eq!(decide(1.0, &[0.1, 0.45, 0.55], 0.6, None), 2);
+    }
+
+    #[test]
+    fn no_estimate_decides_level_zero() {
+        let none = None::<fn(usize) -> f64>;
+        assert_eq!(Hyb::decide(1e9, 4, none, 30.0, Some(3), 2.0, &mut ()), 0);
     }
 
     #[test]

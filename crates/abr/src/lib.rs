@@ -41,7 +41,7 @@ pub mod throughput;
 pub use abr::{drive, sync_estimator, sync_window, Abr, AbrContext};
 pub use bba::Bba;
 pub use bola::Bola;
-pub use hyb::Hyb;
+pub use hyb::{BetaWitness, Hyb};
 pub use mpc::RobustMpc;
 pub use params::QoeParams;
 pub use pensieve::{Pensieve, PensieveConfig, PensieveTrainer, TrainStats};

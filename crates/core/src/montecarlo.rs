@@ -25,12 +25,14 @@
 //! under are the same for every candidate. The table holds, beside each
 //! draw, that `B_max` and for every ladder level the decision ratio
 //! `size / estimate` and Eq. 3's download time `size / bandwidth`, with
-//! every check [`lingxi_player::env::buffer_step`] makes run on them once. A
-//! HYB candidate's decision and Eq. 3 step are then comparisons and adds
-//! on what its β changes: buffer, last level, stall counters, exit — and
-//! the tracker fork when the predictor reads it. (The only divisions left
-//! in a step bound its β interval, below.) Every other ABR plays a forked
-//! [`PlayerEnv`] through a fork of itself ([`Abr::fork`]).
+//! every check [`PlayerEnv::step_with_rtt`] makes run on them once. A HYB
+//! candidate's step calls HYB's own rule, [`Hyb::decide`], on the ratios
+//! with the rollout as its [`BetaWitness`], then Eq. 3 past its checks:
+//! comparisons and adds on what its β changes — buffer, last level, stall
+//! counters, exit — and the tracker fork when the predictor reads it.
+//! (The only divisions left in a step bound its β interval, below.) Every
+//! other ABR plays a forked [`PlayerEnv`] through a fork of itself
+//! ([`Abr::fork`]).
 //!
 //! # Recorded rollouts
 //!
@@ -41,7 +43,8 @@
 //! and the βs that make every decision of a rollout the same form the
 //! intersection of its decisions' intervals. Inside it a rollout plays
 //! the same levels, so the same buffers, stalls, predictor inputs and
-//! exit. While a HYB candidate steps, the kernel bounds β
+//! exit. While a HYB candidate steps, [`Hyb::decide`] reports each
+//! comparison it makes to the rollout, which bounds β
 //!
 //! - above, by `r / b` of every level above the choice (no level is
 //!   assumed cheaper than the one above it);
@@ -74,11 +77,14 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use lingxi_abr::{sync_window, Abr, AbrContext, QoeParams};
+use lingxi_abr::{sync_window, Abr, AbrContext, BetaWitness, Hyb, QoeParams};
 use lingxi_exit::{StateMatrix, UserStateTracker};
 use lingxi_media::{BitrateLadder, SegmentSizes, VbrModel};
 use lingxi_net::{BandwidthEstimator, EwmaEstimator};
-use lingxi_player::{buffer_step_timed, validate_step, PlayerConfig, PlayerEnv, SegmentOutcome};
+use lingxi_player::{
+    buffer_step_timed, slide_window, switch_granularity, validate_step, PlayerConfig, PlayerEnv,
+    SegmentOutcome,
+};
 use lingxi_stats::NormalDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,6 +99,11 @@ const MIN_ROLLOUT_KBPS: f64 = 50.0;
 /// Relative margin by which each β bound of a HYB decision is narrowed
 /// (see the module doc, "Recorded rollouts").
 const BETA_MARGIN: f64 = 1e-12;
+
+/// The most segments a rollout may hold (`t_sample / segment_duration`):
+/// the draw table has `samples × segments` entries, and a float clock
+/// stops advancing once `t_sample` dwarfs the step.
+const MAX_SEGMENTS_PER_SAMPLE: f64 = 65_536.0;
 
 /// Monte-Carlo configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,7 +128,8 @@ impl Default for McConfig {
 }
 
 impl McConfig {
-    /// Validate parameters.
+    /// Validate parameters: at least one rollout and a horizon of one to
+    /// 2¹⁶ segments of positive duration.
     pub fn validate(&self) -> Result<()> {
         if self.samples == 0 {
             return Err(CoreError::InvalidConfig("samples must be positive".into()));
@@ -127,10 +139,13 @@ impl McConfig {
                 "durations must be positive".into(),
             ));
         }
-        if self.segment_duration > self.t_sample {
-            return Err(CoreError::InvalidConfig(
-                "segment duration exceeds rollout horizon".into(),
-            ));
+        // `t_sample / segment_duration` rounds below 1 exactly when the
+        // segment is longer than the horizon.
+        let segments = self.t_sample / self.segment_duration;
+        if !(1.0..=MAX_SEGMENTS_PER_SAMPLE).contains(&segments) {
+            return Err(CoreError::InvalidConfig(format!(
+                "rollout horizon must hold 1 to {MAX_SEGMENTS_PER_SAMPLE} segments, got {segments}"
+            )));
         }
         Ok(())
     }
@@ -439,8 +454,8 @@ impl DrawTable {
         };
         if key.alpha.is_some() {
             // What a forked env and HYB's estimator over it hold before
-            // segment k, then `step_with_rtt`'s history and cap updates
-            // with the segment's throughput.
+            // segment k, then the player's window update with the
+            // segment's throughput.
             let shadow = &mut self.shadows[m];
             sync_window(
                 &mut shadow.estimator,
@@ -451,7 +466,7 @@ impl DrawTable {
             self.estimated[slot] = estimate.is_some();
             self.bmax[slot] = shadow.bmax;
             // HYB's and Eq. 3's divisions, once per level, behind every
-            // check `buffer_step` makes on a live step.
+            // check a live step makes.
             let row = slot * self.levels..(slot + 1) * self.levels;
             let columns = self.ratio[row.clone()]
                 .iter_mut()
@@ -463,11 +478,12 @@ impl DrawTable {
                 *ratio = estimate.map_or(f64::NAN, |estimate| size / estimate);
                 *download = size / bandwidth_kbps;
             }
-            shadow.history.push_back(bandwidth_kbps);
-            if shadow.history.len() > key.player.history_window {
-                shadow.history.pop_front();
-            }
-            shadow.bmax = key.player.bmax.refreshed(shadow.bmax, &shadow.history);
+            shadow.bmax = slide_window(
+                &key.player,
+                &mut shadow.history,
+                shadow.bmax,
+                bandwidth_kbps,
+            );
         }
         Ok(())
     }
@@ -688,8 +704,6 @@ pub fn evaluate_in_pass(
 /// One virtual segment, played.
 struct Step {
     level: usize,
-    /// The level of the segment before it.
-    prev: Option<usize>,
     outcome: SegmentOutcome,
     exit_u: f64,
 }
@@ -744,7 +758,6 @@ impl Rollout for ForkedRollout {
             .map_err(subsystem)?;
         let slot = draws.fill(m, k, ctx.sizes)?;
         let draw = draws.table[slot];
-        let prev = self.env.last_level();
         let outcome = self
             .env
             .step_with_rtt(
@@ -757,7 +770,6 @@ impl Rollout for ForkedRollout {
             .map_err(subsystem)?;
         Ok(Step {
             level,
-            prev,
             outcome,
             exit_u: draw.exit_u,
         })
@@ -782,48 +794,9 @@ struct HybRollout {
     stalls_from: usize,
 }
 
-impl HybRollout {
-    /// HYB's decision ([`lingxi_abr::Hyb::decide`]) on a segment's ratios
-    /// `size / estimate` (`None` before the first observation), narrowing
-    /// the rollout's β interval to the βs that decide the same.
-    fn decide(&mut self, ratios: Option<&[f64]>, segment_duration: f64) -> usize {
-        let Some(ratios) = ratios else {
-            return 0; // no estimate: the lowest level, whatever β
-        };
-        // A quarter segment of grace at startup.
-        let buffer = self.buffer.max(segment_duration * 0.25);
-        // The highest level whose expected download time fits within β·B,
-        // else level 0; `above` is the least ratio of the levels above it.
-        let limit = self.beta * buffer;
-        let mut choice = 0;
-        let mut above = f64::INFINITY;
-        for level in (1..ratios.len()).rev() {
-            if ratios[level] < limit {
-                choice = level;
-                break;
-            }
-            above = above.min(ratios[level]);
-        }
-        if choice + 1 < ratios.len() {
-            self.bound_above(above, buffer);
-        }
-        if choice > 0 {
-            self.bound_below(ratios[choice], buffer);
-        }
-        // Upward hysteresis: climb above the last level only with a 20 %
-        // margin, else hold.
-        if let Some(last) = self.last_level.filter(|&last| choice > last) {
-            let hysteresis = 0.8 * buffer;
-            if ratios[choice] >= 0.8 * self.beta * buffer {
-                self.bound_above(ratios[choice], hysteresis);
-                choice = last;
-            } else {
-                self.bound_below(ratios[choice], hysteresis);
-            }
-        }
-        choice
-    }
-
+/// The β interval of a rollout's decisions, narrowed by each comparison
+/// [`Hyb::decide`] reports.
+impl BetaWitness for HybRollout {
     /// `ratio ≥ fl(β·scale)` held for `beta`: keep only the βs below
     /// `ratio / scale`, less the margin.
     fn bound_above(&mut self, ratio: f64, scale: f64) {
@@ -876,8 +849,16 @@ impl Rollout for HybRollout {
         let slot = draws.fill(m, k, ctx.sizes)?;
         let draw = draws.table[slot];
         let row = slot * draws.levels..(slot + 1) * draws.levels;
-        let ratios = draws.estimated[slot].then(|| &draws.ratio[row.clone()]);
-        let level = self.decide(ratios, ctx.segment_duration);
+        let ratios = &draws.ratio[row.clone()];
+        let level = Hyb::decide(
+            self.beta,
+            ratios.len(),
+            draws.estimated[slot].then_some(|level| ratios[level]),
+            self.buffer,
+            self.last_level,
+            ctx.segment_duration,
+            self,
+        );
         let outcome = buffer_step_timed(
             self.buffer,
             draws.bmax[slot],
@@ -888,12 +869,12 @@ impl Rollout for HybRollout {
             draw.rtt,
         );
         self.buffer = outcome.buffer_after;
+        self.last_level = Some(level);
         if outcome.stall_time > 0.0 {
             draws.stalls.push(outcome.stall_time);
         }
         Ok(Step {
             level,
-            prev: self.last_level.replace(level),
             outcome,
             exit_u: draw.exit_u,
         })
@@ -973,6 +954,7 @@ impl Rollouts<'_> {
                 // Fork the live state (S_sim ← S, E_sim ← E_player).
                 rollout.start(env, draws);
                 let mut tracker = wants_state.then(|| user_state.clone());
+                let mut prev = env.last_level();
                 let mut t_sim = 0.0;
                 let mut session_stall = 0.0;
                 let mut session_events = 0usize;
@@ -989,7 +971,6 @@ impl Rollouts<'_> {
                     // draws, common to every candidate of the pass.
                     let Step {
                         level,
-                        prev,
                         outcome,
                         exit_u,
                     } = rollout.step(m, k, &ctx, draws)?;
@@ -1014,14 +995,10 @@ impl Rollouts<'_> {
                         }
                     }
                     let tier = ladder.tier(level).map_err(subsystem)?;
-                    let gran = match prev {
-                        Some(p) => level as i64 - p as i64,
-                        None => 0,
-                    };
                     let rollout_ctx = RolloutContext {
                         stalled,
                         tier,
-                        switch_granularity: gran,
+                        switch_granularity: switch_granularity(level, prev.replace(level)),
                         session_stall,
                         session_stall_events: session_events,
                         playback_time: t_sim,
@@ -1201,6 +1178,25 @@ mod tests {
         };
         assert!(bad2.validate().is_err());
         assert_eq!(McConfig::default().segments_per_sample(), 24);
+    }
+
+    /// A horizon of more than 2¹⁶ segments is refused before anything
+    /// counts them: at 1e17 s the playback clock sticks at 2⁵³ (adding
+    /// 1 s no longer moves it), and an infinite horizon never ends.
+    #[test]
+    fn validation_bounds_the_segments_per_rollout() {
+        let at = |t_sample: f64| McConfig {
+            samples: 1,
+            t_sample,
+            segment_duration: 1.0,
+        };
+        for t_sample in [1e17, f64::INFINITY, MAX_SEGMENTS_PER_SAMPLE + 1.0] {
+            let err = at(t_sample).validate().unwrap_err();
+            assert!(err.to_string().contains("65536 segments"), "{err}");
+        }
+        let cap = at(MAX_SEGMENTS_PER_SAMPLE);
+        cap.validate().unwrap();
+        assert_eq!(cap.segments_per_sample(), 1 << 16);
     }
 
     /// Exits at the first segment it is asked about, never after.

@@ -76,9 +76,12 @@ impl RolloutPredictor for ConstantPredictor {
 
 /// A predictor wrapping a ground-truth [`StallProfile`] — used in the
 /// §5.2 simulation experiments where the "predictor" is the fitted user
-/// model itself. Mirrors the generative `QosExitModel`: the response is
+/// model itself. Follows the generative `QosExitModel`: the response is
 /// driven by the rollout's *session* stall exposure with the same compound
-/// modifiers (engagement, Full-HD, repeated stalls).
+/// modifiers (engagement, Full-HD, repeated stalls), except that its HD
+/// quality term is `0.7e-3` (the model's `6e-3 × 0.12 = 0.72e-3`), its
+/// stall response has no `min(0.95)` cap, and its engagement test reads
+/// the playback time before the segment (the model's, after its step).
 #[derive(Debug, Clone, Copy)]
 pub struct ProfilePredictor {
     /// The user's profile.

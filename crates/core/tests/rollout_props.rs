@@ -22,7 +22,10 @@
 //! - recorded rollouts hold only under the live buffer, last level and
 //!   tracker they were played from, and a scratch whose next pass rolls
 //!   out against another predictor forgets the rollouts it recorded under
-//!   the last one.
+//!   the last one;
+//! - one HYB decision (`Hyb::decide`) witnessed by the kernel's β
+//!   recorder decides as it does unwitnessed, and every β inside the
+//!   interval it records decides the same level.
 //!
 //! Cases cover M 1..16, horizons whose segment count is not a whole ratio,
 //! no / fixed / sibling-minimum prune thresholds, predictors that do and
@@ -31,7 +34,7 @@
 //! an adaptive `B_max`, and candidate lists that repeat βs and hold their
 //! one-ulp neighbours, where a replay must tell siblings apart.
 
-use lingxi_abr::{Abr, AbrContext, Hyb, QoeParams};
+use lingxi_abr::{Abr, AbrContext, BetaWitness, Hyb, QoeParams};
 use lingxi_core::montecarlo::{evaluate_in_pass, rollout_stream};
 use lingxi_core::{
     ConstantPredictor, McConfig, McEvaluation, McScratch, ProfilePredictor, RolloutContext,
@@ -288,6 +291,40 @@ fn bits(e: &McEvaluation) -> (u64, usize, usize, bool, u64) {
 
 fn all_bits(evals: &[McEvaluation]) -> Vec<(u64, usize, usize, bool, u64)> {
     evals.iter().map(bits).collect()
+}
+
+/// The HYB kernel's β recorder, margin (1e-12) and all: the βs strictly
+/// between `lo` and `hi` make the witnessed decisions as the witnessed β
+/// did; `lo = ∞` when a ratio or bound was not a normal float.
+struct BetaInterval {
+    lo: f64,
+    hi: f64,
+}
+
+impl BetaInterval {
+    const MARGIN: f64 = 1e-12;
+
+    /// The β at which `β·scale` crosses `ratio`, if both are normal.
+    fn bound(ratio: f64, scale: f64) -> Option<f64> {
+        let bound = ratio / scale;
+        (ratio.is_normal() && bound.is_normal()).then_some(bound)
+    }
+}
+
+impl BetaWitness for BetaInterval {
+    fn bound_above(&mut self, ratio: f64, scale: f64) {
+        match Self::bound(ratio, scale) {
+            Some(bound) => self.hi = self.hi.min(bound - bound.abs() * Self::MARGIN),
+            None => self.lo = f64::INFINITY,
+        }
+    }
+
+    fn bound_below(&mut self, ratio: f64, scale: f64) {
+        match Self::bound(ratio, scale) {
+            Some(bound) => self.lo = self.lo.max(bound + bound.abs() * Self::MARGIN),
+            None => self.lo = f64::INFINITY,
+        }
+    }
 }
 
 /// Horizons: whole and fractional segment counts (2.0 s into 48 s; 0.7 s
@@ -571,5 +608,55 @@ proptest! {
         before.run(&mut reused, false);
         let warm = after.run(&mut reused, false);
         prop_assert_eq!(all_bits(&warm), all_bits(&after.run(&mut McScratch::new(), false)));
+    }
+
+    /// One HYB decision: witnessed by the kernel's β recorder it decides
+    /// as it does unwitnessed, and the interval it records contains β and
+    /// decides alike at its inner ends (one ulp in) and its midpoint —
+    /// over ascending ratio rows that may start at zero or a subnormal and
+    /// end at infinity, buffers below and above the quarter-segment grace
+    /// and every last level. A row of normal ratios always records. (β
+    /// is drawn apart from the ratios, so it falls within the 1e-12
+    /// margin of a bound, where the recorder may leave it outside its own
+    /// interval, with negligible probability.)
+    #[test]
+    fn a_decisions_beta_interval_decides_alike(
+        first in prop_oneof![Just(0.0), Just(5e-324), Just(1e-310), 1e-3f64..10.0],
+        steps in collection::vec(prop_oneof![Just(0.0), Just(5e-324), 0.0f64..4.0], 1..8),
+        infinite_top in 0u8..2,
+        quarters in prop_oneof![0.0f64..1.0, 1.0f64..60.0],
+        segment_duration in 0.5f64..6.0,
+        last in 0usize..9,
+        beta in 0.05f64..2.0,
+    ) {
+        let mut ratios = vec![first];
+        for step in steps {
+            ratios.push(ratios[ratios.len() - 1] + step);
+        }
+        if infinite_top == 1 {
+            *ratios.last_mut().unwrap() = f64::INFINITY;
+        }
+        let levels = ratios.len();
+        let row = |level: usize| ratios[level];
+        let buffer = quarters * segment_duration * 0.25;
+        let last = (last < levels).then_some(last);
+        let unwitnessed =
+            |beta: f64| Hyb::decide(beta, levels, Some(row), buffer, last, segment_duration, &mut ());
+        let plain = unwitnessed(beta);
+        let mut interval = BetaInterval { lo: f64::MIN, hi: f64::MAX };
+        let witnessed =
+            Hyb::decide(beta, levels, Some(row), buffer, last, segment_duration, &mut interval);
+        prop_assert_eq!(witnessed, plain);
+        let BetaInterval { lo, hi } = interval;
+        prop_assert!(
+            lo < hi || !ratios[1..].iter().all(|r| r.is_normal()),
+            "normal ratios {:?} left β = {} unrecorded ({}, {})", ratios, beta, lo, hi
+        );
+        if lo < hi {
+            prop_assert!(lo < beta && beta < hi, "β = {} outside ({}, {})", beta, lo, hi);
+            for inside in [lo.next_up(), hi.next_down(), lo / 2.0 + hi / 2.0] {
+                prop_assert_eq!(unwitnessed(inside), plain, "β = {} in ({}, {})", inside, lo, hi);
+            }
+        }
     }
 }

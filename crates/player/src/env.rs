@@ -57,13 +57,11 @@ pub struct PlayerEnv {
     /// `config.history_window`. A ring buffer: the steady-state
     /// push-newest/drop-oldest cycle is allocation-free.
     throughput_history: VecDeque<f64>,
-    /// Recent levels, parallel to `throughput_history`.
-    level_history: VecDeque<usize>,
     /// All stall events so far.
     stalls: Vec<StallEvent>,
     /// Cumulative stall seconds.
     total_stall: f64,
-    /// Current `B_max` (seconds), refreshed via [`PlayerEnv::update_bmax`].
+    /// Current `B_max` (seconds), refreshed by [`slide_window`].
     bmax: f64,
     /// Startup (initial buffering) delay in seconds — tracked separately
     /// from rebuffer stalls, as production players do.
@@ -80,7 +78,6 @@ impl Clone for PlayerEnv {
             segment_index: self.segment_index,
             last_level: self.last_level,
             throughput_history: self.throughput_history.clone(),
-            level_history: self.level_history.clone(),
             stalls: self.stalls.clone(),
             total_stall: self.total_stall,
             bmax: self.bmax,
@@ -101,7 +98,6 @@ impl Clone for PlayerEnv {
         self.last_level = source.last_level;
         self.throughput_history
             .clone_from(&source.throughput_history);
-        self.level_history.clone_from(&source.level_history);
         self.stalls.clone_from(&source.stalls);
         self.total_stall = source.total_stall;
         self.bmax = source.bmax;
@@ -128,7 +124,6 @@ impl PlayerEnv {
             // One slot of headroom: `step` pushes before trimming, and a
             // ring at capacity never reallocates.
             throughput_history: VecDeque::with_capacity(config.history_window + 1),
-            level_history: VecDeque::with_capacity(config.history_window + 1),
             stalls: Vec::new(),
             total_stall: 0.0,
             bmax,
@@ -165,11 +160,6 @@ impl PlayerEnv {
     /// iterate like a slice).
     pub fn throughput_history(&self) -> &VecDeque<f64> {
         &self.throughput_history
-    }
-
-    /// Recent levels, oldest first (parallel to throughputs).
-    pub fn level_history(&self) -> &VecDeque<usize> {
-        &self.level_history
     }
 
     /// All stall events.
@@ -215,14 +205,6 @@ impl PlayerEnv {
         NormalDist::fit_slices(front, back).ok()
     }
 
-    /// Refresh `B_max` from the current bandwidth model (`B_max = f(N)`).
-    pub fn update_bmax(&mut self) {
-        self.bmax = self
-            .config
-            .bmax
-            .refreshed(self.bmax, &self.throughput_history);
-    }
-
     /// Execute one segment download of `size_kbits` at `level`, observing
     /// effective bandwidth `bandwidth_kbps`, with RTT drawn from the config:
     /// one RTT draw from `rng`, then [`PlayerEnv::step_with_rtt`].
@@ -242,8 +224,8 @@ impl PlayerEnv {
     /// the Monte-Carlo rollouts draw it ahead of time from a rollout
     /// stream shared by every candidate of a pass.
     ///
-    /// Implements Eq. 3 verbatim ([`buffer_step`]); also advances clocks
-    /// and histories.
+    /// Implements Eq. 3 verbatim ([`validate_step`], then
+    /// [`buffer_step_timed`]); also advances clocks and histories.
     pub fn step_with_rtt(
         &mut self,
         size_kbits: f64,
@@ -253,15 +235,16 @@ impl PlayerEnv {
         rtt: f64,
     ) -> Result<SegmentOutcome> {
         let is_startup = self.segment_index == 0;
-        let outcome = buffer_step(
+        validate_step(size_kbits, bandwidth_kbps, segment_duration, rtt)?;
+        let outcome = buffer_step_timed(
             self.buffer,
             self.bmax,
             is_startup,
-            size_kbits,
+            size_kbits / bandwidth_kbps,
             bandwidth_kbps,
             segment_duration,
             rtt,
-        )?;
+        );
         let SegmentOutcome {
             download_time,
             stall_time,
@@ -298,13 +281,12 @@ impl PlayerEnv {
         self.segment_index += 1;
         self.last_level = Some(level);
 
-        self.throughput_history.push_back(outcome.throughput_kbps);
-        self.level_history.push_back(level);
-        if self.throughput_history.len() > self.config.history_window {
-            self.throughput_history.pop_front();
-            self.level_history.pop_front();
-        }
-        self.update_bmax();
+        self.bmax = slide_window(
+            &self.config,
+            &mut self.throughput_history,
+            self.bmax,
+            outcome.throughput_kbps,
+        );
 
         Ok(outcome)
     }
@@ -332,40 +314,25 @@ impl PlayerEnv {
     }
 }
 
-/// Eq. 3 on a bare buffer: the outcome of downloading `size_kbits` at
-/// `bandwidth_kbps` into `buffer` seconds of content capped at `bmax`,
-/// then waiting out any overflow plus `rtt`, with every check
-/// [`PlayerEnv::step_with_rtt`] makes. `startup` marks a session's first
-/// segment, whose wait is startup delay rather than a stall. Clocks and
-/// histories are the caller's: `step_with_rtt` advances a player's.
-///
-/// It is [`validate_step`] followed by [`buffer_step_timed`] on the
-/// download time `size_kbits / bandwidth_kbps`; Monte-Carlo rollouts call
-/// the two halves apart, checking and dividing once per table entry.
-pub fn buffer_step(
-    buffer: f64,
+/// A player's window update after a download: push `throughput_kbps` onto
+/// `history`, drop the oldest beyond `config.history_window`, and return
+/// `bmax` refreshed over the window (`B_max = f(N)`).
+pub fn slide_window(
+    config: &PlayerConfig,
+    history: &mut VecDeque<f64>,
     bmax: f64,
-    startup: bool,
-    size_kbits: f64,
-    bandwidth_kbps: f64,
-    segment_duration: f64,
-    rtt: f64,
-) -> Result<SegmentOutcome> {
-    validate_step(size_kbits, bandwidth_kbps, segment_duration, rtt)?;
-    Ok(buffer_step_timed(
-        buffer,
-        bmax,
-        startup,
-        size_kbits / bandwidth_kbps,
-        bandwidth_kbps,
-        segment_duration,
-        rtt,
-    ))
+    throughput_kbps: f64,
+) -> f64 {
+    history.push_back(throughput_kbps);
+    if history.len() > config.history_window {
+        history.pop_front();
+    }
+    config.bmax.refreshed(bmax, history)
 }
 
-/// The checks [`buffer_step`] makes on its inputs, in its order: a
-/// positive, finite bandwidth and segment size, a positive segment
-/// duration and a non-negative RTT.
+/// The checks [`PlayerEnv::step_with_rtt`] makes on its inputs, in its
+/// order: a positive, finite bandwidth and segment size, a positive
+/// segment duration and a non-negative RTT.
 pub fn validate_step(
     size_kbits: f64,
     bandwidth_kbps: f64,
@@ -395,9 +362,13 @@ pub fn validate_step(
     Ok(())
 }
 
-/// [`buffer_step`] past its checks: Eq. 3 on a `download_time` the
-/// caller computed as `size_kbits / bandwidth_kbps` from inputs
-/// [`validate_step`] accepted.
+/// Eq. 3 on a bare buffer: the outcome of a `download_time` of
+/// `size_kbits / bandwidth_kbps`, from inputs [`validate_step`] accepted,
+/// into `buffer` seconds of content capped at `bmax`, then waiting out
+/// any overflow plus `rtt`. `startup` marks a session's first segment,
+/// whose wait is startup delay rather than a stall. Clocks and histories
+/// are the caller's: [`PlayerEnv::step_with_rtt`] advances a player's;
+/// Monte-Carlo rollouts check and divide once per table entry.
 pub fn buffer_step_timed(
     buffer: f64,
     bmax: f64,
@@ -540,7 +511,6 @@ mod tests {
             e.step(1000.0, i % 3, 5000.0, 2.0, &mut rng).unwrap();
         }
         assert_eq!(e.throughput_history().len(), 8);
-        assert_eq!(e.level_history().len(), 8);
         assert_eq!(e.last_level(), Some(19 % 3));
     }
 

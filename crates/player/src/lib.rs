@@ -39,8 +39,10 @@ pub mod log;
 pub mod session;
 
 pub use config::{BmaxPolicy, PlayerConfig};
-pub use env::{buffer_step_timed, validate_step, PlayerEnv, SegmentOutcome, StallEvent};
-pub use log::{SegmentRecord, SessionEnd, SessionLog, SessionSummary};
+pub use env::{
+    buffer_step_timed, slide_window, validate_step, PlayerEnv, SegmentOutcome, StallEvent,
+};
+pub use log::{switch_granularity, SegmentRecord, SessionEnd, SessionLog, SessionSummary};
 pub use session::{
     content_watch_time, run_session, ExitDecision, SegmentRequest, SessionSetup, SessionStream,
 };

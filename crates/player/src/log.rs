@@ -25,7 +25,7 @@ pub struct SegmentRecord {
     pub stall_time: f64,
     /// Buffer after this segment's update (seconds).
     pub buffer_after: f64,
-    /// The previous level if this segment switched quality.
+    /// The previous segment's level (`None` for a session's first).
     pub switched_from: Option<usize>,
 }
 
@@ -38,10 +38,16 @@ impl SegmentRecord {
     /// Signed switch granularity (`level - previous level`), 0 if none —
     /// the x-axis of Fig. 4(b).
     pub fn switch_granularity(&self) -> i64 {
-        match self.switched_from {
-            Some(f) => self.level as i64 - f as i64,
-            None => 0,
-        }
+        switch_granularity(self.level, self.switched_from)
+    }
+}
+
+/// Signed switch granularity of a segment at `level` after one at
+/// `previous` (`level - previous`), 0 when there is none before it.
+pub fn switch_granularity(level: usize, previous: Option<usize>) -> i64 {
+    match previous {
+        Some(p) => level as i64 - p as i64,
+        None => 0,
     }
 }
 
