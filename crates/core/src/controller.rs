@@ -115,7 +115,12 @@ impl LingXiConfig {
 
     /// Active search dimensions.
     pub fn active_dims(&self) -> Vec<ParamDim> {
-        self.dims.iter().flatten().copied().collect()
+        self.dims().collect()
+    }
+
+    /// [`LingXiConfig::active_dims`] without collecting them.
+    fn dims(&self) -> impl Iterator<Item = ParamDim> + Clone + '_ {
+        self.dims.iter().flatten().copied()
     }
 
     /// Validate configuration.
@@ -130,7 +135,7 @@ impl LingXiConfig {
         }
         match &self.strategy {
             SearchStrategy::Bayesian => {
-                if self.active_dims().is_empty() {
+                if self.dims().next().is_none() {
                     return Err(CoreError::InvalidConfig(
                         "need at least one search dimension".into(),
                     ));
@@ -216,6 +221,11 @@ impl LingXiController {
     /// The long-term user-state tracker (for persistence).
     pub fn tracker(&self) -> &UserStateTracker {
         &self.tracker
+    }
+
+    /// The controller's tracker, moved out for persistence.
+    pub fn into_tracker(self) -> UserStateTracker {
+        self.tracker
     }
 
     /// Count of optimizations run so far.
@@ -326,13 +336,16 @@ impl LingXiController {
         let margin = self.config.adoption_margin;
         // L(B) asks the observer for each candidate; L(F) walks its fixed
         // list, stopping early when the list runs out.
-        let dims = self.config.active_dims();
+        let dims = self.config.dims();
         let (mut optimizer, fixed) = match &self.config.strategy {
             SearchStrategy::Bayesian => {
-                let mut optimizer = ObOptimizer::new(ObserverConfig::for_dim(dims.len()))
+                let mut optimizer = ObOptimizer::new(ObserverConfig::for_dim(dims.clone().count()))
                     .map_err(|e| CoreError::Subsystem(e.to_string()))?;
                 // Warm start from the current best (OBO.init(x*, ...)).
-                let warm: Vec<f64> = dims.iter().map(|d| d.get_unit(&self.best_params)).collect();
+                let warm: Vec<f64> = dims
+                    .clone()
+                    .map(|d| d.get_unit(&self.best_params))
+                    .collect();
                 optimizer
                     .init_with(&warm)
                     .map_err(|e| CoreError::Subsystem(e.to_string()))?;
@@ -345,7 +358,7 @@ impl LingXiController {
                 Some(optimizer) => {
                     let xu = optimizer.next_candidate(rng);
                     let mut candidate = self.best_params;
-                    for (d, &v) in dims.iter().zip(&xu) {
+                    for (d, &v) in dims.clone().zip(&xu) {
                         d.set_unit(&mut candidate, v);
                     }
                     (candidate, Some(xu))

@@ -23,16 +23,19 @@
 //! bandwidth draw whatever level was fetched, so the throughput window,
 //! the EWMA estimate HYB decides on and the `B_max` each segment steps
 //! under are the same for every candidate. The table holds, beside each
-//! draw, that `B_max` and for every ladder level the decision ratio
-//! `size / estimate` and Eq. 3's download time `size / bandwidth`, with
-//! every check [`PlayerEnv::step_with_rtt`] makes run on them once. A HYB
-//! candidate's step calls HYB's own rule, [`Hyb::decide`], on the ratios
-//! with the rollout as its [`BetaWitness`], then Eq. 3 past its checks:
-//! comparisons and adds on what its β changes — buffer, last level, stall
-//! counters, exit — and the tracker fork when the predictor reads it.
-//! (The only divisions left in a step bound its β interval, below.) Every
-//! other ABR plays a forked [`PlayerEnv`] through a fork of itself
-//! ([`Abr::fork`]).
+//! draw, every ladder level's decision ratio `size / estimate`, with the
+//! checks [`PlayerEnv::step_with_rtt`] makes on the draw run once (the
+//! virtual video's sizes are checked once per key). A HYB candidate's
+//! step calls HYB's own rule, [`Hyb::decide`], on the ratios with the
+//! rollout as its [`BetaWitness`], divides the chosen level's size by the
+//! bandwidth, then plays Eq. 3 past its checks: comparisons and adds on
+//! what its β changes — buffer, last level, stall counters, exit — and the
+//! tracker fork when the predictor reads it. A segment's `B_max` is read
+//! only when the buffer can reach the policy's lowest possible cap
+//! ([`bmax_for_step`]); the first step that reads it fits it over the
+//! slot's window — the key's history, then the row's earlier draws — and
+//! the slot keeps it. Every other ABR plays a forked [`PlayerEnv`] through
+//! a fork of itself ([`Abr::fork`]).
 //!
 //! # Recorded rollouts
 //!
@@ -82,8 +85,8 @@ use lingxi_exit::{StateMatrix, UserStateTracker};
 use lingxi_media::{BitrateLadder, SegmentSizes, VbrModel};
 use lingxi_net::{BandwidthEstimator, EwmaEstimator};
 use lingxi_player::{
-    buffer_step_timed, slide_window, switch_granularity, validate_step, PlayerConfig, PlayerEnv,
-    SegmentOutcome,
+    bmax_for_step, buffer_step_timed, slide_window, switch_granularity, validate_draw,
+    validate_size, PlayerConfig, PlayerEnv, SegmentOutcome,
 };
 use lingxi_stats::NormalDist;
 use rand::rngs::StdRng;
@@ -183,15 +186,17 @@ pub struct McEvaluation {
 }
 
 /// Virtual segments a scratch's evaluations have covered, by how: stepped
-/// through a rollout kernel, or added from a recorded rollout. A pure
-/// function of the evaluations run, so it counts work exactly where wall
-/// time cannot.
+/// through a rollout kernel, or added from a recorded rollout; and the
+/// draw-table `B_max`s the HYB kernel fitted. A pure function of the
+/// evaluations run, so it counts work exactly where wall time cannot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RolloutWork {
     /// Segments played step by step.
     pub stepped: u64,
     /// Segments added from a sibling candidate's recorded rollout.
     pub replayed: u64,
+    /// Table slots whose `B_max` a HYB step read, so fitted (once each).
+    pub bmax_fits: u64,
 }
 
 /// The random inputs of one virtual segment, drawn in field order from
@@ -232,11 +237,10 @@ struct TableKey {
     /// The virtual video's ladder.
     ladder: BitrateLadder,
     /// The forked env's player config (RTT model, `B_max` policy, history
-    /// window), segment index, throughput window and `B_max`.
+    /// window), segment index and throughput window — so its `B_max`.
     player: PlayerConfig,
     segment_index: usize,
     history: Vec<f64>,
-    bmax: f64,
     /// HYB's EWMA α when the ABR is HYB: the rows then carry its columns.
     alpha: Option<f64>,
 }
@@ -257,7 +261,6 @@ impl TableKey {
             && self.alpha == alpha
             && self.player == *env.config()
             && self.segment_index == env.segment_index()
-            && self.bmax == env.bmax()
             && self.history.iter().eq(env.throughput_history())
             && self.ladder == *ladder
     }
@@ -303,20 +306,20 @@ impl Recorded {
     }
 }
 
-/// A forked env's throughput window and `B_max`, and HYB's estimator over
-/// them, as of a row's fill count.
+/// A forked env's throughput window, and HYB's estimator over it, as of a
+/// row's fill count.
 #[derive(Debug)]
 struct Shadow {
     history: VecDeque<f64>,
-    bmax: f64,
     estimator: EwmaEstimator,
 }
 
 /// One pass's common random numbers: `samples × steps` segment draws,
 /// row `m` filled lazily, in segment order, from [`rollout_stream`]`(seed,
 /// m)` by whichever candidate first reaches a segment — with, when the
-/// ABR is HYB, the `B_max` and the per-level ratios and download times of
-/// each segment beside its draw, and the rollouts HYB candidates recorded.
+/// ABR is HYB, the per-level ratios of each segment beside its draw, its
+/// `B_max` once a step has read it, and the rollouts HYB candidates
+/// recorded.
 #[derive(Debug, Default)]
 struct DrawTable {
     /// The seed of the pass begun last.
@@ -328,13 +331,14 @@ struct DrawTable {
     steps: usize,
     table: Vec<SegmentDraw>,
     /// HYB columns: per slot, whether the estimate exists and the `B_max`
-    /// the segment steps under; per slot and level (`slot × levels +
-    /// level`), `size / estimate` and `size / bandwidth`.
+    /// the segment steps under (NaN until a step reads it); per slot and
+    /// level (`slot × levels + level`), `size / estimate`. `floor` is the
+    /// policy's lowest possible `B_max` ([`lingxi_player::BmaxPolicy::floor`]).
     levels: usize,
+    floor: f64,
     estimated: Vec<bool>,
     bmax: Vec<f64>,
     ratio: Vec<f64>,
-    download: Vec<f64>,
     streams: Vec<StdRng>,
     filled: Vec<usize>,
     shadows: Vec<Shadow>,
@@ -343,6 +347,8 @@ struct DrawTable {
     live: Option<LiveKey>,
     recorded: Vec<Vec<Recorded>>,
     stalls: Vec<f64>,
+    /// What the evaluations on this table have done, across keys.
+    work: RolloutWork,
 }
 
 impl DrawTable {
@@ -367,7 +373,6 @@ impl DrawTable {
             player: *env.config(),
             segment_index: env.segment_index(),
             history,
-            bmax: env.bmax(),
             alpha,
         });
         let (samples, steps) = (config.samples, config.segments_per_sample());
@@ -382,18 +387,16 @@ impl DrawTable {
         self.forget_rollouts();
         if let Some(estimator) = estimator {
             self.levels = ladder.len();
+            self.floor = env.config().bmax.floor();
             self.estimated.resize(samples * steps, false);
-            self.bmax.resize(samples * steps, 0.0);
+            self.bmax.resize(samples * steps, f64::NAN);
             self.ratio.resize(samples * steps * self.levels, 0.0);
-            self.download.resize(samples * steps * self.levels, 0.0);
             self.shadows.resize_with(samples, || Shadow {
                 history: VecDeque::new(),
-                bmax: 0.0,
                 estimator,
             });
             for shadow in &mut self.shadows {
                 shadow.history.clone_from(env.throughput_history());
-                shadow.bmax = env.bmax();
                 shadow.estimator = estimator;
             }
         }
@@ -453,6 +456,9 @@ impl DrawTable {
             exit_u,
         };
         if key.alpha.is_some() {
+            // Every check a live step makes on the draw; the sizes were
+            // checked with the key.
+            validate_draw(bandwidth_kbps, key.config.segment_duration, rtt).map_err(subsystem)?;
             // What a forked env and HYB's estimator over it hold before
             // segment k, then the player's window update with the
             // segment's throughput.
@@ -464,29 +470,52 @@ impl DrawTable {
             );
             let estimate = shadow.estimator.estimate();
             self.estimated[slot] = estimate.is_some();
-            self.bmax[slot] = shadow.bmax;
-            // HYB's and Eq. 3's divisions, once per level, behind every
-            // check a live step makes.
-            let row = slot * self.levels..(slot + 1) * self.levels;
-            let columns = self.ratio[row.clone()]
-                .iter_mut()
-                .zip(&mut self.download[row]);
-            for (level, (ratio, download)) in columns.enumerate() {
-                let size = sizes.size_kbits(k, level).map_err(subsystem)?;
-                validate_step(size, bandwidth_kbps, key.config.segment_duration, rtt)
-                    .map_err(subsystem)?;
-                *ratio = estimate.map_or(f64::NAN, |estimate| size / estimate);
-                *download = size / bandwidth_kbps;
+            self.bmax[slot] = f64::NAN;
+            // HYB's division, once per level.
+            if let Some(estimate) = estimate {
+                let row = slot * self.levels..(slot + 1) * self.levels;
+                for (level, ratio) in self.ratio[row].iter_mut().enumerate() {
+                    *ratio = sizes.size_kbits(k, level).map_err(subsystem)? / estimate;
+                }
             }
-            shadow.bmax = slide_window(
-                &key.player,
-                &mut shadow.history,
-                shadow.bmax,
-                bandwidth_kbps,
-            );
+            slide_window(&key.player, &mut shadow.history, bandwidth_kbps);
         }
         Ok(())
     }
+
+    /// The `B_max` segment `k` of rollout `m` steps under, fitted on its
+    /// first read: the policy's cap over the forked env's window before
+    /// the segment — the key's history, then the row's first `k`
+    /// bandwidth draws, the last `history_window` of them in that order,
+    /// as the player's own window would hold them.
+    fn bmax(&mut self, m: usize, k: usize) -> f64 {
+        let slot = m * self.steps + k;
+        if self.bmax[slot].is_nan() {
+            let key = self.key.as_ref().expect("a keyed table");
+            let window = key.player.history_window;
+            let drawn = &self.table[slot - k.min(window)..slot];
+            let kept = key.history.len().min(window - drawn.len());
+            let history = &key.history[key.history.len() - kept..];
+            let rates = history
+                .iter()
+                .copied()
+                .chain(drawn.iter().map(|draw| draw.bandwidth_kbps));
+            let policy = &key.player.bmax;
+            self.bmax[slot] = policy.refreshed(policy.initial(), rates);
+            self.work.bmax_fits += 1;
+        }
+        self.bmax[slot]
+    }
+}
+
+/// Check every size of the virtual video as a live step checks a segment's.
+fn validate_sizes(sizes: &SegmentSizes, levels: usize) -> Result<()> {
+    for k in 0..sizes.n_segments() {
+        for level in 0..levels {
+            validate_size(sizes.size_kbits(k, level).map_err(subsystem)?).map_err(subsystem)?;
+        }
+    }
+    Ok(())
 }
 
 /// Reusable scratch space for Monte-Carlo evaluations: the virtual video
@@ -501,7 +530,6 @@ impl DrawTable {
 pub struct McScratch {
     sizes: Option<SegmentSizes>,
     draws: DrawTable,
-    work: RolloutWork,
 }
 
 impl McScratch {
@@ -539,9 +567,9 @@ impl McScratch {
     }
 
     /// The virtual segments this scratch's evaluations have stepped and
-    /// replayed since it was created.
+    /// replayed, and the table `B_max`s they fitted, since it was created.
     pub fn work(&self) -> RolloutWork {
-        self.work
+        self.draws.work
     }
 
     /// Key the table to this evaluation and build the virtual video, both
@@ -588,6 +616,9 @@ impl McScratch {
                 }),
             }
             .map_err(subsystem)?;
+            if estimator.is_some() {
+                validate_sizes(self.sizes.as_ref().expect("built above"), ladder.len())?;
+            }
             self.draws
                 .rekey(config, bandwidth, env, ladder, estimator, alpha);
         }
@@ -658,7 +689,7 @@ pub fn evaluate_in_pass(
     }
     let alpha = abr.hyb_alpha();
     scratch.prepare(config, bandwidth, env, ladder, alpha)?;
-    let McScratch { sizes, draws, work } = scratch;
+    let McScratch { sizes, draws } = scratch;
     let rollouts = Rollouts {
         config,
         ladder,
@@ -683,7 +714,6 @@ pub fn evaluate_in_pass(
                     stalls_from: 0,
                 },
                 draws,
-                work,
             )
         }
         None => {
@@ -695,7 +725,6 @@ pub fn evaluate_in_pass(
                     env: env.clone(),
                 },
                 draws,
-                work,
             )
         }
     }
@@ -776,8 +805,8 @@ impl Rollout for ForkedRollout {
     }
 }
 
-/// HYB at the candidate's β: the table holds each segment's `B_max`,
-/// ratios and download times, so a rollout carries only its buffer, last
+/// HYB at the candidate's β: the table holds each segment's draw, ratios
+/// and (once read) `B_max`, so a rollout carries only its buffer, last
 /// level and the β interval its decisions allow.
 struct HybRollout {
     beta: f64,
@@ -848,8 +877,7 @@ impl Rollout for HybRollout {
     ) -> Result<Step> {
         let slot = draws.fill(m, k, ctx.sizes)?;
         let draw = draws.table[slot];
-        let row = slot * draws.levels..(slot + 1) * draws.levels;
-        let ratios = &draws.ratio[row.clone()];
+        let ratios = &draws.ratio[slot * draws.levels..(slot + 1) * draws.levels];
         let level = Hyb::decide(
             self.beta,
             ratios.len(),
@@ -859,11 +887,20 @@ impl Rollout for HybRollout {
             ctx.segment_duration,
             self,
         );
+        let size = ctx.sizes.size_kbits(k, level).map_err(subsystem)?;
+        let download_time = size / draw.bandwidth_kbps;
+        let bmax = bmax_for_step(
+            self.buffer,
+            download_time,
+            ctx.segment_duration,
+            draws.floor,
+            || draws.bmax(m, k),
+        );
         let outcome = buffer_step_timed(
             self.buffer,
-            draws.bmax[slot],
+            bmax,
             self.startup && k == 0,
-            draws.download[row][level],
+            download_time,
             draw.bandwidth_kbps,
             ctx.segment_duration,
             draw.rtt,
@@ -909,12 +946,7 @@ struct Rollouts<'a> {
 
 impl Rollouts<'_> {
     /// Algorithm 2's loop over `M` rollouts of `rollout`'s player side.
-    fn run<S: Rollout>(
-        self,
-        rollout: &mut S,
-        draws: &mut DrawTable,
-        work: &mut RolloutWork,
-    ) -> Result<McEvaluation> {
+    fn run<S: Rollout>(self, rollout: &mut S, draws: &mut DrawTable) -> Result<McEvaluation> {
         let Rollouts {
             config,
             ladder,
@@ -949,7 +981,7 @@ impl Rollouts<'_> {
                 for &stall in &draws.stalls[recorded.stalls.clone()] {
                     total_stall += stall;
                 }
-                work.replayed += recorded.watched as u64;
+                draws.work.replayed += recorded.watched as u64;
             } else {
                 // Fork the live state (S_sim ← S, E_sim ← E_player).
                 rollout.start(env, draws);
@@ -1025,7 +1057,7 @@ impl Rollouts<'_> {
                 }
                 watched += rollout_watched;
                 exited += usize::from(exit);
-                work.stepped += rollout_watched as u64;
+                draws.work.stepped += rollout_watched as u64;
                 rollout.finish(m, rollout_watched, exit, draws);
             }
             rollouts += 1;
@@ -1340,9 +1372,72 @@ mod tests {
             work,
             RolloutWork {
                 stepped: 219,
-                replayed: 244
+                replayed: 244,
+                bmax_fits: 0,
             }
         );
+    }
+
+    /// Every slot's on-demand `B_max` is the one an eager shadow of the
+    /// forked env holds before the segment: refreshed over the window
+    /// after every draw, from the live env's cap. An adaptive policy on a
+    /// link whose window's μ−σ moves between the pivots, over a pass long
+    /// enough to slide the window past the live history.
+    #[test]
+    fn on_demand_table_bmax_equals_an_eager_shadows() {
+        let mut env = PlayerEnv::new(PlayerConfig::default()).unwrap();
+        for (size, level, kbps) in [
+            (700.0, 0, 9000.0),
+            (1600.0, 1, 15_000.0),
+            (800.0, 0, 4000.0),
+        ] {
+            env.step_with_rtt(size, level, kbps, 2.0, 0.05).unwrap();
+        }
+        let mut scratch = McScratch::new();
+        scratch.begin_pass(23);
+        for beta in [0.6, 0.9, 1.3] {
+            evaluate_in_pass(
+                &mut Hyb::default_rule(),
+                QoeParams {
+                    beta,
+                    ..QoeParams::default()
+                },
+                NormalDist::new(9000.0, 6000.0).unwrap(),
+                &UserStateTracker::new(),
+                &env,
+                &BitrateLadder::default_short_video(),
+                &mut ConstantPredictor { p: 0.0 },
+                &McConfig::default(),
+                None,
+                &mut scratch,
+            )
+            .unwrap();
+        }
+        let policy = env.config().bmax;
+        let fits = scratch.work().bmax_fits;
+        let (mut fitted, mut distinct) = (0, std::collections::BTreeSet::new());
+        for m in 0..McConfig::default().samples {
+            let draws: Vec<SegmentDraw> = scratch.rollout_draws(m).to_vec();
+            assert_eq!(draws.len(), McConfig::default().segments_per_sample());
+            let mut history = env.throughput_history().clone();
+            let mut eager = env.bmax();
+            for (k, draw) in draws.iter().enumerate() {
+                let read_by_a_step = !scratch.draws.bmax[m * scratch.draws.steps + k].is_nan();
+                fitted += u64::from(read_by_a_step);
+                let on_demand = scratch.draws.bmax(m, k);
+                assert_eq!(
+                    on_demand.to_bits(),
+                    eager.to_bits(),
+                    "rollout {m} segment {k}"
+                );
+                distinct.insert(on_demand.to_bits());
+                slide_window(env.config(), &mut history, draw.bandwidth_kbps);
+                eager = policy.refreshed(eager, history.iter().copied());
+            }
+        }
+        assert!(fitted > 0, "no step read a cap");
+        assert_eq!(fits, fitted, "one fit per slot a step read");
+        assert!(distinct.len() > 8, "{} distinct caps", distinct.len());
     }
 
     #[test]

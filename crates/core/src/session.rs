@@ -37,7 +37,9 @@ use crate::{CoreError, Result};
 /// Monte-Carlo rollout scratch; a caller that owns one `SessionBuffers`
 /// and lends it to every [`play`] amortizes both across the sessions it
 /// runs, and reads each session's log and deployments back from it. The
-/// fleet engine builds one per user agent per epoch.
+/// fleet engine lends one per worker to the users it plays one after
+/// another (independent mode); on a shared link, where a link's users are
+/// live at once, each user agent holds its own for the epoch.
 #[derive(Debug)]
 pub struct SessionBuffers {
     log: SessionLog,

@@ -14,7 +14,7 @@
 //! - a scratch reused across passes equals a fresh one, and so does one
 //!   that evaluated another live state under the same pass seed: the
 //!   table is keyed by the forked env as well as by the seed;
-//! - HYB's kernel (the table's `B_max`, ratio and download-time columns, a
+//! - HYB's kernel (the table's ratio column and on-demand `B_max`, a
 //!   rollout carrying only buffer and last level, and a candidate adding a
 //!   sibling's recorded rollout wherever its β lies strictly inside that
 //!   rollout's β interval) equals HYB played through its own `select` on

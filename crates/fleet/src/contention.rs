@@ -81,11 +81,18 @@ struct ArrivalPayload {
     size_kbits: f64,
 }
 
-/// Reusable hot-path buffers for one worker's link groups. Owned by the
-/// engine (one per worker) and carried across epochs, so the steady
-/// state allocates nothing per epoch or per link.
+/// Reusable hot-path buffers for one worker's units. Owned by the engine
+/// (one per worker) and carried across epochs, so the steady state
+/// allocates nothing per epoch or per link — nor, in independent mode, per
+/// user.
 #[derive(Default)]
 pub(crate) struct ContentionScratch {
+    /// Independent mode: the session buffers (log, deployments,
+    /// Monte-Carlo scratch) and private-trace samples lent to each agent
+    /// in turn, which play one after another. Contended agents are live
+    /// at once and keep their own.
+    buffers: SessionBuffers,
+    samples: Vec<f64>,
     /// Pending arrivals, cleared between links.
     queue: TimerWheel<ArrivalPayload>,
     /// Per-agent flow caps, indexed by the agent's event key
@@ -177,11 +184,13 @@ impl<'a> LinkAgent<'a> {
         let exit_model = user.exit_model_for_day(&ToleranceDrift::default(), &mut rng);
         let policy = ctx.scenario.abr_mix.policy_for(user.id);
         let managed = if policy.managed() && engine.lingxi_active(user.id, ctx.epoch) {
-            // Warm-start the controller from the user's persisted state.
-            let state = ctx.cache.load_or_new(user.id).map_err(sub)?;
+            // Warm-start the controller from the user's persisted state;
+            // the tracker lives in the controller until `finish` moves it
+            // back.
+            let mut state = ctx.cache.load_or_new(user.id).map_err(sub)?;
             let controller = LingXiController::with_state(
                 policy.lingxi_config(),
-                state.tracker.clone(),
+                std::mem::take(&mut state.tracker),
                 state.params,
             )
             .map_err(sub)?;
@@ -253,13 +262,16 @@ impl<'a> LinkAgent<'a> {
 
     /// Independent mode: play the whole epoch, each session start to
     /// finish over its own private trace (drawn right after its video,
-    /// generated on demand into one sample buffer the sessions reuse).
+    /// generated on demand into one sample buffer the sessions reuse),
+    /// on the session buffers and samples `lent` holds.
     pub(crate) fn run_private(
         mut self,
         cache: &ShardedStateCache,
         sketches: &mut EpochSketches,
+        lent: &mut ContentionScratch,
     ) -> Result<UserEpochRow> {
-        let mut samples = Vec::new();
+        std::mem::swap(&mut self.parts.buffers, &mut lent.buffers);
+        let mut samples = std::mem::take(&mut lent.samples);
         while self.sessions_left > 0 {
             let video = self.next_video();
             let trace = self
@@ -277,6 +289,8 @@ impl<'a> LinkAgent<'a> {
             samples = trace.into_samples().map_err(sub)?;
             self.end_session(session, sketches);
         }
+        lent.samples = samples;
+        std::mem::swap(&mut self.parts.buffers, &mut lent.buffers);
         self.finish(cache)
     }
 
@@ -313,11 +327,16 @@ impl<'a> LinkAgent<'a> {
     /// epoch barrier or an LRU eviction batches it into the durable store)
     /// and emit the row.
     fn finish(self, cache: &ShardedStateCache) -> Result<UserEpochRow> {
-        if let Some(mut parts) = self.parts.managed {
-            parts.state.tracker = parts.controller.tracker().clone();
-            parts.state.params = parts.controller.params();
-            parts.state.optimizations += parts.controller.optimizations();
-            cache.save(&parts.state).map_err(sub)?;
+        if let Some(ManagedParts {
+            controller,
+            mut state,
+            ..
+        }) = self.parts.managed
+        {
+            state.params = controller.params();
+            state.optimizations += controller.optimizations();
+            state.tracker = controller.into_tracker();
+            cache.save(&state).map_err(sub)?;
         }
         Ok(UserEpochRow {
             user_id: self.user.id,
@@ -344,6 +363,7 @@ pub(crate) fn run_link_epoch(
         caps,
         routes,
         rho,
+        ..
     } = scratch;
     let WorkerOutput {
         sketches, solver, ..

@@ -763,7 +763,7 @@ impl FleetEngine {
         }
         for &i in members {
             let agent = LinkAgent::new(self, ctx, &ctx.cohort[i as usize], self.config.player)?;
-            rows.push(agent.run_private(ctx.cache, &mut out.sketches)?);
+            rows.push(agent.run_private(ctx.cache, &mut out.sketches, scratch)?);
         }
         Ok(())
     }

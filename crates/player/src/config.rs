@@ -1,7 +1,5 @@
 //! Player configuration: buffer cap policy and RTT.
 
-use std::collections::VecDeque;
-
 use lingxi_net::RttModel;
 use lingxi_stats::NormalDist;
 
@@ -60,8 +58,13 @@ impl BmaxPolicy {
                 weak_kbps,
                 strong_kbps,
             } => {
-                if !(cap_weak > 0.0 && cap_strong > 0.0) {
-                    return Err(PlayerError::InvalidConfig("caps must be positive".into()));
+                // A non-finite cap would turn the interpolation into NaN,
+                // which `f64::min`/`max` drop: the buffer would go uncapped.
+                let valid = |cap: f64| cap > 0.0 && cap.is_finite();
+                if !(valid(cap_weak) && valid(cap_strong)) {
+                    return Err(PlayerError::InvalidConfig(
+                        "caps must be positive and finite".into(),
+                    ));
                 }
                 if !(strong_kbps > weak_kbps && weak_kbps > 0.0) {
                     return Err(PlayerError::InvalidConfig(
@@ -73,17 +76,50 @@ impl BmaxPolicy {
         Ok(())
     }
 
-    /// The cap once the player's throughput window is `history`: a fixed
-    /// cap keeps `current` (the player pinned it at construction, and
-    /// fitting the window just to discard the fit would be pure per-step
-    /// overhead); an adaptive one is re-evaluated on the window's normal
-    /// fit, keeping `current` while the window is empty.
-    pub fn refreshed(&self, current: f64, history: &VecDeque<f64>) -> f64 {
+    /// The cap of a player that has observed nothing yet: the fixed cap,
+    /// or the weak-link cap of an adaptive policy.
+    pub fn initial(&self) -> f64 {
+        match *self {
+            BmaxPolicy::Fixed(cap) => cap,
+            BmaxPolicy::BandwidthAdaptive { cap_weak, .. } => cap_weak,
+        }
+    }
+
+    /// A lower bound on every cap [`BmaxPolicy::cap`] (so
+    /// [`BmaxPolicy::refreshed`]) can return for a valid policy. Fixed:
+    /// the cap. Adaptive: the least of the two caps and the interpolation's
+    /// float value at `t = 1`, `fl(cap_weak + fl(cap_strong − cap_weak))`.
+    /// Each rounding in `cap_weak + t·(cap_strong − cap_weak)` is monotone,
+    /// so for `t` in `[0, 1]` its float value lies between those at the two
+    /// ends; the end at `t = 1` can round below `cap_strong` when
+    /// `cap_weak ≫ cap_strong`.
+    pub fn floor(&self) -> f64 {
+        match *self {
+            BmaxPolicy::Fixed(cap) => cap,
+            BmaxPolicy::BandwidthAdaptive {
+                cap_weak,
+                cap_strong,
+                ..
+            } => cap_weak
+                .min(cap_strong)
+                .min(cap_weak + (cap_strong - cap_weak)),
+        }
+    }
+
+    /// The cap once the player's throughput window is `window` (its rates,
+    /// oldest first; iterated twice, for the fit's mean and spread): a
+    /// fixed cap keeps `current` (fitting the window just to discard the
+    /// fit would be pure overhead); an adaptive one is evaluated on the
+    /// window's normal fit, keeping `current` while the window is empty
+    /// (or its fit is not finite, which takes rates beyond 1e150 kbps).
+    pub fn refreshed<I>(&self, current: f64, window: I) -> f64
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
         if matches!(self, BmaxPolicy::Fixed(_)) {
             return current;
         }
-        let (front, back) = history.as_slices();
-        NormalDist::fit_slices(front, back).map_or(current, |model| self.cap(&model))
+        NormalDist::fit_iter(window).map_or(current, |model| self.cap(&model))
     }
 
     /// Evaluate the cap (seconds) for the given bandwidth model.

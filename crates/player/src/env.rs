@@ -9,17 +9,6 @@ use crate::config::PlayerConfig;
 use crate::log::SegmentRecord;
 use crate::{PlayerError, Result};
 
-/// One stall event: when it started (wall time) and how long it lasted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StallEvent {
-    /// Wall-clock time the stall began (seconds since session start).
-    pub at: f64,
-    /// Stall duration in seconds.
-    pub duration: f64,
-    /// Segment index being downloaded when the stall occurred.
-    pub segment: usize,
-}
-
 /// Outcome of downloading + playing one segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentOutcome {
@@ -57,12 +46,10 @@ pub struct PlayerEnv {
     /// `config.history_window`. A ring buffer: the steady-state
     /// push-newest/drop-oldest cycle is allocation-free.
     throughput_history: VecDeque<f64>,
-    /// All stall events so far.
-    stalls: Vec<StallEvent>,
+    /// Rebuffer stalls so far.
+    stall_count: usize,
     /// Cumulative stall seconds.
     total_stall: f64,
-    /// Current `B_max` (seconds), refreshed by [`slide_window`].
-    bmax: f64,
     /// Startup (initial buffering) delay in seconds — tracked separately
     /// from rebuffer stalls, as production players do.
     startup_delay: f64,
@@ -78,17 +65,16 @@ impl Clone for PlayerEnv {
             segment_index: self.segment_index,
             last_level: self.last_level,
             throughput_history: self.throughput_history.clone(),
-            stalls: self.stalls.clone(),
+            stall_count: self.stall_count,
             total_stall: self.total_stall,
-            bmax: self.bmax,
             startup_delay: self.startup_delay,
         }
     }
 
     /// Buffer-reusing fork: the Monte-Carlo evaluator re-seeds one scratch
-    /// env from the live player once per rollout, so the histories' and
-    /// stall log's allocations must survive the copy instead of being
-    /// dropped and re-made thousands of times per optimization pass.
+    /// env from the live player once per rollout, so the throughput
+    /// window's allocation must survive the copy instead of being dropped
+    /// and re-made thousands of times per optimization pass.
     fn clone_from(&mut self, source: &Self) {
         self.config = source.config;
         self.buffer = source.buffer;
@@ -98,9 +84,8 @@ impl Clone for PlayerEnv {
         self.last_level = source.last_level;
         self.throughput_history
             .clone_from(&source.throughput_history);
-        self.stalls.clone_from(&source.stalls);
+        self.stall_count = source.stall_count;
         self.total_stall = source.total_stall;
-        self.bmax = source.bmax;
         self.startup_delay = source.startup_delay;
     }
 }
@@ -109,11 +94,6 @@ impl PlayerEnv {
     /// Fresh environment with an empty buffer.
     pub fn new(config: PlayerConfig) -> Result<Self> {
         config.validate()?;
-        let bmax = match config.bmax {
-            crate::config::BmaxPolicy::Fixed(c) => c,
-            // Until we have observations, start from the weak-link cap.
-            crate::config::BmaxPolicy::BandwidthAdaptive { cap_weak, .. } => cap_weak,
-        };
         Ok(Self {
             config,
             buffer: 0.0,
@@ -124,9 +104,8 @@ impl PlayerEnv {
             // One slot of headroom: `step` pushes before trimming, and a
             // ring at capacity never reallocates.
             throughput_history: VecDeque::with_capacity(config.history_window + 1),
-            stalls: Vec::new(),
+            stall_count: 0,
             total_stall: 0.0,
-            bmax,
             startup_delay: 0.0,
         })
     }
@@ -162,11 +141,6 @@ impl PlayerEnv {
         &self.throughput_history
     }
 
-    /// All stall events.
-    pub fn stalls(&self) -> &[StallEvent] {
-        &self.stalls
-    }
-
     /// Total stall seconds.
     pub fn total_stall(&self) -> f64 {
         self.total_stall
@@ -174,12 +148,18 @@ impl PlayerEnv {
 
     /// Stall count.
     pub fn stall_count(&self) -> usize {
-        self.stalls.len()
+        self.stall_count
     }
 
-    /// Current buffer cap (seconds).
+    /// Current buffer cap `B_max = f(N)` (seconds): the policy's cap over
+    /// the throughput window, its [`BmaxPolicy::initial`] cap before the
+    /// first download. Fitted on every call — a step fits it only when
+    /// it can bind ([`bmax_for_step`]).
+    ///
+    /// [`BmaxPolicy::initial`]: crate::BmaxPolicy::initial
     pub fn bmax(&self) -> f64 {
-        self.bmax
+        let policy = &self.config.bmax;
+        policy.refreshed(policy.initial(), self.throughput_history.iter().copied())
     }
 
     /// Startup (initial-buffering) delay in seconds.
@@ -225,7 +205,8 @@ impl PlayerEnv {
     /// stream shared by every candidate of a pass.
     ///
     /// Implements Eq. 3 verbatim ([`validate_step`], then
-    /// [`buffer_step_timed`]); also advances clocks and histories.
+    /// [`buffer_step_timed`] under [`bmax_for_step`]'s cap); also advances
+    /// clocks and histories.
     pub fn step_with_rtt(
         &mut self,
         size_kbits: f64,
@@ -236,11 +217,19 @@ impl PlayerEnv {
     ) -> Result<SegmentOutcome> {
         let is_startup = self.segment_index == 0;
         validate_step(size_kbits, bandwidth_kbps, segment_duration, rtt)?;
+        let download_time = size_kbits / bandwidth_kbps;
+        let bmax = bmax_for_step(
+            self.buffer,
+            download_time,
+            segment_duration,
+            self.config.bmax.floor(),
+            || self.bmax(),
+        );
         let outcome = buffer_step_timed(
             self.buffer,
-            self.bmax,
+            bmax,
             is_startup,
-            size_kbits / bandwidth_kbps,
+            download_time,
             bandwidth_kbps,
             segment_duration,
             rtt,
@@ -268,11 +257,7 @@ impl PlayerEnv {
             self.buffer + segment_duration,
         );
         if stall_time > 0.0 {
-            self.stalls.push(StallEvent {
-                at: self.wall_time + self.buffer, // stall begins when buffer empties
-                duration: stall_time,
-                segment: self.segment_index,
-            });
+            self.stall_count += 1;
             self.total_stall += stall_time;
         }
         self.wall_time += wall_delta;
@@ -281,10 +266,9 @@ impl PlayerEnv {
         self.segment_index += 1;
         self.last_level = Some(level);
 
-        self.bmax = slide_window(
+        slide_window(
             &self.config,
             &mut self.throughput_history,
-            self.bmax,
             outcome.throughput_kbps,
         );
 
@@ -315,38 +299,63 @@ impl PlayerEnv {
 }
 
 /// A player's window update after a download: push `throughput_kbps` onto
-/// `history`, drop the oldest beyond `config.history_window`, and return
-/// `bmax` refreshed over the window (`B_max = f(N)`).
-pub fn slide_window(
-    config: &PlayerConfig,
-    history: &mut VecDeque<f64>,
-    bmax: f64,
-    throughput_kbps: f64,
-) -> f64 {
+/// `history` and drop the oldest beyond `config.history_window`. The cap
+/// over the window is not refreshed here: a step fits it when it reads it
+/// ([`bmax_for_step`]).
+pub fn slide_window(config: &PlayerConfig, history: &mut VecDeque<f64>, throughput_kbps: f64) {
     history.push_back(throughput_kbps);
     if history.len() > config.history_window {
         history.pop_front();
     }
-    config.bmax.refreshed(bmax, history)
 }
 
-/// The checks [`PlayerEnv::step_with_rtt`] makes on its inputs, in its
-/// order: a positive, finite bandwidth and segment size, a positive
-/// segment duration and a non-negative RTT.
+/// The `B_max` a step of Eq. 3 from `buffer` must be given: `floor` (a
+/// lower bound on every cap the policy can return, [`BmaxPolicy::floor`])
+/// while the post-download buffer `[B − d/C]_+ + L` stays at or below it,
+/// else `bmax()`, the cap fitted over the window.
+///
+/// [`buffer_step_timed`] reads the cap only through the overflow
+/// `max(B' − B_max, 0)` and the clamp `min(·, B_max)` of a value at most
+/// `B'`; with `B' ≤ floor ≤ B_max` the first is 0 and the second a no-op
+/// for every cap, so the outcome is bit for bit the one under the fitted
+/// cap, and the fit is skipped.
+///
+/// [`BmaxPolicy::floor`]: crate::BmaxPolicy::floor
+pub fn bmax_for_step(
+    buffer: f64,
+    download_time: f64,
+    segment_duration: f64,
+    floor: f64,
+    bmax: impl FnOnce() -> f64,
+) -> f64 {
+    let after_download = (buffer - download_time).max(0.0) + segment_duration;
+    if after_download > floor {
+        bmax()
+    } else {
+        floor
+    }
+}
+
+/// The checks [`PlayerEnv::step_with_rtt`] makes on its inputs: those on
+/// the link ([`validate_draw`]), then a positive, finite segment size
+/// ([`validate_size`]).
 pub fn validate_step(
     size_kbits: f64,
     bandwidth_kbps: f64,
     segment_duration: f64,
     rtt: f64,
 ) -> Result<()> {
+    validate_draw(bandwidth_kbps, segment_duration, rtt)?;
+    validate_size(size_kbits)
+}
+
+/// [`validate_step`]'s checks on what a segment's download draws: a
+/// positive, finite bandwidth, a positive segment duration and a
+/// non-negative RTT.
+pub fn validate_draw(bandwidth_kbps: f64, segment_duration: f64, rtt: f64) -> Result<()> {
     if !(bandwidth_kbps > 0.0) || !bandwidth_kbps.is_finite() {
         return Err(PlayerError::InvalidStep(format!(
             "bandwidth must be positive, got {bandwidth_kbps}"
-        )));
-    }
-    if !(size_kbits > 0.0) || !size_kbits.is_finite() {
-        return Err(PlayerError::InvalidStep(format!(
-            "segment size must be positive, got {size_kbits}"
         )));
     }
     if !(segment_duration > 0.0) {
@@ -362,13 +371,23 @@ pub fn validate_step(
     Ok(())
 }
 
+/// [`validate_step`]'s check on the segment: a positive, finite size.
+pub fn validate_size(size_kbits: f64) -> Result<()> {
+    if !(size_kbits > 0.0) || !size_kbits.is_finite() {
+        return Err(PlayerError::InvalidStep(format!(
+            "segment size must be positive, got {size_kbits}"
+        )));
+    }
+    Ok(())
+}
+
 /// Eq. 3 on a bare buffer: the outcome of a `download_time` of
 /// `size_kbits / bandwidth_kbps`, from inputs [`validate_step`] accepted,
-/// into `buffer` seconds of content capped at `bmax`, then waiting out
-/// any overflow plus `rtt`. `startup` marks a session's first segment,
-/// whose wait is startup delay rather than a stall. Clocks and histories
-/// are the caller's: [`PlayerEnv::step_with_rtt`] advances a player's;
-/// Monte-Carlo rollouts check and divide once per table entry.
+/// into `buffer` seconds of content capped at `bmax` ([`bmax_for_step`]),
+/// then waiting out any overflow plus `rtt`. `startup` marks a session's
+/// first segment, whose wait is startup delay rather than a stall. Clocks
+/// and histories are the caller's: [`PlayerEnv::step_with_rtt`] advances a
+/// player's; Monte-Carlo rollouts check each draw once.
 pub fn buffer_step_timed(
     buffer: f64,
     bmax: f64,
@@ -552,6 +571,24 @@ mod tests {
         assert_eq!(e.segment_index(), 1);
         assert_eq!(fork.segment_index(), 2);
         assert!(fork.total_stall() > e.total_stall());
+    }
+
+    /// An infinite cap made `cap()` NaN on mid-range links (`∞ + t·(8 −
+    /// ∞)`), which the Eq. 3 clamps drop: the buffer went uncapped.
+    #[test]
+    fn infinite_adaptive_caps_are_rejected() {
+        for (cap_weak, cap_strong) in [(f64::INFINITY, 8.0), (14.0, f64::INFINITY)] {
+            let config = PlayerConfig {
+                bmax: crate::BmaxPolicy::BandwidthAdaptive {
+                    cap_weak,
+                    cap_strong,
+                    weak_kbps: 2000.0,
+                    strong_kbps: 20_000.0,
+                },
+                ..PlayerConfig::default()
+            };
+            assert!(PlayerEnv::new(config).is_err(), "{cap_weak} {cap_strong}");
+        }
     }
 
     #[test]

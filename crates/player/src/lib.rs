@@ -17,6 +17,9 @@
 //! ```
 //!
 //! `B_max` itself adapts to the bandwidth model (`B_max = f(N(μ, σ²))`).
+//! A step reads it only when `B'` exceeds the policy's lowest possible cap
+//! ([`BmaxPolicy::floor`]), so only then is the window fitted
+//! ([`bmax_for_step`]).
 //!
 //! ```
 //! use lingxi_player::{PlayerConfig, PlayerEnv};
@@ -40,7 +43,8 @@ pub mod session;
 
 pub use config::{BmaxPolicy, PlayerConfig};
 pub use env::{
-    buffer_step_timed, slide_window, validate_step, PlayerEnv, SegmentOutcome, StallEvent,
+    bmax_for_step, buffer_step_timed, slide_window, validate_draw, validate_size, validate_step,
+    PlayerEnv, SegmentOutcome,
 };
 pub use log::{switch_granularity, SegmentRecord, SessionEnd, SessionLog, SessionSummary};
 pub use session::{

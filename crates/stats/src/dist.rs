@@ -65,28 +65,30 @@ impl NormalDist {
     /// [`NormalDist::fit`] over a ring buffer's two contiguous halves,
     /// visiting `front` then `back` — the deque's iteration order, so the
     /// fit is bit-identical to `fit` over the concatenation, whatever the
-    /// split. The per-segment bandwidth-model refresh on the player hot
-    /// path fits its history window this way without copying it.
+    /// split. A player fits its history window this way without copying it.
     pub fn fit_slices(front: &[f64], back: &[f64]) -> Result<Self> {
-        let n = front.len() + back.len();
+        Self::fit_iter(front.iter().chain(back).copied())
+    }
+
+    /// [`NormalDist::fit`] over the values `samples` yields, in order: the
+    /// same sums in the same order, so bit-identical to `fit` over them
+    /// collected. Iterated twice (the mean, then the spread).
+    pub fn fit_iter<I>(samples: I) -> Result<Self>
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
+        // `for_each` folds a chain half by half, as two plain loops would.
+        let (mut n, mut sum) = (0usize, 0.0);
+        samples.clone().for_each(|x| {
+            n += 1;
+            sum += x;
+        });
         if n == 0 {
             return Err(StatsError::Empty);
         }
-        let mut sum = 0.0;
-        for &x in front {
-            sum += x;
-        }
-        for &x in back {
-            sum += x;
-        }
         let mu = sum / n as f64;
         let mut sq = 0.0;
-        for &x in front {
-            sq += (x - mu) * (x - mu);
-        }
-        for &x in back {
-            sq += (x - mu) * (x - mu);
-        }
+        samples.for_each(|x| sq += (x - mu) * (x - mu));
         let var = sq / n as f64;
         Self::new(mu, var.sqrt())
     }
@@ -158,6 +160,9 @@ mod tests {
             assert_eq!(whole.sigma.to_bits(), fast.sigma.to_bits(), "split {split}");
         }
         assert!(NormalDist::fit_slices(&[], &[]).is_err());
+        let iterated = NormalDist::fit_iter(samples.iter().copied()).unwrap();
+        assert_eq!(whole.mu.to_bits(), iterated.mu.to_bits());
+        assert_eq!(whole.sigma.to_bits(), iterated.sigma.to_bits());
     }
 
     #[test]
