@@ -32,6 +32,13 @@
 //! error at open — never skipped: the log cannot tell what the record
 //! meant to change.
 //!
+//! A save encodes its frame straight into the shard's append buffer: it
+//! reserves the 8-byte header, writes the payload from the state's
+//! borrowed fields (the tracker's windows are never copied), then patches
+//! in the length and the CRC. A state that fails to encode (a window
+//! longer than 255 values) is truncated away, leaving the buffer and the
+//! shard's index as they were.
+//!
 //! The snapshot's sorted `(user_id, offset, len)` index block stays on
 //! disk. In memory each shard keeps only a sparse *fence index*, as
 //! SSTable stores do: the user id of every 128th entry plus the last one.
@@ -302,24 +309,24 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Encode one state as a put-record payload (op + user id + state).
+/// Encode one state as a put-record payload (op + user id + state),
+/// reading the tracker's windows in place. On error `out` may hold part
+/// of the payload; [`append_frame`] truncates it away.
 fn encode_put_payload(state: &LongTermState, out: &mut Vec<u8>) -> Result<()> {
     out.push(OP_PUT);
     put_u64(out, state.user_id);
-    let t = state.tracker.to_parts();
-    put_f64_vec(out, &t.bitrates)?;
-    put_f64_vec(out, &t.throughputs)?;
-    put_f64_vec(out, &t.stall_times)?;
-    put_f64_vec(out, &t.stall_intervals)?;
-    put_f64_vec(out, &t.stall_exit_intervals)?;
-    match t.last_stall_at {
+    let t = &state.tracker;
+    for window in t.windows() {
+        put_f64_vec(out, window)?;
+    }
+    match t.last_stall_at() {
         Some(at) => {
             out.push(1);
             put_f64(out, at);
         }
         None => out.push(0),
     }
-    put_f64(out, t.clock);
+    put_f64(out, t.clock());
     put_f64(out, state.params.stall_weight);
     put_f64(out, state.params.switch_weight);
     put_f64(out, state.params.beta);
@@ -365,12 +372,22 @@ fn decode_put_payload(payload: &[u8]) -> Result<LongTermState> {
     Ok(state)
 }
 
-/// Frame a payload (length prefix + CRC) onto `out`; returns frame length.
-fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> u32 {
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
-    (payload.len() + FRAME_OVERHEAD) as u32
+/// Append one frame to `out` whose payload `encode` writes in place: the
+/// 8-byte header is reserved first, then patched with the payload's length
+/// and CRC. When `encode` fails, `out` is truncated back to where it stood.
+/// Returns the frame's length.
+fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<u32> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_OVERHEAD]);
+    if let Err(e) = encode(out) {
+        out.truncate(start);
+        return Err(e);
+    }
+    let (head, payload) = out[start..].split_at_mut(FRAME_OVERHEAD);
+    // A payload is at most five u8-length windows plus fixed fields.
+    head[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok((out.len() - start) as u32)
 }
 
 fn file_header(kind: u16, shard: u32, shard_count: u32) -> [u8; HEADER_LEN as usize] {
@@ -1057,11 +1074,13 @@ impl BinaryStateLog {
         &self.shards[(h >> 32) as usize % self.shards.len()]
     }
 
-    /// Append one framed put record to a shard, updating its tail index.
-    fn append(&self, shard: &mut Shard, user_id: u64, payload: &[u8]) -> Result<()> {
+    /// Encode one put record straight into a shard's append buffer and
+    /// update its tail index. A state that fails to encode leaves the
+    /// buffer and the index as they were.
+    fn append(&self, shard: &mut Shard, state: &LongTermState) -> Result<()> {
         let off = shard.committed + shard.buf.len() as u64;
-        let len = append_frame(&mut shard.buf, payload);
-        shard.tail.insert(user_id, TailLoc { off, len });
+        let len = append_frame(&mut shard.buf, |out| encode_put_payload(state, out))?;
+        shard.tail.insert(state.user_id, TailLoc { off, len });
         if shard.buf.len() >= self.config.buffer_bytes {
             shard.write_buf()?;
         }
@@ -1147,19 +1166,14 @@ impl BinaryStateLog {
 
 impl StateBackend for BinaryStateLog {
     fn save(&self, state: &LongTermState) -> Result<()> {
-        let mut payload = Vec::with_capacity(256);
-        encode_put_payload(state, &mut payload)?;
         let mut shard = self.shard_of(state.user_id).lock();
-        self.append(&mut shard, state.user_id, &payload)
+        self.append(&mut shard, state)
     }
 
     fn save_batch(&self, batch: &[&LongTermState]) -> Result<usize> {
-        let mut payload = Vec::with_capacity(256);
         for state in batch {
-            payload.clear();
-            encode_put_payload(state, &mut payload)?;
             let mut shard = self.shard_of(state.user_id).lock();
-            self.append(&mut shard, state.user_id, &payload)?;
+            self.append(&mut shard, state)?;
         }
         Ok(batch.len())
     }
@@ -1280,6 +1294,48 @@ mod tests {
         let back = decode_put_payload(&payload).unwrap();
         assert_eq!(back, s);
         assert!(back.params.stall_weight.is_sign_negative());
+    }
+
+    /// A state whose last window is longer than a record's `u8` length
+    /// fails `save` and `save_batch` after the rest of its payload was
+    /// encoded in place; the append buffer, the tail index and later loads
+    /// stay exactly as they were before the call.
+    #[test]
+    fn a_state_that_fails_to_encode_leaves_the_shard_as_it_was() {
+        let dir = temp_dir("bad_encode");
+        let cfg = BinLogConfig {
+            shards: 1,
+            ..BinLogConfig::default()
+        };
+        let log = BinaryStateLog::open(&dir, cfg).unwrap();
+        log.save(&state(1, 1)).unwrap();
+        log.save(&state(2, 2)).unwrap();
+        let shard_now = |log: &BinaryStateLog| {
+            let shard = log.shards[0].lock();
+            (shard.buf.clone(), shard.tail.clone(), shard.committed)
+        };
+        let before = shard_now(&log);
+        let mut bad = state(1, 7);
+        bad.tracker = UserStateTracker::from_parts(TrackerParts {
+            bitrates: vec![800.0; 8],
+            stall_exit_intervals: vec![1.0; 256],
+            ..TrackerParts::default()
+        });
+        for result in [log.save(&bad).map(|()| 1), log.save_batch(&[&bad])] {
+            let msg = result.unwrap_err().to_string();
+            assert!(msg.contains("window of 256 exceeds u8 length"), "{msg}");
+            assert_eq!(shard_now(&log), before);
+        }
+        assert_eq!(log.load(1).unwrap(), Some(state(1, 1)));
+        assert_eq!(log.load(2).unwrap(), Some(state(2, 2)));
+        log.save(&state(3, 3)).unwrap();
+        log.flush().unwrap();
+        drop(log);
+        let log = BinaryStateLog::open(&dir, cfg).unwrap();
+        assert!(log.recovery_warnings().is_empty());
+        assert_eq!(log.list().unwrap(), vec![1, 2, 3]);
+        assert_eq!(log.load(1).unwrap(), Some(state(1, 1)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1431,10 +1487,13 @@ mod tests {
         }
         let path = dir.join("shard_0.log");
         let offset = std::fs::metadata(&path).unwrap().len();
-        let mut payload = vec![2u8];
-        put_u64(&mut payload, 1);
         let mut frame = Vec::new();
-        append_frame(&mut frame, &payload);
+        append_frame(&mut frame, |out| {
+            out.push(2);
+            put_u64(out, 1);
+            Ok(())
+        })
+        .unwrap();
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&frame).unwrap();
         drop(f);

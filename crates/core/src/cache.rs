@@ -6,20 +6,44 @@
 //! round-trip per session. [`ShardedStateCache`] interposes an in-memory
 //! layer: user ids hash onto lock shards (interior mutability via
 //! `parking_lot::Mutex`, so workers share one `&ShardedStateCache`), each
-//! shard holds an LRU-bounded map of [`LongTermState`], and writes are
+//! shard holds an LRU-bounded set of [`LongTermState`]s, and writes are
 //! *write-behind* — they dirty the cached entry and only reach the
 //! backend in batches ([`ShardedStateCache::flush`], called at fleet
 //! epoch barriers) or when an LRU eviction forces a single entry out.
 //!
-//! The flush batch goes through [`StateBackend::save_batch`], which the
-//! [`BinaryStateLog`](crate::binlog::BinaryStateLog) turns into a
-//! handful of sequential buffered appends.
+//! **Layout.** A shard keeps its entries in a slab: slots in chunks of
+//! 64, allocated one chunk at a time as the shard fills, so no shard
+//! holds one block of `capacity_per_shard` entries and no slot ever
+//! moves. A `BTreeMap` from user id to slot index finds a user, in
+//! ascending id order. The LRU order is a doubly-linked list threaded
+//! through the slots by index: a hit moves its slot to the newest end and
+//! the victim is the oldest end, both O(1). It is the order of a
+//! per-shard use counter, so the victims are those of a
+//! `(last_used, user_id)` set.
+//!
+//! **Recycled slots.** A user admitted into a full shard takes the
+//! victim's slot, and the victim's tracker windows receive the new state
+//! through `clone_from`, so a steady-state save allocates nothing. A
+//! dirty victim is written to the backend *before* its slot is given up;
+//! if that write fails, the victim stays resident and dirty, and the call
+//! that needed the slot fails. [`ShardedStateCache::evict`] keeps the
+//! same order.
+//!
+//! **Flush.** [`ShardedStateCache::flush`] hands each shard's dirty
+//! states to [`StateBackend::save_batch`] by reference, under that
+//! shard's lock, in `(shard, user_id)` order; the
+//! [`BinaryStateLog`](crate::binlog::BinaryStateLog) encodes them
+//! straight into its append buffers. No state is copied. A slot carries
+//! the shard's save count at its last save, so once the backend is
+//! flushed an entry is marked clean only if no save has landed on it
+//! since it was written.
 //!
 //! The observable contract is that the cache is transparent: any
 //! interleaving of `save`/`load`/`evict`/`flush` leaves the durable layer
 //! in the same state as calling the backend directly once a final
 //! `flush` lands (property-tested in `tests/cache_props.rs` against an
-//! in-memory model).
+//! in-memory model, and against a reference cache with a tick-ordered LRU
+//! set for victims, counters and the backend's write sequence).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -83,65 +107,171 @@ pub struct CacheStats {
     pub writes: u64,
 }
 
+/// Slots per slab chunk.
+const CHUNK: usize = 64;
+/// The missing neighbour at either end of the LRU list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
-struct Entry {
+struct Slot {
     state: LongTermState,
     dirty: bool,
-    last_used: u64,
+    /// The shard's save count when this slot was last saved into.
+    saved_at: u64,
+    /// LRU neighbour towards the oldest end.
+    older: u32,
+    /// LRU neighbour towards the newest end.
+    newer: u32,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheShard {
-    /// Resident entries, keyed by user id. A `BTreeMap` rather than a
-    /// hash map so iteration (the flush snapshot below) is in ascending
-    /// user-id order by construction — write-behind flush order must
-    /// never depend on a process-seeded hash (detlint rule D1).
-    map: BTreeMap<u64, Entry>,
-    /// LRU index: `(last_used, user_id)` kept in lockstep with `map`, so
-    /// the eviction victim is `O(log n)` instead of a full map scan.
-    lru: std::collections::BTreeSet<(u64, u64)>,
-    /// Monotonic use counter backing the LRU order.
-    tick: u64,
+    /// Resident users → slot. A `BTreeMap` rather than a hash map so
+    /// iteration (the flush below) is in ascending user-id order by
+    /// construction — write-behind flush order must never depend on a
+    /// process-seeded hash (detlint rule D1).
+    index: BTreeMap<u64, u32>,
+    /// The slab: slot `i` is `chunks[i / CHUNK][i % CHUNK]`.
+    chunks: Vec<Vec<Slot>>,
+    /// Slots released by `evict`, reused before the slab grows.
+    free: Vec<u32>,
+    /// Least recently used resident slot (`NIL` when empty).
+    oldest: u32,
+    /// Most recently used resident slot (`NIL` when empty).
+    newest: u32,
+    /// Saves so far; stamps `Slot::saved_at`.
+    saves: u64,
     stats: CacheStats,
 }
 
 impl CacheShard {
-    /// Insert or overwrite an entry, keeping the LRU index in lockstep.
-    fn upsert(&mut self, user_id: u64, state: LongTermState, dirty: bool) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(old) = self.map.insert(
-            user_id,
-            Entry {
-                state,
-                dirty,
-                last_used: tick,
-            },
-        ) {
-            self.lru.remove(&(old.last_used, user_id));
+    fn new() -> Self {
+        Self {
+            index: BTreeMap::new(),
+            chunks: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            saves: 0,
+            stats: CacheStats::default(),
         }
-        self.lru.insert((tick, user_id));
     }
 
-    /// Remove an entry, keeping the LRU index in lockstep.
-    fn remove(&mut self, user_id: u64) -> Option<Entry> {
-        let entry = self.map.remove(&user_id)?;
-        self.lru.remove(&(entry.last_used, user_id));
-        Some(entry)
+    fn slot(&self, i: u32) -> &Slot {
+        &self.chunks[i as usize / CHUNK][i as usize % CHUNK]
     }
 
-    /// Evict least-recently-used entries until `capacity` holds, writing
-    /// dirty victims through to `backend`.
-    fn enforce_capacity(&mut self, capacity: usize, backend: &dyn StateBackend) -> Result<()> {
-        while self.map.len() > capacity {
-            let (_, victim) = *self.lru.first().expect("lru in lockstep with map");
-            let entry = self.remove(victim).expect("victim present");
-            self.stats.evictions += 1;
-            if entry.dirty {
-                backend.save(&entry.state)?;
-                self.stats.writes += 1;
+    fn slot_mut(&mut self, i: u32) -> &mut Slot {
+        &mut self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let (older, newer) = {
+            let s = self.slot(i);
+            (s.older, s.newer)
+        };
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slot_mut(o).newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slot_mut(n).older = older,
+        }
+    }
+
+    fn push_newest(&mut self, i: u32) {
+        let prev = self.newest;
+        let s = self.slot_mut(i);
+        s.older = prev;
+        s.newer = NIL;
+        match prev {
+            NIL => self.oldest = i,
+            p => self.slot_mut(p).newer = i,
+        }
+        self.newest = i;
+    }
+
+    fn touch(&mut self, i: u32) {
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+    }
+
+    /// Write slot `i` to `backend` if dirty, then detach it from the index
+    /// and the LRU list. On a failed write nothing changes: the entry
+    /// stays resident and dirty.
+    fn detach(&mut self, i: u32, backend: &dyn StateBackend) -> Result<()> {
+        let slot = self.slot_mut(i);
+        if slot.dirty {
+            backend.save(&slot.state)?;
+            slot.dirty = false;
+            self.stats.writes += 1;
+        }
+        self.stats.evictions += 1;
+        let user_id = self.slot(i).state.user_id;
+        self.index.remove(&user_id);
+        self.unlink(i);
+        Ok(())
+    }
+
+    /// A detached slot for a new resident: a free one, a fresh one while
+    /// the shard is below `capacity`, else the LRU victim's, written
+    /// through to `backend` first when dirty.
+    fn vacant(&mut self, capacity: usize, backend: &dyn StateBackend) -> Result<u32> {
+        if self.index.len() >= capacity {
+            let victim = self.oldest;
+            self.detach(victim, backend)?;
+            return Ok(victim);
+        }
+        if let Some(i) = self.free.pop() {
+            return Ok(i);
+        }
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+            let allocated = self.chunks.len() * CHUNK;
+            self.chunks
+                .push(Vec::with_capacity(CHUNK.min(capacity - allocated)));
+        }
+        let chunk = self.chunks.len() - 1;
+        let i = chunk * CHUNK + self.chunks[chunk].len();
+        self.chunks[chunk].push(Slot {
+            state: LongTermState::new(0),
+            dirty: false,
+            saved_at: 0,
+            older: NIL,
+            newer: NIL,
+        });
+        Ok(u32::try_from(i).expect("a shard holds fewer than u32::MAX entries"))
+    }
+
+    /// Make `state` resident and most recently used, copying it into the
+    /// user's slot (or a vacant one, evicting at capacity).
+    fn put(
+        &mut self,
+        state: &LongTermState,
+        dirty: bool,
+        capacity: usize,
+        backend: &dyn StateBackend,
+    ) -> Result<()> {
+        let i = match self.index.get(&state.user_id) {
+            Some(&i) => {
+                self.touch(i);
+                i
             }
-        }
+            None => {
+                let i = self.vacant(capacity, backend)?;
+                self.index.insert(state.user_id, i);
+                self.push_newest(i);
+                i
+            }
+        };
+        self.saves += 1;
+        let saves = self.saves;
+        let slot = self.slot_mut(i);
+        slot.state.clone_from(state);
+        slot.dirty = dirty;
+        slot.saved_at = saves;
         Ok(())
     }
 }
@@ -165,7 +295,7 @@ impl ShardedStateCache {
         Ok(Self {
             backend,
             shards: (0..config.shards)
-                .map(|_| Mutex::new(CacheShard::default()))
+                .map(|_| Mutex::new(CacheShard::new()))
                 .collect(),
             capacity_per_shard: config.capacity_per_shard,
             write_through: config.write_through,
@@ -192,21 +322,20 @@ impl ShardedStateCache {
     /// through to the store and populate the cache.
     pub fn load(&self, user_id: u64) -> Result<Option<LongTermState>> {
         let mut shard = self.shard_for(user_id).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(e) = shard.map.get_mut(&user_id) {
-            let prev = std::mem::replace(&mut e.last_used, tick);
-            let state = e.state.clone();
-            shard.lru.remove(&(prev, user_id));
-            shard.lru.insert((tick, user_id));
+        if let Some(&i) = shard.index.get(&user_id) {
+            shard.touch(i);
             shard.stats.hits += 1;
-            return Ok(Some(state));
+            return Ok(Some(shard.slot(i).state.clone()));
         }
         shard.stats.misses += 1;
         match self.backend.load(user_id)? {
             Some(state) => {
-                shard.upsert(user_id, state.clone(), false);
-                shard.enforce_capacity(self.capacity_per_shard, self.backend.as_ref())?;
+                shard.put(
+                    &state,
+                    false,
+                    self.capacity_per_shard,
+                    self.backend.as_ref(),
+                )?;
                 Ok(Some(state))
             }
             None => Ok(None),
@@ -234,79 +363,71 @@ impl ShardedStateCache {
             self.backend.save(state)?;
             shard.stats.writes += 1;
         }
-        shard.upsert(state.user_id, state.clone(), !self.write_through);
-        shard.enforce_capacity(self.capacity_per_shard, self.backend.as_ref())
+        shard.put(
+            state,
+            !self.write_through,
+            self.capacity_per_shard,
+            self.backend.as_ref(),
+        )
     }
 
     /// Drop a user from the cache, persisting the entry first when dirty.
-    /// Returns whether the user was resident.
+    /// Returns whether the user was resident; when the write fails the
+    /// user stays resident and dirty.
     pub fn evict(&self, user_id: u64) -> Result<bool> {
         let mut shard = self.shard_for(user_id).lock();
-        match shard.remove(user_id) {
-            Some(entry) => {
-                shard.stats.evictions += 1;
-                if entry.dirty {
-                    self.backend.save(&entry.state)?;
-                    shard.stats.writes += 1;
-                }
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let Some(&i) = shard.index.get(&user_id) else {
+            return Ok(false);
+        };
+        shard.detach(i, self.backend.as_ref())?;
+        shard.free.push(i);
+        Ok(true)
     }
 
     /// Write every dirty entry to the backend (durably — the backend is
     /// flushed too) and mark the cache clean. Returns how many entries
     /// were written.
     ///
-    /// Dirty entries are snapshotted under the shard locks in ascending
-    /// `(shard, user_id)` order, handed to [`StateBackend::save_batch`]
-    /// in one call without holding any lock (the binary log turns it
-    /// into sequential appends), then marked clean — but only when the
-    /// cached state still equals the snapshot that was written, so a save
+    /// Each shard's dirty states go to [`StateBackend::save_batch`] by
+    /// reference, under that shard's lock, in ascending `(shard, user_id)`
+    /// order. Once the backend is flushed each written entry is marked
+    /// clean — but only when no save has landed on it since, so a save
     /// racing the flush keeps its entry dirty for the next flush instead
     /// of being lost.
     pub fn flush(&self) -> Result<usize> {
-        // Phase 1: snapshot dirty entries under the shard locks.
-        let mut batch: Vec<(usize, LongTermState)> = Vec::new();
+        // (shard, slot, its save stamp when written), ascending shard.
+        let mut written: Vec<(usize, u32, u64)> = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
             let shard = shard.lock();
-            // BTreeMap::values is ascending user-id order, so the batch
-            // is already sorted per shard — no post-hoc sort needed.
-            batch.extend(
-                shard
-                    .map
-                    .values()
-                    .filter(|e| e.dirty)
-                    .map(|e| (si, e.state.clone())),
-            );
+            let from = written.len();
+            written.extend(shard.index.values().filter_map(|&i| {
+                let slot = shard.slot(i);
+                slot.dirty.then_some((si, i, slot.saved_at))
+            }));
+            let batch: Vec<&LongTermState> = written[from..]
+                .iter()
+                .map(|&(_, i, _)| &shard.slot(i).state)
+                .collect();
+            self.backend.save_batch(&batch)?;
         }
-        let written = batch.len();
-
-        // Phase 2: persist without holding any lock, then make the
-        // backend durable (drains any append buffers).
-        let refs: Vec<&LongTermState> = batch.iter().map(|(_, s)| s).collect();
-        self.backend.save_batch(&refs)?;
-        drop(refs);
         self.backend.flush()?;
 
-        // Phase 3: mark clean unless the entry moved on meanwhile.
-        for (si, state) in &batch {
-            let mut shard = self.shards[*si].lock();
-            // detlint::allow(unordered_float_merge, reason = "u64 write counter; addition is associative and order-free")
-            shard.stats.writes += 1;
-            if let Some(entry) = shard.map.get_mut(&state.user_id) {
-                if entry.dirty && entry.state == *state {
-                    entry.dirty = false;
+        for run in written.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.shards[run[0].0].lock();
+            shard.stats.writes += run.len() as u64;
+            for &(_, i, saved_at) in run {
+                let slot = shard.slot_mut(i);
+                if slot.saved_at == saved_at {
+                    slot.dirty = false;
                 }
             }
         }
-        Ok(written)
+        Ok(written.len())
     }
 
     /// Resident entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().index.len()).sum()
     }
 
     /// Whether nothing is resident.
@@ -435,6 +556,85 @@ mod tests {
         assert_eq!(cache.flush().unwrap(), 400);
         assert_eq!(store.list().unwrap().len(), 400);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An in-memory backend whose saves of `fail_id` fail while `failing`
+    /// is set.
+    #[derive(Debug, Default)]
+    struct FailingBackend {
+        fail_id: u64,
+        failing: std::sync::atomic::AtomicBool,
+        saved: Mutex<BTreeMap<u64, LongTermState>>,
+    }
+
+    impl StateBackend for FailingBackend {
+        fn save(&self, state: &LongTermState) -> Result<()> {
+            use std::sync::atomic::Ordering;
+            if state.user_id == self.fail_id && self.failing.load(Ordering::Relaxed) {
+                return Err(CoreError::Persistence("injected write failure".into()));
+            }
+            self.saved.lock().insert(state.user_id, state.clone());
+            Ok(())
+        }
+
+        fn save_batch(&self, batch: &[&LongTermState]) -> Result<usize> {
+            for state in batch {
+                self.save(state)?;
+            }
+            Ok(batch.len())
+        }
+
+        fn load(&self, user_id: u64) -> Result<Option<LongTermState>> {
+            Ok(self.saved.lock().get(&user_id).cloned())
+        }
+
+        fn scan(&self) -> Result<crate::state::StateScan> {
+            Ok(crate::state::StateScan {
+                ids: self.saved.lock().keys().copied().collect(),
+                warnings: Vec::new(),
+            })
+        }
+
+        fn flush(&self) -> Result<()> {
+            Ok(())
+        }
+
+        fn checkpoint(&self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A dirty victim whose write fails stays resident and dirty: the
+    /// save that needed its slot and an explicit `evict` both fail, and
+    /// the state reaches the store once the backend recovers.
+    #[test]
+    fn a_failed_eviction_write_keeps_the_victim_resident_and_dirty() {
+        let backend = Arc::new(FailingBackend {
+            fail_id: 13,
+            failing: true.into(),
+            ..FailingBackend::default()
+        });
+        let cfg = CacheConfig {
+            shards: 1,
+            capacity_per_shard: 2,
+            write_through: false,
+        };
+        let cache = ShardedStateCache::with_backend(backend.clone(), cfg).unwrap();
+        cache.save(&state(13, 1)).unwrap();
+        cache.save(&state(1, 2)).unwrap();
+        // 13 is the LRU victim of a third user, and its write fails.
+        assert!(cache.save(&state(2, 3)).is_err());
+        assert!(cache.evict(13).is_err());
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.load(13).unwrap(), Some(state(13, 1)));
+        assert!(backend.saved.lock().is_empty());
+        backend
+            .failing
+            .store(false, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(cache.flush().unwrap(), 2);
+        assert_eq!(backend.load(13).unwrap(), Some(state(13, 1)));
+        assert_eq!(backend.load(1).unwrap(), Some(state(1, 2)));
     }
 
     #[test]

@@ -12,7 +12,11 @@ use lingxi_exit::UserStateTracker;
 use crate::Result;
 
 /// Long-term (cross-session) state of one user.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `clone_from` copies into the target's tracker windows rather than
+/// replacing them, so the state cache can recycle an evicted entry's
+/// allocations for the next resident.
+#[derive(Debug, PartialEq)]
 pub struct LongTermState {
     /// Owner.
     pub user_id: u64,
@@ -22,6 +26,24 @@ pub struct LongTermState {
     pub params: QoeParams,
     /// Lifetime optimization count.
     pub optimizations: usize,
+}
+
+impl Clone for LongTermState {
+    fn clone(&self) -> Self {
+        Self {
+            user_id: self.user_id,
+            tracker: self.tracker.clone(),
+            params: self.params,
+            optimizations: self.optimizations,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.user_id = source.user_id;
+        self.tracker.clone_from(&source.tracker);
+        self.params = source.params;
+        self.optimizations = source.optimizations;
+    }
 }
 
 impl LongTermState {

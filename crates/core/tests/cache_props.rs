@@ -18,14 +18,22 @@
 //! Another property holds the log's snapshot point loads (fence index,
 //! one index block per lookup) to the same kind of model across block
 //! boundaries.
+//!
+//! A last property holds the cache's LRU to a reference: a test-local
+//! copy of the cache as it was before its slab, a `BTreeMap` of entries
+//! and a `BTreeSet` of `(last_used, user_id)` ticks per shard. Over any
+//! save/load/evict/flush sequence, both return the same values, keep the
+//! same counters and make the same calls, in the same order, on a backend
+//! that records them; so they evict the same victims.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lingxi_core::{
-    BinLogConfig, BinaryStateLog, CacheConfig, LongTermState, ShardedStateCache, StateBackend,
+    BinLogConfig, BinaryStateLog, CacheConfig, CacheStats, CoreError, LongTermState,
+    ShardedStateCache, StateBackend, StateScan,
 };
 use proptest::prelude::*;
 
@@ -266,5 +274,245 @@ proptest! {
         );
         let _ = std::fs::remove_dir_all(&wb_dir);
         let _ = std::fs::remove_dir_all(&wt_dir);
+    }
+}
+
+/// One call a [`Recorder`] saw.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    Save(LongTermState),
+    Load(u64),
+    Flush,
+}
+
+/// An in-memory backend that records every call made on it.
+#[derive(Debug, Default)]
+struct Recorder {
+    calls: Mutex<Vec<Call>>,
+    states: Mutex<BTreeMap<u64, LongTermState>>,
+}
+
+impl Recorder {
+    fn calls(&self) -> Vec<Call> {
+        self.calls.lock().unwrap().clone()
+    }
+}
+
+impl StateBackend for Recorder {
+    fn save(&self, state: &LongTermState) -> Result<(), CoreError> {
+        self.calls.lock().unwrap().push(Call::Save(state.clone()));
+        self.states
+            .lock()
+            .unwrap()
+            .insert(state.user_id, state.clone());
+        Ok(())
+    }
+
+    fn save_batch(&self, batch: &[&LongTermState]) -> Result<usize, CoreError> {
+        for state in batch {
+            self.save(state)?;
+        }
+        Ok(batch.len())
+    }
+
+    fn load(&self, user_id: u64) -> Result<Option<LongTermState>, CoreError> {
+        self.calls.lock().unwrap().push(Call::Load(user_id));
+        Ok(self.states.lock().unwrap().get(&user_id).cloned())
+    }
+
+    fn scan(&self) -> Result<StateScan, CoreError> {
+        Ok(StateScan {
+            ids: self.states.lock().unwrap().keys().copied().collect(),
+            warnings: Vec::new(),
+        })
+    }
+
+    fn flush(&self) -> Result<(), CoreError> {
+        self.calls.lock().unwrap().push(Call::Flush);
+        Ok(())
+    }
+
+    fn checkpoint(&self) -> Result<(), CoreError> {
+        Ok(())
+    }
+}
+
+/// One shard of [`TickCache`]: entries `(state, dirty, last_used)` and the
+/// LRU index `(last_used, user_id)` in lockstep.
+#[derive(Default)]
+struct TickShard {
+    map: BTreeMap<u64, (LongTermState, bool, u64)>,
+    lru: BTreeSet<(u64, u64)>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+/// The state cache with a tick-ordered LRU set, single-threaded: the
+/// reference the slab cache's victims, counters and writes must match.
+struct TickCache {
+    backend: Recorder,
+    shards: Vec<TickShard>,
+    capacity: usize,
+    write_through: bool,
+}
+
+impl TickCache {
+    fn new(cfg: CacheConfig) -> Self {
+        Self {
+            backend: Recorder::default(),
+            shards: (0..cfg.shards).map(|_| TickShard::default()).collect(),
+            capacity: cfg.capacity_per_shard,
+            write_through: cfg.write_through,
+        }
+    }
+
+    /// The cache's Fibonacci shard hash.
+    fn shard_of(&self, user_id: u64) -> usize {
+        (user_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
+    }
+
+    fn upsert(&mut self, k: usize, state: LongTermState, dirty: bool) {
+        let shard = &mut self.shards[k];
+        shard.tick += 1;
+        let (id, tick) = (state.user_id, shard.tick);
+        if let Some((_, _, old)) = shard.map.insert(id, (state, dirty, tick)) {
+            shard.lru.remove(&(old, id));
+        }
+        shard.lru.insert((tick, id));
+    }
+
+    fn remove(&mut self, k: usize, user_id: u64) -> Option<(LongTermState, bool)> {
+        let shard = &mut self.shards[k];
+        let (state, dirty, last_used) = shard.map.remove(&user_id)?;
+        shard.lru.remove(&(last_used, user_id));
+        Some((state, dirty))
+    }
+
+    fn enforce_capacity(&mut self, k: usize) {
+        while self.shards[k].map.len() > self.capacity {
+            let (_, victim) = *self.shards[k].lru.first().unwrap();
+            let (state, dirty) = self.remove(k, victim).unwrap();
+            self.shards[k].stats.evictions += 1;
+            if dirty {
+                self.backend.save(&state).unwrap();
+                self.shards[k].stats.writes += 1;
+            }
+        }
+    }
+
+    fn load(&mut self, user_id: u64) -> Option<LongTermState> {
+        let k = self.shard_of(user_id);
+        let shard = &mut self.shards[k];
+        shard.tick += 1;
+        let tick = shard.tick;
+        if let Some((state, _, last_used)) = shard.map.get_mut(&user_id) {
+            let prev = std::mem::replace(last_used, tick);
+            let state = state.clone();
+            shard.lru.remove(&(prev, user_id));
+            shard.lru.insert((tick, user_id));
+            shard.stats.hits += 1;
+            return Some(state);
+        }
+        shard.stats.misses += 1;
+        let state = self.backend.load(user_id).unwrap()?;
+        self.upsert(k, state.clone(), false);
+        self.enforce_capacity(k);
+        Some(state)
+    }
+
+    fn save(&mut self, state: &LongTermState) {
+        let k = self.shard_of(state.user_id);
+        if self.write_through {
+            self.backend.save(state).unwrap();
+            self.shards[k].stats.writes += 1;
+        }
+        self.upsert(k, state.clone(), !self.write_through);
+        self.enforce_capacity(k);
+    }
+
+    fn evict(&mut self, user_id: u64) -> bool {
+        let k = self.shard_of(user_id);
+        let Some((state, dirty)) = self.remove(k, user_id) else {
+            return false;
+        };
+        self.shards[k].stats.evictions += 1;
+        if dirty {
+            self.backend.save(&state).unwrap();
+            self.shards[k].stats.writes += 1;
+        }
+        true
+    }
+
+    fn flush(&mut self) -> usize {
+        let batch: Vec<(usize, LongTermState)> = (0..self.shards.len())
+            .flat_map(|k| {
+                self.shards[k]
+                    .map
+                    .values()
+                    .filter(|(_, dirty, _)| *dirty)
+                    .map(move |(state, _, _)| (k, state.clone()))
+            })
+            .collect();
+        let refs: Vec<&LongTermState> = batch.iter().map(|(_, s)| s).collect();
+        self.backend.save_batch(&refs).unwrap();
+        self.backend.flush().unwrap();
+        for (k, state) in &batch {
+            let shard = &mut self.shards[*k];
+            shard.stats.writes += 1;
+            shard.map.get_mut(&state.user_id).unwrap().1 = false;
+        }
+        batch.len()
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.map.len()).sum()
+    }
+
+    fn stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for s in &self.shards {
+            total.hits += s.stats.hits;
+            total.misses += s.stats.misses;
+            total.evictions += s.stats.evictions;
+            total.writes += s.stats.writes;
+        }
+        total
+    }
+}
+
+proptest! {
+    /// The slab cache evicts, counts and writes exactly as the tick-ordered
+    /// reference: after every operation the results, `CacheStats`, the
+    /// resident count and the recorded backend calls (each saved state,
+    /// each load that missed, each flush) are equal; at the end a load of
+    /// every user confirms the same residents.
+    #[test]
+    fn lru_order_matches_the_tick_ordered_cache(
+        // (op, user, stamp): 0 = save, 1 = load, 2 = evict, 3 = flush.
+        ops in proptest::collection::vec((0u8..4, 0u64..20, 0u8..=254), 1..80),
+        shards in 1usize..5,
+        capacity in 1usize..9,
+        write_through in 0u8..2,
+    ) {
+        let cfg = CacheConfig { shards, capacity_per_shard: capacity, write_through: write_through == 1 };
+        let recorder = Arc::new(Recorder::default());
+        let cache = ShardedStateCache::with_backend(recorder.clone(), cfg).unwrap();
+        let mut reference = TickCache::new(cfg);
+        let probe_all = (0u64..20).map(|user| (1u8, user, 0u8));
+        for (op, user, stamp) in ops.iter().copied().chain(probe_all) {
+            match op {
+                0 => {
+                    let s = state_for(user, stamp);
+                    cache.save(&s).unwrap();
+                    reference.save(&s);
+                }
+                1 => prop_assert_eq!(cache.load(user).unwrap(), reference.load(user)),
+                2 => prop_assert_eq!(cache.evict(user).unwrap(), reference.evict(user)),
+                _ => prop_assert_eq!(cache.flush().unwrap(), reference.flush()),
+            }
+            prop_assert_eq!(cache.stats(), reference.stats());
+            prop_assert_eq!(cache.len(), reference.len());
+            prop_assert_eq!(recorder.calls(), reference.backend.calls());
+        }
     }
 }

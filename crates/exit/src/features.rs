@@ -51,7 +51,11 @@ impl StateMatrix {
 /// Rolling tracker that maintains the state matrix across a user's
 /// playback history (short-term video state + long-term engagement state,
 /// persisted across sessions by LingXi's state management).
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// `Clone` is written out so that `clone_from` copies into the target's
+/// window allocations instead of replacing them: the state cache recycles
+/// an evicted user's tracker for the next resident that way.
+#[derive(Debug, PartialEq, Default)]
 pub struct UserStateTracker {
     bitrates: Vec<f64>,
     throughputs: Vec<f64>,
@@ -65,6 +69,31 @@ pub struct UserStateTracker {
     last_stall_at: Option<f64>,
     /// Global wall-clock across sessions (seconds).
     clock: f64,
+}
+
+impl Clone for UserStateTracker {
+    fn clone(&self) -> Self {
+        Self {
+            bitrates: self.bitrates.clone(),
+            throughputs: self.throughputs.clone(),
+            stall_times: self.stall_times.clone(),
+            stall_intervals: self.stall_intervals.clone(),
+            stall_exit_intervals: self.stall_exit_intervals.clone(),
+            last_stall_at: self.last_stall_at,
+            clock: self.clock,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.bitrates.clone_from(&source.bitrates);
+        self.throughputs.clone_from(&source.throughputs);
+        self.stall_times.clone_from(&source.stall_times);
+        self.stall_intervals.clone_from(&source.stall_intervals);
+        self.stall_exit_intervals
+            .clone_from(&source.stall_exit_intervals);
+        self.last_stall_at = source.last_stall_at;
+        self.clock = source.clock;
+    }
 }
 
 impl UserStateTracker {
@@ -123,9 +152,12 @@ impl UserStateTracker {
     }
 }
 
-/// The raw persisted fields of a [`UserStateTracker`] — the wire view used
-/// by binary persistence codecs (`lingxi_core::binlog`), which cannot rely
-/// on serde and must round-trip every field bit-exactly.
+/// The raw persisted fields of a [`UserStateTracker`], owned — what a
+/// binary persistence codec (`lingxi_core::binlog`), which cannot rely on
+/// serde and must round-trip every field bit-exactly, decodes into. The
+/// encoder reads the same fields borrowed, through
+/// [`UserStateTracker::windows`], [`UserStateTracker::last_stall_at`] and
+/// [`UserStateTracker::clock`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrackerParts {
     /// Bitrates of the last played segments (kbps), oldest first.
@@ -145,22 +177,31 @@ pub struct TrackerParts {
 }
 
 impl UserStateTracker {
-    /// Decompose into raw persisted fields (clones the windows).
-    pub fn to_parts(&self) -> TrackerParts {
-        TrackerParts {
-            bitrates: self.bitrates.clone(),
-            throughputs: self.throughputs.clone(),
-            stall_times: self.stall_times.clone(),
-            stall_intervals: self.stall_intervals.clone(),
-            stall_exit_intervals: self.stall_exit_intervals.clone(),
-            last_stall_at: self.last_stall_at,
-            clock: self.clock,
-        }
+    /// The five windows, borrowed, in [`TrackerParts`] order: bitrates,
+    /// throughputs, stall times, stall intervals, stall→exit intervals.
+    pub fn windows(&self) -> [&[f64]; N_DIMS] {
+        [
+            &self.bitrates,
+            &self.throughputs,
+            &self.stall_times,
+            &self.stall_intervals,
+            &self.stall_exit_intervals,
+        ]
     }
 
-    /// Rebuild a tracker from raw persisted fields. The inverse of
-    /// [`UserStateTracker::to_parts`]: `from_parts(t.to_parts()) == t`
-    /// bit-exactly, for any tracker.
+    /// Wall time of the last stall, if any (seconds).
+    pub fn last_stall_at(&self) -> Option<f64> {
+        self.last_stall_at
+    }
+
+    /// Global wall-clock across sessions (seconds).
+    pub fn clock(&self) -> f64 {
+        self.clock
+    }
+
+    /// Rebuild a tracker from raw persisted fields: the windows in
+    /// [`UserStateTracker::windows`] order, [`UserStateTracker::last_stall_at`]
+    /// and [`UserStateTracker::clock`], bit-exactly.
     pub fn from_parts(parts: TrackerParts) -> Self {
         Self {
             bitrates: parts.bitrates,
@@ -268,6 +309,32 @@ mod tests {
         t.push_stall(1e6);
         let m = t.matrix();
         assert!(m.flat().iter().all(|&x| x <= 3.0));
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_targets_windows() {
+        let mut src = UserStateTracker::new();
+        src.push_segment(1000.0, 5000.0, 2.0);
+        src.push_stall(1.5);
+        let mut dst = UserStateTracker::new();
+        for i in 0..8 {
+            dst.push_segment(i as f64, 1.0, 1.0);
+            dst.push_stall(0.5);
+        }
+        let kept = dst.bitrates.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.bitrates.as_ptr(), kept, "the allocation is reused");
+        let parts = TrackerParts {
+            bitrates: src.windows()[0].to_vec(),
+            throughputs: src.windows()[1].to_vec(),
+            stall_times: src.windows()[2].to_vec(),
+            stall_intervals: src.windows()[3].to_vec(),
+            stall_exit_intervals: src.windows()[4].to_vec(),
+            last_stall_at: src.last_stall_at(),
+            clock: src.clock(),
+        };
+        assert_eq!(UserStateTracker::from_parts(parts), src);
     }
 
     #[test]

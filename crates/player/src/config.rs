@@ -66,9 +66,12 @@ impl BmaxPolicy {
                         "caps must be positive and finite".into(),
                     ));
                 }
-                if !(strong_kbps > weak_kbps && weak_kbps > 0.0) {
+                // An infinite upper pivot makes `cap()`'s interpolation
+                // weight 0 for every finite envelope: the policy would act
+                // as `Fixed(cap_weak)` without saying so.
+                if !(strong_kbps > weak_kbps && weak_kbps > 0.0 && strong_kbps.is_finite()) {
                     return Err(PlayerError::InvalidConfig(
-                        "need 0 < weak_kbps < strong_kbps".into(),
+                        "need 0 < weak_kbps < strong_kbps, both finite".into(),
                     ));
                 }
             }
@@ -236,6 +239,19 @@ mod tests {
             strong_kbps: 2000.0,
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn infinite_thresholds_are_rejected() {
+        for (weak_kbps, strong_kbps) in [(2000.0, f64::INFINITY), (f64::INFINITY, f64::INFINITY)] {
+            let p = BmaxPolicy::BandwidthAdaptive {
+                cap_weak: 14.0,
+                cap_strong: 8.0,
+                weak_kbps,
+                strong_kbps,
+            };
+            assert!(p.validate().is_err(), "{weak_kbps} {strong_kbps}");
+        }
     }
 
     #[test]
