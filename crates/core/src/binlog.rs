@@ -53,17 +53,24 @@
 //! the header and the index block. A load fails rather than return a
 //! frame that decodes to another user than the one asked for.
 //!
+//! Each shard holds one handle per file, and every read and write names
+//! its offset: the durable length `committed` is the only file position
+//! the log tracks, so an append that failed part-way is retried over its
+//! own partial bytes. A cold load is two positioned reads (the index
+//! block, then the frame) into one buffer the shard keeps.
+//!
 //! **Compaction** ([`StateBackend::checkpoint`]) is one streamed pass per
 //! shard. The old snapshot's records lie contiguously in index order from
-//! the header to the index block, so one buffered sequential reader walks
-//! them, seeking only past the records the tail replaces; the durable log
-//! tail is read once and its frames are sliced out of it; and the header,
-//! the merged frames, the new index and the footer go out through one
-//! buffered writer on `shard_<k>.snap.tmp`. No state is decoded and no
-//! frame allocated: while it runs, a compaction holds the log tail, the
-//! old and the new index blocks (20 bytes per user) and two I/O buffers of
-//! [`BinLogConfig::buffer_bytes`] — never the snapshot's records. Opening
-//! replays each log through one buffered sequential reader the same way.
+//! the header to the index block, so one buffered window walks them,
+//! skips the records the tail replaces, and refills with one positioned
+//! read when a frame lies past its end; the durable log tail is read once
+//! and its frames are sliced out of it; and the header, the merged
+//! frames, the new index and the footer go out through one buffered
+//! writer on `shard_<k>.snap.tmp`, whose handle then serves the installed
+//! snapshot. No state is decoded and no frame allocated: while it runs, a
+//! compaction holds the log tail, the old and new index blocks (20 bytes
+//! per user) and two I/O buffers of [`BinLogConfig::buffer_bytes`], never
+//! the snapshot's records. Opening replays each log through a window too.
 //!
 //! **Recovery invariant:** the store's contents are a pure function of
 //! (snapshot, log tail). Snapshots are written to a temp file and
@@ -90,7 +97,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
@@ -126,8 +134,9 @@ pub struct BinLogConfig {
     pub shards: usize,
     /// Appends gather in a per-shard memory buffer of this many bytes
     /// before being written to the file (a [`StateBackend::flush`] always
-    /// drains it). The sequential reader that replays a log at open and
-    /// the reader and writer of a compaction use buffers of this size too.
+    /// drains it). The window that replays a log at open and the window
+    /// and writer of a compaction use buffers of this size too (a window
+    /// grows to a longer frame when it must).
     pub buffer_bytes: usize,
 }
 
@@ -555,56 +564,60 @@ struct Snap {
     index: SnapIndex,
 }
 
+/// The `len` bytes at offset `off` of `file`, read into `buf` by one call.
+fn read_at<'a>(file: &File, buf: &'a mut Vec<u8>, off: u64, len: usize) -> io::Result<&'a [u8]> {
+    buf.resize(len, 0);
+    file.read_exact_at(buf, off)?;
+    Ok(buf)
+}
+
 #[derive(Debug)]
 struct Shard {
     log_path: PathBuf,
     snap_path: PathBuf,
-    /// Append handle, positioned at the end of the durable log.
-    log_write: File,
-    /// Seeking read handle over the same file.
-    log_read: File,
-    /// Bytes of log durable on disk (including the header).
+    /// The log file, read and written only at named offsets.
+    log: File,
+    /// Bytes of log durable on disk (including the header): the offset
+    /// the append buffer drains to.
     committed: u64,
     /// Pending appends; log coordinates `committed..committed+buf.len()`.
     buf: Vec<u8>,
+    /// Reused by a load's positioned reads (an index block, a frame).
+    scratch: Vec<u8>,
     /// Users written since the last snapshot → latest record location.
     tail: BTreeMap<u64, TailLoc>,
     snap: Option<Snap>,
 }
 
 impl Shard {
-    /// Drain the append buffer to the file.
+    /// Drain the append buffer to the file at `committed`; a drain that
+    /// fails part-way moves neither, so its retry overwrites its bytes.
     fn write_buf(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        self.log_write
-            .write_all(&self.buf)
+        self.log
+            .write_all_at(&self.buf, self.committed)
             .map_err(|e| perr(&self.log_path, "append to", e))?;
         self.committed += self.buf.len() as u64;
         self.buf.clear();
         Ok(())
     }
 
-    /// Read one whole frame (header + payload) at log offset `off`.
-    fn read_frame(&mut self, off: u64, len: u32) -> Result<Vec<u8>> {
-        let len = len as usize;
-        if off >= self.committed {
-            let start = (off - self.committed) as usize;
-            let end = start.checked_add(len).filter(|&e| e <= self.buf.len());
-            let Some(end) = end else {
-                return Err(CoreError::Persistence(
-                    "buffered record out of range".into(),
-                ));
-            };
-            return Ok(self.buf[start..end].to_vec());
-        }
-        let mut bytes = vec![0u8; len];
-        self.log_read
-            .seek(SeekFrom::Start(off))
-            .and_then(|_| self.log_read.read_exact(&mut bytes))
-            .map_err(|e| perr(&self.log_path, "read record from", e))?;
-        Ok(bytes)
+    /// Load `user_id`'s tail frame at `loc`: decoded in place while it is
+    /// still in the append buffer, else read with one positioned read.
+    fn read_frame(&mut self, user_id: u64, loc: TailLoc) -> Result<LongTermState> {
+        let len = loc.len as usize;
+        let frame = match loc.off.checked_sub(self.committed) {
+            Some(start) => self
+                .buf
+                .get(start as usize..)
+                .and_then(|rest| rest.get(..len))
+                .ok_or_else(|| CoreError::Persistence("buffered record out of range".into()))?,
+            None => read_at(&self.log, &mut self.scratch, loc.off, len)
+                .map_err(|e| perr(&self.log_path, "read record from", e))?,
+        };
+        Shard::decode_frame(frame, user_id, &self.log_path)
     }
 
     /// Decode a frame read for `user_id` from the file at `path`: its CRC
@@ -634,85 +647,80 @@ impl Shard {
 
     /// Find `user_id` in the snapshot. The fences pick the one index block
     /// that could hold it; that block is read and searched in memory, and
-    /// then the frame is read. An id outside the snapshot's `[first, last]`
-    /// range is a miss without any I/O.
+    /// then the frame is read, both into `scratch`. An id outside the
+    /// snapshot's `[first, last]` range is a miss without any I/O.
     fn snap_lookup(&mut self, user_id: u64) -> Result<Option<LongTermState>> {
-        let Some(snap) = &mut self.snap else {
+        let Some(snap) = &self.snap else {
             return Ok(None);
         };
         let Some((at, bytes)) = snap.index.block_of(user_id) else {
             return Ok(None);
         };
-        let mut block = [0u8; FENCE_STRIDE * INDEX_ENTRY_LEN];
-        let block = &mut block[..bytes];
-        snap.file
-            .seek(SeekFrom::Start(at))
-            .and_then(|_| snap.file.read_exact(block))
+        let block = read_at(&snap.file, &mut self.scratch, at, bytes)
             .map_err(|e| perr(&self.snap_path, "read index of", e))?;
         let (entries, _) = block.as_chunks::<INDEX_ENTRY_LEN>();
         let Ok(i) = entries.binary_search_by_key(&user_id, |e| index_entry(e).0) else {
             return Ok(None);
         };
         let (_, off, len) = index_entry(&entries[i]);
-        let mut frame = vec![0u8; len as usize];
-        snap.file
-            .seek(SeekFrom::Start(off))
-            .and_then(|_| snap.file.read_exact(&mut frame))
+        let frame = read_at(&snap.file, &mut self.scratch, off, len as usize)
             .map_err(|e| perr(&self.snap_path, "read record of", e))?;
-        Shard::decode_frame(&frame, user_id, &self.snap_path).map(Some)
+        Shard::decode_frame(frame, user_id, &self.snap_path).map(Some)
     }
 
     /// All user ids in the snapshot, ascending (reads the index block).
-    fn snap_ids(&mut self) -> Result<Vec<(u64, u64, u32)>> {
-        let Some(snap) = &mut self.snap else {
+    fn snap_ids(&self) -> Result<Vec<(u64, u64, u32)>> {
+        let Some(snap) = &self.snap else {
             return Ok(Vec::new());
         };
         let mut raw = vec![0u8; snap.index.count as usize * INDEX_ENTRY_LEN];
         snap.file
-            .seek(SeekFrom::Start(snap.index.off))
-            .and_then(|_| snap.file.read_exact(&mut raw))
+            .read_exact_at(&mut raw, snap.index.off)
             .map_err(|e| perr(&self.snap_path, "read index of", e))?;
         Ok(raw.as_chunks().0.iter().map(index_entry).collect())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Compaction streams
+// Replay and compaction streams
 // ---------------------------------------------------------------------------
 
-/// The old snapshot's frames, read in index order through one buffered
-/// sequential reader into one reused frame buffer. The frames lie
-/// contiguously from the header on, so the reader moves only when an
-/// entry does not start where it stands: past a frame the tail replaced.
-struct SnapFrames<'a> {
-    reader: BufReader<&'a File>,
-    path: &'a Path,
-    pos: u64,
-    frame: Vec<u8>,
+/// A buffered window over the bytes `[.., end)` of one file, for log
+/// replay and the compaction's walk over the old snapshot's frames. A read
+/// outside it refills it from the read's offset with one positioned read
+/// of `buffer_bytes` (or the read's length, if longer), never past `end`.
+struct Window<'a> {
+    file: &'a File,
+    end: u64,
+    buffer_bytes: usize,
+    /// File offset of `buf[0]`.
+    at: u64,
+    buf: Vec<u8>,
 }
 
-impl<'a> SnapFrames<'a> {
-    fn new(mut file: &'a File, path: &'a Path, buffer_bytes: usize) -> Result<Self> {
-        file.seek(SeekFrom::Start(HEADER_LEN))
-            .map_err(|e| perr(path, "compact read of", e))?;
-        Ok(Self {
-            reader: BufReader::with_capacity(buffer_bytes, file),
-            path,
-            pos: HEADER_LEN,
-            frame: Vec::new(),
-        })
+impl<'a> Window<'a> {
+    fn new(file: &'a File, end: u64, buffer_bytes: usize) -> Self {
+        Self {
+            file,
+            end,
+            buffer_bytes,
+            at: 0,
+            buf: Vec::new(),
+        }
     }
 
-    fn read(&mut self, off: u64, len: u32) -> Result<&[u8]> {
-        self.frame.resize(len as usize, 0);
-        // Inside the buffer (a zero step included) this moves no file
-        // offset; only a step past the buffered bytes seeks the file.
-        self.reader
-            .seek_relative(off as i64 - self.pos as i64)
-            .and_then(|_| self.reader.read_exact(&mut self.frame))
-            .map_err(|e| perr(self.path, "compact read of", e))?;
-        self.pos = off + len as u64;
-        Ok(&self.frame)
+    /// The `len` bytes at file offset `off`, which the caller's own
+    /// bounds keep below `end`.
+    fn read(&mut self, off: u64, len: usize) -> io::Result<&[u8]> {
+        let stop = off + len as u64;
+        debug_assert!(stop <= self.end, "read past the window's end");
+        if off < self.at || stop > self.at + self.buf.len() as u64 {
+            let fill = (self.end - off).min(self.buffer_bytes.max(len) as u64);
+            read_at(self.file, &mut self.buf, off, fill as usize)?;
+            self.at = off;
+        }
+        let start = (off - self.at) as usize;
+        Ok(&self.buf[start..start + len])
     }
 }
 
@@ -728,7 +736,13 @@ struct SnapWriter<'a> {
 
 impl<'a> SnapWriter<'a> {
     fn create(path: &'a Path, header: &[u8], buffer_bytes: usize, entries: usize) -> Result<Self> {
-        let file = File::create(path).map_err(|e| perr(path, "create", e))?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)
+            .map_err(|e| perr(path, "create", e))?;
         let mut w = Self {
             out: BufWriter::with_capacity(buffer_bytes, file),
             path,
@@ -753,10 +767,10 @@ impl<'a> SnapWriter<'a> {
         self.write(frame)
     }
 
-    /// Write the index block and the footer, flush, close the file, and
-    /// install it at `dest` by rename; returns the installed snapshot, its
-    /// fences built into `fences` from the index block while it is still
-    /// in memory.
+    /// Write the index block and the footer, flush, and install the file
+    /// at `dest` by rename; returns the installed snapshot on the handle
+    /// that wrote it, its fences built into `fences` from the index block
+    /// while it is still in memory.
     fn finish(mut self, dest: &Path, fences: Vec<u64>) -> Result<Snap> {
         let index_off = self.pos;
         let count = (self.index.len() / INDEX_ENTRY_LEN) as u64;
@@ -774,10 +788,11 @@ impl<'a> SnapWriter<'a> {
         })?;
         self.write(&index)?;
         self.write(&footer)?;
-        self.out.flush().map_err(|e| perr(self.path, "write", e))?;
-        drop(self.out);
+        let file = self
+            .out
+            .into_inner()
+            .map_err(|e| perr(self.path, "write", e.into_error()))?;
         std::fs::rename(self.path, dest).map_err(|e| perr(dest, "rename to", e))?;
-        let file = File::open(dest).map_err(|e| perr(dest, "open", e))?;
         Ok(Snap {
             file,
             index: snap_index,
@@ -900,27 +915,23 @@ impl BinaryStateLog {
         // `validate` bounds the shard count by `u32::MAX`.
         let (slot, shard_count) = (k as u32, config.shards as u32);
 
-        let mut log_write = OpenOptions::new()
+        let log = OpenOptions::new()
             .create(true)
             .read(true)
             .write(true)
             .truncate(false)
             .open(&log_path)
             .map_err(|e| perr(&log_path, "open", e))?;
-        let log_read = File::open(&log_path).map_err(|e| perr(&log_path, "open", e))?;
-        let log_len = log_write
+        let log_len = log
             .metadata()
             .map_err(|e| perr(&log_path, "stat", e))?
             .len();
         if log_len == 0 {
-            log_write
-                .write_all(&file_header(KIND_LOG, slot, shard_count))
+            log.write_all_at(&file_header(KIND_LOG, slot, shard_count), 0)
                 .map_err(|e| perr(&log_path, "write header of", e))?;
         } else {
             let mut h = [0u8; HEADER_LEN as usize];
-            log_write
-                .seek(SeekFrom::Start(0))
-                .and_then(|_| log_write.read_exact(&mut h))
+            log.read_exact_at(&mut h, 0)
                 .map_err(|e| perr(&log_path, "read header of", e))?;
             check_header(&h, KIND_LOG, slot, shard_count, &log_path)?;
         }
@@ -934,10 +945,10 @@ impl BinaryStateLog {
         let mut shard = Shard {
             log_path,
             snap_path,
-            log_write,
-            log_read,
+            log,
             committed: HEADER_LEN,
             buf: Vec::new(),
+            scratch: Vec::new(),
             tail: BTreeMap::new(),
             snap,
         };
@@ -952,7 +963,7 @@ impl BinaryStateLog {
 
     /// Validate a snapshot's header, footer, index checksum and index
     /// entries, and build its fences from the index block read for that.
-    fn open_snapshot(mut file: File, path: &Path, slot: u32, shard_count: u32) -> Result<Snap> {
+    fn open_snapshot(file: File, path: &Path, slot: u32, shard_count: u32) -> Result<Snap> {
         let len = file.metadata().map_err(|e| perr(path, "stat", e))?.len();
         if len < HEADER_LEN + FOOTER_LEN {
             return Err(CoreError::Persistence(format!(
@@ -960,12 +971,11 @@ impl BinaryStateLog {
             )));
         }
         let mut h = [0u8; HEADER_LEN as usize];
-        file.read_exact(&mut h)
+        file.read_exact_at(&mut h, 0)
             .map_err(|e| perr(path, "read header of", e))?;
         check_header(&h, KIND_SNAP, slot, shard_count, path)?;
         let mut footer = [0u8; FOOTER_LEN as usize];
-        file.seek(SeekFrom::Start(len - FOOTER_LEN))
-            .and_then(|_| file.read_exact(&mut footer))
+        file.read_exact_at(&mut footer, len - FOOTER_LEN)
             .map_err(|e| perr(path, "read footer of", e))?;
         if &footer[20..24] != INDEX_MAGIC {
             return Err(CoreError::Persistence(format!(
@@ -986,8 +996,7 @@ impl BinaryStateLog {
         // The geometry check bounds `count` by the file's length.
         let fences = fences_for(count);
         let mut index = vec![0u8; index_len as usize];
-        file.seek(SeekFrom::Start(index_off))
-            .and_then(|_| file.read_exact(&mut index))
+        file.read_exact_at(&mut index, index_off)
             .map_err(|e| perr(path, "read index of", e))?;
         if crc32(&index) != crc {
             return Err(CoreError::Persistence(format!(
@@ -1001,37 +1010,29 @@ impl BinaryStateLog {
     }
 
     /// Rebuild a shard's tail index by replaying its log front to back
-    /// through one buffered sequential reader; truncates a torn/truncated
-    /// final record with a warning.
+    /// through one window; truncates a torn/truncated final record with a
+    /// warning.
     fn replay_log(
         shard: &mut Shard,
         log_len: u64,
         buffer_bytes: usize,
         warnings: &mut Vec<String>,
     ) -> Result<()> {
-        let mut file = &shard.log_read;
-        file.seek(SeekFrom::Start(HEADER_LEN))
-            .map_err(|e| perr(&shard.log_path, "replay", e))?;
-        let mut reader = BufReader::with_capacity(buffer_bytes, file);
+        let mut log = Window::new(&shard.log, log_len, buffer_bytes);
+        let fail = |e| perr(&shard.log_path, "replay", e);
         let mut off = HEADER_LEN;
-        let mut frame_head = [0u8; FRAME_OVERHEAD];
-        let mut payload = Vec::new();
         while off < log_len {
-            let whole = off + FRAME_OVERHEAD as u64 <= log_len;
             let mut good = false;
-            if whole {
-                reader
-                    .read_exact(&mut frame_head)
-                    .map_err(|e| perr(&shard.log_path, "replay", e))?;
-                let len = u32::from_le_bytes(frame_head[0..4].try_into().expect("4")) as u64;
-                let crc = u32::from_le_bytes(frame_head[4..8].try_into().expect("4"));
+            if off + FRAME_OVERHEAD as u64 <= log_len {
+                let head = log.read(off, FRAME_OVERHEAD).map_err(fail)?;
+                let len = u32::from_le_bytes(head[0..4].try_into().expect("4")) as u64;
+                let crc = u32::from_le_bytes(head[4..8].try_into().expect("4"));
                 if off + FRAME_OVERHEAD as u64 + len <= log_len {
-                    payload.resize(len as usize, 0);
-                    reader
-                        .read_exact(&mut payload)
-                        .map_err(|e| perr(&shard.log_path, "replay", e))?;
-                    if crc32(&payload) == crc {
-                        let mut c = Cursor::new(&payload);
+                    let payload = log
+                        .read(off + FRAME_OVERHEAD as u64, len as usize)
+                        .map_err(fail)?;
+                    if crc32(payload) == crc {
+                        let mut c = Cursor::new(payload);
                         let op = c.u8()?;
                         let user_id = c.u64()?;
                         if op != OP_PUT {
@@ -1054,17 +1055,13 @@ impl BinaryStateLog {
                     log_len - off
                 ));
                 shard
-                    .log_write
+                    .log
                     .set_len(off)
                     .map_err(|e| perr(&shard.log_path, "truncate", e))?;
                 break;
             }
         }
-        shard.committed = off.min(log_len);
-        shard
-            .log_write
-            .seek(SeekFrom::Start(shard.committed))
-            .map_err(|e| perr(&shard.log_path, "seek", e))?;
+        shard.committed = off;
         Ok(())
     }
 
@@ -1106,9 +1103,9 @@ impl BinaryStateLog {
         // The durable log tail, read once (`write_buf` drained the buffer,
         // so every tail frame lies below `committed`).
         let mut log = vec![0u8; (shard.committed - HEADER_LEN) as usize];
-        let mut file = &shard.log_read;
-        file.seek(SeekFrom::Start(HEADER_LEN))
-            .and_then(|_| file.read_exact(&mut log))
+        shard
+            .log
+            .read_exact_at(&mut log, HEADER_LEN)
             .map_err(|e| perr(&shard.log_path, "compact read of", e))?;
         let tail_frame = |loc: &TailLoc| {
             let start = (loc.off - HEADER_LEN) as usize;
@@ -1118,10 +1115,11 @@ impl BinaryStateLog {
 
         // Stream-merge snapshot frames (ascending user id) with the tail
         // (a BTreeMap, also ascending); the tail's frame wins per user.
-        let mut old = match &shard.snap {
-            Some(snap) => Some(SnapFrames::new(&snap.file, &shard.snap_path, buffer_bytes)?),
-            None => None,
-        };
+        // The old frames lie in index order below the index block.
+        let mut old = shard
+            .snap
+            .as_ref()
+            .map(|snap| Window::new(&snap.file, snap.index.off, buffer_bytes));
         let tmp = shard.snap_path.with_extension("snap.tmp");
         let mut new = SnapWriter::create(
             &tmp,
@@ -1138,7 +1136,10 @@ impl BinaryStateLog {
             }
             if !replaced {
                 let old = old.as_mut().expect("entries imply a snapshot");
-                new.frame(id, old.read(off, len)?)?;
+                let frame = old
+                    .read(off, len as usize)
+                    .map_err(|e| perr(&shard.snap_path, "compact read of", e))?;
+                new.frame(id, frame)?;
             }
         }
         for (&tid, loc) in tail {
@@ -1151,15 +1152,11 @@ impl BinaryStateLog {
         // truncation the tail index stays valid against the log.
         shard.snap = Some(new.finish(&shard.snap_path, fences)?);
         shard
-            .log_write
+            .log
             .set_len(HEADER_LEN)
             .map_err(|e| perr(&shard.log_path, "truncate", e))?;
         shard.tail.clear();
         shard.committed = HEADER_LEN;
-        shard
-            .log_write
-            .seek(SeekFrom::Start(HEADER_LEN))
-            .map_err(|e| perr(&shard.log_path, "truncate", e))?;
         Ok(())
     }
 }
@@ -1181,10 +1178,7 @@ impl StateBackend for BinaryStateLog {
     fn load(&self, user_id: u64) -> Result<Option<LongTermState>> {
         let mut shard = self.shard_of(user_id).lock();
         match shard.tail.get(&user_id).copied() {
-            Some(TailLoc { off, len }) => {
-                let frame = shard.read_frame(off, len)?;
-                Shard::decode_frame(&frame, user_id, &shard.log_path).map(Some)
-            }
+            Some(loc) => shard.read_frame(user_id, loc).map(Some),
             None => shard.snap_lookup(user_id),
         }
     }
@@ -1195,7 +1189,7 @@ impl StateBackend for BinaryStateLog {
             warnings: self.recovery_warnings.clone(),
         };
         for shard in &self.shards {
-            let mut shard = shard.lock();
+            let shard = shard.lock();
             let snap_entries = shard.snap_ids()?;
             for (id, _, _) in snap_entries {
                 if !shard.tail.contains_key(&id) {
@@ -1460,10 +1454,9 @@ mod tests {
         // Torn write: the final record's bytes are garbage of the right
         // length — only the CRC can catch it.
         let path = dir.join("shard_0.log");
-        let mut f = OpenOptions::new().write(true).open(&path).unwrap();
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
         let len = f.metadata().unwrap().len();
-        f.seek(SeekFrom::Start(len - 12)).unwrap();
-        f.write_all(&[0xAB; 12]).unwrap();
+        f.write_all_at(&[0xAB; 12], len - 12).unwrap();
         drop(f);
         let log = BinaryStateLog::open(&dir, cfg).unwrap();
         assert_eq!(log.recovery_warnings().len(), 1);

@@ -1,12 +1,20 @@
 //! Byte pin of the files a [`BinaryStateLog`] writes.
 //!
-//! A scripted sequence drives a 3-shard log with a 4 KiB append buffer
-//! (so appends spill to the file mid-batch) through every path that
+//! A scripted sequence drives a 3-shard log through every path that
 //! writes bytes: a first compaction, a checkpoint with an empty tail,
 //! a tail that overwrites snapshot users and adds ids before, between and
 //! after the snapshot's, a reopen that replays a flushed tail and compacts
 //! it, and a flushed but uncompacted tail at the end. The test then pins
 //! an FNV-1a digest over every file's name and bytes.
+//!
+//! The script runs at several append-buffer sizes and pins the same digest
+//! at each: the bytes do not depend on when appends spill to the file or
+//! on how the replay and compaction windows refill. At 600 B and 1 KiB
+//! appends spill every few saves; at 4 KiB each shard's ~40 snapshot
+//! frames spill mid-batch; at 256 KiB (the default) only a flush or a
+//! checkpoint drains the buffer. Every size is larger than any one frame
+//! the script writes, so its last save stays buffered and is lost with
+//! the drop.
 //!
 //! Why a pin: the log's files are a format, not an implementation detail.
 //! The constants below were taken before the compaction, replay and
@@ -30,6 +38,9 @@ const FILES: [&str; 7] = [
 ];
 
 const DIGEST: u64 = 0xfd2c_944a_8094_b77f;
+
+/// Append-buffer sizes the script is pinned at.
+const BUFFER_BYTES: [usize; 4] = [600, 1024, 4096, 256 * 1024];
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -78,17 +89,18 @@ fn dir_digest(dir: &Path) -> (Vec<String>, u64) {
     (names, h)
 }
 
-#[test]
-fn scripted_log_directory_is_byte_pinned() {
-    let dir = temp_dir("script");
+/// Run the script in a fresh directory at `buffer_bytes`; returns the
+/// directory's file names and digest.
+fn scripted_digest(buffer_bytes: usize) -> (Vec<String>, u64) {
+    let dir = temp_dir(&format!("script_{buffer_bytes}"));
     let cfg = BinLogConfig {
         shards: 3,
-        buffer_bytes: 4096,
+        buffer_bytes,
     };
     {
         let log = BinaryStateLog::open(&dir, cfg).unwrap();
         // 120 snapshot users in one batch: each shard's ~40 frames
-        // overflow its 4 KiB buffer mid-batch.
+        // overflow a buffer of 4 KiB or less mid-batch.
         save_batch(&log, (100..1300).step_by(10), 1);
         log.flush().unwrap();
         log.checkpoint().unwrap();
@@ -122,8 +134,19 @@ fn scripted_log_directory_is_byte_pinned() {
         log.flush().unwrap();
         assert_eq!(log.list().unwrap().len(), 120 + 3 + 4 + 40 + 2 + 2);
     }
-    let (names, digest) = dir_digest(&dir);
-    assert_eq!(names, FILES);
-    assert_eq!(digest, DIGEST, "state-log bytes moved: {digest:#018x}");
+    let pinned = dir_digest(&dir);
     let _ = std::fs::remove_dir_all(&dir);
+    pinned
+}
+
+#[test]
+fn scripted_log_directory_is_byte_pinned() {
+    for buffer_bytes in BUFFER_BYTES {
+        let (names, digest) = scripted_digest(buffer_bytes);
+        assert_eq!(names, FILES, "buffer_bytes {buffer_bytes}");
+        assert_eq!(
+            digest, DIGEST,
+            "state-log bytes moved at buffer_bytes {buffer_bytes}: {digest:#018x}"
+        );
+    }
 }

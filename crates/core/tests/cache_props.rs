@@ -13,7 +13,10 @@
 //! optionally with its tail corrupted first — a truncated final record or a
 //! torn (checksum-failing) final write. Recovery must shed exactly the
 //! corrupt bytes, warn, and still agree with the model, byte for byte of
-//! state.
+//! state. Each case draws the log's `buffer_bytes` too, from one byte (every
+//! save spills to the file) to the 256 KiB default (only a flush or a
+//! checkpoint drains the buffer), so the replay and compaction windows also
+//! refill mid-frame and serve reads longer than themselves.
 //!
 //! Another property holds the log's snapshot point loads (fence index,
 //! one index block per lookup) to the same kind of model across block
@@ -82,7 +85,7 @@ proptest! {
 
     /// The binary log behind the cache is observably the model — through
     /// any interleaving of save/load/evict/flush plus compactions and
-    /// crash-reopen points with tail corruption.
+    /// crash-reopen points with tail corruption, at any append-buffer size.
     #[test]
     fn binlog_recovery_matches_model(
         // (op, user, stamp):
@@ -91,6 +94,9 @@ proptest! {
         //   6 = crash + truncated tail record, 7 = crash + torn final write.
         ops in proptest::collection::vec((0u8..8, 0u64..12, 0u8..=254), 1..60),
         log_shards in 1usize..4,
+        buffer_bytes in prop_oneof![
+            Just(1usize), Just(7), Just(64), Just(600), Just(4096), Just(256 * 1024),
+        ],
         cache_shards in 1usize..5,
         capacity in 1usize..6,
     ) {
@@ -100,7 +106,7 @@ proptest! {
             capacity_per_shard: capacity,
             write_through: false,
         };
-        let log_cfg = BinLogConfig { shards: log_shards, ..BinLogConfig::default() };
+        let log_cfg = BinLogConfig { shards: log_shards, buffer_bytes };
         let open_cache = || -> ShardedStateCache {
             let log = BinaryStateLog::open(&log_dir, log_cfg).unwrap();
             ShardedStateCache::with_backend(Arc::new(log), cache_cfg).unwrap()
