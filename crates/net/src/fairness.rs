@@ -228,6 +228,45 @@ pub(crate) struct FairScratch {
     frozen: Vec<bool>,
     used: Vec<f64>,
     counts: Vec<usize>,
+    /// Single-link max-min: the memoized share runs.
+    memo: ShareMemo,
+    /// Single-link max-min shares computed by a division.
+    pub(crate) shares_divided: u64,
+    /// Single-link max-min shares copied from the memo instead.
+    pub(crate) shares_reused: u64,
+}
+
+/// Share runs the single-link water-fill memoizes, direct-mapped.
+const MEMO_SLOTS: usize = 64;
+
+/// One memo slot: a key and the run of shares the walk produced after it.
+#[derive(Debug, Default, Clone)]
+struct MemoSlot {
+    /// Bits of the remaining capacity at the key flow.
+    cap_bits: u64,
+    /// Flows left at the key flow, itself included; 0 marks an empty slot.
+    flows_left: usize,
+    /// The shares of the `flows_left - 1` flows after the key flow.
+    run: Vec<f64>,
+}
+
+/// The single-link water-fill's memo: [`MEMO_SLOTS`] slots, filled on
+/// first use.
+#[derive(Debug, Default, Clone)]
+struct ShareMemo {
+    slots: Vec<MemoSlot>,
+}
+
+impl ShareMemo {
+    /// The slot a key maps to.
+    fn slot(&mut self, cap_bits: u64, flows_left: usize) -> &mut MemoSlot {
+        if self.slots.is_empty() {
+            self.slots.resize_with(MEMO_SLOTS, MemoSlot::default);
+        }
+        let h =
+            (cap_bits ^ (flows_left as u64).rotate_right(7)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &mut self.slots[(h >> 58) as usize]
+    }
 }
 
 /// Outcome of one [`allocate_into`] call.
@@ -290,10 +329,11 @@ impl SolverStats {
 ///
 /// Contract: the allocation is computed in the *given* flow order; the
 /// event kernel passes its `(cap, id)`-sorted flow list so the result is
-/// independent of arrival order. The single-link max-min case runs the
-/// exact legacy `SharedBottleneck` water-fill walk, operation for
-/// operation, so the degenerate topology is bit-identical to the
-/// pre-topology kernel.
+/// independent of arrival order. The single-link max-min case gives the
+/// legacy `SharedBottleneck` water-fill walk's rates bit for bit (copying
+/// recurring share runs from `scratch`'s memo instead of dividing again),
+/// so the degenerate topology is bit-identical to the pre-topology
+/// kernel.
 pub(crate) fn allocate_into(
     topo: &Topology,
     objective: FairnessObjective,
@@ -307,7 +347,7 @@ pub(crate) fn allocate_into(
     }
     if objective.is_max_min() {
         if topo.is_single_link() {
-            single_link_water_fill(topo.links()[0].capacity_kbps, flows, rates);
+            single_link_water_fill(topo.links()[0].capacity_kbps, flows, scratch, rates);
         } else {
             max_min_fill(topo, flows, scratch, rates);
         }
@@ -317,22 +357,79 @@ pub(crate) fn allocate_into(
     }
 }
 
-/// The legacy `SharedBottleneck` max-min walk, preserved operation for
-/// operation: every flow gets an equal share of what is left, except
-/// flows whose cap is below their share, which get their cap. Callers
-/// present flows in ascending `(cap, id)` order.
-fn single_link_water_fill(capacity: f64, flows: &[FlowDemand], rates: &mut Vec<f64>) {
+/// The legacy `SharedBottleneck` max-min walk, with its results
+/// memoized: every flow gets an equal share of what is left, except flows
+/// whose cap is below their share, which get their cap. Callers present
+/// flows in ascending `(cap, id)` order.
+///
+/// Each share is a division that waits on the one before it, so the walk
+/// is one dependent chain. Its *key* is the first flow whose cap does not
+/// bind: the pair (remaining capacity, flows left) there. If no later cap
+/// binds either, every share from the key on is a pure function of that
+/// pair, and the walk stores them in `s`'s memo. A later walk that reaches
+/// the same key copies the stored shares instead of dividing, once it has
+/// checked that no remaining cap is below its stored share: that check is
+/// exactly "no later cap binds", under which the legacy walk computes
+/// those very shares. A miss, or a cap that binds after the key, divides
+/// as the legacy walk does. Either way each rate has the legacy walk's
+/// bits.
+fn single_link_water_fill(
+    capacity: f64,
+    flows: &[FlowDemand],
+    s: &mut FairScratch,
+    rates: &mut Vec<f64>,
+) {
     let n = flows.len();
     rates.reserve(n);
     let mut remaining_cap = capacity;
     let mut remaining_flows = n;
-    for flow in flows {
+    for (i, flow) in flows.iter().enumerate() {
         let share = remaining_cap / remaining_flows as f64;
-        let rate = flow.cap_kbps.min(share);
-        rates.push(rate);
-        remaining_cap -= rate;
+        if flow.cap_kbps < share {
+            rates.push(flow.cap_kbps);
+            remaining_cap -= flow.cap_kbps;
+            remaining_flows -= 1;
+            continue;
+        }
+        rates.push(share);
+        let rest = &flows[i + 1..];
+        if rest.is_empty() {
+            break;
+        }
+        let (cap_bits, flows_left) = (remaining_cap.to_bits(), remaining_flows);
+        let slot = s.memo.slot(cap_bits, flows_left);
+        if slot.cap_bits == cap_bits
+            && slot.flows_left == flows_left
+            && rest
+                .iter()
+                .zip(&slot.run)
+                .all(|(f, &share)| !(f.cap_kbps < share))
+        {
+            rates.extend_from_slice(&slot.run);
+            s.shares_divided += i as u64 + 1;
+            s.shares_reused += rest.len() as u64;
+            return;
+        }
+        let mut binds = false;
+        remaining_cap -= share;
         remaining_flows -= 1;
+        for flow in rest {
+            let share = remaining_cap / remaining_flows as f64;
+            binds |= flow.cap_kbps < share;
+            let rate = flow.cap_kbps.min(share);
+            rates.push(rate);
+            remaining_cap -= rate;
+            remaining_flows -= 1;
+        }
+        if !binds {
+            slot.cap_bits = cap_bits;
+            slot.flows_left = flows_left;
+            slot.run.clear();
+            slot.run.extend_from_slice(&rates[i + 1..]);
+        }
+        break;
     }
+    s.shares_divided += n as u64;
 }
 
 /// Relative tolerance for the progressive-fill freeze decisions.

@@ -88,54 +88,64 @@ pub struct FlowEnd {
     pub kbps: f64,
 }
 
-/// An active flow on the network.
+/// An active flow on the network. Its access cap and route are its entry
+/// in [`LinkState::demands`].
 #[derive(Debug, Clone, Copy)]
 struct Flow {
     id: u64,
     started: f64,
     size_kbits: f64,
     remaining_kbits: f64,
-    /// Access-link rate cap (kbps); `f64::INFINITY` when uncapped.
-    cap_kbps: f64,
-    /// Route index into the topology (always 0 on the degenerate link).
-    route: u16,
 }
 
+/// The state of a [`SharedBottleneck`]: its active flows, the allocation
+/// and the completion projections cached over them, and the completions
+/// not yet consumed.
+///
+/// `flows`, `demands`, `rates` and `proj` are parallel, in ascending
+/// `(cap_kbps, id)` order — the allocator's canonical visitation order.
+/// Sorted insertion on arrival makes [`LinkState::refresh_rates`] a single
+/// allocation-free walk over `demands` instead of a per-event sort, and
+/// makes the allocation independent of arrival order.
 #[derive(Debug, Default)]
 struct LinkState {
     /// Virtual time of the last processed event.
     now: f64,
-    /// Active flows, kept sorted ascending by `(cap_kbps, id)` — the
-    /// allocator's canonical visitation order. Sorted insertion on
-    /// arrival makes [`LinkState::refresh_rates`] a single
-    /// allocation-free walk instead of a per-event sort, and makes the
-    /// allocation independent of arrival order.
+    /// Active flows.
     flows: Vec<Flow>,
+    /// Each flow's access cap (`f64::INFINITY` when uncapped) and route:
+    /// the allocator's view, kept beside `flows` rather than rebuilt per
+    /// re-share.
+    demands: Vec<FlowDemand>,
     /// Completions not yet consumed, ordered by (time, id).
     done: VecDeque<FlowEnd>,
-    /// Cached allocated rates, parallel to `flows`. Every objective's
+    /// Cached allocated rates, parallel to the flows. Every objective's
     /// allocation depends only on the flow *set* (caps, routes and ids),
     /// never on residuals, so the shares stay valid across fluid drains
     /// and are recomputed only when a flow arrives or departs.
     rates: Vec<f64>,
     rates_fresh: bool,
-    /// Scratch mirror of `flows` as the allocator's demand view.
-    demands: Vec<FlowDemand>,
-    /// Reusable allocator workspace.
+    /// Reusable allocator workspace; under single-link max-min it holds
+    /// the water-fill's memo of share runs.
     fair: FairScratch,
     /// What the dual solver did on this network so far.
     solver: SolverStats,
-    /// Cached earliest projected completion under the current shares
-    /// (`INFINITY` when idle). Goes stale whenever `now`, a residual, or
-    /// the flow set changes — the projection mixes all three.
+    /// Each flow's projected completion `now + remaining / rate` under
+    /// the current shares, parallel to the flows, and their minimum
+    /// (`INFINITY` when idle). Both go stale whenever `now`, a residual,
+    /// or the flow set changes — the projection mixes all three. The
+    /// completion test in [`SharedBottleneck::advance`] reads `proj`
+    /// rather than dividing again: same operands, same bits.
+    proj: Vec<f64>,
     earliest: f64,
     earliest_fresh: bool,
-    /// Scratch for the flows completing at the current event.
-    finished: Vec<Flow>,
+    /// Scratch: the positions of the flows completing at the current
+    /// event.
+    gone: Vec<usize>,
 }
 
 impl LinkState {
-    /// Run the fairness allocator into the `rates` cache. `flows` is
+    /// Run the fairness allocator into the `rates` cache. The flows are
     /// already in `(cap_kbps, id)` order, so the single-link max-min case
     /// visits flows in exactly the order the legacy per-event water-fill
     /// produced — the share arithmetic is bit-identical — and every other
@@ -143,11 +153,6 @@ impl LinkState {
     fn refresh_rates(&mut self, topo: &Topology, objective: FairnessObjective) {
         if self.rates_fresh {
             return;
-        }
-        self.demands.clear();
-        for flow in &self.flows {
-            self.demands
-                .push(FlowDemand::new(flow.cap_kbps, flow.route));
         }
         self.solver.record(fairness::allocate_into(
             topo,
@@ -159,19 +164,73 @@ impl LinkState {
         self.rates_fresh = true;
     }
 
-    /// Earliest projected completion under the current shares, into the
-    /// `earliest` cache.
+    /// Every flow's projected completion under the current shares, into
+    /// `proj`, and the earliest, into `earliest`. The minimum runs in four
+    /// lanes: a minimum never rounds, so any grouping selects the same
+    /// bits.
     fn refresh_earliest(&mut self, topo: &Topology, objective: FairnessObjective) {
         if self.earliest_fresh {
             return;
         }
         self.refresh_rates(topo, objective);
-        let mut t = f64::INFINITY;
-        for (flow, &rate) in self.flows.iter().zip(&self.rates) {
-            t = t.min(self.now + flow.remaining_kbits / rate);
+        let now = self.now;
+        self.proj.resize(self.rates.len(), 0.0);
+        for ((t, flow), &rate) in self.proj.iter_mut().zip(&self.flows).zip(&self.rates) {
+            *t = now + flow.remaining_kbits / rate;
         }
-        self.earliest = t;
+        let mut lanes = [f64::INFINITY; 4];
+        let quads = self.proj.chunks_exact(4);
+        let tail = quads.remainder();
+        for quad in quads {
+            for (lane, &t) in lanes.iter_mut().zip(quad) {
+                *lane = lane.min(t);
+            }
+        }
+        for (lane, &t) in lanes.iter_mut().zip(tail) {
+            *lane = lane.min(t);
+        }
+        self.earliest = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
         self.earliest_fresh = true;
+    }
+
+    /// Admit a flow at its `(cap, id)` position (keys are unique — ids
+    /// are).
+    fn insert(&mut self, id: u64, size_kbits: f64, demand: FlowDemand) {
+        let cap = demand.cap_kbps;
+        let lo = self
+            .demands
+            .partition_point(|d| d.cap_kbps.total_cmp(&cap).is_lt());
+        let hi = lo + self.demands[lo..].partition_point(|d| d.cap_kbps.total_cmp(&cap).is_le());
+        let pos = lo + self.flows[lo..hi].partition_point(|f| f.id < id);
+        self.flows.insert(
+            pos,
+            Flow {
+                id,
+                started: self.now,
+                size_kbits,
+                remaining_kbits: size_kbits,
+            },
+        );
+        self.demands.insert(pos, demand);
+    }
+
+    /// Complete the flows at the positions in `gone` (ascending) at time
+    /// `at`: drop them, and queue their ends in id order.
+    fn complete(&mut self, at: f64) {
+        let queued = self.done.len();
+        for &i in self.gone.iter().rev() {
+            let flow = self.flows.remove(i);
+            self.demands.remove(i);
+            let duration = at - flow.started;
+            self.done.push_back(FlowEnd {
+                id: flow.id,
+                at,
+                duration,
+                kbps: flow.size_kbits / duration,
+            });
+        }
+        self.gone.clear();
+        self.done.make_contiguous()[queued..].sort_unstable_by_key(|end| end.id);
     }
 }
 
@@ -259,16 +318,14 @@ impl SharedBottleneck {
             let t_end = state.earliest;
             let t_stop = t_end.min(to);
             let dt = t_stop - state.now;
-            let now = state.now;
             let completing = t_end <= to;
             let LinkState {
                 flows,
                 rates,
-                finished,
-                done,
+                proj,
+                gone,
                 ..
             } = &mut *state;
-            finished.clear();
             if completing {
                 // Which flows complete at this event. Decided from the
                 // *pre-advance* projection, not the drained residual: at
@@ -278,28 +335,21 @@ impl SharedBottleneck {
                 // — an infinite loop. Completing every flow whose
                 // projection attained `t_end` removes at least one flow
                 // per event, guaranteeing progress.
-                for (flow, &rate) in flows.iter().zip(rates.iter()) {
-                    if now + flow.remaining_kbits / rate <= t_end
-                        || flow.remaining_kbits - rate * dt <= FLOW_EPS_KBITS
-                    {
-                        finished.push(*flow);
+                for (i, ((flow, &rate), &t)) in flows
+                    .iter_mut()
+                    .zip(rates.iter())
+                    .zip(proj.iter())
+                    .enumerate()
+                {
+                    let left = flow.remaining_kbits - rate * dt;
+                    if t <= t_end || left <= FLOW_EPS_KBITS {
+                        gone.push(i);
                     }
+                    flow.remaining_kbits = left;
                 }
-                finished.sort_by_key(|f| f.id);
-            }
-            for (flow, &rate) in flows.iter_mut().zip(rates.iter()) {
-                flow.remaining_kbits -= rate * dt;
-            }
-            if completing {
-                flows.retain(|f| !finished.iter().any(|g| g.id == f.id));
-                for f in finished.drain(..) {
-                    let duration = t_stop - f.started;
-                    done.push_back(FlowEnd {
-                        id: f.id,
-                        at: t_stop,
-                        duration,
-                        kbps: f.size_kbits / duration,
-                    });
+            } else {
+                for (flow, &rate) in flows.iter_mut().zip(rates.iter()) {
+                    flow.remaining_kbits -= rate * dt;
                 }
             }
             state.now = t_stop;
@@ -307,6 +357,7 @@ impl SharedBottleneck {
             // changed the flow set.
             state.earliest_fresh = false;
             if completing {
+                state.complete(t_stop);
                 state.rates_fresh = false;
             }
         }
@@ -317,7 +368,9 @@ impl SharedBottleneck {
     /// `at` with an access cap of `cap_kbps` (`f64::INFINITY` for
     /// uncapped). `at` earlier than the network clock is clamped forward
     /// — the event kernel admits flows in event order, so this only
-    /// absorbs sub-ULP drift.
+    /// absorbs sub-ULP drift. A non-finite `at` is rejected: a NaN would
+    /// be admitted at the current clock, and `+∞` would drain every flow
+    /// and park the clock where no completion can follow.
     pub fn begin_flow_on(
         &self,
         id: u64,
@@ -334,6 +387,11 @@ impl SharedBottleneck {
         if !(cap_kbps > 0.0) {
             return Err(NetError::InvalidConfig("flow cap must be positive".into()));
         }
+        if !at.is_finite() {
+            return Err(NetError::InvalidConfig(
+                "flow admission time must be finite".into(),
+            ));
+        }
         if route as usize >= self.topology.n_routes() {
             return Err(NetError::InvalidConfig(format!(
                 "route {route} out of range"
@@ -346,23 +404,7 @@ impl SharedBottleneck {
             )));
         }
         Self::advance(&self.topology, self.objective, &mut state, at);
-        let started = state.now;
-        // Sorted insert: keep `flows` in the allocator's `(cap, id)`
-        // visitation order (keys are unique — ids are).
-        let pos = state
-            .flows
-            .partition_point(|f| f.cap_kbps.total_cmp(&cap_kbps).then(f.id.cmp(&id)).is_lt());
-        state.flows.insert(
-            pos,
-            Flow {
-                id,
-                started,
-                size_kbits,
-                remaining_kbits: size_kbits,
-                cap_kbps,
-                route,
-            },
-        );
+        state.insert(id, size_kbits, FlowDemand::new(cap_kbps, route));
         state.rates_fresh = false;
         state.earliest_fresh = false;
         Ok(())
@@ -562,6 +604,51 @@ mod tests {
         assert!(link.begin_flow_on(1, 0, 0.0, 100.0, 0.0).is_err());
         link.begin_flow_on(1, 0, 0.0, 100.0, f64::INFINITY).unwrap();
         assert!(link.begin_flow_on(1, 0, 0.1, 100.0, f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn non_finite_admission_times_are_rejected() {
+        let link = single_link(1000.0);
+        link.begin_flow_on(1, 0, 0.0, 500.0, f64::INFINITY).unwrap();
+        for at in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                link.begin_flow_on(2, 0, at, 100.0, f64::INFINITY).is_err(),
+                "at = {at}"
+            );
+        }
+        // Nothing was admitted and the clock did not move: the incumbent
+        // still completes, alone, at 0.5 s.
+        assert_eq!(link.active_flows(), 1);
+        assert_eq!(link.now(), 0.0);
+        let end = link.pop_completion().unwrap();
+        assert_eq!((end.id, end.at), (1, 0.5));
+        assert_eq!(link.active_flows(), 0);
+    }
+
+    #[test]
+    fn water_fill_reuses_recurring_share_runs() {
+        // Three rounds of one shape on a 12 Mbps link: a flow capped at
+        // 2 Mbps and two uncapped ones, all admitted together. Each round
+        // re-shares twice. With three flows the capped one binds and the
+        // key is (10 Mbps, 2 flows left); after it completes the key is
+        // (12 Mbps, 2). Round one divides all 3 + 2 shares and stores both
+        // runs; rounds two and three divide up to each key and reuse the
+        // one share after it: 2 + 1 divided, 1 + 1 reused per round.
+        let link = single_link(12_000.0);
+        for round in 0..3u64 {
+            let at = 10.0 * round as f64;
+            link.begin_flow_on(3 * round, 0, at, 2_000.0, 2_000.0)
+                .unwrap();
+            link.begin_flow_on(3 * round + 1, 0, at, 50_000.0, f64::INFINITY)
+                .unwrap();
+            link.begin_flow_on(3 * round + 2, 0, at, 50_000.0, f64::INFINITY)
+                .unwrap();
+            let ends: Vec<f64> = (0..3).map(|_| link.pop_completion().unwrap().at).collect();
+            assert_eq!(ends, [at + 1.0, at + 8.5, at + 8.5]);
+        }
+        let state = link.state.borrow();
+        assert_eq!(state.fair.shares_divided, 5 + 3 + 3);
+        assert_eq!(state.fair.shares_reused, 2 + 2);
     }
 
     #[test]
