@@ -151,11 +151,6 @@ impl Pensieve {
     pub fn config(&self) -> &PensieveConfig {
         &self.config
     }
-
-    /// Borrow the underlying network (the trainer updates it in place).
-    pub fn net_mut(&mut self) -> &mut Sequential {
-        &mut self.net
-    }
 }
 
 impl Abr for Pensieve {
@@ -257,7 +252,7 @@ impl PensieveTrainer {
         ladder: &BitrateLadder,
         rng: &mut R,
     ) -> Result<TrainStats> {
-        let mut opt = lingxi_nn::Adam::new(policy.config.lr);
+        let mut opt = lingxi_nn::Adam::new(policy.config.lr, policy.net.param_count());
         let mut epoch_rewards = Vec::with_capacity(self.epochs);
         let eval_suite: Vec<Episode> = (0..self.episodes_per_epoch.max(1))
             .map(|_| self.sample_episode(ladder, rng))

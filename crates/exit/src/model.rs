@@ -1,9 +1,10 @@
-//! The Fig. 7 neural exit predictor: five per-row 1-D conv branches →
-//! merge → FC-64 → FC-2 → softmax.
+//! The Fig. 7 neural exit predictor: one network of a per-row 1-D
+//! convolution (each of the five state rows through its own filters,
+//! output merged row by row) → ReLU → FC-64 → ReLU → FC-2 → softmax.
+//! A batch is one matrix with each state's rows laid end to end.
 
-use lingxi_nn::seq::Branched;
 use lingxi_nn::{
-    softmax, softmax_cross_entropy, Adam, Conv1d, Dense, Layer, Matrix, Relu, Sequential,
+    softmax, softmax_cross_entropy, Adam, Conv1d, Dense, Layer, Matrix, NnError, Relu, Sequential,
 };
 use lingxi_stats::BinaryConfusion;
 use rand::seq::SliceRandom;
@@ -16,7 +17,7 @@ use crate::{ExitError, Result};
 /// Predictor hyper-parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct PredictorConfig {
-    /// Conv channels per branch (paper: 64).
+    /// Conv filters per state row (paper: 64).
     pub channels: usize,
     /// Conv kernel (paper: 4 → "1x4,64").
     pub kernel: usize,
@@ -74,11 +75,17 @@ pub struct EvalReport {
     pub n: usize,
 }
 
+/// A network error: every shape is fixed by the configuration, so it is
+/// one the configuration caused.
+fn nn_err(e: NnError) -> ExitError {
+    ExitError::InvalidConfig(e.to_string())
+}
+
 /// The neural exit predictor.
 #[derive(Debug, Clone)]
 pub struct ExitPredictor {
     config: PredictorConfig,
-    net: Branched,
+    net: Sequential,
 }
 
 impl ExitPredictor {
@@ -95,31 +102,20 @@ impl ExitPredictor {
                 "threshold must be in [0,1]".into(),
             ));
         }
-        let mk = |rng: &mut R| -> Result<Sequential> {
-            Ok(Sequential::new()
-                .push(Layer::Conv1d(
-                    Conv1d::new(1, MATRIX_LEN, config.channels, config.kernel, rng)
-                        .map_err(|e| ExitError::InvalidConfig(e.to_string()))?,
-                ))
-                .push(Layer::Relu(Relu::new())))
-        };
-        let branches: Vec<Sequential> = (0..N_DIMS).map(|_| mk(rng)).collect::<Result<Vec<_>>>()?;
-        let out_len = MATRIX_LEN - config.kernel + 1;
-        let merged = N_DIMS * config.channels * out_len;
-        let head = Sequential::new()
+        let conv =
+            Conv1d::new(N_DIMS, MATRIX_LEN, config.channels, config.kernel, rng).map_err(nn_err)?;
+        let merged = conv.out_features();
+        let net = Sequential::new()
+            .push(Layer::Conv1d(conv))
+            .push(Layer::Relu(Relu::new()))
             .push(Layer::Dense(
-                Dense::new(merged, config.fc, rng)
-                    .map_err(|e| ExitError::InvalidConfig(e.to_string()))?,
+                Dense::new(merged, config.fc, rng).map_err(nn_err)?,
             ))
             .push(Layer::Relu(Relu::new()))
             .push(Layer::Dense(
-                Dense::new_xavier(config.fc, 2, rng)
-                    .map_err(|e| ExitError::InvalidConfig(e.to_string()))?,
+                Dense::new_xavier(config.fc, 2, rng).map_err(nn_err)?,
             ));
-        Ok(Self {
-            config,
-            net: Branched::new(branches, head),
-        })
+        Ok(Self { config, net })
     }
 
     /// Configuration.
@@ -127,20 +123,15 @@ impl ExitPredictor {
         &self.config
     }
 
-    fn branch_inputs(states: &[&StateMatrix]) -> Vec<Matrix> {
-        (0..N_DIMS)
-            .map(|d| {
-                let rows: Vec<Vec<f64>> = states.iter().map(|s| s.row(d).to_vec()).collect();
-                Matrix::from_rows(&rows).expect("uniform row length")
-            })
-            .collect()
+    /// One batch: each state's rows, row after row, as one input row.
+    fn batch(states: &[&StateMatrix]) -> Matrix {
+        let data = states.iter().flat_map(|s| s.rows.iter().flatten().copied());
+        Matrix::from_vec(states.len(), N_DIMS * MATRIX_LEN, data.collect()).expect("fixed shapes")
     }
 
     /// Exit probability for one state.
     pub fn predict(&mut self, state: &StateMatrix) -> f64 {
-        let inputs = Self::branch_inputs(&[state]);
-        let logits = self.net.forward(&inputs).expect("fixed shapes");
-        softmax(&logits).get(0, 1)
+        self.predict_batch(&[state])[0]
     }
 
     /// Batched exit probabilities.
@@ -148,15 +139,12 @@ impl ExitPredictor {
         if states.is_empty() {
             return Vec::new();
         }
-        let inputs = Self::branch_inputs(states);
-        let logits = self.net.forward(&inputs).expect("fixed shapes");
+        let logits = self
+            .net
+            .forward(&Self::batch(states))
+            .expect("fixed shapes");
         let probs = softmax(&logits);
         (0..states.len()).map(|r| probs.get(r, 1)).collect()
-    }
-
-    /// Hard decision at the configured threshold.
-    pub fn predict_exit(&mut self, state: &StateMatrix) -> bool {
-        self.predict(state) >= self.config.threshold
     }
 
     /// Train on the given entry indices of `dataset` (typically the
@@ -170,7 +158,7 @@ impl ExitPredictor {
         if indices.is_empty() {
             return Err(ExitError::BadDataset("empty training set".into()));
         }
-        let mut opt = Adam::new(self.config.lr);
+        let mut opt = Adam::new(self.config.lr, self.net.param_count());
         let mut order: Vec<usize> = indices.to_vec();
         let mut losses = Vec::with_capacity(self.config.epochs);
         for _ in 0..self.config.epochs {
@@ -184,17 +172,10 @@ impl ExitPredictor {
                     .iter()
                     .map(|&i| usize::from(dataset.entries()[i].exited))
                     .collect();
-                let inputs = Self::branch_inputs(&states);
                 self.net.zero_grad();
-                let logits = self
-                    .net
-                    .forward(&inputs)
-                    .map_err(|e| ExitError::InvalidConfig(e.to_string()))?;
-                let (loss, grad) = softmax_cross_entropy(&logits, &labels)
-                    .map_err(|e| ExitError::InvalidConfig(e.to_string()))?;
-                self.net
-                    .backward(&grad)
-                    .map_err(|e| ExitError::InvalidConfig(e.to_string()))?;
+                let logits = self.net.forward(&Self::batch(&states)).map_err(nn_err)?;
+                let (loss, grad) = softmax_cross_entropy(&logits, &labels).map_err(nn_err)?;
+                self.net.backward(&grad).map_err(nn_err)?;
                 self.net.step(&mut opt);
                 total += loss;
                 batches += 1.0;
@@ -296,7 +277,7 @@ mod tests {
     fn batch_predictions_bit_identical_to_sequential() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut p = ExitPredictor::new(PredictorConfig::small(), &mut rng).unwrap();
-        // Fully randomised states so every branch and every feature is live.
+        // Fully randomised states so every row and every feature is live.
         let states: Vec<StateMatrix> = (0..9)
             .map(|_| {
                 let mut s = StateMatrix::zeros();

@@ -58,6 +58,12 @@ impl RolloutPredictor for RuleRolloutPredictor {
             0.005
         }
     }
+
+    /// The rule reads only the rollout context, so rollouts hand it a zero
+    /// matrix instead of building the state matrix per virtual segment.
+    fn wants_state(&self) -> bool {
+        false
+    }
 }
 
 /// Which baseline ABR the run uses.

@@ -441,9 +441,18 @@ impl SharedBottleneck {
 
     /// Advance the link clock to `t`, queueing any completions on the way
     /// (they remain readable through [`SharedBottleneck::pop_completion`]).
-    pub fn advance_to(&self, t: f64) {
+    /// A non-finite `t` is rejected and leaves the link as it was: `+∞`
+    /// would drain every flow and park the clock where no later flow can
+    /// complete, and a NaN would silently do nothing.
+    pub fn advance_to(&self, t: f64) -> Result<()> {
+        if !t.is_finite() {
+            return Err(NetError::InvalidConfig(
+                "advance time must be finite".into(),
+            ));
+        }
         let mut state = self.state.borrow_mut();
         Self::advance(&self.topology, self.objective, &mut state, t);
+        Ok(())
     }
 }
 
@@ -561,7 +570,7 @@ mod tests {
             begun += size;
         }
         let horizon = 2.0;
-        link.advance_to(horizon);
+        link.advance_to(horizon).unwrap();
         let delivered = begun - link.remaining_kbits();
         assert!(
             delivered <= 8_000.0 * horizon + 1e-6,
@@ -582,7 +591,7 @@ mod tests {
         // absolute epsilon. Completion must still make progress: the
         // pre-advance projection decides who finishes, not the residual.
         let link = single_link(25_000.0);
-        link.advance_to(1.0e9);
+        link.advance_to(1.0e9).unwrap();
         for id in 0..3u64 {
             link.begin_flow_on(id, 0, 1.0e9, 4000.0 + id as f64, f64::INFINITY)
                 .unwrap();
@@ -622,6 +631,26 @@ mod tests {
         assert_eq!(link.now(), 0.0);
         let end = link.pop_completion().unwrap();
         assert_eq!((end.id, end.at), (1, 0.5));
+        assert_eq!(link.active_flows(), 0);
+    }
+
+    #[test]
+    fn non_finite_advance_times_are_rejected() {
+        let link = single_link(1000.0);
+        link.begin_flow_on(1, 0, 0.0, 500.0, f64::INFINITY).unwrap();
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(link.advance_to(t).is_err(), "t = {t}");
+        }
+        // The clock did not move and nothing was drained: the incumbent
+        // completes at 0.5 s, and a flow admitted after it still
+        // completes at a finite time.
+        assert_eq!(link.now(), 0.0);
+        assert_eq!(link.active_flows(), 1);
+        assert_eq!(link.pop_completion().unwrap().at, 0.5);
+        link.begin_flow_on(2, 0, 1.0, 1000.0, f64::INFINITY)
+            .unwrap();
+        let end = link.pop_completion().unwrap();
+        assert_eq!((end.id, end.at), (2, 2.0));
         assert_eq!(link.active_flows(), 0);
     }
 
@@ -683,7 +712,7 @@ mod tests {
             begun += size;
         }
         let horizon = 1.5;
-        net.advance_to(horizon);
+        net.advance_to(horizon).unwrap();
         let delivered = begun - net.remaining_kbits();
         assert!(
             delivered <= 8_000.0 * horizon + 1e-4,
@@ -726,7 +755,7 @@ mod tests {
         assert!(link.next_event_time().is_none());
         link.begin_flow_on(1, 0, 0.0, 500.0, f64::INFINITY).unwrap();
         assert!((link.next_event_time().unwrap() - 0.5).abs() < 1e-9);
-        link.advance_to(1.0);
+        link.advance_to(1.0).unwrap();
         // Completion already queued: still reported until consumed.
         assert!((link.next_event_time().unwrap() - 0.5).abs() < 1e-9);
         let end = link.pop_completion().unwrap();

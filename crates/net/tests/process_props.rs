@@ -256,7 +256,7 @@ proptest! {
         let link = single_link(capacity);
         let mut reference = ReferenceLink::new(capacity);
         let base = [0.0, 1.0e6, 1.0e9][base_pick];
-        link.advance_to(base);
+        link.advance_to(base).unwrap();
         reference.advance(base);
         let mut next_id = 0u64;
         for (kind, cap_pick, size_pick, gap) in ops {
@@ -284,7 +284,7 @@ proptest! {
                 }
                 _ => {
                     let to = reference.now + step;
-                    link.advance_to(to);
+                    link.advance_to(to).unwrap();
                     reference.advance(to);
                 }
             }
@@ -375,7 +375,7 @@ proptest! {
             link.begin_flow_on(id as u64, 0, *at, *size, *cap).unwrap();
             begun += size;
         }
-        link.advance_to(latest + horizon);
+        link.advance_to(latest + horizon).unwrap();
         // Nothing was delivered before the first arrival, so the active
         // window is [earliest, now].
         let window = link.now() - earliest;

@@ -1,7 +1,10 @@
-//! Network layers: dense, 1-D convolution, ReLU.
+//! Network layers: dense, per-row 1-D convolution, ReLU.
 //!
 //! Each layer caches its forward input so `backward` can compute parameter
-//! gradients. Layers live in-process only: nothing serializes them.
+//! gradients. A trained layer holds a gradient beside each of its tensors
+//! from construction, and [`Layer::params`] lists the (tensor, gradient)
+//! pairs once; zeroing, stepping and counting all walk that list. Layers
+//! live in-process only: nothing serializes them.
 
 use rand::Rng;
 
@@ -14,7 +17,7 @@ use crate::{Matrix, NnError, Result};
 pub struct Dense {
     w: Matrix,
     b: Vec<f64>,
-    grad_w: Option<Matrix>,
+    grad_w: Matrix,
     grad_b: Vec<f64>,
     cache_x: Option<Matrix>,
 }
@@ -22,30 +25,26 @@ pub struct Dense {
 impl Dense {
     /// New dense layer with He-uniform weights (suitable before ReLU).
     pub fn new<R: Rng + ?Sized>(in_dim: usize, out_dim: usize, rng: &mut R) -> Result<Self> {
-        if in_dim == 0 || out_dim == 0 {
-            return Err(NnError::InvalidConfig("dense dims must be positive".into()));
-        }
-        Ok(Self {
-            w: he_uniform(in_dim, out_dim, in_dim, rng),
-            b: vec![0.0; out_dim],
-            grad_w: None,
-            grad_b: vec![],
-            cache_x: None,
-        })
+        check_dims(in_dim, out_dim)?;
+        Ok(Self::with_weights(he_uniform(in_dim, out_dim, in_dim, rng)))
     }
 
     /// New dense layer with Xavier weights (suitable for linear outputs).
     pub fn new_xavier<R: Rng + ?Sized>(in_dim: usize, out_dim: usize, rng: &mut R) -> Result<Self> {
-        if in_dim == 0 || out_dim == 0 {
-            return Err(NnError::InvalidConfig("dense dims must be positive".into()));
-        }
-        Ok(Self {
-            w: xavier_uniform(in_dim, out_dim, in_dim, out_dim, rng),
-            b: vec![0.0; out_dim],
-            grad_w: None,
-            grad_b: vec![],
+        check_dims(in_dim, out_dim)?;
+        Ok(Self::with_weights(xavier_uniform(
+            in_dim, out_dim, in_dim, out_dim, rng,
+        )))
+    }
+
+    fn with_weights(w: Matrix) -> Self {
+        Self {
+            grad_w: Matrix::zeros(w.rows(), w.cols()),
+            b: vec![0.0; w.cols()],
+            grad_b: vec![0.0; w.cols()],
+            w,
             cache_x: None,
-        })
+        }
     }
 
     /// Input dimension.
@@ -66,18 +65,8 @@ impl Dense {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Result<Matrix> {
-        let x = self
-            .cache_x
-            .as_ref()
-            .ok_or_else(|| NnError::InvalidConfig("backward called before forward".into()))?;
-        let gw = x.transpose().matmul(grad_out)?;
-        match &mut self.grad_w {
-            Some(existing) => existing.add_assign(&gw)?,
-            None => self.grad_w = Some(gw),
-        }
-        if self.grad_b.is_empty() {
-            self.grad_b = vec![0.0; self.b.len()];
-        }
+        let x = cached(&self.cache_x)?;
+        self.grad_w.add_assign(&x.transpose().matmul(grad_out)?)?;
         for (g, s) in self.grad_b.iter_mut().zip(grad_out.col_sums()) {
             *g += s;
         }
@@ -85,28 +74,46 @@ impl Dense {
     }
 }
 
-/// A valid (no padding, stride 1) 1-D convolution.
+fn check_dims(in_dim: usize, out_dim: usize) -> Result<()> {
+    if in_dim == 0 || out_dim == 0 {
+        return Err(NnError::InvalidConfig("dense dims must be positive".into()));
+    }
+    Ok(())
+}
+
+fn cached(cache_x: &Option<Matrix>) -> Result<&Matrix> {
+    cache_x
+        .as_ref()
+        .ok_or_else(|| NnError::InvalidConfig("backward called before forward".into()))
+}
+
+/// A per-row valid (no padding, stride 1) 1-D convolution.
 ///
-/// Input layout: the feature axis is `in_channels * length` with channel-major
-/// blocks (`x[ic*len + t]`). Output layout: `out_channels * out_len` with
-/// `out_len = length - kernel + 1`. For the paper's predictor the per-row
-/// convs are `Conv1d(in=1, len=8, out=64, kernel=4)` giving `64×5` features.
+/// The input's feature axis holds `in_ch` rows of `len` values, row after
+/// row (`x[r*len + t]`). Each row runs through its own bank of `out_ch`
+/// filters of `kernel` taps: rows share no weights and are never summed.
+/// The output is laid out by row, then filter, then position
+/// (`y[(r*out_ch + f)*out_len + p]`, `out_len = len - kernel + 1`), so a
+/// row's block is exactly what a one-row convolution of that row gives.
+/// The paper's predictor is `Conv1d(in=5, len=8, out=64, kernel=4)`: five
+/// state rows × 64 filters × 5 positions.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
     in_ch: usize,
     len: usize,
     out_ch: usize,
     kernel: usize,
-    /// `(out_ch, in_ch*kernel)` filter bank.
+    /// `(in_ch*out_ch, kernel)`: filter `f` of row `r` is row `r*out_ch + f`.
     w: Matrix,
     b: Vec<f64>,
-    grad_w: Option<Matrix>,
+    grad_w: Matrix,
     grad_b: Vec<f64>,
     cache_x: Option<Matrix>,
 }
 
 impl Conv1d {
-    /// Create a convolution layer; `kernel` must not exceed `len`.
+    /// Create a per-row convolution; `kernel` must not exceed `len`. The
+    /// filters are drawn row by row, each bank with `fan_in = kernel`.
     pub fn new<R: Rng + ?Sized>(
         in_ch: usize,
         len: usize,
@@ -122,16 +129,16 @@ impl Conv1d {
                 "kernel {kernel} exceeds input length {len}"
             )));
         }
-        let fan_in = in_ch * kernel;
+        let filters = in_ch * out_ch;
         Ok(Self {
             in_ch,
             len,
             out_ch,
             kernel,
-            w: he_uniform(out_ch, fan_in, fan_in, rng),
-            b: vec![0.0; out_ch],
-            grad_w: None,
-            grad_b: vec![],
+            w: he_uniform(filters, kernel, kernel, rng),
+            b: vec![0.0; filters],
+            grad_w: Matrix::zeros(filters, kernel),
+            grad_b: vec![0.0; filters],
             cache_x: None,
         })
     }
@@ -146,9 +153,9 @@ impl Conv1d {
         self.in_ch * self.len
     }
 
-    /// Total output feature width produced (`out_ch * out_len`).
+    /// Total output feature width produced (`in_ch * out_ch * out_len`).
     pub fn out_features(&self) -> usize {
-        self.out_ch * self.out_len()
+        self.b.len() * self.out_len()
     }
 
     fn forward(&mut self, x: &Matrix) -> Result<Matrix> {
@@ -160,20 +167,24 @@ impl Conv1d {
         }
         let out_len = self.out_len();
         let mut y = Matrix::zeros(x.rows(), self.out_features());
+        // `f` runs over every row's filters in weight order; its row is
+        // `f / out_ch`, and its output block starts at `f * out_len`.
         for bi in 0..x.rows() {
             let xr = x.row(bi);
-            for oc in 0..self.out_ch {
-                let wrow = self.w.row(oc);
+            for (f, (filter, &bias)) in self
+                .w
+                .as_slice()
+                .chunks_exact(self.kernel)
+                .zip(&self.b)
+                .enumerate()
+            {
+                let row = &xr[f / self.out_ch * self.len..];
                 for p in 0..out_len {
-                    let mut acc = self.b[oc];
-                    for ic in 0..self.in_ch {
-                        let xoff = ic * self.len + p;
-                        let woff = ic * self.kernel;
-                        for k in 0..self.kernel {
-                            acc += wrow[woff + k] * xr[xoff + k];
-                        }
-                    }
-                    y.set(bi, oc * out_len + p, acc);
+                    let acc = filter
+                        .iter()
+                        .zip(&row[p..])
+                        .fold(bias, |acc, (w, x)| acc + w * x);
+                    y.set(bi, f * out_len + p, acc);
                 }
             }
         }
@@ -182,52 +193,35 @@ impl Conv1d {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Result<Matrix> {
-        let x = self
-            .cache_x
-            .as_ref()
-            .ok_or_else(|| NnError::InvalidConfig("backward called before forward".into()))?;
+        let x = cached(&self.cache_x)?;
         if grad_out.cols() != self.out_features() || grad_out.rows() != x.rows() {
             return Err(NnError::ShapeMismatch {
                 expected: format!("{}x{}", x.rows(), self.out_features()),
                 got: format!("{}x{}", grad_out.rows(), grad_out.cols()),
             });
         }
-        let out_len = self.out_len();
-        if self.grad_w.is_none() {
-            self.grad_w = Some(Matrix::zeros(self.out_ch, self.in_ch * self.kernel));
-        }
-        if self.grad_b.is_empty() {
-            self.grad_b = vec![0.0; self.out_ch];
-        }
-        let mut gw = self.grad_w.take().unwrap();
-        let mut gx = Matrix::zeros(x.rows(), self.in_features());
-        for bi in 0..x.rows() {
+        let (kernel, out_len, in_features) = (self.kernel, self.out_len(), self.in_features());
+        let w = self.w.as_slice();
+        let grad_w = self.grad_w.as_mut_slice();
+        let mut gx = Matrix::zeros(x.rows(), in_features);
+        for (bi, gxr) in gx.as_mut_slice().chunks_exact_mut(in_features).enumerate() {
             let xr = x.row(bi);
             let gr = grad_out.row(bi);
-            for oc in 0..self.out_ch {
-                let wrow_base = oc * (self.in_ch * self.kernel);
+            for (f, gb) in self.grad_b.iter_mut().enumerate() {
+                let off = f / self.out_ch * self.len;
                 for p in 0..out_len {
-                    let g = gr[oc * out_len + p];
+                    let g = gr[f * out_len + p];
                     if g == 0.0 {
                         continue;
                     }
-                    self.grad_b[oc] += g;
-                    for ic in 0..self.in_ch {
-                        let xoff = ic * self.len + p;
-                        let woff = ic * self.kernel;
-                        for k in 0..self.kernel {
-                            // dW
-                            gw.as_mut_slice()[wrow_base + woff + k] += g * xr[xoff + k];
-                            // dX
-                            let widx = self.w.row(oc)[woff + k];
-                            let gxs = gx.as_mut_slice();
-                            gxs[bi * self.in_ch * self.len + xoff + k] += g * widx;
-                        }
+                    *gb += g;
+                    for k in 0..kernel {
+                        grad_w[f * kernel + k] += g * xr[off + p + k];
+                        gxr[off + p + k] += g * w[f * kernel + k];
                     }
                 }
             }
         }
-        self.grad_w = Some(gw);
         Ok(gx)
     }
 }
@@ -273,7 +267,7 @@ impl Relu {
 pub enum Layer {
     /// Fully connected.
     Dense(Dense),
-    /// 1-D convolution.
+    /// Per-row 1-D convolution.
     Conv1d(Conv1d),
     /// ReLU activation.
     Relu(Relu),
@@ -298,58 +292,39 @@ impl Layer {
         }
     }
 
-    /// Visit `(param, grad)` slice pairs in a stable order. Layers with no
-    /// accumulated gradient are skipped.
-    pub fn visit_params<F: FnMut(&mut [f64], &mut [f64])>(&mut self, f: &mut F) {
-        match self {
-            Layer::Dense(l) => {
-                if let Some(gw) = &mut l.grad_w {
-                    f(l.w.as_mut_slice(), gw.as_mut_slice());
-                }
-                if !l.grad_b.is_empty() {
-                    f(&mut l.b, &mut l.grad_b);
-                }
-            }
-            Layer::Conv1d(l) => {
-                if let Some(gw) = &mut l.grad_w {
-                    f(l.w.as_mut_slice(), gw.as_mut_slice());
-                }
-                if !l.grad_b.is_empty() {
-                    f(&mut l.b, &mut l.grad_b);
-                }
-            }
-            Layer::Relu(_) => {}
-        }
-    }
-
-    /// Reset accumulated gradients to zero.
-    pub fn zero_grad(&mut self) {
-        match self {
-            Layer::Dense(l) => {
-                if let Some(g) = &mut l.grad_w {
-                    g.scale(0.0);
-                }
-                for g in &mut l.grad_b {
-                    *g = 0.0;
-                }
-            }
-            Layer::Conv1d(l) => {
-                if let Some(g) = &mut l.grad_w {
-                    g.scale(0.0);
-                }
-                for g in &mut l.grad_b {
-                    *g = 0.0;
-                }
-            }
-            Layer::Relu(_) => {}
-        }
+    /// The layer's trainable tensors, each beside the gradient accumulated
+    /// for it since it was last zeroed: the weights, then the bias. ReLU
+    /// has none.
+    pub fn params(&mut self) -> impl Iterator<Item = (&mut [f64], &mut [f64])> {
+        let pairs = match self {
+            Layer::Dense(Dense {
+                w,
+                b,
+                grad_w,
+                grad_b,
+                ..
+            })
+            | Layer::Conv1d(Conv1d {
+                w,
+                b,
+                grad_w,
+                grad_b,
+                ..
+            }) => Some([
+                (w.as_mut_slice(), grad_w.as_mut_slice()),
+                (b.as_mut_slice(), grad_b.as_mut_slice()),
+            ]),
+            Layer::Relu(_) => None,
+        };
+        pairs.into_iter().flatten()
     }
 
     /// Number of trainable scalars.
     pub fn param_count(&self) -> usize {
         match self {
-            Layer::Dense(l) => l.w.rows() * l.w.cols() + l.b.len(),
-            Layer::Conv1d(l) => l.w.rows() * l.w.cols() + l.b.len(),
+            Layer::Dense(Dense { w, b, .. }) | Layer::Conv1d(Conv1d { w, b, .. }) => {
+                w.as_slice().len() + b.len()
+            }
             Layer::Relu(_) => 0,
         }
     }
@@ -377,46 +352,46 @@ mod tests {
         assert_eq!(y.row(0), &[1.0, -1.0]);
     }
 
-    #[test]
-    fn dense_gradient_check() {
-        // Numerical gradient check of dW on a tiny layer with L = sum(y).
-        let mut r = rng();
-        let mut d = Dense::new(2, 2, &mut r).unwrap();
-        let x = Matrix::from_vec(1, 2, vec![0.3, -0.7]).unwrap();
-        let _ = d.forward(&x).unwrap();
-        let ones = Matrix::from_vec(1, 2, vec![1.0, 1.0]).unwrap();
-        let gx = d.backward(&ones).unwrap();
-        let gw = d.grad_w.clone().unwrap();
+    /// `sum(y)` of `layer` on `x`, with tensor `t`'s element `i` nudged by
+    /// `eps`, for a central-difference check of the listed gradients.
+    fn nudged_sum(layer: &Layer, x: &Matrix, t: usize, i: usize, eps: f64) -> f64 {
+        let mut l = layer.clone();
+        l.params().nth(t).unwrap().0[i] += eps;
+        l.forward(x).unwrap().as_slice().iter().sum()
+    }
+
+    /// Check every listed gradient of `layer` (weights, then bias) and the
+    /// input gradient against central differences of `L = sum(y)`.
+    fn gradient_check(mut layer: Layer, x: &Matrix) {
+        let y = layer.forward(x).unwrap();
+        let ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.as_slice().len()]).unwrap();
+        let gx = layer.backward(&ones).unwrap();
+        let grads: Vec<Vec<f64>> = layer.params().map(|(_, g)| g.to_vec()).collect();
+        assert_eq!(grads.len(), 2);
         let eps = 1e-6;
-        for i in 0..2 {
-            for j in 0..2 {
-                let mut dp = d.clone();
-                let idx = i * 2 + j;
-                dp.w.as_mut_slice()[idx] += eps;
-                let yp: f64 = dp.forward(&x).unwrap().as_slice().iter().sum();
-                let mut dm = d.clone();
-                dm.w.as_mut_slice()[idx] -= eps;
-                let ym: f64 = dm.forward(&x).unwrap().as_slice().iter().sum();
-                let num = (yp - ym) / (2.0 * eps);
-                assert!(
-                    (num - gw.get(i, j)).abs() < 1e-5,
-                    "dW[{i}{j}]: numeric {num} vs analytic {}",
-                    gw.get(i, j)
-                );
+        for (t, grad) in grads.iter().enumerate() {
+            for (i, &g) in grad.iter().enumerate() {
+                let num = (nudged_sum(&layer, x, t, i, eps) - nudged_sum(&layer, x, t, i, -eps))
+                    / (2.0 * eps);
+                assert!((num - g).abs() < 1e-5, "tensor {t}[{i}]: {num} vs {g}");
             }
         }
-        // dX check.
-        for j in 0..2 {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[j] += eps;
-            let mut dd = d.clone();
-            let yp: f64 = dd.forward(&xp).unwrap().as_slice().iter().sum();
-            let mut xm = x.clone();
-            xm.as_mut_slice()[j] -= eps;
-            let ym: f64 = dd.forward(&xm).unwrap().as_slice().iter().sum();
-            let num = (yp - ym) / (2.0 * eps);
-            assert!((num - gx.get(0, j)).abs() < 1e-5);
+        for j in 0..x.cols() {
+            let sum_at = |d: f64| -> f64 {
+                let mut xd = x.clone();
+                xd.as_mut_slice()[j] += d;
+                layer.clone().forward(&xd).unwrap().as_slice().iter().sum()
+            };
+            let num = (sum_at(eps) - sum_at(-eps)) / (2.0 * eps);
+            assert!((num - gx.get(0, j)).abs() < 1e-5, "dX[{j}]");
         }
+    }
+
+    #[test]
+    fn dense_gradient_check() {
+        let mut r = rng();
+        let d = Layer::Dense(Dense::new(2, 2, &mut r).unwrap());
+        gradient_check(d, &Matrix::from_vec(1, 2, vec![0.3, -0.7]).unwrap());
     }
 
     #[test]
@@ -444,42 +419,12 @@ mod tests {
 
     #[test]
     fn conv_gradient_check() {
+        // Two rows, each through its own three filters.
         let mut r = rng();
-        let mut c = Conv1d::new(2, 5, 3, 3, &mut r).unwrap();
+        let c = Layer::Conv1d(Conv1d::new(2, 5, 3, 3, &mut r).unwrap());
         let x =
             Matrix::from_vec(1, 10, (0..10).map(|i| (i as f64 * 0.37).sin()).collect()).unwrap();
-        let y = c.forward(&x).unwrap();
-        let ones = Matrix::from_vec(1, y.cols(), vec![1.0; y.cols()]).unwrap();
-        let gx = c.backward(&ones).unwrap();
-        let gw = c.grad_w.clone().unwrap();
-        let eps = 1e-6;
-        // Check a scattering of weight gradients.
-        for idx in [0usize, 3, 7, 11, 17] {
-            let mut cp = c.clone();
-            cp.w.as_mut_slice()[idx] += eps;
-            let yp: f64 = cp.forward(&x).unwrap().as_slice().iter().sum();
-            let mut cm = c.clone();
-            cm.w.as_mut_slice()[idx] -= eps;
-            let ym: f64 = cm.forward(&x).unwrap().as_slice().iter().sum();
-            let num = (yp - ym) / (2.0 * eps);
-            assert!(
-                (num - gw.as_slice()[idx]).abs() < 1e-5,
-                "dW[{idx}]: {num} vs {}",
-                gw.as_slice()[idx]
-            );
-        }
-        // Check input gradients.
-        for j in 0..10 {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[j] += eps;
-            let mut cc = c.clone();
-            let yp: f64 = cc.forward(&xp).unwrap().as_slice().iter().sum();
-            let mut xm = x.clone();
-            xm.as_mut_slice()[j] -= eps;
-            let ym: f64 = cc.forward(&xm).unwrap().as_slice().iter().sum();
-            let num = (yp - ym) / (2.0 * eps);
-            assert!((num - gx.as_slice()[j]).abs() < 1e-5);
-        }
+        gradient_check(c, &x);
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //!
 //! Design notes:
 //! - Activations flow through [`Matrix`] values shaped `(batch, features)`;
-//!   convolution layers interpret the feature axis as `channels × length`.
+//!   the per-row convolution interprets the feature axis as `rows × length`
+//!   and gives each row its own filter bank, so the predictor's five
+//!   branches and their merge are one [`Conv1d`] layer.
+//! - Every trained layer lists its (tensor, gradient) pairs once
+//!   ([`Layer::params`]); a network zeroes and steps that list, and
+//!   [`Adam`] keeps one moment buffer of each kind over it.
 //! - Layers are a closed [`Layer`] enum rather than trait objects, so a
 //!   model is a plain `Clone` value and a layer call is a `match`.
 //! - Models live in-process: each is trained (or freshly initialized) by

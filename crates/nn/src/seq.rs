@@ -1,15 +1,14 @@
 //! Sequential network container.
 //!
-//! Supports plain chains (Dense/ReLU stacks) and the paper's *multi-branch*
-//! front end: Fig. 7 runs each of the five state rows through its own 1-D
-//! convolution, then merges (concatenates) the branch outputs before the
-//! fully-connected head. [`Sequential`] models the chain; [`Branched`]
-//! (with [`concat_features`]/[`split_features`]) handles the branch +
-//! merge pattern.
+//! A network is one chain of layers; there is no branch container. The
+//! paper's multi-branch front end (Fig. 7 runs each of the five state rows
+//! through its own 1-D convolution, then merges the results before the
+//! fully-connected head) is one per-row [`Conv1d`](crate::Conv1d) layer,
+//! whose output is already the merged row-by-row layout.
 
 use crate::layer::Layer;
 use crate::optim::Adam;
-use crate::{Matrix, NnError, Result};
+use crate::{Matrix, Result};
 
 /// A chain of layers applied in order.
 #[derive(Debug, Clone, Default)]
@@ -39,9 +38,15 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Total trainable parameters.
+    /// Total trainable parameters: the length of [`Adam`]'s moment buffers
+    /// for this network.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.layers.iter().map(Layer::param_count).sum()
+    }
+
+    /// Every layer's (tensor, gradient) pairs, first layer first.
+    fn params(&mut self) -> impl Iterator<Item = (&mut [f64], &mut [f64])> {
+        self.layers.iter_mut().flat_map(Layer::params)
     }
 
     /// Forward pass through all layers (caches activations for backward).
@@ -65,171 +70,40 @@ impl Sequential {
 
     /// Zero all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
+        for (_, grad) in self.params() {
+            grad.fill(0.0);
         }
     }
 
-    /// Apply one Adam step over every parameter tensor, then tick.
+    /// Apply one Adam step over every parameter tensor.
     pub fn step(&mut self, opt: &mut Adam) {
-        let mut slot = 0;
-        for layer in &mut self.layers {
-            layer.visit_params(&mut |p, g| {
-                opt.step_param(slot, p, g);
-                slot += 1;
-            });
-        }
-        opt.tick();
-    }
-
-    /// Inference without mutating optimizer state (still caches activations;
-    /// call on a clone when sharing across threads).
-    pub fn predict(&mut self, x: &Matrix) -> Result<Matrix> {
-        self.forward(x)
-    }
-}
-
-/// Concatenate per-branch outputs along the feature axis.
-pub fn concat_features(parts: &[Matrix]) -> Result<Matrix> {
-    if parts.is_empty() {
-        return Err(NnError::InvalidConfig("no branches to merge".into()));
-    }
-    let rows = parts[0].rows();
-    if parts.iter().any(|p| p.rows() != rows) {
-        return Err(NnError::ShapeMismatch {
-            expected: format!("{rows} rows in every branch"),
-            got: "mismatched branch batch sizes".into(),
-        });
-    }
-    let total: usize = parts.iter().map(|p| p.cols()).sum();
-    let mut out = Matrix::zeros(rows, total);
-    for r in 0..rows {
-        let mut off = 0;
-        for p in parts {
-            let src = p.row(r);
-            let dst = &mut out.as_mut_slice()[r * total + off..r * total + off + src.len()];
-            dst.copy_from_slice(src);
-            off += src.len();
-        }
-    }
-    Ok(out)
-}
-
-/// Split a feature-axis gradient back into per-branch gradients with the
-/// given widths (inverse of [`concat_features`]).
-pub fn split_features(grad: &Matrix, widths: &[usize]) -> Result<Vec<Matrix>> {
-    let total: usize = widths.iter().sum();
-    if grad.cols() != total {
-        return Err(NnError::ShapeMismatch {
-            expected: format!("{total} feature columns"),
-            got: format!("{}", grad.cols()),
-        });
-    }
-    let rows = grad.rows();
-    let mut out = Vec::with_capacity(widths.len());
-    let mut off = 0;
-    for &w in widths {
-        let mut part = Matrix::zeros(rows, w);
-        for r in 0..rows {
-            let src = &grad.row(r)[off..off + w];
-            part.as_mut_slice()[r * w..(r + 1) * w].copy_from_slice(src);
-        }
-        off += w;
-        out.push(part);
-    }
-    Ok(out)
-}
-
-/// A branch + merge network: `branches[i]` consumes input slice `i`; their
-/// outputs are concatenated and fed to `head`. This is the exact topology of
-/// the paper's exit-rate predictor (five conv branches → merge → FC stack).
-#[derive(Debug, Clone)]
-pub struct Branched {
-    /// Per-input-slice subnetworks.
-    pub branches: Vec<Sequential>,
-    /// Shared head after the merge.
-    pub head: Sequential,
-    branch_widths: Vec<usize>,
-}
-
-impl Branched {
-    /// Build from branches and a head.
-    pub fn new(branches: Vec<Sequential>, head: Sequential) -> Self {
-        Self {
-            branches,
-            head,
-            branch_widths: Vec::new(),
-        }
-    }
-
-    /// Forward with one input matrix per branch.
-    pub fn forward(&mut self, inputs: &[Matrix]) -> Result<Matrix> {
-        if inputs.len() != self.branches.len() {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("{} branch inputs", self.branches.len()),
-                got: format!("{}", inputs.len()),
-            });
-        }
-        let mut outs = Vec::with_capacity(inputs.len());
-        for (b, x) in self.branches.iter_mut().zip(inputs) {
-            outs.push(b.forward(x)?);
-        }
-        self.branch_widths = outs.iter().map(|o| o.cols()).collect();
-        let merged = concat_features(&outs)?;
-        self.head.forward(&merged)
-    }
-
-    /// Backward through head and all branches.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Result<()> {
-        let g_merged = self.head.backward(grad_out)?;
-        let parts = split_features(&g_merged, &self.branch_widths)?;
-        for (b, g) in self.branches.iter_mut().zip(&parts) {
-            b.backward(g)?;
-        }
-        Ok(())
-    }
-
-    /// Zero all gradients.
-    pub fn zero_grad(&mut self) {
-        for b in &mut self.branches {
-            b.zero_grad();
-        }
-        self.head.zero_grad();
-    }
-
-    /// One Adam step over branches then head.
-    pub fn step(&mut self, opt: &mut Adam) {
-        let mut slot = 0;
-        for b in &mut self.branches {
-            for layer in &mut b.layers {
-                layer.visit_params(&mut |p, g| {
-                    opt.step_param(slot, p, g);
-                    slot += 1;
-                });
-            }
-        }
-        for layer in &mut self.head.layers {
-            layer.visit_params(&mut |p, g| {
-                opt.step_param(slot, p, g);
-                slot += 1;
-            });
-        }
-        opt.tick();
-    }
-
-    /// Total trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.branches.iter().map(|b| b.param_count()).sum::<usize>() + self.head.param_count()
+        opt.step(self.params());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Dense, Relu};
+    use crate::layer::{Conv1d, Dense, Relu};
     use crate::loss::softmax_cross_entropy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Train `net` on `(x, labels)` with Adam for `iters` full-batch steps;
+    /// returns the last loss.
+    fn train(net: &mut Sequential, x: &Matrix, labels: &[usize], lr: f64, iters: usize) -> f64 {
+        let mut opt = Adam::new(lr, net.param_count());
+        let mut last_loss = f64::INFINITY;
+        for _ in 0..iters {
+            net.zero_grad();
+            let logits = net.forward(x).unwrap();
+            let (loss, grad) = softmax_cross_entropy(&logits, labels).unwrap();
+            net.backward(&grad).unwrap();
+            net.step(&mut opt);
+            last_loss = loss;
+        }
+        last_loss
+    }
 
     #[test]
     fn sequential_learns_xor() {
@@ -246,16 +120,7 @@ mod tests {
         ])
         .unwrap();
         let labels = [0usize, 1, 1, 0];
-        let mut opt = Adam::new(0.01);
-        let mut last_loss = f64::INFINITY;
-        for _ in 0..800 {
-            net.zero_grad();
-            let logits = net.forward(&x).unwrap();
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.backward(&grad).unwrap();
-            net.step(&mut opt);
-            last_loss = loss;
-        }
+        let last_loss = train(&mut net, &x, &labels, 0.01, 800);
         assert!(last_loss < 0.05, "XOR loss {last_loss}");
         // Check predictions.
         let probs = crate::loss::softmax(&net.forward(&x).unwrap());
@@ -265,64 +130,56 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_split_roundtrip() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let b = Matrix::from_vec(2, 3, vec![5.0, 6.0, 7.0, 8.0, 9.0, 10.0]).unwrap();
-        let m = concat_features(&[a.clone(), b.clone()]).unwrap();
-        assert_eq!(m.cols(), 5);
-        assert_eq!(m.row(0), &[1.0, 2.0, 5.0, 6.0, 7.0]);
-        let parts = split_features(&m, &[2, 3]).unwrap();
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
-    }
-
-    #[test]
-    fn concat_rejects_mismatched_rows() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(3, 2);
-        assert!(concat_features(&[a, b]).is_err());
-        assert!(concat_features(&[]).is_err());
-    }
-
-    #[test]
-    fn split_rejects_wrong_widths() {
-        let m = Matrix::zeros(1, 5);
-        assert!(split_features(&m, &[2, 2]).is_err());
-    }
-
-    #[test]
-    fn branched_trains_on_separable_task() {
-        // Two branches, each seeing one scalar; class = (x0 + x1 > 0).
+    fn per_row_conv_trains_on_separable_task() {
+        // Two rows, each one scalar through its own four filters;
+        // class = (x0 + x1 > 0).
         let mut rng = StdRng::seed_from_u64(13);
-        let b0 = Sequential::new()
-            .push(Layer::Dense(Dense::new(1, 4, &mut rng).unwrap()))
-            .push(Layer::Relu(Relu::new()));
-        let b1 = Sequential::new()
-            .push(Layer::Dense(Dense::new(1, 4, &mut rng).unwrap()))
-            .push(Layer::Relu(Relu::new()));
-        let head = Sequential::new().push(Layer::Dense(Dense::new_xavier(8, 2, &mut rng).unwrap()));
-        let mut net = Branched::new(vec![b0, b1], head);
-        assert!(net.param_count() > 0);
+        let mut net = Sequential::new()
+            .push(Layer::Conv1d(Conv1d::new(2, 1, 4, 1, &mut rng).unwrap()))
+            .push(Layer::Relu(Relu::new()))
+            .push(Layer::Dense(Dense::new_xavier(8, 2, &mut rng).unwrap()));
+        assert_eq!(net.param_count(), 2 * 4 * 2 + 8 * 2 + 2);
 
-        let xs0: Vec<f64> = vec![-1.0, -0.5, 0.5, 1.0, -0.8, 0.9];
-        let xs1: Vec<f64> = vec![-0.5, 1.0, 0.3, -0.2, -0.4, 0.8];
+        let xs0 = [-1.0, -0.5, 0.5, 1.0, -0.8, 0.9];
+        let xs1 = [-0.5, 1.0, 0.3, -0.2, -0.4, 0.8];
         let labels: Vec<usize> = xs0
             .iter()
             .zip(&xs1)
             .map(|(a, b)| usize::from(a + b > 0.0))
             .collect();
-        let in0 = Matrix::from_vec(6, 1, xs0).unwrap();
-        let in1 = Matrix::from_vec(6, 1, xs1).unwrap();
-        let mut opt = Adam::new(0.02);
-        let mut last = f64::INFINITY;
-        for _ in 0..400 {
+        let x = Matrix::from_vec(
+            6,
+            2,
+            xs0.iter().zip(&xs1).flat_map(|(&a, &b)| [a, b]).collect(),
+        )
+        .unwrap();
+        let last = train(&mut net, &x, &labels, 0.02, 400);
+        assert!(last < 0.1, "per-row conv loss {last}");
+    }
+
+    #[test]
+    fn step_without_gradient_keeps_every_parameter() {
+        // A fresh network stepped before any backward: every gradient is
+        // zero, so no parameter may move, not even by the sign of a zero.
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut net = Sequential::new()
+            .push(Layer::Conv1d(Conv1d::new(2, 4, 3, 2, &mut rng).unwrap()))
+            .push(Layer::Relu(Relu::new()))
+            .push(Layer::Dense(Dense::new(18, 4, &mut rng).unwrap()))
+            .push(Layer::Relu(Relu::new()))
+            .push(Layer::Dense(Dense::new_xavier(4, 2, &mut rng).unwrap()));
+        let bits = |net: &mut Sequential| -> Vec<u64> {
+            net.params()
+                .flat_map(|(p, _)| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect()
+        };
+        let before = bits(&mut net);
+        assert_eq!(before.len(), net.param_count());
+        let mut opt = Adam::new(0.1, net.param_count());
+        for _ in 0..3 {
             net.zero_grad();
-            let logits = net.forward(&[in0.clone(), in1.clone()]).unwrap();
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.backward(&grad).unwrap();
             net.step(&mut opt);
-            last = loss;
         }
-        assert!(last < 0.1, "branched loss {last}");
+        assert_eq!(bits(&mut net), before);
     }
 }
