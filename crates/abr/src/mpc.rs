@@ -14,7 +14,6 @@ use crate::abr::{Abr, AbrContext};
 use crate::params::QoeParams;
 use crate::qoe::QoeLin;
 use crate::{AbrError, Result};
-use lingxi_media::QualityMap;
 
 /// RobustMPC ABR.
 #[derive(Debug, Clone)]
@@ -23,7 +22,6 @@ pub struct RobustMpc {
     estimator: HarmonicMeanEstimator,
     window: usize,
     params: QoeParams,
-    quality: QualityMap,
 }
 
 impl RobustMpc {
@@ -41,7 +39,6 @@ impl RobustMpc {
             estimator,
             window: window.max(1),
             params: QoeParams::default(),
-            quality: QualityMap::LinearMbps,
         })
     }
 
@@ -62,7 +59,7 @@ impl RobustMpc {
         throughput: f64,
         bmax: f64,
     ) -> f64 {
-        let qoe = QoeLin::from_params(&self.params, self.quality);
+        let qoe = QoeLin::from_params(&self.params);
         let mut buffer = buffer0;
         let mut prev = prev_level;
         let mut score = 0.0;

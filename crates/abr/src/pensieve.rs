@@ -10,7 +10,7 @@
 //! training episode samples a random parameter pair, so the learned policy
 //! conditions its behaviour on the objective LingXi hands it.
 
-use lingxi_media::{BitrateLadder, QualityMap, SegmentSizes, VbrModel};
+use lingxi_media::{BitrateLadder, SegmentSizes, VbrModel};
 use lingxi_nn::{softmax, Dense, Layer, Matrix, Relu, Sequential};
 use lingxi_player::{PlayerConfig, PlayerEnv};
 use rand::rngs::StdRng;
@@ -195,8 +195,6 @@ pub struct TrainStats {
 pub struct PensieveTrainer {
     /// Player config used for training episodes.
     pub player: PlayerConfig,
-    /// Quality map for the reward.
-    pub quality: QualityMap,
     /// Episodes per epoch.
     pub episodes_per_epoch: usize,
     /// Number of epochs.
@@ -215,7 +213,6 @@ impl Default for PensieveTrainer {
     fn default() -> Self {
         Self {
             player: PlayerConfig::deterministic(10.0, 0.0),
-            quality: QualityMap::LinearMbps,
             episodes_per_epoch: 16,
             epochs: 12,
             episode_segments: 30,
@@ -315,7 +312,7 @@ impl PensieveTrainer {
     ) -> Result<()> {
         let cfg = policy.config;
         policy.set_params(ep.params);
-        let qoe = QoeLin::from_params(&ep.params, self.quality);
+        let qoe = QoeLin::from_params(&ep.params);
         let mut env =
             PlayerEnv::new(self.player).map_err(|e| AbrError::InvalidConfig(e.to_string()))?;
         let mut step_rng = StdRng::seed_from_u64(ep.step_seed);
@@ -430,7 +427,7 @@ impl PensieveTrainer {
         ep: &Episode,
     ) -> Result<f64> {
         policy.set_params(ep.params);
-        let qoe = QoeLin::from_params(&ep.params, self.quality);
+        let qoe = QoeLin::from_params(&ep.params);
         let mut env =
             PlayerEnv::new(self.player).map_err(|e| AbrError::InvalidConfig(e.to_string()))?;
         let mut step_rng = StdRng::seed_from_u64(ep.step_seed);

@@ -1,19 +1,19 @@
 //! The linear QoE objective `QoE_lin` (paper Eq. 1).
 //!
-//! `QoE_lin = Σ_k q(Q_k) − μ Σ_k T_k − Σ_k |q(Q_{k+1}) − q(Q_k)|` — with
-//! the switch term additionally weighted when a switch weight is configured
-//! (the paper's §5.2 sweeps "switching parameters from 0 to 4").
+//! `QoE_lin = Σ_k q(Q_k) − μ Σ_k T_k − Σ_k |q(Q_{k+1}) − q(Q_k)|` with
+//! `q(b) = b / 1000` (Mbps-scaled linear quality) — the switch term
+//! additionally weighted when a switch weight is configured (the paper's
+//! §5.2 sweeps "switching parameters from 0 to 4"). The stall weight μ
+//! defaults to the maximum video quality, exactly as §2.1 sets it.
 
-use lingxi_media::{BitrateLadder, QualityMap};
+use lingxi_media::BitrateLadder;
 use lingxi_player::SessionLog;
 
 use crate::params::QoeParams;
 
-/// A `QoE_lin` evaluator bound to a ladder and quality map.
+/// A `QoE_lin` evaluator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeLin {
-    /// Quality mapping `q(·)`.
-    pub quality: QualityMap,
     /// Stall weight μ.
     pub stall_weight: f64,
     /// Switch weight.
@@ -23,18 +23,15 @@ pub struct QoeLin {
 impl QoeLin {
     /// Paper-default objective: μ = maximum video quality, switch weight 1.
     pub fn paper_default(ladder: &BitrateLadder) -> Self {
-        let quality = QualityMap::LinearMbps;
         Self {
-            quality,
-            stall_weight: quality.q_max(ladder),
+            stall_weight: ladder.max_bitrate() / 1000.0,
             switch_weight: 1.0,
         }
     }
 
     /// Build from tunable parameters.
-    pub fn from_params(params: &QoeParams, quality: QualityMap) -> Self {
+    pub fn from_params(params: &QoeParams) -> Self {
         Self {
-            quality,
             stall_weight: params.stall_weight,
             switch_weight: params.switch_weight,
         }
@@ -42,7 +39,9 @@ impl QoeLin {
 
     /// Score one segment transition.
     ///
-    /// `prev_level` is `None` for the first segment (no switch term).
+    /// `prev_level` is `None` for the first segment (no switch term). A
+    /// level off the ladder scores quality 0, and a switch to or from one
+    /// scores 0.
     pub fn segment_score(
         &self,
         ladder: &BitrateLadder,
@@ -50,13 +49,20 @@ impl QoeLin {
         prev_level: Option<usize>,
         stall_time: f64,
     ) -> f64 {
-        let q = self.quality.q(ladder, level).unwrap_or(0.0);
+        let q = quality(ladder, level).unwrap_or(0.0);
         let switch = match prev_level {
-            Some(p) => self.quality.switch_penalty(ladder, p, level).unwrap_or(0.0),
+            Some(p) => quality(ladder, level)
+                .and_then(|to| Some((to - quality(ladder, p)?).abs()))
+                .unwrap_or(0.0),
             None => 0.0,
         };
         q - self.stall_weight * stall_time - self.switch_weight * switch
     }
+}
+
+/// `q(level) = bitrate / 1000`; `None` off the ladder.
+fn quality(ladder: &BitrateLadder, level: usize) -> Option<f64> {
+    ladder.bitrates().get(level).map(|b| b / 1000.0)
 }
 
 /// Total `QoE_lin` of a finished session.
@@ -104,7 +110,6 @@ mod tests {
     fn segment_score_components() {
         let l = ladder();
         let q = QoeLin {
-            quality: QualityMap::LinearMbps,
             stall_weight: 4.3,
             switch_weight: 1.0,
         };
@@ -125,7 +130,6 @@ mod tests {
     fn log_total_matches_hand_computation() {
         let l = ladder();
         let q = QoeLin {
-            quality: QualityMap::LinearMbps,
             stall_weight: 2.0,
             switch_weight: 1.0,
         };
@@ -162,16 +166,60 @@ mod tests {
             exit_segment: None,
         };
         let gentle = QoeLin {
-            quality: QualityMap::LinearMbps,
             stall_weight: 1.0,
             switch_weight: 1.0,
         };
         let harsh = QoeLin {
-            quality: QualityMap::LinearMbps,
             stall_weight: 10.0,
             switch_weight: 1.0,
         };
         assert!(qoe_lin_of_log(&harsh, &l, &log) < qoe_lin_of_log(&gentle, &l, &log));
+    }
+
+    /// The paper-default score of every level pair of the default ladder
+    /// at a quarter-second stall, bit for bit, with level 4 off the
+    /// ladder: as `level` it scores quality 0 and switch 0 (the stall term
+    /// alone), as `prev_level` it scores switch 0.
+    #[test]
+    fn segment_score_bits_on_and_off_the_ladder() {
+        let l = ladder();
+        let q = QoeLin::paper_default(&l);
+        // Rows: level 0..=4; columns: prev None, then Some(0..=4).
+        let want: [[f64; 6]; 5] = [
+            [-0.725, -0.725, -1.175, -2.225, -4.675, -0.725],
+            [
+                -0.2749999999999999,
+                -0.725,
+                -0.2749999999999999,
+                -1.325,
+                -3.775,
+                -0.2749999999999999,
+            ],
+            [
+                0.7750000000000001,
+                -0.7249999999999999,
+                -0.2749999999999999,
+                0.7750000000000001,
+                -1.6749999999999996,
+                0.7750000000000001,
+            ],
+            [
+                3.2249999999999996,
+                -0.7250000000000001,
+                -0.27500000000000036,
+                0.7749999999999999,
+                3.2249999999999996,
+                3.2249999999999996,
+            ],
+            [-1.075; 6],
+        ];
+        let prevs = [None, Some(0), Some(1), Some(2), Some(3), Some(4)];
+        for (level, row) in want.iter().enumerate() {
+            for (&prev, w) in prevs.iter().zip(row) {
+                let got = q.segment_score(&l, level, prev, 0.25);
+                assert_eq!(got.to_bits(), w.to_bits(), "level {level} prev {prev:?}");
+            }
+        }
     }
 
     #[test]
@@ -181,7 +229,7 @@ mod tests {
             switch_weight: 2.0,
             beta: 0.8,
         };
-        let q = QoeLin::from_params(&p, QualityMap::LinearMbps);
+        let q = QoeLin::from_params(&p);
         assert_eq!(q.stall_weight, 7.0);
         assert_eq!(q.switch_weight, 2.0);
     }

@@ -13,6 +13,23 @@ pub struct GpConfig {
     pub noise: f64,
 }
 
+impl GpConfig {
+    /// Fails unless the noise, the kernel variance and the length scale
+    /// are all positive and finite: any other value fails every fit.
+    pub(crate) fn validate(&self) -> Result<()> {
+        let k = self.kernel;
+        if [self.noise, k.variance, k.length_scale]
+            .iter()
+            .all(|&v| v > 0.0 && v.is_finite())
+        {
+            return Ok(());
+        }
+        Err(BayesError::InvalidConfig(
+            "noise, kernel variance and length scale must be positive and finite".into(),
+        ))
+    }
+}
+
 impl Default for GpConfig {
     fn default() -> Self {
         Self {
@@ -51,9 +68,7 @@ impl GpModel {
         if dim == 0 || x.iter().any(|p| p.len() != dim) {
             return Err(BayesError::InvalidConfig("inconsistent dimensions".into()));
         }
-        if !(config.noise > 0.0) {
-            return Err(BayesError::InvalidConfig("noise must be positive".into()));
-        }
+        config.validate()?;
         let n = x.len();
         let y_mean = y.iter().sum::<f64>() / n as f64;
         let var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / n as f64;
@@ -134,7 +149,7 @@ impl GpModel {
             v.push(vi);
             v_norm2 += vi * vi;
         }
-        let var_st = (self.config.kernel.variance() - v_norm2).max(1e-12);
+        let var_st = (self.config.kernel.variance - v_norm2).max(1e-12);
         (
             mean_st * self.y_std + self.y_mean,
             var_st * self.y_std * self.y_std,
@@ -214,6 +229,14 @@ mod tests {
             ..GpConfig::default()
         };
         assert!(GpModel::fit(bad, &[vec![0.1]], &[1.0]).is_err());
+        let infinite_noise = GpConfig {
+            noise: f64::INFINITY,
+            ..GpConfig::default()
+        };
+        assert!(matches!(
+            GpModel::fit(infinite_noise, &[vec![0.1]], &[1.0]),
+            Err(BayesError::InvalidConfig(_))
+        ));
         let gp = GpModel::fit(GpConfig::default(), &[vec![0.1]], &[1.0]).unwrap();
         assert!(gp.predict(&[0.1, 0.2]).is_err());
     }
@@ -234,8 +257,8 @@ mod tests {
             let kq: Vec<f64> = gp.x.iter().map(|p| gp.config.kernel.eval(p, &q)).collect();
             let mean_st: f64 = kq.iter().zip(&gp.alpha).map(|(a, b)| a * b).sum();
             let solved = gp.chol.solve_lower(&kq).unwrap();
-            let var_st = (gp.config.kernel.variance() - solved.iter().map(|x| x * x).sum::<f64>())
-                .max(1e-12);
+            let var_st =
+                (gp.config.kernel.variance - solved.iter().map(|x| x * x).sum::<f64>()).max(1e-12);
             let (mean, var) = gp.predict_into(&q, &mut v);
             assert_eq!(mean.to_bits(), (mean_st * gp.y_std + gp.y_mean).to_bits());
             assert_eq!(var.to_bits(), (var_st * gp.y_std * gp.y_std).to_bits());

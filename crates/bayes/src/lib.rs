@@ -2,7 +2,7 @@
 //!
 //! LingXi treats per-user QoE-parameter tuning as online black-box
 //! minimization of the predicted exit rate: a Gaussian-process surrogate is
-//! fit over past `(parameters, exit rate)` trials, an acquisition function
+//! fit over past `(parameters, exit rate)` trials, expected improvement
 //! proposes the next candidate, and the loop warm-starts from the
 //! previously optimal parameters whenever the QoE-adjustment trigger fires
 //! ("leverages previously optimized configurations as initialization points
@@ -33,10 +33,10 @@ pub mod kernel;
 pub mod linalg;
 pub mod optimizer;
 
-pub use acquisition::Acquisition;
+pub use acquisition::expected_improvement;
 pub use gp::{GpConfig, GpModel};
 pub use kernel::Kernel;
-pub use linalg::{cholesky_solve, Cholesky};
+pub use linalg::Cholesky;
 pub use optimizer::{ObOptimizer, ObserverConfig};
 
 /// Errors from surrogate fitting or optimization.

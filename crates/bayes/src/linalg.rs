@@ -38,11 +38,6 @@ impl Cholesky {
         Ok(Self { n, l })
     }
 
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Row `i` of `L` (zero above the diagonal).
     pub(crate) fn factor_row(&self, i: usize) -> &[f64] {
         &self.l[i * self.n..(i + 1) * self.n]
@@ -65,7 +60,7 @@ impl Cholesky {
     }
 
     /// Solve `Lᵀ x = y` (back substitution).
-    pub fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>> {
+    fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>> {
         if y.len() != self.n {
             return Err(BayesError::InvalidConfig("rhs length mismatch".into()));
         }
@@ -84,36 +79,6 @@ impl Cholesky {
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.solve_upper(&self.solve_lower(b)?)
     }
-
-    /// Log-determinant of `A` (`2 Σ ln L_ii`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-            * 2.0
-    }
-}
-
-/// One-shot solve `A x = b` with jitter escalation: retries with growing
-/// diagonal jitter until the factorization succeeds (standard GP practice).
-pub fn cholesky_solve(a: &[f64], n: usize, b: &[f64]) -> Result<Vec<f64>> {
-    let mut jitter = 0.0;
-    for attempt in 0..6 {
-        let mut aj = a.to_vec();
-        if jitter > 0.0 {
-            for i in 0..n {
-                aj[i * n + i] += jitter;
-            }
-        }
-        match Cholesky::factor(&aj, n) {
-            Ok(ch) => return ch.solve(b),
-            Err(BayesError::NotPositiveDefinite) => {
-                jitter = if attempt == 0 { 1e-10 } else { jitter * 100.0 };
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(BayesError::NotPositiveDefinite)
 }
 
 #[cfg(test)]
@@ -149,24 +114,6 @@ mod tests {
             Cholesky::factor(&a, 2).unwrap_err(),
             BayesError::NotPositiveDefinite
         );
-    }
-
-    #[test]
-    fn jittered_solve_handles_near_singular() {
-        // Nearly rank-1 matrix.
-        let a = vec![1.0, 1.0, 1.0, 1.0 + 1e-14];
-        let b = [1.0, 1.0];
-        let x = cholesky_solve(&a, 2, &b).unwrap();
-        // Residual should be small.
-        let r0 = a[0] * x[0] + a[1] * x[1] - b[0];
-        assert!(r0.abs() < 1e-6, "residual {r0}");
-    }
-
-    #[test]
-    fn log_det_matches() {
-        let a = vec![4.0, 2.0, 2.0, 3.0]; // det = 8
-        let ch = Cholesky::factor(&a, 2).unwrap();
-        assert!((ch.log_det() - 8.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]

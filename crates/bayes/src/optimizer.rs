@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use crate::acquisition::Acquisition;
+use crate::acquisition::expected_improvement;
 use crate::gp::{GpConfig, GpModel};
 use crate::{BayesError, Result};
 
@@ -14,8 +14,6 @@ pub struct ObserverConfig {
     pub dim: usize,
     /// GP surrogate settings.
     pub gp: GpConfig,
-    /// Acquisition function.
-    pub acquisition: Acquisition,
     /// Random candidates scored per `next_candidate` call.
     pub n_candidates: usize,
     /// Pure-random warmup proposals before the surrogate kicks in.
@@ -31,7 +29,6 @@ impl ObserverConfig {
         Self {
             dim,
             gp: GpConfig::default(),
-            acquisition: Acquisition::default_ei(),
             n_candidates: 256,
             warmup: 3,
             warm_radius: 0.15,
@@ -51,7 +48,9 @@ pub struct ObOptimizer {
 }
 
 impl ObOptimizer {
-    /// Fresh optimizer.
+    /// Fresh optimizer. Fails on a GP config no fit accepts (a noise,
+    /// kernel variance or length scale that is not positive and finite)
+    /// and on a `warm_radius` that is negative or not finite.
     pub fn new(config: ObserverConfig) -> Result<Self> {
         if config.dim == 0 {
             return Err(BayesError::InvalidConfig("dim must be positive".into()));
@@ -59,6 +58,12 @@ impl ObOptimizer {
         if config.n_candidates == 0 {
             return Err(BayesError::InvalidConfig(
                 "need at least one candidate".into(),
+            ));
+        }
+        config.gp.validate()?;
+        if !(config.warm_radius >= 0.0 && config.warm_radius.is_finite()) {
+            return Err(BayesError::InvalidConfig(
+                "warm radius must be finite and non-negative".into(),
             ));
         }
         Ok(Self {
@@ -69,10 +74,14 @@ impl ObOptimizer {
         })
     }
 
-    /// Warm-start at a previously optimal point (`OBO.init(x*, ...)`).
+    /// Warm-start at a previously optimal point (`OBO.init(x*, ...)`),
+    /// clamped to the unit cube. Fails on a NaN coordinate.
     pub fn init_with(&mut self, x0: &[f64]) -> Result<()> {
         if x0.len() != self.config.dim {
             return Err(BayesError::InvalidConfig("warm start dim mismatch".into()));
+        }
+        if x0.iter().any(|v| v.is_nan()) {
+            return Err(BayesError::InvalidConfig("warm start is NaN".into()));
         }
         self.warm_start = Some(x0.iter().map(|v| v.clamp(0.0, 1.0)).collect());
         Ok(())
@@ -109,7 +118,7 @@ impl ObOptimizer {
     ///
     /// Strategy: during warmup, perturb the warm start (or sample
     /// uniformly); afterwards, fit the GP surrogate and return the best of
-    /// `n_candidates` random points under the acquisition function.
+    /// `n_candidates` random points by expected improvement.
     pub fn next_candidate<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let d = self.config.dim;
         if self.ys.len() < self.config.warmup {
@@ -153,7 +162,7 @@ impl ObOptimizer {
             // Every observation and `cand` have dimension `d`, so the
             // posterior cannot fail.
             let (mean, var) = gp.predict_into(&cand, &mut solve);
-            let score = self.config.acquisition.score(mean, var, best);
+            let score = expected_improvement(mean, var, best);
             if score > best_score {
                 best_score = score;
                 best_x.copy_from_slice(&cand);
@@ -241,6 +250,29 @@ mod tests {
         assert!(opt.update(vec![0.5, 0.5], f64::NAN).is_err());
         assert!(opt.best().is_none());
         assert_eq!(opt.n_observations(), 0);
+        // Inputs that would break every proposal: a GP config no fit
+        // accepts (random search after warm-up), a non-finite or negative
+        // warm radius and a NaN warm start (NaN proposals: `f64::clamp`
+        // passes NaN through).
+        let with = |f: &dyn Fn(&mut ObserverConfig)| {
+            let mut c = ObserverConfig::for_dim(2);
+            f(&mut c);
+            ObOptimizer::new(c)
+        };
+        for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(with(&|c| c.gp.noise = v).is_err(), "noise {v}");
+            assert!(with(&|c| c.gp.kernel.variance = v).is_err(), "variance {v}");
+            assert!(with(&|c| c.gp.kernel.length_scale = v).is_err(), "ell {v}");
+        }
+        for v in [-0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(with(&|c| c.warm_radius = v).is_err(), "warm radius {v}");
+        }
+        assert!(with(&|c| c.warm_radius = 0.0).is_ok());
+        assert!(opt.init_with(&[0.5, f64::NAN]).is_err());
+        // Infinite and out-of-cube coordinates clamp onto the cube.
+        opt.init_with(&[f64::INFINITY, -3.0]).unwrap();
+        let x = opt.next_candidate(&mut StdRng::seed_from_u64(4));
+        assert!(x.iter().all(|v| (0.0..=1.0).contains(v)), "{x:?}");
     }
 
     #[test]

@@ -216,7 +216,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     let mut words = bytes.chunks_exact(8);

@@ -114,11 +114,6 @@ impl LingXiConfig {
     }
 
     /// Active search dimensions.
-    pub fn active_dims(&self) -> Vec<ParamDim> {
-        self.dims().collect()
-    }
-
-    /// [`LingXiConfig::active_dims`] without collecting them.
     fn dims(&self) -> impl Iterator<Item = ParamDim> + Clone + '_ {
         self.dims.iter().flatten().copied()
     }
@@ -236,11 +231,6 @@ impl LingXiController {
     /// Count of pre-playback prunes.
     pub fn prunes(&self) -> usize {
         self.prunes
-    }
-
-    /// Stalls accumulated toward the trigger.
-    pub fn pending_stalls(&self) -> usize {
-        self.stalls_since_opt
     }
 
     /// Feed one live segment (Algorithm 1 line 5: state updates).
@@ -491,11 +481,11 @@ mod tests {
         assert!(!c.triggered());
         c.observe_segment(&stalled_record(0.5), 2.0);
         assert!(c.triggered());
-        assert_eq!(c.pending_stalls(), 2);
+        assert_eq!(c.stalls_since_opt, 2);
         // Stall-free segments don't move the trigger.
         let mut c2 = LingXiController::new(LingXiConfig::for_hyb()).unwrap();
         c2.observe_segment(&stalled_record(0.0), 2.0);
-        assert_eq!(c2.pending_stalls(), 0);
+        assert_eq!(c2.stalls_since_opt, 0);
     }
 
     /// One pass of `c` over `abr` on the default ladder, with a fresh
@@ -540,7 +530,7 @@ mod tests {
         assert!(out.predicted_exit_rate.is_finite());
         assert_eq!(c.params(), out.params);
         assert_eq!(lingxi_abr::Abr::params(&abr), out.params);
-        assert_eq!(c.pending_stalls(), 0);
+        assert_eq!(c.stalls_since_opt, 0);
         assert_eq!(c.optimizations(), 1);
     }
 
@@ -647,7 +637,7 @@ mod tests {
         let out = pass(&mut c, &mut Hyb::default_rule(), &env, &mut pred, 3);
         assert!(out.is_none());
         assert_eq!(c.prunes(), 1);
-        assert_eq!(c.pending_stalls(), 0, "prune still clears the trigger");
+        assert_eq!(c.stalls_since_opt, 0, "prune still clears the trigger");
     }
 
     #[test]
@@ -669,7 +659,7 @@ mod tests {
         let mut cfg2 = LingXiConfig::for_hyb();
         cfg2.dims = [None, None, None];
         assert!(LingXiController::new(cfg2).is_err());
-        assert_eq!(LingXiConfig::for_qoe_abr().active_dims().len(), 2);
+        assert_eq!(LingXiConfig::for_qoe_abr().dims().count(), 2);
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn has_forbid_unsafe(src: &str) -> bool {
 
 /// Raw word-boundary count of `unsafe` in a source string — the budget
 /// metric for vendored crates (see module docs for why it is raw).
-pub fn raw_unsafe_count(src: &str) -> usize {
+fn raw_unsafe_count(src: &str) -> usize {
     let bytes = src.as_bytes();
     let word = b"unsafe";
     let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';

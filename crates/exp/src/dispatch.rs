@@ -34,7 +34,7 @@ pub const LINKS: usize = 8;
 const EPOCHS: usize = 3;
 
 /// The 1:4 heterogeneous capacity skew: fat links at indices 0 and 4.
-pub fn hetero_weights() -> Vec<f64> {
+fn hetero_weights() -> Vec<f64> {
     (0..LINKS)
         .map(|q| if q % 4 == 0 { 4.0 } else { 1.0 })
         .collect()

@@ -87,22 +87,6 @@ impl BitrateLadder {
         .expect("static ladder is valid")
     }
 
-    /// A finer 6-level ladder used by some experiments/stress tests.
-    pub fn six_level() -> Self {
-        Self::new(
-            vec![250.0, 500.0, 1000.0, 1850.0, 2850.0, 4300.0],
-            vec![
-                QualityTier::Ld,
-                QualityTier::Ld,
-                QualityTier::Sd,
-                QualityTier::Hd,
-                QualityTier::Hd,
-                QualityTier::FullHd,
-            ],
-        )
-        .expect("static ladder is valid")
-    }
-
     /// Number of levels.
     pub fn len(&self) -> usize {
         self.levels_kbps.len()

@@ -1,12 +1,12 @@
-//! Video/media substrate: bitrate ladders, quality mappings, VBR segment
-//! sizes and a short-video catalog.
+//! Video/media substrate: bitrate ladders, VBR segment sizes and a
+//! short-video catalog.
 //!
 //! The paper's player (Eq. 3) consumes per-segment sizes `d_k(Q_k)` for the
-//! selected bitrate level `Q_k ∈ Q`; its QoE objective (Eq. 1) consumes a
-//! quality mapping `q(·)`; its analyses bucket levels into the four tiers
-//! LD / SD / HD / Full HD (Fig. 3, 4a). This crate owns all three, plus a
-//! generator for short-video catalogs whose duration distribution feeds the
-//! Monte-Carlo `T_sample` ("average length of online videos", §3.2).
+//! selected bitrate level `Q_k ∈ Q`; its analyses bucket levels into the
+//! four tiers LD / SD / HD / Full HD (Fig. 3, 4a). This crate owns both,
+//! plus a generator for short-video catalogs whose duration distribution
+//! feeds the Monte-Carlo `T_sample` ("average length of online videos",
+//! §3.2).
 //!
 //! ```
 //! use lingxi_media::{BitrateLadder, SegmentSizes, VbrModel};
@@ -23,12 +23,10 @@
 
 pub mod catalog;
 pub mod ladder;
-pub mod quality;
 pub mod segment;
 
 pub use catalog::{Catalog, CatalogConfig, Video};
 pub use ladder::{BitrateLadder, QualityTier};
-pub use quality::QualityMap;
 pub use segment::{SegmentSizes, VbrModel};
 
 /// Errors from media-model construction.

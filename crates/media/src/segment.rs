@@ -161,12 +161,6 @@ impl SegmentSizes {
             .copied()
             .ok_or_else(|| MediaError::OutOfRange(format!("segment {k} level {level}")))
     }
-
-    /// Effective bitrate (kbps) of segment `k` at `level`
-    /// (size / duration) — what a throughput rule divides by.
-    pub fn effective_bitrate(&self, k: usize, level: usize) -> Result<f64> {
-        Ok(self.size_kbits(k, level)? / self.segment_duration)
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +198,7 @@ mod tests {
         assert_eq!(s.n_segments(), 10);
         assert_eq!(s.size_kbits(0, 0).unwrap(), 700.0); // 350 kbps * 2 s
         assert_eq!(s.size_kbits(9, 3).unwrap(), 8600.0);
-        assert_eq!(s.effective_bitrate(3, 1).unwrap(), 800.0);
+        assert_eq!(s.size_kbits(3, 1).unwrap(), 1600.0); // 800 kbps * 2 s
     }
 
     #[test]

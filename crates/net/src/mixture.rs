@@ -165,11 +165,6 @@ impl ProductionMixture {
             cv,
         }
     }
-
-    /// Sample a whole population.
-    pub fn sample_population<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<UserNetProfile> {
-        (0..n).map(|_| self.sample_profile(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +178,7 @@ mod tests {
         let m = ProductionMixture::default();
         m.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let pop = m.sample_population(20_000, &mut rng);
+        let pop: Vec<_> = (0..20_000).map(|_| m.sample_profile(&mut rng)).collect();
         // Fraction below the default top bitrate (4300 kbps) should be
         // roughly the paper's ~10% (constrained class + low cellular tail).
         let below = pop.iter().filter(|p| p.mean_kbps < 4300.0).count() as f64 / pop.len() as f64;
@@ -222,7 +217,7 @@ mod tests {
     fn lower_classes_are_burstier() {
         let m = ProductionMixture::default();
         let mut rng = StdRng::seed_from_u64(3);
-        let pop = m.sample_population(10_000, &mut rng);
+        let pop: Vec<_> = (0..10_000).map(|_| m.sample_profile(&mut rng)).collect();
         let avg_cv = |class: NetClass| {
             let xs: Vec<f64> = pop
                 .iter()

@@ -47,16 +47,6 @@ impl Dense {
         }
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.w.cols()
-    }
-
     fn forward(&mut self, x: &Matrix) -> Result<Matrix> {
         let mut y = x.matmul(&self.w)?;
         y.add_row_broadcast(&self.b)?;
@@ -149,7 +139,7 @@ impl Conv1d {
     }
 
     /// Total input feature width expected (`in_ch * len`).
-    pub fn in_features(&self) -> usize {
+    fn in_features(&self) -> usize {
         self.in_ch * self.len
     }
 

@@ -58,8 +58,6 @@ pub enum SessionEnd {
     Completed,
     /// The user-model exited mid-video.
     Exited,
-    /// The driver hit its horizon (budget) before either of the above.
-    Truncated,
 }
 
 /// A complete playback session.
@@ -240,7 +238,7 @@ mod tests {
             video_duration: 10.0,
             segments: vec![],
             watch_time: 0.0,
-            end: SessionEnd::Truncated,
+            end: SessionEnd::Completed,
             exit_segment: None,
         };
         assert_eq!(l.mean_bitrate(), 0.0);

@@ -11,7 +11,7 @@ use crate::{Result, StatsError};
 
 /// Error function `erf(x)` via the Abramowitz & Stegun 7.1.26 rational
 /// approximation (max absolute error ~1.5e-7, plenty for CDF work here).
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     const A1: f64 = 0.254829592;

@@ -25,13 +25,6 @@ pub struct TTestResult {
     pub std_err: f64,
 }
 
-impl TTestResult {
-    /// Whether the two-sided p-value is below `alpha`.
-    pub fn significant(&self, alpha: f64) -> bool {
-        self.p_two_sided < alpha
-    }
-}
-
 /// Two-sided p-value for a t statistic with `df` degrees of freedom.
 ///
 /// Uses the incomplete-beta-free approximation: for large df the t
@@ -135,7 +128,6 @@ mod tests {
         assert!(r.t > 10.0);
         assert!(r.p_two_sided < 0.001);
         assert!((r.estimate - 1.0).abs() < 1e-9);
-        assert!(r.significant(0.05));
     }
 
     #[test]

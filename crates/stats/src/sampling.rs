@@ -83,27 +83,6 @@ pub fn balanced_undersample<R: Rng + ?Sized>(labels: &[bool], rng: &mut R) -> Re
     Ok(out)
 }
 
-/// Reservoir-sample `k` items from an iterator of unknown length
-/// (used for the "1/1000 of online users" detailed-log sampling of §5.4).
-pub fn reservoir_sample<T, I, R>(iter: I, k: usize, rng: &mut R) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-    R: Rng + ?Sized,
-{
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    for (i, item) in iter.into_iter().enumerate() {
-        if i < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.gen_range(0..=i);
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,22 +123,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         assert!(balanced_undersample(&[true, true], &mut rng).is_err());
         assert!(balanced_undersample(&[false], &mut rng).is_err());
-    }
-
-    #[test]
-    fn reservoir_exact_k() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let sample = reservoir_sample(0..10_000, 100, &mut rng);
-        assert_eq!(sample.len(), 100);
-        // Roughly uniform: mean should be near 5000.
-        let mean: f64 = sample.iter().map(|&x| x as f64).sum::<f64>() / 100.0;
-        assert!((mean - 5000.0).abs() < 1500.0, "mean {mean}");
-    }
-
-    #[test]
-    fn reservoir_short_input() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let sample = reservoir_sample(0..5, 100, &mut rng);
-        assert_eq!(sample.len(), 5);
     }
 }

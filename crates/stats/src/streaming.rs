@@ -154,11 +154,6 @@ impl QuantileSketch {
         self.hi
     }
 
-    /// Number of buckets.
-    pub fn n_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count

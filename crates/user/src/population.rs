@@ -140,15 +140,6 @@ impl UserPopulation {
     pub fn is_empty(&self) -> bool {
         self.users.is_empty()
     }
-
-    /// Users whose mean bandwidth is below `kbps` — the long-tail cohort of
-    /// §5.4.
-    pub fn low_bandwidth_users(&self, kbps: f64) -> Vec<&UserRecord> {
-        self.users
-            .iter()
-            .filter(|u| u.net.mean_kbps < kbps)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +189,9 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let share = pop.low_bandwidth_users(2000.0).len() as f64 / pop.len() as f64;
+        // The long-tail cohort of §5.4: mean bandwidth below 2 Mbps.
+        let low = pop.users().iter().filter(|u| u.net.mean_kbps < 2000.0);
+        let share = low.count() as f64 / pop.len() as f64;
         assert!((share - 0.10).abs() < 0.03, "share {share}");
     }
 

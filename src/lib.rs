@@ -15,13 +15,13 @@
 //! |---|---|
 //! | [`stats`] | distributions, ECDFs, t-tests, DiD, correlations |
 //! | [`nn`] | minimal NN library (dense/conv1d/softmax/Adam) |
-//! | [`media`] | bitrate ladders, quality maps, VBR sizes, catalogs |
+//! | [`media`] | bitrate ladders, quality tiers, VBR sizes, catalogs |
 //! | [`net`] | bandwidth traces, generators, estimators, RTT, α-fair multi-hop topologies |
 //! | [`player`] | the Eq. 3 playback simulator and session logs |
 //! | [`abr`] | ThroughputRule, BBA, BOLA, HYB, RobustMPC, Pensieve |
 //! | [`user`] | exit models, stall-sensitivity profiles, populations |
 //! | [`exit`] | the Fig. 7 exit-rate predictor and hybrid model |
-//! | [`bayes`] | GP regression, acquisition functions, online BO |
+//! | [`bayes`] | GP regression (Matérn 5/2), expected improvement, online BO |
 //! | [`core`] | the LingXi controller (Algorithms 1 & 2) |
 //! | [`abtest`] | AA/AB DiD statistics + streaming day metrics (the fleet runs the A/B) |
 //! | [`workload`] | arrival processes and user/link heterogeneity classes |
@@ -116,8 +116,7 @@ pub mod prelude {
         FleetScenario, Lsq, PopulationDynamics, StaticHash,
     };
     pub use lingxi_media::{
-        BitrateLadder, Catalog, CatalogConfig, QualityMap, QualityTier, SegmentSizes, VbrModel,
-        Video,
+        BitrateLadder, Catalog, CatalogConfig, QualityTier, SegmentSizes, VbrModel, Video,
     };
     pub use lingxi_net::{
         allocate, BandwidthEstimator, BandwidthProcess, BandwidthTrace, Download,

@@ -24,7 +24,7 @@ fn prelude_reexports_resolve() {
     let mut rng = StdRng::seed_from_u64(0);
     let pensieve: Pensieve = Pensieve::new(PensieveConfig::default(), &mut rng).unwrap();
     let _: Box<dyn Abr> = Box::new(pensieve);
-    let _ = QoeLin::from_params(&QoeParams::default(), QualityMap::LinearMbps);
+    let _ = QoeLin::from_params(&QoeParams::default());
     // media
     let ladder: BitrateLadder = BitrateLadder::default_short_video();
     let _: CatalogConfig = CatalogConfig::default();
