@@ -36,6 +36,7 @@ pub mod mpc;
 pub mod params;
 pub mod pensieve;
 pub mod qoe;
+mod quality;
 pub mod throughput;
 
 pub use abr::{drive, sync_estimator, sync_window, Abr, AbrContext};

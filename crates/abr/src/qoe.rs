@@ -10,6 +10,7 @@ use lingxi_media::BitrateLadder;
 use lingxi_player::SessionLog;
 
 use crate::params::QoeParams;
+use crate::quality::{quality, switch_penalty};
 
 /// A `QoE_lin` evaluator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,18 +52,11 @@ impl QoeLin {
     ) -> f64 {
         let q = quality(ladder, level).unwrap_or(0.0);
         let switch = match prev_level {
-            Some(p) => quality(ladder, level)
-                .and_then(|to| Some((to - quality(ladder, p)?).abs()))
-                .unwrap_or(0.0),
+            Some(p) => switch_penalty(ladder, p, level).unwrap_or(0.0),
             None => 0.0,
         };
         q - self.stall_weight * stall_time - self.switch_weight * switch
     }
-}
-
-/// `q(level) = bitrate / 1000`; `None` off the ladder.
-fn quality(ladder: &BitrateLadder, level: usize) -> Option<f64> {
-    ladder.bitrates().get(level).map(|b| b / 1000.0)
 }
 
 /// Total `QoE_lin` of a finished session.
